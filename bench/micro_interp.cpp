@@ -171,7 +171,7 @@ BENCHMARK_CAPTURE(BM_RecordBenchmarkNoSched, mcf, "mcf")
     ->Unit(benchmark::kMillisecond);
 
 /// The full cold-record cache miss — interpret, serialize, compress,
-/// index, write .trace + .trace.idx — through the segmented pipeline
+/// index, write the .trace entry — through the segmented pipeline
 /// (TPDBT_SEGMENT_EVENTS at its default) vs. the monolithic v2 writer
 /// (the =0 kill switch). On multi-core hosts the streamed row should
 /// undercut the sequential one: segment encode + compress + index parts
@@ -213,7 +213,8 @@ BENCHMARK_CAPTURE(BM_RecordSequential, mcf, "mcf")
 /// The trace-cache hit path: drive N thresholds from an indexed trace
 /// with no interpretation at all. Compare against BM_SweepPolicies at the
 /// same argument — the warm-cache speedup of the experiment driver. The
-/// index is prebuilt outside the loop, matching the sidecar-hit case.
+/// index is prebuilt outside the loop, matching a trace whose index an
+/// earlier replay already built.
 void BM_ReplaySweep(benchmark::State &State) {
   auto B = workloads::generateBenchmark(
       workloads::scaledSpec(*workloads::findSpec("gzip"), 0.02));
@@ -291,8 +292,8 @@ void BM_ReplayStreamedPump(benchmark::State &State) {
 BENCHMARK(BM_ReplayStreamedPump)->Arg(1)->Arg(15)
     ->Unit(benchmark::kMillisecond);
 
-/// One-time cost of building the analytic index (amortized across every
-/// warm replay, and skipped entirely on a sidecar hit).
+/// One-time cost of building the analytic index: paid once per trace
+/// load (a disk hit), amortized across every replay of that trace.
 void BM_BuildTraceIndex(benchmark::State &State) {
   auto B = workloads::generateBenchmark(
       workloads::scaledSpec(*workloads::findSpec("gzip"), 0.02));

@@ -243,10 +243,10 @@ void ExperimentContext::ensureProfiles(const std::string &Name,
 
   auto timedReplay = [&](const BlockTrace &Trace, const guest::Program &P,
                          const std::vector<uint64_t> &Thresholds) {
-    // The analytic path builds the trace's index on first use; when no
-    // cached index is attached (memory-only cache, or an adopted sidecar
-    // failed), force that build here under the index timer so
-    // ReplayMicros measures replay alone, not index construction.
+    // The analytic path builds the trace's index on first use; when none
+    // is attached (every disk hit, and non-streamed records), force that
+    // build here under the index timer so ReplayMicros measures replay
+    // alone, not index construction.
     if (!Config.Dbt.Adaptive.Enabled && !Trace.sharedIndex()) {
       auto I0 = std::chrono::steady_clock::now();
       Trace.index();

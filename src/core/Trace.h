@@ -118,7 +118,8 @@ public:
   /// cached for the trace's lifetime. Thread-safe.
   const TraceIndex &index() const;
 
-  /// Installs a precomputed index (e.g. loaded from a TraceCache sidecar).
+  /// Installs a precomputed index (e.g. the one the record pipeline
+  /// stitches from its segment parts).
   /// Rejected unless it matches this trace; returns whether it was
   /// adopted (an already-built index also counts as adopted).
   bool adoptIndex(std::shared_ptr<const TraceIndex> Idx) const;

@@ -2,7 +2,6 @@
 
 #include "core/TraceCache.h"
 
-#include "core/TraceIndex.h"
 #include "core/TracePipeline.h"
 #include "core/TraceSegments.h"
 #include "support/Compression.h"
@@ -34,7 +33,6 @@ void TraceCache::touchEntry(const std::string &Path) {
   std::error_code Ec;
   const auto Now = std::filesystem::file_time_type::clock::now();
   std::filesystem::last_write_time(Path, Now, Ec);
-  std::filesystem::last_write_time(indexPath(Path), Now, Ec);
 }
 
 void TraceCache::enforceBudget() {
@@ -51,6 +49,13 @@ void TraceCache::enforceBudget() {
   uint64_t Total = 0;
   std::error_code Ec;
   for (const auto &E : std::filesystem::directory_iterator(Dir, Ec)) {
+    if (E.path().extension() == ".idx" &&
+        E.path().stem().extension() == ".trace") {
+      // A .trace.idx index sidecar from an older build: nothing reads it
+      // any more, so it only holds budget.
+      std::filesystem::remove(E.path(), Ec);
+      continue;
+    }
     if (E.path().extension() != ".trace")
       continue;
     Entry Ent;
@@ -59,10 +64,6 @@ void TraceCache::enforceBudget() {
     if (Ec)
       continue; // raced with a concurrent eviction or rewrite
     Ent.Used = std::filesystem::last_write_time(E.path(), Ec);
-    const uint64_t IdxBytes =
-        std::filesystem::file_size(indexPath(Ent.TracePath), Ec);
-    if (!Ec)
-      Ent.Bytes += IdxBytes;
     Total += Ent.Bytes;
     Entries.push_back(std::move(Ent));
   }
@@ -77,7 +78,6 @@ void TraceCache::enforceBudget() {
     // layer holds its own reference, and the next cold lookup simply
     // re-records (stampede-protected by the per-slot lock as usual).
     std::filesystem::remove(Ent.TracePath, Ec);
-    std::filesystem::remove(indexPath(Ent.TracePath), Ec);
     Total -= std::min(Total, Ent.Bytes);
     Stats.Evictions.fetch_add(1, std::memory_order_relaxed);
     Stats.EvictedBytes.fetch_add(Ent.Bytes, std::memory_order_relaxed);
@@ -145,33 +145,6 @@ void TraceCache::storeDisk(const std::string &Path,
   writeTextFileAtomic(Path, compressBytes(Trace.serialize()));
 }
 
-void TraceCache::ensureIndex(const std::string &TracePath,
-                             const BlockTrace &Trace) {
-  const std::string IdxPath = indexPath(TracePath);
-  if (auto Packed = readTextFile(IdxPath)) {
-    std::string Raw;
-    auto Idx = std::make_shared<TraceIndex>();
-    if (decompressBytes(*Packed, Raw, nullptr) &&
-        TraceIndex::parse(Raw, *Idx, nullptr) &&
-        Trace.adoptIndex(std::move(Idx))) {
-      Stats.IndexHits.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    // Torn, corrupt, or written for a different trace (stale key
-    // collision): rebuild and rewrite below.
-    Stats.CorruptIndexEntries.fetch_add(1, std::memory_order_relaxed);
-  }
-  auto Start = std::chrono::steady_clock::now();
-  const TraceIndex &Idx = Trace.index();
-  auto End = std::chrono::steady_clock::now();
-  Stats.IndexBuilds.fetch_add(1, std::memory_order_relaxed);
-  Stats.IndexMicros.fetch_add(
-      std::chrono::duration_cast<std::chrono::microseconds>(End - Start)
-          .count(),
-      std::memory_order_relaxed);
-  writeTextFileAtomic(IdxPath, compressBytes(Idx.serialize()));
-}
-
 std::shared_ptr<const BlockTrace>
 TraceCache::get(const std::string &Name, const std::string &Input,
                 uint64_t ExecFp, const guest::Program &Program,
@@ -197,7 +170,6 @@ TraceCache::get(const std::string &Name, const std::string &Input,
     Path = entryPath(Name, Input, ExecFp);
     if (auto FromDisk = loadDisk(Path, Program)) {
       Stats.DiskHits.fetch_add(1, std::memory_order_relaxed);
-      ensureIndex(Path, *FromDisk);
       touchEntry(Path); // refresh LRU recency for the bounded store
       S->Trace = FromDisk;
       return FromDisk;
@@ -248,21 +220,17 @@ TraceCache::get(const std::string &Name, const std::string &Input,
     // Streamed path: the pipeline already compressed and indexed every
     // segment behind the recording; finish() drains the tail, assembles
     // the v3 container, and stitches the index — no separate serialize,
-    // compress, or index build remains.
+    // compress, or index build remains. The index stays in memory only.
     TracePipeline::Result R = Pipe->finish(*Recorded);
     Stats.StreamedRecords.fetch_add(1, std::memory_order_relaxed);
     Stats.SegmentsPiped.fetch_add(R.Segments, std::memory_order_relaxed);
     Stats.PipelineMicros.fetch_add(R.WorkMicros, std::memory_order_relaxed);
     Stats.FlushMicros.fetch_add(R.FlushMicros, std::memory_order_relaxed);
     Recorded->adoptIndex(R.Index);
-    if (!Dir.empty() && ensureDirectory(Dir)) {
+    if (!Dir.empty() && ensureDirectory(Dir))
       writeTextFileAtomic(Path, R.FileBytes);
-      writeTextFileAtomic(indexPath(Path),
-                          compressBytes(R.Index->serialize()));
-    }
   } else if (!Dir.empty()) {
     storeDisk(Path, *Recorded);
-    ensureIndex(Path, *Recorded);
   }
   if (!Dir.empty())
     enforceBudget();

@@ -3,11 +3,9 @@
 #include "core/TraceIndex.h"
 
 #include "core/Trace.h"
-#include "support/Varint.h"
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
 using namespace tpdbt;
 using namespace tpdbt::core;
@@ -90,9 +88,8 @@ TraceIndex::SegmentPart TraceIndex::buildPart(const TraceEvent *Ev, size_t N,
   return Part;
 }
 
-TraceIndex TraceIndex::stitch(const BlockTrace &Trace, uint64_t Budget,
-                              const std::vector<SegmentPart> &Parts,
-                              std::vector<SegmentBase> Directory) {
+TraceIndex TraceIndex::stitch(const BlockTrace &Trace,
+                              const std::vector<SegmentPart> &Parts) {
   const size_t N = Trace.numBlocks();
   const size_t E = Trace.numEvents();
   assert(E < (1ull << 32) && "trace too large for a 32-bit position index");
@@ -100,8 +97,6 @@ TraceIndex TraceIndex::stitch(const BlockTrace &Trace, uint64_t Budget,
   TraceIndex Idx;
   Idx.TotalInsts = Trace.totalInsts();
   Idx.TakenEvents = Trace.takenEvents();
-  Idx.SegmentBudget = Budget;
-  Idx.Directory = std::move(Directory);
 
   const std::vector<profile::BlockCounters> &Final = Trace.finalCounts();
   Idx.BlockBegin.resize(N + 1);
@@ -200,144 +195,6 @@ uint32_t TraceIndex::firstOutcomeChange(BlockId B, uint32_t K,
       Hi = Mid;
   }
   return Lo - 1;
-}
-
-namespace {
-
-constexpr char IdxMagic[4] = {'T', 'P', 'D', 'X'};
-/// v2 added the segment directory (budget + per-segment events and
-/// global prefix-sum bases); v1 sidecars (no directory) remain readable.
-constexpr uint8_t IdxVersionPlain = 1;
-constexpr uint8_t IdxVersionSegmented = 2;
-
-template <typename T> void putArray(std::string &Out, const std::vector<T> &V) {
-  size_t Bytes = V.size() * sizeof(T);
-  size_t At = Out.size();
-  Out.resize(At + Bytes);
-  std::memcpy(Out.data() + At, V.data(), Bytes);
-}
-
-template <typename T>
-bool getArray(const std::string &In, size_t &Pos, std::vector<T> &V,
-              size_t Count) {
-  size_t Bytes = Count * sizeof(T);
-  if (In.size() - Pos < Bytes)
-    return false;
-  V.resize(Count);
-  std::memcpy(V.data(), In.data() + Pos, Bytes);
-  Pos += Bytes;
-  return true;
-}
-
-} // namespace
-
-std::string TraceIndex::serialize() const {
-  const size_t N = numBlocks();
-  const size_t E = numEvents();
-  std::string Out(IdxMagic, 4);
-  Out.push_back(static_cast<char>(
-      Directory.empty() ? IdxVersionPlain : IdxVersionSegmented));
-  putVarint(Out, N);
-  putVarint(Out, E);
-  putVarint(Out, TotalInsts);
-  putVarint(Out, TakenEvents);
-  if (!Directory.empty()) {
-    putVarint(Out, SegmentBudget);
-    putVarint(Out, Directory.size());
-    for (const SegmentBase &S : Directory) {
-      putVarint(Out, S.Events);
-      putVarint(Out, S.BaseInsts);
-      putVarint(Out, S.BaseTaken);
-    }
-  }
-  putArray(Out, BlockBegin);
-  putArray(Out, OccPos);
-  putArray(Out, TakenPre);
-  putArray(Out, InstsPre);
-  putArray(Out, GlobalInsts);
-  putArray(Out, GlobalTaken);
-  return Out;
-}
-
-bool TraceIndex::parse(const std::string &Bytes, TraceIndex &Out,
-                       std::string *Error) {
-  auto Fail = [&](const char *Msg) {
-    if (Error)
-      *Error = Msg;
-    return false;
-  };
-  if (Bytes.size() < 5 || Bytes.compare(0, 4, IdxMagic, 4) != 0)
-    return Fail("bad index magic");
-  const uint8_t Ver = static_cast<uint8_t>(Bytes[4]);
-  if (Ver != IdxVersionPlain && Ver != IdxVersionSegmented)
-    return Fail("unsupported index version");
-  size_t Pos = 5;
-  uint64_t N = 0, E = 0;
-  TraceIndex Idx;
-  if (!getVarint(Bytes, Pos, N) || !getVarint(Bytes, Pos, E) ||
-      !getVarint(Bytes, Pos, Idx.TotalInsts) ||
-      !getVarint(Bytes, Pos, Idx.TakenEvents))
-    return Fail("truncated index header");
-  if (E >= (1ull << 32) || N > E + 1 || E * 4 > Bytes.size())
-    return Fail("implausible index dimensions");
-  if (Ver == IdxVersionSegmented) {
-    uint64_t NumSegments = 0;
-    if (!getVarint(Bytes, Pos, Idx.SegmentBudget) ||
-        !getVarint(Bytes, Pos, NumSegments))
-      return Fail("truncated index segment directory");
-    // A segment holds at least one event, so more segments than events
-    // (or than a third of the directory bytes) marks corruption before
-    // any allocation is sized from an attacker-controlled count.
-    if (NumSegments > E || NumSegments > Bytes.size() / 3)
-      return Fail("implausible index segment count");
-    if (NumSegments > 0 && Idx.SegmentBudget == 0)
-      return Fail("index segment directory with zero budget");
-    Idx.Directory.resize(NumSegments);
-    uint64_t SumEvents = 0, RunInsts = 0, RunTaken = 0;
-    for (uint64_t S = 0; S < NumSegments; ++S) {
-      uint64_t Events = 0, BaseInsts = 0, BaseTaken = 0;
-      if (!getVarint(Bytes, Pos, Events) ||
-          !getVarint(Bytes, Pos, BaseInsts) ||
-          !getVarint(Bytes, Pos, BaseTaken))
-        return Fail("truncated index segment directory");
-      // Zero-length and oversized entries are rejected per row, before
-      // the uint32 narrowing below and before SumEvents can wrap.
-      if (Events == 0 || Events > Idx.SegmentBudget || Events > E)
-        return Fail("index segment event count outside budget");
-      if (BaseInsts < RunInsts || BaseTaken < RunTaken)
-        return Fail("index segment bases not monotone");
-      Idx.Directory[S] = {static_cast<uint32_t>(Events), BaseInsts,
-                          BaseTaken};
-      SumEvents += Events;
-      if (SumEvents > E)
-        return Fail("index segment directory disagrees with event count");
-      RunInsts = BaseInsts;
-      RunTaken = BaseTaken;
-    }
-    if (SumEvents != E)
-      return Fail("index segment directory disagrees with event count");
-    if (RunInsts > Idx.TotalInsts || RunTaken > Idx.TakenEvents)
-      return Fail("index segment bases exceed trace totals");
-  }
-  if (!getArray(Bytes, Pos, Idx.BlockBegin, N + 1) ||
-      !getArray(Bytes, Pos, Idx.OccPos, E) ||
-      !getArray(Bytes, Pos, Idx.TakenPre, E + N) ||
-      !getArray(Bytes, Pos, Idx.InstsPre, E + N) ||
-      !getArray(Bytes, Pos, Idx.GlobalInsts, E + 1) ||
-      !getArray(Bytes, Pos, Idx.GlobalTaken, E + 1))
-    return Fail("truncated index payload");
-  if (Pos != Bytes.size())
-    return Fail("trailing bytes after index");
-  if (Idx.BlockBegin.front() != 0 || Idx.BlockBegin.back() != E)
-    return Fail("corrupt index offsets");
-  for (size_t B = 0; B < N; ++B)
-    if (Idx.BlockBegin[B] > Idx.BlockBegin[B + 1])
-      return Fail("corrupt index offsets");
-  if (Idx.GlobalInsts.back() != Idx.TotalInsts ||
-      Idx.GlobalTaken.back() != Idx.TakenEvents)
-    return Fail("index totals disagree with prefix sums");
-  Out = std::move(Idx);
-  return true;
 }
 
 bool TraceIndex::matches(const BlockTrace &Trace) const {

@@ -24,8 +24,10 @@
 ///    closed-form tail accounting.
 ///
 /// Building the index is two O(events) passes; it is built at most once
-/// per trace (see BlockTrace::index()) and cached on disk as a sidecar
-/// next to the .trace entry (see TraceCache and docs/CACHE_FORMAT.md).
+/// per trace (see BlockTrace::index()) and lives in memory only. It is
+/// never persisted: rebuilding it from a loaded trace is cheaper than
+/// reading, inflating, and parsing a stored copy, and it spares the
+/// cache a second on-disk format to validate.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +38,6 @@
 #include "profile/Profile.h"
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace tpdbt {
@@ -52,16 +53,6 @@ class TraceIndex {
 public:
   /// Builds the index for \p Trace in two linear passes.
   static TraceIndex build(const BlockTrace &Trace);
-
-  /// One segment's row in the index's segment directory: how many events
-  /// the segment holds and the global prefix-sum bases at its start, so a
-  /// segment-at-a-time consumer can fast-forward to any segment without
-  /// touching the ones before it (mirrors the TPDT v3 directory).
-  struct SegmentBase {
-    uint32_t Events = 0;
-    uint64_t BaseInsts = 0;
-    uint64_t BaseTaken = 0;
-  };
 
   /// The per-segment index material the streamed pipeline builds while a
   /// segment is still in flight: the segment's events grouped by block
@@ -86,18 +77,8 @@ public:
   /// prefix sums continued across segment boundaries, and the global
   /// prefix arrays come from one linear pass over \p Trace. Produces the
   /// same queries as build(); the pipeline's differential tests pin that.
-  /// \p Budget and \p Directory populate the TPDX v2 segment directory.
-  static TraceIndex stitch(const BlockTrace &Trace, uint64_t Budget,
-                           const std::vector<SegmentPart> &Parts,
-                           std::vector<SegmentBase> Directory);
-
-  /// The segment directory (empty for indexes built monolithically or
-  /// loaded from a TPDX v1 sidecar).
-  const std::vector<SegmentBase> &segmentDirectory() const {
-    return Directory;
-  }
-  /// The event budget the segments were cut with (0 when no directory).
-  uint64_t segmentBudget() const { return SegmentBudget; }
+  static TraceIndex stitch(const BlockTrace &Trace,
+                           const std::vector<SegmentPart> &Parts);
 
   size_t numBlocks() const { return BlockBegin.size() - 1; }
   size_t numEvents() const { return OccPos.size(); }
@@ -155,15 +136,8 @@ public:
   /// Taken conditional branches among events at positions < \p Pos.
   uint32_t takenBefore(uint32_t Pos) const { return GlobalTaken[Pos]; }
 
-  /// Serializes to the TPDX sidecar format (see docs/CACHE_FORMAT.md):
-  /// v2 when the index carries a segment directory, v1 otherwise.
-  /// parse() round-trips and accepts both versions.
-  std::string serialize() const;
-  static bool parse(const std::string &Bytes, TraceIndex &Out,
-                    std::string *Error);
-
   /// True when the index plausibly describes \p Trace (dimension and
-  /// total checks; guards against stale or mismatched sidecars).
+  /// total checks; guards BlockTrace::adoptIndex against a foreign index).
   bool matches(const BlockTrace &Trace) const;
 
 private:
@@ -186,9 +160,6 @@ private:
   std::vector<uint32_t> GlobalTaken;
   uint64_t TotalInsts = 0;
   uint64_t TakenEvents = 0;
-  /// TPDX v2 segment directory (empty on v1 / monolithic builds).
-  std::vector<SegmentBase> Directory;
-  uint64_t SegmentBudget = 0;
 };
 
 } // namespace core

@@ -92,16 +92,11 @@ TracePipeline::Result TracePipeline::finish(const BlockTrace &T) {
 
   Result R;
   R.Segments = Segments.size();
-  std::vector<TraceIndex::SegmentBase> Dir;
-  Dir.reserve(Segments.size());
-  for (const TraceSegmentRecord &Rec : Segments)
-    Dir.push_back({Rec.Events, Rec.BaseInsts, Rec.BaseTaken});
   if (WantFile)
     R.FileBytes =
         assembleSegmentedTrace(NumBlocks, T.numEvents(), T.totalInsts(),
                                Budget, T.finalCounts(), Segments);
-  R.Index = std::make_shared<TraceIndex>(
-      TraceIndex::stitch(T, Budget, Parts, std::move(Dir)));
+  R.Index = std::make_shared<TraceIndex>(TraceIndex::stitch(T, Parts));
   R.WorkMicros = WorkMicros;
   R.FlushMicros = microsSince(Start);
   return R;

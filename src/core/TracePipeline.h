@@ -54,8 +54,7 @@ public:
     /// The assembled TPDT v3 container (empty when the pipeline was
     /// created with WantFile = false).
     std::string FileBytes;
-    /// The full analytic index, stitched from the per-segment parts;
-    /// carries the TPDX v2 segment directory.
+    /// The full analytic index, stitched from the per-segment parts.
     std::shared_ptr<const TraceIndex> Index;
     uint64_t Segments = 0;
     /// Consumer wall clock spent on segments (encode + compress +

@@ -24,9 +24,14 @@ Daemon::Daemon(DaemonOptions Opts)
 Daemon::~Daemon() {
   requestStop();
   // run() joins its threads before returning; this covers the case where
-  // start() succeeded but run() was never entered.
-  std::lock_guard<std::mutex> Guard(ConnsLock);
-  for (std::thread &T : Threads)
+  // start() succeeded but run() was never entered. Join outside ConnsLock:
+  // a finishing connection thread takes it to close its socket.
+  std::vector<std::thread> ToJoin;
+  {
+    std::lock_guard<std::mutex> Guard(ConnsLock);
+    ToJoin.swap(Threads);
+  }
+  for (std::thread &T : ToJoin)
     if (T.joinable())
       T.join();
 }
@@ -201,5 +206,9 @@ void Daemon::serveConnection(std::shared_ptr<Connection> Conn) {
   }
 
   DrainWorkers();
+  // requestStop() shuts down every live socket under ConnsLock; closing
+  // under the same lock keeps it from reading the fd mid-close, or after
+  // the number has been recycled by an unrelated open().
+  std::lock_guard<std::mutex> Guard(ConnsLock);
   Conn->Sock.close();
 }

@@ -12,7 +12,7 @@
 ///   payload := u8 version | u8 type | body
 ///
 /// Bodies are varint/length-prefixed-string encoded with the same
-/// support/Varint.h primitives as the TPDT/TPDX file formats. Frames are
+/// support/Varint.h primitives as the TPDT trace format. Frames are
 /// bounded (MaxFramePayload) so a corrupt or hostile length prefix never
 /// sizes an allocation; every decoder returns false on truncated,
 /// oversized, or trailing bytes instead of trusting the peer.

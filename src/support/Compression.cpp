@@ -152,7 +152,11 @@ bool tpdbt::decompressBytes(const std::string &Compressed, std::string &Out,
   // stream cannot legally expand by more than ~256x per byte.
   if (RawSize > (Compressed.size() - Pos + 1) * 270 + 64)
     return Fail("declared raw size implausibly large");
-  Out.reserve(RawSize);
+  // Size the output once and fill it through a cursor; the checks below
+  // keep every write inside [0, RawSize).
+  Out.resize(RawSize);
+  char *Dst = Out.data();
+  size_t At = 0;
 
   while (Pos < Compressed.size()) {
     uint8_t Token = static_cast<uint8_t>(Compressed[Pos++]);
@@ -161,9 +165,10 @@ bool tpdbt::decompressBytes(const std::string &Compressed, std::string &Out,
       return Fail("truncated literal length");
     if (LitLen > Compressed.size() - Pos)
       return Fail("literal run past end of stream");
-    if (Out.size() + LitLen > RawSize)
+    if (LitLen > RawSize - At)
       return Fail("output exceeds declared raw size");
-    Out.append(Compressed, Pos, LitLen);
+    std::memcpy(Dst + At, Compressed.data() + Pos, LitLen);
+    At += LitLen;
     Pos += LitLen;
     if (!getLength(Compressed, Pos, Token & 0xf, MatchCode))
       return Fail("truncated match length");
@@ -177,17 +182,23 @@ bool tpdbt::decompressBytes(const std::string &Compressed, std::string &Out,
                         << 8;
     Pos += 2;
     size_t MatchLen = MatchCode + MinMatch - 1;
-    if (Offset == 0 || Offset > Out.size())
+    if (Offset == 0 || Offset > At)
       return Fail("match offset before start of output");
-    if (Out.size() + MatchLen > RawSize)
+    if (MatchLen > RawSize - At)
       return Fail("output exceeds declared raw size");
-    // Overlapping copies are legal (offset < length replicates runs), so
-    // copy bytewise from the already-produced output.
-    size_t From = Out.size() - Offset;
-    for (size_t I = 0; I < MatchLen; ++I)
-      Out.push_back(Out[From + I]);
+    const char *From = Dst + At - Offset;
+    if (Offset >= MatchLen) {
+      std::memcpy(Dst + At, From, MatchLen);
+    } else {
+      // Overlapping copies are legal (offset < length replicates runs):
+      // copy forward so each byte reads one already written.
+      char *To = Dst + At;
+      for (size_t I = 0; I < MatchLen; ++I)
+        To[I] = From[I];
+    }
+    At += MatchLen;
   }
-  if (Out.size() != RawSize)
+  if (At != RawSize)
     return Fail("output shorter than declared raw size");
   return true;
 }

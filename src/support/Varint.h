@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The varint/zigzag primitives shared by every tpdbt binary format
-/// (TPDT traces, TPDX indexes, the TPDZ frame header). Unsigned values
+/// (TPDT traces, the TPDZ frame header, protocol bodies). Unsigned values
 /// are LEB128: seven payload bits per byte, high bit marks continuation.
 /// Signed deltas go through zigzag so small negative values stay short.
 ///

@@ -1,7 +1,6 @@
 //===- tests/core/ExperimentTest.cpp - Experiment context tests -*- C++ -*-===//
 
 #include "core/Experiment.h"
-#include "core/TraceIndex.h"
 
 #include "support/Compression.h"
 #include "support/TextFile.h"
@@ -82,9 +81,9 @@ TEST(ExperimentContextTest, CacheRoundTrip) {
   }
   // 2 thresholds + AVEP + train for one benchmark.
   EXPECT_EQ(ProfFiles, 4u);
-  // One recorded trace per input, each with its analytic-index sidecar.
+  // One recorded trace per input; the analytic index is never persisted.
   EXPECT_EQ(TraceFiles, 2u);
-  EXPECT_EQ(IndexFiles, 2u);
+  EXPECT_EQ(IndexFiles, 0u);
 
   // A fresh context must load identical data from the cache.
   ExperimentContext Ctx2(tinyConfig(Dir));
@@ -266,11 +265,6 @@ TEST(ExperimentContextTest, ConcurrentWritersSameCacheKey) {
       continue;
     }
     if (E.path().extension() == ".idx") {
-      std::string Raw, Err;
-      ASSERT_TRUE(decompressBytes(*Text, Raw, &Err)) << Path << ": " << Err;
-      core::TraceIndex Idx;
-      EXPECT_TRUE(core::TraceIndex::parse(Raw, Idx, &Err)) << Path << ": "
-                                                           << Err;
       ++IndexFiles;
       continue;
     }
@@ -282,9 +276,9 @@ TEST(ExperimentContextTest, ConcurrentWritersSameCacheKey) {
   }
   // 2 thresholds + AVEP + train, for two benchmarks.
   EXPECT_EQ(ProfFiles, 8u);
-  // One trace per (benchmark, input), each with an index sidecar.
+  // One trace per (benchmark, input), and no index sidecar.
   EXPECT_EQ(TraceFiles, 4u);
-  EXPECT_EQ(IndexFiles, 4u);
+  EXPECT_EQ(IndexFiles, 0u);
   std::filesystem::remove_all(Dir);
 }
 

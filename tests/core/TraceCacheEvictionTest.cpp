@@ -41,20 +41,23 @@ struct BudgetFixture {
     ::setenv("TPDBT_CACHE_MAX_BYTES", std::to_string(Bytes).c_str(), 1);
   }
 
-  /// Writes a .trace file (with an .idx sidecar) of \p Bytes total and
-  /// stamps it \p AgeSeconds into the past, so recency order is explicit
-  /// rather than racing the filesystem clock.
+  /// Writes a .trace file of \p Bytes and stamps it \p AgeSeconds into
+  /// the past, so recency order is explicit rather than racing the
+  /// filesystem clock.
   std::string addEntry(const std::string &Stem, size_t Bytes,
                        int AgeSeconds) {
     const std::string Trace = (Dir / (Stem + ".trace")).string();
-    const std::string Idx = Trace + ".idx";
-    writeTextFile(Trace, std::string(Bytes / 2, 't'));
-    writeTextFile(Idx, std::string(Bytes - Bytes / 2, 'i'));
-    const auto Stamp = fs::file_time_type::clock::now() -
-                       std::chrono::seconds(AgeSeconds);
-    fs::last_write_time(Trace, Stamp);
-    fs::last_write_time(Idx, Stamp);
+    writeTextFile(Trace, std::string(Bytes, 't'));
+    fs::last_write_time(Trace, fs::file_time_type::clock::now() -
+                                   std::chrono::seconds(AgeSeconds));
     return Trace;
+  }
+
+  uint64_t dirBytes() const {
+    uint64_t Total = 0;
+    for (const auto &E : fs::directory_iterator(Dir))
+      Total += fs::file_size(E.path());
+    return Total;
   }
 };
 
@@ -73,7 +76,7 @@ TEST(CacheMaxBytesTest, ReadsEnvironmentFresh) {
 TEST(TraceCacheEvictionTest, EvictsOldestEntriesUntilUnderBudget) {
   BudgetFixture F;
   // Four 1000-byte entries, oldest first; a 3000-byte budget must drop
-  // exactly the oldest one (trace + sidecar together).
+  // exactly the oldest one.
   const std::string Oldest = F.addEntry("a.ref.0001", 1000, 400);
   const std::string Mid1 = F.addEntry("b.ref.0002", 1000, 300);
   const std::string Mid2 = F.addEntry("c.ref.0003", 1000, 200);
@@ -84,7 +87,6 @@ TEST(TraceCacheEvictionTest, EvictsOldestEntriesUntilUnderBudget) {
   Cache.enforceBudget();
 
   EXPECT_FALSE(fs::exists(Oldest));
-  EXPECT_FALSE(fs::exists(TraceCache::indexPath(Oldest)));
   EXPECT_TRUE(fs::exists(Mid1));
   EXPECT_TRUE(fs::exists(Mid2));
   EXPECT_TRUE(fs::exists(Newest));
@@ -132,13 +134,36 @@ TEST(TraceCacheEvictionTest, RecentUseProtectsAnEntry) {
   const std::string Hot = F.addEntry("a.ref.0001", 1000, 500);
   const std::string Cold = F.addEntry("b.ref.0002", 1000, 50);
   // Simulate a disk hit on Hot: bump its recency to "now".
-  const auto Now = fs::file_time_type::clock::now();
-  fs::last_write_time(Hot, Now);
-  fs::last_write_time(TraceCache::indexPath(Hot), Now);
+  fs::last_write_time(Hot, fs::file_time_type::clock::now());
   F.setBudget(1000);
 
   TraceCache Cache(F.Dir.string());
   Cache.enforceBudget();
   EXPECT_TRUE(fs::exists(Hot));
   EXPECT_FALSE(fs::exists(Cold));
+}
+
+TEST(TraceCacheEvictionTest, StaleIndexSidecarsAreDeleted) {
+  BudgetFixture F;
+  // A store written by a build that still kept .trace.idx sidecars next
+  // to each entry: the sidecars dwarf the traces. Nothing reads them any
+  // more, so a budget pass deletes them all and evicts no trace, and the
+  // directory converges to its budget.
+  const std::string A = F.addEntry("a.ref.0001", 1000, 200);
+  const std::string B = F.addEntry("b.ref.0002", 1000, 100);
+  writeTextFile(A + ".idx", std::string(50000, 'i'));
+  writeTextFile(B + ".idx", std::string(50000, 'i'));
+  const std::string Prof = (F.Dir / "gzip.1234.prof").string();
+  writeTextFile(Prof, std::string(100, 'p'));
+  F.setBudget(2500);
+
+  TraceCache Cache(F.Dir.string());
+  Cache.enforceBudget();
+  EXPECT_FALSE(fs::exists(A + ".idx"));
+  EXPECT_FALSE(fs::exists(B + ".idx"));
+  EXPECT_TRUE(fs::exists(A));
+  EXPECT_TRUE(fs::exists(B));
+  EXPECT_TRUE(fs::exists(Prof));
+  EXPECT_EQ(Cache.stats().Evictions.load(), 0u);
+  EXPECT_LE(F.dirBytes(), 2500u);
 }

@@ -2,6 +2,7 @@
 
 #include "core/TraceIndex.h"
 
+#include "core/Experiment.h"
 #include "core/Trace.h"
 #include "core/TraceCache.h"
 #include "support/Compression.h"
@@ -118,44 +119,6 @@ TEST(TraceIndexTest, FirstOutcomeChangeMatchesBruteForce) {
   }
 }
 
-TEST(TraceIndexTest, SerializeParseRoundTrip) {
-  BlockTrace T = recordedTrace("art");
-  const TraceIndex &Idx = T.index();
-  std::string Bytes = Idx.serialize();
-
-  TraceIndex Q;
-  std::string Error;
-  ASSERT_TRUE(TraceIndex::parse(Bytes, Q, &Error)) << Error;
-  EXPECT_TRUE(Q.matches(T));
-  ASSERT_EQ(Q.numBlocks(), Idx.numBlocks());
-  ASSERT_EQ(Q.numEvents(), Idx.numEvents());
-  for (size_t B = 0; B < Q.numBlocks(); ++B) {
-    const auto Id = static_cast<guest::BlockId>(B);
-    ASSERT_EQ(Q.occurrences(Id), Idx.occurrences(Id));
-    for (uint32_t K = 0; K < Q.occurrences(Id); K += 5)
-      EXPECT_EQ(Q.position(Id, K), Idx.position(Id, K));
-    EXPECT_EQ(Q.takenOfFirst(Id, Q.occurrences(Id)),
-              Idx.takenOfFirst(Id, Idx.occurrences(Id)));
-    EXPECT_EQ(Q.instsOfFirst(Id, Q.occurrences(Id)),
-              Idx.instsOfFirst(Id, Idx.occurrences(Id)));
-  }
-  // Canonical encoding.
-  EXPECT_EQ(Q.serialize(), Bytes);
-}
-
-TEST(TraceIndexTest, ParseRejectsCorruption) {
-  BlockTrace T = recordedTrace("eon", 500);
-  std::string Bytes = T.index().serialize();
-  TraceIndex Q;
-  EXPECT_FALSE(TraceIndex::parse("garbage", Q, nullptr));
-  EXPECT_FALSE(
-      TraceIndex::parse(Bytes.substr(0, Bytes.size() - 3), Q, nullptr));
-  EXPECT_FALSE(TraceIndex::parse(Bytes + "x", Q, nullptr));
-  std::string BadMagic = Bytes;
-  BadMagic[0] = 'X';
-  EXPECT_FALSE(TraceIndex::parse(BadMagic, Q, nullptr));
-}
-
 TEST(TraceIndexTest, MatchesRejectsOtherTrace) {
   BlockTrace A = recordedTrace("gzip", 1000);
   BlockTrace B = recordedTrace("gzip", 1001);
@@ -175,6 +138,9 @@ TEST(TraceIndexTest, AdoptIndexRejectsMismatch) {
 }
 
 TEST(TraceIndexTest, CacheWritesAndAdoptsSidecar) {
+  // The trace store persists traces only: a cold miss keeps the
+  // pipeline's stitched index in memory and writes no sidecar, and a warm
+  // hit leaves the index to be rebuilt by the first analytic replay.
   const std::string Dir = "/tmp/tpdbt_trace_index_test";
   std::filesystem::remove_all(Dir);
   auto B = smallBench("gzip");
@@ -189,117 +155,114 @@ TEST(TraceIndexTest, CacheWritesAndAdoptsSidecar) {
     EXPECT_EQ(Cache.stats().StreamedRecords.load(), 1u);
     EXPECT_EQ(Cache.stats().IndexBuilds.load(), 0u);
     EXPECT_EQ(Cache.stats().IndexHits.load(), 0u);
-    // The sidecar sits next to the trace entry and parses cleanly, with
-    // the segment directory carried through (TPDX v2).
-    const std::string Sidecar =
-        TraceCache::indexPath(Cache.entryPath("gzip", "ref", 0x1234));
-    auto Packed = readTextFile(Sidecar);
-    ASSERT_TRUE(Packed.has_value());
-    std::string Raw, Error;
-    ASSERT_TRUE(decompressBytes(*Packed, Raw, &Error)) << Error;
-    TraceIndex Idx;
-    ASSERT_TRUE(TraceIndex::parse(Raw, Idx, &Error)) << Error;
-    EXPECT_TRUE(Idx.matches(*T));
-    EXPECT_FALSE(Idx.segmentDirectory().empty());
-  }
-
-  {
-    // A fresh cache adopts the sidecar instead of rebuilding.
-    TraceCache Cache(Dir);
-    auto T = Cache.get("gzip", "ref", 0x1234, B.Ref, 5000);
-    ASSERT_NE(T, nullptr);
-    EXPECT_EQ(Cache.stats().IndexHits.load(), 1u);
-    EXPECT_EQ(Cache.stats().IndexBuilds.load(), 0u);
     EXPECT_NE(T->sharedIndex(), nullptr);
+    const std::string Entry = Cache.entryPath("gzip", "ref", 0x1234);
+    EXPECT_TRUE(std::filesystem::exists(Entry));
+    EXPECT_FALSE(std::filesystem::exists(Entry + ".idx"));
   }
 
   {
-    // A corrupt sidecar is counted, rebuilt, and rewritten.
-    const std::string Sidecar = TraceCache::indexPath(
-        TraceCache(Dir).entryPath("gzip", "ref", 0x1234));
-    ASSERT_TRUE(writeTextFileAtomic(Sidecar, "not an index"));
+    // A fresh cache serves the trace bare.
     TraceCache Cache(Dir);
     auto T = Cache.get("gzip", "ref", 0x1234, B.Ref, 5000);
     ASSERT_NE(T, nullptr);
-    EXPECT_EQ(Cache.stats().CorruptIndexEntries.load(), 1u);
-    EXPECT_EQ(Cache.stats().IndexBuilds.load(), 1u);
-    // The rewrite leaves a good sidecar behind.
-    TraceCache Fresh(Dir);
-    auto U = Fresh.get("gzip", "ref", 0x1234, B.Ref, 5000);
-    ASSERT_NE(U, nullptr);
-    EXPECT_EQ(Fresh.stats().IndexHits.load(), 1u);
+    EXPECT_EQ(Cache.stats().DiskHits.load(), 1u);
+    EXPECT_EQ(Cache.stats().IndexHits.load(), 0u);
+    EXPECT_EQ(Cache.stats().IndexBuilds.load(), 0u);
+    EXPECT_EQ(T->sharedIndex(), nullptr);
   }
+  std::filesystem::remove_all(Dir);
 
+  {
+    // Through the experiment driver, each warm trace's first replay
+    // builds its index once under the index timer; nothing is adopted.
+    ExperimentConfig C;
+    C.Scale = 0.01;
+    C.Thresholds = {100};
+    C.CacheDir = Dir;
+    auto Cache = std::make_shared<TraceCache>(Dir);
+    ExperimentContext Cold(C, Cache);
+    Cold.inip("gzip", 100);
+    EXPECT_EQ(Cache->stats().Misses.load(), 2u);
+    EXPECT_EQ(Cache->stats().IndexBuilds.load(), 0u);
+    for (const auto &E : std::filesystem::directory_iterator(Dir))
+      if (E.path().extension() == ".prof")
+        std::filesystem::remove(E.path());
+
+    auto Fresh = std::make_shared<TraceCache>(Dir);
+    ExperimentContext Warm(C, Fresh);
+    Warm.inip("gzip", 100);
+    EXPECT_EQ(Fresh->stats().DiskHits.load(), 2u);
+    EXPECT_EQ(Fresh->stats().IndexHits.load(), 0u);
+    // One build per replayed trace: ref, then train.
+    EXPECT_EQ(Fresh->stats().IndexBuilds.load(), 2u);
+  }
   std::filesystem::remove_all(Dir);
 }
 
-TEST(TraceIndexTest, ParseRejectsHostileSegmentDirectories) {
-  // Hand-built TPDX v2 prefixes: every hostile field must fail its own
-  // bound check, never size an allocation or narrow through uint32.
-  auto header = [](uint64_t Blocks, uint64_t Events, uint64_t Insts,
-                   uint64_t Taken, uint64_t Budget, uint64_t Segments) {
-    std::string Out("TPDX", 4);
-    Out.push_back(2); // segmented version
-    putVarint(Out, Blocks);
-    putVarint(Out, Events);
-    putVarint(Out, Insts);
-    putVarint(Out, Taken);
-    putVarint(Out, Budget);
-    putVarint(Out, Segments);
-    return Out;
-  };
-  TraceIndex Q;
+TEST(TraceIndexTest, PlantedSidecarIsIgnored) {
+  // An index sidecar in the old TPDX v1 layout that decompresses and
+  // parses, and whose four totals match the trace, but whose occurrence
+  // positions all point past the end of the stream. Adopting it would
+  // send the analytic replay out of bounds.
+  const std::string Dir = "/tmp/tpdbt_planted_sidecar_test";
+  std::filesystem::remove_all(Dir);
+  auto B = smallBench("gzip");
+  const uint64_t MaxBlocks = 5000;
+  std::string Entry;
+  {
+    TraceCache Cache(Dir);
+    auto T = Cache.get("gzip", "ref", 0x99, B.Ref, MaxBlocks);
+    ASSERT_NE(T, nullptr);
+    Entry = Cache.entryPath("gzip", "ref", 0x99);
+  }
+  BlockTrace Direct = BlockTrace::record(B.Ref, MaxBlocks);
+  const size_t N = Direct.numBlocks(), E = Direct.numEvents();
 
-  // Segment count beyond the event count (and the byte budget).
-  {
-    std::string Bytes = header(2, 8, 20, 3, 256, uint64_t(1) << 40);
-    Bytes.resize(Bytes.size() + 32, '\0');
-    std::string Error;
-    EXPECT_FALSE(TraceIndex::parse(Bytes, Q, &Error));
-    EXPECT_NE(Error.find("implausible index segment count"),
-              std::string::npos);
-  }
-  // Nonzero directory with a zero budget.
-  {
-    std::string Bytes = header(2, 8, 20, 3, 0, 1);
-    Bytes.resize(Bytes.size() + 32, '\0');
-    std::string Error;
-    EXPECT_FALSE(TraceIndex::parse(Bytes, Q, &Error));
-    EXPECT_NE(Error.find("zero budget"), std::string::npos);
-  }
-  // A zero-length directory row.
-  {
-    std::string Bytes = header(2, 8, 20, 3, 256, 1);
-    putVarint(Bytes, 0); // Events = 0
-    putVarint(Bytes, 0);
-    putVarint(Bytes, 0);
-    Bytes.resize(Bytes.size() + 32, '\0');
-    std::string Error;
-    EXPECT_FALSE(TraceIndex::parse(Bytes, Q, &Error));
-    EXPECT_NE(Error.find("outside budget"), std::string::npos);
-  }
-  // A row whose event count overflows the budget and the uint32 cast.
-  {
-    std::string Bytes = header(2, 8, 20, 3, 256, 1);
-    putVarint(Bytes, (uint64_t(1) << 32) + 8);
-    putVarint(Bytes, 0);
-    putVarint(Bytes, 0);
-    Bytes.resize(Bytes.size() + 32, '\0');
-    EXPECT_FALSE(TraceIndex::parse(Bytes, Q, nullptr));
-  }
-  // Rows summing past the trace's event count fail at the second row,
-  // before the sum could wrap.
-  {
-    std::string Bytes = header(2, 8, 20, 3, 8, 2);
-    putVarint(Bytes, 8);
-    putVarint(Bytes, 10);
-    putVarint(Bytes, 2);
-    putVarint(Bytes, 8); // second row: sum = 16 > 8 events
-    putVarint(Bytes, 20);
-    putVarint(Bytes, 3);
-    Bytes.resize(Bytes.size() + 32, '\0');
-    std::string Error;
-    EXPECT_FALSE(TraceIndex::parse(Bytes, Q, &Error));
-    EXPECT_NE(Error.find("disagrees with event count"), std::string::npos);
-  }
+  std::string Bytes("TPDX", 4);
+  Bytes.push_back(1);
+  putVarint(Bytes, N);
+  putVarint(Bytes, E);
+  putVarint(Bytes, Direct.totalInsts());
+  putVarint(Bytes, Direct.takenEvents());
+  auto put = [&Bytes](const auto &V) {
+    Bytes.append(reinterpret_cast<const char *>(V.data()),
+                 V.size() * sizeof(V[0]));
+  };
+  std::vector<uint32_t> BlockBegin(N + 1, 0);
+  for (size_t Bl = 0; Bl < N; ++Bl)
+    BlockBegin[Bl + 1] =
+        BlockBegin[Bl] + static_cast<uint32_t>(Direct.finalCounts()[Bl].Use);
+  std::vector<uint64_t> GlobalInsts(E + 1, 0);
+  GlobalInsts[E] = Direct.totalInsts();
+  std::vector<uint32_t> GlobalTaken(E + 1, 0);
+  GlobalTaken[E] = static_cast<uint32_t>(Direct.takenEvents());
+  put(BlockBegin);
+  put(std::vector<uint32_t>(E, 0xfffffff0u)); // OccPos, all out of range
+  put(std::vector<uint32_t>(E + N, 0));       // TakenPre
+  put(std::vector<uint64_t>(E + N, 0));       // InstsPre
+  put(GlobalInsts);
+  put(GlobalTaken);
+  ASSERT_TRUE(writeTextFileAtomic(Entry + ".idx", compressBytes(Bytes)));
+
+  TraceCache Cache(Dir);
+  auto T = Cache.get("gzip", "ref", 0x99, B.Ref, MaxBlocks);
+  ASSERT_NE(T, nullptr);
+  EXPECT_EQ(Cache.stats().DiskHits.load(), 1u);
+  EXPECT_EQ(Cache.stats().IndexHits.load(), 0u);
+  EXPECT_EQ(T->sharedIndex(), nullptr);
+
+  dbt::DbtOptions Opts;
+  const std::vector<uint64_t> Thresholds = {10, 100, 1000};
+  SweepResult Analytic = replaySweep(*T, B.Ref, Thresholds, Opts);
+  SweepResult Pumped = replaySweepEvents(Direct, B.Ref, Thresholds, Opts);
+  ASSERT_EQ(Analytic.PerThreshold.size(), Thresholds.size());
+  ASSERT_EQ(Pumped.PerThreshold.size(), Thresholds.size());
+  for (size_t I = 0; I < Thresholds.size(); ++I)
+    EXPECT_EQ(profile::printSnapshot(Analytic.PerThreshold[I]),
+              profile::printSnapshot(Pumped.PerThreshold[I]))
+        << "T=" << Thresholds[I];
+  EXPECT_EQ(profile::printSnapshot(Analytic.Average),
+            profile::printSnapshot(Pumped.Average));
+  std::filesystem::remove_all(Dir);
 }

@@ -270,28 +270,19 @@ TEST(TraceSegmentsTest, StitchedIndexMatchesMonolithicBuild) {
   // Stitch from budget-sized parts, as the pipeline's consumer would.
   const uint64_t Budget = 97;
   std::vector<TraceIndex::SegmentPart> Parts;
-  std::vector<TraceIndex::SegmentBase> Dir;
-  uint64_t BaseInsts = 0, BaseTaken = 0;
   for (size_t At = 0; At < T.numEvents();) {
     const size_t N =
         std::min<size_t>(Budget, T.numEvents() - At);
     Parts.push_back(
         TraceIndex::buildPart(&T.event(At), N, T.numBlocks(), At));
-    Dir.push_back({static_cast<uint32_t>(N), BaseInsts, BaseTaken});
-    for (size_t I = At; I < At + N; ++I) {
-      BaseInsts += T.event(I).Insts;
-      if (T.event(I).Branch == 2)
-        ++BaseTaken;
-    }
     At += N;
   }
-  const TraceIndex Stitched = TraceIndex::stitch(T, Budget, Parts, Dir);
+  const TraceIndex Stitched = TraceIndex::stitch(T, Parts);
 
   ASSERT_EQ(Stitched.numEvents(), Built.numEvents());
   ASSERT_EQ(Stitched.numBlocks(), Built.numBlocks());
   EXPECT_EQ(Stitched.totalInsts(), Built.totalInsts());
-  EXPECT_EQ(Stitched.segmentBudget(), Budget);
-  EXPECT_EQ(Stitched.segmentDirectory().size(), Parts.size());
+  EXPECT_TRUE(Stitched.matches(T));
   for (size_t Bl = 0; Bl < T.numBlocks(); ++Bl) {
     const auto Id = static_cast<guest::BlockId>(Bl);
     ASSERT_EQ(Stitched.occurrences(Id), Built.occurrences(Id)) << Bl;
@@ -309,25 +300,6 @@ TEST(TraceSegmentsTest, StitchedIndexMatchesMonolithicBuild) {
     EXPECT_EQ(Stitched.takenBefore(Pos), Built.takenBefore(Pos));
   }
 
-  // The v2 sidecar round-trips with its directory.
-  std::string Bytes = Stitched.serialize();
-  EXPECT_EQ(static_cast<uint8_t>(Bytes[4]), 2u);
-  TraceIndex Reparsed;
-  std::string Error;
-  ASSERT_TRUE(TraceIndex::parse(Bytes, Reparsed, &Error)) << Error;
-  EXPECT_EQ(Reparsed.serialize(), Bytes);
-  EXPECT_EQ(Reparsed.segmentDirectory().size(), Parts.size());
-  EXPECT_TRUE(Reparsed.matches(T));
-
-  // Mangling the directory (events sum off by one) is rejected. The
-  // first directory row starts right after the version byte and four
-  // header varints; instead of locating it, corrupt via a rebuilt
-  // serialization with a tampered directory.
-  std::vector<TraceIndex::SegmentBase> BadDir = Dir;
-  BadDir.back().Events += 1;
-  std::string BadBytes =
-      TraceIndex::stitch(T, Budget, Parts, BadDir).serialize();
-  EXPECT_FALSE(TraceIndex::parse(BadBytes, Reparsed, nullptr));
 }
 
 TEST(TraceSegmentsTest, StreamedCacheMatchesMonolithicEverywhere) {
@@ -348,9 +320,10 @@ TEST(TraceSegmentsTest, StreamedCacheMatchesMonolithicEverywhere) {
     EXPECT_EQ(Cache.stats().StreamedRecords.load(), 1u);
     EXPECT_GT(Cache.stats().SegmentsPiped.load(), 1u);
     expectSameEvents(Direct, *T, "streamed record");
-    // The pipeline adopted its stitched index.
+    // The pipeline adopted its stitched index, and kept it in memory.
     ASSERT_NE(T->sharedIndex(), nullptr);
-    EXPECT_FALSE(T->sharedIndex()->segmentDirectory().empty());
+    EXPECT_FALSE(
+        std::filesystem::exists(Cache.entryPath("mcf", "ref", 0x77) + ".idx"));
 
     // The disk entry is byte-identical to the reference segmented
     // serialization at the same budget.
@@ -366,16 +339,21 @@ TEST(TraceSegmentsTest, StreamedCacheMatchesMonolithicEverywhere) {
                     Thresholds.size(), "streamed analytic");
   }
   {
-    // A fresh cache hits the disk entry and adopts the v2 sidecar.
+    // A fresh cache hits the disk entry bare; analytic replay rebuilds
+    // the index from the loaded events.
     TraceCache Cache(Dir);
     auto T = Cache.get("mcf", "ref", 0x77, B.Ref, MaxBlocks);
     ASSERT_NE(T, nullptr);
     EXPECT_EQ(Cache.stats().DiskHits.load(), 1u);
-    EXPECT_EQ(Cache.stats().IndexHits.load(), 1u);
+    EXPECT_EQ(Cache.stats().IndexHits.load(), 0u);
     EXPECT_EQ(Cache.stats().IndexBuilds.load(), 0u);
     expectSameEvents(Direct, *T, "segmented disk hit");
-    ASSERT_NE(T->sharedIndex(), nullptr);
-    EXPECT_FALSE(T->sharedIndex()->segmentDirectory().empty());
+    EXPECT_EQ(T->sharedIndex(), nullptr);
+    dbt::DbtOptions Opts;
+    const std::vector<uint64_t> Thresholds = {50, 500, 5000};
+    expectSameSweep(replaySweep(*T, B.Ref, Thresholds, Opts),
+                    replaySweepEvents(Direct, B.Ref, Thresholds, Opts),
+                    Thresholds.size(), "disk-hit analytic");
   }
 
   // Kill switch: budget 0 records monolithically and writes the classic

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <thread>
@@ -345,6 +346,41 @@ TEST(DaemonTest, AnswersStatsAndAcknowledgesShutdown) {
   EXPECT_EQ(Ack.ResultStatus, Status::Ok);
   // run() must return on its own after the ack.
   F.Runner.join();
+}
+
+TEST(DaemonTest, StopsWhileClientsConnectAndDisconnect) {
+  // Connection threads close their sockets while requestStop() shuts
+  // every live one down; both must hold the connection lock, or the two
+  // race on the descriptor (a data race that ThreadSanitizer reports).
+  DaemonFixture F;
+  std::atomic<bool> Done{false};
+  std::atomic<uint64_t> Connected{0};
+  std::vector<std::thread> Clients;
+  for (int C = 0; C < 3; ++C)
+    Clients.emplace_back([&] {
+      for (uint64_t I = 0; !Done.load(); ++I) {
+        std::string Error;
+        UnixSocket S = UnixSocket::connectTo(F.Opts.SocketPath, &Error);
+        if (!S.valid())
+          continue; // the listener is already down
+        Connected.fetch_add(1);
+        // Never read: a connection still in the backlog when the
+        // listener stops is never served, and a read would block.
+        if (I % 2)
+          writeFrame(S, MsgType::Stats, encodeStats(StatsMsg()));
+      }
+    });
+  while (Connected.load() < 20)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  F.D->requestStop();
+  F.Runner.join(); // run() drains every connection thread and returns
+  Done.store(true);
+  // A connect() parked on the full backlog of the stopped listener wakes
+  // only once the listener is closed.
+  F.D.reset();
+  for (std::thread &T : Clients)
+    T.join();
+  EXPECT_GE(Connected.load(), 20u);
 }
 
 TEST(DaemonTest, MalformedFrameEarnsErrorAndClose) {

@@ -18,6 +18,13 @@ std::string roundTrip(const std::string &Raw) {
   return Out;
 }
 
+std::string randomBytes(Rng &R, size_t N) {
+  std::string Out;
+  for (size_t I = 0; I < N; ++I)
+    Out.push_back(static_cast<char>(R.nextBelow(256)));
+  return Out;
+}
+
 } // namespace
 
 TEST(CompressionTest, RoundTripsEdgeCases) {
@@ -58,6 +65,55 @@ TEST(CompressionTest, RandomDataRoundTrips) {
   std::string Packed = compressBytes(Raw);
   EXPECT_LT(Packed.size(), Raw.size() + Raw.size() / 100 + 64);
   EXPECT_EQ(roundTrip(Raw), Raw);
+}
+
+TEST(CompressionTest, RoundTripsMatchOffsets) {
+  Rng R(11);
+  // Offset 1: a byte run, every match byte copied from the one before.
+  std::string Run = "x" + std::string(1000, 'a') + "y";
+  EXPECT_EQ(roundTrip(Run), Run);
+  // Offset == length: a block repeated once, then a different byte.
+  std::string Block = randomBytes(R, 64);
+  std::string Twice = Block + Block + static_cast<char>(Block[0] ^ 1);
+  EXPECT_EQ(roundTrip(Twice), Twice);
+  // Offset < length: a short period repeated many times (overlapping).
+  std::string Period = randomBytes(R, 10), Periodic;
+  for (int I = 0; I < 50; ++I)
+    Periodic += Period;
+  EXPECT_EQ(roundTrip(Periodic), Periodic);
+  // Offsets near the 16-bit limit: a block recurring just inside, exactly
+  // at, and just past the farthest reachable distance.
+  for (size_t Gap : {65534u, 65535u, 65536u}) {
+    std::string Far = randomBytes(R, 200);
+    std::string Raw = Far + randomBytes(R, Gap - Far.size()) + Far;
+    EXPECT_EQ(roundTrip(Raw), Raw) << "gap " << Gap;
+  }
+}
+
+TEST(CompressionTest, DecodesOverlappingMatchFrames) {
+  // Hand-built frames, independent of the encoder's match choices:
+  // literals "abc" then one match of 10 bytes at offset 3 (overlapping),
+  // and literal "z" then 6 bytes at offset 1.
+  auto frame = [](size_t RawSize, const std::string &Seq) {
+    std::string F("TPDZ\x01", 5);
+    F.push_back(static_cast<char>(RawSize)); // one-byte varint
+    return F + Seq;
+  };
+  // Token: literal length << 4 | (match length - 3).
+  std::string Out, Error;
+  ASSERT_TRUE(decompressBytes(
+      frame(13, std::string("\x37" "abc" "\x03\x00", 6)), Out, &Error))
+      << Error;
+  EXPECT_EQ(Out, "abcabcabcabca");
+  ASSERT_TRUE(decompressBytes(
+      frame(7, std::string("\x13" "z" "\x01\x00", 4)), Out, &Error))
+      << Error;
+  EXPECT_EQ(Out, "zzzzzzz");
+  // The same overlap one byte past the declared size is rejected.
+  EXPECT_FALSE(decompressBytes(
+      frame(6, std::string("\x13" "z" "\x01\x00", 4)), Out, &Error));
+  EXPECT_EQ(Error, "output exceeds declared raw size");
+  EXPECT_TRUE(Out.empty());
 }
 
 TEST(CompressionTest, RejectsCorruption) {
