@@ -56,7 +56,7 @@ inline int handleBenchArgs(int argc, char **argv, const std::string &Name,
           "  TPDBT_JOBS             worker threads for per-benchmark "
           "sweeps\n"
           "  TPDBT_SEGMENT_EVENTS   events per trace segment "
-          "(0 = monolithic record path)\n"
+          "(default 65536, min 256; unset/0 = default)\n"
           "  TPDBT_SAMPLE_MODE      'stratified' estimates the sweep from "
           "a segment sample with 95%% CIs (default off = exact)\n"
           "  TPDBT_SAMPLE_BUDGET    sampled fraction of segments in (0,1] "

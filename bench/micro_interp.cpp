@@ -11,9 +11,7 @@
 #include "core/Trace.h"
 #include "core/TraceCache.h"
 #include "core/TraceIndex.h"
-#include "core/TraceSegments.h"
 #include "guest/ProgramBuilder.h"
-#include "support/TextFile.h"
 #include "vm/Interpreter.h"
 #include "workloads/BenchSpec.h"
 #include "workloads/Generator.h"
@@ -170,21 +168,19 @@ BENCHMARK_CAPTURE(BM_RecordBenchmarkNoSched, swim, "swim")
 BENCHMARK_CAPTURE(BM_RecordBenchmarkNoSched, mcf, "mcf")
     ->Unit(benchmark::kMillisecond);
 
-/// The full cold-record cache miss — interpret, serialize, compress,
-/// index, write the .trace entry — through the segmented pipeline
-/// (TPDBT_SEGMENT_EVENTS at its default) vs. the monolithic v2 writer
-/// (the =0 kill switch). On multi-core hosts the streamed row should
-/// undercut the sequential one: segment encode + compress + index parts
-/// overlap with recording. On a single hardware thread the two are
-/// expected to tie (same total work, different order).
-void recordColdMiss(benchmark::State &State, const char *Budget) {
+/// The full cold-record cache miss — interpret, then per-segment encode +
+/// compress + index parts behind the recording, assemble the TPDT v3
+/// container, write the .trace entry — through the segment pipeline at
+/// its default budget. On multi-core hosts the segment work overlaps with
+/// recording, so this row should sit close to BM_RecordBenchmark/mcf.
+void BM_RecordStreamed(benchmark::State &State, const char *) {
   auto B = workloads::generateBenchmark(
       workloads::scaledSpec(*workloads::findSpec("mcf"), 0.02));
   const std::string Dir =
       (std::filesystem::temp_directory_path() /
        ("tpdbt_bench_record_" + std::to_string(getpid())))
           .string();
-  setenv("TPDBT_SEGMENT_EVENTS", Budget, 1);
+  setenv("TPDBT_SEGMENT_EVENTS", "65536", 1);
   uint64_t Events = 0;
   for (auto _ : State) {
     State.PauseTiming();
@@ -199,15 +195,7 @@ void recordColdMiss(benchmark::State &State, const char *Budget) {
   std::filesystem::remove_all(Dir);
   State.SetItemsProcessed(static_cast<int64_t>(Events));
 }
-void BM_RecordStreamed(benchmark::State &State, const char *) {
-  recordColdMiss(State, "65536");
-}
-void BM_RecordSequential(benchmark::State &State, const char *) {
-  recordColdMiss(State, "0");
-}
 BENCHMARK_CAPTURE(BM_RecordStreamed, mcf, "mcf")
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_RecordSequential, mcf, "mcf")
     ->Unit(benchmark::kMillisecond);
 
 /// The trace-cache hit path: drive N thresholds from an indexed trace
@@ -255,41 +243,6 @@ void BM_ReplaySweepEventPump(benchmark::State &State) {
   State.SetItemsProcessed(static_cast<int64_t>(Events));
 }
 BENCHMARK(BM_ReplaySweepEventPump)->Arg(1)->Arg(15)
-    ->Unit(benchmark::kMillisecond);
-
-/// The out-of-core replay path: the same event pump fed one decompressed
-/// segment at a time from a TPDT v3 file. The gap to
-/// BM_ReplaySweepEventPump at the same argument is the streaming tax
-/// (per-segment inflate + decode) bought for O(segment) peak memory.
-void BM_ReplayStreamedPump(benchmark::State &State) {
-  auto B = workloads::generateBenchmark(
-      workloads::scaledSpec(*workloads::findSpec("gzip"), 0.02));
-  core::BlockTrace T = core::BlockTrace::record(B.Ref, ~0ull);
-  const std::string Path =
-      (std::filesystem::temp_directory_path() /
-       ("tpdbt_bench_stream_" + std::to_string(getpid()) + ".trace"))
-          .string();
-  writeTextFileAtomic(Path, T.serializeSegmented(core::DefaultSegmentEvents));
-  std::vector<uint64_t> Thresholds;
-  for (int I = 0; I < State.range(0); ++I)
-    Thresholds.push_back(100ull << I);
-  uint64_t Events = 0;
-  for (auto _ : State) {
-    core::SegmentedTraceReader Reader;
-    std::string Error;
-    if (!core::SegmentedTraceReader::open(Path, Reader, &Error))
-      State.SkipWithError(Error.c_str());
-    core::SweepResult R;
-    if (!core::replaySweepStreamed(Reader, B.Ref, Thresholds,
-                                   dbt::DbtOptions(), R, &Error))
-      State.SkipWithError(Error.c_str());
-    Events += R.Average.BlockEvents;
-    benchmark::DoNotOptimize(R.Average.ProfilingOps);
-  }
-  std::filesystem::remove(Path);
-  State.SetItemsProcessed(static_cast<int64_t>(Events));
-}
-BENCHMARK(BM_ReplayStreamedPump)->Arg(1)->Arg(15)
     ->Unit(benchmark::kMillisecond);
 
 /// One-time cost of building the analytic index: paid once per trace

@@ -337,10 +337,7 @@ void ExperimentContext::ensureEstimates(const std::string &Name,
   if (!Ok) {
     std::shared_ptr<const BlockTrace> Trace =
         Traces->get(Name, "ref", ExecFp, B.Ref, MaxBlocks);
-    uint64_t Budget = segmentEventBudget();
-    if (Budget == 0)
-      Budget = DefaultSegmentEvents; // v2 kill switch: slice as v3 would
-    sample::MemorySegmentSource Src(*Trace, Budget);
+    sample::MemorySegmentSource Src(*Trace, segmentEventBudget());
     Ok = sample::sampledSweep(Src, B.Ref, Config.Thresholds, Config.Dbt,
                               Config.Sample, BenchSeed, ReplayJobs, Sweep,
                               &Error);

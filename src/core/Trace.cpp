@@ -6,7 +6,6 @@
 #include "core/TraceSegments.h"
 #include "support/Compression.h"
 #include "support/ThreadPool.h"
-#include "support/Varint.h"
 #include "vm/HostTier.h"
 #include "vm/Interpreter.h"
 
@@ -18,17 +17,6 @@
 using namespace tpdbt;
 using namespace tpdbt::core;
 using namespace tpdbt::guest;
-
-namespace {
-
-constexpr char Magic[4] = {'T', 'P', 'D', 'T'};
-/// v2 added the final per-block counter table; v1 entries (no table)
-/// remain parseable. v3 (the segmented container, written when
-/// TPDBT_SEGMENT_EVENTS is nonzero) lives in core/TraceSegments.cpp;
-/// parse() dispatches to it below.
-constexpr uint8_t Version = 2;
-
-} // namespace
 
 BlockTrace::BlockTrace(const BlockTrace &Other)
     : Events(Other.Events), Final(Other.Final), NumBlocks(Other.NumBlocks),
@@ -165,28 +153,6 @@ BlockTrace BlockTrace::record(const Program &P, uint64_t MaxBlocks,
   return T;
 }
 
-std::string BlockTrace::serialize() const {
-  std::string Out(Magic, 4);
-  Out.push_back(static_cast<char>(Version));
-  putVarint(Out, NumBlocks);
-  putVarint(Out, Events.size());
-  // v2 counter table: the end-of-run shared counters, so replays arm the
-  // retirement oracle and size the index without an O(events) pre-pass.
-  for (size_t B = 0; B < NumBlocks; ++B) {
-    putVarint(Out, Final[B].Use);
-    putVarint(Out, Final[B].Taken);
-  }
-  int64_t PrevBlock = 0;
-  for (const TraceEvent &E : Events) {
-    int64_t Delta =
-        static_cast<int64_t>(E.Block) - PrevBlock;
-    PrevBlock = static_cast<int64_t>(E.Block);
-    putVarint(Out, (zigzagEncode(Delta) << 2) | E.Branch);
-    putVarint(Out, E.Insts);
-  }
-  return Out;
-}
-
 std::string BlockTrace::serializeSegmented(uint64_t Budget) const {
   assert(Budget >= 1 && "segment budget must be positive");
   std::vector<TraceSegmentRecord> Segments;
@@ -212,19 +178,8 @@ std::string BlockTrace::serializeSegmented(uint64_t Budget) const {
                                 Final, Segments);
 }
 
-namespace {
-
-/// Parses the segmented (v3) container: header validation in
-/// parseSegmentedHeader, then each payload frame inflated and decoded in
-/// order, with the directory's prefix-sum bases cross-checked against
-/// the accumulating trace as each segment lands.
-bool parseSegmented(const std::string &Bytes, BlockTrace &Out,
-                    std::string *Error) {
-  auto Fail = [&](const char *Msg) {
-    if (Error)
-      *Error = Msg;
-    return false;
-  };
+bool BlockTrace::parse(const std::string &Bytes, BlockTrace &Out,
+                       std::string *Error) {
   SegmentedTraceHeader H;
   if (!parseSegmentedHeader(Bytes, Bytes.size(), H, Error))
     return false;
@@ -232,94 +187,24 @@ bool parseSegmented(const std::string &Bytes, BlockTrace &Out,
   T.setNumBlocks(H.NumBlocks);
   T.reserveEvents(H.NumEvents);
   std::vector<TraceEvent> Buf;
-  for (const SegmentedTraceHeader::Entry &Ent : H.Directory) {
-    if (Ent.BaseInsts != T.totalInsts() || Ent.BaseTaken != T.takenEvents())
-      return Fail("segment bases disagree with events");
-    std::string Raw;
-    if (!decompressBytes(
-            Bytes.substr(static_cast<size_t>(Ent.PayloadOffset),
-                         static_cast<size_t>(Ent.PayloadBytes)),
-            Raw, Error))
-      return false;
+  for (size_t I = 0; I < H.Directory.size(); ++I) {
+    const SegmentedTraceHeader::Entry &Ent = H.Directory[I];
     Buf.clear();
-    if (!decodeSegmentEvents(Raw, Ent.Events, H.NumBlocks, Buf, Error))
+    if (!decodeSegment(H, I,
+                       Bytes.substr(static_cast<size_t>(Ent.PayloadOffset),
+                                    static_cast<size_t>(Ent.PayloadBytes)),
+                       Buf, Error))
       return false;
     for (const TraceEvent &E : Buf)
       T.append(E);
   }
-  if (T.totalInsts() != H.TotalInsts)
-    return Fail("trace totals disagree with events");
   for (uint64_t B = 0; B < H.NumBlocks; ++B)
-    if (T.finalCounts()[B].Use != H.Final[B].Use ||
-        T.finalCounts()[B].Taken != H.Final[B].Taken)
-      return Fail("trace counter table disagrees with events");
-  Out = std::move(T);
-  return true;
-}
-
-} // namespace
-
-bool BlockTrace::parse(const std::string &Bytes, BlockTrace &Out,
-                       std::string *Error) {
-  auto Fail = [&](const char *Msg) {
-    if (Error)
-      *Error = Msg;
-    return false;
-  };
-  if (Bytes.size() < 5 || Bytes.compare(0, 4, Magic, 4) != 0)
-    return Fail("bad trace magic");
-  const uint8_t Ver = static_cast<uint8_t>(Bytes[4]);
-  if (Ver == 3)
-    return parseSegmented(Bytes, Out, Error);
-  if (Ver != 1 && Ver != 2)
-    return Fail("unsupported trace version");
-  size_t Pos = 5;
-  uint64_t NumBlocks = 0, NumEvents = 0;
-  if (!getVarint(Bytes, Pos, NumBlocks) ||
-      !getVarint(Bytes, Pos, NumEvents))
-    return Fail("truncated trace header");
-  // Each block costs >= 2 header bytes (v2) and each event >= 2 payload
-  // bytes, so either count exceeding the byte size marks corruption
-  // before any allocation happens.
-  if (NumBlocks > Bytes.size() || NumEvents > Bytes.size())
-    return Fail("implausible trace header");
-
-  std::vector<profile::BlockCounters> Declared;
-  if (Ver == 2) {
-    Declared.resize(NumBlocks);
-    for (uint64_t B = 0; B < NumBlocks; ++B)
-      if (!getVarint(Bytes, Pos, Declared[B].Use) ||
-          !getVarint(Bytes, Pos, Declared[B].Taken))
-        return Fail("truncated trace counter table");
-  }
-
-  BlockTrace T;
-  T.setNumBlocks(NumBlocks);
-  T.reserveEvents(NumEvents);
-  int64_t PrevBlock = 0;
-  for (uint64_t I = 0; I < NumEvents; ++I) {
-    uint64_t Packed = 0, Insts = 0;
-    if (!getVarint(Bytes, Pos, Packed) || !getVarint(Bytes, Pos, Insts))
-      return Fail("truncated trace event");
-    TraceEvent E;
-    E.Branch = static_cast<uint8_t>(Packed & 3);
-    if (E.Branch > 2)
-      return Fail("corrupt branch bits");
-    int64_t Block = PrevBlock + zigzagDecode(Packed >> 2);
-    if (Block < 0 || static_cast<uint64_t>(Block) >= NumBlocks)
-      return Fail("block id out of range");
-    PrevBlock = Block;
-    E.Block = static_cast<BlockId>(Block);
-    E.Insts = static_cast<uint32_t>(Insts);
-    T.append(E);
-  }
-  if (Pos != Bytes.size())
-    return Fail("trailing bytes after trace");
-  if (Ver == 2)
-    for (uint64_t B = 0; B < NumBlocks; ++B)
-      if (T.Final[B].Use != Declared[B].Use ||
-          T.Final[B].Taken != Declared[B].Taken)
-        return Fail("trace counter table disagrees with events");
+    if (T.Final[B].Use != H.Final[B].Use ||
+        T.Final[B].Taken != H.Final[B].Taken) {
+      if (Error)
+        *Error = "trace counter table disagrees with events";
+      return false;
+    }
   Out = std::move(T);
   return true;
 }
@@ -619,11 +504,15 @@ profile::ProfileSnapshot evaluateIndexed(const BlockTrace &Trace,
 
 } // namespace
 
-SweepResult tpdbt::core::pumpSweepChunks(
-    const Program &P, const std::vector<uint64_t> &Thresholds,
-    const dbt::DbtOptions &Base, uint64_t NumEvents, uint64_t TotalInsts,
-    uint64_t TakenTotal, const std::vector<profile::BlockCounters> &Final,
-    const std::function<size_t(const TraceEvent *&)> &NextChunk) {
+SweepResult tpdbt::core::replaySweepEvents(
+    const BlockTrace &Trace, const Program &P,
+    const std::vector<uint64_t> &Thresholds, const dbt::DbtOptions &Base) {
+  assert(Trace.numBlocks() == P.numBlocks() &&
+         "trace does not match the program");
+  const uint64_t NumEvents = Trace.numEvents();
+  const uint64_t TotalInsts = Trace.totalInsts();
+  const uint64_t TakenTotal = Trace.takenEvents();
+  const std::vector<profile::BlockCounters> &Final = Trace.finalCounts();
   cfg::Cfg G(P);
 
   std::vector<std::unique_ptr<dbt::TranslationPolicy>> Policies;
@@ -653,9 +542,7 @@ SweepResult tpdbt::core::pumpSweepChunks(
   // state. With nothing frozen every tail event is plain profiling and
   // folds into one closed-form update; otherwise the policy moves to the
   // walker list and receives the rest of the stream through the cheap
-  // settled path as it arrives — the chunked pump cannot look ahead, so
-  // the tail cannot be burst through eagerly the way a whole-trace pump
-  // would. Per policy the delivered sequence is identical either way.
+  // settled path.
   uint64_t PrefixInsts = 0, PrefixTaken = 0, Delivered = 0;
   std::vector<dbt::TranslationPolicy *> Walkers;
   auto retire = [&](dbt::TranslationPolicy *Policy) {
@@ -680,46 +567,35 @@ SweepResult tpdbt::core::pumpSweepChunks(
   }
 
   std::vector<profile::BlockCounters> Shared(P.numBlocks());
-  const TraceEvent *Chunk = nullptr;
-  while (Delivered < NumEvents && !(Active.empty() && Walkers.empty())) {
-    // A zero count before the declared event total means the source
-    // failed mid-stream (e.g. a corrupt on-disk segment); stop pumping —
-    // the caller detects and reports the failure, the partial result is
-    // discarded.
-    const size_t Count = NextChunk(Chunk);
-    if (Count == 0)
-      break;
-    for (size_t I = 0; I < Count; ++I) {
-      if (Active.empty() && Walkers.empty())
-        break; // nobody left to feed; totals were folded at retirement
-      const TraceEvent &E = Chunk[I];
-      vm::BlockResult R = resultOf(E);
-      ++Delivered;
+  for (uint64_t I = 0; I < NumEvents; ++I) {
+    if (Active.empty() && Walkers.empty())
+      break; // nobody left to feed; totals were folded at retirement
+    const TraceEvent &E = Trace.event(I);
+    vm::BlockResult R = resultOf(E);
+    ++Delivered;
 
-      // Walkers first: a policy that settles at this event joins the
-      // list afterwards and starts walking at the next event, matching
-      // the whole-trace pump's tail replay from NextEvent = I + 1.
-      for (dbt::TranslationPolicy *W : Walkers)
-        W->onBlockEventSettled(E.Block, R);
-      if (Active.empty())
-        continue; // shared counters no longer observed by anyone
+    // Walkers first: a policy that settles at this event joins the list
+    // afterwards and starts walking at the next event.
+    for (dbt::TranslationPolicy *W : Walkers)
+      W->onBlockEventSettled(E.Block, R);
+    if (Active.empty())
+      continue; // shared counters no longer observed by anyone
 
-      profile::BlockCounters &Cnt = Shared[E.Block];
-      ++Cnt.Use;
-      if (R.IsCondBranch && R.Taken)
-        ++Cnt.Taken;
-      PrefixInsts += E.Insts;
-      if (E.Branch == 2)
-        ++PrefixTaken;
+    profile::BlockCounters &Cnt = Shared[E.Block];
+    ++Cnt.Use;
+    if (R.IsCondBranch && R.Taken)
+      ++Cnt.Taken;
+    PrefixInsts += E.Insts;
+    if (E.Branch == 2)
+      ++PrefixTaken;
 
-      for (size_t PI = 0; PI < Active.size();) {
-        Active[PI]->onBlockEvent(E.Block, R, Shared);
-        if (Active[PI]->settled()) {
-          retire(Active[PI]);
-          Active.erase(Active.begin() + PI);
-        } else {
-          ++PI;
-        }
+    for (size_t PI = 0; PI < Active.size();) {
+      Active[PI]->onBlockEvent(E.Block, R, Shared);
+      if (Active[PI]->settled()) {
+        retire(Active[PI]);
+        Active.erase(Active.begin() + PI);
+      } else {
+        ++PI;
       }
     }
   }
@@ -730,24 +606,6 @@ SweepResult tpdbt::core::pumpSweepChunks(
         Policy->finish(Final, NumEvents, TotalInsts));
   Out.Average = AvgPolicy.finish(Final, NumEvents, TotalInsts);
   return Out;
-}
-
-SweepResult tpdbt::core::replaySweepEvents(
-    const BlockTrace &Trace, const Program &P,
-    const std::vector<uint64_t> &Thresholds, const dbt::DbtOptions &Base) {
-  assert(Trace.numBlocks() == P.numBlocks() &&
-         "trace does not match the program");
-  bool Handed = false;
-  return pumpSweepChunks(
-      P, Thresholds, Base, Trace.numEvents(), Trace.totalInsts(),
-      Trace.takenEvents(), Trace.finalCounts(),
-      [&](const TraceEvent *&Chunk) -> size_t {
-        if (Handed || Trace.numEvents() == 0)
-          return 0;
-        Handed = true;
-        Chunk = &Trace.event(0);
-        return Trace.numEvents();
-      });
 }
 
 SweepResult tpdbt::core::replaySweep(const BlockTrace &Trace,

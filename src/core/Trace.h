@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Records one execution's block-event stream to a compact binary buffer
-/// and replays it through translation policies without re-interpreting.
+/// Records one execution's block-event stream and replays it through
+/// translation policies without re-interpreting.
 ///
 /// This is the standard decoupling in DBT/profiling research: collect the
 /// trace once (expensive), then study arbitrarily many translator
@@ -14,14 +14,15 @@
 /// twin of core::runSweep and produces byte-identical snapshots — a
 /// property test asserts that.
 ///
-/// Format (TPDT v2): little-endian; a small header (magic, version, block
-/// count, event count), the final per-block use/taken counters (two
-/// varints per block — they arm policy retirement and the analytic index
-/// without an O(events) pre-pass), then two varints per event: the block
-/// id delta-encoded against the previous event's id (zigzag) with the
-/// branch outcome folded into the low bits, and the executed instruction
-/// count. Typical traces take 2-3 bytes per event. Version 1 entries
-/// (no counter table) remain readable.
+/// On disk a trace is one TPDT v3 container (core/TraceSegments.h,
+/// docs/CACHE_FORMAT.md): a header with the stream totals, the final
+/// per-block use/taken counters (they arm policy retirement and the
+/// analytic index without an O(events) pre-pass), and a segment
+/// directory, followed by one TPDZ-compressed frame per segment. Each
+/// frame holds two varints per event: the block id delta-encoded against
+/// the previous event's id (zigzag) with the branch outcome folded into
+/// the low bits, and the executed instruction count — typically 2-3 bytes
+/// per event before compression.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -87,15 +88,14 @@ public:
                            const SegmentProgressFn &OnSegment = nullptr,
                            uint64_t SegmentBudget = 0);
 
-  /// Serializes to the binary format; parse() round-trips. parse() also
-  /// accepts version-1 entries (recorded before the counter table).
-  std::string serialize() const;
-
-  /// Serializes to the segmented TPDT v3 container (core/TraceSegments.h)
-  /// with \p Budget events per segment (>= 1; the last segment takes the
-  /// remainder). parse() reads v3 back; the result is event-identical to
-  /// this trace at any budget.
+  /// Serializes to the TPDT v3 container (core/TraceSegments.h) with
+  /// \p Budget events per segment (>= 1; the last segment takes the
+  /// remainder). The record pipeline (core/TracePipeline.h) writes the
+  /// same bytes at its budget; this is the reference writer.
   std::string serializeSegmented(uint64_t Budget) const;
+  /// Parses a TPDT v3 container; the result is event-identical to the
+  /// serialized trace at any budget. Any other version — the retired
+  /// monolithic v1/v2 included — fails as unsupported.
   static bool parse(const std::string &Bytes, BlockTrace &Out,
                     std::string *Error);
 
@@ -141,7 +141,7 @@ public:
   }
   /// Appends \p N copies of one event — the run-length entry point for
   /// the host tier's batched self-loop iterations. Equivalent to calling
-  /// append(E) N times (serialize() output included), without the
+  /// append(E) N times (serialized bytes included), without the
   /// per-event counter maintenance.
   void appendRun(const TraceEvent &E, uint64_t N) {
     if (N == 0)
@@ -218,23 +218,6 @@ SweepResult replaySweepEvents(const BlockTrace &Trace,
                               const guest::Program &P,
                               const std::vector<uint64_t> &Thresholds,
                               const dbt::DbtOptions &Base);
-
-/// The chunked core of the event pump: identical policy semantics to
-/// replaySweepEvents (which is now a one-chunk wrapper), but the event
-/// stream arrives through \p NextChunk — set the pointer to the next
-/// contiguous slice and return its length, or return 0 at end of stream.
-/// Chunks are consumed strictly in order and the callee never looks past
-/// the current chunk, so a caller can hand out one segment-sized buffer
-/// at a time (core/TraceSegments.h replaySweepStreamed). The stream
-/// totals and final counters must describe the whole stream up front —
-/// they arm the retirement oracle and the settled fast-forward.
-SweepResult
-pumpSweepChunks(const guest::Program &P,
-                const std::vector<uint64_t> &Thresholds,
-                const dbt::DbtOptions &Base, uint64_t NumEvents,
-                uint64_t TotalInsts, uint64_t TakenTotal,
-                const std::vector<profile::BlockCounters> &Final,
-                const std::function<size_t(const TraceEvent *&)> &NextChunk);
 
 } // namespace core
 } // namespace tpdbt

@@ -4,7 +4,6 @@
 
 #include "core/TracePipeline.h"
 #include "core/TraceSegments.h"
-#include "support/Compression.h"
 #include "support/Format.h"
 #include "support/TextFile.h"
 #include "vm/HostTier.h"
@@ -111,38 +110,19 @@ std::string TraceCache::entryPath(const std::string &Name,
 
 std::shared_ptr<const BlockTrace>
 TraceCache::loadDisk(const std::string &Path, const guest::Program &Program) {
-  auto Packed = readTextFile(Path);
-  if (!Packed)
+  auto Bytes = readTextFile(Path);
+  if (!Bytes)
     return nullptr;
-  // Sniff the outer framing: segmented (v3) containers start with the
-  // raw TPDT magic — each segment payload is its own TPDZ frame inside —
-  // while monolithic v1/v2 entries are one whole-file TPDZ frame.
-  std::string Raw;
-  const std::string *Bytes = &*Packed;
-  if (Packed->size() >= 4 && Packed->compare(0, 4, "TPDT", 4) == 0) {
-    // already raw
-  } else if (decompressBytes(*Packed, Raw, nullptr)) {
-    Bytes = &Raw;
-  } else {
-    Stats.CorruptEntries.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
   auto Trace = std::make_shared<BlockTrace>();
   if (!BlockTrace::parse(*Bytes, *Trace, nullptr) ||
       Trace->numBlocks() != Program.numBlocks()) {
-    // Torn, corrupt, or recorded for a different program shape (a stale
-    // key collision): treat as a miss and re-record.
+    // Torn, corrupt, a retired format, or recorded for a different
+    // program shape (a stale key collision): treat as a miss and
+    // re-record over it.
     Stats.CorruptEntries.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
   return Trace;
-}
-
-void TraceCache::storeDisk(const std::string &Path,
-                           const BlockTrace &Trace) const {
-  if (!ensureDirectory(Dir))
-    return;
-  writeTextFileAtomic(Path, compressBytes(Trace.serialize()));
 }
 
 std::shared_ptr<const BlockTrace>
@@ -180,17 +160,11 @@ TraceCache::get(const std::string &Name, const std::string &Input,
   const uint64_t SegmentBudget = segmentEventBudget();
   auto Start = std::chrono::steady_clock::now();
   vm::HostTierStats Tier;
-  std::shared_ptr<BlockTrace> Recorded;
-  std::unique_ptr<TracePipeline> Pipe;
-  if (SegmentBudget > 0)
-    Pipe = std::make_unique<TracePipeline>(SegmentBudget,
-                                           Program.numBlocks(),
-                                           /*WantFile=*/!Dir.empty());
-  Recorded = std::make_shared<BlockTrace>(BlockTrace::record(
+  TracePipeline Pipe(SegmentBudget, Program.numBlocks(),
+                     /*WantFile=*/!Dir.empty());
+  auto Recorded = std::make_shared<BlockTrace>(BlockTrace::record(
       Program, MaxBlocks, &Tier,
-      Pipe ? BlockTrace::SegmentProgressFn(
-                 [&](const BlockTrace &T) { return Pipe->onProgress(T); })
-           : BlockTrace::SegmentProgressFn(),
+      [&](const BlockTrace &T) { return Pipe.onProgress(T); },
       SegmentBudget));
   auto End = std::chrono::steady_clock::now();
   Stats.RecordMicros.fetch_add(
@@ -216,24 +190,21 @@ TraceCache::get(const std::string &Name, const std::string &Input,
                                   std::memory_order_relaxed);
   Stats.JitStubsDeduped.fetch_add(Tier.JitStubsDeduped,
                                   std::memory_order_relaxed);
-  if (Pipe) {
-    // Streamed path: the pipeline already compressed and indexed every
-    // segment behind the recording; finish() drains the tail, assembles
-    // the v3 container, and stitches the index — no separate serialize,
-    // compress, or index build remains. The index stays in memory only.
-    TracePipeline::Result R = Pipe->finish(*Recorded);
-    Stats.StreamedRecords.fetch_add(1, std::memory_order_relaxed);
-    Stats.SegmentsPiped.fetch_add(R.Segments, std::memory_order_relaxed);
-    Stats.PipelineMicros.fetch_add(R.WorkMicros, std::memory_order_relaxed);
-    Stats.FlushMicros.fetch_add(R.FlushMicros, std::memory_order_relaxed);
-    Recorded->adoptIndex(R.Index);
-    if (!Dir.empty() && ensureDirectory(Dir))
+  // The pipeline already compressed and indexed every segment behind the
+  // recording; finish() drains the tail, assembles the v3 container, and
+  // stitches the index — no separate serialize, compress, or index build
+  // remains. The index stays in memory only.
+  TracePipeline::Result R = Pipe.finish(*Recorded);
+  Stats.StreamedRecords.fetch_add(1, std::memory_order_relaxed);
+  Stats.SegmentsPiped.fetch_add(R.Segments, std::memory_order_relaxed);
+  Stats.PipelineMicros.fetch_add(R.WorkMicros, std::memory_order_relaxed);
+  Stats.FlushMicros.fetch_add(R.FlushMicros, std::memory_order_relaxed);
+  Recorded->adoptIndex(R.Index);
+  if (!Dir.empty()) {
+    if (ensureDirectory(Dir))
       writeTextFileAtomic(Path, R.FileBytes);
-  } else if (!Dir.empty()) {
-    storeDisk(Path, *Recorded);
-  }
-  if (!Dir.empty())
     enforceBudget();
+  }
   S->Trace = Recorded;
   return Recorded;
 }

@@ -11,7 +11,7 @@
 ///  - an in-memory layer of weak references, so concurrent sweeps over the
 ///    same input within one process share a single recording without the
 ///    cache pinning traces past their last user, and
-///  - an on-disk layer of LZ-compressed serialized traces (see
+///  - an on-disk layer of TPDT v3 trace containers (see
 ///    docs/CACHE_FORMAT.md) keyed by the *execution* fingerprint — the
 ///    workload spec, scale, and event budget; everything that shapes the
 ///    event stream and nothing that doesn't — so policy-only configuration
@@ -20,12 +20,14 @@
 /// Only the trace is persisted. A disk hit returns the parsed trace with
 /// no analytic replay index attached (core/TraceIndex.h); the first
 /// analytic replay builds it from the events, which is cheaper than
-/// reading, inflating, and parsing a stored copy. A streamed miss keeps
-/// the index the record pipeline stitched in memory.
+/// reading, inflating, and parsing a stored copy. Every miss records
+/// through the segment pipeline (core/TracePipeline.h), which writes the
+/// container and keeps the index it stitched in memory.
 ///
-/// A corrupt, truncated, or stale-format disk entry is counted and treated
-/// as a miss; the trace is then re-recorded and the entry rewritten
-/// atomically (write-then-rename, like the .prof snapshot cache).
+/// A corrupt, truncated, or retired-format (monolithic v1/v2) disk entry
+/// is counted and treated as a miss; the trace is then re-recorded and the
+/// entry rewritten atomically under the same key (write-then-rename, like
+/// the .prof snapshot cache).
 ///
 /// The disk layer is size-bounded: when TPDBT_CACHE_MAX_BYTES is set, the
 /// .trace entries are LRU-evicted after every store until they fit the
@@ -94,8 +96,8 @@ public:
     std::atomic<uint64_t> IndexBuilds{0};
     std::atomic<uint64_t> IndexMicros{0};
     /// Misses recorded through the streamed segment pipeline
-    /// (core/TracePipeline.h; TPDBT_SEGMENT_EVENTS nonzero) and the
-    /// segments they handed through the ring.
+    /// (core/TracePipeline.h; every miss since it is the only record
+    /// path) and the segments they handed through the ring.
     std::atomic<uint64_t> StreamedRecords{0};
     std::atomic<uint64_t> SegmentsPiped{0};
     /// Consumer wall clock overlapped with recording (segment encode +
@@ -164,9 +166,9 @@ public:
   /// Opens the disk entry for a key as a streaming TPDT v3 container
   /// (core/TraceSegments.h) without parsing events or touching the
   /// in-memory layer — the sampled-replay fast path, which decodes only
-  /// the segments its plan draws. False when the disk layer is off, the
-  /// entry is missing, or it is a monolithic v1/v2 file (callers fall
-  /// back to get()). Success refreshes the entry's LRU recency.
+  /// the segments its plan draws. False when the disk layer is off or
+  /// the entry is missing or fails header validation (callers fall back
+  /// to get()). Success refreshes the entry's LRU recency.
   bool openSegmented(const std::string &Name, const std::string &Input,
                      uint64_t ExecFp, SegmentedTraceReader &Reader,
                      std::string *Error);
@@ -196,7 +198,6 @@ private:
 
   std::shared_ptr<const BlockTrace> loadDisk(const std::string &Path,
                                              const guest::Program &Program);
-  void storeDisk(const std::string &Path, const BlockTrace &Trace) const;
   /// Marks a disk entry as recently used (bumps its mtime) so LRU
   /// eviction sees hits, not just writes.
   static void touchEntry(const std::string &Path);

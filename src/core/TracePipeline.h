@@ -26,8 +26,8 @@
 /// have pushed the live totals past the boundary.
 ///
 /// One producer, one consumer; a TracePipeline instance serves exactly
-/// one recording. TraceCache::get() wires it to BlockTrace::record()'s
-/// segment callback when TPDBT_SEGMENT_EVENTS is nonzero.
+/// one recording. TraceCache::get() wires one to BlockTrace::record()'s
+/// segment callback on every miss.
 ///
 //===----------------------------------------------------------------------===//
 

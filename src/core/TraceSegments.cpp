@@ -18,10 +18,8 @@ uint64_t tpdbt::core::segmentEventBudget() {
     return DefaultSegmentEvents;
   char *End = nullptr;
   unsigned long long V = std::strtoull(Env, &End, 10);
-  if (End == Env || *End != '\0')
+  if (End == Env || *End != '\0' || V == 0)
     return DefaultSegmentEvents;
-  if (V == 0)
-    return 0; // kill switch: monolithic record path, TPDT v2 on disk
   return std::max<uint64_t>(V, MinSegmentEvents);
 }
 
@@ -125,7 +123,7 @@ bool tpdbt::core::parseSegmentedHeader(const std::string &Bytes,
   if (Bytes.size() < 5 || Bytes.compare(0, 4, Magic, 4) != 0)
     return Fail("bad trace magic");
   if (static_cast<uint8_t>(Bytes[4]) != SegmentedVersion)
-    return Fail("not a segmented trace");
+    return Fail("unsupported trace version");
   size_t Pos = 5;
   SegmentedTraceHeader H;
   uint64_t NumSegments = 0;
@@ -197,6 +195,10 @@ bool tpdbt::core::parseSegmentedHeader(const std::string &Bytes,
     return Fail("segment directory disagrees with event count");
   if (RunInsts > H.TotalInsts || RunTaken > H.takenEvents())
     return Fail("segment bases exceed trace totals");
+  // With no segment to check it against, a nonzero instruction total
+  // cannot be matched by any event.
+  if (NumSegments == 0 && H.TotalInsts != 0)
+    return Fail("empty trace with nonzero instruction total");
 
   H.PayloadStart = Pos;
   uint64_t Offset = Pos;
@@ -251,13 +253,42 @@ bool SegmentedTraceReader::open(const std::string &Path,
   }
 }
 
+bool tpdbt::core::decodeSegment(const SegmentedTraceHeader &H, size_t I,
+                                const std::string &Frame,
+                                std::vector<TraceEvent> &Out,
+                                std::string *Error) {
+  assert(I < H.Directory.size() && "segment index out of range");
+  const SegmentedTraceHeader::Entry &Ent = H.Directory[I];
+  std::string Raw;
+  if (!decompressBytes(Frame, Raw, Error))
+    return false;
+  const size_t From = Out.size();
+  if (!decodeSegmentEvents(Raw, Ent.Events, H.NumBlocks, Out, Error))
+    return false;
+  // The segment's own sums must land exactly on the next directory row's
+  // bases (or the trace totals for the last segment) — a purely local
+  // check, so random-access reads stay O(segment). Since the first row's
+  // bases are zero, checking every segment pins the whole prefix chain.
+  uint64_t SegInsts = 0, SegTaken = 0;
+  for (size_t J = From; J < Out.size(); ++J) {
+    SegInsts += Out[J].Insts;
+    SegTaken += Out[J].Branch == 2 ? 1 : 0;
+  }
+  const bool Last = I + 1 == H.Directory.size();
+  const uint64_t WantInsts =
+      (Last ? H.TotalInsts : H.Directory[I + 1].BaseInsts) - Ent.BaseInsts;
+  const uint64_t WantTaken =
+      (Last ? H.takenEvents() : H.Directory[I + 1].BaseTaken) - Ent.BaseTaken;
+  if (SegInsts != WantInsts || SegTaken != WantTaken) {
+    if (Error)
+      *Error = "segment events disagree with directory bases";
+    return false;
+  }
+  return true;
+}
+
 bool SegmentedTraceReader::readSegment(size_t I, std::vector<TraceEvent> &Out,
                                        std::string *Error) {
-  auto Fail = [&](const char *Msg) {
-    if (Error)
-      *Error = Msg;
-    return false;
-  };
   assert(I < Header.Directory.size() && "segment index out of range");
   const SegmentedTraceHeader::Entry &Ent = Header.Directory[I];
   Compressed.resize(Ent.PayloadBytes);
@@ -265,59 +296,11 @@ bool SegmentedTraceReader::readSegment(size_t I, std::vector<TraceEvent> &Out,
   File.seekg(static_cast<std::streamoff>(Ent.PayloadOffset));
   if (Ent.PayloadBytes &&
       !File.read(Compressed.data(),
-                 static_cast<std::streamsize>(Ent.PayloadBytes)))
-    return Fail("cannot read segment payload");
-  std::string Raw;
-  if (!decompressBytes(Compressed, Raw, Error))
+                 static_cast<std::streamsize>(Ent.PayloadBytes))) {
+    if (Error)
+      *Error = "cannot read segment payload";
     return false;
-  Out.clear();
-  if (!decodeSegmentEvents(Raw, Ent.Events, Header.NumBlocks, Out, Error))
-    return false;
-  // The segment's own sums must land exactly on the next directory row's
-  // bases (or the trace totals for the last segment) — a purely local
-  // check, so random-access reads stay O(segment).
-  uint64_t SegInsts = 0, SegTaken = 0;
-  for (const TraceEvent &E : Out) {
-    SegInsts += E.Insts;
-    SegTaken += E.Branch == 2 ? 1 : 0;
   }
-  const bool Last = I + 1 == Header.Directory.size();
-  const uint64_t WantInsts =
-      (Last ? Header.TotalInsts : Header.Directory[I + 1].BaseInsts) -
-      Ent.BaseInsts;
-  const uint64_t WantTaken =
-      (Last ? Header.takenEvents() : Header.Directory[I + 1].BaseTaken) -
-      Ent.BaseTaken;
-  if (SegInsts != WantInsts || SegTaken != WantTaken)
-    return Fail("segment events disagree with directory bases");
-  return true;
-}
-
-bool tpdbt::core::replaySweepStreamed(SegmentedTraceReader &Reader,
-                                      const Program &P,
-                                      const std::vector<uint64_t> &Thresholds,
-                                      const dbt::DbtOptions &Base,
-                                      SweepResult &Out, std::string *Error) {
-  const SegmentedTraceHeader &H = Reader.header();
-  assert(H.NumBlocks == P.numBlocks() &&
-         "trace does not match the program");
-  std::vector<TraceEvent> Buf;
-  size_t Seg = 0;
-  bool Failed = false;
-  SweepResult R = pumpSweepChunks(
-      P, Thresholds, Base, H.NumEvents, H.TotalInsts, H.takenEvents(),
-      H.Final, [&](const TraceEvent *&Chunk) -> size_t {
-        if (Failed || Seg >= Reader.numSegments())
-          return 0;
-        if (!Reader.readSegment(Seg++, Buf, Error)) {
-          Failed = true;
-          return 0;
-        }
-        Chunk = Buf.data();
-        return Buf.size();
-      });
-  if (Failed)
-    return false;
-  Out = std::move(R);
-  return true;
+  Out.clear();
+  return decodeSegment(Header, I, Compressed, Out, Error);
 }

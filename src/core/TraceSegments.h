@@ -5,23 +5,26 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The segmented (TPDT v3) trace container: the event stream cut into
-/// fixed-event-budget segments, each independently delta-varint encoded
-/// and TPDZ-compressed, behind a header that carries the per-block final
-/// counter table and a segment directory (event count, payload size, and
-/// the global instruction/taken prefix-sum bases at each segment start).
+/// The TPDT v3 trace container — the one on-disk trace format: the event
+/// stream cut into fixed-event-budget segments, each independently
+/// delta-varint encoded and TPDZ-compressed, behind a header that carries
+/// the per-block final counter table and a segment directory (event
+/// count, payload size, and the global instruction/taken prefix-sum bases
+/// at each segment start).
 ///
 /// Segment independence is the point of the format: because every
 /// segment's delta encoding restarts from block 0 and its TPDZ frame is
 /// self-contained, a segment can be compressed the moment the recorder
 /// crosses its boundary (core/TracePipeline.h overlaps that work with
 /// recording) and decompressed without touching any earlier segment
-/// (SegmentedTraceReader streams replay through one segment-sized buffer,
-/// keeping peak memory O(segment) instead of O(trace)).
+/// (SegmentedTraceReader reads one drawn segment at a time for sampled
+/// replay, without inflating the rest of the file).
 ///
-/// The exact byte layout lives in docs/CACHE_FORMAT.md. Monolithic v1/v2
-/// entries remain fully readable; TPDBT_SEGMENT_EVENTS=0 switches the
-/// writer back to v2 (see segmentEventBudget()).
+/// decodeSegment() is the single inflate-decode-check step for one
+/// segment; BlockTrace::parse() loops it over the whole container and
+/// SegmentedTraceReader::readSegment() applies it to one frame read from
+/// disk. The exact byte layout lives in docs/CACHE_FORMAT.md; the retired
+/// monolithic v1/v2 entries are rejected like any corrupt file.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,13 +54,12 @@ constexpr uint64_t DefaultSegmentEvents = uint64_t(1) << 16;
 constexpr uint64_t MinSegmentEvents = 256;
 
 /// The TPDBT_SEGMENT_EVENTS knob, read fresh on every call (tests flip
-/// it mid-process): unset or unparsable -> DefaultSegmentEvents, 0 -> 0
-/// (the kill switch: record monolithically, write TPDT v2), otherwise
-/// the value clamped up to MinSegmentEvents.
+/// it mid-process): unset, unparsable, or 0 -> DefaultSegmentEvents,
+/// otherwise the value clamped up to MinSegmentEvents. Never 0.
 uint64_t segmentEventBudget();
 
-/// Delta-varint encodes \p N events (the TPDT v2 per-event encoding,
-/// with the block-id delta chain restarting from 0 at the slice start).
+/// Delta-varint encodes \p N events (two varints per event, with the
+/// block-id delta chain restarting from 0 at the slice start).
 std::string encodeSegmentEvents(const TraceEvent *Ev, size_t N);
 
 /// Decodes one segment's raw (decompressed) payload, appending exactly
@@ -96,7 +98,7 @@ struct SegmentedTraceHeader {
   uint64_t NumEvents = 0;
   uint64_t TotalInsts = 0;
   uint64_t SegmentBudget = 0;
-  /// Final per-block use/taken counters (the v2 counter table).
+  /// Final per-block use/taken counters (the counter table).
   std::vector<profile::BlockCounters> Final;
   struct Entry {
     uint32_t Events = 0;
@@ -123,6 +125,14 @@ struct SegmentedTraceHeader {
 bool parseSegmentedHeader(const std::string &Bytes, uint64_t FileSize,
                           SegmentedTraceHeader &Out, std::string *Error);
 
+/// Inflates segment \p I's TPDZ payload \p Frame, decodes its events onto
+/// the end of \p Out, and checks the segment's instruction/taken sums
+/// against the next directory row's bases (or, for the last segment, the
+/// trace totals). The only place a v3 segment payload is decoded.
+bool decodeSegment(const SegmentedTraceHeader &H, size_t I,
+                   const std::string &Frame, std::vector<TraceEvent> &Out,
+                   std::string *Error);
+
 /// Streams a TPDT v3 file segment-at-a-time: open() reads and validates
 /// only the header; readSegment() seeks to one payload frame, inflates
 /// and decodes it into a caller-owned buffer. Peak memory is one segment
@@ -138,8 +148,7 @@ public:
   size_t numSegments() const { return Header.Directory.size(); }
 
   /// Reads segment \p I into \p Out (replacing its contents; capacity is
-  /// reused across calls). Validates the decoded event count, block
-  /// range, and the segment's base prefix sums against the directory.
+  /// reused across calls) through decodeSegment().
   bool readSegment(size_t I, std::vector<TraceEvent> &Out,
                    std::string *Error);
 
@@ -148,16 +157,6 @@ private:
   std::ifstream File;
   std::string Compressed; ///< payload scratch, reused across segments
 };
-
-/// Event-pump replay over a streamed trace: byte-identical to
-/// replaySweepEvents() on the parsed trace, but holds one segment at a
-/// time. Handles adaptive policies (no index needed). False when a
-/// segment fails to read mid-replay.
-bool replaySweepStreamed(SegmentedTraceReader &Reader,
-                         const guest::Program &P,
-                         const std::vector<uint64_t> &Thresholds,
-                         const dbt::DbtOptions &Base, SweepResult &Out,
-                         std::string *Error);
 
 } // namespace core
 } // namespace tpdbt

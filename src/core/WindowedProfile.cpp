@@ -2,63 +2,21 @@
 
 #include "core/WindowedProfile.h"
 
-#include "vm/Interpreter.h"
-
 #include <algorithm>
 #include <cassert>
 
 using namespace tpdbt;
 using namespace tpdbt::core;
 
-namespace {
-
-WindowedProfile sizedWindows(size_t NumWindows, size_t NumBlocks,
-                             uint64_t Total) {
-  WindowedProfile Out;
-  Out.TotalBlockEvents = Total;
-  Out.Windows.assign(NumWindows,
-                     std::vector<profile::BlockCounters>(NumBlocks));
-  return Out;
-}
-
-} // namespace
-
-WindowedProfile tpdbt::core::collectWindowedProfile(const guest::Program &P,
-                                                    size_t NumWindows,
-                                                    uint64_t MaxBlocks) {
-  assert(NumWindows > 0 && "need at least one window");
-  vm::Interpreter Interp(P);
-
-  // First pass: total length (execution is deterministic).
-  vm::Machine M;
-  M.reset(P);
-  uint64_t Total = Interp.run(M, MaxBlocks).BlocksExecuted;
-
-  WindowedProfile Out = sizedWindows(NumWindows, P.numBlocks(), Total);
-  uint64_t WindowLen = Total / NumWindows + 1;
-
-  M.reset(P);
-  uint64_t Event = 0;
-  Interp.run(M, MaxBlocks,
-             [&](guest::BlockId B, const vm::BlockResult &R) {
-               size_t W = std::min<size_t>(Event / WindowLen,
-                                           NumWindows - 1);
-               ++Out.Windows[W][B].Use;
-               if (R.IsCondBranch && R.Taken)
-                 ++Out.Windows[W][B].Taken;
-               ++Event;
-             });
-  return Out;
-}
-
 WindowedProfile tpdbt::core::collectWindowedProfile(const guest::Program &P,
                                                     size_t NumWindows,
                                                     const BlockTrace &Trace) {
   assert(NumWindows > 0 && "need at least one window");
   const uint64_t Total = Trace.numEvents();
-  WindowedProfile Out = sizedWindows(NumWindows, P.numBlocks(), Total);
-  // Same sizing rule as the execute-twice path, so both produce identical
-  // windows for the same execution.
+  WindowedProfile Out;
+  Out.TotalBlockEvents = Total;
+  Out.Windows.assign(NumWindows,
+                     std::vector<profile::BlockCounters>(P.numBlocks()));
   const uint64_t WindowLen = Total / NumWindows + 1;
   for (uint64_t Event = 0; Event < Total; ++Event) {
     const TraceEvent &E = Trace.event(Event);

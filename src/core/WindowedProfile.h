@@ -10,11 +10,9 @@
 /// branch characterization (analysis/Mispredict.h).
 ///
 /// Windows split the execution into equal numbers of block events, so
-/// sizing them needs the total event count up front. When a recorded
-/// trace is available its event vector provides both the count and the
-/// stream, and the windows are filled without executing anything; the
-/// execute-twice path (one sizing run, one filling run) remains only for
-/// trace-off callers.
+/// sizing them needs the total event count up front. A recorded trace
+/// provides both the count and the stream, so the windows are filled
+/// without executing anything.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,18 +43,10 @@ struct WindowedProfile {
   }
 };
 
-/// Executes \p P to completion (or \p MaxBlocks) twice — once to size the
-/// windows, once to fill them — and returns the windowed counters. Prefer
-/// the trace overload when a recording exists; this one stays for callers
-/// without one.
-WindowedProfile collectWindowedProfile(const guest::Program &P,
-                                       size_t NumWindows,
-                                       uint64_t MaxBlocks = ~0ull);
-
-/// Slices \p Trace (a recording of the same program) into \p NumWindows
-/// windows without executing anything: the trace's event count sizes the
-/// windows and its event stream fills them. Byte-identical to the
-/// execute-twice overload for a trace of the same execution.
+/// Slices \p Trace (a recording of \p P, e.g. BlockTrace::record(P)) into
+/// \p NumWindows windows without executing anything: the trace's event
+/// count sizes the windows (Total / NumWindows + 1 events each, the last
+/// window taking the remainder) and its event stream fills them.
 WindowedProfile collectWindowedProfile(const guest::Program &P,
                                        size_t NumWindows,
                                        const BlockTrace &Trace);

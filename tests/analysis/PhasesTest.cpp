@@ -2,6 +2,7 @@
 
 #include "analysis/Phases.h"
 
+#include "core/Trace.h"
 #include "core/WindowedProfile.h"
 #include "guest/ProgramBuilder.h"
 #include "workloads/BenchSpec.h"
@@ -131,7 +132,8 @@ TEST(DetectPhasesTest, CodeMixPhaseChangeIsDetected) {
   PB.halt();
   Program P = PB.build();
 
-  core::WindowedProfile W = core::collectWindowedProfile(P, 16);
+  core::WindowedProfile W =
+      core::collectWindowedProfile(P, 16, core::BlockTrace::record(P));
   PhaseAnalysis PA = detectPhases(W.Windows);
   EXPECT_GE(PA.NumPhases, 2);
   EXPECT_TRUE(PA.hasPhaseChange());
@@ -149,12 +151,14 @@ TEST(DetectPhasesTest, SuiteProfilesAreAnalyzable) {
   using namespace tpdbt::workloads;
   for (const char *Name : {"mcf", "eon"}) {
     auto B = generateBenchmark(scaledSpec(*findSpec(Name), 0.05));
-    core::WindowedProfile W = core::collectWindowedProfile(B.Ref, 16);
+    core::WindowedProfile W = core::collectWindowedProfile(
+        B.Ref, 16, core::BlockTrace::record(B.Ref));
     PhaseAnalysis PA = detectPhases(W.Windows);
     EXPECT_GE(PA.NumPhases, 1);
     EXPECT_EQ(PA.PhaseOfWindow.size(), 16u);
   }
   auto Eon = generateBenchmark(scaledSpec(*findSpec("eon"), 0.05));
-  core::WindowedProfile WEon = core::collectWindowedProfile(Eon.Ref, 16);
+  core::WindowedProfile WEon = core::collectWindowedProfile(
+      Eon.Ref, 16, core::BlockTrace::record(Eon.Ref));
   EXPECT_EQ(detectPhases(WEon.Windows).NumPhases, 1);
 }

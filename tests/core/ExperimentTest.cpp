@@ -2,7 +2,6 @@
 
 #include "core/Experiment.h"
 
-#include "support/Compression.h"
 #include "support/TextFile.h"
 
 #include <gtest/gtest.h>
@@ -250,17 +249,10 @@ TEST(ExperimentContextTest, ConcurrentWritersSameCacheKey) {
     auto Text = readTextFile(Path);
     ASSERT_TRUE(Text.has_value()) << Path;
     if (E.path().extension() == ".trace") {
-      // Segmented (v3) entries are stored raw — each payload is its own
-      // TPDZ frame — while monolithic entries are one whole-file frame.
-      std::string Raw, Err;
-      const std::string *Bytes = &*Text;
-      if (Text->compare(0, 4, "TPDT") != 0) {
-        ASSERT_TRUE(decompressBytes(*Text, Raw, &Err)) << Path << ": " << Err;
-        Bytes = &Raw;
-      }
+      std::string Err;
       core::BlockTrace T;
-      EXPECT_TRUE(core::BlockTrace::parse(*Bytes, T, &Err)) << Path << ": "
-                                                            << Err;
+      EXPECT_TRUE(core::BlockTrace::parse(*Text, T, &Err)) << Path << ": "
+                                                           << Err;
       ++TraceFiles;
       continue;
     }
@@ -376,21 +368,15 @@ TEST(ExperimentContextTest, CorruptTraceEntryFallsBackToRecord) {
   EXPECT_EQ(Cold.traceStats().Misses.load(), 2u);
 
   // The re-recording must have repaired the trace layer: every entry
-  // parses again, whichever framing (raw segmented v3 or whole-file
-  // TPDZ) the writer used.
+  // parses again.
   for (const auto &E : std::filesystem::directory_iterator(Dir)) {
     if (E.path().extension() != ".trace")
       continue;
     auto Bytes = readTextFile(E.path().string());
     ASSERT_TRUE(Bytes.has_value());
-    std::string Raw, Err;
-    const std::string *Parsed = &*Bytes;
-    if (Bytes->compare(0, 4, "TPDT") != 0) {
-      ASSERT_TRUE(decompressBytes(*Bytes, Raw, &Err)) << Err;
-      Parsed = &Raw;
-    }
+    std::string Err;
     core::BlockTrace T;
-    EXPECT_TRUE(core::BlockTrace::parse(*Parsed, T, &Err)) << Err;
+    EXPECT_TRUE(core::BlockTrace::parse(*Bytes, T, &Err)) << Err;
   }
   std::filesystem::remove_all(Dir);
 }

@@ -59,13 +59,69 @@ void expectSameSweep(const SweepResult &A, const SweepResult &B,
       << Label;
 }
 
+/// The retired monolithic encodings of one 3-event, 2-block trace —
+/// block 0 (no branch, 5 insts), block 1 (taken, 3 insts), block 0 (not
+/// taken, 2 insts): "TPDT", a version byte, block and event counts, the
+/// final counter table (v2 only), then the per-event varint pairs.
+void packEvent(std::string &Out, int64_t Delta, uint8_t Branch,
+               uint64_t Insts) {
+  putVarint(Out, (zigzagEncode(Delta) << 2) | Branch);
+  putVarint(Out, Insts);
+}
+
+std::string v1Fixture() {
+  std::string V1("TPDT", 4);
+  V1.push_back(1);
+  putVarint(V1, 2); // blocks
+  putVarint(V1, 3); // events
+  packEvent(V1, 0, 0, 5);
+  packEvent(V1, 1, 2, 3);
+  packEvent(V1, -1, 1, 2);
+  return V1;
+}
+
+std::string v2Fixture() {
+  std::string V2("TPDT", 4);
+  V2.push_back(2);
+  putVarint(V2, 2); // blocks
+  putVarint(V2, 3); // events
+  putVarint(V2, 2); // block 0: use
+  putVarint(V2, 0); //          taken
+  putVarint(V2, 1); // block 1: use
+  putVarint(V2, 1); //          taken
+  packEvent(V2, 0, 0, 5);
+  packEvent(V2, 1, 2, 3);
+  packEvent(V2, -1, 1, 2);
+  return V2;
+}
+
+/// The same retired v2 layout for a whole recording, as the monolithic
+/// writer framed it on disk: one TPDZ frame around the stream.
+std::string packedV2(const BlockTrace &T) {
+  std::string Out("TPDT", 4);
+  Out.push_back(2);
+  putVarint(Out, T.numBlocks());
+  putVarint(Out, T.numEvents());
+  for (const profile::BlockCounters &C : T.finalCounts()) {
+    putVarint(Out, C.Use);
+    putVarint(Out, C.Taken);
+  }
+  int64_t Prev = 0;
+  for (size_t I = 0; I < T.numEvents(); ++I) {
+    const TraceEvent &E = T.event(I);
+    packEvent(Out, static_cast<int64_t>(E.Block) - Prev, E.Branch, E.Insts);
+    Prev = static_cast<int64_t>(E.Block);
+  }
+  return compressBytes(Out);
+}
+
 } // namespace
 
 TEST(TraceSegmentsTest, BudgetKnobParsesAndClamps) {
   unsetenv("TPDBT_SEGMENT_EVENTS");
   EXPECT_EQ(segmentEventBudget(), DefaultSegmentEvents);
   setenv("TPDBT_SEGMENT_EVENTS", "0", 1);
-  EXPECT_EQ(segmentEventBudget(), 0u); // kill switch
+  EXPECT_EQ(segmentEventBudget(), DefaultSegmentEvents); // 0 reads as unset
   setenv("TPDBT_SEGMENT_EVENTS", "1", 1);
   EXPECT_EQ(segmentEventBudget(), MinSegmentEvents); // clamped up
   setenv("TPDBT_SEGMENT_EVENTS", "4096", 1);
@@ -106,7 +162,7 @@ TEST(TraceSegmentsTest, SegmentedRoundTripAtManyBudgets) {
   BlockTrace T = BlockTrace::record(B.Ref, 3000);
   const uint64_t E = T.numEvents();
   ASSERT_GT(E, 100u);
-  const std::string Canonical = T.serialize();
+  const std::string Canonical = T.serializeSegmented(DefaultSegmentEvents);
   const uint64_t Budgets[] = {1,     2,     3,     7,    100,
                               1000,  E,     E + 10, 1u << 20};
   for (uint64_t Budget : Budgets) {
@@ -116,16 +172,19 @@ TEST(TraceSegmentsTest, SegmentedRoundTripAtManyBudgets) {
     ASSERT_TRUE(BlockTrace::parse(Bytes, Q, &Error))
         << "budget " << Budget << ": " << Error;
     expectSameEvents(T, Q, "segmented round trip");
-    // The reparsed trace re-serializes to the canonical v2 bytes: the
-    // segmentation is pure container framing, invisible to the events.
-    EXPECT_EQ(Q.serialize(), Canonical) << "budget " << Budget;
+    // The reparsed trace re-serializes to the canonical bytes at any
+    // budget: the segmentation is pure container framing, invisible to
+    // the events.
+    EXPECT_EQ(Q.serializeSegmented(Budget), Bytes) << "budget " << Budget;
+    EXPECT_EQ(Q.serializeSegmented(DefaultSegmentEvents), Canonical)
+        << "budget " << Budget;
   }
 }
 
 TEST(TraceSegmentsTest, SegmentedRoundTripRandomizedBudgets) {
   auto B = smallBench("vpr");
   BlockTrace T = BlockTrace::record(B.Ref, 5000);
-  const std::string Canonical = T.serialize();
+  const std::string Canonical = T.serializeSegmented(DefaultSegmentEvents);
   Rng R(0x5e6);
   for (int Trial = 0; Trial < 16; ++Trial) {
     const uint64_t Budget =
@@ -135,7 +194,8 @@ TEST(TraceSegmentsTest, SegmentedRoundTripRandomizedBudgets) {
     std::string Error;
     ASSERT_TRUE(BlockTrace::parse(Bytes, Q, &Error))
         << "budget " << Budget << ": " << Error;
-    EXPECT_EQ(Q.serialize(), Canonical) << "budget " << Budget;
+    EXPECT_EQ(Q.serializeSegmented(DefaultSegmentEvents), Canonical)
+        << "budget " << Budget;
   }
 }
 
@@ -207,59 +267,15 @@ TEST(TraceSegmentsTest, HeaderValidatesDirectoryAndTotals) {
   EXPECT_FALSE(parseSegmentedHeader(Bytes, Bytes.size() - 1, H2, nullptr));
 }
 
-TEST(TraceSegmentsTest, ParsesVersion1And2Fixtures) {
-  // Hand-built v1 and v2 entries pin byte-level backward compatibility:
-  // 3 events over 2 blocks — block 0 (no branch, 5 insts), block 1
-  // (taken, 3 insts), block 0 (not taken, 2 insts).
-  auto packEvent = [](std::string &Out, int64_t Delta, uint8_t Branch,
-                      uint64_t Insts) {
-    putVarint(Out, (zigzagEncode(Delta) << 2) | Branch);
-    putVarint(Out, Insts);
-  };
-  std::string V1("TPDT", 4);
-  V1.push_back(1);
-  putVarint(V1, 2); // blocks
-  putVarint(V1, 3); // events
-  packEvent(V1, 0, 0, 5);
-  packEvent(V1, 1, 2, 3);
-  packEvent(V1, -1, 1, 2);
-
-  BlockTrace T1;
+TEST(TraceSegmentsTest, RejectsVersion1And2Fixtures) {
+  // The retired monolithic formats, hand-built: 3 events over 2 blocks.
+  // Both parse as unsupported — no other reader accepts them.
+  BlockTrace T;
   std::string Error;
-  ASSERT_TRUE(BlockTrace::parse(V1, T1, &Error)) << Error;
-  ASSERT_EQ(T1.numEvents(), 3u);
-  EXPECT_EQ(T1.numBlocks(), 2u);
-  EXPECT_EQ(T1.totalInsts(), 10u);
-  EXPECT_EQ(T1.takenEvents(), 1u);
-  EXPECT_EQ(T1.event(0).Block, 0u);
-  EXPECT_EQ(T1.event(1).Block, 1u);
-  EXPECT_EQ(T1.event(1).Branch, 2u);
-  EXPECT_EQ(T1.event(2).Block, 0u);
-  EXPECT_EQ(T1.finalCounts()[0].Use, 2u);
-  EXPECT_EQ(T1.finalCounts()[1].Taken, 1u);
-
-  std::string V2("TPDT", 4);
-  V2.push_back(2);
-  putVarint(V2, 2); // blocks
-  putVarint(V2, 3); // events
-  putVarint(V2, 2); // block 0: use
-  putVarint(V2, 0); //          taken
-  putVarint(V2, 1); // block 1: use
-  putVarint(V2, 1); //          taken
-  packEvent(V2, 0, 0, 5);
-  packEvent(V2, 1, 2, 3);
-  packEvent(V2, -1, 1, 2);
-
-  BlockTrace T2;
-  ASSERT_TRUE(BlockTrace::parse(V2, T2, &Error)) << Error;
-  expectSameEvents(T1, T2, "v1 vs v2 fixture");
-  // The v2 fixture is the canonical serialization of this trace.
-  EXPECT_EQ(T2.serialize(), V2);
-
-  // A v2 counter table that disagrees with the events is rejected.
-  std::string BadTable = V2;
-  BadTable[7] = 3; // block 0 use: 2 -> 3 (single-byte varint)
-  EXPECT_FALSE(BlockTrace::parse(BadTable, T2, nullptr));
+  EXPECT_FALSE(BlockTrace::parse(v1Fixture(), T, &Error));
+  EXPECT_EQ(Error, "unsupported trace version");
+  EXPECT_FALSE(BlockTrace::parse(v2Fixture(), T, &Error));
+  EXPECT_EQ(Error, "unsupported trace version");
 }
 
 TEST(TraceSegmentsTest, StitchedIndexMatchesMonolithicBuild) {
@@ -356,70 +372,80 @@ TEST(TraceSegmentsTest, StreamedCacheMatchesMonolithicEverywhere) {
                     Thresholds.size(), "disk-hit analytic");
   }
 
-  // Kill switch: budget 0 records monolithically and writes the classic
-  // whole-file TPDZ framing.
-  setenv("TPDBT_SEGMENT_EVENTS", "0", 1);
-  {
-    TraceCache Cache(Dir);
-    auto T = Cache.get("mcf", "ref", 0x78, B.Ref, MaxBlocks);
-    ASSERT_NE(T, nullptr);
-    EXPECT_EQ(Cache.stats().StreamedRecords.load(), 0u);
-    expectSameEvents(Direct, *T, "kill switch record");
-    auto OnDisk = readTextFile(Cache.entryPath("mcf", "ref", 0x78));
-    ASSERT_TRUE(OnDisk.has_value());
-    ASSERT_GE(OnDisk->size(), 4u);
-    EXPECT_EQ(OnDisk->substr(0, 4), "TPDZ");
-  }
-  // And the segmented reader reads the v2 entry's sibling back: a
-  // segmented cache can still consume entries written by the kill
-  // switch via the monolithic loader (framing sniff).
-  setenv("TPDBT_SEGMENT_EVENTS", "300", 1);
-  {
-    TraceCache Cache(Dir);
-    auto T = Cache.get("mcf", "ref", 0x78, B.Ref, MaxBlocks);
-    ASSERT_NE(T, nullptr);
-    EXPECT_EQ(Cache.stats().DiskHits.load(), 1u);
-    EXPECT_EQ(Cache.stats().Misses.load(), 0u);
-    expectSameEvents(Direct, *T, "cross-framing disk hit");
-  }
   unsetenv("TPDBT_SEGMENT_EVENTS");
   std::filesystem::remove_all(Dir);
 }
 
-TEST(TraceSegmentsTest, StreamedReplayMatchesEventPump) {
-  const std::string Dir = tempDir("streamed_replay");
+TEST(TraceSegmentsTest, StaleMonolithicEntryIsReRecorded) {
+  // A TPDZ(TPDT v2) entry a retired writer left under a live key: the
+  // same recording, only in the old format. It must read as corrupt, be
+  // re-recorded, and be overwritten in place with the v3 container.
+  const std::string Dir = tempDir("stale_v2");
   std::filesystem::remove_all(Dir);
   ASSERT_TRUE(ensureDirectory(Dir));
+  unsetenv("TPDBT_SEGMENT_EVENTS");
+  auto B = smallBench("mcf");
+  const uint64_t MaxBlocks = 20000;
+  BlockTrace Direct = BlockTrace::record(B.Ref, MaxBlocks);
+
+  TraceCache Cache(Dir);
+  const std::string Path = Cache.entryPath("mcf", "ref", 0x79);
+  ASSERT_TRUE(writeTextFile(Path, packedV2(Direct)));
+  auto T = Cache.get("mcf", "ref", 0x79, B.Ref, MaxBlocks);
+  ASSERT_NE(T, nullptr);
+  EXPECT_EQ(Cache.stats().CorruptEntries.load(), 1u);
+  EXPECT_EQ(Cache.stats().Misses.load(), 1u);
+  EXPECT_EQ(Cache.stats().DiskHits.load(), 0u);
+  expectSameEvents(Direct, *T, "re-recorded stale entry");
+  auto OnDisk = readTextFile(Path);
+  ASSERT_TRUE(OnDisk.has_value());
+  EXPECT_EQ(*OnDisk, Direct.serializeSegmented(DefaultSegmentEvents));
+  std::filesystem::remove_all(Dir);
+}
+
+TEST(TraceSegmentsTest, SegmentSumsMustMeetDirectoryBases) {
+  // A directory row whose bases are off by one instruction: the header
+  // alone cannot tell, but decoding either neighbouring segment does —
+  // through parse() and through the streaming reader alike.
   auto B = smallBench("gzip");
-  BlockTrace T = BlockTrace::record(B.Ref, 15000);
-  const std::string Path = Dir + "/t.trace";
-  ASSERT_TRUE(writeTextFileAtomic(Path, T.serializeSegmented(512)));
-
-  SegmentedTraceReader Reader;
+  BlockTrace T = BlockTrace::record(B.Ref, 2000);
+  const uint64_t Budget = 256;
+  std::vector<TraceSegmentRecord> Segments;
+  uint64_t Insts = 0, Taken = 0;
+  for (size_t At = 0; At < T.numEvents(); At += Budget) {
+    const size_t N = std::min<size_t>(Budget, T.numEvents() - At);
+    TraceSegmentRecord Rec;
+    Rec.Events = static_cast<uint32_t>(N);
+    Rec.BaseInsts = Insts + (Segments.size() == 1 ? 1 : 0);
+    Rec.BaseTaken = Taken;
+    Rec.Payload = compressBytes(encodeSegmentEvents(&T.event(At), N));
+    for (size_t I = At; I < At + N; ++I) {
+      Insts += T.event(I).Insts;
+      Taken += T.event(I).Branch == 2 ? 1 : 0;
+    }
+    Segments.push_back(std::move(Rec));
+  }
+  ASSERT_GT(Segments.size(), 2u);
+  const std::string Bytes =
+      assembleSegmentedTrace(T.numBlocks(), T.numEvents(), T.totalInsts(),
+                             Budget, T.finalCounts(), Segments);
+  BlockTrace Q;
   std::string Error;
-  ASSERT_TRUE(SegmentedTraceReader::open(Path, Reader, &Error)) << Error;
-  EXPECT_GT(Reader.numSegments(), 1u);
+  EXPECT_FALSE(BlockTrace::parse(Bytes, Q, &Error));
+  EXPECT_EQ(Error, "segment events disagree with directory bases");
 
-  const std::vector<uint64_t> Thresholds = {1, 100, 1000, 100000};
-  dbt::DbtOptions Plain;
-  SweepResult Streamed;
-  ASSERT_TRUE(replaySweepStreamed(Reader, B.Ref, Thresholds, Plain,
-                                  Streamed, &Error))
-      << Error;
-  expectSameSweep(Streamed, replaySweepEvents(T, B.Ref, Thresholds, Plain),
-                  Thresholds.size(), "streamed pump");
-
-  // Adaptive policies exercise the full chunked pump (no analytic
-  // shortcut exists for them).
-  dbt::DbtOptions Adaptive;
-  Adaptive.Adaptive.Enabled = true;
-  SweepResult StreamedAd;
-  ASSERT_TRUE(replaySweepStreamed(Reader, B.Ref, Thresholds, Adaptive,
-                                  StreamedAd, &Error))
-      << Error;
-  expectSameSweep(StreamedAd,
-                  replaySweepEvents(T, B.Ref, Thresholds, Adaptive),
-                  Thresholds.size(), "streamed adaptive pump");
+  const std::string Dir = tempDir("bad_bases");
+  std::filesystem::remove_all(Dir);
+  ASSERT_TRUE(ensureDirectory(Dir));
+  const std::string Path = Dir + "/t.trace";
+  ASSERT_TRUE(writeTextFile(Path, Bytes));
+  SegmentedTraceReader R;
+  ASSERT_TRUE(SegmentedTraceReader::open(Path, R, &Error)) << Error;
+  std::vector<TraceEvent> Events;
+  EXPECT_FALSE(R.readSegment(0, Events, &Error));
+  EXPECT_EQ(Error, "segment events disagree with directory bases");
+  EXPECT_FALSE(R.readSegment(1, Events, &Error));
+  EXPECT_TRUE(R.readSegment(2, Events, &Error)) << Error;
   std::filesystem::remove_all(Dir);
 }
 
@@ -442,7 +468,7 @@ TEST(TraceSegmentsTest, ReaderRejectsTruncatedAndForeignFiles) {
   EXPECT_FALSE(SegmentedTraceReader::open(Truncated, R, &Error));
 
   const std::string Foreign = Dir + "/foreign.trace";
-  ASSERT_TRUE(writeTextFile(Foreign, compressBytes(T.serialize())));
+  ASSERT_TRUE(writeTextFile(Foreign, compressBytes(v2Fixture())));
   EXPECT_FALSE(SegmentedTraceReader::open(Foreign, R, &Error));
 
   // An intact file opens, and a payload flipped after open() fails at
@@ -480,6 +506,10 @@ TEST(TraceSegmentsTest, HeaderRejectsHostileDirectoryEntries) {
     putVarint(Out, Segments);
     return Out;
   };
+  auto counters = [](std::string &Out, uint64_t Use, uint64_t Taken) {
+    putVarint(Out, Use);
+    putVarint(Out, Taken);
+  };
   SegmentedTraceHeader H;
 
   // Segment count far beyond what the file could hold: rejected before
@@ -492,6 +522,14 @@ TEST(TraceSegmentsTest, HeaderRejectsHostileDirectoryEntries) {
   {
     std::string Bytes = header(uint64_t(1) << 40, 4, 10, 256, 1);
     EXPECT_FALSE(parseSegmentedHeader(Bytes, Bytes.size(), H, nullptr));
+  }
+  // No events, so no segment, yet a nonzero instruction total.
+  {
+    std::string Bytes = header(1, 0, 10, 256, 0);
+    counters(Bytes, 0, 0);
+    std::string Error;
+    EXPECT_FALSE(parseSegmentedHeader(Bytes, Bytes.size(), H, &Error));
+    EXPECT_EQ(Error, "empty trace with nonzero instruction total");
   }
   // Zero segment budget.
   {
@@ -520,10 +558,6 @@ TEST(TraceSegmentsTest, HeaderRejectsHostileDirectoryEntries) {
     EXPECT_FALSE(
         parseSegmentedHeader(Bytes, Bytes.size() + 64, H, nullptr));
   }
-  auto counters = [](std::string &Out, uint64_t Use, uint64_t Taken) {
-    putVarint(Out, Use);
-    putVarint(Out, Taken);
-  };
   // A zero-length directory entry.
   {
     std::string Bytes = header(1, 4, 10, 256, 1);

@@ -2,6 +2,7 @@
 
 #include "core/Trace.h"
 
+#include "core/TraceSegments.h"
 #include "support/Rng.h"
 #include "workloads/BenchSpec.h"
 #include "workloads/Generator.h"
@@ -51,7 +52,7 @@ TEST(TraceTest, RecordCapturesFullExecution) {
 TEST(TraceTest, SerializeParseRoundTrip) {
   auto B = smallBench("art");
   BlockTrace T = BlockTrace::record(B.Ref);
-  std::string Bytes = T.serialize();
+  std::string Bytes = T.serializeSegmented(DefaultSegmentEvents);
   // Compact encoding: a handful of bytes per event.
   EXPECT_LT(Bytes.size(), T.numEvents() * 4 + 64);
 
@@ -67,12 +68,13 @@ TEST(TraceTest, SerializeParseRoundTrip) {
     EXPECT_EQ(Q.event(I).Insts, T.event(I).Insts);
   }
   // Canonical: re-serializing parses back to identical bytes.
-  EXPECT_EQ(Q.serialize(), Bytes);
+  EXPECT_EQ(Q.serializeSegmented(DefaultSegmentEvents), Bytes);
 }
 
 TEST(TraceTest, ParseRejectsCorruption) {
   auto B = smallBench("eon");
-  std::string Bytes = BlockTrace::record(B.Ref, 500).serialize();
+  std::string Bytes =
+      BlockTrace::record(B.Ref, 500).serializeSegmented(DefaultSegmentEvents);
   BlockTrace Q;
   EXPECT_FALSE(BlockTrace::parse("garbage", Q, nullptr));
   EXPECT_FALSE(
@@ -113,7 +115,8 @@ TEST(TraceTest, ReplayAfterSerializationStillMatches) {
   auto B = smallBench("lucas");
   BlockTrace T = BlockTrace::record(B.Ref);
   BlockTrace Q;
-  ASSERT_TRUE(BlockTrace::parse(T.serialize(), Q, nullptr));
+  ASSERT_TRUE(BlockTrace::parse(T.serializeSegmented(DefaultSegmentEvents),
+                                Q, nullptr));
   SweepResult A = replaySweep(T, B.Ref, {500}, dbt::DbtOptions());
   SweepResult C = replaySweep(Q, B.Ref, {500}, dbt::DbtOptions());
   EXPECT_EQ(profile::printSnapshot(A.PerThreshold[0]),
@@ -209,76 +212,42 @@ TEST(TraceTest, DuplicateThresholdsShareOneEvaluation) {
               profile::printSnapshot(Single.PerThreshold[0]));
 }
 
-namespace {
-
-/// Minimal TPDT v1 encoder (the pre-counter-table format), used to pin
-/// backward compatibility.
-std::string encodeV1(const BlockTrace &T) {
-  std::string Out("TPDT", 4);
-  Out.push_back(1);
-  auto PutVarint = [&Out](uint64_t V) {
-    while (V >= 0x80) {
-      Out.push_back(static_cast<char>(0x80 | (V & 0x7f)));
-      V >>= 7;
-    }
-    Out.push_back(static_cast<char>(V));
-  };
-  PutVarint(T.numBlocks());
-  PutVarint(T.numEvents());
-  int64_t PrevBlock = 0;
-  for (size_t I = 0; I < T.numEvents(); ++I) {
-    const TraceEvent &E = T.event(I);
-    int64_t Delta = static_cast<int64_t>(E.Block) - PrevBlock;
-    PrevBlock = static_cast<int64_t>(E.Block);
-    uint64_t Zig = (static_cast<uint64_t>(Delta) << 1) ^
-                   static_cast<uint64_t>(Delta >> 63);
-    PutVarint((Zig << 2) | E.Branch);
-    PutVarint(E.Insts);
-  }
-  return Out;
-}
-
-} // namespace
-
-TEST(TraceTest, ParseAcceptsVersion1Traces) {
-  auto B = smallBench("eon");
-  BlockTrace T = BlockTrace::record(B.Ref, 2000);
-  BlockTrace Q;
-  std::string Error;
-  ASSERT_TRUE(BlockTrace::parse(encodeV1(T), Q, &Error)) << Error;
-  ASSERT_EQ(Q.numEvents(), T.numEvents());
-  EXPECT_EQ(Q.numBlocks(), T.numBlocks());
-  EXPECT_EQ(Q.totalInsts(), T.totalInsts());
-  EXPECT_EQ(Q.takenEvents(), T.takenEvents());
-  // The counter table is reconstructed from the events, so a v1 parse
-  // re-serializes as a full v2 entry.
-  ASSERT_EQ(Q.finalCounts().size(), T.finalCounts().size());
-  for (size_t I = 0; I < T.finalCounts().size(); ++I) {
-    EXPECT_EQ(Q.finalCounts()[I].Use, T.finalCounts()[I].Use);
-    EXPECT_EQ(Q.finalCounts()[I].Taken, T.finalCounts()[I].Taken);
-  }
-  EXPECT_EQ(Q.serialize(), T.serialize());
-}
-
 TEST(TraceTest, ParseRejectsCounterTableMismatch) {
   auto B = smallBench("eon");
   BlockTrace T = BlockTrace::record(B.Ref, 500);
-  std::string Bytes = T.serialize();
-  // The counter table starts right after the two header varints; nudging
-  // its first byte desynchronizes the declared totals from the events.
-  size_t Pos = 5;
-  while (static_cast<uint8_t>(Bytes[Pos]) & 0x80)
-    ++Pos;
-  ++Pos; // skip NumBlocks
-  while (static_cast<uint8_t>(Bytes[Pos]) & 0x80)
-    ++Pos;
-  ++Pos; // skip NumEvents
-  ASSERT_EQ(static_cast<uint8_t>(Bytes[Pos]) & 0x80, 0)
-      << "test assumes a single-byte first Use varint";
-  Bytes[Pos] = static_cast<char>((static_cast<uint8_t>(Bytes[Pos]) + 1) &
-                                 0x7f);
-  BlockTrace Q;
+  const std::string Good = T.serializeSegmented(DefaultSegmentEvents);
+  SegmentedTraceHeader H;
+  ASSERT_TRUE(parseSegmentedHeader(Good, Good.size(), H, nullptr));
+
+  // Re-assemble the same segments under a nudged counter table: one use
+  // moves from a block with a spare untaken use to another block, so the
+  // table still sums to the event count (and the taken total is intact)
+  // but disagrees with the decoded events.
+  std::vector<TraceSegmentRecord> Segments;
+  for (const SegmentedTraceHeader::Entry &Ent : H.Directory) {
+    TraceSegmentRecord Rec;
+    Rec.Events = Ent.Events;
+    Rec.BaseInsts = Ent.BaseInsts;
+    Rec.BaseTaken = Ent.BaseTaken;
+    Rec.Payload = Good.substr(Ent.PayloadOffset, Ent.PayloadBytes);
+    Segments.push_back(std::move(Rec));
+  }
+  std::vector<profile::BlockCounters> Final = H.Final;
+  size_t From = 0;
+  while (From < Final.size() && Final[From].Use <= Final[From].Taken)
+    ++From;
+  ASSERT_LT(From, Final.size());
+  --Final[From].Use;
+  ++Final[(From + 1) % Final.size()].Use;
+  const std::string Bytes =
+      assembleSegmentedTrace(H.NumBlocks, H.NumEvents, H.TotalInsts,
+                             H.SegmentBudget, Final, Segments);
+
+  SegmentedTraceHeader Nudged;
   std::string Error;
+  ASSERT_TRUE(parseSegmentedHeader(Bytes, Bytes.size(), Nudged, &Error))
+      << Error;
+  BlockTrace Q;
   EXPECT_FALSE(BlockTrace::parse(Bytes, Q, &Error));
   EXPECT_EQ(Error, "trace counter table disagrees with events");
 }

@@ -4,6 +4,7 @@
 
 #include "dbt/DbtEngine.h"
 #include "guest/ProgramBuilder.h"
+#include "vm/Interpreter.h"
 
 #include <gtest/gtest.h>
 
@@ -33,11 +34,40 @@ Program makeHalfFlip() {
   return PB.build();
 }
 
+/// Windows of \p P's full execution from the trace overload.
+WindowedProfile windowsOf(const Program &P, size_t NumWindows,
+                          uint64_t MaxBlocks = ~0ull) {
+  return collectWindowedProfile(P, NumWindows,
+                                BlockTrace::record(P, MaxBlocks));
+}
+
+/// Independent oracle: executes \p P twice through the interpreter's
+/// event callback — once to size the windows, once to fill them.
+WindowedProfile executeTwice(const Program &P, size_t NumWindows) {
+  vm::Interpreter Interp(P);
+  vm::Machine M;
+  M.reset(P);
+  WindowedProfile Out;
+  Out.TotalBlockEvents = Interp.run(M, ~0ull).BlocksExecuted;
+  Out.Windows.assign(NumWindows,
+                     std::vector<profile::BlockCounters>(P.numBlocks()));
+  const uint64_t WindowLen = Out.TotalBlockEvents / NumWindows + 1;
+  M.reset(P);
+  uint64_t Event = 0;
+  Interp.run(M, ~0ull, [&](BlockId B, const vm::BlockResult &R) {
+    const size_t W = std::min<size_t>(Event++ / WindowLen, NumWindows - 1);
+    ++Out.Windows[W][B].Use;
+    if (R.IsCondBranch && R.Taken)
+      ++Out.Windows[W][B].Taken;
+  });
+  return Out;
+}
+
 } // namespace
 
 TEST(WindowedProfileTest, WindowsSumToFullProfile) {
   Program P = makeHalfFlip();
-  WindowedProfile WP = collectWindowedProfile(P, 4);
+  WindowedProfile WP = windowsOf(P, 4);
   EXPECT_EQ(WP.numWindows(), 4u);
 
   dbt::DbtOptions Opts;
@@ -81,32 +111,32 @@ TEST(WindowedProfileTest, CapturesTemporalShift) {
   PB.halt();
   Program P = PB.build();
 
-  WindowedProfile WP = collectWindowedProfile(P, 8);
+  WindowedProfile WP = windowsOf(P, 8);
   EXPECT_GT(WP.takenProb(0, Head), 0.9);
   EXPECT_LT(WP.takenProb(7, Head), 0.1);
 }
 
 TEST(WindowedProfileTest, SingleWindowEqualsWholeRun) {
   Program P = makeHalfFlip();
-  WindowedProfile WP = collectWindowedProfile(P, 1);
+  WindowedProfile WP = windowsOf(P, 1);
   EXPECT_EQ(WP.numWindows(), 1u);
   EXPECT_GT(WP.Windows[0][1].Use, 9000u);
 }
 
 TEST(WindowedProfileTest, RespectsMaxBlocks) {
   Program P = makeHalfFlip();
-  WindowedProfile WP = collectWindowedProfile(P, 2, /*MaxBlocks=*/100);
+  WindowedProfile WP = windowsOf(P, 2, /*MaxBlocks=*/100);
   EXPECT_EQ(WP.TotalBlockEvents, 100u);
 }
 
-// The trace-derived overload must reproduce the execute-twice windows
-// exactly — same sizing rule, same fill — for any window count,
-// including ones that do not divide the event count.
+// The trace-derived windows must reproduce an execute-twice fill exactly
+// — same sizing rule, same fill — for any window count, including ones
+// that do not divide the event count.
 TEST(WindowedProfileTest, TraceDerivedWindowsMatchExecuteTwice) {
   Program P = makeHalfFlip();
   BlockTrace Trace = BlockTrace::record(P);
   for (size_t NumWindows : {1u, 3u, 7u, 16u}) {
-    WindowedProfile Exec = collectWindowedProfile(P, NumWindows);
+    WindowedProfile Exec = executeTwice(P, NumWindows);
     WindowedProfile FromTrace = collectWindowedProfile(P, NumWindows, Trace);
     ASSERT_EQ(FromTrace.numWindows(), Exec.numWindows()) << NumWindows;
     EXPECT_EQ(FromTrace.TotalBlockEvents, Exec.TotalBlockEvents);
@@ -131,7 +161,7 @@ TEST(WindowedProfileTest, TinyTraceFewerEventsThanWindows) {
   PB.halt();
   Program P = PB.build();
 
-  WindowedProfile Exec = collectWindowedProfile(P, 8);
+  WindowedProfile Exec = executeTwice(P, 8);
   EXPECT_EQ(Exec.numWindows(), 8u);
   EXPECT_EQ(Exec.TotalBlockEvents, 1u);
 

@@ -12,6 +12,7 @@
 #include "vm/HostTier.h"
 
 #include "core/Trace.h"
+#include "core/TraceSegments.h"
 #include "guest/ProgramBuilder.h"
 #include "jit/CodeBuffer.h"
 #include "support/Rng.h"
@@ -364,7 +365,9 @@ TEST(JitTierTest, RecordedTraceBytesMatchPlainWithJitHot) {
       Plain.append({Blk, branchCode(R), R.InstsExecuted});
     });
     core::BlockTrace Recorded = core::BlockTrace::record(B.Ref);
-    EXPECT_EQ(Recorded.serialize(), Plain.serialize()) << Name;
+    EXPECT_EQ(Recorded.serializeSegmented(core::DefaultSegmentEvents),
+              Plain.serializeSegmented(core::DefaultSegmentEvents))
+        << Name;
   }
 }
 

@@ -11,6 +11,7 @@
 
 #include "core/Runner.h"
 #include "core/Trace.h"
+#include "core/TraceSegments.h"
 #include "guest/ProgramBuilder.h"
 #include "support/Rng.h"
 #include "vm/Interpreter.h"
@@ -193,7 +194,9 @@ TEST(HostTierTest, RecordedTraceBytesMatchPlainPump) {
       Plain.append({Blk, branchCode(R), R.InstsExecuted});
     });
     core::BlockTrace Recorded = core::BlockTrace::record(B.Ref);
-    EXPECT_EQ(Recorded.serialize(), Plain.serialize()) << Name;
+    EXPECT_EQ(Recorded.serializeSegmented(core::DefaultSegmentEvents),
+              Plain.serializeSegmented(core::DefaultSegmentEvents))
+        << Name;
   }
 }
 
