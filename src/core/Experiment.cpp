@@ -243,11 +243,12 @@ void ExperimentContext::ensureProfiles(const std::string &Name,
 
   auto timedReplay = [&](const BlockTrace &Trace, const guest::Program &P,
                          const std::vector<uint64_t> &Thresholds) {
-    // The analytic path builds the trace's index on first use; when none
-    // is attached (every disk hit, and non-streamed records), force that
-    // build here under the index timer so ReplayMicros measures replay
-    // alone, not index construction.
-    if (!Config.Dbt.Adaptive.Enabled && !Trace.sharedIndex()) {
+    // A threshold replay builds the trace's index on first use; when none
+    // is attached (every disk hit), force that build here under the index
+    // timer so ReplayMicros measures replay alone. An AVEP-only replay
+    // (the train input) needs no index.
+    if (!Config.Dbt.Adaptive.Enabled && !Thresholds.empty() &&
+        !Trace.sharedIndex()) {
       auto I0 = std::chrono::steady_clock::now();
       Trace.index();
       auto I1 = std::chrono::steady_clock::now();
@@ -368,14 +369,14 @@ void ExperimentContext::ensureEstimates(const std::string &Name,
     SegmentedTraceReader Reader;
     if (Traces->openSegmented(Name, "train", ExecFp, Reader, nullptr)) {
       const SegmentedTraceHeader &H = Reader.header();
-      D.Train = sample::profilingAverage(B.Train, TrainGraph, Config.Dbt,
-                                         H.Final, H.NumEvents,
-                                         H.takenEvents(), H.TotalInsts);
+      D.Train = dbt::profilingAverage(B.Train, TrainGraph, Config.Dbt,
+                                      H.Final, H.NumEvents, H.takenEvents(),
+                                      H.TotalInsts);
       Traces->noteSampleReplay(0, Reader.numSegments());
     } else {
       std::shared_ptr<const BlockTrace> Trace =
           Traces->get(Name, "train", ExecFp, B.Train, MaxBlocks);
-      D.Train = sample::profilingAverage(
+      D.Train = dbt::profilingAverage(
           B.Train, TrainGraph, Config.Dbt, Trace->finalCounts(),
           Trace->numEvents(), Trace->takenEvents(), Trace->totalInsts());
     }

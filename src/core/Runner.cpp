@@ -63,13 +63,8 @@ SweepResult runFused(const Program &P, const std::vector<uint64_t> &Thresholds,
     // Duplicate thresholds all receive the shared evaluation.
     Res.PerThreshold.assign(Thresholds.size(), S);
   }
-  dbt::DbtOptions AvgOpts = Base;
-  AvgOpts.Threshold = 0;
-  dbt::TranslationPolicy AvgPolicy(P, G, AvgOpts);
-  AvgPolicy.analyticAddProfiling(Out.BlocksExecuted, TakenEvents,
-                                 Out.InstsExecuted);
-  Res.Average =
-      AvgPolicy.finish(Shared, Out.BlocksExecuted, Out.InstsExecuted);
+  Res.Average = dbt::profilingAverage(P, G, Base, Shared, Out.BlocksExecuted,
+                                      TakenEvents, Out.InstsExecuted);
   return Res;
 }
 

@@ -186,17 +186,18 @@ bool BlockTrace::parse(const std::string &Bytes, BlockTrace &Out,
   BlockTrace T;
   T.setNumBlocks(H.NumBlocks);
   T.reserveEvents(H.NumEvents);
-  std::vector<TraceEvent> Buf;
   for (size_t I = 0; I < H.Directory.size(); ++I) {
     const SegmentedTraceHeader::Entry &Ent = H.Directory[I];
-    Buf.clear();
+    // Decode straight onto the trace's own event vector, then fold the
+    // fresh segment into the running counters.
+    const size_t From = T.Events.size();
     if (!decodeSegment(H, I,
                        Bytes.substr(static_cast<size_t>(Ent.PayloadOffset),
                                     static_cast<size_t>(Ent.PayloadBytes)),
-                       Buf, Error))
+                       T.Events, Error))
       return false;
-    for (const TraceEvent &E : Buf)
-      T.append(E);
+    for (size_t J = From; J < T.Events.size(); ++J)
+      T.countEvent(T.Events[J]);
   }
   for (uint64_t B = 0; B < H.NumBlocks; ++B)
     if (T.Final[B].Use != H.Final[B].Use ||
@@ -371,12 +372,16 @@ void walkOptimized(const BlockTrace &Trace, const TraceIndex &Idx,
                    Cursor[S.B]);
       if (M == 0)
         return I;
-      // Each path block consumes one occurrence per folded iteration
-      // (duplicated unconditional blocks appear once per duplicate).
-      for (BlockId B : PathBlocks)
+      // Each appearance of a block on the path consumes its next M
+      // occurrence ranks, so the folded instructions are per-block prefix
+      // differences.
+      uint64_t Insts = 0;
+      for (BlockId B : PathBlocks) {
+        Insts += Idx.instsOfFirst(B, Cursor[B] + M) -
+                 Idx.instsOfFirst(B, Cursor[B]);
         Cursor[B] += M;
-      Policy.analyticLoopIterations(
-          M, Idx.instsBefore(I + M * Len) - Idx.instsBefore(I));
+      }
+      Policy.analyticLoopIterations(M, Insts);
       return I + M * Len;
     }
     return I; // no back edge within the node budget
@@ -634,21 +639,25 @@ SweepResult tpdbt::core::replaySweep(const BlockTrace &Trace,
     // timeline exists: pump the events.
     Shared = replaySweepEvents(Trace, P, Unique, Base);
   } else {
-    const TraceIndex &Idx = Trace.index();
     cfg::Cfg G(P);
+    // The average is a closed form of the stream totals: only threshold
+    // units need the index.
+    Shared.Average =
+        dbt::profilingAverage(P, G, Base, Trace.finalCounts(),
+                              Trace.numEvents(), Trace.takenEvents(),
+                              Trace.totalInsts());
     Shared.PerThreshold.resize(Unique.size());
-    // Per-threshold snapshots are independent units; dispatch them on the
-    // worker pool alongside the per-benchmark parallelism. Results are
-    // stored by index, so they are identical at any job count.
-    parallelFor(Unique.size() + 1, Jobs, [&](size_t I) {
-      dbt::DbtOptions Opts = Base;
-      Opts.Threshold = I < Unique.size() ? Unique[I] : 0;
-      profile::ProfileSnapshot S = evaluateIndexed(Trace, Idx, P, G, Opts);
-      if (I < Unique.size())
-        Shared.PerThreshold[I] = std::move(S);
-      else
-        Shared.Average = std::move(S);
-    });
+    if (!Unique.empty()) {
+      const TraceIndex &Idx = Trace.index();
+      // Per-threshold snapshots are independent units; dispatch them on
+      // the worker pool alongside the per-benchmark parallelism. Results
+      // are stored by index, so they are identical at any job count.
+      parallelFor(Unique.size(), Jobs, [&](size_t I) {
+        dbt::DbtOptions Opts = Base;
+        Opts.Threshold = Unique[I];
+        Shared.PerThreshold[I] = evaluateIndexed(Trace, Idx, P, G, Opts);
+      });
+    }
   }
 
   if (Unique.size() == Thresholds.size())

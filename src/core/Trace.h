@@ -94,7 +94,10 @@ public:
   /// same bytes at its budget; this is the reference writer.
   std::string serializeSegmented(uint64_t Budget) const;
   /// Parses a TPDT v3 container; the result is event-identical to the
-  /// serialized trace at any budget. Any other version — the retired
+  /// serialized trace at any budget. Each segment is inflated and decoded
+  /// straight onto the trace's event vector and folded into its counters
+  /// in one pass; the segment sums and the header's counter table are
+  /// checked against the decoded events. Any other version — the retired
   /// monolithic v1/v2 included — fails as unsupported.
   static bool parse(const std::string &Bytes, BlockTrace &Out,
                     std::string *Error);
@@ -114,8 +117,9 @@ public:
     return Final;
   }
 
-  /// The analytic replay index over this trace, built on first use and
-  /// cached for the trace's lifetime. Thread-safe.
+  /// The analytic replay index over this trace, built on first use (the
+  /// first threshold replay) and cached for the trace's lifetime.
+  /// Thread-safe.
   const TraceIndex &index() const;
 
   /// Installs a precomputed index (e.g. the one the record pipeline
@@ -130,14 +134,7 @@ public:
   /// Appends one event (used by record() and tests).
   void append(const TraceEvent &E) {
     Events.push_back(E);
-    TotalInsts += E.Insts;
-    if (Final.size() <= E.Block)
-      Final.resize(E.Block + 1);
-    ++Final[E.Block].Use;
-    if (E.Branch == 2) {
-      ++TakenEvents;
-      ++Final[E.Block].Taken;
-    }
+    countEvent(E);
   }
   /// Appends \p N copies of one event — the run-length entry point for
   /// the host tier's batched self-loop iterations. Equivalent to calling
@@ -177,6 +174,18 @@ public:
   }
 
 private:
+  /// Folds one stored event into the running totals and final counters.
+  void countEvent(const TraceEvent &E) {
+    TotalInsts += E.Insts;
+    if (Final.size() <= E.Block)
+      Final.resize(E.Block + 1);
+    ++Final[E.Block].Use;
+    if (E.Branch == 2) {
+      ++TakenEvents;
+      ++Final[E.Block].Taken;
+    }
+  }
+
   std::vector<TraceEvent> Events;
   std::vector<profile::BlockCounters> Final;
   size_t NumBlocks = 0;
@@ -199,10 +208,15 @@ private:
 /// prefix-sum differences, region formation and cost accounting run
 /// exactly as in the pump on those counters, and only the optimized
 /// sub-stream (events of frozen blocks after their freeze) is walked —
-/// with single-node loop regions folded into closed form. Duplicate
-/// thresholds share one evaluation, and the per-threshold units are
-/// dispatched on up to \p Jobs worker threads (results are identical at
-/// any job count).
+/// with repeating loop-region iterations folded into closed form.
+/// Duplicate thresholds share one evaluation, and the per-threshold units
+/// are dispatched on up to \p Jobs worker threads (results are identical
+/// at any job count).
+///
+/// The profiling-only Average is dbt::profilingAverage(), a closed form of
+/// the trace's final counters and stream totals, so the index is built
+/// (on first use, see BlockTrace::index()) only when \p Thresholds is
+/// non-empty: an AVEP-only replay never builds it.
 ///
 /// Adaptive policies (frozen blocks can thaw, so no static freeze
 /// timeline exists) fall back to replaySweepEvents().

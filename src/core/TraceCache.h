@@ -19,10 +19,11 @@
 ///
 /// Only the trace is persisted. A disk hit returns the parsed trace with
 /// no analytic replay index attached (core/TraceIndex.h); the first
-/// analytic replay builds it from the events, which is cheaper than
-/// reading, inflating, and parsing a stored copy. Every miss records
-/// through the segment pipeline (core/TracePipeline.h), which writes the
-/// container and keeps the index it stitched in memory.
+/// threshold replay builds it from the events, which is cheaper than
+/// reading, inflating, and parsing a stored copy. A replay that asks only
+/// for the profiling-only average (the train input) never builds one.
+/// Every miss records through the segment pipeline (core/TracePipeline.h),
+/// which writes the container and keeps the index it stitched in memory.
 ///
 /// A corrupt, truncated, or retired-format (monolithic v1/v2) disk entry
 /// is counted and treated as a miss; the trace is then re-recorded and the

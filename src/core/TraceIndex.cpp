@@ -11,7 +11,7 @@ using namespace tpdbt;
 using namespace tpdbt::core;
 using namespace tpdbt::guest;
 
-TraceIndex TraceIndex::build(const BlockTrace &Trace) {
+TraceIndex TraceIndex::shaped(const BlockTrace &Trace) {
   const size_t N = Trace.numBlocks();
   const size_t E = Trace.numEvents();
   assert(E < (1ull << 32) && "trace too large for a 32-bit position index");
@@ -19,9 +19,8 @@ TraceIndex TraceIndex::build(const BlockTrace &Trace) {
   TraceIndex Idx;
   Idx.TotalInsts = Trace.totalInsts();
   Idx.TakenEvents = Trace.takenEvents();
-
-  // Pass 1 equivalent: the trace already maintains final per-block use
-  // counts, which are exactly the CSR row sizes.
+  // The trace already maintains final per-block use counts, which are
+  // exactly the CSR row sizes: no counting pass over the events.
   const std::vector<profile::BlockCounters> &Final = Trace.finalCounts();
   Idx.BlockBegin.resize(N + 1);
   uint32_t Offset = 0;
@@ -33,31 +32,26 @@ TraceIndex TraceIndex::build(const BlockTrace &Trace) {
   assert(Offset == E && "final counts disagree with the event stream");
 
   Idx.OccPos.resize(E);
+  // Zero-filled, which sets every prefix row's leading zero.
   Idx.TakenPre.resize(E + N);
   Idx.InstsPre.resize(E + N);
-  Idx.GlobalInsts.resize(E + 1);
-  Idx.GlobalTaken.resize(E + 1);
+  return Idx;
+}
 
-  // Pass 2: scatter positions and accumulate prefix rows. Cursor[B] is the
-  // next free OccPos slot of block B; the prefix rows carry a leading zero.
+TraceIndex TraceIndex::build(const BlockTrace &Trace) {
+  TraceIndex Idx = shaped(Trace);
+  // Scatter positions and accumulate prefix rows. Cursor[B] is the next
+  // free OccPos slot of block B.
   std::vector<uint32_t> Cursor(Idx.BlockBegin.begin(),
                                Idx.BlockBegin.end() - 1);
-  for (size_t B = 0; B < N; ++B) {
-    Idx.TakenPre[Idx.prefBegin(static_cast<BlockId>(B))] = 0;
-    Idx.InstsPre[Idx.prefBegin(static_cast<BlockId>(B))] = 0;
-  }
-  Idx.GlobalInsts[0] = 0;
-  Idx.GlobalTaken[0] = 0;
+  const size_t E = Trace.numEvents();
   for (size_t I = 0; I < E; ++I) {
     const TraceEvent &Ev = Trace.event(I);
-    const bool Taken = Ev.Branch == 2;
     uint32_t Slot = Cursor[Ev.Block]++;
     Idx.OccPos[Slot] = static_cast<uint32_t>(I);
     size_t Row = Slot + Ev.Block; // prefBegin(Block) + occurrence rank
-    Idx.TakenPre[Row + 1] = Idx.TakenPre[Row] + (Taken ? 1 : 0);
+    Idx.TakenPre[Row + 1] = Idx.TakenPre[Row] + (Ev.Branch == 2 ? 1 : 0);
     Idx.InstsPre[Row + 1] = Idx.InstsPre[Row] + Ev.Insts;
-    Idx.GlobalInsts[I + 1] = Idx.GlobalInsts[I] + Ev.Insts;
-    Idx.GlobalTaken[I + 1] = Idx.GlobalTaken[I] + (Taken ? 1 : 0);
   }
   return Idx;
 }
@@ -90,39 +84,16 @@ TraceIndex::SegmentPart TraceIndex::buildPart(const TraceEvent *Ev, size_t N,
 
 TraceIndex TraceIndex::stitch(const BlockTrace &Trace,
                               const std::vector<SegmentPart> &Parts) {
-  const size_t N = Trace.numBlocks();
-  const size_t E = Trace.numEvents();
-  assert(E < (1ull << 32) && "trace too large for a 32-bit position index");
-
-  TraceIndex Idx;
-  Idx.TotalInsts = Trace.totalInsts();
-  Idx.TakenEvents = Trace.takenEvents();
-
-  const std::vector<profile::BlockCounters> &Final = Trace.finalCounts();
-  Idx.BlockBegin.resize(N + 1);
-  uint32_t Offset = 0;
-  for (size_t B = 0; B < N; ++B) {
-    Idx.BlockBegin[B] = Offset;
-    Offset += static_cast<uint32_t>(Final[B].Use);
-  }
-  Idx.BlockBegin[N] = Offset;
-  assert(Offset == E && "final counts disagree with the event stream");
-
-  Idx.OccPos.resize(E);
-  Idx.TakenPre.resize(E + N);
-  Idx.InstsPre.resize(E + N);
-
+  TraceIndex Idx = shaped(Trace);
   // Per-block rows: concatenate each part's block row in stream order
   // (parts are ordered, and within a part a row is in stream order), and
   // continue the prefix sums across segment boundaries. The parts carry
   // the outcome/instruction payload, so this pass reads the parts
   // sequentially instead of chasing positions through the event stream.
-  for (size_t B = 0; B < N; ++B) {
-    size_t Dst = Idx.BlockBegin[B];
+  for (size_t B = 0; B < Idx.numBlocks(); ++B) {
+    const size_t Dst = Idx.BlockBegin[B];
     const size_t Row = Idx.prefBegin(static_cast<guest::BlockId>(B));
     size_t K = 0;
-    Idx.TakenPre[Row] = 0;
-    Idx.InstsPre[Row] = 0;
     for (const SegmentPart &Part : Parts) {
       const uint32_t From = Part.SegBegin[B], To = Part.SegBegin[B + 1];
       for (uint32_t J = From; J < To; ++J, ++K) {
@@ -131,19 +102,8 @@ TraceIndex TraceIndex::stitch(const BlockTrace &Trace,
         Idx.InstsPre[Row + K + 1] = Idx.InstsPre[Row + K] + Part.Insts[J];
       }
     }
-    assert(K == Final[B].Use && "segment parts disagree with final counts");
-  }
-
-  // Global prefix sums: one sequential pass over the stream (memory-bound
-  // and branch-free; not worth splitting per segment).
-  Idx.GlobalInsts.resize(E + 1);
-  Idx.GlobalTaken.resize(E + 1);
-  Idx.GlobalInsts[0] = 0;
-  Idx.GlobalTaken[0] = 0;
-  for (size_t I = 0; I < E; ++I) {
-    const TraceEvent &Ev = Trace.event(I);
-    Idx.GlobalInsts[I + 1] = Idx.GlobalInsts[I] + Ev.Insts;
-    Idx.GlobalTaken[I + 1] = Idx.GlobalTaken[I] + (Ev.Branch == 2 ? 1 : 0);
+    assert(K == Idx.occurrences(static_cast<guest::BlockId>(B)) &&
+           "segment parts disagree with final counts");
   }
   return Idx;
 }

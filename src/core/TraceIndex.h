@@ -19,15 +19,19 @@
 ///    event-position array plus per-block begin offsets), giving the
 ///    freeze event of block b under threshold T as occ[b][T-1];
 ///  - per-block taken-bit and instruction prefix sums, giving any block's
-///    counters "as of event p" as two prefix differences;
-///  - global instruction/taken prefix sums over the whole stream for
-///    closed-form tail accounting.
+///    counters "as of event p" as two prefix differences, and the
+///    instructions of any run of a block's occurrences (the loop fold's
+///    accounting) the same way.
 ///
-/// Building the index is two O(events) passes; it is built at most once
-/// per trace (see BlockTrace::index()) and lives in memory only. It is
-/// never persisted: rebuilding it from a loaded trace is cheaper than
-/// reading, inflating, and parsing a stored copy, and it spares the
-/// cache a second on-disk format to validate.
+/// That is 16 bytes per event (a 4-byte position, a 4-byte taken prefix
+/// and an 8-byte instruction prefix) plus two words per block. The final
+/// counters the trace already carries size the CSR rows, so building the
+/// index is one scatter pass over the events; it is built at most once
+/// per trace (see BlockTrace::index()), only when a threshold replay
+/// needs it, and lives in memory only. It is never persisted: rebuilding
+/// it from a loaded trace is cheaper than reading, inflating, and parsing
+/// a stored copy, and it spares the cache a second on-disk format to
+/// validate.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,7 +55,7 @@ struct TraceEvent;
 /// (the largest full-scale recording is ~10^8).
 class TraceIndex {
 public:
-  /// Builds the index for \p Trace in two linear passes.
+  /// Builds the index for \p Trace in one scatter pass over its events.
   static TraceIndex build(const BlockTrace &Trace);
 
   /// The per-segment index material the streamed pipeline builds while a
@@ -74,9 +78,9 @@ public:
 
   /// Assembles the full index from per-segment parts (in stream order):
   /// per-block rows are concatenations of the parts' block rows with the
-  /// prefix sums continued across segment boundaries, and the global
-  /// prefix arrays come from one linear pass over \p Trace. Produces the
-  /// same queries as build(); the pipeline's differential tests pin that.
+  /// prefix sums continued across segment boundaries. Reads only the
+  /// parts, never the event stream. Produces the same queries as build();
+  /// the pipeline's differential tests pin that.
   static TraceIndex stitch(const BlockTrace &Trace,
                            const std::vector<SegmentPart> &Parts);
 
@@ -131,16 +135,15 @@ public:
   uint32_t firstOutcomeChange(guest::BlockId B, uint32_t K,
                               bool Taken) const;
 
-  /// Guest instructions executed by events at positions < \p Pos.
-  uint64_t instsBefore(uint32_t Pos) const { return GlobalInsts[Pos]; }
-  /// Taken conditional branches among events at positions < \p Pos.
-  uint32_t takenBefore(uint32_t Pos) const { return GlobalTaken[Pos]; }
-
   /// True when the index plausibly describes \p Trace (dimension and
   /// total checks; guards BlockTrace::adoptIndex against a foreign index).
   bool matches(const BlockTrace &Trace) const;
 
 private:
+  /// An index with its CSR rows sized from \p Trace's final counters and
+  /// its arrays zeroed; build() and stitch() fill it.
+  static TraceIndex shaped(const BlockTrace &Trace);
+
   /// Start of block \p B's prefix-sum row. Each row holds occurrences+1
   /// entries (a leading zero), so rows are shifted by one slot per block.
   size_t prefBegin(guest::BlockId B) const {
@@ -155,9 +158,6 @@ private:
   /// prefBegin(); entry [row + k] covers the first k occurrences.
   std::vector<uint32_t> TakenPre;
   std::vector<uint64_t> InstsPre;
-  /// Global prefix sums over event positions.
-  std::vector<uint64_t> GlobalInsts;
-  std::vector<uint32_t> GlobalTaken;
   uint64_t TotalInsts = 0;
   uint64_t TakenEvents = 0;
 };

@@ -353,3 +353,14 @@ profile::ProfileSnapshot TranslationPolicy::finish(
   S.Cycles = Account.Cycles;
   return S;
 }
+
+profile::ProfileSnapshot tpdbt::dbt::profilingAverage(
+    const guest::Program &P, const cfg::Cfg &G, const DbtOptions &Base,
+    const std::vector<profile::BlockCounters> &Final, uint64_t NumEvents,
+    uint64_t TakenTotal, uint64_t TotalInsts) {
+  DbtOptions Opts = Base;
+  Opts.Threshold = 0;
+  TranslationPolicy Policy(P, G, Opts);
+  Policy.analyticAddProfiling(NumEvents, TakenTotal, TotalInsts);
+  return Policy.finish(Final, NumEvents, TotalInsts);
+}

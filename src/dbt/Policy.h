@@ -376,6 +376,19 @@ private:
   int32_t CtxNode = -1;
 };
 
+/// The profiling-only snapshot (AVEP / INIP(train)): with threshold 0
+/// nothing ever freezes, so every event is a profiling-phase execution
+/// and the snapshot is a closed form of the final counter table and the
+/// stream totals (\p NumEvents block events, \p TakenTotal of them taken
+/// conditional branches, \p TotalInsts guest instructions). No event,
+/// and no replay index, is needed; byte-identical to an event-pumped
+/// threshold-0 policy.
+profile::ProfileSnapshot
+profilingAverage(const guest::Program &P, const cfg::Cfg &G,
+                 const DbtOptions &Base,
+                 const std::vector<profile::BlockCounters> &Final,
+                 uint64_t NumEvents, uint64_t TakenTotal, uint64_t TotalInsts);
+
 } // namespace dbt
 } // namespace tpdbt
 

@@ -425,19 +425,8 @@ profile::ProfileSnapshot Estimator::replicate(const dbt::DbtOptions &Base,
   return Snap;
 }
 
-profile::ProfileSnapshot tpdbt::sample::profilingAverage(
-    const guest::Program &P, const cfg::Cfg &G, const dbt::DbtOptions &Base,
-    const std::vector<profile::BlockCounters> &Final, uint64_t NumEvents,
-    uint64_t TakenTotal, uint64_t TotalInsts) {
-  dbt::DbtOptions Opts = Base;
-  Opts.Threshold = 0;
-  dbt::TranslationPolicy Policy(P, G, Opts);
-  Policy.analyticAddProfiling(NumEvents, TakenTotal, TotalInsts);
-  return Policy.finish(Final, NumEvents, TotalInsts);
-}
-
 profile::ProfileSnapshot
 Estimator::average(const dbt::DbtOptions &Base) const {
-  return profilingAverage(P, G, Base, Final, NumEvents, TakenTotal,
-                          TotalInsts);
+  return dbt::profilingAverage(P, G, Base, Final, NumEvents, TakenTotal,
+                               TotalInsts);
 }

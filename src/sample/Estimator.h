@@ -110,17 +110,6 @@ struct FreezeInfo {
   profile::ProfileSnapshot Point;
 };
 
-/// The profiling-only snapshot (AVEP / INIP(train)) computed in closed
-/// form from the stream totals and the final counter table — everything
-/// a TPDT v3 header carries, so no event needs decoding. Byte-identical
-/// to the full replay's Average.
-profile::ProfileSnapshot
-profilingAverage(const guest::Program &P, const cfg::Cfg &G,
-                 const dbt::DbtOptions &Base,
-                 const std::vector<profile::BlockCounters> &Final,
-                 uint64_t NumEvents, uint64_t TakenTotal,
-                 uint64_t TotalInsts);
-
 /// Sampled analytic replay over one trace (see file comment).
 class Estimator {
 public:

@@ -311,11 +311,6 @@ TEST(TraceSegmentsTest, StitchedIndexMatchesMonolithicBuild) {
                 Built.instsOfFirst(Id, K + 1));
     }
   }
-  for (uint32_t Pos = 0; Pos <= T.numEvents(); Pos += 131) {
-    EXPECT_EQ(Stitched.instsBefore(Pos), Built.instsBefore(Pos));
-    EXPECT_EQ(Stitched.takenBefore(Pos), Built.takenBefore(Pos));
-  }
-
 }
 
 TEST(TraceSegmentsTest, StreamedCacheMatchesMonolithicEverywhere) {

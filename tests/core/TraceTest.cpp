@@ -3,11 +3,14 @@
 #include "core/Trace.h"
 
 #include "core/TraceSegments.h"
+#include "guest/ProgramBuilder.h"
 #include "support/Rng.h"
 #include "workloads/BenchSpec.h"
 #include "workloads/Generator.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace tpdbt;
 using namespace tpdbt::core;
@@ -35,6 +38,95 @@ void expectIndexedMatchesPump(const BlockTrace &T, const guest::Program &P,
   EXPECT_EQ(profile::printSnapshot(Indexed.Average),
             profile::printSnapshot(Pumped.Average))
       << Label;
+}
+
+/// Appends \p Outcomes to \p PB's memory image and returns the address
+/// of the first one: a branch-outcome script a block walks with a pointer
+/// register.
+int64_t appendScript(guest::ProgramBuilder &PB,
+                     const std::vector<int64_t> &Outcomes) {
+  int64_t Base = -1;
+  for (int64_t V : Outcomes) {
+    const int64_t At = static_cast<int64_t>(PB.appendMemWord(V));
+    if (Base < 0)
+      Base = At;
+  }
+  return Base;
+}
+
+/// Emits "load the next scripted outcome through pointer register \p Ptr
+/// and branch on it (nonzero = taken)".
+void scriptedBranch(guest::ProgramBuilder &PB, uint8_t Ptr,
+                    guest::BlockId Taken, guest::BlockId Fall) {
+  PB.load(9, Ptr, 0);
+  PB.addI(Ptr, Ptr, 1);
+  PB.branchImm(guest::CondKind::NeI, 9, 0, Taken, Fall);
+}
+
+/// A loop whose iteration is H -> D -> {A | B} -> M -> H, where D is a
+/// balanced diamond and the arms and M are unconditional. Every
+/// conditional outcome is scripted. The cycle has two static entries
+/// (a never-taken Entry -> A edge besides S -> H), so it has no natural
+/// loop header and region growth from S may run into it. At T=2 the
+/// first optimization round forms the loop region at H and a second
+/// region at S that duplicates H, D, A, B and M. After that the loop
+/// runs in long same-outcome stretches, which the analytic replay folds.
+guest::Program makeDuplicatedDiamondLoop() {
+  using namespace guest;
+  ProgramBuilder PB("duploop");
+  BlockId Entry = PB.createBlock("entry");
+  BlockId S = PB.createBlock("s");
+  BlockId H = PB.createBlock("h");
+  BlockId D = PB.createBlock("d");
+  BlockId A = PB.createBlock("a");
+  BlockId B = PB.createBlock("b");
+  BlockId M = PB.createBlock("m");
+  BlockId Exit = PB.createBlock("exit");
+
+  // H: taken, taken, not taken, then long taken runs with one exit each.
+  // D: A, B, then alternating runs. S: taken (back into H) until the
+  // final not-taken ends the program.
+  std::vector<int64_t> HOut = {1, 1, 0}, DOut = {1, 0}, SOut = {1, 1};
+  for (int Run = 0; Run < 12; ++Run) {
+    HOut.insert(HOut.end(), 150 + 37 * Run, 1);
+    HOut.push_back(0);
+    SOut.push_back(1);
+  }
+  SOut.back() = 0;
+  for (int Run = 0; DOut.size() < HOut.size(); ++Run)
+    DOut.insert(DOut.end(), 20 + 13 * (Run % 5), Run % 2 == 0 ? 1 : 0);
+  const int64_t HBase = appendScript(PB, HOut);
+  const int64_t DBase = appendScript(PB, DOut);
+  const int64_t SBase = appendScript(PB, SOut);
+
+  PB.setEntry(Entry);
+  PB.switchTo(Entry);
+  PB.movI(1, HBase);
+  PB.movI(2, DBase);
+  PB.movI(3, SBase);
+  PB.movI(4, 0);
+  PB.branchImm(CondKind::EqI, 4, 1, A, S); // never taken
+  PB.switchTo(S);
+  scriptedBranch(PB, 3, H, Exit);
+  PB.switchTo(H);
+  scriptedBranch(PB, 1, D, S);
+  PB.switchTo(D);
+  scriptedBranch(PB, 2, A, B);
+  PB.switchTo(A);
+  PB.addI(5, 5, 1);
+  PB.jump(M);
+  PB.switchTo(B);
+  PB.addI(6, 6, 1);
+  PB.addI(6, 6, 2);
+  PB.addI(6, 6, 3);
+  PB.jump(M);
+  PB.switchTo(M);
+  PB.addI(7, 7, 1);
+  PB.addI(7, 7, 1);
+  PB.jump(H);
+  PB.switchTo(Exit);
+  PB.halt();
+  return PB.build();
 }
 
 } // namespace
@@ -250,4 +342,68 @@ TEST(TraceTest, ParseRejectsCounterTableMismatch) {
   BlockTrace Q;
   EXPECT_FALSE(BlockTrace::parse(Bytes, Q, &Error));
   EXPECT_EQ(Error, "trace counter table disagrees with events");
+}
+
+TEST(TraceTest, AvepOnlyReplayBuildsNoIndex) {
+  // The profiling-only average is a closed form of the stream totals: a
+  // replay with no thresholds must answer it without building the index,
+  // and byte-identically to the event pump.
+  for (const workloads::BenchSpec &Spec : workloads::spec2000Suite()) {
+    auto B = workloads::generateBenchmark(workloads::scaledSpec(Spec, 0.01));
+    BlockTrace Parsed;
+    std::string Error;
+    ASSERT_TRUE(BlockTrace::parse(
+        BlockTrace::record(B.Ref).serializeSegmented(DefaultSegmentEvents),
+        Parsed, &Error))
+        << Spec.Name << ": " << Error;
+    dbt::DbtOptions Opts;
+    SweepResult Replayed = replaySweep(Parsed, B.Ref, {}, Opts);
+    EXPECT_EQ(Parsed.sharedIndex(), nullptr) << Spec.Name;
+    EXPECT_TRUE(Replayed.PerThreshold.empty()) << Spec.Name;
+    SweepResult Pumped = replaySweepEvents(Parsed, B.Ref, {}, Opts);
+    EXPECT_EQ(profile::printSnapshot(Replayed.Average),
+              profile::printSnapshot(Pumped.Average))
+        << Spec.Name;
+  }
+}
+
+TEST(TraceTest, FoldedLoopWithDuplicatedBlockMatchesEventPump) {
+  // The loop fold accounts a folded run's instructions per path block
+  // from the block's own prefix sums; a block duplicated into a second
+  // region and diamond arms of unequal size must still match the pump.
+  const guest::Program P = makeDuplicatedDiamondLoop();
+  BlockTrace T = BlockTrace::record(P);
+  ASSERT_GT(T.numEvents(), 5000u);
+  dbt::DbtOptions Opts;
+  ASSERT_TRUE(Opts.Formation.AllowDuplication);
+  const std::vector<uint64_t> Thresholds = {1, 2, 3, 8, 100};
+  expectIndexedMatchesPump(T, P, Thresholds, Opts, "duploop");
+
+  // At T=2 the folded loop region exists: a loop at H (block 2) whose
+  // path holds the diamond at D (3) and the unconditional M (6), with M
+  // duplicated into the region seeded at S (1).
+  const guest::BlockId S = 1, H = 2, D = 3, M = 6;
+  SweepResult R = replaySweep(T, P, {2}, Opts);
+  const std::vector<region::Region> &Regions = R.PerThreshold[0].Regions;
+  const region::Region *Loop = nullptr;
+  size_t RegionsWithM = 0;
+  for (const region::Region &Reg : Regions) {
+    RegionsWithM += Reg.containsBlock(M);
+    if (Reg.entryBlock() == H && Reg.Kind == region::RegionKind::Loop)
+      Loop = &Reg;
+  }
+  ASSERT_NE(Loop, nullptr) << "no loop region at H";
+  EXPECT_TRUE(Loop->containsBlock(M));
+  const auto DiamondAt = std::find_if(
+      Loop->Nodes.begin(), Loop->Nodes.end(),
+      [&](const region::RegionNode &N) {
+        return N.Orig == D && N.HasCondBranch && N.TakenSucc >= 0 &&
+               N.FallSucc >= 0;
+      });
+  EXPECT_NE(DiamondAt, Loop->Nodes.end()) << "no diamond in the loop";
+  EXPECT_EQ(RegionsWithM, 2u) << "M is not duplicated";
+  bool SeededAtS = false;
+  for (const region::Region &Reg : Regions)
+    SeededAtS |= Reg.entryBlock() == S && Reg.containsBlock(H);
+  EXPECT_TRUE(SeededAtS);
 }
