@@ -3,7 +3,9 @@
 // google-benchmark timings of the approximate-replay path: a full exact
 // warm sweep (replay every event at every threshold) against the
 // stratified sampled estimation at a 25% segment budget off a TPDT v3
-// container (the out-of-core path: directory + drawn segments only).
+// container (the out-of-core path: directory + drawn segments only), and
+// the multi-seed loop over one trace store that the segment-profile memo
+// serves.
 // The committed BENCH_sample.json rows back the ">= 5x at 25% budget"
 // acceptance line in docs/BENCHMARKS.md.
 //
@@ -11,6 +13,7 @@
 
 #include "core/Experiment.h"
 #include "core/Trace.h"
+#include "core/TraceCache.h"
 #include "core/TraceSegments.h"
 #include "sample/SampledReplay.h"
 #include "support/TextFile.h"
@@ -106,6 +109,45 @@ void BM_SampledSweep(benchmark::State &State) {
   State.counters["sampled_frac"] = SampledFrac;
 }
 BENCHMARK(BM_SampledSweep)->Unit(benchmark::kMillisecond);
+
+// The coverage-study loop core/Experiment runs: eight sample seeds over
+// one trace store, each a fresh ExperimentContext sampling the same warm
+// scale-0.2 entry (recorded once, untimed, into its own cache dir). Each
+// iteration starts a new store, so it pays every distinct drawn segment's
+// decode once and then reuses the store's segment-profile memo for the
+// segments later seeds draw again.
+void BM_SampledSweepSeeds(benchmark::State &State) {
+  core::ExperimentConfig C;
+  C.Scale = 0.2;
+  C.Jobs = 1;
+  C.CacheDir = (std::filesystem::temp_directory_path() /
+                "tpdbt_micro_sample_seeds")
+                   .string();
+  C.Sample.Kind = sample::SampleConfig::Mode::Stratified;
+  C.Sample.BudgetFrac = 0.25;
+  std::filesystem::remove_all(C.CacheDir);
+  {
+    core::ExperimentContext Warm(C); // records gzip's traces
+    (void)Warm.sampled("gzip");
+  }
+  uint64_t Draws = 0;
+  for (auto _ : State) {
+    auto Traces = std::make_shared<core::TraceCache>(C.CacheDir);
+    for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
+      core::ExperimentConfig Seeded = C;
+      Seeded.Sample.Seed = Seed;
+      core::ExperimentContext Ctx(Seeded, Traces);
+      const core::SampledProfiles *SP = Ctx.sampled("gzip");
+      benchmark::DoNotOptimize(SP);
+    }
+    Draws = Traces->stats().SampleSegmentsDecoded.load();
+    State.counters["memoized_segments"] =
+        static_cast<double>(Traces->memoizedSegments());
+  }
+  State.counters["drawn_segments"] = static_cast<double>(Draws);
+  std::filesystem::remove_all(C.CacheDir);
+}
+BENCHMARK(BM_SampledSweepSeeds)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -63,6 +63,15 @@ Cfg::Cfg(const Program &P) : Entry(P.Entry) {
     }
   }
   Rpo.assign(Post.rbegin(), Post.rend());
+
+  // Natural-loop headers, the same back-edge test findNaturalLoops makes.
+  // The dominator tree only reads the fields set above.
+  LoopHeader.assign(N, false);
+  const DominatorTree DT(*this);
+  for (BlockId Tail : Rpo)
+    for (BlockId Header : Succs[Tail])
+      if (DT.dominates(Header, Tail))
+        LoopHeader[Header] = true;
 }
 
 DominatorTree::DominatorTree(const Cfg &G) : G(G) {

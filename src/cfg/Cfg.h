@@ -6,9 +6,9 @@
 ///
 /// \file
 /// A CFG view over a guest Program: successor/predecessor edges, reverse
-/// post order, reachability. The taken edge of a conditional branch is
-/// always successor 0 — that is the edge whose frequency the profiling
-/// phase's "taken" counter measures.
+/// post order, reachability, natural-loop headers. The taken edge of a
+/// conditional branch is always successor 0 — that is the edge whose
+/// frequency the profiling phase's "taken" counter measures.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,6 +57,11 @@ public:
 
   bool isReachable(guest::BlockId B) const { return Reachable[B]; }
 
+  /// True when \p B is the header of a natural loop: the target of a back
+  /// edge Tail->B where B dominates Tail (the headers findNaturalLoops
+  /// returns). Computed once, in the constructor.
+  bool isLoopHeader(guest::BlockId B) const { return LoopHeader[B]; }
+
 private:
   guest::BlockId Entry;
   std::vector<std::vector<guest::BlockId>> Succs;
@@ -66,6 +71,7 @@ private:
   std::vector<bool> CondBranch;
   std::vector<bool> Reachable;
   std::vector<guest::BlockId> Rpo;
+  std::vector<bool> LoopHeader;
 };
 
 /// Immediate-dominator tree for a Cfg (Cooper-Harvey-Kennedy iterative

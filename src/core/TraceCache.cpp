@@ -77,6 +77,7 @@ void TraceCache::enforceBudget() {
     // layer holds its own reference, and the next cold lookup simply
     // re-records (stampede-protected by the per-slot lock as usual).
     std::filesystem::remove(Ent.TracePath, Ec);
+    dropMemo(std::filesystem::path(Ent.TracePath).stem().string());
     Total -= std::min(Total, Ent.Bytes);
     Stats.Evictions.fetch_add(1, std::memory_order_relaxed);
     Stats.EvictedBytes.fetch_add(Ent.Bytes, std::memory_order_relaxed);
@@ -92,20 +93,53 @@ bool TraceCache::openSegmented(const std::string &Name,
       *Error = "trace cache disk layer is disabled";
     return false;
   }
+  // Take the memo before reading the header: a rewrite or eviction drops
+  // the memo only after the file changed, so a memo fetched first is
+  // either current for the file opened below or already detached.
+  std::shared_ptr<SegmentProfileMemo> Memo;
+  {
+    std::lock_guard<std::mutex> Guard(SlotsLock);
+    std::shared_ptr<SegmentProfileMemo> &M =
+        Slots[slotKey(Name, Input, ExecFp)].Memo;
+    if (!M)
+      M = std::make_shared<SegmentProfileMemo>();
+    Memo = M;
+  }
   const std::string Path = entryPath(Name, Input, ExecFp);
   if (!SegmentedTraceReader::open(Path, Reader, Error))
     return false;
+  Reader.attachMemo(std::move(Memo));
   Stats.SampleDiskOpens.fetch_add(1, std::memory_order_relaxed);
   touchEntry(Path);
   return true;
 }
 
+std::string TraceCache::slotKey(const std::string &Name,
+                                const std::string &Input, uint64_t ExecFp) {
+  return formatString("%s.%s.%016llx", Name.c_str(), Input.c_str(),
+                      static_cast<unsigned long long>(ExecFp));
+}
+
+void TraceCache::dropMemo(const std::string &Key) {
+  std::lock_guard<std::mutex> Guard(SlotsLock);
+  auto It = Slots.find(Key);
+  if (It != Slots.end())
+    It->second.Memo.reset();
+}
+
+size_t TraceCache::memoizedSegments() {
+  std::lock_guard<std::mutex> Guard(SlotsLock);
+  size_t N = 0;
+  for (const auto &[Key, S] : Slots)
+    if (S.Memo)
+      N += S.Memo->size();
+  return N;
+}
+
 std::string TraceCache::entryPath(const std::string &Name,
                                   const std::string &Input,
                                   uint64_t ExecFp) const {
-  return formatString("%s/%s.%s.%016llx.trace", Dir.c_str(), Name.c_str(),
-                      Input.c_str(),
-                      static_cast<unsigned long long>(ExecFp));
+  return Dir + "/" + slotKey(Name, Input, ExecFp) + ".trace";
 }
 
 std::shared_ptr<const BlockTrace>
@@ -129,11 +163,9 @@ std::shared_ptr<const BlockTrace>
 TraceCache::get(const std::string &Name, const std::string &Input,
                 uint64_t ExecFp, const guest::Program &Program,
                 uint64_t MaxBlocks) {
+  const std::string Key = slotKey(Name, Input, ExecFp);
   Slot *S;
   {
-    std::string Key = formatString("%s.%s.%016llx", Name.c_str(),
-                                   Input.c_str(),
-                                   static_cast<unsigned long long>(ExecFp));
     std::lock_guard<std::mutex> Guard(SlotsLock);
     S = &Slots[Key];
   }
@@ -203,6 +235,7 @@ TraceCache::get(const std::string &Name, const std::string &Input,
   if (!Dir.empty()) {
     if (ensureDirectory(Dir))
       writeTextFileAtomic(Path, R.FileBytes);
+    dropMemo(Key);
     enforceBudget();
   }
   S->Trace = Recorded;

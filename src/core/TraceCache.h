@@ -30,6 +30,29 @@
 /// entry rewritten atomically under the same key (write-then-rename, like
 /// the .prof snapshot cache).
 ///
+/// Sampled sweeps read a warm entry segment-at-a-time through
+/// openSegmented(), and every entry it opens carries a third layer: a memo
+/// of the entry's verified segment profiles (core/TraceSegments.h
+/// SegmentProfileMemo). A segment is read, inflated, decoded, sum-checked
+/// and aggregated the first time a sweep through this store draws it;
+/// every later draw, from any seed or context sharing the store, copies
+/// the profile out instead. The trust model matches the in-memory trace layer,
+/// which also hands out whole traces verified once at load:
+///
+///  - the header is still re-read and re-validated on every open, and a
+///    profile is served only while the freshly parsed header gives its
+///    segment the tag it was verified under (block count, segment budget,
+///    and the segment's directory row), so a re-layout (say, a different
+///    TPDBT_SEGMENT_EVENTS recording under the same key) decodes afresh;
+///  - a payload is verified at its first decode in the process only; a
+///    later same-layout byte change by another process goes unseen.
+///
+/// A get() miss that rewrites an entry drops the entry's memo, and so
+/// does an LRU eviction. Memory is O(blocks touched) per memoized segment
+/// (32 B per block entry): the whole suite's ref traces at scale 0.05
+/// hold 513 segments touching at most 83 blocks each, 0.8 MB of entries
+/// if every segment is drawn.
+///
 /// The disk layer is size-bounded: when TPDBT_CACHE_MAX_BYTES is set, the
 /// .trace entries are LRU-evicted after every store until they fit the
 /// budget. Disk hits refresh an entry's recency (its mtime), so a
@@ -54,6 +77,7 @@
 namespace tpdbt {
 namespace core {
 
+class SegmentProfileMemo;
 class SegmentedTraceReader;
 
 /// The TPDBT_CACHE_MAX_BYTES knob, read fresh on every call (tests and
@@ -140,10 +164,11 @@ public:
     std::atomic<uint64_t> EvictedBytes{0};
     /// Sampled-replay coverage (src/sample): warm entries opened as
     /// streaming TPDT v3 containers through openSegmented() (no whole-file
-    /// parse, no index), segments actually decompressed for a sampled
-    /// sweep, and segments the plan skipped — whose payload bytes were
-    /// never inflated. The skipped counter is the out-of-core win the
-    /// never-decompress regression test pins.
+    /// parse, no index), segments a sampled sweep's plan drew (each one
+    /// decoded, or copied from the entry's profile memo when an earlier
+    /// draw already decoded it), and segments the plan skipped — whose
+    /// payload bytes this sweep never touched. The skipped counter is the
+    /// out-of-core win the never-decompress regression test pins.
     std::atomic<uint64_t> SampleDiskOpens{0};
     std::atomic<uint64_t> SampleSegmentsDecoded{0};
     std::atomic<uint64_t> SampleSegmentsSkipped{0};
@@ -169,7 +194,9 @@ public:
   /// in-memory layer — the sampled-replay fast path, which decodes only
   /// the segments its plan draws. False when the disk layer is off or
   /// the entry is missing or fails header validation (callers fall back
-  /// to get()). Success refreshes the entry's LRU recency.
+  /// to get()). Success refreshes the entry's LRU recency and attaches
+  /// the entry's segment-profile memo to \p Reader (see the file
+  /// comment).
   bool openSegmented(const std::string &Name, const std::string &Input,
                      uint64_t ExecFp, SegmentedTraceReader &Reader,
                      std::string *Error);
@@ -184,6 +211,9 @@ public:
   std::string entryPath(const std::string &Name, const std::string &Input,
                         uint64_t ExecFp) const;
 
+  /// Segments memoized over every entry (exposed for tests).
+  size_t memoizedSegments();
+
   /// Applies the TPDBT_CACHE_MAX_BYTES budget to the disk layer now:
   /// deletes least-recently-used .trace entries until the store fits, and
   /// any stale .trace.idx sidecar an older build left behind. Called
@@ -195,7 +225,18 @@ private:
   struct Slot {
     std::mutex Lock;
     std::weak_ptr<const BlockTrace> Trace;
+    /// The entry's segment-profile memo, created by the first
+    /// openSegmented(); guarded by SlotsLock, not Lock, so a sweep never
+    /// waits on a recording of the same key.
+    std::shared_ptr<SegmentProfileMemo> Memo;
   };
+
+  static std::string slotKey(const std::string &Name,
+                             const std::string &Input, uint64_t ExecFp);
+  /// Drops the memo of the entry under \p Key (its file was rewritten or
+  /// evicted). Readers already holding it keep using it; no later
+  /// openSegmented() sees it.
+  void dropMemo(const std::string &Key);
 
   std::shared_ptr<const BlockTrace> loadDisk(const std::string &Path,
                                              const guest::Program &Program);
@@ -204,7 +245,7 @@ private:
   static void touchEntry(const std::string &Path);
 
   std::string Dir;
-  std::mutex SlotsLock; ///< guards the map structure only
+  std::mutex SlotsLock; ///< guards the map structure and Slot::Memo
   std::map<std::string, Slot> Slots;
   std::mutex EvictLock; ///< serializes budget-enforcement scans
   Counters Stats;

@@ -304,3 +304,46 @@ bool SegmentedTraceReader::readSegment(size_t I, std::vector<TraceEvent> &Out,
   Out.clear();
   return decodeSegment(Header, I, Compressed, Out, Error);
 }
+
+SegmentProfileMemo::Tag
+SegmentProfileMemo::tagOf(const SegmentedTraceHeader &H, size_t I) {
+  const SegmentedTraceHeader::Entry &Ent = H.Directory[I];
+  Tag T;
+  T.NumBlocks = H.NumBlocks;
+  T.SegmentBudget = H.SegmentBudget;
+  T.Events = Ent.Events;
+  T.PayloadBytes = Ent.PayloadBytes;
+  T.BaseInsts = Ent.BaseInsts;
+  T.BaseTaken = Ent.BaseTaken;
+  T.PayloadOffset = Ent.PayloadOffset;
+  return T;
+}
+
+bool SegmentProfileMemo::lookup(const SegmentedTraceHeader &H, size_t I,
+                                SegmentProfile &Out) const {
+  const Tag Want = tagOf(H, I);
+  std::lock_guard<std::mutex> Guard(Lock);
+  if (I >= Segments.size() || !Segments[I].Filled || Segments[I].Key != Want)
+    return false;
+  Out.Entries = Segments[I].Profile.Entries;
+  return true;
+}
+
+void SegmentProfileMemo::store(const SegmentedTraceHeader &H, size_t I,
+                               const SegmentProfile &P) {
+  const Tag Key = tagOf(H, I);
+  std::lock_guard<std::mutex> Guard(Lock);
+  if (I >= Segments.size())
+    Segments.resize(I + 1);
+  Segments[I].Filled = true;
+  Segments[I].Key = Key;
+  Segments[I].Profile = P;
+}
+
+size_t SegmentProfileMemo::size() const {
+  std::lock_guard<std::mutex> Guard(Lock);
+  size_t N = 0;
+  for (const Memoized &M : Segments)
+    N += M.Filled;
+  return N;
+}

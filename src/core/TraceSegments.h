@@ -35,6 +35,8 @@
 
 #include <cstdint>
 #include <fstream>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -133,6 +135,63 @@ bool decodeSegment(const SegmentedTraceHeader &H, size_t I,
                    const std::string &Frame, std::vector<TraceEvent> &Out,
                    std::string *Error);
 
+/// One decoded segment, reduced to per-block totals (sparse, ascending
+/// block id). This is all a sampled sweep keeps of a segment
+/// (sample::aggregateEvents builds it, sample::Estimator reads it), and
+/// what SegmentProfileMemo stores.
+struct SegmentProfile {
+  struct Entry {
+    guest::BlockId Block = 0;
+    uint64_t Use = 0;
+    uint64_t Taken = 0;
+    uint64_t Insts = 0;
+  };
+  std::vector<Entry> Entries;
+};
+
+/// The verified segment profiles of one trace-store entry, shared by every
+/// reader TraceCache::openSegmented opens on it (the trust model and
+/// invalidation rules live in core/TraceCache.h). Each profile is tagged
+/// with what its decode was checked against: the header's block count and
+/// segment budget, plus the segment's directory row. A lookup hits only
+/// when the reader's freshly parsed header gives the same tag. Safe to
+/// share across threads; concurrent stores of one segment write equal
+/// values.
+class SegmentProfileMemo {
+public:
+  /// Copies segment \p I's profile into \p Out when one is memoized under
+  /// the tag \p H gives it; false otherwise.
+  bool lookup(const SegmentedTraceHeader &H, size_t I,
+              SegmentProfile &Out) const;
+  /// Memoizes \p P, which the caller decoded and verified from segment
+  /// \p I of a container with header \p H.
+  void store(const SegmentedTraceHeader &H, size_t I,
+             const SegmentProfile &P);
+  /// Segments memoized so far.
+  size_t size() const;
+
+private:
+  struct Tag {
+    uint64_t NumBlocks = 0;
+    uint64_t SegmentBudget = 0;
+    uint32_t Events = 0;
+    uint64_t PayloadBytes = 0;
+    uint64_t BaseInsts = 0;
+    uint64_t BaseTaken = 0;
+    uint64_t PayloadOffset = 0;
+    bool operator==(const Tag &) const = default;
+  };
+  struct Memoized {
+    bool Filled = false;
+    Tag Key;
+    SegmentProfile Profile;
+  };
+  static Tag tagOf(const SegmentedTraceHeader &H, size_t I);
+
+  mutable std::mutex Lock;
+  std::vector<Memoized> Segments; ///< by segment index
+};
+
 /// Streams a TPDT v3 file segment-at-a-time: open() reads and validates
 /// only the header; readSegment() seeks to one payload frame, inflates
 /// and decodes it into a caller-owned buffer. Peak memory is one segment
@@ -152,8 +211,16 @@ public:
   bool readSegment(size_t I, std::vector<TraceEvent> &Out,
                    std::string *Error);
 
+  /// The entry's profile memo when TraceCache::openSegmented opened this
+  /// reader; null for a reader opened directly.
+  SegmentProfileMemo *memo() const { return Memo.get(); }
+  void attachMemo(std::shared_ptr<SegmentProfileMemo> M) {
+    Memo = std::move(M);
+  }
+
 private:
   SegmentedTraceHeader Header;
+  std::shared_ptr<SegmentProfileMemo> Memo;
   std::ifstream File;
   std::string Compressed; ///< payload scratch, reused across segments
 };

@@ -10,11 +10,7 @@ using namespace tpdbt::region;
 using namespace tpdbt::guest;
 
 RegionFormer::RegionFormer(const cfg::Cfg &G, FormationOptions Opts)
-    : G(G), Opts(Opts), LoopHeader(G.numBlocks(), false) {
-  cfg::DominatorTree DT(G);
-  for (const cfg::NaturalLoop &L : cfg::findNaturalLoops(G, DT))
-    LoopHeader[L.Header] = true;
-}
+    : G(G), Opts(Opts) {}
 
 std::vector<Region>
 RegionFormer::form(const std::vector<BlockId> &Seeds,
@@ -106,7 +102,7 @@ Region RegionFormer::growFrom(BlockId Seed,
       if (T1 == T2 || T1 == Seed || T2 == Seed)
         break;
       auto ArmOk = [&](BlockId Arm) {
-        if (!Eligible[Arm] || findNode(R, Arm) >= 0 || LoopHeader[Arm])
+        if (!Eligible[Arm] || findNode(R, Arm) >= 0 || G.isLoopHeader(Arm))
           return false;
         if (!Opts.AllowDuplication && Covered[Arm])
           return false;
@@ -132,7 +128,7 @@ Region RegionFormer::growFrom(BlockId Seed,
         R.Kind = RegionKind::Loop;
         return R;
       }
-      if (!Eligible[Merge] || findNode(R, Merge) >= 0 || LoopHeader[Merge])
+      if (!Eligible[Merge] || findNode(R, Merge) >= 0 || G.isLoopHeader(Merge))
         break;
       if (!Opts.AllowDuplication && Covered[Merge])
         break;
@@ -157,7 +153,7 @@ Region RegionFormer::growFrom(BlockId Seed,
     }
     if (findNode(R, Likely) >= 0)
       break; // joining a non-entry member would create an inner cycle
-    if (LoopHeader[Likely])
+    if (G.isLoopHeader(Likely))
       break; // leave loop headers to seed their own loop regions
     if (!Eligible[Likely])
       break;

@@ -80,12 +80,11 @@ public:
                   std::vector<bool> &Covered) const;
 
   /// True when \p B is the header of a natural loop of the program CFG.
-  bool isLoopHeader(guest::BlockId B) const { return LoopHeader[B]; }
+  bool isLoopHeader(guest::BlockId B) const { return G.isLoopHeader(B); }
 
 private:
   const cfg::Cfg &G;
   FormationOptions Opts;
-  std::vector<bool> LoopHeader;
 };
 
 } // namespace region

@@ -64,6 +64,7 @@
 #ifndef TPDBT_SAMPLE_ESTIMATOR_H
 #define TPDBT_SAMPLE_ESTIMATOR_H
 
+#include "core/TraceSegments.h"
 #include "dbt/Policy.h"
 #include "sample/Stratifier.h"
 
@@ -73,17 +74,10 @@
 namespace tpdbt {
 namespace sample {
 
-/// One decoded segment, reduced to per-block totals (sparse, ascending
-/// block id). This is all the estimator keeps of a sampled segment.
-struct SegmentProfile {
-  struct Entry {
-    guest::BlockId Block = 0;
-    uint64_t Use = 0;
-    uint64_t Taken = 0;
-    uint64_t Insts = 0;
-  };
-  std::vector<Entry> Entries;
-};
+/// One decoded segment, reduced to per-block totals (defined next to
+/// core::decodeSegment). This is all the estimator keeps of a sampled
+/// segment.
+using core::SegmentProfile;
 
 /// The point estimate's freeze structure plus the cycle decomposition
 /// replicate() needs to re-derive a snapshot from re-estimated counters

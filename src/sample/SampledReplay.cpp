@@ -85,9 +85,14 @@ SegmentStats DiskSegmentSource::stats(size_t I) const {
 
 bool DiskSegmentSource::read(size_t I, SegmentProfile &Out,
                              std::string *Error) {
+  core::SegmentProfileMemo *Memo = Reader.memo();
+  if (Memo && Memo->lookup(Reader.header(), I, Out))
+    return true;
   if (!Reader.readSegment(I, Buf, Error))
     return false;
   aggregateEvents(Buf.data(), Buf.size(), Reader.header().NumBlocks, Out);
+  if (Memo)
+    Memo->store(Reader.header(), I, Out);
   return true;
 }
 
@@ -137,11 +142,7 @@ bool MemorySegmentSource::read(size_t I, SegmentProfile &Out,
   const size_t End =
       std::min<size_t>(Start + Budget, Trace.numEvents());
   // The event vector is contiguous; hand the slice straight down.
-  std::vector<TraceEvent> Slice;
-  Slice.reserve(End - Start);
-  for (size_t K = Start; K < End; ++K)
-    Slice.push_back(Trace.event(K));
-  aggregateEvents(Slice.data(), Slice.size(), Trace.numBlocks(), Out);
+  aggregateEvents(&Trace.event(Start), End - Start, Trace.numBlocks(), Out);
   return true;
 }
 

@@ -13,11 +13,11 @@
 ///
 /// Segments arrive through the SegmentSource interface so the same driver
 /// runs off a warm TPDT v3 cache entry (DiskSegmentSource: directory
-/// stats for free, one readSegment per drawn segment, unsampled segments
-/// never leave the file) and off a freshly recorded in-memory trace
-/// (MemorySegmentSource: the event vector sliced at the same budget the
-/// writer would use, so cold and warm runs stratify — and therefore
-/// sample — identically).
+/// stats for free, at most one readSegment per drawn segment per trace
+/// store, unsampled segments never leave the file) and off a freshly
+/// recorded in-memory trace (MemorySegmentSource: the event vector sliced
+/// at the same budget the writer would use, so cold and warm runs
+/// stratify — and therefore sample — identically).
 ///
 /// Determinism: the plan is a pure function of (segment stats, budget,
 /// seed) computed before any threading; the per-(replicate, threshold)
@@ -44,7 +44,9 @@ namespace sample {
 /// never-decompress regression test.
 struct SampledSweepStats {
   uint64_t Segments = 0; ///< total segments in the trace
-  uint64_t Decoded = 0;  ///< segments decoded (the sample)
+  /// Segments drawn (the sample); a disk source decodes each one or
+  /// copies it from the trace store's segment-profile memo.
+  uint64_t Decoded = 0;
   /// Event totals behind the same split — the sampled-fraction f that the
   /// finite-population correction in core/Figures scales intervals by.
   uint64_t TotalEvents = 0;
@@ -90,7 +92,12 @@ public:
 
 /// Segments straight from a TPDT v3 container: statistics from the
 /// directory's per-segment deltas (no payload touched), reads through
-/// SegmentedTraceReader::readSegment.
+/// SegmentedTraceReader::readSegment. When the reader came from
+/// core::TraceCache::openSegmented, a read first asks the entry's
+/// segment-profile memo: a profile verified under the same header tag is
+/// copied out, and a miss decodes with every check and then memoizes the
+/// result, so a trace store decodes each drawn segment once however many
+/// seeds draw it. A reader opened directly decodes on every read.
 class DiskSegmentSource : public SegmentSource {
 public:
   explicit DiskSegmentSource(core::SegmentedTraceReader &Reader);

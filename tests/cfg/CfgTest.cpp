@@ -3,6 +3,8 @@
 #include "cfg/Cfg.h"
 
 #include "guest/ProgramBuilder.h"
+#include "workloads/BenchSpec.h"
+#include "workloads/Generator.h"
 
 #include <gtest/gtest.h>
 
@@ -188,4 +190,26 @@ TEST(NaturalLoopTest, MergesSharedHeader) {
   EXPECT_EQ(Loops[0].BackTails.size(), 2u);
   EXPECT_TRUE(Loops[0].contains(L1));
   EXPECT_TRUE(Loops[0].contains(L2));
+}
+
+TEST(CfgTest, LoopHeadersMatchNaturalLoops) {
+  // The constructor's precomputed loop headers are exactly the headers
+  // findNaturalLoops reports, on every suite program.
+  for (const workloads::BenchSpec &Spec : workloads::spec2000Suite()) {
+    auto B = workloads::generateBenchmark(workloads::scaledSpec(Spec, 0.01));
+    for (const Program *P : {&B.Ref, &B.Train}) {
+      Cfg G(*P);
+      DominatorTree DT(G);
+      std::vector<bool> Want(G.numBlocks(), false);
+      size_t Headers = 0;
+      for (const NaturalLoop &L : findNaturalLoops(G, DT)) {
+        Want[L.Header] = true;
+        ++Headers;
+      }
+      EXPECT_GT(Headers, 0u) << Spec.Name;
+      for (BlockId Blk = 0; Blk < G.numBlocks(); ++Blk)
+        EXPECT_EQ(G.isLoopHeader(Blk), Want[Blk])
+            << Spec.Name << " block " << Blk;
+    }
+  }
 }

@@ -1,11 +1,16 @@
 //===- tests/core/ExperimentSampleTest.cpp - Sampled-mode context -*- C++ -*-===//
 
 #include "core/Experiment.h"
+#include "core/TraceCache.h"
 #include "core/TraceSegments.h"
+#include "support/TextFile.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <filesystem>
+#include <thread>
 
 using namespace tpdbt;
 using namespace tpdbt::core;
@@ -34,6 +39,68 @@ std::string tempDir(const char *Name) {
   std::filesystem::remove_all(Dir);
   return Dir;
 }
+
+ExperimentConfig seededConfig(const std::string &CacheDir, uint64_t Seed) {
+  ExperimentConfig C = sampledConfig(CacheDir);
+  C.Sample.Seed = Seed;
+  return C;
+}
+
+/// Everything a sampled run of \p Name produced, as text: the INIP point
+/// estimates, every jackknife replicate, and the exact AVEP.
+std::string sampledText(ExperimentContext &Ctx, const std::string &Name) {
+  std::string Out;
+  for (uint64_t T : Ctx.config().Thresholds)
+    Out += profile::printSnapshot(Ctx.inip(Name, T));
+  const SampledProfiles *SP = Ctx.sampled(Name);
+  EXPECT_NE(SP, nullptr);
+  if (SP)
+    for (const auto &Rep : SP->Replicates)
+      for (const profile::ProfileSnapshot &S : Rep)
+        Out += profile::printSnapshot(S);
+  return Out + profile::printSnapshot(Ctx.avep(Name));
+}
+
+/// One sampled run of gzip under \p Seed through the trace store
+/// \p Traces (a fresh private store when null).
+std::string sampleGzip(const std::string &Dir, uint64_t Seed,
+                       std::shared_ptr<TraceCache> Traces = nullptr) {
+  if (!Traces)
+    Traces = std::make_shared<TraceCache>(Dir);
+  ExperimentContext Ctx(seededConfig(Dir, Seed), Traces);
+  return sampledText(Ctx, "gzip");
+}
+
+/// A trace directory holding gzip's recordings, sliced into 1024-event
+/// segments so the tiny-scale ref trace spans enough segments to sample.
+/// Removed, and the segment knob reset, with the test.
+struct WarmGzipDir {
+  std::string Dir;
+
+  explicit WarmGzipDir(const char *Name) : Dir(tempDir(Name)) {
+    setenv("TPDBT_SEGMENT_EVENTS", "1024", 1);
+    ExperimentContext Warm(exactConfig(Dir));
+    (void)Warm.inip("gzip", 100);
+  }
+  ~WarmGzipDir() {
+    unsetenv("TPDBT_SEGMENT_EVENTS");
+    std::filesystem::remove_all(Dir);
+  }
+
+  /// The ref entry's file and execution fingerprint.
+  std::string refEntry(uint64_t *ExecFp = nullptr) const {
+    for (const auto &E : std::filesystem::directory_iterator(Dir)) {
+      const std::string File = E.path().filename().string();
+      if (File.rfind("gzip.ref.", 0) == 0 && E.path().extension() == ".trace") {
+        if (ExecFp)
+          *ExecFp = std::strtoull(File.c_str() + 9, nullptr, 16);
+        return E.path().string();
+      }
+    }
+    ADD_FAILURE() << "no gzip ref entry in " << Dir;
+    return "";
+  }
+};
 
 } // namespace
 
@@ -200,4 +267,140 @@ TEST(ExperimentSampleTest, FromEnvParsesSampleKnobs) {
   unsetenv("TPDBT_SAMPLE_BUDGET");
   unsetenv("TPDBT_SAMPLE_SEED");
   EXPECT_FALSE(ExperimentConfig::fromEnv().Sample.enabled());
+}
+
+// The segment-profile memo: seeds A, B, A through one trace store give
+// exactly what contexts with their own fresh stores give, the second A
+// adds no memo entry, and the counters still count plan draws.
+TEST(ExperimentSampleTest, MemoReusesSegmentsAcrossSeeds) {
+  WarmGzipDir W("tpdbt_sample_memo_seeds_test");
+  const std::string FreshA = sampleGzip(W.Dir, 11);
+  const std::string FreshB = sampleGzip(W.Dir, 12);
+  ASSERT_NE(FreshA, FreshB);
+
+  auto Shared = std::make_shared<TraceCache>(W.Dir);
+  EXPECT_EQ(sampleGzip(W.Dir, 11, Shared), FreshA);
+  const size_t AfterA = Shared->memoizedSegments();
+  EXPECT_GT(AfterA, 0u);
+  EXPECT_EQ(Shared->stats().SampleSegmentsDecoded.load(), AfterA);
+  EXPECT_EQ(sampleGzip(W.Dir, 12, Shared), FreshB);
+  const size_t AfterB = Shared->memoizedSegments();
+  EXPECT_GE(AfterB, AfterA);
+
+  // The second A is served from the memo entirely: with the ref entry's
+  // payload bytes zeroed (its header intact, so it still opens) it reads
+  // no payload, so nothing notices. A store decodes each payload only at
+  // its first draw (see core/TraceCache.h).
+  const std::string Path = W.refEntry();
+  SegmentedTraceReader Reader;
+  ASSERT_TRUE(SegmentedTraceReader::open(Path, Reader, nullptr));
+  const uint64_t PayloadStart = Reader.header().PayloadStart;
+  std::string Bytes = *readTextFile(Path);
+  std::fill(Bytes.begin() + static_cast<std::ptrdiff_t>(PayloadStart),
+            Bytes.end(), '\0');
+  ASSERT_TRUE(writeTextFile(Path, Bytes));
+
+  const uint64_t DrawsBefore = Shared->stats().SampleSegmentsDecoded.load();
+  EXPECT_EQ(sampleGzip(W.Dir, 11, Shared), FreshA);
+  EXPECT_EQ(Shared->memoizedSegments(), AfterB);
+  EXPECT_EQ(Shared->stats().SampleSegmentsDecoded.load() - DrawsBefore,
+            AfterA);
+  EXPECT_EQ(Shared->stats().CorruptEntries.load(), 0u);
+  EXPECT_EQ(Shared->stats().Misses.load(), 0u);
+}
+
+// A re-layout under the same key (the budget is not part of the trace
+// key, so a TPDBT_SEGMENT_EVENTS=4096 run over a 1024-event warm dir
+// rewrites nothing but reads a different cut) must not serve profiles
+// verified under the old layout.
+TEST(ExperimentSampleTest, MemoIgnoresReLaidOutEntry) {
+  WarmGzipDir W("tpdbt_sample_memo_relayout_test");
+  auto Shared = std::make_shared<TraceCache>(W.Dir);
+  (void)sampleGzip(W.Dir, 11, Shared);
+  ASSERT_GT(Shared->memoizedSegments(), 0u);
+
+  // Re-record the same trace at 4096 events per segment into the entry
+  // (a sampled run on a missing entry records it through get()).
+  std::filesystem::remove(W.refEntry());
+  setenv("TPDBT_SEGMENT_EVENTS", "4096", 1);
+  (void)sampleGzip(W.Dir, 11);
+  SegmentedTraceReader Reader;
+  ASSERT_TRUE(SegmentedTraceReader::open(W.refEntry(), Reader, nullptr));
+  ASSERT_EQ(Reader.header().SegmentBudget, 4096u);
+  ASSERT_GT(Reader.numSegments(), 1u);
+
+  EXPECT_EQ(sampleGzip(W.Dir, 11, Shared), sampleGzip(W.Dir, 11));
+  EXPECT_EQ(Shared->stats().Misses.load(), 0u);
+}
+
+// An LRU eviction drops the evicted entry's memo.
+TEST(ExperimentSampleTest, MemoDroppedOnEviction) {
+  WarmGzipDir W("tpdbt_sample_memo_evict_test");
+  const std::string Fresh = sampleGzip(W.Dir, 11);
+  auto Shared = std::make_shared<TraceCache>(W.Dir);
+  EXPECT_EQ(sampleGzip(W.Dir, 11, Shared), Fresh);
+  ASSERT_GT(Shared->memoizedSegments(), 0u);
+
+  setenv("TPDBT_CACHE_MAX_BYTES", "1", 1);
+  Shared->enforceBudget();
+  unsetenv("TPDBT_CACHE_MAX_BYTES");
+  EXPECT_GT(Shared->stats().Evictions.load(), 0u);
+  EXPECT_EQ(Shared->memoizedSegments(), 0u);
+
+  // The next run re-records both inputs (cold and warm runs draw the
+  // same sample).
+  EXPECT_EQ(sampleGzip(W.Dir, 11, Shared), Fresh);
+  EXPECT_EQ(Shared->stats().Misses.load(), 2u);
+}
+
+// A truncated entry fails openSegmented even with its memo full; the run
+// falls back to get(), which counts it corrupt and re-records it, as
+// without a memo.
+TEST(ExperimentSampleTest, MemoDoesNotMaskTruncatedEntry) {
+  WarmGzipDir W("tpdbt_sample_memo_truncate_test");
+  const std::string Fresh = sampleGzip(W.Dir, 11);
+  auto Shared = std::make_shared<TraceCache>(W.Dir);
+  EXPECT_EQ(sampleGzip(W.Dir, 11, Shared), Fresh);
+  ASSERT_GT(Shared->memoizedSegments(), 0u);
+
+  uint64_t ExecFp = 0;
+  const std::string Path = W.refEntry(&ExecFp);
+  std::filesystem::resize_file(Path, std::filesystem::file_size(Path) / 2);
+  SegmentedTraceReader Reader;
+  std::string Error;
+  EXPECT_FALSE(Shared->openSegmented("gzip", "ref", ExecFp, Reader, &Error));
+  EXPECT_FALSE(Error.empty());
+
+  EXPECT_EQ(sampleGzip(W.Dir, 11, Shared), Fresh);
+  EXPECT_EQ(Shared->stats().CorruptEntries.load(), 1u);
+  EXPECT_EQ(Shared->stats().Misses.load(), 1u);
+  // The rewrite dropped the memo; the run sampled the recording in memory.
+  EXPECT_EQ(Shared->memoizedSegments(), 0u);
+  EXPECT_EQ(sampleGzip(W.Dir, 11, Shared), Fresh);
+  EXPECT_GT(Shared->memoizedSegments(), 0u);
+}
+
+// Two threads sampling one entry with different seeds through one store
+// race to fill the same memo; each must still get its serial result.
+TEST(ExperimentSampleTest, MemoConcurrentSeedsMatchSerial) {
+  WarmGzipDir W("tpdbt_sample_memo_threads_test");
+  const uint64_t Seeds[] = {11, 12, 13, 14};
+  std::string Serial[4], Racing[4];
+  for (size_t I = 0; I < 4; ++I)
+    Serial[I] = sampleGzip(W.Dir, Seeds[I]);
+
+  auto Shared = std::make_shared<TraceCache>(W.Dir);
+  std::thread T1([&] {
+    Racing[0] = sampleGzip(W.Dir, Seeds[0], Shared);
+    Racing[2] = sampleGzip(W.Dir, Seeds[2], Shared);
+  });
+  std::thread T2([&] {
+    Racing[1] = sampleGzip(W.Dir, Seeds[1], Shared);
+    Racing[3] = sampleGzip(W.Dir, Seeds[3], Shared);
+  });
+  T1.join();
+  T2.join();
+  for (size_t I = 0; I < 4; ++I)
+    EXPECT_EQ(Racing[I], Serial[I]) << "seed " << Seeds[I];
+  EXPECT_EQ(Shared->stats().Misses.load(), 0u);
 }
