@@ -20,6 +20,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <string>
 #include <unistd.h>
 
 using namespace tpdbt;
@@ -118,22 +119,29 @@ BENCHMARK_CAPTURE(BM_RecordBenchmark, swim, "swim")
 BENCHMARK_CAPTURE(BM_RecordBenchmark, mcf, "mcf")
     ->Unit(benchmark::kMillisecond);
 
-/// The same record pass with the jit tier switched off (TPDBT_HOST_JIT=0,
-/// pre-decoded dispatch only): the gap to the plain BM_RecordBenchmark
-/// row is the native-code speedup of the hottest chains and self-loops.
-/// The knob is read per HostTier construction, so flipping it around the
-/// timed region is enough.
+/// The same record pass with the jit tier switched off
+/// (TPDBT_TIER=predecoded, pre-decoded dispatch only): the gap to the
+/// plain BM_RecordBenchmark row is the native-code speedup of the hottest
+/// chains and self-loops. The knob is read on every record, so flipping
+/// it around the timed region (and restoring the caller's value) is
+/// enough.
 void BM_RecordBenchmarkNoJit(benchmark::State &State, const char *Name) {
   auto B = workloads::generateBenchmark(
       workloads::scaledSpec(*workloads::findSpec(Name), 0.02));
-  setenv("TPDBT_HOST_JIT", "0", 1);
+  const char *Prev = std::getenv("TPDBT_TIER");
+  const bool Had = Prev != nullptr;
+  const std::string Saved = Had ? Prev : "";
+  setenv("TPDBT_TIER", "predecoded", 1);
   uint64_t Events = 0;
   for (auto _ : State) {
     core::BlockTrace T = core::BlockTrace::record(B.Ref, ~0ull);
     Events += T.numEvents();
     benchmark::DoNotOptimize(T.totalInsts());
   }
-  unsetenv("TPDBT_HOST_JIT");
+  if (Had)
+    setenv("TPDBT_TIER", Saved.c_str(), 1);
+  else
+    unsetenv("TPDBT_TIER");
   State.SetItemsProcessed(static_cast<int64_t>(Events));
 }
 BENCHMARK_CAPTURE(BM_RecordBenchmarkNoJit, gzip, "gzip")
@@ -141,31 +149,6 @@ BENCHMARK_CAPTURE(BM_RecordBenchmarkNoJit, gzip, "gzip")
 BENCHMARK_CAPTURE(BM_RecordBenchmarkNoJit, swim, "swim")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_RecordBenchmarkNoJit, mcf, "mcf")
-    ->Unit(benchmark::kMillisecond);
-
-/// The record pass with the jit tier on but its scheduled backend off
-/// (TPDBT_JIT_SCHED=0, plain program-order lowering): the gap to the
-/// plain BM_RecordBenchmark row is what per-segment list scheduling,
-/// direct-destination lowering, the fall-through self-loop latch, and
-/// grouped exit stubs buy on top of the jit tier itself.
-void BM_RecordBenchmarkNoSched(benchmark::State &State, const char *Name) {
-  auto B = workloads::generateBenchmark(
-      workloads::scaledSpec(*workloads::findSpec(Name), 0.02));
-  setenv("TPDBT_JIT_SCHED", "0", 1);
-  uint64_t Events = 0;
-  for (auto _ : State) {
-    core::BlockTrace T = core::BlockTrace::record(B.Ref, ~0ull);
-    Events += T.numEvents();
-    benchmark::DoNotOptimize(T.totalInsts());
-  }
-  unsetenv("TPDBT_JIT_SCHED");
-  State.SetItemsProcessed(static_cast<int64_t>(Events));
-}
-BENCHMARK_CAPTURE(BM_RecordBenchmarkNoSched, gzip, "gzip")
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_RecordBenchmarkNoSched, swim, "swim")
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_RecordBenchmarkNoSched, mcf, "mcf")
     ->Unit(benchmark::kMillisecond);
 
 /// The full cold-record cache miss — interpret, then per-segment encode +

@@ -473,7 +473,6 @@ std::string ExperimentContext::statsSummary() const {
       "host %llu chained / %llu folded (%llu closed) / %llu fallback, "
       "jit %llu units / %llu blk / %llu iter / %llu deopt / %llu flush "
       "(%.2fs compile), "
-      "sched %llu units / %llu reord / %llu dedup, "
       "stream %llu rec / %llu seg (%.1fs work, %.1fs flush), "
       "evict %llu (%.1f MB)",
       Config.effectiveJobs(),
@@ -524,12 +523,6 @@ std::string ExperimentContext::statsSummary() const {
       static_cast<double>(
           TC.JitCompileMicros.load(std::memory_order_relaxed)) /
           1e6,
-      static_cast<unsigned long long>(
-          TC.JitSchedUnits.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          TC.JitReorderedOps.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          TC.JitStubsDeduped.load(std::memory_order_relaxed)),
       static_cast<unsigned long long>(
           TC.StreamedRecords.load(std::memory_order_relaxed)),
       static_cast<unsigned long long>(

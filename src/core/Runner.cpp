@@ -46,7 +46,7 @@ SweepResult runFused(const Program &P, const std::vector<uint64_t> &Thresholds,
       Policy->onBlockEvent(B, R, Shared);
   };
   // The host tier batches interpretation (the policy still sees every
-  // event, in order, through the expanding sink); TPDBT_HOST_TRANS=0
+  // event, in order, through the expanding sink); TPDBT_TIER=plain
   // falls back to the plain pump.
   vm::RunOutcome Out;
   if (vm::HostTier::enabled()) {

@@ -76,7 +76,7 @@ public:
 
   /// Records a full execution of \p P (up to \p MaxBlocks events).
   /// Interpretation runs under the host translation tier (vm/HostTier.h)
-  /// unless TPDBT_HOST_TRANS=0; either way the recorded bytes are
+  /// unless TPDBT_TIER=plain; either way the recorded bytes are
   /// identical — self-loop runs land through appendRun() instead of
   /// per-event append(). \p TierStats, when non-null, accumulates the
   /// tier's coverage counters. When \p SegmentBudget is nonzero,

@@ -217,11 +217,6 @@ TraceCache::get(const std::string &Name, const std::string &Input,
   Stats.JitFlushes.fetch_add(Tier.JitFlushes, std::memory_order_relaxed);
   Stats.JitCompileMicros.fetch_add(Tier.JitCompileMicros,
                                    std::memory_order_relaxed);
-  Stats.JitSchedUnits.fetch_add(Tier.JitSchedUnits, std::memory_order_relaxed);
-  Stats.JitReorderedOps.fetch_add(Tier.JitReorderedOps,
-                                  std::memory_order_relaxed);
-  Stats.JitStubsDeduped.fetch_add(Tier.JitStubsDeduped,
-                                  std::memory_order_relaxed);
   // The pipeline already compressed and indexed every segment behind the
   // recording; finish() drains the tail, assembles the v3 container, and
   // stitches the index — no separate serialize, compress, or index build

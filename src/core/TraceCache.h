@@ -150,13 +150,6 @@ public:
     std::atomic<uint64_t> JitDeopts{0};
     std::atomic<uint64_t> JitFlushes{0};
     std::atomic<uint64_t> JitCompileMicros{0};
-    /// Scheduled-backend coverage (TPDBT_JIT_SCHED, see
-    /// jit::CompileStats): segments list-scheduled before lowering, ops
-    /// emitted off their program-order slot, and exit-stub bodies shared
-    /// instead of duplicated.
-    std::atomic<uint64_t> JitSchedUnits{0};
-    std::atomic<uint64_t> JitReorderedOps{0};
-    std::atomic<uint64_t> JitStubsDeduped{0};
     /// LRU evictions from the size-bounded disk layer
     /// (TPDBT_CACHE_MAX_BYTES): entries removed and the trace bytes they
     /// freed.

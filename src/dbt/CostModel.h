@@ -47,19 +47,6 @@ struct CostParams {
   /// One-time retranslation cost per static guest instruction placed in a
   /// region.
   uint64_t OptimizePerInst = 15000;
-
-  /// Jit-backend scheduling economics (jit::schedulingWorthwhile):
-  /// list-scheduling a segment costs roughly JitSchedCompilePerOp host
-  /// cycles per decoded op, a compiled unit is expected to execute about
-  /// JitSchedExpectedUses times before demotion or a cache flush, and
-  /// reordering recovers at most one issue slot per op-pair per
-  /// execution. Segments below JitSchedMinOps have no pairs worth moving
-  /// regardless of the break-even, so that floor applies first. With the
-  /// defaults the break-even lands at nine ops: 1024*(N-1) >= 900*N first
-  /// holds at N = 9.
-  uint64_t JitSchedCompilePerOp = 900;
-  uint64_t JitSchedExpectedUses = 1024;
-  uint64_t JitSchedMinOps = 8;
 };
 
 /// Running cycle account for one execution.

@@ -3,47 +3,34 @@
 // Lowering reference: vm/Interpreter.h executeOps()/evalBranch()/
 // evalFusedCmp(). Every case here must produce bit-identical register,
 // memory, and fault behavior; tests/jit/JitLoweringTest.cpp checks each
-// opcode differentially against executeOps, and tests/jit/JitSchedTest.cpp
-// checks the scheduled backend against the program-order one.
+// opcode plus randomized bodies, chains, and self-loops differentially
+// against executeOps/evalBranch/evalFusedCmp.
 //
-// With CompileOptions::Schedule (the default; TPDBT_JIT_SCHED=0 turns it
-// off) the backend runs an optimizing pass per segment:
+// Ops are lowered in program order. The layout follows the prediction:
 //
-//  * list scheduling — a sched::DepGraph in fault-barrier mode over the
-//    decoded ops, scheduled on sched::MachineModel::hostX86, emitted in
-//    schedule order. Loads/stores never move (a fault must observe the
-//    exact program-order prefix), so reordering is confined to the pure
-//    windows between memory ops and the event stream is unchanged by
-//    construction. Schedule::verify is asserted in debug builds.
+//  * fall-through — the predicted successor of every chain guard is the
+//    fall-through; the unpredicted edge jumps to an exit stub.
+//  * cold-tail stubs — every exit stub lives after the flush epilogue,
+//    out of the hot straight-line code; identical stubs are emitted once.
+//  * fall-through latch — a compiled self-loop's staying (predicted)
+//    direction is the single backward conditional branch; leaving falls
+//    through into the exit sequence. One branch per iteration.
 //  * direct-destination lowering — ops whose destination lives in a
 //    callee-saved host register compute into it directly instead of
 //    round-tripping through RAX.
-//  * fall-through latch — a compiled self-loop's staying (predicted)
-//    direction is the single backward conditional branch; leaving falls
-//    through into the cold exit sequence. One branch per iteration
-//    instead of two.
-//  * grouped exit stubs — stubs with the same Done share one epilogue
-//    tail (mov rax, done; jmp flush), so a memory-heavy segment's fault
-//    stubs stop duplicating it.
 //
 //===----------------------------------------------------------------------===//
 
 #include "jit/ChainCompiler.h"
 
-#include "dbt/CostModel.h"
 #include "guest/Isa.h"
 #include "jit/Emitter.h"
-#include "sched/DepGraph.h"
-#include "sched/ListScheduler.h"
 
 #include <algorithm>
 #include <array>
 #include <cassert>
 #include <climits>
 #include <cstdint>
-#include <map>
-#include <numeric>
-#include <string>
 
 using namespace tpdbt;
 using namespace tpdbt::jit;
@@ -65,9 +52,7 @@ constexpr HostReg Pool[6] = {RBX, RBP, R12, R13, R14, R15};
 
 class Compiler {
 public:
-  explicit Compiler(const CompileOptions &Opts) : Opt(Opts) { HostOf.fill(-1); }
-
-  const CompileStats &stats() const { return CS; }
+  Compiler() { HostOf.fill(-1); }
 
   std::vector<uint8_t> chain(const JitSegment *Segs, size_t N) {
     for (size_t I = 0; I < N; ++I) {
@@ -112,7 +97,7 @@ public:
       // Jump-to-self: every executed iteration stays.
       E.inc(Iter);
       E.jmp(Top);
-    } else if (Opt.Schedule) {
+    } else {
       // Prediction-directed latch: staying is the predicted direction, so
       // it gets the single (backward, taken-while-spinning) conditional
       // branch; leaving falls through into the cold exit sequence. The
@@ -125,14 +110,6 @@ public:
       E.lea(RAX, Iter, -1);
       E.movImm(RDX, static_cast<int64_t>(offInfo(StayBranch != 2)));
       E.jmp(FlushL);
-    } else {
-      const Cond Taken = emitTakenCond(T);
-      if (StayBranch == 2)
-        E.jcc(negate(Taken), stub(0, true, offInfo(/*Taken=*/false)));
-      else
-        E.jcc(Taken, stub(0, true, offInfo(/*Taken=*/true)));
-      E.inc(Iter);
-      E.jmp(Top);
     }
     return finishUnit();
   }
@@ -210,11 +187,6 @@ private:
 
   // --- Guest register access (host reg or in-place Regs slot) -----------
 
-  /// Host register holding guest \p G under the optimizing backend, or
-  /// -1 when the op must go through the classic RAX round trip (guest
-  /// register not host-allocated, or the pass is disabled).
-  int directDest(uint8_t G) const { return Opt.Schedule ? HostOf[G] : -1; }
-
   void loadG(HostReg D, uint8_t G) {
     if (HostOf[G] >= 0)
       E.movRR(D, static_cast<HostReg>(HostOf[G]));
@@ -274,11 +246,8 @@ private:
   /// hold the packed JitExit.
   ///
   /// The stubs live after the flush epilogue, out of the hot straight-
-  /// line code. Under the optimizing backend, stubs that report the same
-  /// Done are emitted as one group: each member sets only its Info and
-  /// the group shares a single `mov rax, done; jmp flush` tail (the last
-  /// member falls through into it) — memory-heavy segments stop
-  /// duplicating the epilogue per fault stub.
+  /// line code, each with its own `mov rax, done; mov rdx, info; jmp
+  /// flush` tail.
   std::vector<uint8_t> finishUnit() {
     E.bind(FlushL);
     for (const auto &A : Allocated)
@@ -286,69 +255,23 @@ private:
     for (auto It = Allocated.rbegin(); It != Allocated.rend(); ++It)
       E.pop(It->first);
     E.ret();
-    if (!Opt.Schedule) {
-      for (const Stub &S : Stubs) {
-        E.bind(S.L);
-        if (S.FromIter)
-          E.movRR(RAX, Iter);
-        else
-          E.movImm(RAX, static_cast<int64_t>(S.Done));
-        E.movImm(RDX, static_cast<int64_t>(S.Info));
-        E.jmp(FlushL);
-      }
-      return E.finish();
-    }
-    // Group by shared tail: FromIter stubs all report RAX = Iter, the
-    // rest key on their Done constant. Groups emit in first-appearance
-    // order, members in creation order.
-    std::vector<size_t> Emitted(Stubs.size(), 0);
-    for (size_t I = 0; I < Stubs.size(); ++I) {
-      if (Emitted[I])
-        continue;
-      std::vector<size_t> Group;
-      for (size_t J = I; J < Stubs.size(); ++J)
-        if (!Emitted[J] && Stubs[J].FromIter == Stubs[I].FromIter &&
-            (Stubs[I].FromIter || Stubs[J].Done == Stubs[I].Done)) {
-          Group.push_back(J);
-          Emitted[J] = 1;
-        }
-      CS.StubsDeduped += Group.size() - 1;
-      for (size_t K = 0; K < Group.size(); ++K) {
-        const Stub &S = Stubs[Group[K]];
-        E.bind(S.L);
-        E.movImm(RDX, static_cast<int64_t>(S.Info));
-        if (K + 1 < Group.size())
-          E.jmp(tailLabel(I));
-        // The last member falls through into the shared tail.
-      }
-      if (Group.size() > 1)
-        E.bind(tailLabel(I));
-      if (Stubs[I].FromIter)
+    for (const Stub &S : Stubs) {
+      E.bind(S.L);
+      if (S.FromIter)
         E.movRR(RAX, Iter);
       else
-        E.movImm(RAX, static_cast<int64_t>(Stubs[I].Done));
+        E.movImm(RAX, static_cast<int64_t>(S.Done));
+      E.movImm(RDX, static_cast<int64_t>(S.Info));
       E.jmp(FlushL);
     }
     return E.finish();
   }
 
-  /// One shared-tail label per group leader, created on demand.
-  Emitter::Label tailLabel(size_t Leader) {
-    auto It = Tails.find(Leader);
-    if (It != Tails.end())
-      return It->second;
-    const Emitter::Label L = E.newLabel();
-    Tails.emplace(Leader, L);
-    return L;
-  }
-
   Emitter::Label stub(uint64_t Done, bool FromIter, uint64_t Info) {
     for (const Stub &S : Stubs)
       if (S.FromIter == FromIter && S.Info == Info &&
-          (FromIter || S.Done == Done)) {
-        ++CS.StubsDeduped;
+          (FromIter || S.Done == Done))
         return S.L;
-      }
     Stubs.push_back(Stub{E.newLabel(), Done, FromIter, Info});
     return Stubs.back().L;
   }
@@ -357,69 +280,13 @@ private:
     return stub(Done, FromIter, faultInfo(OpIdx));
   }
 
-  // --- Scheduling -------------------------------------------------------
-
-  /// True when scheduling could move anything at all: Loads/Stores are
-  /// barriers in both directions, so without at least one window of two
-  /// consecutive non-memory ops the schedule is the program order and
-  /// building the graph is wasted compile time.
-  static bool hasReorderableWindow(const Interpreter::DecodedOp *Begin,
-                                   const Interpreter::DecodedOp *End) {
-    size_t Run = 0;
-    for (const Interpreter::DecodedOp *Op = Begin; Op != End; ++Op) {
-      if (Op->Op == Opcode::Load || Op->Op == Opcode::Store)
-        Run = 0;
-      else if (++Run >= 2)
-        return true;
-    }
-    return false;
-  }
-
-  /// Emission order for the segment [Begin, End): schedule order under
-  /// the optimizing backend when the segment clears the CostModel floor
-  /// and has a window the fault barriers would let move, program order
-  /// otherwise. Indices are program-order positions, so a fault keeps
-  /// reporting its original op index.
-  std::vector<uint32_t> emissionOrder(const Interpreter::DecodedOp *Begin,
-                                      const Interpreter::DecodedOp *End) {
-    const size_t N = static_cast<size_t>(End - Begin);
-    std::vector<uint32_t> Order(N);
-    std::iota(Order.begin(), Order.end(), 0u);
-    if (!Opt.Schedule || !schedulingWorthwhile(N) ||
-        !hasReorderableWindow(Begin, End))
-      return Order;
-    sched::DepGraph G(/*WithFaultBarriers=*/true);
-    for (const Interpreter::DecodedOp *Op = Begin; Op != End; ++Op)
-      G.addInst(guest::Inst{Op->Op, Op->Rd, Op->Ra, Op->Rb, Op->Imm});
-    const sched::MachineModel M = sched::MachineModel::hostX86();
-    const sched::Schedule S = sched::listSchedule(G, M);
-#ifndef NDEBUG
-    {
-      std::string Err;
-      assert(S.verify(G, M, &Err) && "jit segment schedule infeasible");
-    }
-#endif
-    // Dependences always carry >= 1 cycle of separation, so sorting by
-    // (cycle, program index) is a dependence-respecting total order.
-    std::stable_sort(Order.begin(), Order.end(),
-                     [&](uint32_t A, uint32_t B) {
-                       return S.CycleOf[A] != S.CycleOf[B]
-                                  ? S.CycleOf[A] < S.CycleOf[B]
-                                  : A < B;
-                     });
-    ++CS.SchedSegments;
-    for (uint32_t I = 0; I < N; ++I)
-      CS.ReorderedOps += Order[I] != I;
-    return Order;
-  }
-
   // --- Op lowering ------------------------------------------------------
 
   void emitBody(const Interpreter::DecodedOp *Begin,
                 const Interpreter::DecodedOp *End, uint64_t Done,
                 bool FromIter) {
-    for (uint32_t J : emissionOrder(Begin, End))
-      lowerOp(Begin[J], Done, FromIter, J);
+    for (const Interpreter::DecodedOp *Op = Begin; Op != End; ++Op)
+      lowerOp(*Op, Done, FromIter, static_cast<uint64_t>(Op - Begin));
   }
 
   void lowerOp(const Interpreter::DecodedOp &O, uint64_t Done, bool FromIter,
@@ -441,7 +308,7 @@ private:
       binary(Alu::Xor, O, /*Commutes=*/true);
       break;
     case Opcode::Mul: {
-      const int D = directDest(O.Rd);
+      const int D = HostOf[O.Rd];
       if (D >= 0) {
         const HostReg H = static_cast<HostReg>(D);
         if (O.Rd == O.Ra) {
@@ -475,7 +342,7 @@ private:
       shiftReg(Shift::Sar, O);
       break;
     case Opcode::AddI: {
-      const int D = directDest(O.Rd);
+      const int D = HostOf[O.Rd];
       if (D >= 0) {
         const HostReg H = static_cast<HostReg>(D);
         if (O.Rd != O.Ra)
@@ -491,7 +358,7 @@ private:
       break;
     }
     case Opcode::MulI: {
-      const int D = directDest(O.Rd);
+      const int D = HostOf[O.Rd];
       if (D >= 0) {
         const HostReg H = static_cast<HostReg>(D);
         if (Emitter::fitsI32(O.Imm)) {
@@ -554,7 +421,7 @@ private:
       cmpRI(Cond::B, O);
       break;
     case Opcode::MovI: {
-      const int D = directDest(O.Rd);
+      const int D = HostOf[O.Rd];
       if (D >= 0) {
         E.movImm(static_cast<HostReg>(D), O.Imm);
         break;
@@ -564,7 +431,7 @@ private:
       break;
     }
     case Opcode::Mov: {
-      const int D = directDest(O.Rd);
+      const int D = HostOf[O.Rd];
       if (D >= 0) {
         if (O.Rd != O.Ra)
           loadG(static_cast<HostReg>(D), O.Ra);
@@ -577,7 +444,7 @@ private:
     case Opcode::Load: {
       address(O);
       E.jcc(Cond::Ae, faultStub(Done, FromIter, J));
-      const int D = directDest(O.Rd);
+      const int D = HostOf[O.Rd];
       if (D >= 0) {
         E.loadIndex8(static_cast<HostReg>(D), MemBase, RAX);
         break;
@@ -605,7 +472,7 @@ private:
       fbin(Sse::DivSd, O);
       break;
     case Opcode::FConst: {
-      const int D = directDest(O.Rd);
+      const int D = HostOf[O.Rd];
       if (D >= 0) {
         E.movImm(static_cast<HostReg>(D), O.Imm); // raw double bits
         break;
@@ -630,7 +497,7 @@ private:
     case Opcode::IToF: {
       loadG(RAX, O.Ra);
       E.cvtsi2sd(0, RAX);
-      const int D = directDest(O.Rd);
+      const int D = HostOf[O.Rd];
       if (D >= 0) {
         E.movqFromXmm(static_cast<HostReg>(D), 0);
         break;
@@ -665,7 +532,7 @@ private:
   }
 
   void binary(Alu A, const Interpreter::DecodedOp &O, bool Commutes) {
-    const int D = directDest(O.Rd);
+    const int D = HostOf[O.Rd];
     if (D >= 0) {
       const HostReg H = static_cast<HostReg>(D);
       if (O.Rd == O.Ra) {
@@ -690,7 +557,7 @@ private:
 
   /// AndI/OrI/XorI (AddI keeps its skip-zero special case inline).
   void binaryImm(Alu A, const Interpreter::DecodedOp &O) {
-    const int D = directDest(O.Rd);
+    const int D = HostOf[O.Rd];
     if (D >= 0) {
       const HostReg H = static_cast<HostReg>(D);
       if (O.Rd != O.Ra)
@@ -704,7 +571,7 @@ private:
   }
 
   void shiftImm(Shift K, const Interpreter::DecodedOp &O) {
-    const int D = directDest(O.Rd);
+    const int D = HostOf[O.Rd];
     if (D >= 0) {
       const HostReg H = static_cast<HostReg>(D);
       if (O.Rd != O.Ra)
@@ -718,7 +585,7 @@ private:
   }
 
   void cmpRR(Cond C, const Interpreter::DecodedOp &O) {
-    const int D = directDest(O.Rd);
+    const int D = HostOf[O.Rd];
     if (D >= 0 && O.Rd != O.Ra && O.Rd != O.Rb) {
       const HostReg H = static_cast<HostReg>(D);
       E.zero(H);
@@ -735,7 +602,7 @@ private:
   }
 
   void cmpRI(Cond C, const Interpreter::DecodedOp &O) {
-    const int D = directDest(O.Rd);
+    const int D = HostOf[O.Rd];
     if (D >= 0 && O.Rd != O.Ra) {
       const HostReg H = static_cast<HostReg>(D);
       E.zero(H);
@@ -754,7 +621,7 @@ private:
   void shiftReg(Shift K, const Interpreter::DecodedOp &O) {
     // The hardware masks the CL count to 63 in 64-bit mode — the guest's
     // "& 63" for free.
-    const int D = directDest(O.Rd);
+    const int D = HostOf[O.Rd];
     if (D >= 0) {
       const HostReg H = static_cast<HostReg>(D);
       loadG(RCX, O.Rb); // count first: H may alias guest Rb
@@ -802,7 +669,7 @@ private:
     loadG(RAX, O.Rb);
     E.movqToXmm(1, RAX);
     E.sse(Op, 0, 1);
-    const int D = directDest(O.Rd);
+    const int D = HostOf[O.Rd];
     if (D >= 0) {
       E.movqFromXmm(static_cast<HostReg>(D), 0);
       return;
@@ -919,51 +786,26 @@ private:
   }
 
   Emitter E;
-  CompileOptions Opt;
-  CompileStats CS;
+  /// Host register holding each guest register, or -1 when it lives in
+  /// the Regs array (ops writing such a register go through RAX).
   std::array<int8_t, guest::NumRegs> HostOf;
   uint32_t Uses[guest::NumRegs] = {};
   std::vector<std::pair<HostReg, uint8_t>> Allocated;
   std::vector<Stub> Stubs;
-  std::map<size_t, Emitter::Label> Tails;
   Emitter::Label FlushL = 0;
 };
 
 } // namespace
 
-bool tpdbt::jit::schedulingWorthwhile(size_t NumOps) {
-  // dbt::CostModel break-even: scheduling costs ~JitSchedCompilePerOp
-  // cycles per op once; a unit is expected to run ~JitSchedExpectedUses
-  // times, each recovering at most one issue slot per reorderable pair
-  // (NumOps - 1, the optimistic in-order bound). Below the floor there
-  // are no pairs worth moving at all.
-  static const dbt::CostParams P;
-  if (NumOps < P.JitSchedMinOps)
-    return false;
-  return P.JitSchedExpectedUses * (NumOps - 1) >=
-         P.JitSchedCompilePerOp * NumOps;
-}
-
 std::vector<uint8_t> tpdbt::jit::compileChain(const JitSegment *Segs,
-                                              size_t N,
-                                              const CompileOptions &Opts,
-                                              CompileStats *Stats) {
-  Compiler C(Opts);
-  std::vector<uint8_t> Code = C.chain(Segs, N);
-  if (Stats)
-    *Stats = C.stats();
-  return Code;
+                                              size_t N) {
+  return Compiler().chain(Segs, N);
 }
 
 std::vector<uint8_t>
 tpdbt::jit::compileSelfLoop(const vm::Interpreter::DecodedOp *Begin,
                             const vm::Interpreter::DecodedOp *End,
                             const vm::Interpreter::DecodedTerm &Term,
-                            uint8_t StayBranch, const CompileOptions &Opts,
-                            CompileStats *Stats) {
-  Compiler C(Opts);
-  std::vector<uint8_t> Code = C.selfLoop(Begin, End, Term, StayBranch);
-  if (Stats)
-    *Stats = C.stats();
-  return Code;
+                            uint8_t StayBranch) {
+  return Compiler().selfLoop(Begin, End, Term, StayBranch);
 }

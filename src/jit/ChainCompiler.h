@@ -8,14 +8,13 @@
 /// Compiles promoted superblock chains and self-loops (vm/HostTier) into
 /// real x86-64 machine code.
 ///
-/// The backend is prediction-directed: segment bodies are list-scheduled
-/// per segment (sched::DepGraph in fault-barrier mode, scored against
-/// sched::MachineModel::hostX86) and lowered in schedule order, the
-/// predicted successor of every guard is the fall-through, and all
-/// deopt/guard-exit stubs live out-of-line in a cold tail after the hot
-/// straight-line code, with identical stub bodies deduplicated and
-/// per-segment epilogues shared. TPDBT_JIT_SCHED=0 reverts to plain
-/// program-order lowering (CompileOptions below).
+/// The backend is prediction-directed: segment bodies are lowered in
+/// program order, the predicted successor of every guard is the
+/// fall-through, a self-loop's staying direction is its single backward
+/// latch branch, and all deopt/guard-exit stubs live out-of-line in a
+/// cold tail after the hot straight-line code, identical stubs emitted
+/// once. Ops whose destination is host-allocated compute into that
+/// register directly.
 ///
 /// Calling convention of a compiled unit (SysV AMD64):
 ///
@@ -99,39 +98,9 @@ struct JitSegment {
   bool ExpectTaken = false;
 };
 
-/// Backend configuration (the TPDBT_JIT_SCHED switch, see
-/// vm::HostTier::jitSchedEnabled).
-struct CompileOptions {
-  /// Enables the optimizing backend pass: per-segment list scheduling on
-  /// sched::MachineModel::hostX86 (emission in schedule order within the
-  /// fault-barrier windows), direct-destination lowering into the
-  /// callee-saved guest registers, the fall-through self-loop latch, and
-  /// grouped exit-stub tails. Off reproduces the program-order backend
-  /// byte for byte. Either way the executed event stream is identical by
-  /// construction — scheduling only reorders side-effect-compatible ops
-  /// between guards.
-  bool Schedule = true;
-};
-
-/// Per-unit compile accounting, aggregated into HostTierStats.
-struct CompileStats {
-  uint64_t SchedSegments = 0; ///< segments that went through listSchedule
-  uint64_t ReorderedOps = 0;  ///< ops emitted off their program-order slot
-  uint64_t StubsDeduped = 0;  ///< exit-stub bodies shared instead of duplicated
-};
-
-/// dbt::CostModel break-even for list-scheduling one segment of
-/// \p NumOps decoded ops: compile cost must be recoverable over the
-/// expected native executions, and segments below the size floor have
-/// nothing worth moving.
-bool schedulingWorthwhile(size_t NumOps);
-
 /// Compiles a chain of \p N segments. Returns finished machine code ready
-/// for CodeBuffer::install (never empty). \p Stats, when non-null,
-/// receives the unit's compile accounting.
-std::vector<uint8_t> compileChain(const JitSegment *Segs, size_t N,
-                                  const CompileOptions &Opts = CompileOptions(),
-                                  CompileStats *Stats = nullptr);
+/// for CodeBuffer::install (never empty).
+std::vector<uint8_t> compileChain(const JitSegment *Segs, size_t N);
 
 /// Compiles a self-looping block: body [Begin, End), latch \p Term.
 /// \p StayBranch uses the trace encoding (0 = jump-to-self, 1 = staying
@@ -140,9 +109,7 @@ std::vector<uint8_t> compileChain(const JitSegment *Segs, size_t N,
 std::vector<uint8_t>
 compileSelfLoop(const vm::Interpreter::DecodedOp *Begin,
                 const vm::Interpreter::DecodedOp *End,
-                const vm::Interpreter::DecodedTerm &Term, uint8_t StayBranch,
-                const CompileOptions &Opts = CompileOptions(),
-                CompileStats *Stats = nullptr);
+                const vm::Interpreter::DecodedTerm &Term, uint8_t StayBranch);
 
 } // namespace jit
 } // namespace tpdbt

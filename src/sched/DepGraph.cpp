@@ -65,25 +65,6 @@ void DepGraph::addInst(const Inst &In) {
   // Nothing moves above a prior branch (no speculation model).
   if (LastTerminator != NoDef)
     addEdge(static_cast<uint32_t>(LastTerminator), Idx, 1);
-
-  // Fault-barrier mode: a potentially-faulting op orders after every
-  // prior node and before every later one, so a fault always observes
-  // exactly the program-order prefix. Duplicate edges with the memory
-  // rules above are harmless.
-  if (FaultBarriers) {
-    if (In.Op == Opcode::Load || In.Op == Opcode::Store) {
-      if (LastFaultPoint != NoDef)
-        addEdge(static_cast<uint32_t>(LastFaultPoint), Idx, 1);
-      for (uint32_t N : SinceFaultPoint)
-        addEdge(N, Idx, 1);
-      SinceFaultPoint.clear();
-      LastFaultPoint = static_cast<int>(Idx);
-    } else {
-      if (LastFaultPoint != NoDef)
-        addEdge(static_cast<uint32_t>(LastFaultPoint), Idx, 1);
-      SinceFaultPoint.push_back(Idx);
-    }
-  }
 }
 
 void DepGraph::addTerminator(const Terminator &T) {

@@ -46,10 +46,7 @@ struct DepNode {
 /// Dependence DAG over one flattened sequence.
 class DepGraph {
 public:
-  /// Appends a plain instruction. Pre-decoded jit ops feed through here
-  /// too: vm::Interpreter::DecodedOp carries the same Op/Rd/Ra/Rb/Imm
-  /// fields as guest::Inst, and the jit backend converts at the call
-  /// site to keep this library independent of the vm layer.
+  /// Appends a plain instruction.
   void addInst(const guest::Inst &In);
 
   /// Appends a block terminator (conditional branches read their
@@ -76,23 +73,11 @@ private:
   int LastStore = NoDef;
   std::vector<uint32_t> LoadsSinceStore;
   int LastTerminator = NoDef;
-  /// FaultBarriers mode (see the constructor).
-  bool FaultBarriers = false;
-  int LastFaultPoint = NoDef;
-  std::vector<uint32_t> SinceFaultPoint;
 
 public:
-  /// With \p FaultBarriers set (the jit backend's decoded-op mode),
-  /// every Load/Store is a full ordering barrier in *both* directions:
-  /// nothing crosses a potentially-faulting op. A faulting execution
-  /// must observe exactly the program-order register prefix — the
-  /// interpreter it is differentially tested against executed everything
-  /// before the faulting op and nothing after it — so reordering is
-  /// confined to the pure-op windows between memory accesses. The
-  /// default keeps the classic region-scheduling rules (loads reorder
-  /// with loads and float past independent ALU ops).
-  explicit DepGraph(bool WithFaultBarriers = false)
-      : FaultBarriers(WithFaultBarriers) {
+  /// An empty graph under the region-scheduling rules above: loads
+  /// reorder with loads and float past independent ALU ops.
+  DepGraph() {
     for (auto &D : LastDef)
       D = NoDef;
   }

@@ -48,18 +48,6 @@ struct MachineModel {
     return M;
   }
 
-  /// x86-64-flavoured model for the jit backend's per-segment scheduling
-  /// (jit/ChainCompiler.cpp): 4-wide with two load/store ports, two FP
-  /// units, and a single branch per cycle. Latencies come from the shared
-  /// latencyOf table; the point is the issue shape, not exact timings —
-  /// the schedule only decides emission order, never correctness.
-  static MachineModel hostX86() {
-    MachineModel M;
-    M.IssueWidth = 4;
-    M.Units = {4, 2, 2, 1};
-    return M;
-  }
-
   unsigned unitsFor(UnitKind K) const {
     return Units[static_cast<size_t>(K)];
   }

@@ -5,29 +5,25 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 
 using namespace tpdbt;
 using namespace tpdbt::vm;
 using namespace tpdbt::guest;
 
-bool HostTier::enabled() {
-  static const bool Enabled = [] {
-    const char *V = std::getenv("TPDBT_HOST_TRANS");
-    return !(V && V[0] == '0' && V[1] == '\0');
-  }();
-  return Enabled;
+HostTier::Tier HostTier::tier() {
+  const char *V = std::getenv("TPDBT_TIER");
+  if (V && std::strcmp(V, "plain") == 0)
+    return Tier::Plain;
+  if (V && std::strcmp(V, "predecoded") == 0)
+    return Tier::Predecoded;
+  return Tier::Jit;
 }
+
+bool HostTier::enabled() { return tier() != Tier::Plain; }
 
 bool HostTier::jitEnabled() {
-  if (!jit::CodeBuffer::supported())
-    return false;
-  const char *V = std::getenv("TPDBT_HOST_JIT");
-  return !(V && V[0] == '0' && V[1] == '\0');
-}
-
-bool HostTier::jitSchedEnabled() {
-  const char *V = std::getenv("TPDBT_JIT_SCHED");
-  return !(V && V[0] == '0' && V[1] == '\0');
+  return tier() == Tier::Jit && jit::CodeBuffer::supported();
 }
 
 uint32_t HostTier::jitHeat() {
@@ -55,7 +51,6 @@ HostTier::HostTier(const Interpreter &I) : I(I), Cache(jitCacheBytes()) {
   LastNext.assign(N, InvalidBlock);
   SameCount.assign(N, 0);
   JitOn = jitEnabled();
-  JitOpts.Schedule = jitSchedEnabled();
   JitHeatVal = jitHeat();
   LoopFn.assign(N, nullptr);
   LoopNoJit.assign(N, 0);
@@ -92,9 +87,7 @@ jit::JitFn HostTier::compileChainFn(Superblock &S) {
     Segs[K].Term = G.Term;
     Segs[K].ExpectTaken = S.Events[K].Branch == 2;
   }
-  jit::CompileStats CS;
-  const std::vector<uint8_t> Code =
-      jit::compileChain(Segs.data(), Segs.size(), JitOpts, &CS);
+  const std::vector<uint8_t> Code = jit::compileChain(Segs.data(), Segs.size());
   const void *Entry = installCode(Code);
   St.JitCompileMicros += std::chrono::duration_cast<std::chrono::microseconds>(
                              std::chrono::steady_clock::now() - T0)
@@ -104,18 +97,14 @@ jit::JitFn HostTier::compileChainFn(Superblock &S) {
     return nullptr;
   }
   ++St.JitUnits;
-  St.JitSchedUnits += CS.SchedSegments;
-  St.JitReorderedOps += CS.ReorderedOps;
-  St.JitStubsDeduped += CS.StubsDeduped;
   return S.Fn = reinterpret_cast<jit::JitFn>(const_cast<void *>(Entry));
 }
 
 jit::JitFn HostTier::compileLoopFn(BlockId B) {
   const auto T0 = std::chrono::steady_clock::now();
-  jit::CompileStats CS;
   const std::vector<uint8_t> Code = jit::compileSelfLoop(
       I.Ops.data() + I.First[B], I.Ops.data() + I.First[B + 1], I.Terms[B],
-      I.selfLoop(B).StayBranch, JitOpts, &CS);
+      I.selfLoop(B).StayBranch);
   const void *Entry = installCode(Code);
   St.JitCompileMicros += std::chrono::duration_cast<std::chrono::microseconds>(
                              std::chrono::steady_clock::now() - T0)
@@ -125,9 +114,6 @@ jit::JitFn HostTier::compileLoopFn(BlockId B) {
     return nullptr;
   }
   ++St.JitUnits;
-  St.JitSchedUnits += CS.SchedSegments;
-  St.JitReorderedOps += CS.ReorderedOps;
-  St.JitStubsDeduped += CS.StubsDeduped;
   return LoopFn[B] = reinterpret_cast<jit::JitFn>(const_cast<void *>(Entry));
 }
 

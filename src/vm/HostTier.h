@@ -44,14 +44,10 @@
 /// the register array) and returns a packed exit record from which the
 /// dispatch loop rebuilds the exact deviating BlockResult — the event
 /// stream stays byte-identical to plain interpretation, jit or not.
-/// TPDBT_HOST_JIT=0 disables only the jit tier (pre-decoded dispatch
-/// remains); non-x86-64 builds degrade the same way automatically.
-/// TPDBT_JIT_SCHED=0 keeps the jit tier but reverts its backend to plain
-/// program-order lowering (no list scheduling, no direct-destination
-/// lowering, no fall-through latch or grouped stub tails) — the A/B
-/// switch for the scheduled backend. The jit knobs are re-read per
-/// HostTier construction, so tests and benches can flip them without a
-/// process restart.
+/// TPDBT_TIER=predecoded disables only the jit tier (pre-decoded
+/// dispatch remains); non-x86-64 builds degrade the same way
+/// automatically. The tier knobs are re-read per HostTier construction,
+/// so tests and benches can flip them without a process restart.
 ///
 /// Fallback accounting: a deviating chain execution bumps exactly one
 /// counter — Fallbacks when the guard fired in the pre-decoded tier,
@@ -61,10 +57,10 @@
 ///
 /// The tier holds mutable per-run state (heat, successor history,
 /// superblocks, the code cache), so unlike Interpreter one HostTier
-/// serves one run. TPDBT_HOST_TRANS=0 disables the whole tier
-/// process-wide; every pump site (BlockTrace::record, runSweep's fused
-/// pass, DbtEngine) then uses plain Interpreter::run — the A/B switch for
-/// debugging and benchmarking.
+/// serves one run. TPDBT_TIER=plain disables the whole tier; every pump
+/// site (BlockTrace::record, runSweep's fused pass, DbtEngine) then uses
+/// plain Interpreter::run — the A/B switch for debugging and
+/// benchmarking.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -98,10 +94,6 @@ struct HostTierStats {
   uint64_t JitDeopts = 0;        ///< guard/fault exits from compiled code
   uint64_t JitFlushes = 0;       ///< whole-code-cache flushes (cache full)
   uint64_t JitCompileMicros = 0; ///< wall time spent compiling + installing
-  // Scheduled-backend accounting (TPDBT_JIT_SCHED; jit::CompileStats).
-  uint64_t JitSchedUnits = 0;    ///< segments list-scheduled before lowering
-  uint64_t JitReorderedOps = 0;  ///< ops emitted off their program-order slot
-  uint64_t JitStubsDeduped = 0;  ///< exit-stub bodies shared, not duplicated
 
   HostTierStats &operator+=(const HostTierStats &O) {
     Superblocks += O.Superblocks;
@@ -115,9 +107,6 @@ struct HostTierStats {
     JitDeopts += O.JitDeopts;
     JitFlushes += O.JitFlushes;
     JitCompileMicros += O.JitCompileMicros;
-    JitSchedUnits += O.JitSchedUnits;
-    JitReorderedOps += O.JitReorderedOps;
-    JitStubsDeduped += O.JitStubsDeduped;
     return *this;
   }
 };
@@ -141,22 +130,22 @@ class HostTier {
 public:
   explicit HostTier(const Interpreter &I);
 
-  /// The TPDBT_HOST_TRANS kill switch, read once per process. Any value
-  /// other than "0" (including unset) enables the tier.
+  /// The highest tier a run may use (the TPDBT_TIER ceiling).
+  enum class Tier : uint8_t {
+    Plain,      ///< plain Interpreter::run, no HostTier at all
+    Predecoded, ///< the ladder above without the jit tier
+    Jit,        ///< the full ladder plus compiled units
+  };
+
+  /// Parses TPDBT_TIER=plain|predecoded|jit on every call, so tests and
+  /// benches can flip it in-process. Unset or any other value gives Jit.
+  static Tier tier();
+
+  /// True unless TPDBT_TIER=plain: the pump sites use the tier at all.
   static bool enabled();
 
-  /// The TPDBT_HOST_JIT kill switch (any value other than "0" enables),
-  /// AND-ed with CodeBuffer::supported(). Unlike enabled() this is
-  /// re-read per HostTier construction so tests can flip it in-process.
+  /// True when TPDBT_TIER allows the jit and CodeBuffer::supported().
   static bool jitEnabled();
-
-  /// The TPDBT_JIT_SCHED kill switch for the optimizing backend pass
-  /// (per-segment list scheduling, direct-destination lowering, the
-  /// fall-through self-loop latch, grouped exit-stub tails — see
-  /// jit::CompileOptions). Any value other than "0" (including unset)
-  /// enables it; it only matters when jitEnabled() also holds. Re-read
-  /// per HostTier construction, like jitEnabled().
-  static bool jitSchedEnabled();
 
   /// TPDBT_JIT_HEAT: executions of a promoted chain (or iterations of a
   /// self-loop) before it is compiled. Defaults to DefaultJitHeat, which
@@ -512,7 +501,6 @@ private:
   // Superblock itself.
   jit::CodeBuffer Cache;
   bool JitOn = false;
-  jit::CompileOptions JitOpts; ///< Schedule = jitSchedEnabled() at ctor time
   uint32_t JitHeatVal = DefaultJitHeat;
   std::vector<jit::JitFn> LoopFn;  ///< compiled self-loop entry, or null
   std::vector<uint8_t> LoopNoJit;  ///< compilation failed; do not retry

@@ -5,15 +5,17 @@
 // state as Interpreter::executeOps. Registers, memory, fault index, and
 // the packed exit info must agree bit for bit — including the
 // guest-defined corner cases (division by zero, INT64_MIN / -1, shift
-// counts past 63, NaN comparisons, non-finite FToI).
+// counts past 63, NaN comparisons, non-finite FToI). Seeded random op
+// soups, chains (Branch, FusedBr, and Jump guards), and self-loops are
+// checked the same way against an interpreter-built reference, and
+// compiling the same input twice must give the same bytes.
 //
 //===----------------------------------------------------------------------===//
 
 #include "guest/Isa.h"
 #include "jit/ChainCompiler.h"
 #include "jit/CodeBuffer.h"
-#include "sched/DepGraph.h"
-#include "sched/ListScheduler.h"
+#include "support/Rng.h"
 #include "vm/Interpreter.h"
 
 #include <gtest/gtest.h>
@@ -21,6 +23,8 @@
 #include <array>
 #include <bit>
 #include <cstring>
+#include <iterator>
+#include <string>
 #include <vector>
 
 using namespace tpdbt;
@@ -57,22 +61,8 @@ jit::JitExit runJit(const std::vector<Op> &Ops, MachineState &S) {
   return Fn(S.Regs.data(), S.Mem.data(), S.Mem.size(), 1);
 }
 
-/// The backend asserts Schedule::verify only in debug builds; the tests
-/// re-check it here so Release runs catch an infeasible schedule too.
-void expectScheduleVerifies(const std::vector<Op> &Ops) {
-  if (!jit::schedulingWorthwhile(Ops.size()))
-    return;
-  sched::DepGraph G(/*WithFaultBarriers=*/true);
-  for (const Op &O : Ops)
-    G.addInst(guest::Inst{O.Op, O.Rd, O.Ra, O.Rb, O.Imm});
-  const sched::MachineModel M = sched::MachineModel::hostX86();
-  std::string Err;
-  EXPECT_TRUE(sched::listSchedule(G, M).verify(G, M, &Err)) << Err;
-}
-
 /// Runs \p Ops both ways from \p Init and requires identical end state.
 void expectSame(const std::vector<Op> &Ops, const MachineState &Init) {
-  expectScheduleVerifies(Ops);
   MachineState Ref = Init;
   const intptr_t Fault =
       Interpreter::executeOps(Ops.data(), Ops.data() + Ops.size(),
@@ -299,6 +289,8 @@ ChainRun runChain(const std::vector<std::vector<Op>> &Bodies,
     Segs[I].ExpectTaken = ExpectTaken[I];
   }
   const std::vector<uint8_t> Code = jit::compileChain(Segs.data(), Segs.size());
+  EXPECT_EQ(Code, jit::compileChain(Segs.data(), Segs.size()))
+      << "chain compilation is not deterministic";
   jit::CodeBuffer CB(1 << 16);
   const jit::JitFn Fn = reinterpret_cast<jit::JitFn>(
       const_cast<void *>(CB.install(Code.data(), Code.size())));
@@ -390,6 +382,16 @@ TEST_F(JitLoweringTest, MidChainFaultReportsSegmentLocalOpIndex) {
 
 // --- Self-loop compilation ----------------------------------------------
 
+/// Evaluates a conditional terminator the way executeBlock does: a
+/// FusedBr writes its compare result to Rd before the direction is read.
+bool takenRef(const Term &T, MachineState &S) {
+  if (T.Code == Interpreter::TermCode::Branch)
+    return Interpreter::evalBranch(T, S.Regs.data());
+  const int64_t V = Interpreter::evalFusedCmp(T, S.Regs.data());
+  S.Regs[T.Rd] = V;
+  return T.Invert ? V == 0 : V != 0;
+}
+
 /// Reference for compiled self-loops: the generic tail of
 /// Interpreter::runSelfLoop expressed over the public decoded-op API.
 struct LoopRef {
@@ -411,18 +413,11 @@ LoopRef runLoopRef(const std::vector<Op> &Body, const Term &T,
       R.FaultIdx = F;
       return R;
     }
-    bool Taken;
     if (T.Code == Interpreter::TermCode::Jump) {
       ++R.Stays;
       continue;
     }
-    if (T.Code == Interpreter::TermCode::Branch) {
-      Taken = Interpreter::evalBranch(T, S.Regs.data());
-    } else {
-      const int64_t V = Interpreter::evalFusedCmp(T, S.Regs.data());
-      S.Regs[T.Rd] = V;
-      Taken = T.Invert ? V == 0 : V != 0;
-    }
+    const bool Taken = takenRef(T, S);
     const bool Stay = Taken == (StayBranch == 2);
     if (!Stay) {
       R.ExitValid = true;
@@ -443,6 +438,9 @@ void expectLoopSame(const std::vector<Op> &Body, const Term &T,
   MachineState Jit = Init;
   const std::vector<uint8_t> Code = jit::compileSelfLoop(
       Body.data(), Body.data() + Body.size(), T, StayBranch);
+  EXPECT_EQ(Code, jit::compileSelfLoop(Body.data(), Body.data() + Body.size(),
+                                       T, StayBranch))
+      << "self-loop compilation is not deterministic";
   jit::CodeBuffer CB(1 << 16);
   const jit::JitFn Fn = reinterpret_cast<jit::JitFn>(
       const_cast<void *>(CB.install(Code.data(), Code.size())));
@@ -508,6 +506,182 @@ TEST_F(JitLoweringTest, SelfLoopMemFaultMidIteration) {
   const Term T = branchTerm(guest::CondKind::LtI, 1, 0, 1000, 3, 9);
   MachineState S = stateAB(0, 0, /*MemWords=*/6);
   expectLoopSame(Body, T, /*StayBranch=*/2, S, 500);
+}
+
+// --- Randomized differentials against the interpreter ---------------------
+
+/// Random op soup over a small register window: every opcode the decoder
+/// can produce, immediates that stress both encodings, memory indices
+/// that hit and overrun the 8-word array so faults occur mid-body.
+std::vector<Op> randomBody(Rng &R, size_t N) {
+  static const Opcode Pool[] = {
+      Opcode::Add,    Opcode::Sub,    Opcode::Mul,    Opcode::Divs,
+      Opcode::Rems,   Opcode::And,    Opcode::Or,     Opcode::Xor,
+      Opcode::Shl,    Opcode::Shr,    Opcode::Sar,    Opcode::AddI,
+      Opcode::MulI,   Opcode::AndI,   Opcode::OrI,    Opcode::XorI,
+      Opcode::ShlI,   Opcode::ShrI,   Opcode::CmpEq,  Opcode::CmpLt,
+      Opcode::CmpLtU, Opcode::CmpEqI, Opcode::CmpLtI, Opcode::CmpLtUI,
+      Opcode::MovI,   Opcode::Mov,    Opcode::Load,   Opcode::Store,
+      Opcode::FAdd,   Opcode::FSub,   Opcode::FMul,   Opcode::FDiv,
+      Opcode::FConst, Opcode::FCmpLt, Opcode::IToF,   Opcode::FToI,
+      Opcode::Nop,
+  };
+  static const int64_t Imms[] = {0, 1, -1, 3, 7, 63, -64, 0x7fffffffLL,
+                                 -0x80000000LL, 0x1234567890LL};
+  std::vector<Op> Body;
+  for (size_t I = 0; I < N; ++I) {
+    const Opcode O = Pool[R.nextBelow(std::size(Pool))];
+    const uint8_t Rd = static_cast<uint8_t>(R.nextBelow(12));
+    const uint8_t Ra = static_cast<uint8_t>(R.nextBelow(12));
+    const uint8_t Rb = static_cast<uint8_t>(R.nextBelow(12));
+    int64_t Imm = Imms[R.nextBelow(std::size(Imms))];
+    if (O == Opcode::Load || O == Opcode::Store)
+      Imm = static_cast<int64_t>(R.nextBelow(12)) - 2; // in range and out
+    Body.push_back(op(O, Rd, Ra, Rb, Imm));
+  }
+  return Body;
+}
+
+MachineState randomState(Rng &R) {
+  MachineState S;
+  S.Mem.assign(8, 0);
+  for (auto &W : S.Mem)
+    W = static_cast<int64_t>(R.next());
+  for (unsigned G = 0; G < guest::NumRegs; ++G)
+    S.Regs[G] = static_cast<int64_t>(R.nextBelow(32)) - 4; // small indices
+  return S;
+}
+
+/// A random chain guard: a Branch on any condition kind, a FusedBr on any
+/// compare opcode (either polarity), or now and then a Jump.
+Term randomGuard(Rng &R) {
+  static const guest::CondKind Kinds[] = {
+      guest::CondKind::Eq,  guest::CondKind::Ne,  guest::CondKind::Lt,
+      guest::CondKind::Ge,  guest::CondKind::LtU, guest::CondKind::GeU,
+      guest::CondKind::EqI, guest::CondKind::NeI, guest::CondKind::LtI,
+      guest::CondKind::GeI};
+  static const Opcode Cmps[] = {Opcode::CmpEq,  Opcode::CmpLt,
+                                Opcode::CmpLtU, Opcode::CmpEqI,
+                                Opcode::CmpLtI, Opcode::CmpLtUI,
+                                Opcode::FCmpLt};
+  const uint8_t Rd = static_cast<uint8_t>(R.nextBelow(12));
+  const uint8_t Ra = static_cast<uint8_t>(R.nextBelow(12));
+  const uint8_t Rb = static_cast<uint8_t>(R.nextBelow(12));
+  const int64_t Imm = static_cast<int64_t>(R.nextBelow(16)) - 8;
+  const uint64_t Shape = R.nextBelow(5);
+  if (Shape == 0) {
+    Term T{};
+    T.Code = Interpreter::TermCode::Jump;
+    T.Taken = T.Fall = 1;
+    return T;
+  }
+  if (Shape <= 2) {
+    const Opcode Cmp = Cmps[R.nextBelow(std::size(Cmps))];
+    const uint8_t Invert = static_cast<uint8_t>(R.nextBelow(2));
+    return fusedTerm(Cmp, Rd, Ra, Rb, Imm, Invert, 7, 9);
+  }
+  return branchTerm(Kinds[R.nextBelow(std::size(Kinds))], Ra, Rb, Imm, 7, 9);
+}
+
+/// Reference for compiled chains: before each later segment the budget
+/// check, then the body through executeOps, then the guard through
+/// evalBranch/evalFusedCmp compared with the segment's ExpectTaken. The
+/// returned record is packed exactly as the compiled unit packs it.
+jit::JitExit runChainRef(const std::vector<std::vector<Op>> &Bodies,
+                         const std::vector<Term> &Terms,
+                         const std::vector<bool> &ExpectTaken,
+                         MachineState &S, uint64_t Budget) {
+  for (uint64_t K = 0; K < Bodies.size(); ++K) {
+    if (K && Budget <= K)
+      return {K, static_cast<uint64_t>(jit::ExitKind::Ok)};
+    const std::vector<Op> &B = Bodies[K];
+    const intptr_t F = Interpreter::executeOps(
+        B.data(), B.data() + B.size(), S.Regs.data(), S.Mem.data(),
+        S.Mem.size());
+    if (F >= 0)
+      return {K, static_cast<uint64_t>(jit::ExitKind::Fault) |
+                     (static_cast<uint64_t>(F) << 32)};
+    if (Terms[K].Code == Interpreter::TermCode::Jump)
+      continue;
+    const bool Taken = takenRef(Terms[K], S);
+    if (Taken != ExpectTaken[K])
+      return {K, static_cast<uint64_t>(jit::ExitKind::OffChain) |
+                     (Taken ? 4u : 0u)};
+  }
+  return {Bodies.size(), static_cast<uint64_t>(jit::ExitKind::Ok)};
+}
+
+TEST_F(JitLoweringTest, RandomBodiesMatchInterpreter) {
+  for (uint64_t Seed = 1; Seed <= 200; ++Seed) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    Rng R(Seed * 0x9e3779b9u);
+    const std::vector<Op> Body = randomBody(R, 1 + R.nextBelow(24));
+    expectSame(Body, randomState(R));
+  }
+}
+
+TEST_F(JitLoweringTest, RandomChainsMatchInterpreter) {
+  for (uint64_t Seed = 1; Seed <= 60; ++Seed) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    Rng R(Seed * 0x51ed2701u);
+    const size_t NSegs = 2 + R.nextBelow(3);
+    std::vector<std::vector<Op>> Bodies;
+    std::vector<Term> Terms;
+    std::vector<bool> Expect;
+    for (size_t K = 0; K < NSegs; ++K) {
+      Bodies.push_back(randomBody(R, 2 + R.nextBelow(10)));
+      Terms.push_back(randomGuard(R));
+      Expect.push_back(R.nextBelow(2) != 0);
+    }
+    const MachineState Init = randomState(R);
+    const uint64_t Budget = 1 + R.nextBelow(NSegs + 1);
+
+    MachineState Ref = Init;
+    const jit::JitExit RR = runChainRef(Bodies, Terms, Expect, Ref, Budget);
+    const ChainRun C = runChain(Bodies, Terms, Expect, Init, Budget);
+    EXPECT_EQ(C.R.Done, RR.Done);
+    EXPECT_EQ(C.R.Info, RR.Info);
+    EXPECT_EQ(C.S.Regs, Ref.Regs);
+    EXPECT_EQ(C.S.Mem, Ref.Mem);
+  }
+}
+
+TEST_F(JitLoweringTest, RandomSelfLoopsMatchInterpreter) {
+  for (uint64_t Seed = 1; Seed <= 60; ++Seed) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    Rng R(Seed * 0xc2b2ae35u);
+    // A counter-driven latch so most loops actually spin: r0 += 1 each
+    // iteration, stay while r0 < bound; the rest of the body is soup.
+    std::vector<Op> Body = randomBody(R, 1 + R.nextBelow(10));
+    Body.push_back(op(Opcode::AddI, 0, 0, 0, 1));
+    const int64_t Bound = static_cast<int64_t>(R.nextBelow(40));
+    Term T{};
+    uint8_t StayBranch = 0;
+    switch (R.nextBelow(5)) {
+    case 0: // jump-to-self: only the budget or a fault ends it
+      T.Code = Interpreter::TermCode::Jump;
+      T.Taken = T.Fall = 1;
+      break;
+    case 1: // stay on the taken edge
+      T = branchTerm(guest::CondKind::LtI, 0, 0, Bound, 1, 2);
+      StayBranch = 2;
+      break;
+    case 2: // stay on the not-taken edge
+      T = branchTerm(guest::CondKind::GeI, 0, 0, Bound, 1, 2);
+      StayBranch = 1;
+      break;
+    default: { // fused latch, either polarity
+      const uint8_t Invert = static_cast<uint8_t>(R.nextBelow(2));
+      T = fusedTerm(Opcode::CmpLtI, static_cast<uint8_t>(1 + R.nextBelow(11)),
+                    0, 0, Bound, Invert, 1, 2);
+      StayBranch = Invert ? 1 : 2;
+      break;
+    }
+    }
+    MachineState Init = randomState(R);
+    Init.Regs[0] = 0;
+    expectLoopSame(Body, T, StayBranch, Init, R.nextBelow(64));
+  }
 }
 
 TEST_F(JitLoweringTest, CodeBufferFlushAndExhaustion) {

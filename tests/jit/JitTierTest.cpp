@@ -24,15 +24,16 @@
 
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 using namespace tpdbt;
 using namespace tpdbt::vm;
 
 namespace {
 
-/// Sets an environment variable for one test scope and restores the
-/// previous value (or absence) on destruction. The jit knobs are re-read
-/// per HostTier construction, so this is all a test needs.
+/// Sets (or, given nullptr, unsets) an environment variable for one test
+/// scope and restores the previous value (or absence) on destruction. The
+/// tier knobs are re-read on every use, so this is all a test needs.
 class ScopedEnv {
 public:
   ScopedEnv(const char *Name, const char *Value) : Name(Name) {
@@ -40,7 +41,10 @@ public:
     Had = Prev != nullptr;
     if (Had)
       Old = Prev;
-    setenv(Name, Value, 1);
+    if (Value)
+      setenv(Name, Value, 1);
+    else
+      unsetenv(Name);
   }
   ~ScopedEnv() {
     if (Had)
@@ -189,7 +193,7 @@ TEST(JitTierTest, ChainRunsCompiledAndMatchesPlain) {
 TEST(JitTierTest, KillSwitchFallsBackToPreDecodedTier) {
   if (!jit::CodeBuffer::supported())
     GTEST_SKIP() << "no executable mappings on this host";
-  ScopedEnv Off("TPDBT_HOST_JIT", "0");
+  ScopedEnv Off("TPDBT_TIER", "predecoded");
   ScopedEnv Heat("TPDBT_JIT_HEAT", "1");
   guest::Program P = makeChainProgram(200, 256);
   Interpreter I(P);
@@ -281,7 +285,7 @@ TEST(JitTierTest, DemoteRepromoteCountsEachMissOnce) {
   // inflate it.
   guest::Program P = makePhaseFlipProgram();
   {
-    ScopedEnv Off("TPDBT_HOST_JIT", "0");
+    ScopedEnv Off("TPDBT_TIER", "predecoded");
     HostTierStats St = expectTierMatchesPlain(P, 6000, "flip, jit off");
     EXPECT_EQ(St.Fallbacks, HostTier::DemoteStreak);
     EXPECT_EQ(St.JitDeopts, 0u);
@@ -352,7 +356,8 @@ TEST(JitTierTest, RecordedTraceBytesMatchPlainWithJitHot) {
   // The acceptance property: with every hot chain and loop running as
   // machine code, BlockTrace::record must still serialize to exactly the
   // bytes of a trace built from the plain interpreter — the invariant
-  // that keeps the committed cache entries and fingerprints stable.
+  // that keeps the committed cache entries and fingerprints stable. The
+  // same record with TPDBT_TIER=plain flipped in-process must agree too.
   for (const char *Name : {"gzip", "swim", "mcf"}) {
     auto B = workloads::generateBenchmark(
         workloads::scaledSpec(*workloads::findSpec(Name), 0.01));
@@ -364,10 +369,16 @@ TEST(JitTierTest, RecordedTraceBytesMatchPlainWithJitHot) {
     I.run(M, ~0ull, [&](guest::BlockId Blk, const BlockResult &R) {
       Plain.append({Blk, branchCode(R), R.InstsExecuted});
     });
-    core::BlockTrace Recorded = core::BlockTrace::record(B.Ref);
-    EXPECT_EQ(Recorded.serializeSegmented(core::DefaultSegmentEvents),
-              Plain.serializeSegmented(core::DefaultSegmentEvents))
+    const std::string JitBytes =
+        core::BlockTrace::record(B.Ref).serializeSegmented(
+            core::DefaultSegmentEvents);
+    EXPECT_EQ(JitBytes, Plain.serializeSegmented(core::DefaultSegmentEvents))
         << Name;
+    ScopedEnv Tier("TPDBT_TIER", "plain");
+    EXPECT_EQ(core::BlockTrace::record(B.Ref).serializeSegmented(
+                  core::DefaultSegmentEvents),
+              JitBytes)
+        << Name << " (TPDBT_TIER=plain)";
   }
 }
 
@@ -375,14 +386,14 @@ TEST(JitTierTest, RandomizedDifferentialWithJitHot) {
   if (!HostTier::jitEnabled())
     GTEST_SKIP() << "jit tier unavailable";
   ScopedEnv Heat("TPDBT_JIT_HEAT", "1");
-  // Seeded budget sweep over generated benchmarks with the jit tier
-  // maximally eager: truncation lands mid-chain, mid-loop, and cold, and
-  // every run must match the plain interpreter event-for-event.
+  // Seeded budget sweep over every generated suite benchmark with the
+  // jit tier maximally eager: truncation lands mid-chain, mid-loop, and
+  // cold, and every run must match the plain interpreter event-for-event.
   Rng R(0x1e57a9);
   uint64_t JitBlocks = 0, JitIters = 0;
-  for (const char *Name : {"gzip", "mcf", "art"}) {
-    auto B = workloads::generateBenchmark(
-        workloads::scaledSpec(*workloads::findSpec(Name), 0.01));
+  for (const workloads::BenchSpec &Spec : workloads::spec2000Suite()) {
+    const char *Name = Spec.Name.c_str();
+    auto B = workloads::generateBenchmark(workloads::scaledSpec(Spec, 0.01));
     HostTierStats Full = expectTierMatchesPlain(B.Ref, ~0ull, Name);
     JitBlocks += Full.JitBlocks;
     JitIters += Full.JitLoopIters;
@@ -396,4 +407,28 @@ TEST(JitTierTest, RandomizedDifferentialWithJitHot) {
   }
   // Across the suite the jit tier must actually have carried load.
   EXPECT_GT(JitBlocks + JitIters, 0u);
+}
+
+TEST(TierKnobTest, EnvParse) {
+  // One ceiling, read on every call. Unset, empty, and unknown values
+  // all give the default (jit), matching the old "anything but 0".
+  const std::pair<const char *, HostTier::Tier> Cases[] = {
+      {nullptr, HostTier::Tier::Jit},
+      {"plain", HostTier::Tier::Plain},
+      {"predecoded", HostTier::Tier::Predecoded},
+      {"jit", HostTier::Tier::Jit},
+      {"", HostTier::Tier::Jit},
+      {"0", HostTier::Tier::Jit},
+      {"PLAIN", HostTier::Tier::Jit},
+      {"plainx", HostTier::Tier::Jit},
+  };
+  for (const auto &[Value, Want] : Cases) {
+    ScopedEnv E("TPDBT_TIER", Value);
+    const std::string Label = Value ? Value : "(unset)";
+    EXPECT_EQ(HostTier::tier(), Want) << Label;
+    EXPECT_EQ(HostTier::enabled(), Want != HostTier::Tier::Plain) << Label;
+    EXPECT_EQ(HostTier::jitEnabled(),
+              Want == HostTier::Tier::Jit && jit::CodeBuffer::supported())
+        << Label;
+  }
 }

@@ -178,7 +178,7 @@ TEST(HostTierTest, BlockLimitInsideSelfLoopMatchesPlain) {
 
 TEST(HostTierTest, RecordedTraceBytesMatchPlainPump) {
   // The recorded artifact itself: BlockTrace::record (which routes
-  // through the tier unless TPDBT_HOST_TRANS=0) must serialize to exactly
+  // through the tier unless TPDBT_TIER=plain) must serialize to exactly
   // the bytes of a trace built one event at a time from the plain
   // interpreter. This is the property that keeps the committed
   // tpdbt_cache entries and their fingerprints stable.
