@@ -152,9 +152,9 @@ BENCHMARK_CAPTURE(BM_RecordBenchmarkNoJit, mcf, "mcf")
     ->Unit(benchmark::kMillisecond);
 
 /// The full cold-record cache miss — interpret, then per-segment encode +
-/// compress + index parts behind the recording, assemble the TPDT v3
-/// container, write the .trace entry — through the segment pipeline at
-/// its default budget. On multi-core hosts the segment work overlaps with
+/// compress behind the recording, assemble the TPDT v3 container, write
+/// the .trace entry; no index — through the segment pipeline at its
+/// default budget. On multi-core hosts the segment work overlaps with
 /// recording, so this row should sit close to BM_RecordBenchmark/mcf.
 void BM_RecordStreamed(benchmark::State &State, const char *) {
   auto B = workloads::generateBenchmark(
@@ -228,8 +228,9 @@ void BM_ReplaySweepEventPump(benchmark::State &State) {
 BENCHMARK(BM_ReplaySweepEventPump)->Arg(1)->Arg(15)
     ->Unit(benchmark::kMillisecond);
 
-/// One-time cost of building the analytic index: paid once per trace
-/// load (a disk hit), amortized across every replay of that trace.
+/// One-time cost of building the analytic index — the only index build,
+/// paid once per trace (cold miss or disk hit alike) before its first
+/// threshold replay, amortized across every replay of that trace.
 void BM_BuildTraceIndex(benchmark::State &State) {
   auto B = workloads::generateBenchmark(
       workloads::scaledSpec(*workloads::findSpec("gzip"), 0.02));

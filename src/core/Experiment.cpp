@@ -244,9 +244,9 @@ void ExperimentContext::ensureProfiles(const std::string &Name,
   auto timedReplay = [&](const BlockTrace &Trace, const guest::Program &P,
                          const std::vector<uint64_t> &Thresholds) {
     // A threshold replay builds the trace's index on first use; when none
-    // is attached (every disk hit), force that build here under the index
-    // timer so ReplayMicros measures replay alone. An AVEP-only replay
-    // (the train input) needs no index.
+    // is attached (every trace, until its first threshold replay), force
+    // that build here under the index timer so ReplayMicros measures
+    // replay alone. An AVEP-only replay (the train input) needs no index.
     if (!Config.Dbt.Adaptive.Enabled && !Thresholds.empty() &&
         !Trace.sharedIndex()) {
       auto I0 = std::chrono::steady_clock::now();

@@ -61,15 +61,6 @@ const TraceIndex &BlockTrace::index() const {
   return *Index;
 }
 
-bool BlockTrace::adoptIndex(std::shared_ptr<const TraceIndex> Idx) const {
-  if (!Idx || !Idx->matches(*this))
-    return false;
-  std::lock_guard<std::mutex> Guard(IndexLock);
-  if (!Index)
-    Index = std::move(Idx);
-  return true;
-}
-
 std::shared_ptr<const TraceIndex> BlockTrace::sharedIndex() const {
   std::lock_guard<std::mutex> Guard(IndexLock);
   return Index;

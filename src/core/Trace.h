@@ -69,7 +69,7 @@ public:
   /// Segment-boundary callback for record(): invoked with the trace so
   /// far whenever the event count reaches the current boundary; returns
   /// the next boundary to watch for (core/TracePipeline.h hands finished
-  /// segments to its compressor/indexer stage from here). The callback
+  /// segments to its compressor stage from here). The callback
   /// must not retain references into the trace across calls — the event
   /// vector may reallocate as recording continues.
   using SegmentProgressFn = std::function<uint64_t(const BlockTrace &)>;
@@ -118,17 +118,12 @@ public:
   }
 
   /// The analytic replay index over this trace, built on first use (the
-  /// first threshold replay) and cached for the trace's lifetime.
-  /// Thread-safe.
+  /// first threshold replay) and cached for the trace's lifetime. This is
+  /// the only place an index is made: neither recording nor loading a
+  /// trace builds one. Thread-safe.
   const TraceIndex &index() const;
 
-  /// Installs a precomputed index (e.g. the one the record pipeline
-  /// stitches from its segment parts).
-  /// Rejected unless it matches this trace; returns whether it was
-  /// adopted (an already-built index also counts as adopted).
-  bool adoptIndex(std::shared_ptr<const TraceIndex> Idx) const;
-
-  /// The cached index, or null if none has been built or adopted yet.
+  /// The cached index, or null if none has been built yet.
   std::shared_ptr<const TraceIndex> sharedIndex() const;
 
   /// Appends one event (used by record() and tests).

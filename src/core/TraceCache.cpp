@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <system_error>
 
 using namespace tpdbt;
@@ -189,15 +190,20 @@ TraceCache::get(const std::string &Name, const std::string &Input,
   }
 
   Stats.Misses.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t SegmentBudget = segmentEventBudget();
   auto Start = std::chrono::steady_clock::now();
   vm::HostTierStats Tier;
-  TracePipeline Pipe(SegmentBudget, Program.numBlocks(),
-                     /*WantFile=*/!Dir.empty());
+  // Only the disk layer wants the container; without one the recording
+  // alone is the product, so no pipeline runs.
+  std::optional<TracePipeline> Pipe;
+  BlockTrace::SegmentProgressFn OnSegment;
+  uint64_t SegmentBudget = 0;
+  if (!Dir.empty()) {
+    SegmentBudget = segmentEventBudget();
+    Pipe.emplace(SegmentBudget, Program.numBlocks());
+    OnSegment = [&Pipe](const BlockTrace &T) { return Pipe->onProgress(T); };
+  }
   auto Recorded = std::make_shared<BlockTrace>(BlockTrace::record(
-      Program, MaxBlocks, &Tier,
-      [&](const BlockTrace &T) { return Pipe.onProgress(T); },
-      SegmentBudget));
+      Program, MaxBlocks, &Tier, OnSegment, SegmentBudget));
   auto End = std::chrono::steady_clock::now();
   Stats.RecordMicros.fetch_add(
       std::chrono::duration_cast<std::chrono::microseconds>(End - Start)
@@ -217,17 +223,14 @@ TraceCache::get(const std::string &Name, const std::string &Input,
   Stats.JitFlushes.fetch_add(Tier.JitFlushes, std::memory_order_relaxed);
   Stats.JitCompileMicros.fetch_add(Tier.JitCompileMicros,
                                    std::memory_order_relaxed);
-  // The pipeline already compressed and indexed every segment behind the
-  // recording; finish() drains the tail, assembles the v3 container, and
-  // stitches the index — no separate serialize, compress, or index build
-  // remains. The index stays in memory only.
-  TracePipeline::Result R = Pipe.finish(*Recorded);
-  Stats.StreamedRecords.fetch_add(1, std::memory_order_relaxed);
-  Stats.SegmentsPiped.fetch_add(R.Segments, std::memory_order_relaxed);
-  Stats.PipelineMicros.fetch_add(R.WorkMicros, std::memory_order_relaxed);
-  Stats.FlushMicros.fetch_add(R.FlushMicros, std::memory_order_relaxed);
-  Recorded->adoptIndex(R.Index);
-  if (!Dir.empty()) {
+  if (Pipe) {
+    // The pipeline already compressed every segment behind the recording;
+    // finish() drains the tail and assembles the v3 container.
+    TracePipeline::Result R = Pipe->finish(*Recorded);
+    Stats.StreamedRecords.fetch_add(1, std::memory_order_relaxed);
+    Stats.SegmentsPiped.fetch_add(R.Segments, std::memory_order_relaxed);
+    Stats.PipelineMicros.fetch_add(R.WorkMicros, std::memory_order_relaxed);
+    Stats.FlushMicros.fetch_add(R.FlushMicros, std::memory_order_relaxed);
     if (ensureDirectory(Dir))
       writeTextFileAtomic(Path, R.FileBytes);
     dropMemo(Key);

@@ -17,13 +17,15 @@
 ///    event stream and nothing that doesn't — so policy-only configuration
 ///    changes replay a warm trace instead of re-interpreting.
 ///
-/// Only the trace is persisted. A disk hit returns the parsed trace with
-/// no analytic replay index attached (core/TraceIndex.h); the first
-/// threshold replay builds it from the events, which is cheaper than
-/// reading, inflating, and parsing a stored copy. A replay that asks only
-/// for the profiling-only average (the train input) never builds one.
-/// Every miss records through the segment pipeline (core/TracePipeline.h),
-/// which writes the container and keeps the index it stitched in memory.
+/// Only the trace is persisted, and get() never builds an analytic replay
+/// index (core/TraceIndex.h): a miss and a disk hit alike return the bare
+/// trace, and the first threshold replay builds the index from the events,
+/// which is cheaper than reading, inflating, and parsing a stored copy. A
+/// replay that asks only for the profiling-only average (the train input)
+/// never builds one. A miss with the disk layer on records through the
+/// segment pipeline (core/TracePipeline.h), which compresses segments
+/// behind the recording and assembles the container; with the disk layer
+/// off, a miss is a plain recording.
 ///
 /// A corrupt, truncated, or retired-format (monolithic v1/v2) disk entry
 /// is counted and treated as a miss; the trace is then re-recorded and the
@@ -121,13 +123,14 @@ public:
     std::atomic<uint64_t> IndexBuilds{0};
     std::atomic<uint64_t> IndexMicros{0};
     /// Misses recorded through the streamed segment pipeline
-    /// (core/TracePipeline.h; every miss since it is the only record
-    /// path) and the segments they handed through the ring.
+    /// (core/TracePipeline.h) and the segments they handed through the
+    /// ring. Only disk-backed misses run the pipeline, so both stay 0
+    /// when the disk layer is off.
     std::atomic<uint64_t> StreamedRecords{0};
     std::atomic<uint64_t> SegmentsPiped{0};
     /// Consumer wall clock overlapped with recording (segment encode +
-    /// compress + index parts), vs. the non-overlapped tail: drain,
-    /// container assembly, and index stitch after recording ends.
+    /// compress), vs. the non-overlapped tail: drain and container
+    /// assembly after recording ends.
     std::atomic<uint64_t> PipelineMicros{0};
     std::atomic<uint64_t> FlushMicros{0};
     /// Host translation tier coverage of the recordings behind the
@@ -174,9 +177,9 @@ public:
 
   const Counters &stats() const { return Stats; }
 
-  /// Accounts one analytic-index build performed by a caller outside
-  /// get() (core/Experiment.cpp pre-builds indexes under their own timer
-  /// so replay wall clock excludes them).
+  /// Accounts one analytic-index build. get() builds none; callers do
+  /// (core/Experiment.cpp pre-builds indexes under their own timer so
+  /// replay wall clock excludes them).
   void noteIndexBuild(uint64_t Micros) {
     Stats.IndexBuilds.fetch_add(1, std::memory_order_relaxed);
     Stats.IndexMicros.fetch_add(Micros, std::memory_order_relaxed);

@@ -56,58 +56,6 @@ TraceIndex TraceIndex::build(const BlockTrace &Trace) {
   return Idx;
 }
 
-TraceIndex::SegmentPart TraceIndex::buildPart(const TraceEvent *Ev, size_t N,
-                                              size_t NumBlocks,
-                                              uint64_t BasePos) {
-  SegmentPart Part;
-  Part.SegBegin.assign(NumBlocks + 1, 0);
-  // Counting sort by block: one pass for per-block counts, exclusive
-  // prefix for the row offsets, one pass to scatter. Positions within a
-  // block row come out in stream order, which is what the stitched CSR
-  // rows need.
-  for (size_t I = 0; I < N; ++I)
-    ++Part.SegBegin[Ev[I].Block + 1];
-  for (size_t B = 0; B < NumBlocks; ++B)
-    Part.SegBegin[B + 1] += Part.SegBegin[B];
-  Part.Pos.resize(N);
-  Part.Taken.resize(N);
-  Part.Insts.resize(N);
-  std::vector<uint32_t> Cursor(Part.SegBegin.begin(), Part.SegBegin.end() - 1);
-  for (size_t I = 0; I < N; ++I) {
-    const uint32_t Slot = Cursor[Ev[I].Block]++;
-    Part.Pos[Slot] = static_cast<uint32_t>(BasePos + I);
-    Part.Taken[Slot] = Ev[I].Branch == 2 ? 1 : 0;
-    Part.Insts[Slot] = Ev[I].Insts;
-  }
-  return Part;
-}
-
-TraceIndex TraceIndex::stitch(const BlockTrace &Trace,
-                              const std::vector<SegmentPart> &Parts) {
-  TraceIndex Idx = shaped(Trace);
-  // Per-block rows: concatenate each part's block row in stream order
-  // (parts are ordered, and within a part a row is in stream order), and
-  // continue the prefix sums across segment boundaries. The parts carry
-  // the outcome/instruction payload, so this pass reads the parts
-  // sequentially instead of chasing positions through the event stream.
-  for (size_t B = 0; B < Idx.numBlocks(); ++B) {
-    const size_t Dst = Idx.BlockBegin[B];
-    const size_t Row = Idx.prefBegin(static_cast<guest::BlockId>(B));
-    size_t K = 0;
-    for (const SegmentPart &Part : Parts) {
-      const uint32_t From = Part.SegBegin[B], To = Part.SegBegin[B + 1];
-      for (uint32_t J = From; J < To; ++J, ++K) {
-        Idx.OccPos[Dst + K] = Part.Pos[J];
-        Idx.TakenPre[Row + K + 1] = Idx.TakenPre[Row + K] + Part.Taken[J];
-        Idx.InstsPre[Row + K + 1] = Idx.InstsPre[Row + K] + Part.Insts[J];
-      }
-    }
-    assert(K == Idx.occurrences(static_cast<guest::BlockId>(B)) &&
-           "segment parts disagree with final counts");
-  }
-  return Idx;
-}
-
 uint32_t TraceIndex::usesThrough(BlockId B, uint32_t Pos) const {
   const uint32_t *Begin = OccPos.data() + BlockBegin[B];
   const uint32_t *End = OccPos.data() + BlockBegin[B + 1];
@@ -155,11 +103,4 @@ uint32_t TraceIndex::firstOutcomeChange(BlockId B, uint32_t K,
       Hi = Mid;
   }
   return Lo - 1;
-}
-
-bool TraceIndex::matches(const BlockTrace &Trace) const {
-  return numBlocks() == Trace.numBlocks() &&
-         numEvents() == Trace.numEvents() &&
-         TotalInsts == Trace.totalInsts() &&
-         TakenEvents == Trace.takenEvents();
 }

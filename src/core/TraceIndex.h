@@ -26,9 +26,10 @@
 /// That is 16 bytes per event (a 4-byte position, a 4-byte taken prefix
 /// and an 8-byte instruction prefix) plus two words per block. The final
 /// counters the trace already carries size the CSR rows, so building the
-/// index is one scatter pass over the events; it is built at most once
-/// per trace (see BlockTrace::index()), only when a threshold replay
-/// needs it, and lives in memory only. It is never persisted: rebuilding
+/// index is one scatter pass over the events. build() is the only way an
+/// index is made, for a freshly recorded trace and a loaded one alike: at
+/// most once per trace (see BlockTrace::index()), only when a threshold
+/// replay needs it, and in memory only. It is never persisted: rebuilding
 /// it from a loaded trace is cheaper than reading, inflating, and parsing
 /// a stored copy, and it spares the cache a second on-disk format to
 /// validate.
@@ -48,7 +49,6 @@ namespace tpdbt {
 namespace core {
 
 class BlockTrace;
-struct TraceEvent;
 
 /// Immutable positional index over one BlockTrace (see file comment).
 /// Event positions are uint32_t; traces are capped well below 2^32 events
@@ -57,32 +57,6 @@ class TraceIndex {
 public:
   /// Builds the index for \p Trace in one scatter pass over its events.
   static TraceIndex build(const BlockTrace &Trace);
-
-  /// The per-segment index material the streamed pipeline builds while a
-  /// segment is still in flight: the segment's events grouped by block
-  /// (a segment-local CSR), with global positions and the per-occurrence
-  /// outcome/instruction payload needed to stitch the per-block prefix
-  /// rows without re-touching the event stream.
-  struct SegmentPart {
-    std::vector<uint32_t> SegBegin; ///< NumBlocks+1 CSR offsets
-    std::vector<uint32_t> Pos;      ///< global positions, grouped by block
-    std::vector<uint8_t> Taken;     ///< parallel taken-outcome bits
-    std::vector<uint32_t> Insts;    ///< parallel instruction counts
-  };
-
-  /// Indexes one segment: \p N events starting at global position
-  /// \p BasePos, over a program of \p NumBlocks blocks. Pure function of
-  /// the slice — safe to run concurrently with recording of later events.
-  static SegmentPart buildPart(const TraceEvent *Ev, size_t N,
-                               size_t NumBlocks, uint64_t BasePos);
-
-  /// Assembles the full index from per-segment parts (in stream order):
-  /// per-block rows are concatenations of the parts' block rows with the
-  /// prefix sums continued across segment boundaries. Reads only the
-  /// parts, never the event stream. Produces the same queries as build();
-  /// the pipeline's differential tests pin that.
-  static TraceIndex stitch(const BlockTrace &Trace,
-                           const std::vector<SegmentPart> &Parts);
 
   size_t numBlocks() const { return BlockBegin.size() - 1; }
   size_t numEvents() const { return OccPos.size(); }
@@ -135,13 +109,9 @@ public:
   uint32_t firstOutcomeChange(guest::BlockId B, uint32_t K,
                               bool Taken) const;
 
-  /// True when the index plausibly describes \p Trace (dimension and
-  /// total checks; guards BlockTrace::adoptIndex against a foreign index).
-  bool matches(const BlockTrace &Trace) const;
-
 private:
   /// An index with its CSR rows sized from \p Trace's final counters and
-  /// its arrays zeroed; build() and stitch() fill it.
+  /// its arrays zeroed; build() fills it.
   static TraceIndex shaped(const BlockTrace &Trace);
 
   /// Start of block \p B's prefix-sum row. Each row holds occurrences+1

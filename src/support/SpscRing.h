@@ -6,7 +6,7 @@
 ///
 /// \file
 /// A bounded lock-free single-producer / single-consumer ring buffer, the
-/// coupling between the trace recorder and the segment compressor/indexer
+/// coupling between the trace recorder and the segment compressor
 /// (core/TracePipeline.h). Modeled on the QEMU-to-simulator stream rings
 /// in qemu-vpmu's stream_impl/: one thread owns the tail (push side), one
 /// owns the head (pop side), and the only shared state is two atomic

@@ -3,7 +3,6 @@
 #include "core/TraceSegments.h"
 
 #include "core/TraceCache.h"
-#include "core/TraceIndex.h"
 #include "support/Compression.h"
 #include "support/Rng.h"
 #include "support/TextFile.h"
@@ -278,41 +277,6 @@ TEST(TraceSegmentsTest, RejectsVersion1And2Fixtures) {
   EXPECT_EQ(Error, "unsupported trace version");
 }
 
-TEST(TraceSegmentsTest, StitchedIndexMatchesMonolithicBuild) {
-  auto B = smallBench("gzip");
-  BlockTrace T = BlockTrace::record(B.Ref, 4000);
-  const TraceIndex Built = TraceIndex::build(T);
-
-  // Stitch from budget-sized parts, as the pipeline's consumer would.
-  const uint64_t Budget = 97;
-  std::vector<TraceIndex::SegmentPart> Parts;
-  for (size_t At = 0; At < T.numEvents();) {
-    const size_t N =
-        std::min<size_t>(Budget, T.numEvents() - At);
-    Parts.push_back(
-        TraceIndex::buildPart(&T.event(At), N, T.numBlocks(), At));
-    At += N;
-  }
-  const TraceIndex Stitched = TraceIndex::stitch(T, Parts);
-
-  ASSERT_EQ(Stitched.numEvents(), Built.numEvents());
-  ASSERT_EQ(Stitched.numBlocks(), Built.numBlocks());
-  EXPECT_EQ(Stitched.totalInsts(), Built.totalInsts());
-  EXPECT_TRUE(Stitched.matches(T));
-  for (size_t Bl = 0; Bl < T.numBlocks(); ++Bl) {
-    const auto Id = static_cast<guest::BlockId>(Bl);
-    ASSERT_EQ(Stitched.occurrences(Id), Built.occurrences(Id)) << Bl;
-    const uint32_t Cnt = Built.occurrences(Id);
-    for (uint32_t K = 0; K < Cnt; K = K * 2 + 1) {
-      EXPECT_EQ(Stitched.position(Id, K), Built.position(Id, K));
-      EXPECT_EQ(Stitched.takenOfFirst(Id, K + 1),
-                Built.takenOfFirst(Id, K + 1));
-      EXPECT_EQ(Stitched.instsOfFirst(Id, K + 1),
-                Built.instsOfFirst(Id, K + 1));
-    }
-  }
-}
-
 TEST(TraceSegmentsTest, StreamedCacheMatchesMonolithicEverywhere) {
   const std::string Dir = tempDir("stream_differential");
   std::filesystem::remove_all(Dir);
@@ -331,8 +295,8 @@ TEST(TraceSegmentsTest, StreamedCacheMatchesMonolithicEverywhere) {
     EXPECT_EQ(Cache.stats().StreamedRecords.load(), 1u);
     EXPECT_GT(Cache.stats().SegmentsPiped.load(), 1u);
     expectSameEvents(Direct, *T, "streamed record");
-    // The pipeline adopted its stitched index, and kept it in memory.
-    ASSERT_NE(T->sharedIndex(), nullptr);
+    // The pipeline builds no index: the miss comes back bare.
+    EXPECT_EQ(T->sharedIndex(), nullptr);
     EXPECT_FALSE(
         std::filesystem::exists(Cache.entryPath("mcf", "ref", 0x77) + ".idx"));
 
@@ -342,7 +306,7 @@ TEST(TraceSegmentsTest, StreamedCacheMatchesMonolithicEverywhere) {
     ASSERT_TRUE(OnDisk.has_value());
     EXPECT_EQ(*OnDisk, Direct.serializeSegmented(300));
 
-    // Analytic replay over the stitched index matches the event pump.
+    // Analytic replay over the lazily built index matches the event pump.
     dbt::DbtOptions Opts;
     const std::vector<uint64_t> Thresholds = {50, 500, 5000};
     expectSameSweep(replaySweep(*T, B.Ref, Thresholds, Opts),
@@ -369,6 +333,31 @@ TEST(TraceSegmentsTest, StreamedCacheMatchesMonolithicEverywhere) {
 
   unsetenv("TPDBT_SEGMENT_EVENTS");
   std::filesystem::remove_all(Dir);
+}
+
+TEST(TraceSegmentsTest, DisklessMissSkipsPipeline) {
+  // With no disk layer nothing wants the container, so a miss is a plain
+  // recording: no pipeline, no segments, no index.
+  auto B = smallBench("mcf");
+  const uint64_t MaxBlocks = 20000;
+  BlockTrace Direct = BlockTrace::record(B.Ref, MaxBlocks);
+
+  setenv("TPDBT_SEGMENT_EVENTS", "300", 1);
+  TraceCache Cache("");
+  auto T = Cache.get("mcf", "ref", 0x78, B.Ref, MaxBlocks);
+  unsetenv("TPDBT_SEGMENT_EVENTS");
+  ASSERT_NE(T, nullptr);
+  EXPECT_EQ(Cache.stats().Misses.load(), 1u);
+  EXPECT_EQ(Cache.stats().StreamedRecords.load(), 0u);
+  EXPECT_EQ(Cache.stats().SegmentsPiped.load(), 0u);
+  EXPECT_EQ(T->sharedIndex(), nullptr);
+  expectSameEvents(Direct, *T, "diskless record");
+
+  dbt::DbtOptions Opts;
+  const std::vector<uint64_t> Thresholds = {50, 500, 5000};
+  expectSameSweep(replaySweep(*T, B.Ref, Thresholds, Opts),
+                  replaySweepEvents(Direct, B.Ref, Thresholds, Opts),
+                  Thresholds.size(), "diskless analytic");
 }
 
 TEST(TraceSegmentsTest, StaleMonolithicEntryIsReRecorded) {
