@@ -75,8 +75,9 @@ void BM_InterpretBenchmark(benchmark::State &State) {
 }
 BENCHMARK(BM_InterpretBenchmark)->Unit(benchmark::kMillisecond);
 
-/// Cost of simulating N thresholds from one execution (items = block
-/// events, so the per-event policy overhead is directly visible).
+/// Cost of simulating N thresholds from one execution with runSweep:
+/// record the trace, then replay it analytically (index build included;
+/// items = block events).
 void BM_SweepPolicies(benchmark::State &State) {
   auto B = workloads::generateBenchmark(
       workloads::scaledSpec(*workloads::findSpec("gzip"), 0.02));
@@ -96,7 +97,8 @@ BENCHMARK(BM_SweepPolicies)->Arg(1)->Arg(4)->Arg(15)
     ->Unit(benchmark::kMillisecond);
 
 /// The unavoidable cold-path pass: interpret once while appending to a
-/// BlockTrace. runSweep's cost is this plus one BM_ReplaySweep. Measured
+/// BlockTrace. runSweep's cost is this (gzip) plus one BM_BuildTraceIndex
+/// and one BM_ReplaySweep: BM_SweepPolicies measures the sum. Measured
 /// per benchmark (self-loop density differs wildly: gzip stays in its
 /// loops for ~half of all events, swim for ~95%), so the host translation
 /// tier's coverage is visible in isolation — the BENCH_record.json
@@ -206,9 +208,10 @@ void BM_ReplaySweep(benchmark::State &State) {
 BENCHMARK(BM_ReplaySweep)->Arg(1)->Arg(4)->Arg(15)
     ->Unit(benchmark::kMillisecond);
 
-/// The retired event-pump replay (now the adaptive-mode path and the
-/// differential oracle): every trace event through every policy. The gap
-/// to BM_ReplaySweep is the analytic index's speedup.
+/// The plain reference pump (the adaptive-mode path and the differential
+/// oracle): every trace event through every policy, the threshold-0
+/// average included. The gap to BM_ReplaySweep is the analytic index's
+/// speedup.
 void BM_ReplaySweepEventPump(benchmark::State &State) {
   auto B = workloads::generateBenchmark(
       workloads::scaledSpec(*workloads::findSpec("gzip"), 0.02));

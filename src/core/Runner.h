@@ -6,12 +6,13 @@
 ///
 /// \file
 /// Runs one guest program once and derives the profiles for *every*
-/// retranslation threshold of a sweep simultaneously.
+/// retranslation threshold of a sweep from that one execution.
 ///
 /// Guest execution is deterministic and independent of translation
 /// decisions, so INIP(100), INIP(200), ..., INIP(4M) and AVEP can all be
-/// collected from a single interpreted pass by feeding each block event to
-/// one TranslationPolicy per threshold (see dbt/Policy.h). A property test
+/// derived from a single interpreted pass: runSweep records it as a
+/// block-event trace and replays the trace through one TranslationPolicy
+/// per threshold (see core/Trace.h and dbt/Policy.h). A property test
 /// asserts the result is identical to a dedicated DbtEngine run per
 /// threshold.
 ///
@@ -41,10 +42,9 @@ struct SweepResult {
 /// Runs \p P to completion (or \p MaxBlocks events) once and returns the
 /// INIP snapshot for every threshold in \p Thresholds plus the
 /// profiling-only snapshot. \p Base supplies pool/formation/cost settings;
-/// its Threshold field is ignored. Sweeps with at most one unique
-/// threshold fuse recording and replay into a single streaming pass;
-/// larger sweeps record a trace and evaluate every threshold from its
-/// index (see core/Trace.h).
+/// its Threshold field is ignored. Equivalent to
+/// replaySweep(BlockTrace::record(P, MaxBlocks), P, Thresholds, Base)
+/// (see core/Trace.h).
 SweepResult runSweep(const guest::Program &P,
                      const std::vector<uint64_t> &Thresholds,
                      const dbt::DbtOptions &Base, uint64_t MaxBlocks);

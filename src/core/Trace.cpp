@@ -507,8 +507,6 @@ SweepResult tpdbt::core::replaySweepEvents(
          "trace does not match the program");
   const uint64_t NumEvents = Trace.numEvents();
   const uint64_t TotalInsts = Trace.totalInsts();
-  const uint64_t TakenTotal = Trace.takenEvents();
-  const std::vector<profile::BlockCounters> &Final = Trace.finalCounts();
   cfg::Cfg G(P);
 
   std::vector<std::unique_ptr<dbt::TranslationPolicy>> Policies;
@@ -522,85 +520,23 @@ SweepResult tpdbt::core::replaySweepEvents(
   AvgOpts.Threshold = 0;
   dbt::TranslationPolicy AvgPolicy(P, G, AvgOpts);
 
-  // The stream is fixed, so its end-of-run shared counters arm per-policy
-  // settlement detection and serve directly as the final counters for
-  // finish().
-  for (auto &Policy : Policies)
-    Policy->beginOracle(Final);
-  AvgPolicy.beginOracle(Final);
-
-  std::vector<dbt::TranslationPolicy *> Active;
-  for (auto &Policy : Policies)
-    Active.push_back(Policy.get());
-  Active.push_back(&AvgPolicy);
-
-  // A settled policy's remaining events no longer change translation
-  // state. With nothing frozen every tail event is plain profiling and
-  // folds into one closed-form update; otherwise the policy moves to the
-  // walker list and receives the rest of the stream through the cheap
-  // settled path.
-  uint64_t PrefixInsts = 0, PrefixTaken = 0, Delivered = 0;
-  std::vector<dbt::TranslationPolicy *> Walkers;
-  auto retire = [&](dbt::TranslationPolicy *Policy) {
-    if (!Policy->anyFrozen()) {
-      Policy->fastForwardTail(NumEvents - Delivered,
-                              TakenTotal - PrefixTaken,
-                              TotalInsts - PrefixInsts);
-      return;
-    }
-    Walkers.push_back(Policy);
-  };
-
-  // Policies with no reachable trigger at all (profiling-only, or every
-  // final count below threshold) settle before the first event.
-  for (size_t I = 0; I < Active.size();) {
-    if (Active[I]->settled()) {
-      retire(Active[I]);
-      Active.erase(Active.begin() + I);
-    } else {
-      ++I;
-    }
-  }
-
   std::vector<profile::BlockCounters> Shared(P.numBlocks());
   for (uint64_t I = 0; I < NumEvents; ++I) {
-    if (Active.empty() && Walkers.empty())
-      break; // nobody left to feed; totals were folded at retirement
     const TraceEvent &E = Trace.event(I);
-    vm::BlockResult R = resultOf(E);
-    ++Delivered;
-
-    // Walkers first: a policy that settles at this event joins the list
-    // afterwards and starts walking at the next event.
-    for (dbt::TranslationPolicy *W : Walkers)
-      W->onBlockEventSettled(E.Block, R);
-    if (Active.empty())
-      continue; // shared counters no longer observed by anyone
-
+    const vm::BlockResult R = resultOf(E);
     profile::BlockCounters &Cnt = Shared[E.Block];
     ++Cnt.Use;
     if (R.IsCondBranch && R.Taken)
       ++Cnt.Taken;
-    PrefixInsts += E.Insts;
-    if (E.Branch == 2)
-      ++PrefixTaken;
-
-    for (size_t PI = 0; PI < Active.size();) {
-      Active[PI]->onBlockEvent(E.Block, R, Shared);
-      if (Active[PI]->settled()) {
-        retire(Active[PI]);
-        Active.erase(Active.begin() + PI);
-      } else {
-        ++PI;
-      }
-    }
+    for (auto &Policy : Policies)
+      Policy->onBlockEvent(E.Block, R, Shared);
+    AvgPolicy.onBlockEvent(E.Block, R, Shared);
   }
 
   SweepResult Out;
   for (auto &Policy : Policies)
-    Out.PerThreshold.push_back(
-        Policy->finish(Final, NumEvents, TotalInsts));
-  Out.Average = AvgPolicy.finish(Final, NumEvents, TotalInsts);
+    Out.PerThreshold.push_back(Policy->finish(Shared, NumEvents, TotalInsts));
+  Out.Average = AvgPolicy.finish(Shared, NumEvents, TotalInsts);
   return Out;
 }
 
@@ -624,19 +560,21 @@ SweepResult tpdbt::core::replaySweep(const BlockTrace &Trace,
     SlotOf[I] = J;
   }
 
+  cfg::Cfg G(P);
+  // The average is a closed form of the stream totals in either mode (a
+  // threshold-0 policy never freezes, so it never adapts): only threshold
+  // units need the index or the pump.
   SweepResult Shared;
+  Shared.Average =
+      dbt::profilingAverage(P, G, Base, Trace.finalCounts(),
+                            Trace.numEvents(), Trace.takenEvents(),
+                            Trace.totalInsts());
   if (Base.Adaptive.Enabled) {
     // Adaptive re-optimization thaws frozen blocks, so no static freeze
     // timeline exists: pump the events.
-    Shared = replaySweepEvents(Trace, P, Unique, Base);
+    Shared.PerThreshold =
+        replaySweepEvents(Trace, P, Unique, Base).PerThreshold;
   } else {
-    cfg::Cfg G(P);
-    // The average is a closed form of the stream totals: only threshold
-    // units need the index.
-    Shared.Average =
-        dbt::profilingAverage(P, G, Base, Trace.finalCounts(),
-                              Trace.numEvents(), Trace.takenEvents(),
-                              Trace.totalInsts());
     Shared.PerThreshold.resize(Unique.size());
     if (!Unique.empty()) {
       const TraceIndex &Idx = Trace.index();

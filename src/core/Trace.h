@@ -10,14 +10,15 @@
 ///
 /// This is the standard decoupling in DBT/profiling research: collect the
 /// trace once (expensive), then study arbitrarily many translator
-/// configurations against it (cheap). replaySweep() is the trace-driven
-/// twin of core::runSweep and produces byte-identical snapshots — a
-/// property test asserts that.
+/// configurations against it (cheap). replaySweep() derives snapshots
+/// byte-identical to one live dbt::DbtEngine run per threshold — tests
+/// assert that, and diff it against the plain event pump
+/// replaySweepEvents().
 ///
 /// On disk a trace is one TPDT v3 container (core/TraceSegments.h,
 /// docs/CACHE_FORMAT.md): a header with the stream totals, the final
-/// per-block use/taken counters (they arm policy retirement and the
-/// analytic index without an O(events) pre-pass), and a segment
+/// per-block use/taken counters (they size the analytic index and give
+/// the closed-form average without an O(events) pre-pass), and a segment
 /// directory, followed by one TPDZ-compressed frame per segment. Each
 /// frame holds two varints per event: the block id delta-encoded against
 /// the previous event's id (zigzag) with the branch outcome folded into
@@ -106,13 +107,13 @@ public:
   size_t numBlocks() const { return NumBlocks; }
   const TraceEvent &event(size_t I) const { return Events[I]; }
   uint64_t totalInsts() const { return TotalInsts; }
-  /// Number of events that are taken conditional branches (supports the
-  /// closed-form policy fast-forward in replaySweep).
+  /// Number of events that are taken conditional branches (an input of the
+  /// closed-form profiling-only snapshot, dbt::profilingAverage).
   uint64_t takenEvents() const { return TakenEvents; }
 
   /// Final per-block use/taken counters, maintained incrementally by
-  /// append(). These are the end-of-run shared counters every replay needs
-  /// up front (oracle arming, snapshot finals, index row sizes).
+  /// append(). These are the end-of-run shared counters the analytic replay
+  /// needs up front (snapshot finals, index row sizes).
   const std::vector<profile::BlockCounters> &finalCounts() const {
     return Final;
   }
@@ -192,9 +193,9 @@ private:
   mutable std::shared_ptr<const TraceIndex> Index;
 };
 
-/// Trace-driven twin of runSweep(): derives the snapshot for one policy
-/// per threshold (plus the profiling-only policy), byte-identical to a
-/// live sweep of the same execution.
+/// Derives the snapshot for one policy per threshold (plus the
+/// profiling-only policy), byte-identical to one live dbt::DbtEngine run
+/// per threshold over the same execution.
 ///
 /// Non-adaptive policies are evaluated *analytically* from the trace's
 /// TraceIndex: the freeze timeline is reconstructed from per-block
@@ -209,20 +210,23 @@ private:
 /// at any job count).
 ///
 /// The profiling-only Average is dbt::profilingAverage(), a closed form of
-/// the trace's final counters and stream totals, so the index is built
-/// (on first use, see BlockTrace::index()) only when \p Thresholds is
-/// non-empty: an AVEP-only replay never builds it.
+/// the trace's final counters and stream totals, in adaptive mode too (a
+/// threshold-0 policy never freezes, so it never adapts). The index is
+/// built (on first use, see BlockTrace::index()) only when \p Thresholds
+/// is non-empty and adaptive mode is off: an AVEP-only replay never
+/// builds it.
 ///
-/// Adaptive policies (frozen blocks can thaw, so no static freeze
-/// timeline exists) fall back to replaySweepEvents().
+/// Adaptive threshold policies (frozen blocks can thaw, so no static
+/// freeze timeline exists) fall back to replaySweepEvents().
 SweepResult replaySweep(const BlockTrace &Trace, const guest::Program &P,
                         const std::vector<uint64_t> &Thresholds,
                         const dbt::DbtOptions &Base, unsigned Jobs = 1);
 
-/// The event-pump replay: feeds every trace event through every policy,
-/// with oracle-based retirement of settled policies (see
-/// TranslationPolicy::beginOracle). Kept as the adaptive-mode path and as
-/// the differential-testing oracle for the analytic path above.
+/// The plain reference pump: bumps the shared counters for each trace
+/// event, then feeds the event to every policy — one per threshold and
+/// the threshold-0 policy for Average, all pumped alike. Kept as the
+/// adaptive-mode path and as the differential-testing oracle for the
+/// analytic path above, whose closed forms it shares none of.
 SweepResult replaySweepEvents(const BlockTrace &Trace,
                               const guest::Program &P,
                               const std::vector<uint64_t> &Thresholds,

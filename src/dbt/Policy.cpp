@@ -93,11 +93,9 @@ void TranslationPolicy::triggerOptimization(
       if (Frozen[B])
         continue;
       Frozen[B] = true;
-      ++FrozenBlocks;
       FrozenCounts[B] = effectiveCounts(B, Shared);
       InPool[B] = false;
       LastFrozen.push_back(B);
-      clearPending(B);
     }
   }
   Pool.clear();
@@ -123,7 +121,6 @@ void TranslationPolicy::invalidateRegion(
     if (!Frozen[Node.Orig])
       continue; // already re-profiling (duplicated into a dead region too)
     Frozen[Node.Orig] = false;
-    --FrozenBlocks;
     InPool[Node.Orig] = false;
     BaseCounts[Node.Orig] = Shared[Node.Orig];
   }
@@ -195,19 +192,12 @@ void TranslationPolicy::onBlockEvent(
       if (!InPool[Cur] && Use == T) {
         InPool[Cur] = true;
         Pool.push_back(Cur);
-        // A block that will never reach its registered-twice point fires
-        // no further trigger of its own once registered.
-        if (OracleArmed && OracleFinalUse[Cur] < 2 * T)
-          clearPending(Cur);
         if (Pool.size() >= Opts.PoolLimit)
           triggerOptimization(Shared);
       } else if (InPool[Cur] && Use == 2 * T) {
         // Registered twice: the block hit the threshold again while still
         // unoptimized.
         triggerOptimization(Shared);
-        // Whether or not the trigger froze Cur, this was its last trigger
-        // point (the check above is exact).
-        clearPending(Cur);
       }
     }
     return;
@@ -282,55 +272,6 @@ void TranslationPolicy::optimizedEvent(
   // Optimized block executed outside any region context.
   Account.Cycles += R.InstsExecuted * C.OptOffTracePerInst;
   Account.OffTraceInsts += R.InstsExecuted;
-}
-
-void TranslationPolicy::beginOracle(
-    const std::vector<profile::BlockCounters> &FinalShared) {
-  // Adaptive retranslation can thaw frozen blocks and reset their
-  // baselines, so no settlement point exists.
-  if (Opts.Adaptive.Enabled)
-    return;
-  assert(Rounds == 0 && Pool.empty() && FrozenBlocks == 0 &&
-         "beginOracle must precede the first event");
-  const size_t N = P.numBlocks();
-  OracleArmed = true;
-  OraclePending.assign(N, false);
-  OracleFinalUse.resize(N);
-  PendingBlocks = 0;
-  for (size_t B = 0; B < N; ++B) {
-    OracleFinalUse[B] = FinalShared[B].Use;
-    // A block is trigger-capable while it can still reach its pool
-    // registration point; whether it can also reach 2T is resolved when
-    // the registration happens.
-    if (Opts.Threshold > 0 && FinalShared[B].Use >= Opts.Threshold) {
-      OraclePending[B] = true;
-      ++PendingBlocks;
-    }
-  }
-}
-
-void TranslationPolicy::onBlockEventSettled(BlockId Cur,
-                                            const vm::BlockResult &R) {
-  assert(settled() && "settled event path on an unsettled policy");
-  if (!Frozen[Cur]) {
-    // Profiling-phase execution with the pool/threshold logic proven
-    // unreachable: pure accounting.
-    ++ProfilingOps;
-    if (R.IsCondBranch && R.Taken)
-      ++ProfilingOps;
-    Account.Cycles +=
-        R.InstsExecuted * Opts.Cost.ColdPerInst + Opts.Cost.ProfilePerBlock;
-    Account.ColdInsts += R.InstsExecuted;
-    return;
-  }
-  optimizedEvent(Cur, R, nullptr);
-}
-
-void TranslationPolicy::fastForwardTail(uint64_t Events, uint64_t TakenEvents,
-                                        uint64_t Insts) {
-  assert(settled() && !anyFrozen() &&
-         "closed-form tail requires a settled, all-profiling policy");
-  analyticAddProfiling(Events, TakenEvents, Insts);
 }
 
 profile::ProfileSnapshot TranslationPolicy::finish(

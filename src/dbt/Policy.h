@@ -97,43 +97,6 @@ public:
   finish(const std::vector<profile::BlockCounters> &SharedFinal,
          uint64_t BlockEvents, uint64_t InstsExecuted) const;
 
-  /// \name Oracle-based retirement (trace replay only)
-  /// During replay the final per-block counts are known up front, so the
-  /// policy can detect the moment after which no future event can change
-  /// translation state: no unfrozen block will reach its pool-registration
-  /// point (count T) or its registered-twice trigger (count 2T) in the
-  /// remainder of the stream. A *settled* policy leaves the per-event
-  /// dispatch set and consumes the stream tail through the cheap
-  /// onBlockEventSettled() path — or, if it froze nothing at all, through
-  /// one closed-form fastForwardTail() call. Requires adaptive
-  /// re-optimization to be off (frozen blocks can otherwise thaw);
-  /// beginOracle() is a no-op when it is on.
-  /// @{
-
-  /// Arms settlement tracking. Must be called before the first event, with
-  /// the end-of-run shared counters of the stream about to be replayed.
-  void beginOracle(const std::vector<profile::BlockCounters> &FinalShared);
-
-  /// True once no future event can change which blocks are frozen, pooled,
-  /// or optimized. Monotonic while the oracle is armed.
-  bool settled() const { return OracleArmed && PendingBlocks == 0; }
-
-  /// True if at least one block is currently frozen (optimized).
-  bool anyFrozen() const { return FrozenBlocks > 0; }
-
-  /// Cheap per-event path for a settled policy: profiling/optimized cycle
-  /// accounting and the region-context walk, with no shared-counter reads
-  /// and no pool or threshold logic.
-  void onBlockEventSettled(guest::BlockId B, const vm::BlockResult &R);
-
-  /// Closed-form accounting for a stream tail of \p Events block events
-  /// (\p TakenEvents of them taken conditional branches, \p Insts guest
-  /// instructions total). Valid only for a settled policy with no frozen
-  /// blocks: every tail event is then a plain profiling-phase execution.
-  void fastForwardTail(uint64_t Events, uint64_t TakenEvents, uint64_t Insts);
-
-  /// @}
-
   /// \name Analytic (indexed) evaluation
   /// The indexed replay path (core/TraceIndex.h) reconstructs the freeze
   /// timeline arithmetically — block b's pool registration is its T-th
@@ -321,17 +284,9 @@ private:
 
   /// Accounting and region-context walk for an event on a frozen block.
   /// \p Shared is only needed for adaptive retranslation judgements and
-  /// may be null when adaptive mode is off (the settled path).
+  /// may be null when adaptive mode is off (the analytic path).
   void optimizedEvent(guest::BlockId B, const vm::BlockResult &R,
                       const std::vector<profile::BlockCounters> *Shared);
-
-  /// Drops \p B from the settlement pending set if it is in it.
-  void clearPending(guest::BlockId B) {
-    if (OracleArmed && OraclePending[B]) {
-      OraclePending[B] = false;
-      --PendingBlocks;
-    }
-  }
 
   /// The policy's view of a block's counters: the shared counts minus the
   /// block's baseline (reset when adaptive retranslation sends the block
@@ -360,14 +315,6 @@ private:
   std::vector<region::Region> Regions;
   std::vector<RegionRuntime> Runtime;
   std::vector<int32_t> RegionEntryOf;
-  /// Settlement state (see beginOracle). OraclePending[B] is true while a
-  /// future event of B can still push it into the pool or fire a trigger;
-  /// PendingBlocks counts the true bits.
-  std::vector<bool> OraclePending;
-  std::vector<uint64_t> OracleFinalUse;
-  uint64_t PendingBlocks = 0;
-  size_t FrozenBlocks = 0;
-  bool OracleArmed = false;
   uint64_t ProfilingOps = 0;
   uint64_t Retranslations = 0;
   size_t Rounds = 0;

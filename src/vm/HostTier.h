@@ -58,9 +58,8 @@
 /// The tier holds mutable per-run state (heat, successor history,
 /// superblocks, the code cache), so unlike Interpreter one HostTier
 /// serves one run. TPDBT_TIER=plain disables the whole tier; every pump
-/// site (BlockTrace::record, runSweep's fused pass, DbtEngine) then uses
-/// plain Interpreter::run — the A/B switch for debugging and
-/// benchmarking.
+/// site (BlockTrace::record, DbtEngine) then uses plain
+/// Interpreter::run — the A/B switch for debugging and benchmarking.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -3,6 +3,7 @@
 #include "core/Trace.h"
 
 #include "core/TraceSegments.h"
+#include "dbt/DbtEngine.h"
 #include "guest/ProgramBuilder.h"
 #include "support/Rng.h"
 #include "workloads/BenchSpec.h"
@@ -20,6 +21,13 @@ namespace {
 workloads::GeneratedBenchmark smallBench(const char *Name) {
   return workloads::generateBenchmark(
       workloads::scaledSpec(*workloads::findSpec(Name), 0.01));
+}
+
+/// One live interpreted run of \p P under \p Base at threshold \p T.
+profile::ProfileSnapshot liveRun(const guest::Program &P, uint64_t T,
+                                 dbt::DbtOptions Base) {
+  Base.Threshold = T;
+  return dbt::DbtEngine(P, Base).run(~0ull);
 }
 
 /// Asserts that the indexed analytic sweep and the event-pump oracle
@@ -183,12 +191,15 @@ TEST(TraceTest, ParseRejectsCorruption) {
 
 TEST(TraceTest, ReplayMatchesLiveSweepExactly) {
   // The headline property: trace-driven replay produces byte-identical
-  // snapshots to the live interpreted sweep.
+  // snapshots to one live interpreted DbtEngine run per threshold (and a
+  // threshold-0 run for the average).
   for (const char *Name : {"gzip", "swim"}) {
     auto B = smallBench(Name);
     std::vector<uint64_t> Thresholds = {1, 100, 2000};
-    SweepResult Live = runSweep(B.Ref, Thresholds, dbt::DbtOptions(),
-                                ~0ull);
+    SweepResult Live;
+    for (uint64_t T : Thresholds)
+      Live.PerThreshold.push_back(liveRun(B.Ref, T, dbt::DbtOptions()));
+    Live.Average = liveRun(B.Ref, 0, dbt::DbtOptions());
     BlockTrace T = BlockTrace::record(B.Ref);
     SweepResult Replayed =
         replaySweep(T, B.Ref, Thresholds, dbt::DbtOptions());
@@ -290,6 +301,36 @@ TEST(TraceTest, AdaptiveSweepFallsBackToEventPump) {
         << "T=" << Thresholds[I];
   EXPECT_EQ(profile::printSnapshot(Replayed.Average),
             profile::printSnapshot(Pumped.Average));
+}
+
+TEST(TraceTest, AdaptiveReplayMatchesLiveEngine) {
+  // The adaptive production path (replaySweep pumps the thresholds and
+  // takes the average in closed form) against one live adaptive engine
+  // per threshold, on programs whose regions really thaw.
+  dbt::DbtOptions Opts;
+  Opts.Adaptive.Enabled = true;
+  Opts.Adaptive.MinEntries = 32;
+  const std::vector<uint64_t> Thresholds = {50, 500, 5000};
+  uint64_t Retranslations = 0;
+  for (const char *Name : {"gzip", "gcc", "mcf"}) {
+    auto B = smallBench(Name);
+    SweepResult Replayed =
+        replaySweep(BlockTrace::record(B.Ref), B.Ref, Thresholds, Opts);
+    ASSERT_EQ(Replayed.PerThreshold.size(), Thresholds.size()) << Name;
+    for (size_t I = 0; I < Thresholds.size(); ++I) {
+      dbt::DbtOptions LiveOpts = Opts;
+      LiveOpts.Threshold = Thresholds[I];
+      dbt::DbtEngine Live(B.Ref, LiveOpts);
+      EXPECT_EQ(profile::printSnapshot(Replayed.PerThreshold[I]),
+                profile::printSnapshot(Live.run(~0ull)))
+          << Name << " T=" << Thresholds[I];
+      Retranslations += Live.retranslations();
+    }
+    EXPECT_EQ(profile::printSnapshot(Replayed.Average),
+              profile::printSnapshot(liveRun(B.Ref, 0, Opts)))
+        << Name;
+  }
+  EXPECT_GT(Retranslations, 0u) << "no region thawed: adaptive path untested";
 }
 
 TEST(TraceTest, DuplicateThresholdsShareOneEvaluation) {
