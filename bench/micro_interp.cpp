@@ -12,6 +12,7 @@
 #include "core/TraceCache.h"
 #include "core/TraceIndex.h"
 #include "guest/ProgramBuilder.h"
+#include "support/TextFile.h"
 #include "vm/Interpreter.h"
 #include "workloads/BenchSpec.h"
 #include "workloads/Generator.h"
@@ -182,6 +183,60 @@ void BM_RecordStreamed(benchmark::State &State, const char *) {
 }
 BENCHMARK_CAPTURE(BM_RecordStreamed, mcf, "mcf")
     ->Unit(benchmark::kMillisecond);
+
+/// A warm mcf train entry (scale 0.02, 64Ki-event segments) in a fresh
+/// temp dir, for the two train-lookup rows below.
+struct WarmTrainEntry {
+  workloads::GeneratedBenchmark B = workloads::generateBenchmark(
+      workloads::scaledSpec(*workloads::findSpec("mcf"), 0.02));
+  std::string Dir = (std::filesystem::temp_directory_path() /
+                     ("tpdbt_bench_train_" + std::to_string(getpid())))
+                        .string();
+  WarmTrainEntry() {
+    std::filesystem::remove_all(Dir);
+    setenv("TPDBT_SEGMENT_EVENTS", "65536", 1);
+    core::TraceCache(Dir).get("mcf", "train", 1, B.Train, ~0ull);
+    unsetenv("TPDBT_SEGMENT_EVENTS");
+  }
+  ~WarmTrainEntry() { std::filesystem::remove_all(Dir); }
+};
+
+/// What a warm train lookup cost before it streamed: read the whole
+/// entry, then BlockTrace::parse() it into a full event vector.
+void BM_TraceParse(benchmark::State &State) {
+  WarmTrainEntry W;
+  const std::string Path =
+      core::TraceCache(W.Dir).entryPath("mcf", "train", 1);
+  uint64_t Events = 0;
+  for (auto _ : State) {
+    auto Bytes = readTextFile(Path);
+    core::BlockTrace T;
+    if (!Bytes || !core::BlockTrace::parse(*Bytes, T, nullptr))
+      State.SkipWithError("train entry does not parse");
+    Events += T.numEvents();
+    benchmark::DoNotOptimize(T.totalInsts());
+  }
+  State.SetItemsProcessed(static_cast<int64_t>(Events));
+}
+BENCHMARK(BM_TraceParse)->Unit(benchmark::kMillisecond);
+
+/// The same entry through TraceCache::totals(): every segment streamed
+/// through one buffer and checked, no event vector kept. Same checks as
+/// BM_TraceParse, at O(segment) memory.
+void BM_TraceTotalsStreamed(benchmark::State &State) {
+  WarmTrainEntry W;
+  uint64_t Events = 0;
+  for (auto _ : State) {
+    core::TraceCache Cache(W.Dir);
+    core::TraceTotals T = Cache.totals("mcf", "train", 1, W.B.Train, ~0ull);
+    if (Cache.stats().DiskHits.load() != 1)
+      State.SkipWithError("train entry is not a verified disk hit");
+    Events += T.NumEvents;
+    benchmark::DoNotOptimize(T.TotalInsts);
+  }
+  State.SetItemsProcessed(static_cast<int64_t>(Events));
+}
+BENCHMARK(BM_TraceTotalsStreamed)->Unit(benchmark::kMillisecond);
 
 /// The trace-cache hit path: drive N thresholds from an indexed trace
 /// with no interpretation at all. Compare against BM_SweepPolicies at the

@@ -107,6 +107,24 @@ uint64_t ExperimentConfig::fingerprint() const {
   return combineSeeds(executionFingerprint(), policyFingerprint());
 }
 
+namespace {
+
+/// INIP(train): the profiling-only average of the training input, a
+/// closed form of its stream totals \p T.
+profile::ProfileSnapshot trainAverage(const std::string &Name,
+                                      const GeneratedBenchmark &B,
+                                      const dbt::DbtOptions &Dbt,
+                                      const TraceTotals &T) {
+  profile::ProfileSnapshot S =
+      dbt::profilingAverage(B.Train, cfg::Cfg(B.Train), Dbt, T.Final,
+                            T.NumEvents, T.TakenEvents, T.TotalInsts);
+  S.Benchmark = Name;
+  S.Input = "train";
+  return S;
+}
+
+} // namespace
+
 ExperimentContext::ExperimentContext(ExperimentConfig Config)
     : Config(std::move(Config)),
       Traces(std::make_shared<TraceCache>(this->Config.CacheDir)) {}
@@ -241,50 +259,47 @@ void ExperimentContext::ensureProfiles(const std::string &Name,
       MaxBlocks);
   auto Start = std::chrono::steady_clock::now();
 
-  auto timedReplay = [&](const BlockTrace &Trace, const guest::Program &P,
-                         const std::vector<uint64_t> &Thresholds) {
-    // A threshold replay builds the trace's index on first use; when none
-    // is attached (every trace, until its first threshold replay), force
-    // that build here under the index timer so ReplayMicros measures
-    // replay alone. An AVEP-only replay (the train input) needs no index.
-    if (!Config.Dbt.Adaptive.Enabled && !Thresholds.empty() &&
-        !Trace.sharedIndex()) {
+  {
+    std::shared_ptr<const BlockTrace> RefTrace =
+        Traces->get(Name, "ref", ExecFp, B.Ref, MaxBlocks);
+    // replaySweep builds the trace's index on its first threshold replay;
+    // when none is attached (every trace, until then), force that build
+    // here under the index timer so ReplayMicros measures replay alone.
+    if (!Config.Dbt.Adaptive.Enabled && !Config.Thresholds.empty() &&
+        !RefTrace->sharedIndex()) {
       auto I0 = std::chrono::steady_clock::now();
-      Trace.index();
+      RefTrace->index();
       auto I1 = std::chrono::steady_clock::now();
       Traces->noteIndexBuild(
           std::chrono::duration_cast<std::chrono::microseconds>(I1 - I0)
               .count());
     }
     auto T0 = std::chrono::steady_clock::now();
-    SweepResult R = replaySweep(Trace, P, Thresholds, Config.Dbt, ReplayJobs);
+    SweepResult RefSweep =
+        replaySweep(*RefTrace, B.Ref, Config.Thresholds, Config.Dbt,
+                    ReplayJobs);
     auto T1 = std::chrono::steady_clock::now();
     Stats.ReplayMicros.fetch_add(
         std::chrono::duration_cast<std::chrono::microseconds>(T1 - T0)
             .count(),
         std::memory_order_relaxed);
-    return R;
-  };
+    for (size_t I = 0; I < Config.Thresholds.size(); ++I) {
+      profile::ProfileSnapshot &S = RefSweep.PerThreshold[I];
+      S.Benchmark = Name;
+      S.Input = "ref";
+      D.Inips[Config.Thresholds[I]] = std::move(S);
+    }
+    RefSweep.Average.Benchmark = Name;
+    RefSweep.Average.Input = "ref";
+    D.Avep = std::move(RefSweep.Average);
+  } // the ref trace (events and index) is released before the train lookup
 
-  std::shared_ptr<const BlockTrace> RefTrace =
-      Traces->get(Name, "ref", ExecFp, B.Ref, MaxBlocks);
-  SweepResult RefSweep = timedReplay(*RefTrace, B.Ref, Config.Thresholds);
-  for (size_t I = 0; I < Config.Thresholds.size(); ++I) {
-    profile::ProfileSnapshot &S = RefSweep.PerThreshold[I];
-    S.Benchmark = Name;
-    S.Input = "ref";
-    D.Inips[Config.Thresholds[I]] = std::move(S);
-  }
-  RefSweep.Average.Benchmark = Name;
-  RefSweep.Average.Input = "ref";
-  D.Avep = std::move(RefSweep.Average);
-
-  std::shared_ptr<const BlockTrace> TrainTrace =
-      Traces->get(Name, "train", ExecFp, B.Train, MaxBlocks);
-  SweepResult TrainSweep = timedReplay(*TrainTrace, B.Train, {});
-  TrainSweep.Average.Benchmark = Name;
-  TrainSweep.Average.Input = "train";
-  D.Train = std::move(TrainSweep.Average);
+  // Training input: only the profiling-only average is needed, in either
+  // mode. A warm entry is verified segment by segment and never held as a
+  // trace.
+  D.Train = trainAverage(
+      Name, B, Config.Dbt,
+      Traces->totals(Name, "train", ExecFp, B.Train, MaxBlocks));
 
   auto End = std::chrono::steady_clock::now();
   uint64_t TotalMicros =
@@ -361,27 +376,22 @@ void ExperimentContext::ensureEstimates(const std::string &Name,
   D.Sampled->Replicates = std::move(Sweep.Replicates);
   D.Sampled->Stats = Sweep.Stats;
 
-  // Training input: only the profiling-only average is needed, and it is
-  // exact from stream totals — a warm v3 entry answers it from the header
-  // alone, decoding nothing.
+  // Training input: only the profiling-only average is needed, exact from
+  // stream totals. Here, and only here, a warm v3 entry answers from its
+  // header's counter table without decoding a segment: the table passed
+  // parseSegmentedHeader()'s sum checks but not the event fold, and
+  // verifying it (TraceCache::totals) would decode the whole train trace
+  // again for every sample seed. A cold entry records through totals().
   {
-    const cfg::Cfg TrainGraph(B.Train);
     SegmentedTraceReader Reader;
     if (Traces->openSegmented(Name, "train", ExecFp, Reader, nullptr)) {
-      const SegmentedTraceHeader &H = Reader.header();
-      D.Train = dbt::profilingAverage(B.Train, TrainGraph, Config.Dbt,
-                                      H.Final, H.NumEvents, H.takenEvents(),
-                                      H.TotalInsts);
+      D.Train = trainAverage(Name, B, Config.Dbt, Reader.header().totals());
       Traces->noteSampleReplay(0, Reader.numSegments());
     } else {
-      std::shared_ptr<const BlockTrace> Trace =
-          Traces->get(Name, "train", ExecFp, B.Train, MaxBlocks);
-      D.Train = dbt::profilingAverage(
-          B.Train, TrainGraph, Config.Dbt, Trace->finalCounts(),
-          Trace->numEvents(), Trace->takenEvents(), Trace->totalInsts());
+      D.Train = trainAverage(
+          Name, B, Config.Dbt,
+          Traces->totals(Name, "train", ExecFp, B.Train, MaxBlocks));
     }
-    D.Train.Benchmark = Name;
-    D.Train.Input = "train";
   }
 
   auto End = std::chrono::steady_clock::now();

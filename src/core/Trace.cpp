@@ -180,23 +180,23 @@ bool BlockTrace::parse(const std::string &Bytes, BlockTrace &Out,
   for (size_t I = 0; I < H.Directory.size(); ++I) {
     const SegmentedTraceHeader::Entry &Ent = H.Directory[I];
     // Decode straight onto the trace's own event vector, then fold the
-    // fresh segment into the running counters.
+    // fresh segment into the counter table.
     const size_t From = T.Events.size();
     if (!decodeSegment(H, I,
                        Bytes.substr(static_cast<size_t>(Ent.PayloadOffset),
                                     static_cast<size_t>(Ent.PayloadBytes)),
                        T.Events, Error))
       return false;
-    for (size_t J = From; J < T.Events.size(); ++J)
-      T.countEvent(T.Events[J]);
+    foldCounterTable(T.Events.data() + From, T.Events.size() - From,
+                     T.Final);
   }
-  for (uint64_t B = 0; B < H.NumBlocks; ++B)
-    if (T.Final[B].Use != H.Final[B].Use ||
-        T.Final[B].Taken != H.Final[B].Taken) {
-      if (Error)
-        *Error = "trace counter table disagrees with events";
-      return false;
-    }
+  if (!checkCounterTable(H, T.Final, Error))
+    return false;
+  // decodeSegment() matched every segment's sums to the directory, whose
+  // first bases are zero and whose last segment ends on the header
+  // totals: the decoded stream's totals are the header's.
+  T.TotalInsts = H.TotalInsts;
+  T.TakenEvents = H.takenEvents();
   Out = std::move(T);
   return true;
 }

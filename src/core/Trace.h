@@ -58,6 +58,16 @@ struct TraceEvent {
   uint32_t Insts = 0;
 };
 
+/// What the profiling-only average (dbt::profilingAverage) reads of a
+/// recorded execution: the final per-block counters and the stream
+/// totals. TraceCache::totals() answers it without holding the events.
+struct TraceTotals {
+  std::vector<profile::BlockCounters> Final;
+  uint64_t NumEvents = 0;
+  uint64_t TakenEvents = 0;
+  uint64_t TotalInsts = 0;
+};
+
 /// A recorded execution.
 class BlockTrace {
 public:
@@ -96,10 +106,12 @@ public:
   std::string serializeSegmented(uint64_t Budget) const;
   /// Parses a TPDT v3 container; the result is event-identical to the
   /// serialized trace at any budget. Each segment is inflated and decoded
-  /// straight onto the trace's event vector and folded into its counters
-  /// in one pass; the segment sums and the header's counter table are
-  /// checked against the decoded events. Any other version — the retired
-  /// monolithic v1/v2 included — fails as unsupported.
+  /// straight onto the trace's event vector and folded into a counter
+  /// table in one pass; the segment sums and the header's counter table
+  /// are checked against the decoded events (the table check is
+  /// core/TraceSegments.h checkCounterTable(), which the event-free
+  /// SegmentedTraceReader::verifyAll() shares). Any other version — the
+  /// retired monolithic v1/v2 included — fails as unsupported.
   static bool parse(const std::string &Bytes, BlockTrace &Out,
                     std::string *Error);
 
@@ -116,6 +128,10 @@ public:
   /// needs up front (snapshot finals, index row sizes).
   const std::vector<profile::BlockCounters> &finalCounts() const {
     return Final;
+  }
+  /// The final counters and stream totals, copied out.
+  TraceTotals totals() const {
+    return {Final, numEvents(), TakenEvents, TotalInsts};
   }
 
   /// The analytic replay index over this trace, built on first use (the

@@ -160,20 +160,21 @@ TraceCache::loadDisk(const std::string &Path, const guest::Program &Program) {
   return Trace;
 }
 
+TraceCache::Slot &TraceCache::slot(const std::string &Key) {
+  std::lock_guard<std::mutex> Guard(SlotsLock);
+  return Slots[Key];
+}
+
 std::shared_ptr<const BlockTrace>
 TraceCache::get(const std::string &Name, const std::string &Input,
                 uint64_t ExecFp, const guest::Program &Program,
                 uint64_t MaxBlocks) {
   const std::string Key = slotKey(Name, Input, ExecFp);
-  Slot *S;
-  {
-    std::lock_guard<std::mutex> Guard(SlotsLock);
-    S = &Slots[Key];
-  }
+  Slot &S = slot(Key);
   // Per-slot lock: lookups of different inputs record concurrently, while
   // racing lookups of the same input serialize and share one recording.
-  std::lock_guard<std::mutex> Guard(S->Lock);
-  if (auto Held = S->Trace.lock()) {
+  std::lock_guard<std::mutex> Guard(S.Lock);
+  if (auto Held = S.Trace.lock()) {
     Stats.MemoryHits.fetch_add(1, std::memory_order_relaxed);
     return Held;
   }
@@ -184,11 +185,51 @@ TraceCache::get(const std::string &Name, const std::string &Input,
     if (auto FromDisk = loadDisk(Path, Program)) {
       Stats.DiskHits.fetch_add(1, std::memory_order_relaxed);
       touchEntry(Path); // refresh LRU recency for the bounded store
-      S->Trace = FromDisk;
+      S.Trace = FromDisk;
       return FromDisk;
     }
   }
+  return recordMiss(S, Key, Path, Program, MaxBlocks);
+}
 
+TraceTotals TraceCache::totals(const std::string &Name,
+                               const std::string &Input, uint64_t ExecFp,
+                               const guest::Program &Program,
+                               uint64_t MaxBlocks) {
+  const std::string Key = slotKey(Name, Input, ExecFp);
+  Slot &S = slot(Key);
+  std::lock_guard<std::mutex> Guard(S.Lock);
+  if (auto Held = S.Trace.lock()) {
+    Stats.MemoryHits.fetch_add(1, std::memory_order_relaxed);
+    return Held->totals();
+  }
+
+  std::string Path;
+  if (!Dir.empty()) {
+    Path = entryPath(Name, Input, ExecFp);
+    std::error_code Ec;
+    if (std::filesystem::exists(Path, Ec)) {
+      // The same checks loadDisk() applies, streamed: every segment is
+      // decoded and sum-checked, and the folded table must equal the
+      // header's, before the header's totals are trusted.
+      SegmentedTraceReader Reader;
+      if (SegmentedTraceReader::open(Path, Reader, nullptr) &&
+          Reader.header().NumBlocks == Program.numBlocks() &&
+          Reader.verifyAll(nullptr)) {
+        Stats.DiskHits.fetch_add(1, std::memory_order_relaxed);
+        touchEntry(Path);
+        return Reader.header().totals();
+      }
+      Stats.CorruptEntries.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  return recordMiss(S, Key, Path, Program, MaxBlocks)->totals();
+}
+
+std::shared_ptr<const BlockTrace>
+TraceCache::recordMiss(Slot &S, const std::string &Key,
+                       const std::string &Path, const guest::Program &Program,
+                       uint64_t MaxBlocks) {
   Stats.Misses.fetch_add(1, std::memory_order_relaxed);
   auto Start = std::chrono::steady_clock::now();
   vm::HostTierStats Tier;
@@ -236,6 +277,6 @@ TraceCache::get(const std::string &Name, const std::string &Input,
     dropMemo(Key);
     enforceBudget();
   }
-  S->Trace = Recorded;
+  S.Trace = Recorded;
   return Recorded;
 }

@@ -20,12 +20,14 @@
 /// Only the trace is persisted, and get() never builds an analytic replay
 /// index (core/TraceIndex.h): a miss and a disk hit alike return the bare
 /// trace, and the first threshold replay builds the index from the events,
-/// which is cheaper than reading, inflating, and parsing a stored copy. A
-/// replay that asks only for the profiling-only average (the train input)
-/// never builds one. A miss with the disk layer on records through the
-/// segment pipeline (core/TracePipeline.h), which compresses segments
-/// behind the recording and assembles the container; with the disk layer
-/// off, a miss is a plain recording.
+/// which is cheaper than reading, inflating, and parsing a stored copy.
+/// A caller that needs only the profiling-only average (the exact path's
+/// train input) asks totals() instead, which verifies a warm entry one
+/// segment at a time and never builds the trace at all. A miss with the
+/// disk layer on records through the segment pipeline
+/// (core/TracePipeline.h), which compresses segments behind the recording
+/// and assembles the container; with the disk layer off, a miss is a
+/// plain recording.
 ///
 /// A corrupt, truncated, or retired-format (monolithic v1/v2) disk entry
 /// is counted and treated as a miss; the trace is then re-recorded and the
@@ -103,6 +105,19 @@ public:
                                         uint64_t ExecFp,
                                         const guest::Program &Program,
                                         uint64_t MaxBlocks);
+
+  /// The stream totals of the same execution get() would return, without
+  /// holding its events: a memory-layer hit copies the held trace's; a
+  /// disk hit streams the entry one segment at a time through
+  /// SegmentedTraceReader::verifyAll() — every check BlockTrace::parse()
+  /// makes, at O(segment) memory — and builds no BlockTrace. A missing
+  /// entry, or a corrupt one (counted once), records through get()'s miss
+  /// path, which rewrites the entry. Hits, misses and corrupt entries are
+  /// counted as get() counts them. The exact path's train lookup uses
+  /// this: it needs only the profiling-only average.
+  TraceTotals totals(const std::string &Name, const std::string &Input,
+                     uint64_t ExecFp, const guest::Program &Program,
+                     uint64_t MaxBlocks);
 
   /// Counters for the bench banners. Hits are split by serving layer;
   /// every miss implies one interpretation (a record) whose wall clock is
@@ -229,6 +244,15 @@ private:
 
   static std::string slotKey(const std::string &Name,
                              const std::string &Input, uint64_t ExecFp);
+  /// The slot for \p Key, created on first use (address-stable).
+  Slot &slot(const std::string &Key);
+  /// The miss path shared by get() and totals(), under \p S's lock:
+  /// records \p Program and, when the disk layer is on, writes the entry
+  /// at \p Path through the segment pipeline.
+  std::shared_ptr<const BlockTrace> recordMiss(Slot &S, const std::string &Key,
+                                               const std::string &Path,
+                                               const guest::Program &Program,
+                                               uint64_t MaxBlocks);
   /// Drops the memo of the entry under \p Key (its file was rewritten or
   /// evicted). Readers already holding it keep using it; no later
   /// openSegmented() sees it.

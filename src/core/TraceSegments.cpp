@@ -111,6 +111,38 @@ uint64_t SegmentedTraceHeader::takenEvents() const {
   return Taken;
 }
 
+TraceTotals SegmentedTraceHeader::totals() const {
+  TraceTotals T;
+  T.Final = Final;
+  T.NumEvents = NumEvents;
+  T.TakenEvents = takenEvents();
+  T.TotalInsts = TotalInsts;
+  return T;
+}
+
+void tpdbt::core::foldCounterTable(const TraceEvent *Ev, size_t N,
+                                   std::vector<profile::BlockCounters> &Table) {
+  for (size_t I = 0; I < N; ++I) {
+    profile::BlockCounters &C = Table[Ev[I].Block];
+    ++C.Use;
+    C.Taken += Ev[I].Branch == 2 ? 1 : 0;
+  }
+}
+
+bool tpdbt::core::checkCounterTable(
+    const SegmentedTraceHeader &H,
+    const std::vector<profile::BlockCounters> &Folded, std::string *Error) {
+  assert(Folded.size() == H.Final.size() && "table sized to the header");
+  for (size_t B = 0; B < Folded.size(); ++B)
+    if (Folded[B].Use != H.Final[B].Use ||
+        Folded[B].Taken != H.Final[B].Taken) {
+      if (Error)
+        *Error = "trace counter table disagrees with events";
+      return false;
+    }
+  return true;
+}
+
 bool tpdbt::core::parseSegmentedHeader(const std::string &Bytes,
                                        uint64_t FileSize,
                                        SegmentedTraceHeader &Out,
@@ -303,6 +335,17 @@ bool SegmentedTraceReader::readSegment(size_t I, std::vector<TraceEvent> &Out,
   }
   Out.clear();
   return decodeSegment(Header, I, Compressed, Out, Error);
+}
+
+bool SegmentedTraceReader::verifyAll(std::string *Error) {
+  std::vector<TraceEvent> Buffer;
+  std::vector<profile::BlockCounters> Folded(Header.NumBlocks);
+  for (size_t I = 0; I < numSegments(); ++I) {
+    if (!readSegment(I, Buffer, Error))
+      return false;
+    foldCounterTable(Buffer.data(), Buffer.size(), Folded);
+  }
+  return checkCounterTable(Header, Folded, Error);
 }
 
 SegmentProfileMemo::Tag

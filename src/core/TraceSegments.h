@@ -23,8 +23,13 @@
 /// decodeSegment() is the single inflate-decode-check step for one
 /// segment; BlockTrace::parse() loops it over the whole container and
 /// SegmentedTraceReader::readSegment() applies it to one frame read from
-/// disk. The exact byte layout lives in docs/CACHE_FORMAT.md; the retired
-/// monolithic v1/v2 entries are rejected like any corrupt file.
+/// disk. A full decode ends with one more check, written once in
+/// checkCounterTable(): the per-block table folded from every segment
+/// must equal the header's. parse() and SegmentedTraceReader::verifyAll()
+/// (which streams the file through one segment buffer and keeps no
+/// events) share it. The exact byte layout lives in docs/CACHE_FORMAT.md;
+/// the retired monolithic v1/v2 entries are rejected like any corrupt
+/// file.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -117,6 +122,10 @@ struct SegmentedTraceHeader {
 
   /// Taken-branch event total, derived from the counter table.
   uint64_t takenEvents() const;
+  /// The stream totals the header declares. Trusted only after a full
+  /// decode checked them (SegmentedTraceReader::verifyAll()), except on
+  /// the sampled path's train lookup (core/Experiment.cpp).
+  TraceTotals totals() const;
 };
 
 /// Parses a v3 header from \p Bytes (a prefix of the file is enough once
@@ -134,6 +143,21 @@ bool parseSegmentedHeader(const std::string &Bytes, uint64_t FileSize,
 bool decodeSegment(const SegmentedTraceHeader &H, size_t I,
                    const std::string &Frame, std::vector<TraceEvent> &Out,
                    std::string *Error);
+
+/// Adds \p N decoded events to the per-block use/taken table \p Table,
+/// which is sized to the header's block count (decodeSegment() has
+/// range-checked every block id).
+void foldCounterTable(const TraceEvent *Ev, size_t N,
+                      std::vector<profile::BlockCounters> &Table);
+
+/// The whole-container check that ends every full decode: \p Folded, the
+/// table foldCounterTable() built from every segment, must equal the
+/// header's counter table entry for entry. With decodeSegment()'s
+/// per-segment sums this pins every total the header declares: events,
+/// instructions, taken branches and the table itself.
+bool checkCounterTable(const SegmentedTraceHeader &H,
+                       const std::vector<profile::BlockCounters> &Folded,
+                       std::string *Error);
 
 /// One decoded segment, reduced to per-block totals (sparse, ascending
 /// block id). This is all a sampled sweep keeps of a segment
@@ -210,6 +234,13 @@ public:
   /// reused across calls) through decodeSegment().
   bool readSegment(size_t I, std::vector<TraceEvent> &Out,
                    std::string *Error);
+
+  /// Reads every segment through readSegment() into one reused buffer,
+  /// folds each into a counter table and checks it with
+  /// checkCounterTable(). True exactly when BlockTrace::parse() accepts
+  /// the file, but no event outlives its segment: the header's totals()
+  /// are then verified at O(segment) memory.
+  bool verifyAll(std::string *Error);
 
   /// The entry's profile memo when TraceCache::openSegmented opened this
   /// reader; null for a reader opened directly.

@@ -2,6 +2,7 @@
 
 #include "core/Experiment.h"
 
+#include "core/TraceSegments.h"
 #include "support/TextFile.h"
 
 #include <gtest/gtest.h>
@@ -378,6 +379,101 @@ TEST(ExperimentContextTest, CorruptTraceEntryFallsBackToRecord) {
     core::BlockTrace T;
     EXPECT_TRUE(core::BlockTrace::parse(*Bytes, T, &Err)) << Err;
   }
+  std::filesystem::remove_all(Dir);
+}
+
+// The exact path's train lookup streams a warm entry's segments through
+// TraceCache::totals() and never holds the trace. In either adaptive mode
+// it must give the snapshot the event pump gives over the recorded train
+// trace, as two disk hits per program and no record.
+TEST(ExperimentContextTest, TrainFromVerifiedTotalsMatchesEventPump) {
+  std::string Dir = (std::filesystem::temp_directory_path() /
+                     "tpdbt_train_totals_test")
+                        .string();
+  std::filesystem::remove_all(Dir);
+  for (bool Adaptive : {false, true}) {
+    ExperimentConfig C = tinyConfig(Dir);
+    C.Dbt.Adaptive.Enabled = Adaptive;
+    ExperimentContext Warm(C);
+    const workloads::GeneratedBenchmark &B = Warm.benchmark("art");
+    SweepResult Pumped = replaySweepEvents(
+        BlockTrace::record(B.Train, B.Spec.MaxBlockEvents), B.Train, {},
+        C.Dbt);
+    Pumped.Average.Benchmark = "art";
+    Pumped.Average.Input = "train";
+    const std::string Expected = profile::printSnapshot(Pumped.Average);
+    EXPECT_EQ(profile::printSnapshot(Warm.train("art")), Expected)
+        << "adaptive=" << Adaptive;
+
+    for (const auto &E : std::filesystem::directory_iterator(Dir))
+      if (E.path().extension() == ".prof")
+        std::filesystem::remove(E.path());
+    ExperimentContext Ctx(C);
+    EXPECT_EQ(profile::printSnapshot(Ctx.train("art")), Expected)
+        << "adaptive=" << Adaptive;
+    EXPECT_EQ(Ctx.traceStats().DiskHits.load(), 2u);
+    EXPECT_EQ(Ctx.traceStats().Misses.load(), 0u);
+    EXPECT_EQ(Ctx.traceStats().CorruptEntries.load(), 0u);
+  }
+  std::filesystem::remove_all(Dir);
+}
+
+// A train entry whose header is self-consistent but whose counter table
+// moved one use between two blocks: only decoding every segment can tell.
+// The streamed check must count it corrupt once, re-record it, and give
+// the same snapshot.
+TEST(ExperimentContextTest, TamperedTrainCounterTableIsReRecorded) {
+  std::string Dir = (std::filesystem::temp_directory_path() /
+                     "tpdbt_tampered_train_test")
+                        .string();
+  std::filesystem::remove_all(Dir);
+  ExperimentContext Warm(tinyConfig(Dir));
+  const std::string Expected = profile::printSnapshot(Warm.train("art"));
+
+  std::string TrainPath;
+  for (const auto &E : std::filesystem::directory_iterator(Dir)) {
+    if (E.path().extension() == ".prof")
+      std::filesystem::remove(E.path());
+    else if (E.path().filename().string().find(".train.") !=
+             std::string::npos)
+      TrainPath = E.path().string();
+  }
+  ASSERT_FALSE(TrainPath.empty());
+  auto Good = readTextFile(TrainPath);
+  ASSERT_TRUE(Good.has_value());
+  SegmentedTraceHeader H;
+  ASSERT_TRUE(parseSegmentedHeader(*Good, Good->size(), H, nullptr));
+  std::vector<TraceSegmentRecord> Segments;
+  for (const SegmentedTraceHeader::Entry &Ent : H.Directory) {
+    TraceSegmentRecord Rec;
+    Rec.Events = Ent.Events;
+    Rec.BaseInsts = Ent.BaseInsts;
+    Rec.BaseTaken = Ent.BaseTaken;
+    Rec.Payload = Good->substr(Ent.PayloadOffset, Ent.PayloadBytes);
+    Segments.push_back(std::move(Rec));
+  }
+  std::vector<profile::BlockCounters> Final = H.Final;
+  size_t From = 0;
+  while (From < Final.size() && Final[From].Use <= Final[From].Taken)
+    ++From;
+  ASSERT_LT(From, Final.size());
+  --Final[From].Use;
+  ++Final[(From + 1) % Final.size()].Use;
+  const std::string Tampered =
+      assembleSegmentedTrace(H.NumBlocks, H.NumEvents, H.TotalInsts,
+                             H.SegmentBudget, Final, Segments);
+  SegmentedTraceHeader Check;
+  ASSERT_TRUE(parseSegmentedHeader(Tampered, Tampered.size(), Check, nullptr));
+  ASSERT_TRUE(writeTextFile(TrainPath, Tampered));
+
+  ExperimentContext Ctx(tinyConfig(Dir));
+  EXPECT_EQ(profile::printSnapshot(Ctx.train("art")), Expected);
+  EXPECT_EQ(Ctx.traceStats().CorruptEntries.load(), 1u);
+  EXPECT_EQ(Ctx.traceStats().Misses.load(), 1u);
+  EXPECT_EQ(Ctx.traceStats().DiskHits.load(), 1u); // the ref entry
+  auto Repaired = readTextFile(TrainPath);
+  ASSERT_TRUE(Repaired.has_value());
+  EXPECT_EQ(*Repaired, *Good);
   std::filesystem::remove_all(Dir);
 }
 

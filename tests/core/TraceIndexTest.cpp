@@ -147,8 +147,8 @@ TEST(TraceIndexTest, CacheServesBareTraces) {
   {
     // Through the experiment driver, cold and warm alike, the ref
     // trace's first threshold replay builds its index once under the
-    // index timer. The train replay asks only for the profiling-only
-    // average, a closed form that needs no index.
+    // index timer. The train lookup asks only for stream totals
+    // (TraceCache::totals), so it neither replays nor indexes.
     ExperimentConfig C;
     C.Scale = 0.01;
     C.Thresholds = {100};

@@ -593,3 +593,81 @@ TEST(TraceSegmentsTest, HeaderRejectsHostileDirectoryEntries) {
         parseSegmentedHeader(Bytes, Bytes.size() + 8, H, nullptr));
   }
 }
+
+TEST(TraceSegmentsTest, StreamedTotalsAcceptExactlyWhatParseAccepts) {
+  // TraceCache::totals() verifies a disk entry one segment at a time and
+  // keeps no event; BlockTrace::parse() decodes it whole. Over every
+  // single-byte flip of a small multi-segment container, and a truncation
+  // at every segment boundary, the two must accept the same files and
+  // report the same totals when they do: streaming dropped no check.
+  const std::string Dir = tempDir("streamed_totals");
+  std::filesystem::remove_all(Dir);
+  ASSERT_TRUE(ensureDirectory(Dir));
+  auto B = smallBench("eon");
+  const uint64_t MaxBlocks = 1000;
+  const std::string Good =
+      BlockTrace::record(B.Ref, MaxBlocks).serializeSegmented(256);
+  SegmentedTraceHeader H;
+  ASSERT_TRUE(parseSegmentedHeader(Good, Good.size(), H, nullptr));
+  ASSERT_GT(H.Directory.size(), 2u);
+
+  TraceCache Cache(Dir);
+  const std::string Path = Cache.entryPath("eon", "ref", 0x7a);
+  size_t Accepted = 0, Rejected = 0;
+  auto check = [&](const std::string &Bytes, const std::string &Label) {
+    ASSERT_TRUE(writeTextFile(Path, Bytes));
+    const uint64_t Hits = Cache.stats().DiskHits.load();
+    const uint64_t Corrupt = Cache.stats().CorruptEntries.load();
+    const uint64_t Misses = Cache.stats().Misses.load();
+    const TraceTotals Got =
+        Cache.totals("eon", "ref", 0x7a, B.Ref, MaxBlocks);
+    BlockTrace Q;
+    const bool Parsed = BlockTrace::parse(Bytes, Q, nullptr) &&
+                        Q.numBlocks() == B.Ref.numBlocks();
+    if (!Parsed) {
+      ++Rejected;
+      ASSERT_EQ(Cache.stats().DiskHits.load(), Hits) << Label;
+      ASSERT_EQ(Cache.stats().CorruptEntries.load(), Corrupt + 1) << Label;
+      ASSERT_EQ(Cache.stats().Misses.load(), Misses + 1) << Label;
+      return;
+    }
+    ++Accepted;
+    ASSERT_EQ(Cache.stats().DiskHits.load(), Hits + 1) << Label;
+    ASSERT_EQ(Cache.stats().CorruptEntries.load(), Corrupt) << Label;
+    const TraceTotals Want = Q.totals();
+    ASSERT_EQ(Got.NumEvents, Want.NumEvents) << Label;
+    ASSERT_EQ(Got.TakenEvents, Want.TakenEvents) << Label;
+    ASSERT_EQ(Got.TotalInsts, Want.TotalInsts) << Label;
+    ASSERT_EQ(Got.Final.size(), Want.Final.size()) << Label;
+    for (size_t Blk = 0; Blk < Want.Final.size(); ++Blk) {
+      ASSERT_EQ(Got.Final[Blk].Use, Want.Final[Blk].Use) << Label;
+      ASSERT_EQ(Got.Final[Blk].Taken, Want.Final[Blk].Taken) << Label;
+    }
+  };
+
+  check(Good, "intact");
+  ASSERT_FALSE(HasFatalFailure());
+  // A verified disk hit builds no trace: the memory layer stays empty.
+  ASSERT_NE(Cache.get("eon", "ref", 0x7a, B.Ref, MaxBlocks), nullptr);
+  EXPECT_EQ(Cache.stats().MemoryHits.load(), 0u);
+  EXPECT_EQ(Cache.stats().DiskHits.load(), 2u);
+
+  for (uint8_t Mask : {uint8_t(0x01), uint8_t(0xff)})
+    for (size_t I = 0; I < Good.size(); ++I) {
+      std::string Flipped = Good;
+      Flipped[I] = static_cast<char>(Flipped[I] ^ Mask);
+      check(Flipped, "byte " + std::to_string(I) + " ^ " +
+                         std::to_string(Mask));
+      ASSERT_FALSE(HasFatalFailure());
+    }
+  for (size_t S = 0; S < H.Directory.size(); ++S) {
+    check(Good.substr(0, H.Directory[S].PayloadOffset),
+          "truncated before segment " + std::to_string(S));
+    ASSERT_FALSE(HasFatalFailure());
+  }
+  // Both outcomes occur: some flips land in fields no check covers (the
+  // segment budget, say), the rest are caught.
+  EXPECT_GT(Accepted, 1u);
+  EXPECT_GT(Rejected, Good.size());
+  std::filesystem::remove_all(Dir);
+}
