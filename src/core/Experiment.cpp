@@ -332,7 +332,7 @@ void ExperimentContext::ensureEstimates(const std::string &Name,
   auto Start = std::chrono::steady_clock::now();
 
   // Reference input: estimate the whole threshold sweep from a stratified
-  // segment sample. Disk-first — a warm TPDT v3 entry streams its
+  // segment sample. Disk-first — a warm TPDT v4 entry streams its
   // directory and only the drawn segments, so the unsampled payload is
   // never decompressed (the out-of-core win). Cold traces record once
   // through the shared cache, then sample the in-memory event vector at
@@ -343,7 +343,7 @@ void ExperimentContext::ensureEstimates(const std::string &Name,
   bool Ok = false;
   {
     SegmentedTraceReader Reader;
-    if (Traces->openSegmented(Name, "ref", ExecFp, Reader, nullptr)) {
+    if (Traces->openSegmented(Name, "ref", ExecFp, B.Ref, Reader, nullptr)) {
       sample::DiskSegmentSource Src(Reader);
       Ok = sample::sampledSweep(Src, B.Ref, Config.Thresholds, Config.Dbt,
                                 Config.Sample, BenchSeed, ReplayJobs, Sweep,
@@ -377,14 +377,15 @@ void ExperimentContext::ensureEstimates(const std::string &Name,
   D.Sampled->Stats = Sweep.Stats;
 
   // Training input: only the profiling-only average is needed, exact from
-  // stream totals. Here, and only here, a warm v3 entry answers from its
+  // stream totals. Here, and only here, a warm v4 entry answers from its
   // header's counter table without decoding a segment: the table passed
   // parseSegmentedHeader()'s sum checks but not the event fold, and
   // verifying it (TraceCache::totals) would decode the whole train trace
   // again for every sample seed. A cold entry records through totals().
   {
     SegmentedTraceReader Reader;
-    if (Traces->openSegmented(Name, "train", ExecFp, Reader, nullptr)) {
+    if (Traces->openSegmented(Name, "train", ExecFp, B.Train, Reader,
+                              nullptr)) {
       D.Train = trainAverage(Name, B, Config.Dbt, Reader.header().totals());
       Traces->noteSampleReplay(0, Reader.numSegments());
     } else {

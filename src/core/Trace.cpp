@@ -18,24 +18,39 @@ using namespace tpdbt;
 using namespace tpdbt::core;
 using namespace tpdbt::guest;
 
+std::vector<BlockShape> tpdbt::core::blockShapes(const Program &P) {
+  std::vector<BlockShape> Shapes(P.numBlocks());
+  for (size_t B = 0; B < Shapes.size(); ++B) {
+    const Block &Blk = P.block(static_cast<BlockId>(B));
+    // The terminator counts as one instruction, as in
+    // Program::staticInstCount() (a fused compare-and-branch counts the
+    // compare it absorbs from the body).
+    Shapes[B].Len = static_cast<uint32_t>(Blk.Insts.size() + 1);
+    Shapes[B].Cond = Blk.Term.Kind == TermKind::Branch;
+  }
+  return Shapes;
+}
+
 BlockTrace::BlockTrace(const BlockTrace &Other)
-    : Events(Other.Events), Final(Other.Final), NumBlocks(Other.NumBlocks),
+    : Words(Other.Words), Shapes(Other.Shapes), Final(Other.Final),
       TotalInsts(Other.TotalInsts), TakenEvents(Other.TakenEvents),
-      Index(Other.sharedIndex()) {}
+      TailInsts(Other.TailInsts), Index(Other.sharedIndex()) {}
 
 BlockTrace::BlockTrace(BlockTrace &&Other) noexcept
-    : Events(std::move(Other.Events)), Final(std::move(Other.Final)),
-      NumBlocks(Other.NumBlocks), TotalInsts(Other.TotalInsts),
-      TakenEvents(Other.TakenEvents), Index(Other.sharedIndex()) {}
+    : Words(std::move(Other.Words)), Shapes(std::move(Other.Shapes)),
+      Final(std::move(Other.Final)), TotalInsts(Other.TotalInsts),
+      TakenEvents(Other.TakenEvents), TailInsts(Other.TailInsts),
+      Index(Other.sharedIndex()) {}
 
 BlockTrace &BlockTrace::operator=(const BlockTrace &Other) {
   if (this == &Other)
     return *this;
-  Events = Other.Events;
+  Words = Other.Words;
+  Shapes = Other.Shapes;
   Final = Other.Final;
-  NumBlocks = Other.NumBlocks;
   TotalInsts = Other.TotalInsts;
   TakenEvents = Other.TakenEvents;
+  TailInsts = Other.TailInsts;
   std::lock_guard<std::mutex> Guard(IndexLock);
   Index = Other.sharedIndex();
   return *this;
@@ -44,11 +59,12 @@ BlockTrace &BlockTrace::operator=(const BlockTrace &Other) {
 BlockTrace &BlockTrace::operator=(BlockTrace &&Other) noexcept {
   if (this == &Other)
     return *this;
-  Events = std::move(Other.Events);
+  Words = std::move(Other.Words);
+  Shapes = std::move(Other.Shapes);
   Final = std::move(Other.Final);
-  NumBlocks = Other.NumBlocks;
   TotalInsts = Other.TotalInsts;
   TakenEvents = Other.TakenEvents;
+  TailInsts = Other.TailInsts;
   std::lock_guard<std::mutex> Guard(IndexLock);
   Index = Other.sharedIndex();
   return *this;
@@ -119,7 +135,7 @@ BlockTrace BlockTrace::record(const Program &P, uint64_t MaxBlocks,
                               const SegmentProgressFn &OnSegment,
                               uint64_t SegmentBudget) {
   BlockTrace T;
-  T.setNumBlocks(P.numBlocks());
+  T.setShapes(blockShapes(P));
   // Reserve the whole event budget up front (capped — reserved pages are
   // only faulted in when written, so overshooting is nearly free, while
   // letting the vector double its way to a multi-megabyte trace costs
@@ -147,26 +163,21 @@ BlockTrace BlockTrace::record(const Program &P, uint64_t MaxBlocks,
 std::string BlockTrace::serializeSegmented(uint64_t Budget) const {
   assert(Budget >= 1 && "segment budget must be positive");
   std::vector<TraceSegmentRecord> Segments;
-  Segments.reserve(Events.size() / Budget + 1);
-  uint64_t BaseInsts = 0, BaseTaken = 0;
-  for (size_t At = 0; At < Events.size();) {
+  Segments.reserve(Words.size() / Budget + 1);
+  EventSums Base;
+  for (size_t At = 0; At < Words.size();) {
     const size_t N =
-        static_cast<size_t>(std::min<uint64_t>(Budget, Events.size() - At));
+        static_cast<size_t>(std::min<uint64_t>(Budget, Words.size() - At));
     TraceSegmentRecord Rec;
     Rec.Events = static_cast<uint32_t>(N);
-    Rec.BaseInsts = BaseInsts;
-    Rec.BaseTaken = BaseTaken;
-    Rec.Payload = compressBytes(encodeSegmentEvents(&Events[At], N));
-    for (size_t I = At; I < At + N; ++I) {
-      BaseInsts += Events[I].Insts;
-      if (Events[I].Branch == 2)
-        ++BaseTaken;
-    }
+    Rec.BaseInsts = Base.Insts;
+    Rec.BaseTaken = Base.Taken;
+    Rec.Payload = compressBytes(encodeSegmentEvents(&Words[At], N));
+    Base += sumEvents(&Words[At], N, Shapes);
     Segments.push_back(std::move(Rec));
     At += N;
   }
-  return assembleSegmentedTrace(NumBlocks, Events.size(), TotalInsts, Budget,
-                                Final, Segments);
+  return assembleSegmentedTrace(segmentedHeaderOf(*this, Budget), Segments);
 }
 
 bool BlockTrace::parse(const std::string &Bytes, BlockTrace &Out,
@@ -175,28 +186,31 @@ bool BlockTrace::parse(const std::string &Bytes, BlockTrace &Out,
   if (!parseSegmentedHeader(Bytes, Bytes.size(), H, Error))
     return false;
   BlockTrace T;
-  T.setNumBlocks(H.NumBlocks);
+  T.setShapes(H.Shapes);
+  // Bounded: the header check caps every segment's event count by what
+  // its payload can inflate to.
   T.reserveEvents(H.NumEvents);
   for (size_t I = 0; I < H.Directory.size(); ++I) {
     const SegmentedTraceHeader::Entry &Ent = H.Directory[I];
     // Decode straight onto the trace's own event vector, then fold the
     // fresh segment into the counter table.
-    const size_t From = T.Events.size();
+    const size_t From = T.Words.size();
     if (!decodeSegment(H, I,
                        Bytes.substr(static_cast<size_t>(Ent.PayloadOffset),
                                     static_cast<size_t>(Ent.PayloadBytes)),
-                       T.Events, Error))
+                       T.Words, Error))
       return false;
-    foldCounterTable(T.Events.data() + From, T.Events.size() - From,
-                     T.Final);
+    foldCounterTable(T.Words.data() + From, T.Words.size() - From, T.Final);
   }
   if (!checkCounterTable(H, T.Final, Error))
     return false;
   // decodeSegment() matched every segment's sums to the directory, whose
   // first bases are zero and whose last segment ends on the header
-  // totals: the decoded stream's totals are the header's.
+  // totals, and placed the partial tail: the decoded stream's totals are
+  // the header's.
   T.TotalInsts = H.TotalInsts;
   T.TakenEvents = H.takenEvents();
+  T.TailInsts = H.TailInsts;
   Out = std::move(T);
   return true;
 }

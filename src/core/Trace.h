@@ -15,15 +15,19 @@
 /// assert that, and diff it against the plain event pump
 /// replaySweepEvents().
 ///
-/// On disk a trace is one TPDT v3 container (core/TraceSegments.h,
-/// docs/CACHE_FORMAT.md): a header with the stream totals, the final
+/// In memory an event is one 32-bit word, the block id and its branch
+/// outcome: the instruction count and the branch kind are functions of
+/// the block (its BlockShape), except for a final event a MemFault cut
+/// short, whose count the trace keeps on the side.
+///
+/// On disk a trace is one TPDT v4 container (core/TraceSegments.h,
+/// docs/CACHE_FORMAT.md): a header with the block shape table, the final
 /// per-block use/taken counters (they size the analytic index and give
 /// the closed-form average without an O(events) pre-pass), and a segment
 /// directory, followed by one TPDZ-compressed frame per segment. Each
-/// frame holds two varints per event: the block id delta-encoded against
-/// the previous event's id (zigzag) with the branch outcome folded into
-/// the low bits, and the executed instruction count — typically 2-3 bytes
-/// per event before compression.
+/// frame holds one varint per event: the block id delta-encoded against
+/// the previous event's id (zigzag), shifted left once with the taken bit
+/// in the low bit — typically one byte per event before compression.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +39,7 @@
 #include "profile/Profile.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -50,13 +55,37 @@ namespace core {
 
 class TraceIndex;
 
-/// One recorded block event.
+/// One recorded block event, as BlockTrace::event() expands it.
 struct TraceEvent {
   guest::BlockId Block = 0;
   /// 0 = no conditional branch, 1 = branch not taken, 2 = branch taken.
   uint8_t Branch = 0;
   uint32_t Insts = 0;
 };
+
+/// One stored event: the block id shifted left once, with the branch
+/// outcome (1 = taken) in the low bit.
+using EventWord = uint32_t;
+
+inline EventWord packEvent(guest::BlockId B, bool Taken) {
+  return static_cast<EventWord>(B) << 1 | (Taken ? 1u : 0u);
+}
+inline guest::BlockId eventBlock(EventWord W) { return W >> 1; }
+inline bool eventTaken(EventWord W) { return W & 1; }
+
+/// What every whole execution of one block looks like: the instructions
+/// it executes (body plus terminator) and whether it ends in a
+/// conditional branch. Only a run's final event can fall short: a
+/// MemFault stops the run mid-block, before the terminator
+/// (vm/Interpreter.h executeBlock).
+struct BlockShape {
+  uint32_t Len = 0;
+  bool Cond = false;
+  bool operator==(const BlockShape &) const = default;
+};
+
+/// \p P's shape table, one entry per block.
+std::vector<BlockShape> blockShapes(const guest::Program &P);
 
 /// What the profiling-only average (dbt::profilingAverage) reads of a
 /// recorded execution: the final per-block counters and the stream
@@ -99,25 +128,41 @@ public:
                            const SegmentProgressFn &OnSegment = nullptr,
                            uint64_t SegmentBudget = 0);
 
-  /// Serializes to the TPDT v3 container (core/TraceSegments.h) with
+  /// Serializes to the TPDT v4 container (core/TraceSegments.h) with
   /// \p Budget events per segment (>= 1; the last segment takes the
   /// remainder). The record pipeline (core/TracePipeline.h) writes the
   /// same bytes at its budget; this is the reference writer.
   std::string serializeSegmented(uint64_t Budget) const;
-  /// Parses a TPDT v3 container; the result is event-identical to the
+  /// Parses a TPDT v4 container; the result is event-identical to the
   /// serialized trace at any budget. Each segment is inflated and decoded
   /// straight onto the trace's event vector and folded into a counter
   /// table in one pass; the segment sums and the header's counter table
   /// are checked against the decoded events (the table check is
   /// core/TraceSegments.h checkCounterTable(), which the event-free
   /// SegmentedTraceReader::verifyAll() shares). Any other version — the
-  /// retired monolithic v1/v2 included — fails as unsupported.
+  /// retired monolithic v1/v2 and the two-varint v3 included — fails as
+  /// unsupported.
   static bool parse(const std::string &Bytes, BlockTrace &Out,
                     std::string *Error);
 
-  size_t numEvents() const { return Events.size(); }
-  size_t numBlocks() const { return NumBlocks; }
-  const TraceEvent &event(size_t I) const { return Events[I]; }
+  size_t numEvents() const { return Words.size(); }
+  size_t numBlocks() const { return Shapes.size(); }
+  /// Event \p I, expanded from its word and its block's shape.
+  TraceEvent event(size_t I) const {
+    const EventWord W = Words[I];
+    const guest::BlockId B = eventBlock(W);
+    if (TailInsts && I + 1 == Words.size())
+      return {B, 0, TailInsts};
+    const BlockShape &S = Shapes[B];
+    return {B, static_cast<uint8_t>(S.Cond ? 1 + eventTaken(W) : 0), S.Len};
+  }
+  /// The stored events, in stream order.
+  const std::vector<EventWord> &words() const { return Words; }
+  /// The per-block shape table every whole event expands through.
+  const std::vector<BlockShape> &shapes() const { return Shapes; }
+  /// The final event's instruction count when a fault cut it short of its
+  /// block's length; 0 when the final event (if any) is whole.
+  uint32_t tailInsts() const { return TailInsts; }
   uint64_t totalInsts() const { return TotalInsts; }
   /// Number of events that are taken conditional branches (an input of the
   /// closed-form profiling-only snapshot, dbt::profilingAverage).
@@ -143,29 +188,46 @@ public:
   /// The cached index, or null if none has been built yet.
   std::shared_ptr<const TraceIndex> sharedIndex() const;
 
-  /// Appends one event (used by record() and tests).
+  /// Appends one event (used by record() and tests). The shape table must
+  /// be set; an event short of its block's length must be the last one.
   void append(const TraceEvent &E) {
-    Events.push_back(E);
-    countEvent(E);
+    assert(!TailInsts && "a partial event ends the trace");
+    const BlockShape &S = Shapes[E.Block];
+    if (E.Insts != S.Len) {
+      assert(E.Insts > 0 && E.Insts < S.Len && E.Branch == 0 &&
+             "only a fault cuts an event short, before its terminator");
+      TailInsts = E.Insts;
+    } else {
+      assert((E.Branch != 0) == S.Cond && "event disagrees with its shape");
+    }
+    Words.push_back(packEvent(E.Block, E.Branch == 2));
+    TotalInsts += E.Insts;
+    profile::BlockCounters &C = Final[E.Block];
+    ++C.Use;
+    if (E.Branch == 2) {
+      ++TakenEvents;
+      ++C.Taken;
+    }
   }
-  /// Appends \p N copies of one event — the run-length entry point for
-  /// the host tier's batched self-loop iterations. Equivalent to calling
-  /// append(E) N times (serialized bytes included), without the
+  /// Appends \p N copies of one whole event — the run-length entry point
+  /// for the host tier's batched self-loop iterations. Equivalent to
+  /// calling append(E) N times (serialized bytes included), without the
   /// per-event counter maintenance.
   void appendRun(const TraceEvent &E, uint64_t N) {
     if (N == 0)
       return;
+    assert(!TailInsts && E.Insts == Shapes[E.Block].Len &&
+           "a run holds whole events only");
     // Explicit doubling + push_back loop: vector's fill-insert path
     // (insert(end, N, E) / resize(n, E)) measures ~2x slower here than
     // the inlined push_back fast path it bypasses.
-    const size_t Need = Events.size() + N;
-    if (Need > Events.capacity())
-      Events.reserve(std::max(Need, Events.capacity() * 2));
+    const size_t Need = Words.size() + N;
+    if (Need > Words.capacity())
+      Words.reserve(std::max(Need, Words.capacity() * 2));
+    const EventWord W = packEvent(E.Block, E.Branch == 2);
     for (uint64_t I = 0; I < N; ++I)
-      Events.push_back(E);
+      Words.push_back(W);
     TotalInsts += static_cast<uint64_t>(E.Insts) * N;
-    if (Final.size() <= E.Block)
-      Final.resize(E.Block + 1);
     Final[E.Block].Use += N;
     if (E.Branch == 2) {
       TakenEvents += N;
@@ -178,31 +240,20 @@ public:
   /// allocation, a copy, and a page-fault pass over the new region;
   /// reserved-but-untouched pages are never faulted, so overshooting is
   /// nearly free).
-  void reserveEvents(size_t N) { Events.reserve(N); }
-  void setNumBlocks(size_t N) {
-    NumBlocks = N;
-    if (Final.size() < N)
-      Final.resize(N);
+  void reserveEvents(size_t N) { Words.reserve(N); }
+  /// Sets the shape table (one entry per block) and sizes the counters.
+  void setShapes(std::vector<BlockShape> S) {
+    Shapes = std::move(S);
+    Final.resize(Shapes.size());
   }
 
 private:
-  /// Folds one stored event into the running totals and final counters.
-  void countEvent(const TraceEvent &E) {
-    TotalInsts += E.Insts;
-    if (Final.size() <= E.Block)
-      Final.resize(E.Block + 1);
-    ++Final[E.Block].Use;
-    if (E.Branch == 2) {
-      ++TakenEvents;
-      ++Final[E.Block].Taken;
-    }
-  }
-
-  std::vector<TraceEvent> Events;
+  std::vector<EventWord> Words;
+  std::vector<BlockShape> Shapes;
   std::vector<profile::BlockCounters> Final;
-  size_t NumBlocks = 0;
   uint64_t TotalInsts = 0;
   uint64_t TakenEvents = 0;
+  uint32_t TailInsts = 0;
   /// Lazily-built index (see index()). Mutable: the index is a cache of a
   /// pure function of the trace, not logical state.
   mutable std::mutex IndexLock;

@@ -87,6 +87,7 @@ void TraceCache::enforceBudget() {
 
 bool TraceCache::openSegmented(const std::string &Name,
                                const std::string &Input, uint64_t ExecFp,
+                               const guest::Program &Program,
                                SegmentedTraceReader &Reader,
                                std::string *Error) {
   if (Dir.empty()) {
@@ -109,6 +110,11 @@ bool TraceCache::openSegmented(const std::string &Name,
   const std::string Path = entryPath(Name, Input, ExecFp);
   if (!SegmentedTraceReader::open(Path, Reader, Error))
     return false;
+  if (Reader.header().Shapes != blockShapes(Program)) {
+    if (Error)
+      *Error = "trace shape table disagrees with the program";
+    return false;
+  }
   Reader.attachMemo(std::move(Memo));
   Stats.SampleDiskOpens.fetch_add(1, std::memory_order_relaxed);
   touchEntry(Path);
@@ -150,7 +156,7 @@ TraceCache::loadDisk(const std::string &Path, const guest::Program &Program) {
     return nullptr;
   auto Trace = std::make_shared<BlockTrace>();
   if (!BlockTrace::parse(*Bytes, *Trace, nullptr) ||
-      Trace->numBlocks() != Program.numBlocks()) {
+      Trace->shapes() != blockShapes(Program)) {
     // Torn, corrupt, a retired format, or recorded for a different
     // program shape (a stale key collision): treat as a miss and
     // re-record over it.
@@ -214,7 +220,7 @@ TraceTotals TraceCache::totals(const std::string &Name,
       // header's, before the header's totals are trusted.
       SegmentedTraceReader Reader;
       if (SegmentedTraceReader::open(Path, Reader, nullptr) &&
-          Reader.header().NumBlocks == Program.numBlocks() &&
+          Reader.header().Shapes == blockShapes(Program) &&
           Reader.verifyAll(nullptr)) {
         Stats.DiskHits.fetch_add(1, std::memory_order_relaxed);
         touchEntry(Path);
@@ -240,7 +246,7 @@ TraceCache::recordMiss(Slot &S, const std::string &Key,
   uint64_t SegmentBudget = 0;
   if (!Dir.empty()) {
     SegmentBudget = segmentEventBudget();
-    Pipe.emplace(SegmentBudget, Program.numBlocks());
+    Pipe.emplace(SegmentBudget, blockShapes(Program));
     OnSegment = [&Pipe](const BlockTrace &T) { return Pipe->onProgress(T); };
   }
   auto Recorded = std::make_shared<BlockTrace>(BlockTrace::record(
@@ -266,7 +272,7 @@ TraceCache::recordMiss(Slot &S, const std::string &Key,
                                    std::memory_order_relaxed);
   if (Pipe) {
     // The pipeline already compressed every segment behind the recording;
-    // finish() drains the tail and assembles the v3 container.
+    // finish() drains the tail and assembles the v4 container.
     TracePipeline::Result R = Pipe->finish(*Recorded);
     Stats.StreamedRecords.fetch_add(1, std::memory_order_relaxed);
     Stats.SegmentsPiped.fetch_add(R.Segments, std::memory_order_relaxed);

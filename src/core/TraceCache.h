@@ -11,7 +11,7 @@
 ///  - an in-memory layer of weak references, so concurrent sweeps over the
 ///    same input within one process share a single recording without the
 ///    cache pinning traces past their last user, and
-///  - an on-disk layer of TPDT v3 trace containers (see
+///  - an on-disk layer of TPDT v4 trace containers (see
 ///    docs/CACHE_FORMAT.md) keyed by the *execution* fingerprint — the
 ///    workload spec, scale, and event budget; everything that shapes the
 ///    event stream and nothing that doesn't — so policy-only configuration
@@ -29,10 +29,15 @@
 /// and assembles the container; with the disk layer off, a miss is a
 /// plain recording.
 ///
-/// A corrupt, truncated, or retired-format (monolithic v1/v2) disk entry
-/// is counted and treated as a miss; the trace is then re-recorded and the
+/// A corrupt, truncated, or retired-format (v1/v2/v3) disk entry is
+/// counted and treated as a miss; the trace is then re-recorded and the
 /// entry rewritten atomically under the same key (write-then-rename, like
-/// the .prof snapshot cache).
+/// the .prof snapshot cache). So is an entry whose shape table (each
+/// block's length and branch kind, core/Trace.h BlockShape) disagrees
+/// with the requested program: every event's instruction count and
+/// branch kind are read from that table, so it is trusted only when it
+/// equals core::blockShapes() of the program get(), totals() and
+/// openSegmented() are asked about.
 ///
 /// Sampled sweeps read a warm entry segment-at-a-time through
 /// openSegmented(), and every entry it opens carries a third layer: a memo
@@ -53,8 +58,8 @@
 ///
 /// A get() miss that rewrites an entry drops the entry's memo, and so
 /// does an LRU eviction. Memory is O(blocks touched) per memoized segment
-/// (32 B per block entry): the whole suite's ref traces at scale 0.05
-/// hold 513 segments touching at most 83 blocks each, 0.8 MB of entries
+/// (24 B per block entry): the whole suite's ref traces at scale 0.05
+/// hold 513 segments touching at most 83 blocks each, 0.6 MB of entries
 /// if every segment is drawn.
 ///
 /// The disk layer is size-bounded: when TPDBT_CACHE_MAX_BYTES is set, the
@@ -174,7 +179,7 @@ public:
     std::atomic<uint64_t> Evictions{0};
     std::atomic<uint64_t> EvictedBytes{0};
     /// Sampled-replay coverage (src/sample): warm entries opened as
-    /// streaming TPDT v3 containers through openSegmented() (no whole-file
+    /// streaming TPDT v4 containers through openSegmented() (no whole-file
     /// parse, no index), segments a sampled sweep's plan drew (each one
     /// decoded, or copied from the entry's profile memo when an earlier
     /// draw already decoded it), and segments the plan skipped — whose
@@ -200,17 +205,18 @@ public:
     Stats.IndexMicros.fetch_add(Micros, std::memory_order_relaxed);
   }
 
-  /// Opens the disk entry for a key as a streaming TPDT v3 container
+  /// Opens the disk entry for a key as a streaming TPDT v4 container
   /// (core/TraceSegments.h) without parsing events or touching the
   /// in-memory layer — the sampled-replay fast path, which decodes only
-  /// the segments its plan draws. False when the disk layer is off or
-  /// the entry is missing or fails header validation (callers fall back
-  /// to get()). Success refreshes the entry's LRU recency and attaches
-  /// the entry's segment-profile memo to \p Reader (see the file
-  /// comment).
+  /// the segments its plan draws. False when the disk layer is off, or
+  /// the entry is missing, fails header validation, or carries a shape
+  /// table other than \p Program's; callers fall back to get() or
+  /// totals(), which count a present-but-rejected entry as corrupt once.
+  /// Success refreshes the entry's LRU recency and attaches the entry's
+  /// segment-profile memo to \p Reader (see the file comment).
   bool openSegmented(const std::string &Name, const std::string &Input,
-                     uint64_t ExecFp, SegmentedTraceReader &Reader,
-                     std::string *Error);
+                     uint64_t ExecFp, const guest::Program &Program,
+                     SegmentedTraceReader &Reader, std::string *Error);
 
   /// Accounts one sampled sweep's segment split (see the Sample counters).
   void noteSampleReplay(uint64_t Decoded, uint64_t Skipped) {

@@ -34,7 +34,13 @@ TraceIndex TraceIndex::shaped(const BlockTrace &Trace) {
   Idx.OccPos.resize(E);
   // Zero-filled, which sets every prefix row's leading zero.
   Idx.TakenPre.resize(E + N);
-  Idx.InstsPre.resize(E + N);
+  Idx.Len.resize(N);
+  for (size_t B = 0; B < N; ++B)
+    Idx.Len[B] = Trace.shapes()[B].Len;
+  if (Trace.tailInsts()) {
+    Idx.TailBlock = eventBlock(Trace.words().back());
+    Idx.TailShort = Idx.Len[Idx.TailBlock] - Trace.tailInsts();
+  }
   return Idx;
 }
 
@@ -44,14 +50,13 @@ TraceIndex TraceIndex::build(const BlockTrace &Trace) {
   // free OccPos slot of block B.
   std::vector<uint32_t> Cursor(Idx.BlockBegin.begin(),
                                Idx.BlockBegin.end() - 1);
-  const size_t E = Trace.numEvents();
-  for (size_t I = 0; I < E; ++I) {
-    const TraceEvent &Ev = Trace.event(I);
-    uint32_t Slot = Cursor[Ev.Block]++;
+  const std::vector<EventWord> &Words = Trace.words();
+  for (size_t I = 0; I < Words.size(); ++I) {
+    const BlockId B = eventBlock(Words[I]);
+    uint32_t Slot = Cursor[B]++;
     Idx.OccPos[Slot] = static_cast<uint32_t>(I);
-    size_t Row = Slot + Ev.Block; // prefBegin(Block) + occurrence rank
-    Idx.TakenPre[Row + 1] = Idx.TakenPre[Row] + (Ev.Branch == 2 ? 1 : 0);
-    Idx.InstsPre[Row + 1] = Idx.InstsPre[Row] + Ev.Insts;
+    size_t Row = Slot + B; // prefBegin(B) + occurrence rank
+    Idx.TakenPre[Row + 1] = Idx.TakenPre[Row] + eventTaken(Words[I]);
   }
   return Idx;
 }

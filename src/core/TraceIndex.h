@@ -18,13 +18,15 @@
 ///  - per-block occurrence positions in CSR layout (one flat uint32_t
 ///    event-position array plus per-block begin offsets), giving the
 ///    freeze event of block b under threshold T as occ[b][T-1];
-///  - per-block taken-bit and instruction prefix sums, giving any block's
-///    counters "as of event p" as two prefix differences, and the
+///  - per-block taken-bit prefix sums, giving any block's counters "as of
+///    event p" as two prefix differences;
+///  - per-block lengths (the trace's shape table), giving the
 ///    instructions of any run of a block's occurrences (the loop fold's
-///    accounting) the same way.
+///    accounting) as a product — every occurrence is whole except a
+///    partial final event, which the index corrects for.
 ///
-/// That is 16 bytes per event (a 4-byte position, a 4-byte taken prefix
-/// and an 8-byte instruction prefix) plus two words per block. The final
+/// That is 8 bytes per event (a 4-byte position and a 4-byte taken
+/// prefix) plus three words per block. The final
 /// counters the trace already carries size the CSR rows, so building the
 /// index is one scatter pass over the events. build() is the only way an
 /// index is made, for a freshly recorded trace and a loaded one alike: at
@@ -89,9 +91,12 @@ public:
     return TakenPre[prefBegin(B) + K];
   }
 
-  /// Guest instructions executed by the first \p K occurrences of \p B.
+  /// Guest instructions executed by the first \p K occurrences of \p B:
+  /// K whole executions, less the shortfall of a partial final event when
+  /// the K occurrences include it (it is its block's last occurrence).
   uint64_t instsOfFirst(guest::BlockId B, uint32_t K) const {
-    return InstsPre[prefBegin(B) + K];
+    const uint64_t Whole = static_cast<uint64_t>(K) * Len[B];
+    return B == TailBlock && K == occurrences(B) ? Whole - TailShort : Whole;
   }
 
   /// Shared counters of \p B as of (and including) the event at \p Pos —
@@ -127,7 +132,12 @@ private:
   /// Per-block prefix sums over occurrence outcomes, rows addressed by
   /// prefBegin(); entry [row + k] covers the first k occurrences.
   std::vector<uint32_t> TakenPre;
-  std::vector<uint64_t> InstsPre;
+  /// Per-block whole-event length.
+  std::vector<uint32_t> Len;
+  /// The block of a partial final event and the instructions it fell
+  /// short by; TailBlock is guest::InvalidBlock when the trace has none.
+  guest::BlockId TailBlock = guest::InvalidBlock;
+  uint32_t TailShort = 0;
   uint64_t TotalInsts = 0;
   uint64_t TakenEvents = 0;
 };

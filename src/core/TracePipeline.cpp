@@ -21,8 +21,8 @@ uint64_t microsSince(std::chrono::steady_clock::time_point Start) {
 
 } // namespace
 
-TracePipeline::TracePipeline(uint64_t Budget, size_t NumBlocks)
-    : Budget(Budget), NumBlocks(NumBlocks) {
+TracePipeline::TracePipeline(uint64_t Budget, std::vector<BlockShape> Shapes)
+    : Budget(Budget), Shapes(std::move(Shapes)) {
   assert(Budget >= 1 && "segment budget must be positive");
   Pool.submit([this] { consumeLoop(); });
 }
@@ -42,15 +42,13 @@ void TracePipeline::consumeLoop() {
     const auto Start = std::chrono::steady_clock::now();
     TraceSegmentRecord Rec;
     Rec.Events = static_cast<uint32_t>(W.Events.size());
-    Rec.BaseInsts = RunInsts;
-    Rec.BaseTaken = RunTaken;
+    Rec.BaseInsts = Run.Insts;
+    Rec.BaseTaken = Run.Taken;
     Rec.Payload =
         compressBytes(encodeSegmentEvents(W.Events.data(), W.Events.size()));
-    for (const TraceEvent &E : W.Events) {
-      RunInsts += E.Insts;
-      if (E.Branch == 2)
-        ++RunTaken;
-    }
+    // Whole-event sums: a partial tail can only end the last segment,
+    // whose sums base no later row.
+    Run += sumEvents(W.Events.data(), W.Events.size(), Shapes);
     Segments.push_back(std::move(Rec));
     WorkMicros += microsSince(Start);
   }
@@ -61,7 +59,7 @@ uint64_t TracePipeline::onProgress(const BlockTrace &T) {
   // run/chain batch, even past several boundaries at once — cut strictly
   // budget-sized segments regardless.
   while (T.numEvents() >= DoneThrough + Budget) {
-    const TraceEvent *Slice = &T.event(static_cast<size_t>(DoneThrough));
+    const EventWord *Slice = T.words().data() + DoneThrough;
     Work W;
     // Copy the slice out of the live vector: recording continues while
     // the consumer reads, and the vector may reallocate under growth.
@@ -76,7 +74,7 @@ TracePipeline::Result TracePipeline::finish(const BlockTrace &T) {
   assert(!Finished && "finish() must run exactly once");
   const auto Start = std::chrono::steady_clock::now();
   if (T.numEvents() > DoneThrough) {
-    const TraceEvent *Slice = &T.event(static_cast<size_t>(DoneThrough));
+    const EventWord *Slice = T.words().data() + DoneThrough;
     Work W;
     W.Events.assign(Slice, Slice + (T.numEvents() - DoneThrough));
     Ring.push(std::move(W));
@@ -88,9 +86,7 @@ TracePipeline::Result TracePipeline::finish(const BlockTrace &T) {
 
   Result R;
   R.Segments = Segments.size();
-  R.FileBytes = assembleSegmentedTrace(NumBlocks, T.numEvents(),
-                                       T.totalInsts(), Budget,
-                                       T.finalCounts(), Segments);
+  R.FileBytes = assembleSegmentedTrace(segmentedHeaderOf(T, Budget), Segments);
   R.WorkMicros = WorkMicros;
   R.FlushMicros = microsSince(Start);
   return R;

@@ -15,7 +15,7 @@
 ///   record ──▶ SpscRing ──▶ encode + compress
 ///
 /// finish() closes the ring, drains the consumer, and assembles the TPDT
-/// v3 container from the finished segments, so a cold cache miss leaves
+/// v4 container from the finished segments, so a cold cache miss leaves
 /// the record path having paid (ideally) only the recording wall clock,
 /// with compression hidden behind it. The pipeline builds no analytic
 /// index: the trace's first threshold replay builds one lazily
@@ -50,7 +50,7 @@ namespace core {
 class TracePipeline {
 public:
   struct Result {
-    /// The assembled TPDT v3 container.
+    /// The assembled TPDT v4 container.
     std::string FileBytes;
     uint64_t Segments = 0;
     /// Consumer wall clock spent on segments (encode + compress) — work
@@ -61,8 +61,9 @@ public:
     uint64_t FlushMicros = 0;
   };
 
-  /// \p Budget is the per-segment event count (>= 1).
-  TracePipeline(uint64_t Budget, size_t NumBlocks);
+  /// \p Budget is the per-segment event count (>= 1); \p Shapes is the
+  /// recorded program's shape table (core::blockShapes).
+  TracePipeline(uint64_t Budget, std::vector<BlockShape> Shapes);
 
   /// Closes the ring and joins the consumer if finish() never ran.
   ~TracePipeline();
@@ -83,13 +84,13 @@ public:
 
 private:
   struct Work {
-    std::vector<TraceEvent> Events;
+    std::vector<EventWord> Events;
   };
 
   void consumeLoop();
 
   const uint64_t Budget;
-  const size_t NumBlocks;
+  const std::vector<BlockShape> Shapes;
 
   /// Producer side: events already handed to the consumer.
   uint64_t DoneThrough = 0;
@@ -101,7 +102,7 @@ private:
 
   /// Consumer-owned accumulation (read by finish() only after the drain).
   std::vector<TraceSegmentRecord> Segments;
-  uint64_t RunInsts = 0, RunTaken = 0;
+  EventSums Run;
   uint64_t WorkMicros = 0;
 
   /// Declared last so the worker never outlives the state above.

@@ -1,4 +1,4 @@
-//===- core/TraceSegments.cpp - Sharded TPDT v3 trace container ------------===//
+//===- core/TraceSegments.cpp - Sharded TPDT v4 trace container ------------===//
 
 #include "core/TraceSegments.h"
 
@@ -23,75 +23,102 @@ uint64_t tpdbt::core::segmentEventBudget() {
   return std::max<uint64_t>(V, MinSegmentEvents);
 }
 
-std::string tpdbt::core::encodeSegmentEvents(const TraceEvent *Ev, size_t N) {
+std::string tpdbt::core::encodeSegmentEvents(const EventWord *W, size_t N) {
   std::string Out;
-  Out.reserve(N * 3); // typical traces take 2-3 bytes per event
+  Out.reserve(N + N / 4); // typical traces take about one byte per event
   int64_t PrevBlock = 0;
   for (size_t I = 0; I < N; ++I) {
-    const int64_t Delta = static_cast<int64_t>(Ev[I].Block) - PrevBlock;
-    PrevBlock = static_cast<int64_t>(Ev[I].Block);
-    putVarint(Out, (zigzagEncode(Delta) << 2) | Ev[I].Branch);
-    putVarint(Out, Ev[I].Insts);
+    const int64_t Block = eventBlock(W[I]);
+    putVarint(Out, zigzagEncode(Block - PrevBlock) << 1 | eventTaken(W[I]));
+    PrevBlock = Block;
   }
   return Out;
 }
 
 bool tpdbt::core::decodeSegmentEvents(const std::string &Raw,
-                                      uint64_t ExpectEvents, size_t NumBlocks,
-                                      std::vector<TraceEvent> &Out,
+                                      uint64_t ExpectEvents,
+                                      const std::vector<BlockShape> &Shapes,
+                                      std::vector<EventWord> &Out,
                                       std::string *Error) {
   auto Fail = [&](const char *Msg) {
     if (Error)
       *Error = Msg;
     return false;
   };
+  // Every event takes at least one raw byte, so a short payload is
+  // rejected before the reservation is sized from the caller's count.
+  if (ExpectEvents > Raw.size())
+    return Fail("truncated segment event");
   Out.reserve(Out.size() + ExpectEvents);
   size_t Pos = 0;
   int64_t PrevBlock = 0;
   for (uint64_t I = 0; I < ExpectEvents; ++I) {
-    uint64_t Packed = 0, Insts = 0;
-    if (!getVarint(Raw, Pos, Packed) || !getVarint(Raw, Pos, Insts))
+    uint64_t Packed = 0;
+    if (!getVarint(Raw, Pos, Packed))
       return Fail("truncated segment event");
-    TraceEvent E;
-    E.Branch = static_cast<uint8_t>(Packed & 3);
-    if (E.Branch > 2)
-      return Fail("corrupt branch bits");
-    const int64_t Block = PrevBlock + zigzagDecode(Packed >> 2);
-    if (Block < 0 || static_cast<uint64_t>(Block) >= NumBlocks)
+    const bool Taken = Packed & 1;
+    const int64_t Block = PrevBlock + zigzagDecode(Packed >> 1);
+    if (Block < 0 || static_cast<uint64_t>(Block) >= Shapes.size())
       return Fail("block id out of range");
-    if (Insts >= (uint64_t(1) << 32))
-      return Fail("event instruction count overflows");
+    if (Taken && !Shapes[static_cast<size_t>(Block)].Cond)
+      return Fail("taken bit on a block without a conditional branch");
     PrevBlock = Block;
-    E.Block = static_cast<BlockId>(Block);
-    E.Insts = static_cast<uint32_t>(Insts);
-    Out.push_back(E);
+    Out.push_back(packEvent(static_cast<BlockId>(Block), Taken));
   }
   if (Pos != Raw.size())
     return Fail("trailing bytes after segment events");
   return true;
 }
 
+EventSums tpdbt::core::sumEvents(const EventWord *W, size_t N,
+                                 const std::vector<BlockShape> &Shapes) {
+  EventSums S;
+  for (size_t I = 0; I < N; ++I) {
+    S.Insts += Shapes[eventBlock(W[I])].Len;
+    S.Taken += eventTaken(W[I]);
+  }
+  return S;
+}
+
 namespace {
 
 constexpr char Magic[4] = {'T', 'P', 'D', 'T'};
-constexpr uint8_t SegmentedVersion = 3;
+constexpr uint8_t SegmentedVersion = 4;
 
 } // namespace
 
+SegmentedTraceHeader tpdbt::core::segmentedHeaderOf(const BlockTrace &T,
+                                                    uint64_t Budget) {
+  SegmentedTraceHeader H;
+  H.NumBlocks = T.numBlocks();
+  H.NumEvents = T.numEvents();
+  H.TailInsts = T.tailInsts();
+  if (H.TailInsts)
+    H.TailBlock = eventBlock(T.words().back());
+  H.SegmentBudget = Budget;
+  H.Shapes = T.shapes();
+  H.Final = T.finalCounts();
+  H.TotalInsts = T.totalInsts();
+  return H;
+}
+
 std::string tpdbt::core::assembleSegmentedTrace(
-    size_t NumBlocks, uint64_t NumEvents, uint64_t TotalInsts,
-    uint64_t Budget, const std::vector<profile::BlockCounters> &Final,
+    const SegmentedTraceHeader &H,
     const std::vector<TraceSegmentRecord> &Segments) {
   std::string Out(Magic, 4);
   Out.push_back(static_cast<char>(SegmentedVersion));
-  putVarint(Out, NumBlocks);
-  putVarint(Out, NumEvents);
-  putVarint(Out, TotalInsts);
-  putVarint(Out, Budget);
+  putVarint(Out, H.NumBlocks);
+  putVarint(Out, H.NumEvents);
+  putVarint(Out, H.TailInsts);
+  if (H.TailInsts)
+    putVarint(Out, H.TailBlock);
+  putVarint(Out, H.SegmentBudget);
   putVarint(Out, Segments.size());
-  for (size_t B = 0; B < NumBlocks; ++B) {
-    putVarint(Out, Final[B].Use);
-    putVarint(Out, Final[B].Taken);
+  for (const BlockShape &S : H.Shapes)
+    putVarint(Out, uint64_t(S.Len) << 1 | (S.Cond ? 1 : 0));
+  for (const profile::BlockCounters &C : H.Final) {
+    putVarint(Out, C.Use);
+    putVarint(Out, C.Taken);
   }
   for (const TraceSegmentRecord &S : Segments) {
     putVarint(Out, S.Events);
@@ -120,12 +147,12 @@ TraceTotals SegmentedTraceHeader::totals() const {
   return T;
 }
 
-void tpdbt::core::foldCounterTable(const TraceEvent *Ev, size_t N,
+void tpdbt::core::foldCounterTable(const EventWord *W, size_t N,
                                    std::vector<profile::BlockCounters> &Table) {
   for (size_t I = 0; I < N; ++I) {
-    profile::BlockCounters &C = Table[Ev[I].Block];
+    profile::BlockCounters &C = Table[eventBlock(W[I])];
     ++C.Use;
-    C.Taken += Ev[I].Branch == 2 ? 1 : 0;
+    C.Taken += eventTaken(W[I]);
   }
 }
 
@@ -158,40 +185,73 @@ bool tpdbt::core::parseSegmentedHeader(const std::string &Bytes,
     return Fail("unsupported trace version");
   size_t Pos = 5;
   SegmentedTraceHeader H;
-  uint64_t NumSegments = 0;
+  uint64_t NumSegments = 0, TailInsts = 0, TailBlock = 0;
   if (!getVarint(Bytes, Pos, H.NumBlocks) ||
       !getVarint(Bytes, Pos, H.NumEvents) ||
-      !getVarint(Bytes, Pos, H.TotalInsts) ||
+      !getVarint(Bytes, Pos, TailInsts) ||
+      (TailInsts && !getVarint(Bytes, Pos, TailBlock)) ||
       !getVarint(Bytes, Pos, H.SegmentBudget) ||
       !getVarint(Bytes, Pos, NumSegments))
     return Fail("truncated segmented trace header");
-  // Each block costs >= 2 counter-table bytes and each segment >= 4
-  // directory bytes plus a payload frame, so counts exceeding those
+  // Each block costs >= 3 shape and counter-table bytes and each segment
+  // >= 4 directory bytes plus a payload frame, so counts exceeding those
   // budgets against the file size mark corruption before any allocation
   // is sized from an attacker-controlled field. Segments hold at least
-  // one event each.
-  if (H.NumBlocks > FileSize / 2 || H.NumEvents >= (uint64_t(1) << 32) ||
-      NumSegments > H.NumEvents || NumSegments > FileSize / 4)
+  // one event each, and an event word keeps 31 bits for its block id.
+  if (H.NumBlocks > FileSize / 3 || H.NumBlocks > (uint64_t(1) << 31) ||
+      H.NumEvents >= (uint64_t(1) << 32) || NumSegments > H.NumEvents ||
+      NumSegments > FileSize / 4)
     return Fail("implausible segmented trace header");
   if (H.SegmentBudget == 0)
     return Fail("segmented trace with zero budget");
+  if (TailInsts && (H.NumEvents == 0 || TailBlock >= H.NumBlocks))
+    return Fail("partial tail outside the trace");
+
+  H.Shapes.resize(H.NumBlocks);
+  for (BlockShape &S : H.Shapes) {
+    uint64_t Packed = 0;
+    if (!getVarint(Bytes, Pos, Packed))
+      return Fail("truncated trace shape table");
+    if ((Packed >> 1) == 0 || (Packed >> 1) >= (uint64_t(1) << 32))
+      return Fail("block length outside the shape table's range");
+    S.Len = static_cast<uint32_t>(Packed >> 1);
+    S.Cond = Packed & 1;
+  }
+  // A partial tail stops before its terminator: it is shorter than its
+  // block, and executed at least the instruction that faulted.
+  if (TailInsts && TailInsts >= H.Shapes[TailBlock].Len)
+    return Fail("partial tail as long as its block");
+  H.TailInsts = static_cast<uint32_t>(TailInsts);
+  H.TailBlock = static_cast<BlockId>(TailBlock);
 
   H.Final.resize(H.NumBlocks);
-  uint64_t SumUse = 0;
+  uint64_t SumUse = 0, Insts = 0;
   for (uint64_t B = 0; B < H.NumBlocks; ++B) {
-    if (!getVarint(Bytes, Pos, H.Final[B].Use) ||
-        !getVarint(Bytes, Pos, H.Final[B].Taken))
+    profile::BlockCounters &C = H.Final[B];
+    if (!getVarint(Bytes, Pos, C.Use) || !getVarint(Bytes, Pos, C.Taken))
       return Fail("truncated trace counter table");
     // Per-entry bounds before accumulating, so a crafted huge counter can
     // never wrap SumUse back onto the expected total.
-    if (H.Final[B].Use > H.NumEvents || H.Final[B].Taken > H.Final[B].Use)
+    if (C.Use > H.NumEvents || C.Taken > C.Use)
       return Fail("counter table entry exceeds event count");
-    SumUse += H.Final[B].Use;
+    if (C.Taken && !H.Shapes[B].Cond)
+      return Fail("taken count on a block without a conditional branch");
+    SumUse += C.Use;
     if (SumUse > H.NumEvents)
       return Fail("counter table disagrees with event count");
+    // Uses < 2^32 and lengths < 2^32, summed over < 2^32 events: no wrap.
+    Insts += C.Use * H.Shapes[B].Len;
   }
   if (SumUse != H.NumEvents)
     return Fail("counter table disagrees with event count");
+  if (TailInsts) {
+    // The tail is one of its block's uses and never a taken branch.
+    const profile::BlockCounters &C = H.Final[TailBlock];
+    if (C.Use == C.Taken)
+      return Fail("counter table disagrees with partial tail");
+    Insts -= H.Shapes[TailBlock].Len - TailInsts;
+  }
+  H.TotalInsts = Insts;
 
   H.Directory.resize(NumSegments);
   uint64_t SumEvents = 0, SumPayload = 0, RunInsts = 0, RunTaken = 0;
@@ -211,6 +271,11 @@ bool tpdbt::core::parseSegmentedHeader(const std::string &Bytes,
     // bounded by the real file size.
     if (Ent.PayloadBytes == 0 || Ent.PayloadBytes > FileSize)
       return Fail("segment payload size implausible");
+    // Every event is at least one raw byte, so a segment holds no more
+    // events than its frame can inflate to: the event counts readers
+    // reserve for stay bounded by the file size.
+    if (Events > maxDecompressedSize(Ent.PayloadBytes))
+      return Fail("segment event count exceeds its payload");
     if (Ent.BaseInsts < RunInsts || Ent.BaseTaken < RunTaken)
       return Fail("segment bases not monotone");
     if (S == 0 && (Ent.BaseInsts != 0 || Ent.BaseTaken != 0))
@@ -227,10 +292,6 @@ bool tpdbt::core::parseSegmentedHeader(const std::string &Bytes,
     return Fail("segment directory disagrees with event count");
   if (RunInsts > H.TotalInsts || RunTaken > H.takenEvents())
     return Fail("segment bases exceed trace totals");
-  // With no segment to check it against, a nonzero instruction total
-  // cannot be matched by any event.
-  if (NumSegments == 0 && H.TotalInsts != 0)
-    return Fail("empty trace with nonzero instruction total");
 
   H.PayloadStart = Pos;
   uint64_t Offset = Pos;
@@ -287,39 +348,47 @@ bool SegmentedTraceReader::open(const std::string &Path,
 
 bool tpdbt::core::decodeSegment(const SegmentedTraceHeader &H, size_t I,
                                 const std::string &Frame,
-                                std::vector<TraceEvent> &Out,
+                                std::vector<EventWord> &Out,
                                 std::string *Error) {
   assert(I < H.Directory.size() && "segment index out of range");
+  auto Fail = [&](const char *Msg) {
+    if (Error)
+      *Error = Msg;
+    return false;
+  };
   const SegmentedTraceHeader::Entry &Ent = H.Directory[I];
   std::string Raw;
   if (!decompressBytes(Frame, Raw, Error))
     return false;
   const size_t From = Out.size();
-  if (!decodeSegmentEvents(Raw, Ent.Events, H.NumBlocks, Out, Error))
+  if (!decodeSegmentEvents(Raw, Ent.Events, H.Shapes, Out, Error))
     return false;
   // The segment's own sums must land exactly on the next directory row's
   // bases (or the trace totals for the last segment) — a purely local
   // check, so random-access reads stay O(segment). Since the first row's
   // bases are zero, checking every segment pins the whole prefix chain.
-  uint64_t SegInsts = 0, SegTaken = 0;
-  for (size_t J = From; J < Out.size(); ++J) {
-    SegInsts += Out[J].Insts;
-    SegTaken += Out[J].Branch == 2 ? 1 : 0;
-  }
+  EventSums Sums = sumEvents(Out.data() + From, Out.size() - From, H.Shapes);
   const bool Last = I + 1 == H.Directory.size();
+  if (Last && H.TailInsts) {
+    // The header's partial tail is this segment's (the stream's) final
+    // event: of the block it names, and stopped before its branch.
+    const EventWord Tail = Out.back();
+    if (eventBlock(Tail) != H.TailBlock)
+      return Fail("partial tail disagrees with the final event");
+    if (eventTaken(Tail))
+      return Fail("taken bit on the partial tail");
+    Sums.Insts -= H.Shapes[H.TailBlock].Len - H.TailInsts;
+  }
   const uint64_t WantInsts =
       (Last ? H.TotalInsts : H.Directory[I + 1].BaseInsts) - Ent.BaseInsts;
   const uint64_t WantTaken =
       (Last ? H.takenEvents() : H.Directory[I + 1].BaseTaken) - Ent.BaseTaken;
-  if (SegInsts != WantInsts || SegTaken != WantTaken) {
-    if (Error)
-      *Error = "segment events disagree with directory bases";
-    return false;
-  }
+  if (Sums.Insts != WantInsts || Sums.Taken != WantTaken)
+    return Fail("segment events disagree with directory bases");
   return true;
 }
 
-bool SegmentedTraceReader::readSegment(size_t I, std::vector<TraceEvent> &Out,
+bool SegmentedTraceReader::readSegment(size_t I, std::vector<EventWord> &Out,
                                        std::string *Error) {
   assert(I < Header.Directory.size() && "segment index out of range");
   const SegmentedTraceHeader::Entry &Ent = Header.Directory[I];
@@ -338,7 +407,7 @@ bool SegmentedTraceReader::readSegment(size_t I, std::vector<TraceEvent> &Out,
 }
 
 bool SegmentedTraceReader::verifyAll(std::string *Error) {
-  std::vector<TraceEvent> Buffer;
+  std::vector<EventWord> Buffer;
   std::vector<profile::BlockCounters> Folded(Header.NumBlocks);
   for (size_t I = 0; I < numSegments(); ++I) {
     if (!readSegment(I, Buffer, Error))

@@ -1,16 +1,17 @@
-//===- core/TraceSegments.h - Sharded TPDT v3 trace container ---*- C++ -*-===//
+//===- core/TraceSegments.h - Sharded TPDT v4 trace container ---*- C++ -*-===//
 //
 // Part of the tpdbt project (CGO 2004 initial-prediction reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The TPDT v3 trace container — the one on-disk trace format: the event
+/// The TPDT v4 trace container — the one on-disk trace format: the event
 /// stream cut into fixed-event-budget segments, each independently
 /// delta-varint encoded and TPDZ-compressed, behind a header that carries
-/// the per-block final counter table and a segment directory (event
-/// count, payload size, and the global instruction/taken prefix-sum bases
-/// at each segment start).
+/// the per-block shape table (instruction count and branch kind), the
+/// final counter table and a segment directory (event count, payload
+/// size, and the global instruction/taken prefix-sum bases at each
+/// segment start).
 ///
 /// Segment independence is the point of the format: because every
 /// segment's delta encoding restarts from block 0 and its TPDZ frame is
@@ -28,8 +29,7 @@
 /// must equal the header's. parse() and SegmentedTraceReader::verifyAll()
 /// (which streams the file through one segment buffer and keeps no
 /// events) share it. The exact byte layout lives in docs/CACHE_FORMAT.md;
-/// the retired monolithic v1/v2 entries are rejected like any corrupt
-/// file.
+/// the retired v1/v2/v3 entries are rejected like any corrupt file.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,8 +48,8 @@
 namespace tpdbt {
 namespace core {
 
-/// Default per-segment event budget: 64Ki events (~1 MiB of decoded
-/// events, a few hundred KiB compressed) — big enough that per-segment
+/// Default per-segment event budget: 64Ki events (256 KiB of decoded
+/// event words, about 64 KiB of raw varints before compression) — big enough that per-segment
 /// overheads (TPDZ header, delta restart, directory row) are noise, small
 /// enough that dozens of segments are in flight even at bench scale.
 constexpr uint64_t DefaultSegmentEvents = uint64_t(1) << 16;
@@ -65,48 +65,54 @@ constexpr uint64_t MinSegmentEvents = 256;
 /// otherwise the value clamped up to MinSegmentEvents. Never 0.
 uint64_t segmentEventBudget();
 
-/// Delta-varint encodes \p N events (two varints per event, with the
-/// block-id delta chain restarting from 0 at the slice start).
-std::string encodeSegmentEvents(const TraceEvent *Ev, size_t N);
+/// Delta-varint encodes \p N events, one varint each: the zigzagged
+/// block-id delta (the chain restarting from 0 at the slice start)
+/// shifted left once, with the taken bit in the low bit.
+std::string encodeSegmentEvents(const EventWord *W, size_t N);
 
 /// Decodes one segment's raw (decompressed) payload, appending exactly
-/// \p ExpectEvents events to \p Out. Rejects out-of-range block ids,
-/// corrupt branch bits, truncation, and trailing bytes.
+/// \p ExpectEvents events to \p Out. Rejects out-of-range block ids, a
+/// taken bit on a block without a conditional branch, truncation, and
+/// trailing bytes.
 bool decodeSegmentEvents(const std::string &Raw, uint64_t ExpectEvents,
-                         size_t NumBlocks, std::vector<TraceEvent> &Out,
-                         std::string *Error);
+                         const std::vector<BlockShape> &Shapes,
+                         std::vector<EventWord> &Out, std::string *Error);
 
-/// One finished segment, as the pipeline's consumer stage produces it:
-/// the directory row plus the compressed payload.
-struct TraceSegmentRecord {
-  uint32_t Events = 0;
-  /// Global prefix sums over events before this segment.
-  uint64_t BaseInsts = 0;
-  uint64_t BaseTaken = 0;
-  /// TPDZ-compressed encodeSegmentEvents() output.
-  std::string Payload;
+/// Instruction and taken-branch sums over a run of events.
+struct EventSums {
+  uint64_t Insts = 0;
+  uint64_t Taken = 0;
+  EventSums &operator+=(const EventSums &O) {
+    Insts += O.Insts;
+    Taken += O.Taken;
+    return *this;
+  }
 };
 
-/// Assembles the TPDT v3 container from finished segments (in stream
-/// order). The caller supplies the stream totals and the final counter
-/// table; BlockTrace::serializeSegmented and TracePipeline both land
-/// here.
-std::string
-assembleSegmentedTrace(size_t NumBlocks, uint64_t NumEvents,
-                       uint64_t TotalInsts, uint64_t Budget,
-                       const std::vector<profile::BlockCounters> &Final,
-                       const std::vector<TraceSegmentRecord> &Segments);
+/// The sums of \p N events, each counted whole (its block's full
+/// length): a caller whose run ends on a partial tail subtracts the
+/// shortfall itself.
+EventSums sumEvents(const EventWord *W, size_t N,
+                    const std::vector<BlockShape> &Shapes);
 
-/// A parsed TPDT v3 header: everything before the payload frames. Small
+/// A parsed TPDT v4 header: everything before the payload frames. Small
 /// (O(blocks + segments)) — this is all a streaming reader ever holds of
 /// the file besides one segment.
 struct SegmentedTraceHeader {
   uint64_t NumBlocks = 0;
   uint64_t NumEvents = 0;
-  uint64_t TotalInsts = 0;
+  /// The final event's instruction count when a fault cut it short of its
+  /// block's length, TailBlock being that block; 0 when it is whole.
+  uint32_t TailInsts = 0;
+  guest::BlockId TailBlock = 0;
   uint64_t SegmentBudget = 0;
+  /// Per-block shape table: whole-event length and branch kind.
+  std::vector<BlockShape> Shapes;
   /// Final per-block use/taken counters (the counter table).
   std::vector<profile::BlockCounters> Final;
+  /// Derived, not stored: every block's uses times its length, less the
+  /// partial tail's shortfall.
+  uint64_t TotalInsts = 0;
   struct Entry {
     uint32_t Events = 0;
     uint64_t PayloadBytes = 0;
@@ -128,26 +134,56 @@ struct SegmentedTraceHeader {
   TraceTotals totals() const;
 };
 
-/// Parses a v3 header from \p Bytes (a prefix of the file is enough once
+/// The header fields of \p T serialized at \p Budget events per segment
+/// (no directory: assembleSegmentedTrace() writes that from the
+/// segments).
+SegmentedTraceHeader segmentedHeaderOf(const BlockTrace &T, uint64_t Budget);
+
+/// One finished segment, as the pipeline's consumer stage produces it:
+/// the directory row plus the compressed payload.
+struct TraceSegmentRecord {
+  uint32_t Events = 0;
+  /// Global prefix sums over events before this segment.
+  uint64_t BaseInsts = 0;
+  uint64_t BaseTaken = 0;
+  /// TPDZ-compressed encodeSegmentEvents() output.
+  std::string Payload;
+};
+
+/// Assembles the TPDT v4 container from \p H's header fields (block
+/// count, event count, partial tail, budget, shape and counter tables;
+/// its directory and derived totals are ignored) and the finished
+/// segments, in stream order. BlockTrace::serializeSegmented and
+/// TracePipeline both land here.
+std::string assembleSegmentedTrace(const SegmentedTraceHeader &H,
+                                   const std::vector<TraceSegmentRecord> &Segments);
+
+/// Parses a v4 header from \p Bytes (a prefix of the file is enough once
 /// it covers the header). \p FileSize anchors the payload-extent check:
 /// the directory's payload sizes must tile [PayloadStart, FileSize)
-/// exactly. Fails on truncated input — callers with a partial prefix
-/// retry with more bytes (see SegmentedTraceReader::open).
+/// exactly. No directory row may declare more events than its payload
+/// can inflate to (support/Compression.h maxDecompressedSize(); every
+/// event is at least one raw byte), so the event count a reader reserves
+/// for is bounded by the file size. Fails on truncated input — callers
+/// with a partial prefix retry with more bytes (see
+/// SegmentedTraceReader::open).
 bool parseSegmentedHeader(const std::string &Bytes, uint64_t FileSize,
                           SegmentedTraceHeader &Out, std::string *Error);
 
 /// Inflates segment \p I's TPDZ payload \p Frame, decodes its events onto
 /// the end of \p Out, and checks the segment's instruction/taken sums
 /// against the next directory row's bases (or, for the last segment, the
-/// trace totals). The only place a v3 segment payload is decoded.
+/// trace totals, after checking that its final event is the header's
+/// partial tail, untaken, when there is one). The only place a v4 segment
+/// payload is decoded.
 bool decodeSegment(const SegmentedTraceHeader &H, size_t I,
-                   const std::string &Frame, std::vector<TraceEvent> &Out,
+                   const std::string &Frame, std::vector<EventWord> &Out,
                    std::string *Error);
 
 /// Adds \p N decoded events to the per-block use/taken table \p Table,
 /// which is sized to the header's block count (decodeSegment() has
 /// range-checked every block id).
-void foldCounterTable(const TraceEvent *Ev, size_t N,
+void foldCounterTable(const EventWord *W, size_t N,
                       std::vector<profile::BlockCounters> &Table);
 
 /// The whole-container check that ends every full decode: \p Folded, the
@@ -168,7 +204,6 @@ struct SegmentProfile {
     guest::BlockId Block = 0;
     uint64_t Use = 0;
     uint64_t Taken = 0;
-    uint64_t Insts = 0;
   };
   std::vector<Entry> Entries;
 };
@@ -216,14 +251,14 @@ private:
   std::vector<Memoized> Segments; ///< by segment index
 };
 
-/// Streams a TPDT v3 file segment-at-a-time: open() reads and validates
+/// Streams a TPDT v4 file segment-at-a-time: open() reads and validates
 /// only the header; readSegment() seeks to one payload frame, inflates
 /// and decodes it into a caller-owned buffer. Peak memory is one segment
 /// (plus the header), independent of trace length. Single-threaded.
 class SegmentedTraceReader {
 public:
   /// Opens \p Path and parses the header. False (with \p Error) when the
-  /// file is missing, not a v3 container, or fails header validation.
+  /// file is missing, not a v4 container, or fails header validation.
   static bool open(const std::string &Path, SegmentedTraceReader &Out,
                    std::string *Error);
 
@@ -232,7 +267,7 @@ public:
 
   /// Reads segment \p I into \p Out (replacing its contents; capacity is
   /// reused across calls) through decodeSegment().
-  bool readSegment(size_t I, std::vector<TraceEvent> &Out,
+  bool readSegment(size_t I, std::vector<EventWord> &Out,
                    std::string *Error);
 
   /// Reads every segment through readSegment() into one reused buffer,

@@ -30,30 +30,22 @@ Estimator::Estimator(const guest::Program &P, const cfg::Cfg &G,
   SampledOf.resize(N);
   assert(Decoded.size() == this->Plan.Chosen.size() &&
          "one decoded profile per chosen segment");
-  std::vector<uint64_t> SeenUse(N, 0), SeenInsts(N, 0);
   for (size_t C = 0; C < Decoded.size(); ++C) {
     const uint32_t Seg = this->Plan.Chosen[C];
     for (const SegmentProfile::Entry &E : Decoded[C].Entries)
-      if (E.Block < N) {
+      if (E.Block < N)
         SampledOf[E.Block].push_back({Seg, E.Use, E.Taken});
-        SeenUse[E.Block] += E.Use;
-        SeenInsts[E.Block] += E.Insts;
-      }
   }
 
-  // Per-occurrence instruction length. Blocks execute straight-line, so
-  // the length is constant per block; prefer the decoded observation and
-  // fall back to the static count (body plus terminator) for blocks the
-  // sample never saw. A single global scale pins the weighted total to
-  // the stream's exact instruction count, absorbing any model slack.
+  // Per-occurrence instruction length: the block's shape, constant for
+  // every whole execution. A single global scale pins the weighted total
+  // to the stream's exact instruction count, absorbing a partial final
+  // event.
+  const std::vector<core::BlockShape> Shapes = core::blockShapes(P);
   EffLen.assign(N, 0.0);
   double WeightedTotal = 0.0;
   for (size_t B = 0; B < N; ++B) {
-    EffLen[B] = SeenUse[B]
-                    ? static_cast<double>(SeenInsts[B]) /
-                          static_cast<double>(SeenUse[B])
-                    : static_cast<double>(
-                          P.block(static_cast<BlockId>(B)).Insts.size() + 1);
+    EffLen[B] = static_cast<double>(Shapes[B].Len);
     WeightedTotal += static_cast<double>(this->Final[B].Use) * EffLen[B];
   }
   if (WeightedTotal > 0.0) {

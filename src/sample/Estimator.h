@@ -21,7 +21,7 @@
 ///
 /// where rate_h(b) is block b's mean use per event over stratum h's
 /// sampled segments and alpha_b calibrates the imputed mass so the curve
-/// ends exactly at the block's final counter (the TPDT v3 header's counter
+/// ends exactly at the block's final counter (the TPDT v4 header's counter
 /// table) — the sampled prefix plus the imputed remainder always sums to
 /// the truth, so errors live only in *where* mass sits, never in totals.
 /// Blocks invisible to the sample spread their mass uniformly over the
@@ -133,7 +133,7 @@ public:
 
   /// The profiling-only snapshot (AVEP / INIP(train)). Exact: it depends
   /// only on the stream totals and the final counter table, all of which
-  /// the TPDT v3 header carries — byte-identical to the full replay's
+  /// the TPDT v4 header carries — byte-identical to the full replay's
   /// Average.
   profile::ProfileSnapshot average(const dbt::DbtOptions &Base) const;
 

@@ -13,7 +13,7 @@
 ///
 /// Two feature sources, one algorithm:
 ///
-///  - detectSegmentPhases() uses only the TPDT v3 directory aggregates
+///  - detectSegmentPhases() uses only the TPDT v4 directory aggregates
 ///    (event count, instructions/event, taken/event). These are exact for
 ///    every segment without decompressing any payload — the disk path's
 ///    whole point — and are computed identically from an in-memory trace,
@@ -35,7 +35,7 @@
 namespace tpdbt {
 namespace sample {
 
-/// Exact per-segment aggregates, read from the TPDT v3 segment directory
+/// Exact per-segment aggregates, read from the TPDT v4 segment directory
 /// (disk) or a single pass over the event slice (memory). Never requires
 /// decoding a segment payload.
 struct SegmentStats {

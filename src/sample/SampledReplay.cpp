@@ -11,22 +11,19 @@
 
 using namespace tpdbt;
 using namespace tpdbt::sample;
+using core::EventWord;
 using core::SegmentedTraceHeader;
-using core::TraceEvent;
 
-void tpdbt::sample::aggregateEvents(const TraceEvent *Ev, size_t N,
+void tpdbt::sample::aggregateEvents(const EventWord *W, size_t N,
                                     size_t NumBlocks, SegmentProfile &Out) {
   Out.Entries.clear();
   std::vector<SegmentProfile::Entry> Dense(NumBlocks);
   for (size_t I = 0; I < N; ++I) {
-    const TraceEvent &E = Ev[I];
-    if (E.Block >= NumBlocks)
+    const guest::BlockId B = core::eventBlock(W[I]);
+    if (B >= NumBlocks)
       continue;
-    SegmentProfile::Entry &D = Dense[E.Block];
-    ++D.Use;
-    D.Insts += E.Insts;
-    if (E.Branch == 2)
-      ++D.Taken;
+    ++Dense[B].Use;
+    Dense[B].Taken += core::eventTaken(W[I]);
   }
   for (size_t B = 0; B < NumBlocks; ++B)
     if (Dense[B].Use) {
@@ -119,15 +116,18 @@ MemorySegmentSource::MemorySegmentSource(const core::BlockTrace &Trace,
   Stats.reserve(N / this->Budget + 1);
   for (size_t Start = 0; Start < N; Start += this->Budget) {
     const size_t End = std::min<size_t>(Start + this->Budget, N);
+    const core::EventSums Sums = core::sumEvents(
+        Trace.words().data() + Start, End - Start, Trace.shapes());
     SegmentStats S;
     S.Events = End - Start;
-    for (size_t I = Start; I < End; ++I) {
-      const TraceEvent &E = Trace.event(I);
-      S.Insts += E.Insts;
-      if (E.Branch == 2)
-        ++S.Taken;
-    }
+    S.Insts = Sums.Insts;
+    S.Taken = Sums.Taken;
     Stats.push_back(S);
+  }
+  if (Trace.tailInsts()) {
+    // sumEvents() counted the partial final event whole.
+    const guest::BlockId Tail = core::eventBlock(Trace.words().back());
+    Stats.back().Insts -= Trace.shapes()[Tail].Len - Trace.tailInsts();
   }
 }
 
@@ -141,8 +141,9 @@ bool MemorySegmentSource::read(size_t I, SegmentProfile &Out,
   const size_t Start = I * Budget;
   const size_t End =
       std::min<size_t>(Start + Budget, Trace.numEvents());
-  // The event vector is contiguous; hand the slice straight down.
-  aggregateEvents(&Trace.event(Start), End - Start, Trace.numBlocks(), Out);
+  // The event words are contiguous; hand the slice straight down.
+  aggregateEvents(Trace.words().data() + Start, End - Start,
+                  Trace.numBlocks(), Out);
   return true;
 }
 

@@ -12,7 +12,7 @@
 /// replicates) through sample::Estimator.
 ///
 /// Segments arrive through the SegmentSource interface so the same driver
-/// runs off a warm TPDT v3 cache entry (DiskSegmentSource: directory
+/// runs off a warm TPDT v4 cache entry (DiskSegmentSource: directory
 /// stats for free, at most one readSegment per drawn segment per trace
 /// store, unsampled segments never leave the file) and off a freshly
 /// recorded in-memory trace (MemorySegmentSource: the event vector sliced
@@ -90,7 +90,7 @@ public:
   virtual const std::vector<profile::BlockCounters> &finalCounts() const = 0;
 };
 
-/// Segments straight from a TPDT v3 container: statistics from the
+/// Segments straight from a TPDT v4 container: statistics from the
 /// directory's per-segment deltas (no payload touched), reads through
 /// SegmentedTraceReader::readSegment. When the reader came from
 /// core::TraceCache::openSegmented, a read first asks the entry's
@@ -112,7 +112,7 @@ public:
 private:
   core::SegmentedTraceReader &Reader;
   uint64_t TakenTotal = 0;
-  std::vector<core::TraceEvent> Buf; ///< readSegment scratch
+  std::vector<core::EventWord> Buf; ///< readSegment scratch
 };
 
 /// Segments sliced from an in-memory trace at \p Budget events (the
@@ -136,9 +136,9 @@ private:
   std::vector<SegmentStats> Stats;
 };
 
-/// Aggregates a decoded event slice into sparse per-block totals
-/// (ascending block id). Shared by both sources and the tests.
-void aggregateEvents(const core::TraceEvent *Ev, size_t N, size_t NumBlocks,
+/// Aggregates a decoded event slice into sparse per-block use/taken
+/// totals (ascending block id). Shared by both sources and the tests.
+void aggregateEvents(const core::EventWord *W, size_t N, size_t NumBlocks,
                      SegmentProfile &Out);
 
 /// Two-sided 95% Student-t quantile for \p Df degrees of freedom (exact

@@ -131,6 +131,10 @@ std::string tpdbt::compressBytes(const std::string &Raw) {
   return Out;
 }
 
+uint64_t tpdbt::maxDecompressedSize(uint64_t FrameBytes) {
+  return (FrameBytes + 1) * 270 + 64;
+}
+
 bool tpdbt::decompressBytes(const std::string &Compressed, std::string &Out,
                             std::string *Error) {
   Out.clear();
@@ -148,9 +152,8 @@ bool tpdbt::decompressBytes(const std::string &Compressed, std::string &Out,
   uint64_t RawSize = 0;
   if (!getVarint(Compressed, Pos, RawSize))
     return Fail("truncated compression header");
-  // Guard against absurd declared sizes before reserving memory: the
-  // stream cannot legally expand by more than ~256x per byte.
-  if (RawSize > (Compressed.size() - Pos + 1) * 270 + 64)
+  // Guard against absurd declared sizes before reserving memory.
+  if (RawSize > maxDecompressedSize(Compressed.size() - Pos))
     return Fail("declared raw size implausibly large");
   // Size the output once and fill it through a cursor; the checks below
   // keep every write inside [0, RawSize).

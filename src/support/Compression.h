@@ -27,6 +27,7 @@
 #ifndef TPDBT_SUPPORT_COMPRESSION_H
 #define TPDBT_SUPPORT_COMPRESSION_H
 
+#include <cstdint>
 #include <string>
 
 namespace tpdbt {
@@ -42,6 +43,13 @@ std::string compressBytes(const std::string &Raw);
 /// or trailing bytes. On failure \p Out is left empty.
 bool decompressBytes(const std::string &Compressed, std::string &Out,
                      std::string *Error);
+
+/// The most raw bytes a frame of \p FrameBytes compressed bytes can
+/// legally inflate to (the stream cannot expand by more than ~256x per
+/// byte). decompressBytes() rejects any declared raw size above it for the
+/// bytes after the frame header; a reader holding only a frame's total
+/// size gets a valid, slightly looser bound from the same call.
+uint64_t maxDecompressedSize(uint64_t FrameBytes);
 
 } // namespace tpdbt
 

@@ -4,6 +4,8 @@
 #include "core/TraceCache.h"
 #include "core/TraceSegments.h"
 #include "support/TextFile.h"
+#include "workloads/BenchSpec.h"
+#include "workloads/Generator.h"
 
 #include <gtest/gtest.h>
 
@@ -368,7 +370,10 @@ TEST(ExperimentSampleTest, MemoDoesNotMaskTruncatedEntry) {
   std::filesystem::resize_file(Path, std::filesystem::file_size(Path) / 2);
   SegmentedTraceReader Reader;
   std::string Error;
-  EXPECT_FALSE(Shared->openSegmented("gzip", "ref", ExecFp, Reader, &Error));
+  const auto Gzip = workloads::generateBenchmark(
+      workloads::scaledSpec(*workloads::findSpec("gzip"), 0.01));
+  EXPECT_FALSE(
+      Shared->openSegmented("gzip", "ref", ExecFp, Gzip.Ref, Reader, &Error));
   EXPECT_FALSE(Error.empty());
 
   EXPECT_EQ(sampleGzip(W.Dir, 11, Shared), Fresh);

@@ -452,16 +452,24 @@ TEST(ExperimentContextTest, TamperedTrainCounterTableIsReRecorded) {
     Rec.Payload = Good->substr(Ent.PayloadOffset, Ent.PayloadBytes);
     Segments.push_back(std::move(Rec));
   }
-  std::vector<profile::BlockCounters> Final = H.Final;
-  size_t From = 0;
-  while (From < Final.size() && Final[From].Use <= Final[From].Taken)
-    ++From;
+  // The receiving block has the same length, so the derived instruction
+  // total is intact too.
+  SegmentedTraceHeader Nudge = H;
+  std::vector<profile::BlockCounters> &Final = Nudge.Final;
+  size_t From = 0, To = 0;
+  for (; From < Final.size(); ++From) {
+    if (Final[From].Use <= Final[From].Taken)
+      continue;
+    for (To = 0; To < Final.size(); ++To)
+      if (To != From && H.Shapes[To].Len == H.Shapes[From].Len)
+        break;
+    if (To < Final.size())
+      break;
+  }
   ASSERT_LT(From, Final.size());
   --Final[From].Use;
-  ++Final[(From + 1) % Final.size()].Use;
-  const std::string Tampered =
-      assembleSegmentedTrace(H.NumBlocks, H.NumEvents, H.TotalInsts,
-                             H.SegmentBudget, Final, Segments);
+  ++Final[To].Use;
+  const std::string Tampered = assembleSegmentedTrace(Nudge, Segments);
   SegmentedTraceHeader Check;
   ASSERT_TRUE(parseSegmentedHeader(Tampered, Tampered.size(), Check, nullptr));
   ASSERT_TRUE(writeTextFile(TrainPath, Tampered));

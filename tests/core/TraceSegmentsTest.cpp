@@ -138,22 +138,30 @@ TEST(TraceSegmentsTest, SegmentEncodeDecodeRoundTrip) {
   ASSERT_GT(T.numEvents(), 100u);
   // Slice out of the middle: the delta chain must restart cleanly.
   const size_t At = 37, N = 101;
-  std::string Raw = encodeSegmentEvents(&T.event(At), N);
-  std::vector<TraceEvent> Out;
+  std::string Raw = encodeSegmentEvents(T.words().data() + At, N);
+  std::vector<EventWord> Out;
   std::string Error;
-  ASSERT_TRUE(decodeSegmentEvents(Raw, N, T.numBlocks(), Out, &Error))
-      << Error;
+  ASSERT_TRUE(decodeSegmentEvents(Raw, N, T.shapes(), Out, &Error)) << Error;
   ASSERT_EQ(Out.size(), N);
-  for (size_t I = 0; I < N; ++I) {
-    EXPECT_EQ(Out[I].Block, T.event(At + I).Block);
-    EXPECT_EQ(Out[I].Branch, T.event(At + I).Branch);
-    EXPECT_EQ(Out[I].Insts, T.event(At + I).Insts);
-  }
+  for (size_t I = 0; I < N; ++I)
+    EXPECT_EQ(Out[I], T.words()[At + I]);
   // Wrong expectations are rejected.
   Out.clear();
-  EXPECT_FALSE(decodeSegmentEvents(Raw, N + 1, T.numBlocks(), Out, nullptr));
+  EXPECT_FALSE(decodeSegmentEvents(Raw, N + 1, T.shapes(), Out, nullptr));
   Out.clear();
-  EXPECT_FALSE(decodeSegmentEvents(Raw, N - 1, T.numBlocks(), Out, nullptr));
+  EXPECT_FALSE(decodeSegmentEvents(Raw, N - 1, T.shapes(), Out, nullptr));
+  // A taken bit on a block without a conditional branch is rejected.
+  size_t Plain = 0;
+  while (T.shapes()[eventBlock(T.words()[At + Plain])].Cond)
+    ++Plain;
+  ASSERT_LT(Plain, N);
+  std::vector<EventWord> Bad(T.words().begin() + At,
+                             T.words().begin() + At + N);
+  Bad[Plain] |= 1;
+  Out.clear();
+  EXPECT_FALSE(decodeSegmentEvents(encodeSegmentEvents(Bad.data(), N), N,
+                                   T.shapes(), Out, &Error));
+  EXPECT_EQ(Error, "taken bit on a block without a conditional branch");
 }
 
 TEST(TraceSegmentsTest, SegmentedRoundTripAtManyBudgets) {
@@ -200,7 +208,7 @@ TEST(TraceSegmentsTest, SegmentedRoundTripRandomizedBudgets) {
 
 TEST(TraceSegmentsTest, EmptyTraceSegmentsRoundTrip) {
   BlockTrace T;
-  T.setNumBlocks(4);
+  T.setShapes(std::vector<BlockShape>(4, BlockShape{1, false}));
   std::string Bytes = T.serializeSegmented(100);
   BlockTrace Q;
   std::string Error;
@@ -218,10 +226,14 @@ TEST(TraceSegmentsTest, ParseRejectsCorruptContainers) {
   // Baseline parses.
   ASSERT_TRUE(BlockTrace::parse(Bytes, Q, nullptr));
 
-  // Unknown version byte.
-  std::string BadVersion = Bytes;
-  BadVersion[4] = 4;
-  EXPECT_FALSE(BlockTrace::parse(BadVersion, Q, nullptr));
+  // Unknown version bytes, the retired two-varint v3 included.
+  for (char Version : {3, 5}) {
+    std::string BadVersion = Bytes;
+    BadVersion[4] = Version;
+    std::string Error;
+    EXPECT_FALSE(BlockTrace::parse(BadVersion, Q, &Error));
+    EXPECT_EQ(Error, "unsupported trace version");
+  }
 
   // Truncations at every region: header, directory, payload.
   EXPECT_FALSE(BlockTrace::parse(Bytes.substr(0, 7), Q, nullptr));
@@ -387,6 +399,162 @@ TEST(TraceSegmentsTest, StaleMonolithicEntryIsReRecorded) {
   std::filesystem::remove_all(Dir);
 }
 
+namespace {
+
+/// The segments of a parsed container, ready to re-assemble under a
+/// tampered header.
+std::vector<TraceSegmentRecord> segmentsOf(const std::string &Bytes,
+                                           const SegmentedTraceHeader &H) {
+  std::vector<TraceSegmentRecord> Segments;
+  for (const SegmentedTraceHeader::Entry &Ent : H.Directory) {
+    TraceSegmentRecord Rec;
+    Rec.Events = Ent.Events;
+    Rec.BaseInsts = Ent.BaseInsts;
+    Rec.BaseTaken = Ent.BaseTaken;
+    Rec.Payload = Bytes.substr(Ent.PayloadOffset, Ent.PayloadBytes);
+    Segments.push_back(std::move(Rec));
+  }
+  return Segments;
+}
+
+} // namespace
+
+TEST(TraceSegmentsTest, Version3EntryIsReRecordedInPlace) {
+  // A v4 entry whose version byte reads 3: the retired two-varint layout
+  // is unsupported, so the entry counts corrupt once and is overwritten
+  // with the fresh v4 recording.
+  const std::string Dir = tempDir("stale_v3");
+  std::filesystem::remove_all(Dir);
+  ASSERT_TRUE(ensureDirectory(Dir));
+  auto B = smallBench("mcf");
+  const uint64_t MaxBlocks = 20000;
+  const std::string Fresh = BlockTrace::record(B.Ref, MaxBlocks)
+                                .serializeSegmented(segmentEventBudget());
+  std::string Stale = Fresh;
+  Stale[4] = 3;
+  BlockTrace Q;
+  std::string Error;
+  EXPECT_FALSE(BlockTrace::parse(Stale, Q, &Error));
+  EXPECT_EQ(Error, "unsupported trace version");
+
+  TraceCache Cache(Dir);
+  const std::string Path = Cache.entryPath("mcf", "ref", 0x7d);
+  ASSERT_TRUE(writeTextFile(Path, Stale));
+  ASSERT_NE(Cache.get("mcf", "ref", 0x7d, B.Ref, MaxBlocks), nullptr);
+  EXPECT_EQ(Cache.stats().CorruptEntries.load(), 1u);
+  EXPECT_EQ(Cache.stats().Misses.load(), 1u);
+  EXPECT_EQ(Cache.stats().DiskHits.load(), 0u);
+  EXPECT_EQ(readTextFile(Path).value_or(""), Fresh);
+  std::filesystem::remove_all(Dir);
+}
+
+TEST(TraceSegmentsTest, ShapeTableMustMatchTheProgram) {
+  // A self-consistent container whose shape table disagrees with the
+  // requested program (one never-taken block's branch kind flipped): it
+  // parses, but every event's expansion would come from the wrong table,
+  // so get(), totals() and openSegmented() all reject it, the lookups
+  // count it corrupt once and the rewrite equals a fresh recording.
+  const std::string Dir = tempDir("shape_mismatch");
+  std::filesystem::remove_all(Dir);
+  ASSERT_TRUE(ensureDirectory(Dir));
+  auto B = smallBench("mcf");
+  const uint64_t MaxBlocks = 20000;
+  const std::string Fresh = BlockTrace::record(B.Ref, MaxBlocks)
+                                .serializeSegmented(segmentEventBudget());
+  SegmentedTraceHeader H;
+  ASSERT_TRUE(parseSegmentedHeader(Fresh, Fresh.size(), H, nullptr));
+  size_t Flip = 0;
+  while (Flip < H.Final.size() && H.Final[Flip].Taken != 0)
+    ++Flip;
+  ASSERT_LT(Flip, H.Final.size());
+  H.Shapes[Flip].Cond = !H.Shapes[Flip].Cond;
+  const std::string Foreign = assembleSegmentedTrace(H, segmentsOf(Fresh, H));
+  BlockTrace Q;
+  std::string Error;
+  ASSERT_TRUE(BlockTrace::parse(Foreign, Q, &Error)) << Error;
+  EXPECT_NE(Q.shapes(), blockShapes(B.Ref));
+
+  TraceCache Cache(Dir);
+  const std::string Path = Cache.entryPath("mcf", "ref", 0x7e);
+  ASSERT_TRUE(writeTextFile(Path, Foreign));
+  SegmentedTraceReader R;
+  EXPECT_FALSE(Cache.openSegmented("mcf", "ref", 0x7e, B.Ref, R, &Error));
+  EXPECT_EQ(Error, "trace shape table disagrees with the program");
+  ASSERT_NE(Cache.get("mcf", "ref", 0x7e, B.Ref, MaxBlocks), nullptr);
+  EXPECT_EQ(Cache.stats().CorruptEntries.load(), 1u);
+  EXPECT_EQ(Cache.stats().Misses.load(), 1u);
+  EXPECT_EQ(Cache.stats().DiskHits.load(), 0u);
+  EXPECT_EQ(readTextFile(Path).value_or(""), Fresh);
+  // The rewritten entry opens for the program it was recorded from.
+  EXPECT_TRUE(Cache.openSegmented("mcf", "ref", 0x7e, B.Ref, R, &Error))
+      << Error;
+
+  ASSERT_TRUE(writeTextFile(Path, Foreign));
+  TraceCache Streamed(Dir);
+  Streamed.totals("mcf", "ref", 0x7e, B.Ref, MaxBlocks);
+  EXPECT_EQ(Streamed.stats().CorruptEntries.load(), 1u);
+  EXPECT_EQ(Streamed.stats().Misses.load(), 1u);
+  EXPECT_EQ(readTextFile(Path).value_or(""), Fresh);
+  std::filesystem::remove_all(Dir);
+}
+
+TEST(TraceSegmentsTest, PartialTailRoundTripsAndIsChecked) {
+  // Two blocks: 0 is two instructions ending in a conditional branch, 1
+  // is three straight-line ones. The run ends on a fault one instruction
+  // into block 0, so the final event is partial and untaken.
+  BlockTrace T;
+  T.setShapes({BlockShape{2, true}, BlockShape{3, false}});
+  T.append({0, 2, 2});
+  T.append({1, 0, 3});
+  T.append({0, 1, 2});
+  T.append({0, 0, 1});
+  EXPECT_EQ(T.tailInsts(), 1u);
+  EXPECT_EQ(T.totalInsts(), 8u);
+  for (uint64_t Budget : {1, 2, 3, 4}) {
+    BlockTrace Q;
+    std::string Error;
+    ASSERT_TRUE(BlockTrace::parse(T.serializeSegmented(Budget), Q, &Error))
+        << Budget << ": " << Error;
+    expectSameEvents(T, Q, "partial tail");
+    EXPECT_EQ(Q.tailInsts(), 1u);
+  }
+
+  const std::string Good = T.serializeSegmented(4);
+  SegmentedTraceHeader H;
+  ASSERT_TRUE(parseSegmentedHeader(Good, Good.size(), H, nullptr));
+  EXPECT_EQ(H.TotalInsts, 8u);
+  EXPECT_EQ(H.TailBlock, 0u);
+  BlockTrace Q;
+  std::string Error;
+
+  // A taken bit on the tail: the counter table is adjusted to match, so
+  // only the tail rule catches it.
+  std::vector<EventWord> Words = T.words();
+  Words.back() |= 1;
+  std::vector<TraceSegmentRecord> Segments(1);
+  Segments[0].Events = 4;
+  Segments[0].Payload = compressBytes(encodeSegmentEvents(Words.data(), 4));
+  SegmentedTraceHeader Taken = H;
+  ++Taken.Final[0].Taken;
+  std::string Bytes = assembleSegmentedTrace(Taken, Segments);
+  EXPECT_FALSE(BlockTrace::parse(Bytes, Q, &Error));
+  EXPECT_EQ(Error, "taken bit on the partial tail");
+
+  // A header naming a tail block other than the final event's.
+  SegmentedTraceHeader Elsewhere = H;
+  Elsewhere.TailBlock = 1;
+  Bytes = assembleSegmentedTrace(Elsewhere, segmentsOf(Good, H));
+  EXPECT_FALSE(BlockTrace::parse(Bytes, Q, &Error));
+  EXPECT_EQ(Error, "partial tail disagrees with the final event");
+
+  // A tail as long as its block is a whole event, not a partial one.
+  SegmentedTraceHeader Whole = H;
+  Whole.TailInsts = 2;
+  Bytes = assembleSegmentedTrace(Whole, segmentsOf(Good, H));
+  EXPECT_FALSE(BlockTrace::parse(Bytes, Q, &Error));
+  EXPECT_EQ(Error, "partial tail as long as its block");
+}
+
 TEST(TraceSegmentsTest, SegmentSumsMustMeetDirectoryBases) {
   // A directory row whose bases are off by one instruction: the header
   // alone cannot tell, but decoding either neighbouring segment does —
@@ -395,24 +563,21 @@ TEST(TraceSegmentsTest, SegmentSumsMustMeetDirectoryBases) {
   BlockTrace T = BlockTrace::record(B.Ref, 2000);
   const uint64_t Budget = 256;
   std::vector<TraceSegmentRecord> Segments;
-  uint64_t Insts = 0, Taken = 0;
+  EventSums Base;
   for (size_t At = 0; At < T.numEvents(); At += Budget) {
     const size_t N = std::min<size_t>(Budget, T.numEvents() - At);
     TraceSegmentRecord Rec;
     Rec.Events = static_cast<uint32_t>(N);
-    Rec.BaseInsts = Insts + (Segments.size() == 1 ? 1 : 0);
-    Rec.BaseTaken = Taken;
-    Rec.Payload = compressBytes(encodeSegmentEvents(&T.event(At), N));
-    for (size_t I = At; I < At + N; ++I) {
-      Insts += T.event(I).Insts;
-      Taken += T.event(I).Branch == 2 ? 1 : 0;
-    }
+    Rec.BaseInsts = Base.Insts + (Segments.size() == 1 ? 1 : 0);
+    Rec.BaseTaken = Base.Taken;
+    Rec.Payload =
+        compressBytes(encodeSegmentEvents(T.words().data() + At, N));
+    Base += sumEvents(T.words().data() + At, N, T.shapes());
     Segments.push_back(std::move(Rec));
   }
   ASSERT_GT(Segments.size(), 2u);
   const std::string Bytes =
-      assembleSegmentedTrace(T.numBlocks(), T.numEvents(), T.totalInsts(),
-                             Budget, T.finalCounts(), Segments);
+      assembleSegmentedTrace(segmentedHeaderOf(T, Budget), Segments);
   BlockTrace Q;
   std::string Error;
   EXPECT_FALSE(BlockTrace::parse(Bytes, Q, &Error));
@@ -425,7 +590,7 @@ TEST(TraceSegmentsTest, SegmentSumsMustMeetDirectoryBases) {
   ASSERT_TRUE(writeTextFile(Path, Bytes));
   SegmentedTraceReader R;
   ASSERT_TRUE(SegmentedTraceReader::open(Path, R, &Error)) << Error;
-  std::vector<TraceEvent> Events;
+  std::vector<EventWord> Events;
   EXPECT_FALSE(R.readSegment(0, Events, &Error));
   EXPECT_EQ(Error, "segment events disagree with directory bases");
   EXPECT_FALSE(R.readSegment(1, Events, &Error));
@@ -460,7 +625,7 @@ TEST(TraceSegmentsTest, ReaderRejectsTruncatedAndForeignFiles) {
   const std::string Good = Dir + "/good.trace";
   ASSERT_TRUE(writeTextFile(Good, Bytes));
   ASSERT_TRUE(SegmentedTraceReader::open(Good, R, &Error)) << Error;
-  std::vector<TraceEvent> Events;
+  std::vector<EventWord> Events;
   ASSERT_TRUE(R.readSegment(0, Events, &Error)) << Error;
   EXPECT_EQ(Events.size(), R.header().Directory[0].Events);
 
@@ -476,19 +641,24 @@ TEST(TraceSegmentsTest, ReaderRejectsTruncatedAndForeignFiles) {
 }
 
 TEST(TraceSegmentsTest, HeaderRejectsHostileDirectoryEntries) {
-  // Hand-built v3 containers exercising the parser's per-entry bounds:
+  // Hand-built v4 containers exercising the parser's per-entry bounds:
   // none of these may size an allocation from the attacker's field, and
   // all must fail cleanly rather than truncate through a uint32 cast.
-  auto header = [](uint64_t Blocks, uint64_t Events, uint64_t Insts,
-                   uint64_t Budget, uint64_t Segments) {
+  // Each block takes one shape varint (length 3, no branch) here.
+  auto header = [](uint64_t Blocks, uint64_t Events, uint64_t Budget,
+                   uint64_t Segments) {
     std::string Out("TPDT", 4);
-    Out.push_back(3); // segmented version
+    Out.push_back(4); // segmented version
     putVarint(Out, Blocks);
     putVarint(Out, Events);
-    putVarint(Out, Insts);
+    putVarint(Out, 0); // whole final event
     putVarint(Out, Budget);
     putVarint(Out, Segments);
     return Out;
+  };
+  auto shapes = [](std::string &Out, uint64_t Blocks) {
+    for (uint64_t B = 0; B < Blocks; ++B)
+      putVarint(Out, 3 << 1);
   };
   auto counters = [](std::string &Out, uint64_t Use, uint64_t Taken) {
     putVarint(Out, Use);
@@ -499,36 +669,36 @@ TEST(TraceSegmentsTest, HeaderRejectsHostileDirectoryEntries) {
   // Segment count far beyond what the file could hold: rejected before
   // the directory vector is sized.
   {
-    std::string Bytes = header(1, 4, 10, 256, uint64_t(1) << 40);
+    std::string Bytes = header(1, 4, 256, uint64_t(1) << 40);
     EXPECT_FALSE(parseSegmentedHeader(Bytes, Bytes.size(), H, nullptr));
   }
   // Block count beyond the file size.
   {
-    std::string Bytes = header(uint64_t(1) << 40, 4, 10, 256, 1);
+    std::string Bytes = header(uint64_t(1) << 40, 4, 256, 1);
     EXPECT_FALSE(parseSegmentedHeader(Bytes, Bytes.size(), H, nullptr));
-  }
-  // No events, so no segment, yet a nonzero instruction total.
-  {
-    std::string Bytes = header(1, 0, 10, 256, 0);
-    counters(Bytes, 0, 0);
-    std::string Error;
-    EXPECT_FALSE(parseSegmentedHeader(Bytes, Bytes.size(), H, &Error));
-    EXPECT_EQ(Error, "empty trace with nonzero instruction total");
   }
   // Zero segment budget.
   {
-    std::string Bytes = header(1, 4, 10, 0, 1);
+    std::string Bytes = header(1, 4, 0, 1);
     EXPECT_FALSE(parseSegmentedHeader(Bytes, Bytes.size(), H, nullptr));
   }
+  // A zero-length block: every block executes at least its terminator.
+  {
+    std::string Bytes = header(1, 4, 256, 1);
+    putVarint(Bytes, 0 << 1 | 1);
+    std::string Error;
+    EXPECT_FALSE(
+        parseSegmentedHeader(Bytes, Bytes.size() + 64, H, &Error));
+    EXPECT_EQ(Error, "block length outside the shape table's range");
+  }
   // A counter-table entry claiming more uses than the trace has events
-  // (would previously rely on the final sum check, which a second huge
+  // (would otherwise rely on the final sum check, which a second huge
   // entry could wrap past).
   {
-    std::string Bytes = header(2, 4, 10, 256, 1);
-    putVarint(Bytes, 5); // block 0: Use > NumEvents
-    putVarint(Bytes, 0);
-    putVarint(Bytes, 0);
-    putVarint(Bytes, 0);
+    std::string Bytes = header(2, 4, 256, 1);
+    shapes(Bytes, 2);
+    counters(Bytes, 5, 0); // block 0: Use > NumEvents
+    counters(Bytes, 0, 0);
     std::string Error;
     EXPECT_FALSE(
         parseSegmentedHeader(Bytes, Bytes.size() + 64, H, &Error));
@@ -536,15 +706,26 @@ TEST(TraceSegmentsTest, HeaderRejectsHostileDirectoryEntries) {
   }
   // Taken > Use within one entry.
   {
-    std::string Bytes = header(1, 4, 10, 256, 1);
-    putVarint(Bytes, 4);
-    putVarint(Bytes, 5);
+    std::string Bytes = header(1, 4, 256, 1);
+    shapes(Bytes, 1);
+    counters(Bytes, 4, 5);
     EXPECT_FALSE(
         parseSegmentedHeader(Bytes, Bytes.size() + 64, H, nullptr));
   }
+  // Taken uses on a block whose shape has no conditional branch.
+  {
+    std::string Bytes = header(1, 4, 256, 1);
+    shapes(Bytes, 1);
+    counters(Bytes, 4, 1);
+    std::string Error;
+    EXPECT_FALSE(
+        parseSegmentedHeader(Bytes, Bytes.size() + 64, H, &Error));
+    EXPECT_EQ(Error, "taken count on a block without a conditional branch");
+  }
   // A zero-length directory entry.
   {
-    std::string Bytes = header(1, 4, 10, 256, 1);
+    std::string Bytes = header(1, 4, 256, 1);
+    shapes(Bytes, 1);
     counters(Bytes, 4, 0);
     putVarint(Bytes, 0); // Events = 0
     putVarint(Bytes, 8); // PayloadBytes
@@ -558,7 +739,8 @@ TEST(TraceSegmentsTest, HeaderRejectsHostileDirectoryEntries) {
   // An entry whose event count overflows its segment budget (and would
   // otherwise be narrowed to uint32).
   {
-    std::string Bytes = header(1, 4, 10, 256, 1);
+    std::string Bytes = header(1, 4, 256, 1);
+    shapes(Bytes, 1);
     counters(Bytes, 4, 0);
     putVarint(Bytes, (uint64_t(1) << 32) + 4); // Events >> budget
     putVarint(Bytes, 8);
@@ -570,7 +752,8 @@ TEST(TraceSegmentsTest, HeaderRejectsHostileDirectoryEntries) {
   // A zero-byte payload (segments always hold >= 1 event, so their
   // compressed payload can never be empty).
   {
-    std::string Bytes = header(1, 4, 10, 256, 1);
+    std::string Bytes = header(1, 4, 256, 1);
+    shapes(Bytes, 1);
     counters(Bytes, 4, 0);
     putVarint(Bytes, 4);
     putVarint(Bytes, 0); // PayloadBytes = 0
@@ -583,7 +766,8 @@ TEST(TraceSegmentsTest, HeaderRejectsHostileDirectoryEntries) {
   }
   // A payload claiming more bytes than the whole file.
   {
-    std::string Bytes = header(1, 4, 10, 256, 1);
+    std::string Bytes = header(1, 4, 256, 1);
+    shapes(Bytes, 1);
     counters(Bytes, 4, 0);
     putVarint(Bytes, 4);
     putVarint(Bytes, uint64_t(1) << 40);
@@ -592,6 +776,101 @@ TEST(TraceSegmentsTest, HeaderRejectsHostileDirectoryEntries) {
     EXPECT_FALSE(
         parseSegmentedHeader(Bytes, Bytes.size() + 8, H, nullptr));
   }
+}
+
+/// A partial tail's header fields around a one-block trace: every
+/// malformed placement fails in the header, before any payload is read.
+TEST(TraceSegmentsTest, HeaderRejectsMisplacedPartialTails) {
+  auto withTail = [](uint64_t Events, uint64_t TailInsts, uint64_t TailBlock,
+                     uint64_t Len, uint64_t Use, uint64_t Taken) {
+    std::string Out("TPDT", 4);
+    Out.push_back(4);
+    putVarint(Out, 1); // blocks
+    putVarint(Out, Events);
+    putVarint(Out, TailInsts);
+    putVarint(Out, TailBlock);
+    putVarint(Out, 256);           // budget
+    putVarint(Out, Events ? 1 : 0); // segments
+    putVarint(Out, Len << 1 | 1);  // conditional block
+    putVarint(Out, Use);
+    putVarint(Out, Taken);
+    return Out;
+  };
+  SegmentedTraceHeader H;
+  std::string Error;
+  std::string Bytes = withTail(2, 3, 0, 3, 2, 0);
+  EXPECT_FALSE(parseSegmentedHeader(Bytes, Bytes.size() + 64, H, &Error));
+  EXPECT_EQ(Error, "partial tail as long as its block");
+  Bytes = withTail(2, 4, 0, 3, 2, 0);
+  EXPECT_FALSE(parseSegmentedHeader(Bytes, Bytes.size() + 64, H, &Error));
+  EXPECT_EQ(Error, "partial tail as long as its block");
+  Bytes = withTail(2, 2, 1, 3, 2, 0); // names a block the trace lacks
+  EXPECT_FALSE(parseSegmentedHeader(Bytes, Bytes.size() + 64, H, &Error));
+  EXPECT_EQ(Error, "partial tail outside the trace");
+  Bytes = withTail(0, 2, 0, 3, 0, 0); // no event to be partial
+  EXPECT_FALSE(parseSegmentedHeader(Bytes, Bytes.size() + 64, H, &Error));
+  EXPECT_EQ(Error, "partial tail outside the trace");
+  Bytes = withTail(2, 2, 0, 3, 2, 2); // every use taken: none is the tail
+  EXPECT_FALSE(parseSegmentedHeader(Bytes, Bytes.size() + 64, H, &Error));
+  EXPECT_EQ(Error, "counter table disagrees with partial tail");
+}
+
+TEST(TraceSegmentsTest, CraftedEventCountIsRejectedWithoutAllocating) {
+  // 2^32 - 1 events behind a 4-byte payload: the header sums all agree,
+  // so before the payload bound the parser handed that count to a
+  // reservation and the process died of std::bad_alloc. Every reader
+  // must now reject the file as corrupt, and the cache must re-record.
+  const uint64_t Huge = (uint64_t(1) << 32) - 1;
+  std::string Bytes("TPDT", 4);
+  Bytes.push_back(4);
+  putVarint(Bytes, 1);    // blocks
+  putVarint(Bytes, Huge); // events
+  putVarint(Bytes, 0);    // whole final event
+  putVarint(Bytes, Huge); // budget
+  putVarint(Bytes, 1);    // segments
+  putVarint(Bytes, 1 << 1); // block 0: one instruction, no branch
+  putVarint(Bytes, Huge);   // block 0: use
+  putVarint(Bytes, 0);      //          taken
+  putVarint(Bytes, Huge);   // segment 0: events
+  putVarint(Bytes, 4);      //            payload bytes
+  putVarint(Bytes, 0);      //            base insts
+  putVarint(Bytes, 0);      //            base taken
+  Bytes += std::string(4, '\0');
+
+  SegmentedTraceHeader H;
+  std::string Error;
+  EXPECT_FALSE(parseSegmentedHeader(Bytes, Bytes.size(), H, &Error));
+  EXPECT_EQ(Error, "segment event count exceeds its payload");
+  BlockTrace Q;
+  EXPECT_FALSE(BlockTrace::parse(Bytes, Q, &Error));
+
+  const std::string Dir = tempDir("crafted_count");
+  std::filesystem::remove_all(Dir);
+  ASSERT_TRUE(ensureDirectory(Dir));
+  auto B = smallBench("mcf");
+  TraceCache Cache(Dir);
+  const std::string Path = Cache.entryPath("mcf", "ref", 0x7c);
+  ASSERT_TRUE(writeTextFile(Path, Bytes));
+  // The streamed reader stops at open(), before verifyAll() could read.
+  SegmentedTraceReader R;
+  EXPECT_FALSE(SegmentedTraceReader::open(Path, R, &Error));
+  const std::string Fresh =
+      BlockTrace::record(B.Ref, 20000).serializeSegmented(segmentEventBudget());
+  auto T = Cache.get("mcf", "ref", 0x7c, B.Ref, 20000);
+  ASSERT_NE(T, nullptr);
+  EXPECT_EQ(Cache.stats().CorruptEntries.load(), 1u);
+  EXPECT_EQ(Cache.stats().Misses.load(), 1u);
+  EXPECT_EQ(readTextFile(Path).value_or(""), Fresh);
+
+  // The totals() lookup (train traces) streams through verifyAll(): the
+  // same file is rejected there too, once, and rewritten.
+  ASSERT_TRUE(writeTextFile(Path, Bytes));
+  TraceCache Streamed(Dir);
+  Streamed.totals("mcf", "ref", 0x7c, B.Ref, 20000);
+  EXPECT_EQ(Streamed.stats().CorruptEntries.load(), 1u);
+  EXPECT_EQ(Streamed.stats().Misses.load(), 1u);
+  EXPECT_EQ(readTextFile(Path).value_or(""), Fresh);
+  std::filesystem::remove_all(Dir);
 }
 
 TEST(TraceSegmentsTest, StreamedTotalsAcceptExactlyWhatParseAccepts) {
@@ -623,7 +902,7 @@ TEST(TraceSegmentsTest, StreamedTotalsAcceptExactlyWhatParseAccepts) {
         Cache.totals("eon", "ref", 0x7a, B.Ref, MaxBlocks);
     BlockTrace Q;
     const bool Parsed = BlockTrace::parse(Bytes, Q, nullptr) &&
-                        Q.numBlocks() == B.Ref.numBlocks();
+                        Q.shapes() == blockShapes(B.Ref);
     if (!Parsed) {
       ++Rejected;
       ASSERT_EQ(Cache.stats().DiskHits.load(), Hits) << Label;

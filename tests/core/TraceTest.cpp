@@ -2,12 +2,15 @@
 
 #include "core/Trace.h"
 
+#include "core/TraceIndex.h"
 #include "core/TraceSegments.h"
 #include "dbt/DbtEngine.h"
 #include "guest/ProgramBuilder.h"
 #include "support/Rng.h"
 #include "workloads/BenchSpec.h"
 #include "workloads/Generator.h"
+
+#include "ScopedEnv.h"
 
 #include <gtest/gtest.h>
 
@@ -132,6 +135,43 @@ guest::Program makeDuplicatedDiamondLoop() {
   PB.addI(7, 7, 1);
   PB.addI(7, 7, 1);
   PB.jump(H);
+  PB.switchTo(Exit);
+  PB.halt();
+  return PB.build();
+}
+
+/// A hot loop head -> [a ->] b -> latch (head's conditional branch skips
+/// a from the 33rd iteration on) whose block b loads from the address of
+/// its iteration count: once the count reaches \p MemWords the load
+/// faults one instruction into b's three, so the run ends on a partial
+/// event.
+guest::Program makeFaultingLoop(int64_t Iters, uint64_t MemWords) {
+  using namespace guest;
+  ProgramBuilder PB("faulting");
+  BlockId Entry = PB.createBlock("entry");
+  BlockId Head = PB.createBlock("head");
+  BlockId A = PB.createBlock("a");
+  BlockId B = PB.createBlock("b");
+  BlockId Latch = PB.createBlock("latch");
+  BlockId Exit = PB.createBlock("exit");
+  PB.setMemWords(MemWords);
+  PB.setEntry(Entry);
+  PB.switchTo(Entry);
+  PB.movI(0, 0);
+  PB.jump(Head);
+  PB.switchTo(Head);
+  PB.addI(2, 0, 7);
+  PB.branchImm(CondKind::LtI, 2, 40, A, B);
+  PB.switchTo(A);
+  PB.xorI(3, 2, 0x33);
+  PB.jump(B);
+  PB.switchTo(B);
+  PB.mov(1, 0);
+  PB.load(4, 1, 0); // faults once r0 reaches MemWords
+  PB.jump(Latch);
+  PB.switchTo(Latch);
+  PB.addI(0, 0, 1);
+  PB.branchImm(CondKind::LtI, 0, Iters, Head, Exit);
   PB.switchTo(Exit);
   PB.halt();
   return PB.build();
@@ -365,16 +405,24 @@ TEST(TraceTest, ParseRejectsCounterTableMismatch) {
     Rec.Payload = Good.substr(Ent.PayloadOffset, Ent.PayloadBytes);
     Segments.push_back(std::move(Rec));
   }
-  std::vector<profile::BlockCounters> Final = H.Final;
-  size_t From = 0;
-  while (From < Final.size() && Final[From].Use <= Final[From].Taken)
-    ++From;
+  // The receiving block has the same length, so the derived instruction
+  // total is intact too.
+  SegmentedTraceHeader Nudge = H;
+  std::vector<profile::BlockCounters> &Final = Nudge.Final;
+  size_t From = 0, To = 0;
+  for (; From < Final.size(); ++From) {
+    if (Final[From].Use <= Final[From].Taken)
+      continue;
+    for (To = 0; To < Final.size(); ++To)
+      if (To != From && H.Shapes[To].Len == H.Shapes[From].Len)
+        break;
+    if (To < Final.size())
+      break;
+  }
   ASSERT_LT(From, Final.size());
   --Final[From].Use;
-  ++Final[(From + 1) % Final.size()].Use;
-  const std::string Bytes =
-      assembleSegmentedTrace(H.NumBlocks, H.NumEvents, H.TotalInsts,
-                             H.SegmentBudget, Final, Segments);
+  ++Final[To].Use;
+  const std::string Bytes = assembleSegmentedTrace(Nudge, Segments);
 
   SegmentedTraceHeader Nudged;
   std::string Error;
@@ -447,4 +495,80 @@ TEST(TraceTest, FoldedLoopWithDuplicatedBlockMatchesEventPump) {
   for (const region::Region &Reg : Regions)
     SeededAtS |= Reg.entryBlock() == S && Reg.containsBlock(H);
   EXPECT_TRUE(SeededAtS);
+}
+
+TEST(TraceTest, PartialFinalEventRoundTripsAndReplaysUnderEveryTier) {
+  // A MemFault stops the run one instruction into block b: the only event
+  // short of its block's length, kept in the trace's tail field. Every
+  // tier records the same trace, every segment budget round-trips it, the
+  // index accounts the tail, and both replays match the live engine.
+  const guest::Program P = makeFaultingLoop(200, 96);
+  const guest::BlockId FaultBlock = 3;
+  vm::Interpreter Interp(P);
+  vm::Machine M;
+  M.reset(P);
+  const vm::RunOutcome Plain = Interp.run(
+      M, ~0ull, [](guest::BlockId, const vm::BlockResult &) {});
+  ASSERT_EQ(Plain.Reason, vm::StopReason::MemFault);
+
+  const std::vector<uint64_t> Thresholds = {1, 2, 5, 16, 50, 500};
+  std::string Canonical;
+  for (const char *Tier : {"plain", "predecoded", "jit"}) {
+    ScopedEnv TierKnob("TPDBT_TIER", Tier);
+    ScopedEnv Heat("TPDBT_JIT_HEAT", "1");
+    const BlockTrace T = BlockTrace::record(P);
+    ASSERT_EQ(T.numEvents(), Plain.BlocksExecuted) << Tier;
+    EXPECT_EQ(T.totalInsts(), Plain.InstsExecuted) << Tier;
+    const TraceEvent Last = T.event(T.numEvents() - 1);
+    EXPECT_EQ(Last.Block, FaultBlock) << Tier;
+    EXPECT_EQ(Last.Branch, 0) << Tier;
+    EXPECT_EQ(Last.Insts, 2u) << Tier; // the mov, then the faulting load
+    EXPECT_EQ(T.tailInsts(), 2u) << Tier;
+
+    const std::string Bytes = T.serializeSegmented(DefaultSegmentEvents);
+    if (Canonical.empty())
+      Canonical = Bytes;
+    EXPECT_EQ(Bytes, Canonical) << Tier;
+    for (uint64_t Budget : {uint64_t(1), uint64_t(256), DefaultSegmentEvents}) {
+      BlockTrace Q;
+      std::string Error;
+      ASSERT_TRUE(BlockTrace::parse(T.serializeSegmented(Budget), Q, &Error))
+          << Tier << " budget " << Budget << ": " << Error;
+      ASSERT_EQ(Q.numEvents(), T.numEvents());
+      EXPECT_EQ(Q.totalInsts(), Plain.InstsExecuted);
+      EXPECT_EQ(Q.tailInsts(), T.tailInsts());
+      for (size_t I = 0; I < T.numEvents(); ++I) {
+        ASSERT_EQ(Q.event(I).Block, T.event(I).Block) << I;
+        ASSERT_EQ(Q.event(I).Branch, T.event(I).Branch) << I;
+        ASSERT_EQ(Q.event(I).Insts, T.event(I).Insts) << I;
+      }
+      EXPECT_EQ(Q.serializeSegmented(DefaultSegmentEvents), Canonical);
+    }
+
+    // The tail block's instruction prefix: whole executions, then the
+    // partial one when the prefix reaches it.
+    const TraceIndex &Idx = T.index();
+    const uint32_t Occ = Idx.occurrences(FaultBlock);
+    ASSERT_GT(Occ, 1u);
+    EXPECT_EQ(Idx.instsOfFirst(FaultBlock, Occ - 1), uint64_t(Occ - 1) * 3);
+    EXPECT_EQ(Idx.instsOfFirst(FaultBlock, Occ), uint64_t(Occ - 1) * 3 + 2);
+    uint64_t Sum = 0;
+    for (guest::BlockId B = 0; B < P.numBlocks(); ++B)
+      Sum += Idx.instsOfFirst(B, Idx.occurrences(B));
+    EXPECT_EQ(Sum, Plain.InstsExecuted);
+
+    const SweepResult Indexed = replaySweep(T, P, Thresholds, {});
+    const SweepResult Pumped = replaySweepEvents(T, P, Thresholds, {});
+    for (size_t I = 0; I < Thresholds.size(); ++I) {
+      const std::string Live =
+          profile::printSnapshot(liveRun(P, Thresholds[I], {}));
+      EXPECT_EQ(profile::printSnapshot(Indexed.PerThreshold[I]), Live)
+          << Tier << " T=" << Thresholds[I];
+      EXPECT_EQ(profile::printSnapshot(Pumped.PerThreshold[I]), Live)
+          << Tier << " T=" << Thresholds[I];
+    }
+    const std::string LiveAvg = profile::printSnapshot(liveRun(P, 0, {}));
+    EXPECT_EQ(profile::printSnapshot(Indexed.Average), LiveAvg) << Tier;
+    EXPECT_EQ(profile::printSnapshot(Pumped.Average), LiveAvg) << Tier;
+  }
 }

@@ -20,6 +20,8 @@
 #include "workloads/BenchSpec.h"
 #include "workloads/Generator.h"
 
+#include "ScopedEnv.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -30,34 +32,6 @@ using namespace tpdbt;
 using namespace tpdbt::vm;
 
 namespace {
-
-/// Sets (or, given nullptr, unsets) an environment variable for one test
-/// scope and restores the previous value (or absence) on destruction. The
-/// tier knobs are re-read on every use, so this is all a test needs.
-class ScopedEnv {
-public:
-  ScopedEnv(const char *Name, const char *Value) : Name(Name) {
-    const char *Prev = std::getenv(Name);
-    Had = Prev != nullptr;
-    if (Had)
-      Old = Prev;
-    if (Value)
-      setenv(Name, Value, 1);
-    else
-      unsetenv(Name);
-  }
-  ~ScopedEnv() {
-    if (Had)
-      setenv(Name.c_str(), Old.c_str(), 1);
-    else
-      unsetenv(Name.c_str());
-  }
-
-private:
-  std::string Name;
-  std::string Old;
-  bool Had = false;
-};
 
 struct CapturedEvent {
   guest::BlockId Block;
@@ -362,7 +336,7 @@ TEST(JitTierTest, RecordedTraceBytesMatchPlainWithJitHot) {
     auto B = workloads::generateBenchmark(
         workloads::scaledSpec(*workloads::findSpec(Name), 0.01));
     core::BlockTrace Plain;
-    Plain.setNumBlocks(B.Ref.numBlocks());
+    Plain.setShapes(core::blockShapes(B.Ref));
     Interpreter I(B.Ref);
     Machine M;
     M.reset(B.Ref);

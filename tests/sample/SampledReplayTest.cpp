@@ -210,7 +210,7 @@ TEST(SampledReplayTest, RejectsAdaptivePolicies) {
 TEST(SampledReplayTest, ZeroEventTrace) {
   auto B = bench("gzip", 0.01);
   BlockTrace T;
-  T.setNumBlocks(B.Ref.numBlocks());
+  T.setShapes(core::blockShapes(B.Ref));
   MemorySegmentSource Src(T, 512);
   SampledSweep S;
   std::string Error;

@@ -186,7 +186,7 @@ TEST(HostTierTest, RecordedTraceBytesMatchPlainPump) {
     auto B = workloads::generateBenchmark(
         workloads::scaledSpec(*workloads::findSpec(Name), 0.01));
     core::BlockTrace Plain;
-    Plain.setNumBlocks(B.Ref.numBlocks());
+    Plain.setShapes(core::blockShapes(B.Ref));
     Interpreter I(B.Ref);
     Machine M;
     M.reset(B.Ref);
@@ -230,7 +230,7 @@ TEST(HostTierTest, RandomizedSweepSnapshotsMatchPlainReplay) {
     auto B = workloads::generateBenchmark(
         workloads::scaledSpec(*workloads::findSpec(Name), 0.01));
     core::BlockTrace Plain;
-    Plain.setNumBlocks(B.Ref.numBlocks());
+    Plain.setShapes(core::blockShapes(B.Ref));
     Interpreter I(B.Ref);
     Machine M;
     M.reset(B.Ref);
