@@ -155,7 +155,7 @@ BENCHMARK_CAPTURE(BM_RecordBenchmarkNoJit, mcf, "mcf")
     ->Unit(benchmark::kMillisecond);
 
 /// The full cold-record cache miss — interpret, then per-segment encode +
-/// compress behind the recording, assemble the TPDT v3 container, write
+/// compress behind the recording, assemble the TPDT v4 container, write
 /// the .trace entry; no index — through the segment pipeline at its
 /// default budget. On multi-core hosts the segment work overlaps with
 /// recording, so this row should sit close to BM_RecordBenchmark/mcf.

@@ -481,7 +481,7 @@ std::string ExperimentContext::statsSummary() const {
       "jobs=%u prof %llu hit / %llu miss (%llu corrupt), trace %llu hit / "
       "%llu miss (%llu corrupt), %llu sweeps, %.1fs recording, "
       "%.1fs replaying, index %llu hit / %llu build (%.1fs), "
-      "host %llu chained / %llu folded (%llu closed) / %llu fallback, "
+      "host %llu chained / %llu folded / %llu fallback, "
       "jit %llu units / %llu blk / %llu iter / %llu deopt / %llu flush "
       "(%.2fs compile), "
       "stream %llu rec / %llu seg (%.1fs work, %.1fs flush), "
@@ -517,8 +517,6 @@ std::string ExperimentContext::statsSummary() const {
           TC.HostChainedBlocks.load(std::memory_order_relaxed)),
       static_cast<unsigned long long>(
           TC.HostFoldedIters.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          TC.HostClosedFormIters.load(std::memory_order_relaxed)),
       static_cast<unsigned long long>(
           TC.HostFallbacks.load(std::memory_order_relaxed)),
       static_cast<unsigned long long>(

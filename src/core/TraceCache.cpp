@@ -260,8 +260,6 @@ TraceCache::recordMiss(Slot &S, const std::string &Key,
                                     std::memory_order_relaxed);
   Stats.HostFoldedIters.fetch_add(Tier.RunFoldedIters,
                                   std::memory_order_relaxed);
-  Stats.HostClosedFormIters.fetch_add(Tier.ClosedFormIters,
-                                      std::memory_order_relaxed);
   Stats.HostFallbacks.fetch_add(Tier.Fallbacks, std::memory_order_relaxed);
   Stats.JitUnits.fetch_add(Tier.JitUnits, std::memory_order_relaxed);
   Stats.JitBlocks.fetch_add(Tier.JitBlocks, std::memory_order_relaxed);

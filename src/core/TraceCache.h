@@ -143,8 +143,8 @@ public:
     std::atomic<uint64_t> IndexBuilds{0};
     std::atomic<uint64_t> IndexMicros{0};
     /// Misses recorded through the streamed segment pipeline
-    /// (core/TracePipeline.h) and the segments they handed through the
-    /// ring. Only disk-backed misses run the pipeline, so both stay 0
+    /// (core/TracePipeline.h) and the segments they handed to its
+    /// worker. Only disk-backed misses run the pipeline, so both stay 0
     /// when the disk layer is off.
     std::atomic<uint64_t> StreamedRecords{0};
     std::atomic<uint64_t> SegmentsPiped{0};
@@ -156,11 +156,10 @@ public:
     /// Host translation tier coverage of the recordings behind the
     /// misses (see vm/HostTier.h): block events delivered from
     /// superblock chains, self-loop iterations folded into run-length
-    /// trace entries (the closed-form subset was never executed at all),
-    /// and superblock guard mismatches that fell back to plain dispatch.
+    /// trace entries, and superblock guard mismatches that fell back to
+    /// plain dispatch.
     std::atomic<uint64_t> HostChainedBlocks{0};
     std::atomic<uint64_t> HostFoldedIters{0};
-    std::atomic<uint64_t> HostClosedFormIters{0};
     std::atomic<uint64_t> HostFallbacks{0};
     /// Jit tier coverage (see src/jit): units compiled to native code,
     /// chain block events and self-loop iterations executed natively,

@@ -55,7 +55,7 @@ namespace core {
 constexpr uint64_t DefaultSegmentEvents = uint64_t(1) << 16;
 
 /// Floor for the recording pipeline's budget: below this the per-segment
-/// fixed costs (a NumBlocks+1 CSR row per segment, ring handoffs) dwarf
+/// fixed costs (a NumBlocks+1 CSR row per segment, pool submits) dwarf
 /// the work. Format readers accept any budget >= 1; only the writer-side
 /// env knob clamps.
 constexpr uint64_t MinSegmentEvents = 256;

@@ -78,20 +78,3 @@ tpdbt::sample::detectSegmentPhases(const std::vector<SegmentStats> &Segments,
   }
   return leaderCluster(Features, MaxPhases, Threshold);
 }
-
-PhaseAssignment tpdbt::sample::detectWindowPhases(
-    const std::vector<std::vector<profile::BlockCounters>> &Windows,
-    unsigned MaxPhases, double Threshold) {
-  std::vector<std::vector<double>> Features(Windows.size());
-  for (size_t W = 0; W < Windows.size(); ++W) {
-    uint64_t Total = 0;
-    for (const profile::BlockCounters &C : Windows[W])
-      Total += C.Use;
-    Features[W].resize(Windows[W].size(), 0.0);
-    if (Total)
-      for (size_t B = 0; B < Windows[W].size(); ++B)
-        Features[W][B] = static_cast<double>(Windows[W][B].Use) /
-                         static_cast<double>(Total);
-  }
-  return leaderCluster(Features, MaxPhases, Threshold);
-}

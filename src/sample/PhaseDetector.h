@@ -5,29 +5,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Clusters a trace's segments (or WindowedProfile windows) into program
-/// phases by deterministic leader clustering, the same greedy scheme
-/// analysis/Phases.h applies to basic-block vectors. Phases become the
-/// strata of the sampled replay: segments inside one phase behave alike,
-/// so a small sample per phase estimates the phase mean tightly.
+/// Clusters a trace's segments into program phases by deterministic
+/// leader clustering, the same greedy scheme analysis/Phases.h applies to
+/// basic-block vectors. Phases become the strata of the sampled replay:
+/// segments inside one phase behave alike, so a small sample per phase
+/// estimates the phase mean tightly.
 ///
-/// Two feature sources, one algorithm:
-///
-///  - detectSegmentPhases() uses only the TPDT v4 directory aggregates
-///    (event count, instructions/event, taken/event). These are exact for
-///    every segment without decompressing any payload — the disk path's
-///    whole point — and are computed identically from an in-memory trace,
-///    so cold (memory) and warm (disk) runs stratify identically.
-///  - detectWindowPhases() clusters L1-normalized block-frequency vectors
-///    of WindowedProfile-style windows, for callers that already hold
-///    per-window counters.
+/// detectSegmentPhases() uses only the TPDT v4 directory aggregates
+/// (event count, instructions/event, taken/event). These are exact for
+/// every segment without decompressing any payload — the disk path's
+/// whole point — and are computed identically from an in-memory trace,
+/// so cold (memory) and warm (disk) runs stratify identically.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef TPDBT_SAMPLE_PHASEDETECTOR_H
 #define TPDBT_SAMPLE_PHASEDETECTOR_H
-
-#include "profile/Profile.h"
 
 #include <cstdint>
 #include <vector>
@@ -44,7 +37,7 @@ struct SegmentStats {
   uint64_t Taken = 0;
 };
 
-/// Phase labels for a sequence of segments/windows.
+/// Phase labels for a sequence of segments.
 struct PhaseAssignment {
   /// Phase (stratum) of each segment, 0-based, dense.
   std::vector<uint32_t> StratumOf;
@@ -52,8 +45,9 @@ struct PhaseAssignment {
 };
 
 /// Deterministic leader clustering over arbitrary feature vectors with L1
-/// distance: each item joins the first leader within \p Threshold, opens a
-/// new phase otherwise (up to \p MaxPhases, then joins the nearest).
+/// distance: each item joins its nearest leader if that one lies within
+/// \p Threshold, and opens a new phase otherwise (up to \p MaxPhases,
+/// then it joins the nearest leader regardless).
 PhaseAssignment leaderCluster(const std::vector<std::vector<double>> &Features,
                               unsigned MaxPhases, double Threshold);
 
@@ -63,13 +57,6 @@ PhaseAssignment leaderCluster(const std::vector<std::vector<double>> &Features,
 PhaseAssignment detectSegmentPhases(const std::vector<SegmentStats> &Segments,
                                     unsigned MaxPhases,
                                     double Threshold = 0.25);
-
-/// Phases from WindowedProfile-style per-window counters: leader
-/// clustering over each window's L1-normalized block-frequency vector
-/// (the BBV scheme of analysis/Phases.h).
-PhaseAssignment detectWindowPhases(
-    const std::vector<std::vector<profile::BlockCounters>> &Windows,
-    unsigned MaxPhases, double Threshold = 0.3);
 
 } // namespace sample
 } // namespace tpdbt

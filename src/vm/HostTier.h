@@ -8,17 +8,17 @@
 /// A two-phase execution tier for the *host* harness itself, mirroring the
 /// IA32EL structure the repo studies: interpretation profiles block
 /// successors, hot heads are promoted to host superblocks (pre-decoded
-/// multi-block chains executed with a single dispatch), and counted
-/// self-loops run in closed form, emitting their iterations as run-length
-/// deliveries instead of per-event callbacks.
+/// multi-block chains executed with a single dispatch), and self-loops
+/// run back to back, emitting their iterations as run-length deliveries
+/// instead of per-event callbacks.
 ///
 /// Dispatch is tiered per arrival at a block:
 ///
 ///  1. Self-loop tier — blocks that branch back to themselves (half to
 ///     ninety-five percent of all events in the synthetic suite) batch all
 ///     consecutive iterations into one Interpreter::runSelfLoop call and
-///     one Sink::onRun delivery. Counted loops skip latch evaluation;
-///     closed-form loops skip execution entirely (see vm/Interpreter.h).
+///     one Sink::onRun delivery. Counted loops skip latch evaluation
+///     (see vm/Interpreter.h).
 ///  2. Superblock tier — a head promoted by the successor profile executes
 ///     its whole chain from one concatenated op stream, delivering the
 ///     matched prefix with one Sink::onChain call. Each segment's
@@ -35,15 +35,15 @@
 ///     so re-promotion learns the new direction.
 ///
 /// On top of the ladder sits the *jit tier* (src/jit): superblock chains
-/// and non-closed-form self-loops that stay hot past TPDBT_JIT_HEAT
-/// uses are compiled to real x86-64 machine code and executed from an
-/// mmap'd W^X code cache (TPDBT_JIT_CACHE_BYTES, whole-cache flush on
-/// overflow). Compiled units carry the same per-terminator guards as
-/// deopt exits: a branch leaving the chain or a memory fault materializes
-/// interpreter state (host-allocated guest registers are flushed back to
-/// the register array) and returns a packed exit record from which the
-/// dispatch loop rebuilds the exact deviating BlockResult — the event
-/// stream stays byte-identical to plain interpretation, jit or not.
+/// and self-loops that stay hot past TPDBT_JIT_HEAT uses are compiled to
+/// real x86-64 machine code and executed from an mmap'd W^X code cache
+/// (TPDBT_JIT_CACHE_BYTES, whole-cache flush on overflow). Compiled units
+/// carry the same per-terminator guards as deopt exits: a branch leaving
+/// the chain or a memory fault materializes interpreter state
+/// (host-allocated guest registers are flushed back to the register
+/// array) and returns a packed exit record from which the dispatch loop
+/// rebuilds the exact deviating BlockResult — the event stream stays
+/// byte-identical to plain interpretation, jit or not.
 /// TPDBT_TIER=predecoded disables only the jit tier (pre-decoded
 /// dispatch remains); non-x86-64 builds degrade the same way
 /// automatically. The tier knobs are re-read per HostTier construction,
@@ -83,7 +83,6 @@ struct HostTierStats {
   uint64_t Superblocks = 0;     ///< chains promoted
   uint64_t ChainedBlocks = 0;   ///< block events delivered via onChain
   uint64_t RunFoldedIters = 0;  ///< self-loop iterations delivered via onRun
-  uint64_t ClosedFormIters = 0; ///< subset of RunFoldedIters never executed
   uint64_t Fallbacks = 0;       ///< guard mismatches in the pre-decoded tier
   // Jit tier coverage. A deviating execution increments either Fallbacks
   // or JitDeopts, never both — the tiers are disjoint counter families.
@@ -98,7 +97,6 @@ struct HostTierStats {
     Superblocks += O.Superblocks;
     ChainedBlocks += O.ChainedBlocks;
     RunFoldedIters += O.RunFoldedIters;
-    ClosedFormIters += O.ClosedFormIters;
     Fallbacks += O.Fallbacks;
     JitUnits += O.JitUnits;
     JitBlocks += O.JitBlocks;
@@ -258,21 +256,16 @@ private:
   bool runSelfLoopTier(guest::BlockId &Cur, Machine &M, uint64_t MaxBlocks,
                        RunOutcome &Out, SinkT &Sink) {
     const Interpreter::SelfLoop &SL = I.selfLoop(Cur);
-    uint64_t Folded = 0;
     BlockResult Exit;
     bool ExitValid = false;
     uint64_t Stays;
-    // Closed-form loops stay interpreted: folding K iterations into one
-    // register update beats any machine code that executes them.
-    const bool Jittable =
-        JitOn && SL.Kind != Interpreter::SelfLoop::Level::ClosedForm;
-    if (Jittable && jitLoopReady(Cur)) {
+    if (JitOn && jitLoopReady(Cur)) {
       Stays = runJitSelfLoop(Cur, M, MaxBlocks - Out.BlocksExecuted, Exit,
                              ExitValid);
     } else {
       Stays = I.runSelfLoop(Cur, M, MaxBlocks - Out.BlocksExecuted, Exit,
-                            ExitValid, Folded);
-      if (Jittable) {
+                            ExitValid);
+      if (JitOn) {
         // Heat is iterations, not entries: a loop that spins a thousand
         // times on its first arrival is hot immediately.
         const uint64_t H = LoopHeat[Cur] + Stays + 1;
@@ -292,7 +285,6 @@ private:
       Out.InstsExecuted += Stays * static_cast<uint64_t>(SL.FullInsts);
       Out.LastBlock = Cur;
       St.RunFoldedIters += Stays;
-      St.ClosedFormIters += Folded;
     }
     if (!ExitValid) { // iteration budget exhausted inside the loop
       Out.Reason = StopReason::BlockLimit;

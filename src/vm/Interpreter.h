@@ -35,12 +35,8 @@
 ///    register X that the body steps exactly once by a constant (AddI
 ///    X, X, step) toward a loop-invariant bound, so the number of
 ///    consecutive staying iterations is computable up front and the latch
-///    need not be re-evaluated while it is known to hold.
-///  - ClosedForm: Counted, plus no memory traffic and no loop-carried
-///    register other than X (every register the body reads is either
-///    written earlier in the same iteration, X itself, or never written
-///    in the block). Staying iterations then have no observable effect
-///    except advancing X, and a whole run folds to X += step * K.
+///    need not be re-evaluated while it is known to hold. A fused latch
+///    stays Generic: skipping it would skip its compare's register write.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -134,13 +130,13 @@ public:
   /// Decode-time classification of a self-looping block (see \file
   /// comment for the level semantics).
   struct SelfLoop {
-    enum class Level : uint8_t { None, Generic, Counted, ClosedForm };
+    enum class Level : uint8_t { None, Generic, Counted };
     Level Kind = Level::None;
     /// Trace branch code of a staying iteration: 0 = jump-to-self,
     /// 1 = cond branch not taken, 2 = cond branch taken. Exact because
     /// degenerate latches with Taken == Fall are never classified.
     uint8_t StayBranch = 0;
-    uint8_t X = 0;          ///< induction register (Counted/ClosedForm)
+    uint8_t X = 0;          ///< induction register (Counted)
     bool StayIsLt = false;  ///< stay predicate: X < bound (else X >= bound)
     bool BoundIsImm = false;
     uint8_t BoundReg = 0;   ///< loop-invariant bound; valid if !BoundIsImm
@@ -153,17 +149,14 @@ public:
 
   /// Executes consecutive staying iterations of self-loop \p Id (the
   /// machine must be at the block's entry) up to \p MaxIters, using the
-  /// classification to skip latch evaluation (Counted) or fold iterations
-  /// entirely (ClosedForm). Returns the number of stays executed; every
-  /// stay is one block event identical to StayBranch/FullInsts. If the
-  /// loop stopped for a reason other than the iteration budget, \p Exit
-  /// holds the final (deviating or faulting) block execution and
-  /// \p ExitValid is true; that execution is *not* counted in the return
-  /// value. \p ClosedFolded reports how many of the stays were folded
-  /// without execution.
+  /// classification to skip latch evaluation (Counted). Returns the
+  /// number of stays executed; every stay is one block event identical to
+  /// StayBranch/FullInsts. If the loop stopped for a reason other than the
+  /// iteration budget, \p Exit holds the final (deviating or faulting)
+  /// block execution and \p ExitValid is true; that execution is *not*
+  /// counted in the return value.
   uint64_t runSelfLoop(guest::BlockId Id, Machine &M, uint64_t MaxIters,
-                       BlockResult &Exit, bool &ExitValid,
-                       uint64_t &ClosedFolded) const;
+                       BlockResult &Exit, bool &ExitValid) const;
 
   /// One pre-decoded body instruction (16 bytes; the opcode/register
   /// fields share a word, the immediate rides alongside). The decoded
@@ -215,8 +208,8 @@ public:
 private:
   friend class HostTier;
 
-  /// Exact count of consecutive staying iterations a Counted/ClosedForm
-  /// loop performs from the current register state. Stays happen while
+  /// Exact count of consecutive staying iterations a Counted loop
+  /// performs from the current register state. Stays happen while
   /// the stepped induction value still satisfies the stay predicate;
   /// monotone movement toward the bound keeps every counted value inside
   /// int64 range, so the division is exact (no wrapping cases).
@@ -224,7 +217,6 @@ private:
 
   void classifySelfLoops();
   void upgradeCountedLoop(guest::BlockId Id, SelfLoop &SL) const;
-  bool bodyIsClosedForm(guest::BlockId Id, uint8_t X) const;
 
   const guest::Program &P;
   /// All body instructions, blocks back to back; block \p Id owns
@@ -525,28 +517,14 @@ inline uint64_t Interpreter::selfLoopStays(const SelfLoop &SL,
 
 inline uint64_t Interpreter::runSelfLoop(guest::BlockId Id, Machine &M,
                                          uint64_t MaxIters, BlockResult &Exit,
-                                         bool &ExitValid,
-                                         uint64_t &ClosedFolded) const {
+                                         bool &ExitValid) const {
   const SelfLoop &SL = SelfLoops[Id];
   assert(SL.Kind != SelfLoop::Level::None && "not a self-loop");
   ExitValid = false;
-  ClosedFolded = 0;
   uint64_t Stays = 0;
   int64_t *Regs = M.Regs.data();
 
-  if (SL.Kind == SelfLoop::Level::ClosedForm) {
-    // Fold: advance the induction register without executing anything.
-    // The last budgeted iteration is always executed for real (clamp to
-    // MaxIters - 1) so that, at a BlockLimit stop, every non-induction
-    // register holds the value a plain interpretation would have left.
-    const uint64_t K = selfLoopStays(SL, Regs);
-    const uint64_t Fold = std::min(K, MaxIters ? MaxIters - 1 : 0);
-    Regs[SL.X] = static_cast<int64_t>(
-        static_cast<uint64_t>(Regs[SL.X]) +
-        static_cast<uint64_t>(SL.Step) * Fold);
-    Stays += Fold;
-    ClosedFolded = Fold;
-  } else if (SL.Kind == SelfLoop::Level::Counted) {
+  if (SL.Kind == SelfLoop::Level::Counted) {
     // The latch outcome is known for the next K iterations: execute the
     // bodies back to back without re-evaluating it. The latch is a plain
     // branch (no side effects), so skipping its evaluation is invisible;

@@ -3,6 +3,7 @@
 #include "core/TraceSegments.h"
 
 #include "core/TraceCache.h"
+#include "core/TracePipeline.h"
 #include "support/Compression.h"
 #include "support/Rng.h"
 #include "support/TextFile.h"
@@ -372,10 +373,43 @@ TEST(TraceSegmentsTest, DisklessMissSkipsPipeline) {
                   Thresholds.size(), "diskless analytic");
 }
 
+TEST(TraceSegmentsTest, PipelineUnderBackpressureWritesReferenceBytes) {
+  // One onProgress call over a whole recording submits every full
+  // segment at once, far more than MaxInFlight: the recorder must block
+  // on the slots, resume as the worker frees them, and still assemble
+  // the reference serialization byte for byte.
+  auto B = smallBench("mcf");
+  const uint64_t Budget = 256;
+  BlockTrace Direct = BlockTrace::record(B.Ref, 40000);
+  ASSERT_GE(Direct.numEvents(), 20000u);
+  ASSERT_GT(Direct.numEvents() / Budget,
+            8 * static_cast<uint64_t>(TracePipeline::MaxInFlight));
+
+  TracePipeline Pipe(Budget, blockShapes(B.Ref));
+  EXPECT_EQ(Pipe.onProgress(Direct),
+            (Direct.numEvents() / Budget + 1) * Budget);
+  TracePipeline::Result R = Pipe.finish(Direct);
+  EXPECT_EQ(R.Segments, (Direct.numEvents() + Budget - 1) / Budget);
+  EXPECT_EQ(R.FileBytes, Direct.serializeSegmented(Budget));
+}
+
+TEST(TraceSegmentsTest, AbandonedPipelineReturnsFromDestruction) {
+  // An error unwind destroys the pipeline without finish(), with
+  // segments still queued: the destructor must drain them and return,
+  // neither hanging on a slot nor leaking a copied segment.
+  auto B = smallBench("mcf");
+  BlockTrace Direct = BlockTrace::record(B.Ref, 40000);
+  ASSERT_GE(Direct.numEvents() / 256, 16u);
+  for (int Round = 0; Round < 4; ++Round) {
+    TracePipeline Pipe(256, blockShapes(B.Ref));
+    Pipe.onProgress(Direct);
+  }
+}
+
 TEST(TraceSegmentsTest, StaleMonolithicEntryIsReRecorded) {
   // A TPDZ(TPDT v2) entry a retired writer left under a live key: the
   // same recording, only in the old format. It must read as corrupt, be
-  // re-recorded, and be overwritten in place with the v3 container.
+  // re-recorded, and be overwritten in place with the v4 container.
   const std::string Dir = tempDir("stale_v2");
   std::filesystem::remove_all(Dir);
   ASSERT_TRUE(ensureDirectory(Dir));

@@ -144,7 +144,7 @@ guest::Program makePhaseFlipProgram() {
   PB.switchTo(D);
   PB.movI(3, 0);
   PB.jump(E);
-  PB.switchTo(E); // self-loop: 5 iterations per visit, not closed-form
+  PB.switchTo(E); // counted self-loop: 5 iterations per visit
   PB.addI(3, 3, 1);
   PB.xorR(4, 4, 3);
   PB.branchImm(guest::CondKind::LtI, 3, 5, E, Head);

@@ -68,26 +68,6 @@ TEST(PhaseDetectorTest, DeterministicAssignment) {
   EXPECT_EQ(A.NumStrata, B.NumStrata);
 }
 
-TEST(PhaseDetectorTest, WindowPhasesClusterByBlockMix) {
-  // Windows dominated by block 0 vs block 3 form two phases regardless of
-  // absolute counts.
-  std::vector<std::vector<profile::BlockCounters>> Windows;
-  for (int W = 0; W < 8; ++W) {
-    std::vector<profile::BlockCounters> Win(4);
-    if (W < 4)
-      Win[0].Use = 900 + W;
-    else
-      Win[3].Use = 500 + W;
-    Win[1].Use = 10;
-    Windows.push_back(Win);
-  }
-  PhaseAssignment P = detectWindowPhases(Windows, 8);
-  EXPECT_EQ(P.NumStrata, 2u);
-  EXPECT_EQ(P.StratumOf[0], P.StratumOf[3]);
-  EXPECT_EQ(P.StratumOf[4], P.StratumOf[7]);
-  EXPECT_NE(P.StratumOf[0], P.StratumOf[4]);
-}
-
 TEST(PhaseDetectorTest, EmptyInput) {
   PhaseAssignment P = detectSegmentPhases({}, 8);
   EXPECT_EQ(P.NumStrata, 1u);

@@ -149,30 +149,46 @@ TEST(HostTierTest, BlockLimitMidChainMatchesPlain) {
 }
 
 TEST(HostTierTest, BlockLimitInsideSelfLoopMatchesPlain) {
-  // A counted self-loop with the budget expiring mid-run: the folded
-  // iterations must stop exactly at the budget and leave the registers as
-  // if the loop had been stepped one iteration at a time.
+  // A counted self-loop, entered four times by an outer loop, with the
+  // budget expiring mid-run: the batched iterations must stop exactly at
+  // the budget and leave the registers as if the loop had been stepped
+  // one iteration at a time. The first entry runs interpreted and heats
+  // the loop; when the jit tier is available, later entries run
+  // compiled, so the last budget expires inside native code.
   guest::ProgramBuilder PB("loop");
   auto Entry = PB.createBlock();
+  auto Outer = PB.createBlock();
   auto Head = PB.createBlock();
+  auto Latch = PB.createBlock();
   auto Exit = PB.createBlock();
   PB.setEntry(Entry);
   PB.switchTo(Entry);
+  PB.movI(3, 0);
+  PB.jump(Outer);
+  PB.switchTo(Outer);
   PB.movI(1, 0);
   PB.jump(Head);
   PB.switchTo(Head);
   PB.addI(1, 1, 1);
   PB.xorI(2, 1, 0x5a5a);
-  PB.branchImm(guest::CondKind::LtI, 1, 1 << 16, Head, Exit);
+  PB.branchImm(guest::CondKind::LtI, 1, 1 << 14, Head, Latch);
+  PB.switchTo(Latch);
+  PB.addI(3, 3, 1);
+  PB.branchImm(guest::CondKind::LtI, 3, 4, Outer, Exit);
   PB.switchTo(Exit);
   PB.halt();
   guest::Program P = PB.build();
-  for (uint64_t MaxBlocks : {1ull, 2ull, 1000ull, 65537ull}) {
+  // 65537 lands inside the fourth entry (each entry is 16386 events).
+  for (uint64_t MaxBlocks : {1ull, 2ull, 3ull, 1000ull, 65537ull}) {
     HostTierStats St = expectTierMatchesPlain(
         P, MaxBlocks,
         ("loop budget " + std::to_string(MaxBlocks)).c_str());
-    if (MaxBlocks > 2)
+    if (MaxBlocks > 3) {
       EXPECT_GT(St.RunFoldedIters, 0u) << MaxBlocks;
+    }
+    if (MaxBlocks == 65537 && HostTier::jitEnabled()) {
+      EXPECT_GT(St.JitLoopIters, 0u);
+    }
   }
 }
 
