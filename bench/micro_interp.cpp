@@ -220,9 +220,9 @@ void BM_TraceParse(benchmark::State &State) {
 }
 BENCHMARK(BM_TraceParse)->Unit(benchmark::kMillisecond);
 
-/// The same entry through TraceCache::totals(): every segment streamed
-/// through one buffer and checked, no event vector kept. Same checks as
-/// BM_TraceParse, at O(segment) memory.
+/// The same entry through TraceCache::totals(): every segment streamed,
+/// decoded straight into a counter table and checked, no event stored.
+/// Same checks as BM_TraceParse, at O(segment) memory.
 void BM_TraceTotalsStreamed(benchmark::State &State) {
   WarmTrainEntry W;
   uint64_t Events = 0;

@@ -190,17 +190,18 @@ bool BlockTrace::parse(const std::string &Bytes, BlockTrace &Out,
   // Bounded: the header check caps every segment's event count by what
   // its payload can inflate to.
   T.reserveEvents(H.NumEvents);
+  // Each frame is a view of Bytes, inflated into one scratch string that
+  // every segment reuses; one pass decodes it straight onto the trace's
+  // event vector and folds it into the trace's counter table.
+  const std::string_view All(Bytes);
+  std::string Raw;
   for (size_t I = 0; I < H.Directory.size(); ++I) {
     const SegmentedTraceHeader::Entry &Ent = H.Directory[I];
-    // Decode straight onto the trace's own event vector, then fold the
-    // fresh segment into the counter table.
-    const size_t From = T.Words.size();
     if (!decodeSegment(H, I,
-                       Bytes.substr(static_cast<size_t>(Ent.PayloadOffset),
-                                    static_cast<size_t>(Ent.PayloadBytes)),
-                       T.Words, Error))
+                       All.substr(static_cast<size_t>(Ent.PayloadOffset),
+                                  static_cast<size_t>(Ent.PayloadBytes)),
+                       Raw, &T.Words, &T.Final, Error))
       return false;
-    foldCounterTable(T.Words.data() + From, T.Words.size() - From, T.Final);
   }
   if (!checkCounterTable(H, T.Final, Error))
     return false;
@@ -234,7 +235,7 @@ constexpr uint32_t NoFreeze = ~0u;
 /// are contiguous in the trace (region successor edges mirror the actual
 /// CFG successors and every member is frozen), so runs are consumed
 /// directly, and complete loop-region iterations collapse into closed
-/// form via the taken-bit prefix sums.
+/// form via the index's taken-bit rows.
 void walkOptimized(const BlockTrace &Trace, const TraceIndex &Idx,
                    dbt::TranslationPolicy &Policy,
                    const std::vector<uint32_t> &FreezePos,
@@ -254,7 +255,7 @@ void walkOptimized(const BlockTrace &Trace, const TraceIndex &Idx,
   // every occurrence off-trace, and one whose sole appearance is the
   // single node of a region it enters has a per-occurrence behavior
   // determined by its own branch outcome. Both collapse to closed forms
-  // over the occurrence prefix sums (Policy.h analytic section) and stay
+  // over the occurrence counts (Policy.h analytic section) and stay
   // out of the bitmap; only multi-node region members are walked.
   const std::vector<region::Region> &AllRegions = Policy.regions();
   std::vector<uint8_t> NodeCount(Trace.numBlocks(), 0);
@@ -317,7 +318,7 @@ void walkOptimized(const BlockTrace &Trace, const TraceIndex &Idx,
   // single iteration captures whichever path the loop is currently
   // taking (multi-node bodies and diamond arms included), and the number
   // of consecutive iterations repeating the same conditional outcomes is
-  // readable from the taken-bit prefix sums. Those iterations are forced
+  // readable from the index's taken-bit rows. Those iterations are forced
   // — region successor edges mirror the CFG, so matching outcomes imply
   // a matching event sequence — and collapse into one closed-form
   // update. Returns the position after the folded run (== \p I when

@@ -134,10 +134,11 @@ public:
   /// same bytes at its budget; this is the reference writer.
   std::string serializeSegmented(uint64_t Budget) const;
   /// Parses a TPDT v4 container; the result is event-identical to the
-  /// serialized trace at any budget. Each segment is inflated and decoded
-  /// straight onto the trace's event vector and folded into a counter
-  /// table in one pass; the segment sums and the header's counter table
-  /// are checked against the decoded events (the table check is
+  /// serialized trace at any budget. Each segment is inflated (through
+  /// one scratch buffer for the whole container) and, in one pass over
+  /// its bytes, decoded straight onto the trace's event vector and folded
+  /// into its counter table; the segment sums and the header's counter
+  /// table are checked against the decoded events (the table check is
   /// core/TraceSegments.h checkCounterTable(), which the event-free
   /// SegmentedTraceReader::verifyAll() shares). Any other version — the
   /// retired monolithic v1/v2 and the two-varint v3 included — fails as
@@ -268,7 +269,7 @@ private:
 /// TraceIndex: the freeze timeline is reconstructed from per-block
 /// occurrence positions (registration at the T-th occurrence, the
 /// registered-twice trigger at the 2T-th), frozen counters come from
-/// prefix-sum differences, region formation and cost accounting run
+/// occurrence-count differences, region formation and cost accounting run
 /// exactly as in the pump on those counters, and only the optimized
 /// sub-stream (events of frozen blocks after their freeze) is walked —
 /// with repeating loop-region iterations folded into closed form.

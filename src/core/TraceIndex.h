@@ -18,17 +18,23 @@
 ///  - per-block occurrence positions in CSR layout (one flat uint32_t
 ///    event-position array plus per-block begin offsets), giving the
 ///    freeze event of block b under threshold T as occ[b][T-1];
-///  - per-block taken-bit prefix sums, giving any block's counters "as of
-///    event p" as two prefix differences;
+///  - per-block rows of taken bits (bit k of a row is the outcome of the
+///    block's k-th occurrence), with a 32-bit checkpoint per 64-bit word
+///    holding the row's taken count before that word, giving any block's
+///    counters "as of event p" as a checkpoint plus one popcount;
 ///  - per-block lengths (the trace's shape table), giving the
 ///    instructions of any run of a block's occurrences (the loop fold's
 ///    accounting) as a product — every occurrence is whole except a
 ///    partial final event, which the index corrects for.
 ///
-/// That is 8 bytes per event (a 4-byte position and a 4-byte taken
-/// prefix) plus three words per block. The final
-/// counters the trace already carries size the CSR rows, so building the
-/// index is one scatter pass over the events. build() is the only way an
+/// That is about 4.2 bytes per event (a 4-byte position, one bit, and a
+/// 4-byte checkpoint per 64 events) plus, per block, one word and
+/// checkpoint of row slack and three 4-byte offsets and lengths; with the
+/// trace's own 4-byte event word, a replayed event holds about 8.2 bytes.
+/// The final counters the trace already carries size the CSR and bit
+/// rows, so building the index is one scatter pass over the events (each
+/// event stores its position and ORs in its taken bit) and one popcount
+/// pass over the bit rows. build() is the only way an
 /// index is made, for a freshly recorded trace and a loaded one alike: at
 /// most once per trace (see BlockTrace::index()), only when a threshold
 /// replay needs it, and in memory only. It is never persisted: rebuilding
@@ -44,6 +50,7 @@
 #include "guest/Program.h"
 #include "profile/Profile.h"
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -86,9 +93,14 @@ public:
   /// an occurrence of \p B). O(log occurrences).
   uint32_t occurrenceAt(guest::BlockId B, uint32_t Pos) const;
 
-  /// Taken-branch outcomes among the first \p K occurrences of \p B.
+  /// Taken-branch outcomes among the first \p K occurrences of \p B
+  /// (K <= occurrences(B)): the checkpoint before K's word plus the taken
+  /// bits below K in it.
   uint32_t takenOfFirst(guest::BlockId B, uint32_t K) const {
-    return TakenPre[prefBegin(B) + K];
+    const size_t W = WordBegin[B] + K / 64;
+    const uint64_t Below = (uint64_t(1) << (K % 64)) - 1;
+    return Checkpoint[W] +
+           static_cast<uint32_t>(std::popcount(TakenBits[W] & Below));
   }
 
   /// Guest instructions executed by the first \p K occurrences of \p B:
@@ -109,8 +121,10 @@ public:
 
   /// First occurrence rank >= \p K of \p B whose taken outcome differs
   /// from \p Taken; occurrences(B) when the rest of the stream matches.
-  /// O(log occurrences) via the taken-bit prefix sums — this is what makes
-  /// single-node loop regions evaluable in closed form.
+  /// O(log of the run it finds): a gallop over the word checkpoints, then
+  /// one countr_zero in the boundary word — this is what lets the loop
+  /// fold (core::replaySweep) ask it for every constrained block on
+  /// every fold without turning replay quadratic.
   uint32_t firstOutcomeChange(guest::BlockId B, uint32_t K,
                               bool Taken) const;
 
@@ -119,19 +133,19 @@ private:
   /// its arrays zeroed; build() fills it.
   static TraceIndex shaped(const BlockTrace &Trace);
 
-  /// Start of block \p B's prefix-sum row. Each row holds occurrences+1
-  /// entries (a leading zero), so rows are shifted by one slot per block.
-  size_t prefBegin(guest::BlockId B) const {
-    return static_cast<size_t>(BlockBegin[B]) + B;
-  }
-
   /// CSR offsets: block B's occurrence positions are
   /// OccPos[BlockBegin[B] .. BlockBegin[B+1]).
   std::vector<uint32_t> BlockBegin;
   std::vector<uint32_t> OccPos;
-  /// Per-block prefix sums over occurrence outcomes, rows addressed by
-  /// prefBegin(); entry [row + k] covers the first k occurrences.
-  std::vector<uint32_t> TakenPre;
+  /// Word offsets of the taken-bit rows: block B's row is
+  /// TakenBits[WordBegin[B] .. WordBegin[B+1]), occurrences/64 + 1 words
+  /// (bit k%64 of word k/64 is occurrence k's outcome; bits past the
+  /// last occurrence are zero), so a row always has a word for rank
+  /// occurrences(B) itself.
+  std::vector<uint32_t> WordBegin;
+  std::vector<uint64_t> TakenBits;
+  /// Per word: the row's taken count before that word.
+  std::vector<uint32_t> Checkpoint;
   /// Per-block whole-event length.
   std::vector<uint32_t> Len;
   /// The block of a partial final event and the instructions it fell

@@ -35,38 +35,80 @@ std::string tpdbt::core::encodeSegmentEvents(const EventWord *W, size_t N) {
   return Out;
 }
 
-bool tpdbt::core::decodeSegmentEvents(const std::string &Raw,
-                                      uint64_t ExpectEvents,
-                                      const std::vector<BlockShape> &Shapes,
-                                      std::vector<EventWord> &Out,
-                                      std::string *Error) {
+bool tpdbt::core::decodeSegmentEvents(
+    std::string_view Raw, uint64_t ExpectEvents,
+    const std::vector<BlockShape> &Shapes, std::vector<EventWord> *Out,
+    std::vector<profile::BlockCounters> *Table, SegmentDecode &Result,
+    std::string *Error) {
+  const size_t From = Out ? Out->size() : 0;
   auto Fail = [&](const char *Msg) {
     if (Error)
       *Error = Msg;
+    if (Out)
+      Out->resize(From);
     return false;
   };
   // Every event takes at least one raw byte, so a short payload is
-  // rejected before the reservation is sized from the caller's count.
+  // rejected before the output is sized from the caller's count.
   if (ExpectEvents > Raw.size())
     return Fail("truncated segment event");
-  Out.reserve(Out.size() + ExpectEvents);
-  size_t Pos = 0;
-  int64_t PrevBlock = 0;
-  for (uint64_t I = 0; I < ExpectEvents; ++I) {
-    uint64_t Packed = 0;
-    if (!getVarint(Raw, Pos, Packed))
-      return Fail("truncated segment event");
-    const bool Taken = Packed & 1;
-    const int64_t Block = PrevBlock + zigzagDecode(Packed >> 1);
-    if (Block < 0 || static_cast<uint64_t>(Block) >= Shapes.size())
-      return Fail("block id out of range");
-    if (Taken && !Shapes[static_cast<size_t>(Block)].Cond)
-      return Fail("taken bit on a block without a conditional branch");
-    PrevBlock = Block;
-    Out.push_back(packEvent(static_cast<BlockId>(Block), Taken));
+  EventWord *Dst = nullptr;
+  if (Out) {
+    Out->resize(From + ExpectEvents);
+    Dst = Out->data() + From;
   }
-  if (Pos != Raw.size())
+  profile::BlockCounters *Fold = Table ? Table->data() : nullptr;
+  assert((!Table || Table->size() == Shapes.size()) &&
+         "counter table sized to the shape table");
+  const auto *Bytes = reinterpret_cast<const uint8_t *>(Raw.data());
+  const size_t Size = Raw.size();
+  const BlockShape *Shape = Shapes.data();
+  const auto NumBlocks = static_cast<int64_t>(Shapes.size());
+  SegmentDecode D;
+  size_t Pos = 0;
+  int64_t Block = 0;
+  for (uint64_t I = 0; I < ExpectEvents; ++I) {
+    if (Pos == Size)
+      return Fail("truncated segment event");
+    uint64_t Packed = Bytes[Pos++];
+    if (Packed >= 0x80) {
+      // The LEB128 continuation path, which real traces (a few dozen
+      // blocks, small deltas) almost never take.
+      Packed &= 0x7f;
+      for (unsigned Shift = 7;; Shift += 7) {
+        if (Shift > 63)
+          return Fail("segment event varint wider than 64 bits");
+        if (Pos == Size)
+          return Fail("truncated segment event");
+        const uint8_t Byte = Bytes[Pos++];
+        Packed |= static_cast<uint64_t>(Byte & 0x7f) << Shift;
+        if (!(Byte & 0x80))
+          break;
+      }
+    }
+    // |delta| < 2^62 and 0 <= Block < 2^31: the sum cannot wrap.
+    Block += zigzagDecode(Packed >> 1);
+    if (Block < 0)
+      return Fail("block delta below block 0");
+    if (Block >= NumBlocks)
+      return Fail("block id out of range");
+    const BlockShape &S = Shape[Block];
+    const bool Taken = Packed & 1;
+    if (Taken && !S.Cond)
+      return Fail("taken bit on a block without a conditional branch");
+    D.Sums.Insts += S.Len;
+    D.Sums.Taken += Taken;
+    D.Last = packEvent(static_cast<BlockId>(Block), Taken);
+    if (Fold) {
+      ++Fold[Block].Use;
+      Fold[Block].Taken += Taken;
+    }
+    if (Dst)
+      Dst[I] = D.Last;
+  }
+  if (Pos != Size)
     return Fail("trailing bytes after segment events");
+  Result = D;
   return true;
 }
 
@@ -145,15 +187,6 @@ TraceTotals SegmentedTraceHeader::totals() const {
   T.TakenEvents = takenEvents();
   T.TotalInsts = TotalInsts;
   return T;
-}
-
-void tpdbt::core::foldCounterTable(const EventWord *W, size_t N,
-                                   std::vector<profile::BlockCounters> &Table) {
-  for (size_t I = 0; I < N; ++I) {
-    profile::BlockCounters &C = Table[eventBlock(W[I])];
-    ++C.Use;
-    C.Taken += eventTaken(W[I]);
-  }
 }
 
 bool tpdbt::core::checkCounterTable(
@@ -347,8 +380,9 @@ bool SegmentedTraceReader::open(const std::string &Path,
 }
 
 bool tpdbt::core::decodeSegment(const SegmentedTraceHeader &H, size_t I,
-                                const std::string &Frame,
-                                std::vector<EventWord> &Out,
+                                std::string_view Frame, std::string &Raw,
+                                std::vector<EventWord> *Out,
+                                std::vector<profile::BlockCounters> *Table,
                                 std::string *Error) {
   assert(I < H.Directory.size() && "segment index out of range");
   auto Fail = [&](const char *Msg) {
@@ -357,39 +391,35 @@ bool tpdbt::core::decodeSegment(const SegmentedTraceHeader &H, size_t I,
     return false;
   };
   const SegmentedTraceHeader::Entry &Ent = H.Directory[I];
-  std::string Raw;
   if (!decompressBytes(Frame, Raw, Error))
     return false;
-  const size_t From = Out.size();
-  if (!decodeSegmentEvents(Raw, Ent.Events, H.Shapes, Out, Error))
+  SegmentDecode D;
+  if (!decodeSegmentEvents(Raw, Ent.Events, H.Shapes, Out, Table, D, Error))
     return false;
   // The segment's own sums must land exactly on the next directory row's
   // bases (or the trace totals for the last segment) — a purely local
   // check, so random-access reads stay O(segment). Since the first row's
   // bases are zero, checking every segment pins the whole prefix chain.
-  EventSums Sums = sumEvents(Out.data() + From, Out.size() - From, H.Shapes);
   const bool Last = I + 1 == H.Directory.size();
   if (Last && H.TailInsts) {
     // The header's partial tail is this segment's (the stream's) final
     // event: of the block it names, and stopped before its branch.
-    const EventWord Tail = Out.back();
-    if (eventBlock(Tail) != H.TailBlock)
+    if (eventBlock(D.Last) != H.TailBlock)
       return Fail("partial tail disagrees with the final event");
-    if (eventTaken(Tail))
+    if (eventTaken(D.Last))
       return Fail("taken bit on the partial tail");
-    Sums.Insts -= H.Shapes[H.TailBlock].Len - H.TailInsts;
+    D.Sums.Insts -= H.Shapes[H.TailBlock].Len - H.TailInsts;
   }
   const uint64_t WantInsts =
       (Last ? H.TotalInsts : H.Directory[I + 1].BaseInsts) - Ent.BaseInsts;
   const uint64_t WantTaken =
       (Last ? H.takenEvents() : H.Directory[I + 1].BaseTaken) - Ent.BaseTaken;
-  if (Sums.Insts != WantInsts || Sums.Taken != WantTaken)
+  if (D.Sums.Insts != WantInsts || D.Sums.Taken != WantTaken)
     return Fail("segment events disagree with directory bases");
   return true;
 }
 
-bool SegmentedTraceReader::readSegment(size_t I, std::vector<EventWord> &Out,
-                                       std::string *Error) {
+bool SegmentedTraceReader::readFrame(size_t I, std::string *Error) {
   assert(I < Header.Directory.size() && "segment index out of range");
   const SegmentedTraceHeader::Entry &Ent = Header.Directory[I];
   Compressed.resize(Ent.PayloadBytes);
@@ -402,18 +432,22 @@ bool SegmentedTraceReader::readSegment(size_t I, std::vector<EventWord> &Out,
       *Error = "cannot read segment payload";
     return false;
   }
+  return true;
+}
+
+bool SegmentedTraceReader::readSegment(size_t I, std::vector<EventWord> &Out,
+                                       std::string *Error) {
   Out.clear();
-  return decodeSegment(Header, I, Compressed, Out, Error);
+  return readFrame(I, Error) &&
+         decodeSegment(Header, I, Compressed, Raw, &Out, nullptr, Error);
 }
 
 bool SegmentedTraceReader::verifyAll(std::string *Error) {
-  std::vector<EventWord> Buffer;
   std::vector<profile::BlockCounters> Folded(Header.NumBlocks);
-  for (size_t I = 0; I < numSegments(); ++I) {
-    if (!readSegment(I, Buffer, Error))
+  for (size_t I = 0; I < numSegments(); ++I)
+    if (!readFrame(I, Error) ||
+        !decodeSegment(Header, I, Compressed, Raw, nullptr, &Folded, Error))
       return false;
-    foldCounterTable(Buffer.data(), Buffer.size(), Folded);
-  }
   return checkCounterTable(Header, Folded, Error);
 }
 

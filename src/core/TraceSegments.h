@@ -22,14 +22,18 @@
 /// replay, without inflating the rest of the file).
 ///
 /// decodeSegment() is the single inflate-decode-check step for one
-/// segment; BlockTrace::parse() loops it over the whole container and
-/// SegmentedTraceReader::readSegment() applies it to one frame read from
-/// disk. A full decode ends with one more check, written once in
-/// checkCounterTable(): the per-block table folded from every segment
-/// must equal the header's. parse() and SegmentedTraceReader::verifyAll()
-/// (which streams the file through one segment buffer and keeps no
-/// events) share it. The exact byte layout lives in docs/CACHE_FORMAT.md;
-/// the retired v1/v2/v3 entries are rejected like any corrupt file.
+/// segment, and decodeSegmentEvents() its one pass over the inflated
+/// bytes: each event is decoded, range-checked, summed, and optionally
+/// folded into a counter table and stored, in the same loop.
+/// BlockTrace::parse() loops decodeSegment() over the whole container
+/// (storing and folding), SegmentedTraceReader::readSegment() applies it
+/// to one frame read from disk (storing only) and
+/// SegmentedTraceReader::verifyAll() streams every frame through it
+/// (folding only: it holds no event buffer). A full decode ends with one
+/// more check, written once in checkCounterTable(): the per-block table
+/// folded from every segment must equal the header's. The exact byte
+/// layout lives in docs/CACHE_FORMAT.md; the retired v1/v2/v3 entries are
+/// rejected like any corrupt file.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,6 +47,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace tpdbt {
@@ -70,14 +75,6 @@ uint64_t segmentEventBudget();
 /// shifted left once, with the taken bit in the low bit.
 std::string encodeSegmentEvents(const EventWord *W, size_t N);
 
-/// Decodes one segment's raw (decompressed) payload, appending exactly
-/// \p ExpectEvents events to \p Out. Rejects out-of-range block ids, a
-/// taken bit on a block without a conditional branch, truncation, and
-/// trailing bytes.
-bool decodeSegmentEvents(const std::string &Raw, uint64_t ExpectEvents,
-                         const std::vector<BlockShape> &Shapes,
-                         std::vector<EventWord> &Out, std::string *Error);
-
 /// Instruction and taken-branch sums over a run of events.
 struct EventSums {
   uint64_t Insts = 0;
@@ -89,9 +86,35 @@ struct EventSums {
   }
 };
 
+/// What decodeSegmentEvents() reports of the events it decoded.
+struct SegmentDecode {
+  /// Their sums, each event counted whole (its block's full length).
+  EventSums Sums;
+  /// The final event; 0 when none was expected.
+  EventWord Last = 0;
+};
+
+/// Decodes one segment's raw (decompressed) payload of exactly
+/// \p ExpectEvents events in one pass over its bytes. Each varint is
+/// decoded (one byte for nearly every event), its block range-checked
+/// against \p Shapes, its taken bit checked against the block's branch
+/// kind and its sums added to \p Result; the event is then folded into
+/// \p Table (sized to \p Shapes) and appended to \p Out, each when
+/// non-null. Rejects truncation, a varint wider than 64 bits, a block
+/// below 0 or at or above the shape table's size, a taken bit on a block
+/// without a conditional branch, and trailing bytes, each with its own
+/// \p Error. On failure \p Out is restored to its size on entry, while
+/// \p Table may hold a partial fold.
+bool decodeSegmentEvents(std::string_view Raw, uint64_t ExpectEvents,
+                         const std::vector<BlockShape> &Shapes,
+                         std::vector<EventWord> *Out,
+                         std::vector<profile::BlockCounters> *Table,
+                         SegmentDecode &Result, std::string *Error);
+
 /// The sums of \p N events, each counted whole (its block's full
 /// length): a caller whose run ends on a partial tail subtracts the
-/// shortfall itself.
+/// shortfall itself. The writers' directory bases come from here; a
+/// decode takes its sums from decodeSegmentEvents()' own pass.
 EventSums sumEvents(const EventWord *W, size_t N,
                     const std::vector<BlockShape> &Shapes);
 
@@ -170,24 +193,21 @@ std::string assembleSegmentedTrace(const SegmentedTraceHeader &H,
 bool parseSegmentedHeader(const std::string &Bytes, uint64_t FileSize,
                           SegmentedTraceHeader &Out, std::string *Error);
 
-/// Inflates segment \p I's TPDZ payload \p Frame, decodes its events onto
-/// the end of \p Out, and checks the segment's instruction/taken sums
-/// against the next directory row's bases (or, for the last segment, the
-/// trace totals, after checking that its final event is the header's
-/// partial tail, untaken, when there is one). The only place a v4 segment
-/// payload is decoded.
+/// Inflates segment \p I's TPDZ payload \p Frame into \p Raw (scratch
+/// whose capacity the caller reuses across segments), runs
+/// decodeSegmentEvents() over it with \p Out and \p Table, and checks
+/// the decode's own sums against the next directory row's bases (or, for
+/// the last segment, the trace totals, after checking that its final
+/// event is the header's partial tail, untaken, when there is one). The
+/// only place a v4 segment payload is decoded.
 bool decodeSegment(const SegmentedTraceHeader &H, size_t I,
-                   const std::string &Frame, std::vector<EventWord> &Out,
+                   std::string_view Frame, std::string &Raw,
+                   std::vector<EventWord> *Out,
+                   std::vector<profile::BlockCounters> *Table,
                    std::string *Error);
 
-/// Adds \p N decoded events to the per-block use/taken table \p Table,
-/// which is sized to the header's block count (decodeSegment() has
-/// range-checked every block id).
-void foldCounterTable(const EventWord *W, size_t N,
-                      std::vector<profile::BlockCounters> &Table);
-
 /// The whole-container check that ends every full decode: \p Folded, the
-/// table foldCounterTable() built from every segment, must equal the
+/// table decodeSegment() folded from every segment, must equal the
 /// header's counter table entry for entry. With decodeSegment()'s
 /// per-segment sums this pins every total the header declares: events,
 /// instructions, taken branches and the table itself.
@@ -253,8 +273,9 @@ private:
 
 /// Streams a TPDT v4 file segment-at-a-time: open() reads and validates
 /// only the header; readSegment() seeks to one payload frame, inflates
-/// and decodes it into a caller-owned buffer. Peak memory is one segment
-/// (plus the header), independent of trace length. Single-threaded.
+/// and decodes it into a caller-owned buffer. Peak memory is one
+/// segment's compressed and inflated bytes (plus the header and the
+/// caller's event buffer), independent of trace length. Single-threaded.
 class SegmentedTraceReader {
 public:
   /// Opens \p Path and parses the header. False (with \p Error) when the
@@ -270,11 +291,12 @@ public:
   bool readSegment(size_t I, std::vector<EventWord> &Out,
                    std::string *Error);
 
-  /// Reads every segment through readSegment() into one reused buffer,
-  /// folds each into a counter table and checks it with
-  /// checkCounterTable(). True exactly when BlockTrace::parse() accepts
-  /// the file, but no event outlives its segment: the header's totals()
-  /// are then verified at O(segment) memory.
+  /// Streams every segment through decodeSegment() with no event output,
+  /// folding each straight into one counter table, and checks that table
+  /// with checkCounterTable(). True exactly when BlockTrace::parse()
+  /// accepts the file, but no event is ever stored: the header's
+  /// totals() are then verified at O(segment) memory, the segment's
+  /// compressed and inflated bytes only.
   bool verifyAll(std::string *Error);
 
   /// The entry's profile memo when TraceCache::openSegmented opened this
@@ -285,10 +307,14 @@ public:
   }
 
 private:
+  /// Reads segment \p I's compressed frame into Compressed.
+  bool readFrame(size_t I, std::string *Error);
+
   SegmentedTraceHeader Header;
   std::shared_ptr<SegmentProfileMemo> Memo;
   std::ifstream File;
   std::string Compressed; ///< payload scratch, reused across segments
+  std::string Raw;        ///< inflate scratch, reused across segments
 };
 
 } // namespace core

@@ -2,6 +2,8 @@
 
 #include "support/Compression.h"
 
+#include "support/Varint.h"
+
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -19,29 +21,6 @@ constexpr size_t MinMatch = 4;
 constexpr size_t MaxOffset = 65535;
 /// Hash table size (power of two) for the greedy matcher.
 constexpr size_t HashBits = 15;
-
-void putVarint(std::string &Out, uint64_t V) {
-  while (V >= 0x80) {
-    Out.push_back(static_cast<char>(0x80 | (V & 0x7f)));
-    V >>= 7;
-  }
-  Out.push_back(static_cast<char>(V));
-}
-
-bool getVarint(const std::string &In, size_t &Pos, uint64_t &V) {
-  V = 0;
-  unsigned Shift = 0;
-  while (Pos < In.size()) {
-    uint8_t Byte = static_cast<uint8_t>(In[Pos++]);
-    V |= static_cast<uint64_t>(Byte & 0x7f) << Shift;
-    if (!(Byte & 0x80))
-      return true;
-    Shift += 7;
-    if (Shift > 63)
-      return false;
-  }
-  return false;
-}
 
 uint32_t hash4(const uint8_t *P) {
   uint32_t V;
@@ -62,7 +41,7 @@ void putLength(std::string &Out, size_t Len) {
   Out.push_back(static_cast<char>(Len));
 }
 
-bool getLength(const std::string &In, size_t &Pos, size_t Nibble,
+bool getLength(std::string_view In, size_t &Pos, size_t Nibble,
                size_t &Len) {
   Len = Nibble;
   if (Nibble != 15)
@@ -135,7 +114,7 @@ uint64_t tpdbt::maxDecompressedSize(uint64_t FrameBytes) {
   return (FrameBytes + 1) * 270 + 64;
 }
 
-bool tpdbt::decompressBytes(const std::string &Compressed, std::string &Out,
+bool tpdbt::decompressBytes(std::string_view Compressed, std::string &Out,
                             std::string *Error) {
   Out.clear();
   auto Fail = [&](const char *Msg) {
@@ -144,7 +123,8 @@ bool tpdbt::decompressBytes(const std::string &Compressed, std::string &Out,
     Out.clear();
     return false;
   };
-  if (Compressed.size() < 5 || Compressed.compare(0, 4, Magic, 4) != 0)
+  if (Compressed.size() < 5 ||
+      Compressed.substr(0, 4) != std::string_view(Magic, 4))
     return Fail("bad compression magic");
   if (static_cast<uint8_t>(Compressed[4]) != Version)
     return Fail("unsupported compression version");

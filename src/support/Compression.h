@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace tpdbt {
 
@@ -40,8 +41,10 @@ std::string compressBytes(const std::string &Raw);
 /// Inflates a frame produced by compressBytes. Returns false (and fills
 /// \p Error if non-null) on any malformed input: bad magic or version,
 /// truncated stream, offsets or lengths escaping the declared raw size,
-/// or trailing bytes. On failure \p Out is left empty.
-bool decompressBytes(const std::string &Compressed, std::string &Out,
+/// or trailing bytes. On failure \p Out is left empty. \p Out's capacity
+/// is kept, so a caller inflating many frames through one string
+/// allocates once.
+bool decompressBytes(std::string_view Compressed, std::string &Out,
                      std::string *Error);
 
 /// The most raw bytes a frame of \p FrameBytes compressed bytes can

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace tpdbt {
 
@@ -31,7 +32,7 @@ inline void putVarint(std::string &Out, uint64_t V) {
   Out.push_back(static_cast<char>(V));
 }
 
-inline bool getVarint(const std::string &In, size_t &Pos, uint64_t &V) {
+inline bool getVarint(std::string_view In, size_t &Pos, uint64_t &V) {
   V = 0;
   unsigned Shift = 0;
   while (Pos < In.size()) {

@@ -6,6 +6,7 @@
 #include "core/Trace.h"
 #include "core/TraceCache.h"
 #include "support/Compression.h"
+#include "support/Rng.h"
 #include "support/TextFile.h"
 #include "support/Varint.h"
 #include "workloads/BenchSpec.h"
@@ -84,29 +85,97 @@ TEST(TraceIndexTest, UsesThroughMatchesBruteForce) {
   }
 }
 
-TEST(TraceIndexTest, FirstOutcomeChangeMatchesBruteForce) {
-  BlockTrace T = recordedTrace("swim", 10000);
-  const TraceIndex Idx = TraceIndex::build(T);
-  for (size_t B = 0; B < T.numBlocks(); ++B) {
+namespace {
+
+/// The (0-based) occurrence outcomes of every block, read straight from
+/// the trace's events: the reference the index's bit rows are checked
+/// against.
+std::vector<std::vector<bool>> outcomesOf(const BlockTrace &T) {
+  std::vector<std::vector<bool>> Outcomes(T.numBlocks());
+  for (size_t I = 0; I < T.numEvents(); ++I) {
+    const TraceEvent E = T.event(I);
+    Outcomes[E.Block].push_back(E.Branch == 2);
+  }
+  return Outcomes;
+}
+
+/// Checks takenOfFirst() and firstOutcomeChange() of \p Idx at every
+/// rank 0..occurrences (so at every word boundary and at the row end)
+/// against \p Outcomes.
+void expectRowQueries(const TraceIndex &Idx,
+                      const std::vector<std::vector<bool>> &Outcomes,
+                      const std::string &Label) {
+  for (size_t B = 0; B < Outcomes.size(); ++B) {
     const auto Id = static_cast<guest::BlockId>(B);
-    const uint32_t Cnt = Idx.occurrences(Id);
-    if (!Cnt)
-      continue;
-    // Collect the block's outcome sequence once.
-    std::vector<bool> TakenSeq;
-    for (uint32_t K = 0; K < Cnt; ++K)
-      TakenSeq.push_back(Idx.takenOfFirst(Id, K + 1) >
-                         Idx.takenOfFirst(Id, K));
-    for (uint32_t K = 0; K < Cnt; K += 3) {
+    const std::vector<bool> &Seq = Outcomes[B];
+    const auto Cnt = static_cast<uint32_t>(Seq.size());
+    ASSERT_EQ(Idx.occurrences(Id), Cnt) << Label << " block " << B;
+    uint32_t Taken = 0;
+    for (uint32_t K = 0; K <= Cnt; ++K) {
+      EXPECT_EQ(Idx.takenOfFirst(Id, K), Taken)
+          << Label << " block " << B << " K=" << K;
       for (bool Want : {false, true}) {
         uint32_t Expected = K;
-        while (Expected < Cnt && TakenSeq[Expected] == Want)
+        while (Expected < Cnt && Seq[Expected] == Want)
           ++Expected;
         EXPECT_EQ(Idx.firstOutcomeChange(Id, K, Want), Expected)
-            << "block " << B << " K=" << K << " taken=" << Want;
+            << Label << " block " << B << " K=" << K << " taken=" << Want;
       }
+      if (K < Cnt)
+        Taken += Seq[K];
     }
   }
+}
+
+} // namespace
+
+TEST(TraceIndexTest, FirstOutcomeChangeMatchesBruteForce) {
+  BlockTrace T = recordedTrace("swim", 10000);
+  expectRowQueries(TraceIndex::build(T), outcomesOf(T), "swim");
+}
+
+TEST(TraceIndexTest, TakenBitRowsAtWordBoundaries) {
+  // Block 0 carries the row under test, its occurrences interleaved with
+  // an unconditional block 1 so positions and ranks differ; block 2 is a
+  // conditional block that never runs (an empty row).
+  const uint32_t Counts[] = {1, 63, 64, 65, 127, 128, 129, 192, 200};
+  enum Pattern { AllTaken, AllUntaken, Alternating, RunsOf70 };
+  for (uint32_t Cnt : Counts)
+    for (Pattern P : {AllTaken, AllUntaken, Alternating, RunsOf70}) {
+      BlockTrace T;
+      T.setShapes({BlockShape{2, true}, BlockShape{1, false},
+                   BlockShape{4, true}});
+      for (uint32_t K = 0; K < Cnt; ++K) {
+        const bool Taken = P == AllTaken     ? true
+                           : P == AllUntaken ? false
+                           : P == Alternating ? K % 2 == 0
+                                              : (K / 70) % 2 == 0;
+        T.append(TraceEvent{0, static_cast<uint8_t>(Taken ? 2 : 1), 2});
+        if (K % 3 == 0)
+          T.append(TraceEvent{1, 0, 1});
+      }
+      const std::string Label =
+          "count " + std::to_string(Cnt) + " pattern " + std::to_string(P);
+      expectRowQueries(TraceIndex::build(T), outcomesOf(T), Label);
+    }
+}
+
+TEST(TraceIndexTest, FirstOutcomeChangeGallopsAcrossWords) {
+  // Long rows of random-length runs (1 to 700 occurrences, so runs span
+  // from inside one word to over ten) exercise the gallop over word
+  // checkpoints and the bisection that follows it.
+  Rng R(0x6a11);
+  BlockTrace T;
+  T.setShapes({BlockShape{3, true}, BlockShape{5, true}});
+  for (int Run = 0; Run < 60; ++Run) {
+    const guest::BlockId B = static_cast<guest::BlockId>(Run % 2);
+    const uint64_t Len = 1 + R.nextBelow(Run % 3 ? 700 : 40);
+    const bool Taken = R.nextBelow(2);
+    for (uint64_t I = 0; I < Len; ++I)
+      T.append(TraceEvent{B, static_cast<uint8_t>(Taken ? 2 : 1),
+                          B ? 5u : 3u});
+  }
+  expectRowQueries(TraceIndex::build(T), outcomesOf(T), "runs");
 }
 
 TEST(TraceIndexTest, CacheServesBareTraces) {
@@ -214,7 +283,7 @@ TEST(TraceIndexTest, PlantedSidecarIsIgnored) {
   StreamTaken[E] = static_cast<uint32_t>(Direct.takenEvents());
   put(BlockBegin);
   put(std::vector<uint32_t>(E, 0xfffffff0u)); // OccPos, all out of range
-  put(std::vector<uint32_t>(E + N, 0));       // TakenPre
+  put(std::vector<uint32_t>(E + N, 0));       // taken prefix sums
   put(std::vector<uint64_t>(E + N, 0));       // InstsPre
   put(StreamInsts);
   put(StreamTaken);

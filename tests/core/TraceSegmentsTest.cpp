@@ -139,30 +139,141 @@ TEST(TraceSegmentsTest, SegmentEncodeDecodeRoundTrip) {
   ASSERT_GT(T.numEvents(), 100u);
   // Slice out of the middle: the delta chain must restart cleanly.
   const size_t At = 37, N = 101;
-  std::string Raw = encodeSegmentEvents(T.words().data() + At, N);
+  const EventWord *Slice = T.words().data() + At;
+  std::string Raw = encodeSegmentEvents(Slice, N);
   std::vector<EventWord> Out;
+  std::vector<profile::BlockCounters> Table(T.numBlocks());
+  SegmentDecode D;
   std::string Error;
-  ASSERT_TRUE(decodeSegmentEvents(Raw, N, T.shapes(), Out, &Error)) << Error;
+  ASSERT_TRUE(decodeSegmentEvents(Raw, N, T.shapes(), &Out, &Table, D,
+                                  &Error))
+      << Error;
   ASSERT_EQ(Out.size(), N);
   for (size_t I = 0; I < N; ++I)
-    EXPECT_EQ(Out[I], T.words()[At + I]);
+    EXPECT_EQ(Out[I], Slice[I]);
+  // The pass's own sums, last event and fold agree with the events.
+  const EventSums Want = sumEvents(Slice, N, T.shapes());
+  EXPECT_EQ(D.Sums.Insts, Want.Insts);
+  EXPECT_EQ(D.Sums.Taken, Want.Taken);
+  EXPECT_EQ(D.Last, Slice[N - 1]);
+  std::vector<profile::BlockCounters> WantTable(T.numBlocks());
+  for (size_t I = 0; I < N; ++I) {
+    ++WantTable[eventBlock(Slice[I])].Use;
+    WantTable[eventBlock(Slice[I])].Taken += eventTaken(Slice[I]);
+  }
+  for (size_t Bl = 0; Bl < T.numBlocks(); ++Bl) {
+    EXPECT_EQ(Table[Bl].Use, WantTable[Bl].Use) << "block " << Bl;
+    EXPECT_EQ(Table[Bl].Taken, WantTable[Bl].Taken) << "block " << Bl;
+  }
+  // Neither output is needed for the sums.
+  SegmentDecode Bare;
+  ASSERT_TRUE(decodeSegmentEvents(Raw, N, T.shapes(), nullptr, nullptr, Bare,
+                                  &Error))
+      << Error;
+  EXPECT_EQ(Bare.Sums.Insts, Want.Insts);
+  EXPECT_EQ(Bare.Last, D.Last);
   // Wrong expectations are rejected.
   Out.clear();
-  EXPECT_FALSE(decodeSegmentEvents(Raw, N + 1, T.shapes(), Out, nullptr));
+  EXPECT_FALSE(
+      decodeSegmentEvents(Raw, N + 1, T.shapes(), &Out, nullptr, D, nullptr));
   Out.clear();
-  EXPECT_FALSE(decodeSegmentEvents(Raw, N - 1, T.shapes(), Out, nullptr));
+  EXPECT_FALSE(
+      decodeSegmentEvents(Raw, N - 1, T.shapes(), &Out, nullptr, D, nullptr));
   // A taken bit on a block without a conditional branch is rejected.
   size_t Plain = 0;
-  while (T.shapes()[eventBlock(T.words()[At + Plain])].Cond)
+  while (T.shapes()[eventBlock(Slice[Plain])].Cond)
     ++Plain;
   ASSERT_LT(Plain, N);
-  std::vector<EventWord> Bad(T.words().begin() + At,
-                             T.words().begin() + At + N);
+  std::vector<EventWord> Bad(Slice, Slice + N);
   Bad[Plain] |= 1;
   Out.clear();
   EXPECT_FALSE(decodeSegmentEvents(encodeSegmentEvents(Bad.data(), N), N,
-                                   T.shapes(), Out, &Error));
+                                   T.shapes(), &Out, nullptr, D, &Error));
   EXPECT_EQ(Error, "taken bit on a block without a conditional branch");
+}
+
+TEST(TraceSegmentsTest, DecoderRejectsEachMalformedEvent) {
+  // Hand-built raw payloads over a 300-block shape table, so block ids
+  // at and past the table need multi-byte varints. Each rejection names
+  // its own cause, and a failed decode leaves the output as it found it.
+  const std::vector<BlockShape> Shapes(300, BlockShape{3, true});
+  auto Event = [](int64_t Delta, bool Taken) {
+    std::string Out;
+    putVarint(Out, zigzagEncode(Delta) << 1 | (Taken ? 1 : 0));
+    return Out;
+  };
+  auto Rejects = [&](const std::string &Raw, uint64_t Events,
+                     const char *Want) {
+    std::vector<EventWord> Out(7, 0);
+    std::vector<profile::BlockCounters> Table(Shapes.size());
+    SegmentDecode D;
+    std::string Error;
+    EXPECT_FALSE(
+        decodeSegmentEvents(Raw, Events, Shapes, &Out, &Table, D, &Error))
+        << Want;
+    EXPECT_EQ(Error, Want);
+    EXPECT_EQ(Out.size(), 7u) << Want;
+  };
+  // The stream ends inside a varint's continuation bytes.
+  Rejects(Event(5, false) + Event(200, true).substr(0, 1), 2,
+          "truncated segment event");
+  // Fewer bytes than the events the directory promises.
+  Rejects(Event(5, false), 2, "truncated segment event");
+  // Eleven bytes: ten continuation bytes carry the value past 64 bits.
+  Rejects(std::string(10, '\x80') + '\x00', 1,
+          "segment event varint wider than 64 bits");
+  // A whole event more than the directory row declares.
+  Rejects(Event(5, false) + Event(1, false), 1,
+          "trailing bytes after segment events");
+  // The delta chain restarts at block 0, so a first delta of -1 and a
+  // later one past the chain's start both leave the table below.
+  Rejects(Event(-1, false), 1, "block delta below block 0");
+  Rejects(Event(70, false) + Event(-71, true), 2, "block delta below block 0");
+  // Block ids at and past the table's size.
+  Rejects(Event(300, false), 1, "block id out of range");
+  Rejects(Event(299, false) + Event(1, false), 2, "block id out of range");
+  Rejects(Event(int64_t(1) << 40, false), 1, "block id out of range");
+}
+
+TEST(TraceSegmentsTest, WideBlockDeltasRoundTrip) {
+  // Real traces take one byte per event; a 300-block table with deltas
+  // of 64 and more in both directions drives every event through the
+  // multi-byte path of the decode loop.
+  std::vector<BlockShape> Shapes(300);
+  for (size_t Bl = 0; Bl < Shapes.size(); ++Bl)
+    Shapes[Bl] = BlockShape{static_cast<uint32_t>(1 + Bl % 7), Bl % 3 != 0};
+  std::vector<EventWord> Words;
+  Rng R(0x300b);
+  int64_t Block = 0;
+  for (int I = 0; I < 2000; ++I) {
+    int64_t Next = Block;
+    while (std::abs(Next - Block) < 64)
+      Next = static_cast<int64_t>(R.nextBelow(Shapes.size()));
+    Block = Next;
+    const bool Taken = Shapes[Block].Cond && R.nextBelow(2);
+    Words.push_back(packEvent(static_cast<guest::BlockId>(Block), Taken));
+  }
+  const std::string Raw = encodeSegmentEvents(Words.data(), Words.size());
+  ASSERT_GT(Raw.size(), Words.size() * 3 / 2) << "mostly multi-byte events";
+  std::vector<EventWord> Out;
+  std::vector<profile::BlockCounters> Table(Shapes.size());
+  SegmentDecode D;
+  std::string Error;
+  ASSERT_TRUE(decodeSegmentEvents(Raw, Words.size(), Shapes, &Out, &Table, D,
+                                  &Error))
+      << Error;
+  EXPECT_EQ(Out, Words);
+  const EventSums Want = sumEvents(Words.data(), Words.size(), Shapes);
+  EXPECT_EQ(D.Sums.Insts, Want.Insts);
+  EXPECT_EQ(D.Sums.Taken, Want.Taken);
+  EXPECT_EQ(D.Last, Words.back());
+  uint64_t Uses = 0, Taken = 0;
+  for (const profile::BlockCounters &C : Table) {
+    Uses += C.Use;
+    Taken += C.Taken;
+  }
+  EXPECT_EQ(Uses, Words.size());
+  EXPECT_EQ(Taken, Want.Taken);
 }
 
 TEST(TraceSegmentsTest, SegmentedRoundTripAtManyBudgets) {
