@@ -12,7 +12,6 @@
 #include "core/TraceCache.h"
 #include "core/TraceIndex.h"
 #include "guest/ProgramBuilder.h"
-#include "support/TextFile.h"
 #include "vm/Interpreter.h"
 #include "workloads/BenchSpec.h"
 #include "workloads/Generator.h"
@@ -201,20 +200,19 @@ struct WarmTrainEntry {
   ~WarmTrainEntry() { std::filesystem::remove_all(Dir); }
 };
 
-/// What a warm train lookup cost before it streamed: read the whole
-/// entry, then BlockTrace::parse() it into a full event vector.
+/// What a warm train lookup cost before it streamed, and what a warm
+/// TraceCache::get() still pays: open the entry and decode every segment,
+/// one frame read from the file at a time, into a full event vector.
 void BM_TraceParse(benchmark::State &State) {
   WarmTrainEntry W;
-  const std::string Path =
-      core::TraceCache(W.Dir).entryPath("mcf", "train", 1);
   uint64_t Events = 0;
   for (auto _ : State) {
-    auto Bytes = readTextFile(Path);
-    core::BlockTrace T;
-    if (!Bytes || !core::BlockTrace::parse(*Bytes, T, nullptr))
-      State.SkipWithError("train entry does not parse");
-    Events += T.numEvents();
-    benchmark::DoNotOptimize(T.totalInsts());
+    core::TraceCache Cache(W.Dir);
+    auto T = Cache.get("mcf", "train", 1, W.B.Train, ~0ull);
+    if (Cache.stats().DiskHits.load() != 1)
+      State.SkipWithError("train entry is not a verified disk hit");
+    Events += T->numEvents();
+    benchmark::DoNotOptimize(T->totalInsts());
   }
   State.SetItemsProcessed(static_cast<int64_t>(Events));
 }

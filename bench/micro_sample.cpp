@@ -63,14 +63,11 @@ struct SampleSetup {
 void BM_ExactWarmSweep(benchmark::State &State) {
   SampleSetup &S = SampleSetup::instance();
   for (auto _ : State) {
-    auto Bytes = readTextFile(S.Path);
-    if (!Bytes) {
-      State.SkipWithError("trace file unreadable");
-      return;
-    }
+    core::SegmentedTraceReader Reader;
     core::BlockTrace Trace;
     std::string Error;
-    if (!core::BlockTrace::parse(*Bytes, Trace, &Error)) {
+    if (!core::SegmentedTraceReader::open(S.Path, Reader, &Error) ||
+        !core::BlockTrace::decode(Reader, Trace, &Error)) {
       State.SkipWithError(Error.c_str());
       return;
     }
@@ -95,9 +92,8 @@ void BM_SampledSweep(benchmark::State &State) {
       State.SkipWithError(Error.c_str());
       return;
     }
-    sample::DiskSegmentSource Src(Reader);
     sample::SampledSweep Out;
-    if (!sample::sampledSweep(Src, S.B.Ref, core::paperThresholds(),
+    if (!sample::sampledSweep(Reader, S.B.Ref, core::paperThresholds(),
                               dbt::DbtOptions(), Cfg, Cfg.Seed, 1, Out,
                               &Error)) {
       State.SkipWithError(Error.c_str());

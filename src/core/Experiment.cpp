@@ -332,31 +332,39 @@ void ExperimentContext::ensureEstimates(const std::string &Name,
   auto Start = std::chrono::steady_clock::now();
 
   // Reference input: estimate the whole threshold sweep from a stratified
-  // segment sample. Disk-first — a warm TPDT v4 entry streams its
-  // directory and only the drawn segments, so the unsampled payload is
-  // never decompressed (the out-of-core win). Cold traces record once
-  // through the shared cache, then sample the in-memory event vector at
-  // the same segment budget the writer uses, so cold and warm runs draw
-  // the identical sample.
+  // segment sample of the TPDT v4 container. Disk-first — a warm entry
+  // streams its directory and only the drawn segments, so the unsampled
+  // payload is never decompressed (the out-of-core win). A cold (or
+  // corrupt) entry records through the shared cache, which writes the
+  // entry that is then re-opened; without a disk layer (or when the
+  // entry is gone again, say evicted) the recording is serialized at the
+  // writer's segment budget and read from memory. Cold, warm and diskless
+  // runs read the same container bytes and draw the identical sample.
   sample::SampledSweep Sweep;
   std::string Error;
-  bool Ok = false;
-  {
+  auto sweepRef = [&](SegmentedTraceReader &Reader) {
+    return sample::sampledSweep(Reader, B.Ref, Config.Thresholds,
+                                Config.Dbt, Config.Sample, BenchSeed,
+                                ReplayJobs, Sweep, &Error);
+  };
+  auto sweepEntry = [&] {
     SegmentedTraceReader Reader;
-    if (Traces->openSegmented(Name, "ref", ExecFp, B.Ref, Reader, nullptr)) {
-      sample::DiskSegmentSource Src(Reader);
-      Ok = sample::sampledSweep(Src, B.Ref, Config.Thresholds, Config.Dbt,
-                                Config.Sample, BenchSeed, ReplayJobs, Sweep,
-                                &Error);
-    }
-  }
+    return Traces->openSegmented(Name, "ref", ExecFp, B.Ref, Reader,
+                                 nullptr) &&
+           sweepRef(Reader);
+  };
+  bool Ok = sweepEntry();
   if (!Ok) {
     std::shared_ptr<const BlockTrace> Trace =
         Traces->get(Name, "ref", ExecFp, B.Ref, MaxBlocks);
-    sample::MemorySegmentSource Src(*Trace, segmentEventBudget());
-    Ok = sample::sampledSweep(Src, B.Ref, Config.Thresholds, Config.Dbt,
-                              Config.Sample, BenchSeed, ReplayJobs, Sweep,
-                              &Error);
+    Ok = sweepEntry();
+    if (!Ok) {
+      SegmentedTraceReader Reader;
+      Ok = SegmentedTraceReader::openBytes(
+               Trace->serializeSegmented(segmentEventBudget()), Reader,
+               &Error) &&
+           sweepRef(Reader);
+    }
   }
   assert(Ok && "sampled sweep cannot fail on a recorded trace");
   (void)Ok;

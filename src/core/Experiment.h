@@ -245,9 +245,10 @@ private:
   void ensureProfiles(const std::string &Name, BenchData &D,
                       unsigned ReplayJobs);
   /// The sampled-mode body of ensureProfiles (caller holds D.Lock):
-  /// estimates the INIP sweep from a stratified segment sample — warm
-  /// cache entries through TraceCache::openSegmented, so unsampled
-  /// segments are never decompressed — and computes AVEP / INIP(train)
+  /// estimates the INIP sweep from a stratified segment sample — cache
+  /// entries (warm, or just written by a cold recording) through
+  /// TraceCache::openSegmented, so unsampled segments are never
+  /// decompressed — and computes AVEP / INIP(train)
   /// exactly from stream totals. Never touches the .prof cache.
   void ensureEstimates(const std::string &Name, BenchData &D,
                        unsigned ReplayJobs);

@@ -180,40 +180,31 @@ std::string BlockTrace::serializeSegmented(uint64_t Budget) const {
   return assembleSegmentedTrace(segmentedHeaderOf(*this, Budget), Segments);
 }
 
-bool BlockTrace::parse(const std::string &Bytes, BlockTrace &Out,
-                       std::string *Error) {
-  SegmentedTraceHeader H;
-  if (!parseSegmentedHeader(Bytes, Bytes.size(), H, Error))
-    return false;
+bool BlockTrace::decode(SegmentedTraceReader &Reader, BlockTrace &Out,
+                        std::string *Error) {
+  const SegmentedTraceHeader &H = Reader.header();
   BlockTrace T;
   T.setShapes(H.Shapes);
   // Bounded: the header check caps every segment's event count by what
   // its payload can inflate to.
   T.reserveEvents(H.NumEvents);
-  // Each frame is a view of Bytes, inflated into one scratch string that
-  // every segment reuses; one pass decodes it straight onto the trace's
-  // event vector and folds it into the trace's counter table.
-  const std::string_view All(Bytes);
-  std::string Raw;
-  for (size_t I = 0; I < H.Directory.size(); ++I) {
-    const SegmentedTraceHeader::Entry &Ent = H.Directory[I];
-    if (!decodeSegment(H, I,
-                       All.substr(static_cast<size_t>(Ent.PayloadOffset),
-                                  static_cast<size_t>(Ent.PayloadBytes)),
-                       Raw, &T.Words, &T.Final, Error))
-      return false;
-  }
-  if (!checkCounterTable(H, T.Final, Error))
+  if (!Reader.readAll(&T.Words, T.Final, Error))
     return false;
-  // decodeSegment() matched every segment's sums to the directory, whose
-  // first bases are zero and whose last segment ends on the header
-  // totals, and placed the partial tail: the decoded stream's totals are
-  // the header's.
+  // Every segment's sums matched the directory, whose first bases are
+  // zero and whose last segment ends on the header totals, and the
+  // partial tail was placed: the decoded stream's totals are the header's.
   T.TotalInsts = H.TotalInsts;
   T.TakenEvents = H.takenEvents();
   T.TailInsts = H.TailInsts;
   Out = std::move(T);
   return true;
+}
+
+bool BlockTrace::parse(const std::string &Bytes, BlockTrace &Out,
+                       std::string *Error) {
+  SegmentedTraceReader Reader;
+  return SegmentedTraceReader::openBytes(Bytes, Reader, Error) &&
+         decode(Reader, Out, Error);
 }
 
 namespace {

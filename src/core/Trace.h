@@ -53,6 +53,7 @@ struct HostTierStats;
 } // namespace vm
 namespace core {
 
+class SegmentedTraceReader;
 class TraceIndex;
 
 /// One recorded block event, as BlockTrace::event() expands it.
@@ -133,16 +134,20 @@ public:
   /// remainder). The record pipeline (core/TracePipeline.h) writes the
   /// same bytes at its budget; this is the reference writer.
   std::string serializeSegmented(uint64_t Budget) const;
-  /// Parses a TPDT v4 container; the result is event-identical to the
-  /// serialized trace at any budget. Each segment is inflated (through
-  /// one scratch buffer for the whole container) and, in one pass over
-  /// its bytes, decoded straight onto the trace's event vector and folded
-  /// into its counter table; the segment sums and the header's counter
-  /// table are checked against the decoded events (the table check is
-  /// core/TraceSegments.h checkCounterTable(), which the event-free
-  /// SegmentedTraceReader::verifyAll() shares). Any other version — the
-  /// retired monolithic v1/v2 and the two-varint v3 included — fails as
-  /// unsupported.
+  /// Decodes every segment of \p Reader's TPDT v4 container into \p Out
+  /// through SegmentedTraceReader::readAll(): in one pass over each
+  /// segment's inflated bytes, the events land straight on the trace's
+  /// event vector and fold into its counter table, and the segment sums
+  /// and the header's counter table are checked against them. The result
+  /// is event-identical to the serialized trace at any budget.
+  /// TraceCache::get() decodes a disk entry this way, one frame read from
+  /// the file at a time.
+  static bool decode(SegmentedTraceReader &Reader, BlockTrace &Out,
+                     std::string *Error);
+  /// decode() over an in-memory container (a bytes-backed
+  /// SegmentedTraceReader holding a copy of \p Bytes). Any version other
+  /// than v4 — the retired monolithic v1/v2 and the two-varint v3
+  /// included — fails as unsupported.
   static bool parse(const std::string &Bytes, BlockTrace &Out,
                     std::string *Error);
 
@@ -235,7 +240,7 @@ public:
       Final[E.Block].Taken += N;
     }
   }
-  /// Pre-sizes the event storage. record() and parse() use this to avoid
+  /// Pre-sizes the event storage. record() and decode() use this to avoid
   /// the vector growth chain, which on multi-megabyte traces costs more
   /// than the event stores themselves (every doubling is a fresh
   /// allocation, a copy, and a page-fault pass over the new region;

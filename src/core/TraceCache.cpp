@@ -85,6 +85,23 @@ void TraceCache::enforceBudget() {
   }
 }
 
+namespace {
+
+/// Opens the entry at \p Path and checks its shape table against
+/// \p Program's: the one open behind get(), totals() and openSegmented().
+bool openEntry(const std::string &Path, const guest::Program &Program,
+               SegmentedTraceReader &Reader, std::string *Error) {
+  if (!SegmentedTraceReader::open(Path, Reader, Error))
+    return false;
+  if (Reader.header().Shapes == blockShapes(Program))
+    return true;
+  if (Error)
+    *Error = "trace shape table disagrees with the program";
+  return false;
+}
+
+} // namespace
+
 bool TraceCache::openSegmented(const std::string &Name,
                                const std::string &Input, uint64_t ExecFp,
                                const guest::Program &Program,
@@ -108,17 +125,30 @@ bool TraceCache::openSegmented(const std::string &Name,
     Memo = M;
   }
   const std::string Path = entryPath(Name, Input, ExecFp);
-  if (!SegmentedTraceReader::open(Path, Reader, Error))
+  if (!openEntry(Path, Program, Reader, Error))
     return false;
-  if (Reader.header().Shapes != blockShapes(Program)) {
-    if (Error)
-      *Error = "trace shape table disagrees with the program";
-    return false;
-  }
   Reader.attachMemo(std::move(Memo));
   Stats.SampleDiskOpens.fetch_add(1, std::memory_order_relaxed);
   touchEntry(Path);
   return true;
+}
+
+bool TraceCache::readEntry(
+    const std::string &Path, const guest::Program &Program,
+    const std::function<bool(SegmentedTraceReader &)> &Decode) {
+  std::error_code Ec;
+  if (!std::filesystem::exists(Path, Ec))
+    return false;
+  SegmentedTraceReader Reader;
+  if (openEntry(Path, Program, Reader, nullptr) && Decode(Reader)) {
+    Stats.DiskHits.fetch_add(1, std::memory_order_relaxed);
+    touchEntry(Path); // refresh LRU recency for the bounded store
+    return true;
+  }
+  // Torn, corrupt, a retired format, or recorded for a different program
+  // shape (a stale key collision): treat as a miss and re-record over it.
+  Stats.CorruptEntries.fetch_add(1, std::memory_order_relaxed);
+  return false;
 }
 
 std::string TraceCache::slotKey(const std::string &Name,
@@ -149,23 +179,6 @@ std::string TraceCache::entryPath(const std::string &Name,
   return Dir + "/" + slotKey(Name, Input, ExecFp) + ".trace";
 }
 
-std::shared_ptr<const BlockTrace>
-TraceCache::loadDisk(const std::string &Path, const guest::Program &Program) {
-  auto Bytes = readTextFile(Path);
-  if (!Bytes)
-    return nullptr;
-  auto Trace = std::make_shared<BlockTrace>();
-  if (!BlockTrace::parse(*Bytes, *Trace, nullptr) ||
-      Trace->shapes() != blockShapes(Program)) {
-    // Torn, corrupt, a retired format, or recorded for a different
-    // program shape (a stale key collision): treat as a miss and
-    // re-record over it.
-    Stats.CorruptEntries.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  return Trace;
-}
-
 TraceCache::Slot &TraceCache::slot(const std::string &Key) {
   std::lock_guard<std::mutex> Guard(SlotsLock);
   return Slots[Key];
@@ -188,9 +201,10 @@ TraceCache::get(const std::string &Name, const std::string &Input,
   std::string Path;
   if (!Dir.empty()) {
     Path = entryPath(Name, Input, ExecFp);
-    if (auto FromDisk = loadDisk(Path, Program)) {
-      Stats.DiskHits.fetch_add(1, std::memory_order_relaxed);
-      touchEntry(Path); // refresh LRU recency for the bounded store
+    auto FromDisk = std::make_shared<BlockTrace>();
+    if (readEntry(Path, Program, [&](SegmentedTraceReader &Reader) {
+          return BlockTrace::decode(Reader, *FromDisk, nullptr);
+        })) {
       S.Trace = FromDisk;
       return FromDisk;
     }
@@ -213,21 +227,16 @@ TraceTotals TraceCache::totals(const std::string &Name,
   std::string Path;
   if (!Dir.empty()) {
     Path = entryPath(Name, Input, ExecFp);
-    std::error_code Ec;
-    if (std::filesystem::exists(Path, Ec)) {
-      // The same checks loadDisk() applies, streamed: every segment is
-      // decoded and sum-checked, and the folded table must equal the
-      // header's, before the header's totals are trusted.
-      SegmentedTraceReader Reader;
-      if (SegmentedTraceReader::open(Path, Reader, nullptr) &&
-          Reader.header().Shapes == blockShapes(Program) &&
-          Reader.verifyAll(nullptr)) {
-        Stats.DiskHits.fetch_add(1, std::memory_order_relaxed);
-        touchEntry(Path);
-        return Reader.header().totals();
-      }
-      Stats.CorruptEntries.fetch_add(1, std::memory_order_relaxed);
-    }
+    // Every segment is decoded and sum-checked, and the folded table must
+    // equal the header's, before the header's totals are trusted.
+    TraceTotals Totals;
+    if (readEntry(Path, Program, [&](SegmentedTraceReader &Reader) {
+          if (!Reader.verifyAll(nullptr))
+            return false;
+          Totals = Reader.header().totals();
+          return true;
+        }))
+      return Totals;
   }
   return recordMiss(S, Key, Path, Program, MaxBlocks)->totals();
 }

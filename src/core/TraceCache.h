@@ -21,10 +21,14 @@
 /// index (core/TraceIndex.h): a miss and a disk hit alike return the bare
 /// trace, and the first threshold replay builds the index from the events,
 /// which is cheaper than reading, inflating, and parsing a stored copy.
-/// A caller that needs only the profiling-only average (the exact path's
-/// train input) asks totals() instead, which verifies a warm entry one
-/// segment at a time and never builds the trace at all. A miss with the
-/// disk layer on records through the segment pipeline
+/// Every disk read goes through one private open: a file-backed
+/// SegmentedTraceReader (core/TraceSegments.h) plus the shape-table check
+/// below. A get() disk hit decodes the entry through it frame by frame
+/// (BlockTrace::decode); a caller that needs only the profiling-only
+/// average (the exact path's train input) asks totals() instead, which
+/// verifies a warm entry one segment at a time and never builds the trace
+/// at all; openSegmented() hands the reader to sampled replay. A miss
+/// with the disk layer on records through the segment pipeline
 /// (core/TracePipeline.h), which compresses segments behind the recording
 /// and assembles the container; with the disk layer off, a miss is a
 /// plain recording.
@@ -78,6 +82,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -103,7 +108,10 @@ public:
 
   /// Returns the trace for \p Program's execution under the given key,
   /// recording it (up to \p MaxBlocks events) only when neither layer has
-  /// it. \p ExecFp must cover everything that shapes the event stream.
+  /// it. A disk hit decodes the entry one frame at a time through the
+  /// file-backed reader, with every check BlockTrace::decode() makes; a
+  /// present entry it rejects is counted corrupt once and recorded over.
+  /// \p ExecFp must cover everything that shapes the event stream.
   /// Concurrent calls with the same key record at most once per process.
   std::shared_ptr<const BlockTrace> get(const std::string &Name,
                                         const std::string &Input,
@@ -114,7 +122,7 @@ public:
   /// The stream totals of the same execution get() would return, without
   /// holding its events: a memory-layer hit copies the held trace's; a
   /// disk hit streams the entry one segment at a time through
-  /// SegmentedTraceReader::verifyAll() — every check BlockTrace::parse()
+  /// SegmentedTraceReader::verifyAll() — every check get()'s decode
   /// makes, at O(segment) memory — and builds no BlockTrace. A missing
   /// entry, or a corrupt one (counted once), records through get()'s miss
   /// path, which rewrites the entry. Hits, misses and corrupt entries are
@@ -177,9 +185,10 @@ public:
     /// freed.
     std::atomic<uint64_t> Evictions{0};
     std::atomic<uint64_t> EvictedBytes{0};
-    /// Sampled-replay coverage (src/sample): warm entries opened as
-    /// streaming TPDT v4 containers through openSegmented() (no whole-file
-    /// parse, no index), segments a sampled sweep's plan drew (each one
+    /// Sampled-replay coverage (src/sample): entries opened as streaming
+    /// TPDT v4 containers through openSegmented() (warm ones, and cold ones
+    /// once their recording wrote them; no whole-file decode, no index),
+    /// segments a sampled sweep's plan drew (each one
     /// decoded, or copied from the entry's profile memo when an earlier
     /// draw already decoded it), and segments the plan skipped — whose
     /// payload bytes this sweep never touched. The skipped counter is the
@@ -204,13 +213,14 @@ public:
     Stats.IndexMicros.fetch_add(Micros, std::memory_order_relaxed);
   }
 
-  /// Opens the disk entry for a key as a streaming TPDT v4 container
-  /// (core/TraceSegments.h) without parsing events or touching the
-  /// in-memory layer — the sampled-replay fast path, which decodes only
-  /// the segments its plan draws. False when the disk layer is off, or
-  /// the entry is missing, fails header validation, or carries a shape
-  /// table other than \p Program's; callers fall back to get() or
-  /// totals(), which count a present-but-rejected entry as corrupt once.
+  /// Opens the disk entry for a key through the same file-backed reader
+  /// and shape-table check as get() and totals(), without decoding a
+  /// segment or touching the in-memory layer — the sampled-replay path,
+  /// which decodes only the segments its plan draws. False when the disk
+  /// layer is off, or the entry is missing, fails header validation, or
+  /// carries a shape table other than \p Program's; callers fall back to
+  /// get() or totals(), which count a present-but-rejected entry as
+  /// corrupt once.
   /// Success refreshes the entry's LRU recency and attaches the entry's
   /// segment-profile memo to \p Reader (see the file comment).
   bool openSegmented(const std::string &Name, const std::string &Input,
@@ -263,8 +273,13 @@ private:
   /// openSegmented() sees it.
   void dropMemo(const std::string &Key);
 
-  std::shared_ptr<const BlockTrace> loadDisk(const std::string &Path,
-                                             const guest::Program &Program);
+  /// The disk-hit path shared by get() and totals(): when the entry at
+  /// \p Path exists, opens it (the shape table checked against
+  /// \p Program's) and runs \p Decode over the reader. A success counts a
+  /// disk hit and refreshes the entry's recency; a present entry that
+  /// fails either step counts corrupt, once. False means a miss.
+  bool readEntry(const std::string &Path, const guest::Program &Program,
+                 const std::function<bool(SegmentedTraceReader &)> &Decode);
   /// Marks a disk entry as recently used (bumps its mtime) so LRU
   /// eviction sees hits, not just writes.
   static void touchEntry(const std::string &Path);

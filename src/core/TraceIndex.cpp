@@ -85,14 +85,6 @@ uint32_t TraceIndex::usesThrough(BlockId B, uint32_t Pos) const {
   return static_cast<uint32_t>(std::upper_bound(Begin, End, Pos) - Begin);
 }
 
-uint32_t TraceIndex::occurrenceAt(BlockId B, uint32_t Pos) const {
-  const uint32_t *Begin = OccPos.data() + BlockBegin[B];
-  const uint32_t *End = OccPos.data() + BlockBegin[B + 1];
-  const uint32_t *It = std::lower_bound(Begin, End, Pos);
-  assert(It != End && *It == Pos && "position is not an occurrence of B");
-  return static_cast<uint32_t>(It - Begin);
-}
-
 uint32_t TraceIndex::firstOutcomeChange(BlockId B, uint32_t K,
                                         bool Taken) const {
   const uint32_t Cnt = occurrences(B);

@@ -89,10 +89,6 @@ public:
   /// right after the event at \p Pos executes. O(log occurrences).
   uint32_t usesThrough(guest::BlockId B, uint32_t Pos) const;
 
-  /// The occurrence rank of \p B's event at position \p Pos (which must be
-  /// an occurrence of \p B). O(log occurrences).
-  uint32_t occurrenceAt(guest::BlockId B, uint32_t Pos) const;
-
   /// Taken-branch outcomes among the first \p K occurrences of \p B
   /// (K <= occurrences(B)): the checkpoint before K's word plus the taken
   /// bits below K in it.

@@ -189,20 +189,6 @@ TraceTotals SegmentedTraceHeader::totals() const {
   return T;
 }
 
-bool tpdbt::core::checkCounterTable(
-    const SegmentedTraceHeader &H,
-    const std::vector<profile::BlockCounters> &Folded, std::string *Error) {
-  assert(Folded.size() == H.Final.size() && "table sized to the header");
-  for (size_t B = 0; B < Folded.size(); ++B)
-    if (Folded[B].Use != H.Final[B].Use ||
-        Folded[B].Taken != H.Final[B].Taken) {
-      if (Error)
-        *Error = "trace counter table disagrees with events";
-      return false;
-    }
-  return true;
-}
-
 bool tpdbt::core::parseSegmentedHeader(const std::string &Bytes,
                                        uint64_t FileSize,
                                        SegmentedTraceHeader &Out,
@@ -379,11 +365,27 @@ bool SegmentedTraceReader::open(const std::string &Path,
   }
 }
 
-bool tpdbt::core::decodeSegment(const SegmentedTraceHeader &H, size_t I,
-                                std::string_view Frame, std::string &Raw,
-                                std::vector<EventWord> *Out,
-                                std::vector<profile::BlockCounters> *Table,
-                                std::string *Error) {
+bool SegmentedTraceReader::openBytes(std::string Bytes,
+                                     SegmentedTraceReader &Out,
+                                     std::string *Error) {
+  SegmentedTraceReader R;
+  if (!parseSegmentedHeader(Bytes, Bytes.size(), R.Header, Error))
+    return false;
+  R.Bytes = std::move(Bytes);
+  Out = std::move(R);
+  return true;
+}
+
+namespace {
+
+/// Inflates segment \p I's TPDZ payload \p Frame into \p Raw, runs
+/// decodeSegmentEvents() over it and checks its sums against the
+/// directory (see SegmentedTraceReader::readSegment()).
+bool decodeSegment(const SegmentedTraceHeader &H, size_t I,
+                   std::string_view Frame, std::string &Raw,
+                   std::vector<EventWord> *Out,
+                   std::vector<profile::BlockCounters> *Table,
+                   std::string *Error) {
   assert(I < H.Directory.size() && "segment index out of range");
   auto Fail = [&](const char *Msg) {
     if (Error)
@@ -419,36 +421,59 @@ bool tpdbt::core::decodeSegment(const SegmentedTraceHeader &H, size_t I,
   return true;
 }
 
-bool SegmentedTraceReader::readFrame(size_t I, std::string *Error) {
+} // namespace
+
+bool SegmentedTraceReader::frame(size_t I, std::string_view &Frame,
+                                 std::string *Error) {
   assert(I < Header.Directory.size() && "segment index out of range");
   const SegmentedTraceHeader::Entry &Ent = Header.Directory[I];
-  Compressed.resize(Ent.PayloadBytes);
+  const auto Offset = static_cast<size_t>(Ent.PayloadOffset);
+  const auto Size = static_cast<size_t>(Ent.PayloadBytes);
+  if (!File.is_open()) {
+    // The header check tiled the frames over exactly these bytes.
+    Frame = std::string_view(Bytes).substr(Offset, Size);
+    return true;
+  }
+  Compressed.resize(Size);
   File.clear();
-  File.seekg(static_cast<std::streamoff>(Ent.PayloadOffset));
-  if (Ent.PayloadBytes &&
-      !File.read(Compressed.data(),
-                 static_cast<std::streamsize>(Ent.PayloadBytes))) {
+  File.seekg(static_cast<std::streamoff>(Offset));
+  if (Size && !File.read(Compressed.data(), static_cast<std::streamsize>(Size))) {
     if (Error)
       *Error = "cannot read segment payload";
     return false;
   }
+  Frame = Compressed;
   return true;
 }
 
-bool SegmentedTraceReader::readSegment(size_t I, std::vector<EventWord> &Out,
-                                       std::string *Error) {
-  Out.clear();
-  return readFrame(I, Error) &&
-         decodeSegment(Header, I, Compressed, Raw, &Out, nullptr, Error);
+bool SegmentedTraceReader::readSegment(
+    size_t I, std::vector<EventWord> *Out,
+    std::vector<profile::BlockCounters> *Table, std::string *Error) {
+  std::string_view Frame;
+  return frame(I, Frame, Error) &&
+         decodeSegment(Header, I, Frame, Raw, Out, Table, Error);
+}
+
+bool SegmentedTraceReader::readAll(std::vector<EventWord> *Out,
+                                   std::vector<profile::BlockCounters> &Table,
+                                   std::string *Error) {
+  assert(Table.size() == Header.NumBlocks && "table sized to the header");
+  for (size_t I = 0; I < numSegments(); ++I)
+    if (!readSegment(I, Out, &Table, Error))
+      return false;
+  for (size_t B = 0; B < Table.size(); ++B)
+    if (Table[B].Use != Header.Final[B].Use ||
+        Table[B].Taken != Header.Final[B].Taken) {
+      if (Error)
+        *Error = "trace counter table disagrees with events";
+      return false;
+    }
+  return true;
 }
 
 bool SegmentedTraceReader::verifyAll(std::string *Error) {
   std::vector<profile::BlockCounters> Folded(Header.NumBlocks);
-  for (size_t I = 0; I < numSegments(); ++I)
-    if (!readFrame(I, Error) ||
-        !decodeSegment(Header, I, Compressed, Raw, nullptr, &Folded, Error))
-      return false;
-  return checkCounterTable(Header, Folded, Error);
+  return readAll(nullptr, Folded, Error);
 }
 
 SegmentProfileMemo::Tag

@@ -18,22 +18,22 @@
 /// self-contained, a segment can be compressed the moment the recorder
 /// crosses its boundary (core/TracePipeline.h overlaps that work with
 /// recording) and decompressed without touching any earlier segment
-/// (SegmentedTraceReader reads one drawn segment at a time for sampled
-/// replay, without inflating the rest of the file).
+/// (sampled replay decodes only the segments its plan draws, without
+/// inflating the rest of the file).
 ///
-/// decodeSegment() is the single inflate-decode-check step for one
-/// segment, and decodeSegmentEvents() its one pass over the inflated
-/// bytes: each event is decoded, range-checked, summed, and optionally
-/// folded into a counter table and stored, in the same loop.
-/// BlockTrace::parse() loops decodeSegment() over the whole container
-/// (storing and folding), SegmentedTraceReader::readSegment() applies it
-/// to one frame read from disk (storing only) and
-/// SegmentedTraceReader::verifyAll() streams every frame through it
-/// (folding only: it holds no event buffer). A full decode ends with one
-/// more check, written once in checkCounterTable(): the per-block table
-/// folded from every segment must equal the header's. The exact byte
-/// layout lives in docs/CACHE_FORMAT.md; the retired v1/v2/v3 entries are
-/// rejected like any corrupt file.
+/// SegmentedTraceReader is the one code that walks a container's
+/// segments, whether it reads a file frame by frame or owns the whole
+/// container in memory. Its readSegment() inflates one frame and decodes
+/// it through decodeSegmentEvents(), the one pass over a segment's
+/// inflated bytes: each event is decoded, range-checked, summed, and
+/// optionally folded into a counter table and stored, in the same loop.
+/// Every consumer is a loop over that call: readAll() decodes every
+/// segment (BlockTrace::decode() storing and folding, verifyAll() folding
+/// only, holding no event buffer) and ends with the whole-container check
+/// that the table folded from every segment equals the header's, and a
+/// sampled draw (sample/SampledReplay.h) folds one segment into a table.
+/// The exact byte layout lives in docs/CACHE_FORMAT.md; the retired
+/// v1/v2/v3 entries are rejected like any corrupt file.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -193,32 +193,10 @@ std::string assembleSegmentedTrace(const SegmentedTraceHeader &H,
 bool parseSegmentedHeader(const std::string &Bytes, uint64_t FileSize,
                           SegmentedTraceHeader &Out, std::string *Error);
 
-/// Inflates segment \p I's TPDZ payload \p Frame into \p Raw (scratch
-/// whose capacity the caller reuses across segments), runs
-/// decodeSegmentEvents() over it with \p Out and \p Table, and checks
-/// the decode's own sums against the next directory row's bases (or, for
-/// the last segment, the trace totals, after checking that its final
-/// event is the header's partial tail, untaken, when there is one). The
-/// only place a v4 segment payload is decoded.
-bool decodeSegment(const SegmentedTraceHeader &H, size_t I,
-                   std::string_view Frame, std::string &Raw,
-                   std::vector<EventWord> *Out,
-                   std::vector<profile::BlockCounters> *Table,
-                   std::string *Error);
-
-/// The whole-container check that ends every full decode: \p Folded, the
-/// table decodeSegment() folded from every segment, must equal the
-/// header's counter table entry for entry. With decodeSegment()'s
-/// per-segment sums this pins every total the header declares: events,
-/// instructions, taken branches and the table itself.
-bool checkCounterTable(const SegmentedTraceHeader &H,
-                       const std::vector<profile::BlockCounters> &Folded,
-                       std::string *Error);
-
 /// One decoded segment, reduced to per-block totals (sparse, ascending
 /// block id). This is all a sampled sweep keeps of a segment
-/// (sample::aggregateEvents builds it, sample::Estimator reads it), and
-/// what SegmentProfileMemo stores.
+/// (sample::sampledSweep folds it in the decode pass, sample::Estimator
+/// reads it), and what SegmentProfileMemo stores.
 struct SegmentProfile {
   struct Entry {
     guest::BlockId Block = 0;
@@ -271,49 +249,69 @@ private:
   std::vector<Memoized> Segments; ///< by segment index
 };
 
-/// Streams a TPDT v4 file segment-at-a-time: open() reads and validates
-/// only the header; readSegment() seeks to one payload frame, inflates
-/// and decodes it into a caller-owned buffer. Peak memory is one
-/// segment's compressed and inflated bytes (plus the header and the
-/// caller's event buffer), independent of trace length. Single-threaded.
+/// Reads a TPDT v4 container one segment at a time. open() reads and
+/// validates only a file's header, and each read then seeks to one
+/// payload frame: peak memory is the header plus one segment's compressed
+/// and inflated bytes, independent of trace length. openBytes() takes a
+/// whole container the reader then owns, and its frames are views of it.
+/// Either way readSegment() is the one per-segment decode (see the file
+/// comment). Single-threaded.
 class SegmentedTraceReader {
 public:
   /// Opens \p Path and parses the header. False (with \p Error) when the
   /// file is missing, not a v4 container, or fails header validation.
   static bool open(const std::string &Path, SegmentedTraceReader &Out,
                    std::string *Error);
+  /// Takes \p Bytes as the container and parses its header, with the
+  /// same checks and errors as open().
+  static bool openBytes(std::string Bytes, SegmentedTraceReader &Out,
+                        std::string *Error);
 
   const SegmentedTraceHeader &header() const { return Header; }
   size_t numSegments() const { return Header.Directory.size(); }
 
-  /// Reads segment \p I into \p Out (replacing its contents; capacity is
-  /// reused across calls) through decodeSegment().
-  bool readSegment(size_t I, std::vector<EventWord> &Out,
+  /// Reads segment \p I's frame, inflates it, and decodes it in one pass
+  /// that appends its events to \p Out and folds them into \p Table
+  /// (sized to the header's block count), each when non-null. The
+  /// segment's sums must land on the next directory row's bases (for the
+  /// last segment, on the header's totals, after checking that its final
+  /// event is the header's partial tail, untaken, when there is one). On
+  /// failure \p Out keeps its size on entry, while \p Table may hold a
+  /// partial fold.
+  bool readSegment(size_t I, std::vector<EventWord> *Out,
+                   std::vector<profile::BlockCounters> *Table,
                    std::string *Error);
 
-  /// Streams every segment through decodeSegment() with no event output,
-  /// folding each straight into one counter table, and checks that table
-  /// with checkCounterTable(). True exactly when BlockTrace::parse()
-  /// accepts the file, but no event is ever stored: the header's
-  /// totals() are then verified at O(segment) memory, the segment's
-  /// compressed and inflated bytes only.
+  /// Reads every segment in order through readSegment(), then checks that
+  /// \p Table, the fold of them all, equals the header's counter table.
+  /// With the per-segment sums this pins every total the header declares:
+  /// events, instructions, taken branches and the table itself.
+  bool readAll(std::vector<EventWord> *Out,
+               std::vector<profile::BlockCounters> &Table,
+               std::string *Error);
+
+  /// readAll() with no event output: true exactly when
+  /// BlockTrace::decode() accepts the container, but no event is ever
+  /// stored, so the header's totals() are verified at O(segment) memory.
   bool verifyAll(std::string *Error);
 
   /// The entry's profile memo when TraceCache::openSegmented opened this
-  /// reader; null for a reader opened directly.
+  /// reader; null otherwise.
   SegmentProfileMemo *memo() const { return Memo.get(); }
   void attachMemo(std::shared_ptr<SegmentProfileMemo> M) {
     Memo = std::move(M);
   }
 
 private:
-  /// Reads segment \p I's compressed frame into Compressed.
-  bool readFrame(size_t I, std::string *Error);
+  /// Segment \p I's compressed frame: a view of Bytes, or of Compressed
+  /// after reading it from File.
+  bool frame(size_t I, std::string_view &Frame, std::string *Error);
 
   SegmentedTraceHeader Header;
   std::shared_ptr<SegmentProfileMemo> Memo;
-  std::ifstream File;
-  std::string Compressed; ///< payload scratch, reused across segments
+  std::ifstream File;     ///< the container, when opened from a path
+  std::string Bytes;      ///< the container, when opened from bytes
+  std::string Compressed; ///< file frame scratch, reused across segments
   std::string Raw;        ///< inflate scratch, reused across segments
 };
 

@@ -74,8 +74,8 @@
 namespace tpdbt {
 namespace sample {
 
-/// One decoded segment, reduced to per-block totals (defined next to
-/// core::decodeSegment). This is all the estimator keeps of a sampled
+/// One decoded segment, reduced to per-block totals (defined in
+/// core/TraceSegments.h). This is all the estimator keeps of a sampled
 /// segment.
 using core::SegmentProfile;
 

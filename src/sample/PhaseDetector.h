@@ -14,8 +14,8 @@
 /// detectSegmentPhases() uses only the TPDT v4 directory aggregates
 /// (event count, instructions/event, taken/event). These are exact for
 /// every segment without decompressing any payload — the disk path's
-/// whole point — and are computed identically from an in-memory trace,
-/// so cold (memory) and warm (disk) runs stratify identically.
+/// whole point — and cold and warm runs read them from the same
+/// container bytes, so they stratify identically.
 ///
 //===----------------------------------------------------------------------===//
 

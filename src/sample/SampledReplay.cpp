@@ -11,26 +11,7 @@
 
 using namespace tpdbt;
 using namespace tpdbt::sample;
-using core::EventWord;
 using core::SegmentedTraceHeader;
-
-void tpdbt::sample::aggregateEvents(const EventWord *W, size_t N,
-                                    size_t NumBlocks, SegmentProfile &Out) {
-  Out.Entries.clear();
-  std::vector<SegmentProfile::Entry> Dense(NumBlocks);
-  for (size_t I = 0; I < N; ++I) {
-    const guest::BlockId B = core::eventBlock(W[I]);
-    if (B >= NumBlocks)
-      continue;
-    ++Dense[B].Use;
-    Dense[B].Taken += core::eventTaken(W[I]);
-  }
-  for (size_t B = 0; B < NumBlocks; ++B)
-    if (Dense[B].Use) {
-      Dense[B].Block = static_cast<guest::BlockId>(B);
-      Out.Entries.push_back(Dense[B]);
-    }
-}
 
 double tpdbt::sample::tQuantile95(unsigned Df) {
   static const double Table[30] = {
@@ -60,17 +41,13 @@ double tpdbt::sample::jackknife95(const std::vector<double> &Replicates,
   return tQuantile95(static_cast<unsigned>(G - 1)) * std::sqrt(Var) * Fpc;
 }
 
-//===----------------------------------------------------------------------===//
-// DiskSegmentSource
-//===----------------------------------------------------------------------===//
+namespace {
 
-DiskSegmentSource::DiskSegmentSource(core::SegmentedTraceReader &Reader)
-    : Reader(Reader), TakenTotal(Reader.header().takenEvents()) {}
-
-size_t DiskSegmentSource::numSegments() const { return Reader.numSegments(); }
-
-SegmentStats DiskSegmentSource::stats(size_t I) const {
-  const SegmentedTraceHeader &H = Reader.header();
+/// Segment \p I's directory statistics: its event count, and its
+/// instruction and taken-branch sums as the difference of neighbouring
+/// bases (the last segment ends on the header's totals).
+SegmentStats segmentStats(const SegmentedTraceHeader &H, size_t I,
+                          uint64_t TakenTotal) {
   const SegmentedTraceHeader::Entry &E = H.Directory[I];
   const bool Last = I + 1 == H.Directory.size();
   SegmentStats S;
@@ -80,88 +57,32 @@ SegmentStats DiskSegmentSource::stats(size_t I) const {
   return S;
 }
 
-bool DiskSegmentSource::read(size_t I, SegmentProfile &Out,
-                             std::string *Error) {
+/// Draws segment \p I as per-block totals: from the reader's memo when it
+/// holds the segment, otherwise folded into \p Table (scratch sized to
+/// the block count) in the decode pass and memoized.
+bool drawSegment(core::SegmentedTraceReader &Reader, size_t I,
+                 std::vector<profile::BlockCounters> &Table,
+                 SegmentProfile &Out, std::string *Error) {
   core::SegmentProfileMemo *Memo = Reader.memo();
   if (Memo && Memo->lookup(Reader.header(), I, Out))
     return true;
-  if (!Reader.readSegment(I, Buf, Error))
+  std::fill(Table.begin(), Table.end(), profile::BlockCounters());
+  if (!Reader.readSegment(I, nullptr, &Table, Error))
     return false;
-  aggregateEvents(Buf.data(), Buf.size(), Reader.header().NumBlocks, Out);
+  Out.Entries.clear();
+  for (size_t B = 0; B < Table.size(); ++B)
+    if (Table[B].Use)
+      Out.Entries.push_back(
+          {static_cast<guest::BlockId>(B), Table[B].Use, Table[B].Taken});
   if (Memo)
     Memo->store(Reader.header(), I, Out);
   return true;
 }
 
-uint64_t DiskSegmentSource::numEvents() const {
-  return Reader.header().NumEvents;
-}
-uint64_t DiskSegmentSource::totalInsts() const {
-  return Reader.header().TotalInsts;
-}
-uint64_t DiskSegmentSource::takenEvents() const { return TakenTotal; }
-const std::vector<profile::BlockCounters> &
-DiskSegmentSource::finalCounts() const {
-  return Reader.header().Final;
-}
+} // namespace
 
-//===----------------------------------------------------------------------===//
-// MemorySegmentSource
-//===----------------------------------------------------------------------===//
-
-MemorySegmentSource::MemorySegmentSource(const core::BlockTrace &Trace,
-                                         uint64_t Budget)
-    : Trace(Trace), Budget(std::max<uint64_t>(Budget, 1)) {
-  const size_t N = Trace.numEvents();
-  Stats.reserve(N / this->Budget + 1);
-  for (size_t Start = 0; Start < N; Start += this->Budget) {
-    const size_t End = std::min<size_t>(Start + this->Budget, N);
-    const core::EventSums Sums = core::sumEvents(
-        Trace.words().data() + Start, End - Start, Trace.shapes());
-    SegmentStats S;
-    S.Events = End - Start;
-    S.Insts = Sums.Insts;
-    S.Taken = Sums.Taken;
-    Stats.push_back(S);
-  }
-  if (Trace.tailInsts()) {
-    // sumEvents() counted the partial final event whole.
-    const guest::BlockId Tail = core::eventBlock(Trace.words().back());
-    Stats.back().Insts -= Trace.shapes()[Tail].Len - Trace.tailInsts();
-  }
-}
-
-size_t MemorySegmentSource::numSegments() const { return Stats.size(); }
-
-SegmentStats MemorySegmentSource::stats(size_t I) const { return Stats[I]; }
-
-bool MemorySegmentSource::read(size_t I, SegmentProfile &Out,
-                               std::string *Error) {
-  (void)Error;
-  const size_t Start = I * Budget;
-  const size_t End =
-      std::min<size_t>(Start + Budget, Trace.numEvents());
-  // The event words are contiguous; hand the slice straight down.
-  aggregateEvents(Trace.words().data() + Start, End - Start,
-                  Trace.numBlocks(), Out);
-  return true;
-}
-
-uint64_t MemorySegmentSource::numEvents() const { return Trace.numEvents(); }
-uint64_t MemorySegmentSource::totalInsts() const { return Trace.totalInsts(); }
-uint64_t MemorySegmentSource::takenEvents() const {
-  return Trace.takenEvents();
-}
-const std::vector<profile::BlockCounters> &
-MemorySegmentSource::finalCounts() const {
-  return Trace.finalCounts();
-}
-
-//===----------------------------------------------------------------------===//
-// sampledSweep
-//===----------------------------------------------------------------------===//
-
-bool tpdbt::sample::sampledSweep(SegmentSource &Src, const guest::Program &P,
+bool tpdbt::sample::sampledSweep(core::SegmentedTraceReader &Reader,
+                                 const guest::Program &P,
                                  const std::vector<uint64_t> &Thresholds,
                                  const dbt::DbtOptions &Base,
                                  const SampleConfig &Cfg, uint64_t Seed,
@@ -172,33 +93,36 @@ bool tpdbt::sample::sampledSweep(SegmentSource &Src, const guest::Program &P,
       *Error = "sampled replay does not support adaptive policies";
     return false;
   }
-  const size_t S = Src.numSegments();
+  const SegmentedTraceHeader &H = Reader.header();
+  const uint64_t TakenTotal = H.takenEvents();
+  const size_t S = Reader.numSegments();
   std::vector<SegmentStats> Stats(S);
   for (size_t I = 0; I < S; ++I)
-    Stats[I] = Src.stats(I);
+    Stats[I] = segmentStats(H, I, TakenTotal);
 
   const PhaseAssignment Phases = detectSegmentPhases(Stats, Cfg.MaxPhases);
   SamplePlan Plan =
       planSample(Stats, Phases, Cfg.BudgetFrac, Seed, Cfg.Groups);
 
   std::vector<SegmentProfile> Decoded(Plan.Chosen.size());
+  std::vector<profile::BlockCounters> Table(H.NumBlocks);
   for (size_t C = 0; C < Plan.Chosen.size(); ++C)
-    if (!Src.read(Plan.Chosen[C], Decoded[C], Error))
+    if (!drawSegment(Reader, Plan.Chosen[C], Table, Decoded[C], Error))
       return false;
 
   Out.Stats.Segments = S;
   Out.Stats.Decoded = Plan.Chosen.size();
   Out.Stats.Strata = Plan.NumStrata;
   Out.Stats.Groups = Plan.NumGroups;
-  Out.Stats.TotalEvents = Src.numEvents();
+  Out.Stats.TotalEvents = H.NumEvents;
   Out.Stats.DecodedEvents = 0;
   for (uint32_t I : Plan.Chosen)
     Out.Stats.DecodedEvents += Stats[I].Events;
 
   const cfg::Cfg G(P); // Estimator keeps a reference; must outlive it
-  const Estimator Est(P, G, std::move(Stats), Src.finalCounts(),
-                      Src.numEvents(), Src.totalInsts(), Src.takenEvents(),
-                      std::move(Plan), std::move(Decoded));
+  const Estimator Est(P, G, std::move(Stats), H.Final, H.NumEvents,
+                      H.TotalInsts, TakenTotal, std::move(Plan),
+                      std::move(Decoded));
 
   // Duplicate thresholds share one estimation unit, as in replaySweep.
   std::vector<uint64_t> Unique;

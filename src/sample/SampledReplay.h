@@ -11,13 +11,14 @@
 /// threshold sweep (point estimates plus delete-a-group jackknife
 /// replicates) through sample::Estimator.
 ///
-/// Segments arrive through the SegmentSource interface so the same driver
-/// runs off a warm TPDT v4 cache entry (DiskSegmentSource: directory
-/// stats for free, at most one readSegment per drawn segment per trace
-/// store, unsampled segments never leave the file) and off a freshly
-/// recorded in-memory trace (MemorySegmentSource: the event vector sliced
-/// at the same budget the writer would use, so cold and warm runs
-/// stratify — and therefore sample — identically).
+/// Segments come from one core::SegmentedTraceReader, file- or
+/// bytes-backed: per-segment statistics from its directory (no payload
+/// touched), and each drawn segment folded straight into a per-block
+/// table in its decode pass. A warm cache entry is read from its file,
+/// so unsampled segments never leave it; a freshly recorded trace is
+/// read from the container its cache entry holds (or, without a disk
+/// layer, from the same bytes in memory), so cold and warm runs stratify
+/// — and therefore sample — identically.
 ///
 /// Determinism: the plan is a pure function of (segment stats, budget,
 /// seed) computed before any threading; the per-(replicate, threshold)
@@ -73,74 +74,6 @@ struct SampledSweep {
   SampledSweepStats Stats;
 };
 
-/// Where segments come from. Implementations expose the decode-free
-/// per-segment statistics (for phase detection and planning) and decode a
-/// segment only when read() is called.
-class SegmentSource {
-public:
-  virtual ~SegmentSource() = default;
-  virtual size_t numSegments() const = 0;
-  virtual SegmentStats stats(size_t I) const = 0;
-  /// Decodes segment \p I into per-block totals. Only ever called for
-  /// segments the plan chose.
-  virtual bool read(size_t I, SegmentProfile &Out, std::string *Error) = 0;
-  virtual uint64_t numEvents() const = 0;
-  virtual uint64_t totalInsts() const = 0;
-  virtual uint64_t takenEvents() const = 0;
-  virtual const std::vector<profile::BlockCounters> &finalCounts() const = 0;
-};
-
-/// Segments straight from a TPDT v4 container: statistics from the
-/// directory's per-segment deltas (no payload touched), reads through
-/// SegmentedTraceReader::readSegment. When the reader came from
-/// core::TraceCache::openSegmented, a read first asks the entry's
-/// segment-profile memo: a profile verified under the same header tag is
-/// copied out, and a miss decodes with every check and then memoizes the
-/// result, so a trace store decodes each drawn segment once however many
-/// seeds draw it. A reader opened directly decodes on every read.
-class DiskSegmentSource : public SegmentSource {
-public:
-  explicit DiskSegmentSource(core::SegmentedTraceReader &Reader);
-  size_t numSegments() const override;
-  SegmentStats stats(size_t I) const override;
-  bool read(size_t I, SegmentProfile &Out, std::string *Error) override;
-  uint64_t numEvents() const override;
-  uint64_t totalInsts() const override;
-  uint64_t takenEvents() const override;
-  const std::vector<profile::BlockCounters> &finalCounts() const override;
-
-private:
-  core::SegmentedTraceReader &Reader;
-  uint64_t TakenTotal = 0;
-  std::vector<core::EventWord> Buf; ///< readSegment scratch
-};
-
-/// Segments sliced from an in-memory trace at \p Budget events (the
-/// recorder's segment budget, so the cut matches what a cache entry of
-/// the same trace would hold). Per-segment statistics are one cheap
-/// counting pass in the constructor.
-class MemorySegmentSource : public SegmentSource {
-public:
-  MemorySegmentSource(const core::BlockTrace &Trace, uint64_t Budget);
-  size_t numSegments() const override;
-  SegmentStats stats(size_t I) const override;
-  bool read(size_t I, SegmentProfile &Out, std::string *Error) override;
-  uint64_t numEvents() const override;
-  uint64_t totalInsts() const override;
-  uint64_t takenEvents() const override;
-  const std::vector<profile::BlockCounters> &finalCounts() const override;
-
-private:
-  const core::BlockTrace &Trace;
-  uint64_t Budget = 0;
-  std::vector<SegmentStats> Stats;
-};
-
-/// Aggregates a decoded event slice into sparse per-block use/taken
-/// totals (ascending block id). Shared by both sources and the tests.
-void aggregateEvents(const core::EventWord *W, size_t N, size_t NumBlocks,
-                     SegmentProfile &Out);
-
 /// Two-sided 95% Student-t quantile for \p Df degrees of freedom (exact
 /// table through 30, the normal 1.96 beyond).
 double tQuantile95(unsigned Df);
@@ -160,13 +93,19 @@ double tQuantile95(unsigned Df);
 double jackknife95(const std::vector<double> &Replicates,
                    double SampledFrac);
 
-/// Runs the sampled sweep: detect phases, plan the sample with \p Seed,
-/// decode the drawn segments (serially, through \p Src), then estimate
-/// every (replicate, threshold) unit on up to \p Jobs threads. Non-finite
-/// budgets, zero-segment traces, and decode failures report through
-/// \p Error. Thresholds are estimated as given (duplicates share one
-/// unit); the average is exact (see Estimator::average).
-bool sampledSweep(SegmentSource &Src, const guest::Program &P,
+/// Runs the sampled sweep over \p Reader's container: detect phases,
+/// plan the sample with \p Seed, decode the drawn segments (serially),
+/// then estimate every (replicate, threshold) unit on up to \p Jobs
+/// threads. When the reader came from core::TraceCache::openSegmented, a
+/// draw first asks the entry's segment-profile memo: a profile verified
+/// under the same header tag is copied out, and a miss decodes with every
+/// check and then memoizes the result, so a trace store decodes each
+/// drawn segment once however many seeds draw it. Any other reader
+/// decodes on every draw. Non-finite budgets, zero-segment traces, and
+/// decode failures report through \p Error. Thresholds are estimated as
+/// given (duplicates share one unit); the average is exact (see
+/// Estimator::average).
+bool sampledSweep(core::SegmentedTraceReader &Reader, const guest::Program &P,
                   const std::vector<uint64_t> &Thresholds,
                   const dbt::DbtOptions &Base, const SampleConfig &Cfg,
                   uint64_t Seed, unsigned Jobs, SampledSweep &Out,

@@ -193,8 +193,9 @@ TEST(ExperimentSampleTest, WarmCacheNeverDecompressesUnsampled) {
   std::filesystem::remove_all(Dir);
 }
 
-// Cold (no cache dir) and warm (v3 container) sampled runs must draw the
-// identical sample and produce identical estimates.
+// Diskless (no cache dir: a bytes-backed reader over the recording's
+// container) and warm (the TPDT v4 entry on disk) sampled runs must draw
+// the identical sample and produce identical estimates.
 TEST(ExperimentSampleTest, ColdAndWarmEstimatesAgree) {
   std::string Dir = tempDir("tpdbt_sample_coldwarm_test");
 
@@ -209,6 +210,36 @@ TEST(ExperimentSampleTest, ColdAndWarmEstimatesAgree) {
         << "T=" << T;
   EXPECT_EQ(Disk.traceStats().SampleDiskOpens.load(), 2u);
   EXPECT_EQ(Cold.traceStats().SampleDiskOpens.load(), 0u);
+  std::filesystem::remove_all(Dir);
+}
+
+// A cold disk-backed sampled run records the ref trace, re-opens the
+// entry it just wrote and samples it: its snapshots and replicates match
+// the warm run over that entry and the diskless run over the same bytes.
+TEST(ExperimentSampleTest, ColdWarmAndDisklessRunsAgree) {
+  setenv("TPDBT_SEGMENT_EVENTS", "1024", 1);
+  const std::string Dir = tempDir("tpdbt_sample_cold_disk_test");
+
+  ExperimentContext Cold(sampledConfig(Dir));
+  const std::string ColdText = sampledText(Cold, "gzip");
+  EXPECT_EQ(Cold.traceStats().Misses.load(), 2u);
+  EXPECT_EQ(Cold.traceStats().CorruptEntries.load(), 0u);
+  // The ref entry was opened once, after its recording wrote it.
+  EXPECT_EQ(Cold.traceStats().SampleDiskOpens.load(), 1u);
+
+  ExperimentContext Warm(sampledConfig(Dir));
+  EXPECT_EQ(sampledText(Warm, "gzip"), ColdText);
+  EXPECT_EQ(Warm.traceStats().Misses.load(), 0u);
+  EXPECT_EQ(Warm.traceStats().SampleDiskOpens.load(), 2u);
+
+  ExperimentContext Diskless(sampledConfig(""));
+  EXPECT_EQ(sampledText(Diskless, "gzip"), ColdText);
+  EXPECT_EQ(Diskless.traceStats().SampleDiskOpens.load(), 0u);
+
+  const SampledProfiles *SP = Cold.sampled("gzip");
+  ASSERT_NE(SP, nullptr);
+  EXPECT_GE(SP->Replicates.size(), 2u);
+  unsetenv("TPDBT_SEGMENT_EVENTS");
   std::filesystem::remove_all(Dir);
 }
 
@@ -357,13 +388,14 @@ TEST(ExperimentSampleTest, MemoDroppedOnEviction) {
 
 // A truncated entry fails openSegmented even with its memo full; the run
 // falls back to get(), which counts it corrupt and re-records it, as
-// without a memo.
+// without a memo, and then samples the rewritten entry.
 TEST(ExperimentSampleTest, MemoDoesNotMaskTruncatedEntry) {
   WarmGzipDir W("tpdbt_sample_memo_truncate_test");
   const std::string Fresh = sampleGzip(W.Dir, 11);
   auto Shared = std::make_shared<TraceCache>(W.Dir);
   EXPECT_EQ(sampleGzip(W.Dir, 11, Shared), Fresh);
-  ASSERT_GT(Shared->memoizedSegments(), 0u);
+  const size_t Memoized = Shared->memoizedSegments();
+  ASSERT_GT(Memoized, 0u);
 
   uint64_t ExecFp = 0;
   const std::string Path = W.refEntry(&ExecFp);
@@ -379,10 +411,14 @@ TEST(ExperimentSampleTest, MemoDoesNotMaskTruncatedEntry) {
   EXPECT_EQ(sampleGzip(W.Dir, 11, Shared), Fresh);
   EXPECT_EQ(Shared->stats().CorruptEntries.load(), 1u);
   EXPECT_EQ(Shared->stats().Misses.load(), 1u);
-  // The rewrite dropped the memo; the run sampled the recording in memory.
-  EXPECT_EQ(Shared->memoizedSegments(), 0u);
+  // The rewrite dropped the memo; the run re-opened the rewritten entry
+  // and memoized the same draws afresh, which the next run reuses.
+  EXPECT_EQ(Shared->memoizedSegments(), Memoized);
+  const uint64_t Opens = Shared->stats().SampleDiskOpens.load();
   EXPECT_EQ(sampleGzip(W.Dir, 11, Shared), Fresh);
-  EXPECT_GT(Shared->memoizedSegments(), 0u);
+  EXPECT_EQ(Shared->memoizedSegments(), Memoized);
+  EXPECT_EQ(Shared->stats().SampleDiskOpens.load(), Opens + 2);
+  EXPECT_EQ(Shared->stats().Misses.load(), 1u);
 }
 
 // Two threads sampling one entry with different seeds through one store

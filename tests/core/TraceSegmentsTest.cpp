@@ -736,10 +736,10 @@ TEST(TraceSegmentsTest, SegmentSumsMustMeetDirectoryBases) {
   SegmentedTraceReader R;
   ASSERT_TRUE(SegmentedTraceReader::open(Path, R, &Error)) << Error;
   std::vector<EventWord> Events;
-  EXPECT_FALSE(R.readSegment(0, Events, &Error));
+  EXPECT_FALSE(R.readSegment(0, &Events, nullptr, &Error));
   EXPECT_EQ(Error, "segment events disagree with directory bases");
-  EXPECT_FALSE(R.readSegment(1, Events, &Error));
-  EXPECT_TRUE(R.readSegment(2, Events, &Error)) << Error;
+  EXPECT_FALSE(R.readSegment(1, &Events, nullptr, &Error));
+  EXPECT_TRUE(R.readSegment(2, &Events, nullptr, &Error)) << Error;
   std::filesystem::remove_all(Dir);
 }
 
@@ -771,7 +771,7 @@ TEST(TraceSegmentsTest, ReaderRejectsTruncatedAndForeignFiles) {
   ASSERT_TRUE(writeTextFile(Good, Bytes));
   ASSERT_TRUE(SegmentedTraceReader::open(Good, R, &Error)) << Error;
   std::vector<EventWord> Events;
-  ASSERT_TRUE(R.readSegment(0, Events, &Error)) << Error;
+  ASSERT_TRUE(R.readSegment(0, &Events, nullptr, &Error)) << Error;
   EXPECT_EQ(Events.size(), R.header().Directory[0].Events);
 
   // Flipping the first payload's TPDZ magic byte: the header (untouched)
@@ -781,7 +781,7 @@ TEST(TraceSegmentsTest, ReaderRejectsTruncatedAndForeignFiles) {
   ASSERT_TRUE(writeTextFile(Good, Flipped));
   SegmentedTraceReader R2;
   ASSERT_TRUE(SegmentedTraceReader::open(Good, R2, &Error)) << Error;
-  EXPECT_FALSE(R2.readSegment(0, Events, &Error));
+  EXPECT_FALSE(R2.readSegment(0, &Events, nullptr, &Error));
   std::filesystem::remove_all(Dir);
 }
 
@@ -1020,10 +1020,13 @@ TEST(TraceSegmentsTest, CraftedEventCountIsRejectedWithoutAllocating) {
 
 TEST(TraceSegmentsTest, StreamedTotalsAcceptExactlyWhatParseAccepts) {
   // TraceCache::totals() verifies a disk entry one segment at a time and
-  // keeps no event; BlockTrace::parse() decodes it whole. Over every
-  // single-byte flip of a small multi-segment container, and a truncation
-  // at every segment boundary, the two must accept the same files and
-  // report the same totals when they do: streaming dropped no check.
+  // keeps no event; TraceCache::get() decodes it whole through the
+  // file-backed reader; BlockTrace::parse() decodes it whole through a
+  // bytes-backed one, and a bytes-backed verifyAll() streams the same
+  // bytes. Over every single-byte flip of a small multi-segment
+  // container, and a truncation at every segment boundary, all four must
+  // accept the same files and report the same events, totals and final
+  // table when they do: no reader dropped a check.
   const std::string Dir = tempDir("streamed_totals");
   std::filesystem::remove_all(Dir);
   ASSERT_TRUE(ensureDirectory(Dir));
@@ -1038,27 +1041,8 @@ TEST(TraceSegmentsTest, StreamedTotalsAcceptExactlyWhatParseAccepts) {
   TraceCache Cache(Dir);
   const std::string Path = Cache.entryPath("eon", "ref", 0x7a);
   size_t Accepted = 0, Rejected = 0;
-  auto check = [&](const std::string &Bytes, const std::string &Label) {
-    ASSERT_TRUE(writeTextFile(Path, Bytes));
-    const uint64_t Hits = Cache.stats().DiskHits.load();
-    const uint64_t Corrupt = Cache.stats().CorruptEntries.load();
-    const uint64_t Misses = Cache.stats().Misses.load();
-    const TraceTotals Got =
-        Cache.totals("eon", "ref", 0x7a, B.Ref, MaxBlocks);
-    BlockTrace Q;
-    const bool Parsed = BlockTrace::parse(Bytes, Q, nullptr) &&
-                        Q.shapes() == blockShapes(B.Ref);
-    if (!Parsed) {
-      ++Rejected;
-      ASSERT_EQ(Cache.stats().DiskHits.load(), Hits) << Label;
-      ASSERT_EQ(Cache.stats().CorruptEntries.load(), Corrupt + 1) << Label;
-      ASSERT_EQ(Cache.stats().Misses.load(), Misses + 1) << Label;
-      return;
-    }
-    ++Accepted;
-    ASSERT_EQ(Cache.stats().DiskHits.load(), Hits + 1) << Label;
-    ASSERT_EQ(Cache.stats().CorruptEntries.load(), Corrupt) << Label;
-    const TraceTotals Want = Q.totals();
+  auto expectSameTotals = [](const TraceTotals &Got, const TraceTotals &Want,
+                             const std::string &Label) {
     ASSERT_EQ(Got.NumEvents, Want.NumEvents) << Label;
     ASSERT_EQ(Got.TakenEvents, Want.TakenEvents) << Label;
     ASSERT_EQ(Got.TotalInsts, Want.TotalInsts) << Label;
@@ -1068,12 +1052,60 @@ TEST(TraceSegmentsTest, StreamedTotalsAcceptExactlyWhatParseAccepts) {
       ASSERT_EQ(Got.Final[Blk].Taken, Want.Final[Blk].Taken) << Label;
     }
   };
+  // One lookup through the cache: a hit counts one disk hit (never a
+  // memory hit: no earlier lookup left a trace held), a rejection one
+  // corrupt entry and one miss.
+  auto expectCounted = [&](bool Hit, uint64_t Hits, uint64_t Corrupt,
+                           uint64_t Misses, const std::string &Label) {
+    ASSERT_EQ(Cache.stats().MemoryHits.load(), 0u) << Label;
+    ASSERT_EQ(Cache.stats().DiskHits.load(), Hits + Hit) << Label;
+    ASSERT_EQ(Cache.stats().CorruptEntries.load(), Corrupt + !Hit) << Label;
+    ASSERT_EQ(Cache.stats().Misses.load(), Misses + !Hit) << Label;
+  };
+  auto check = [&](const std::string &Bytes, const std::string &Label) {
+    BlockTrace Q;
+    const bool Parsed = BlockTrace::parse(Bytes, Q, nullptr) &&
+                        Q.shapes() == blockShapes(B.Ref);
+    if (Parsed)
+      ++Accepted;
+    else
+      ++Rejected;
+
+    SegmentedTraceReader Mem;
+    const bool Verified =
+        SegmentedTraceReader::openBytes(Bytes, Mem, nullptr) &&
+        Mem.header().Shapes == blockShapes(B.Ref) && Mem.verifyAll(nullptr);
+    ASSERT_EQ(Verified, Parsed) << Label;
+    if (Verified)
+      expectSameTotals(Mem.header().totals(), Q.totals(), Label + " bytes");
+
+    ASSERT_TRUE(writeTextFile(Path, Bytes));
+    uint64_t Hits = Cache.stats().DiskHits.load();
+    uint64_t Corrupt = Cache.stats().CorruptEntries.load();
+    uint64_t Misses = Cache.stats().Misses.load();
+    const TraceTotals Got =
+        Cache.totals("eon", "ref", 0x7a, B.Ref, MaxBlocks);
+    expectCounted(Parsed, Hits, Corrupt, Misses, Label + " totals");
+    if (Parsed)
+      expectSameTotals(Got, Q.totals(), Label + " totals");
+
+    ASSERT_TRUE(writeTextFile(Path, Bytes));
+    Hits = Cache.stats().DiskHits.load();
+    Corrupt = Cache.stats().CorruptEntries.load();
+    Misses = Cache.stats().Misses.load();
+    const std::shared_ptr<const BlockTrace> Loaded =
+        Cache.get("eon", "ref", 0x7a, B.Ref, MaxBlocks);
+    ASSERT_NE(Loaded, nullptr) << Label;
+    expectCounted(Parsed, Hits, Corrupt, Misses, Label + " get");
+    if (Parsed) {
+      expectSameTotals(Loaded->totals(), Q.totals(), Label + " get");
+      ASSERT_EQ(Loaded->tailInsts(), Q.tailInsts()) << Label;
+      ASSERT_EQ(Loaded->words(), Q.words()) << Label;
+    }
+  };
 
   check(Good, "intact");
   ASSERT_FALSE(HasFatalFailure());
-  // A verified disk hit builds no trace: the memory layer stays empty.
-  ASSERT_NE(Cache.get("eon", "ref", 0x7a, B.Ref, MaxBlocks), nullptr);
-  EXPECT_EQ(Cache.stats().MemoryHits.load(), 0u);
   EXPECT_EQ(Cache.stats().DiskHits.load(), 2u);
 
   for (uint8_t Mask : {uint8_t(0x01), uint8_t(0xff)})

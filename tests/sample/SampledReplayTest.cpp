@@ -3,6 +3,7 @@
 #include "sample/SampledReplay.h"
 
 #include "core/Trace.h"
+#include "core/TraceSegments.h"
 #include "workloads/Generator.h"
 
 #include <gtest/gtest.h>
@@ -42,6 +43,17 @@ double halfWidth(const SampledSweep &S, size_t T,
   return jackknife95(Vals, S.Stats.sampledFraction());
 }
 
+/// A bytes-backed reader over \p T's container at \p Budget events per
+/// segment: what a diskless sampled run reads.
+core::SegmentedTraceReader readerOf(const BlockTrace &T, uint64_t Budget) {
+  core::SegmentedTraceReader R;
+  std::string Error;
+  EXPECT_TRUE(core::SegmentedTraceReader::openBytes(T.serializeSegmented(Budget),
+                                                    R, &Error))
+      << Error;
+  return R;
+}
+
 double profilingOps(const profile::ProfileSnapshot &S) {
   return static_cast<double>(S.ProfilingOps);
 }
@@ -54,10 +66,10 @@ TEST(SampledReplayTest, AverageIsExact) {
   ASSERT_GT(T.numEvents(), 5000u);
   SweepResult Exact = replaySweep(T, B.Ref, {50, 500}, dbt::DbtOptions());
 
-  MemorySegmentSource Src(T, 512);
+  core::SegmentedTraceReader Reader = readerOf(T, 512);
   SampledSweep S;
   std::string Error;
-  ASSERT_TRUE(sampledSweep(Src, B.Ref, {50, 500}, dbt::DbtOptions(),
+  ASSERT_TRUE(sampledSweep(Reader, B.Ref, {50, 500}, dbt::DbtOptions(),
                            stratified(0.25), 0x5eed, 1, S, &Error))
       << Error;
   // The profiling-only average depends only on stream totals and the
@@ -73,10 +85,10 @@ TEST(SampledReplayTest, EstimatesCoverExactValues) {
   const std::vector<uint64_t> Thresholds = {10, 50, 200, 1000};
   SweepResult Exact = replaySweep(T, B.Ref, Thresholds, dbt::DbtOptions());
 
-  MemorySegmentSource Src(T, 1024);
+  core::SegmentedTraceReader Reader = readerOf(T, 1024);
   SampledSweep S;
   std::string Error;
-  ASSERT_TRUE(sampledSweep(Src, B.Ref, Thresholds, dbt::DbtOptions(),
+  ASSERT_TRUE(sampledSweep(Reader, B.Ref, Thresholds, dbt::DbtOptions(),
                            stratified(0.25), 0x5eed, 1, S, &Error))
       << Error;
   ASSERT_EQ(S.PerThreshold.size(), Thresholds.size());
@@ -108,10 +120,10 @@ TEST(SampledReplayTest, DeterministicAcrossJobCounts) {
   const std::vector<uint64_t> Thresholds = {10, 100, 1000};
 
   auto run = [&](unsigned Jobs) {
-    MemorySegmentSource Src(T, 512);
+    core::SegmentedTraceReader Reader = readerOf(T, 512);
     SampledSweep S;
     std::string Error;
-    EXPECT_TRUE(sampledSweep(Src, B.Ref, Thresholds, dbt::DbtOptions(),
+    EXPECT_TRUE(sampledSweep(Reader, B.Ref, Thresholds, dbt::DbtOptions(),
                              stratified(0.3), 0x1234, Jobs, S, &Error))
         << Error;
     return S;
@@ -135,10 +147,10 @@ TEST(SampledReplayTest, WiderBudgetNarrowsIntervals) {
   const std::vector<uint64_t> Thresholds = {10, 50, 200, 1000};
 
   auto widthAt = [&](double Budget) {
-    MemorySegmentSource Src(T, 1024);
+    core::SegmentedTraceReader Reader = readerOf(T, 1024);
     SampledSweep S;
     std::string Error;
-    EXPECT_TRUE(sampledSweep(Src, B.Ref, Thresholds, dbt::DbtOptions(),
+    EXPECT_TRUE(sampledSweep(Reader, B.Ref, Thresholds, dbt::DbtOptions(),
                              stratified(Budget), 0x5eed, 1, S, &Error))
         << Error;
     double Sum = 0.0;
@@ -158,7 +170,7 @@ TEST(SampledReplayTest, DiskAndMemorySourcesAgree) {
   const uint64_t Budget = 512;
   const std::vector<uint64_t> Thresholds = {20, 200};
 
-  MemorySegmentSource Mem(T, Budget);
+  core::SegmentedTraceReader Mem = readerOf(T, Budget);
   SampledSweep A;
   std::string Error;
   ASSERT_TRUE(sampledSweep(Mem, B.Ref, Thresholds, dbt::DbtOptions(),
@@ -174,35 +186,57 @@ TEST(SampledReplayTest, DiskAndMemorySourcesAgree) {
     const std::string Bytes = T.serializeSegmented(Budget);
     Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
   }
-  core::SegmentedTraceReader Reader;
-  ASSERT_TRUE(core::SegmentedTraceReader::open(Path, Reader, &Error))
+  core::SegmentedTraceReader Disk;
+  ASSERT_TRUE(core::SegmentedTraceReader::open(Path, Disk, &Error))
       << Error;
-  DiskSegmentSource Disk(Reader);
   SampledSweep C;
   ASSERT_TRUE(sampledSweep(Disk, B.Ref, Thresholds, dbt::DbtOptions(),
                            stratified(0.25), 0x77, 1, C, &Error))
       << Error;
+
+  // Every segment folds to the same per-block profile from either reader.
+  ASSERT_EQ(Mem.numSegments(), Disk.numSegments());
+  for (size_t I = 0; I < Mem.numSegments(); ++I) {
+    std::vector<profile::BlockCounters> FromMem(T.numBlocks()),
+        FromDisk(T.numBlocks());
+    ASSERT_TRUE(Mem.readSegment(I, nullptr, &FromMem, &Error)) << Error;
+    ASSERT_TRUE(Disk.readSegment(I, nullptr, &FromDisk, &Error)) << Error;
+    for (size_t Blk = 0; Blk < FromMem.size(); ++Blk) {
+      ASSERT_EQ(FromMem[Blk].Use, FromDisk[Blk].Use) << I << "/" << Blk;
+      ASSERT_EQ(FromMem[Blk].Taken, FromDisk[Blk].Taken) << I << "/" << Blk;
+    }
+  }
   std::filesystem::remove(Path);
 
-  // Same budget, same seed: the cold (memory) and warm (disk) paths see
-  // identical segment statistics, draw the same sample, and estimate
-  // byte-identical snapshots.
-  ASSERT_EQ(A.Stats.Segments, C.Stats.Segments);
-  ASSERT_EQ(A.Stats.Decoded, C.Stats.Decoded);
+  // Same budget, same seed: the bytes-backed (diskless) and file-backed
+  // (warm) readers see identical segment statistics, draw the same
+  // sample, and estimate byte-identical snapshots and replicates.
+  EXPECT_EQ(A.Stats.Segments, C.Stats.Segments);
+  EXPECT_EQ(A.Stats.Decoded, C.Stats.Decoded);
+  EXPECT_EQ(A.Stats.DecodedEvents, C.Stats.DecodedEvents);
+  EXPECT_EQ(A.Stats.Strata, C.Stats.Strata);
+  EXPECT_EQ(A.Stats.Groups, C.Stats.Groups);
   for (size_t I = 0; I < Thresholds.size(); ++I)
     EXPECT_EQ(profile::printSnapshot(A.PerThreshold[I]),
               profile::printSnapshot(C.PerThreshold[I]));
+  EXPECT_EQ(profile::printSnapshot(A.Average),
+            profile::printSnapshot(C.Average));
+  ASSERT_EQ(A.Replicates.size(), C.Replicates.size());
+  for (size_t G = 0; G < A.Replicates.size(); ++G)
+    for (size_t I = 0; I < Thresholds.size(); ++I)
+      EXPECT_EQ(profile::printSnapshot(A.Replicates[G][I]),
+                profile::printSnapshot(C.Replicates[G][I]));
 }
 
 TEST(SampledReplayTest, RejectsAdaptivePolicies) {
   auto B = bench("gzip", 0.01);
   BlockTrace T = BlockTrace::record(B.Ref, 50000);
-  MemorySegmentSource Src(T, 512);
+  core::SegmentedTraceReader Reader = readerOf(T, 512);
   dbt::DbtOptions Opts;
   Opts.Adaptive.Enabled = true;
   SampledSweep S;
   std::string Error;
-  EXPECT_FALSE(sampledSweep(Src, B.Ref, {100}, Opts, stratified(0.25),
+  EXPECT_FALSE(sampledSweep(Reader, B.Ref, {100}, Opts, stratified(0.25),
                             0x5eed, 1, S, &Error));
   EXPECT_NE(Error.find("adaptive"), std::string::npos);
 }
@@ -211,10 +245,10 @@ TEST(SampledReplayTest, ZeroEventTrace) {
   auto B = bench("gzip", 0.01);
   BlockTrace T;
   T.setShapes(core::blockShapes(B.Ref));
-  MemorySegmentSource Src(T, 512);
+  core::SegmentedTraceReader Reader = readerOf(T, 512);
   SampledSweep S;
   std::string Error;
-  ASSERT_TRUE(sampledSweep(Src, B.Ref, {100}, dbt::DbtOptions(),
+  ASSERT_TRUE(sampledSweep(Reader, B.Ref, {100}, dbt::DbtOptions(),
                            stratified(0.25), 0x5eed, 1, S, &Error))
       << Error;
   EXPECT_EQ(S.Stats.Segments, 0u);

@@ -147,7 +147,8 @@ TEST(CompressionTest, RejectsCorruption) {
     std::string Mangled = Packed;
     Mangled[I] = static_cast<char>(Mangled[I] ^ 0x5a);
     std::string Decoded;
-    if (decompressBytes(Mangled, Decoded, nullptr))
+    if (decompressBytes(Mangled, Decoded, nullptr)) {
       EXPECT_EQ(Decoded.size(), Raw.size());
+    }
   }
 }
