@@ -5,13 +5,15 @@
 // stratified sampled estimation at a 25% segment budget off a TPDT v3
 // container (the out-of-core path: directory + drawn segments only), and
 // the multi-seed loop over one trace store that the segment-profile memo
-// serves.
+// serves, and one seed of the whole sampled figure suite (warm-up plus
+// the 11 figure builds).
 // The committed BENCH_sample.json rows back the ">= 5x at 25% budget"
 // acceptance line in docs/BENCHMARKS.md.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Experiment.h"
+#include "core/Figures.h"
 #include "core/Trace.h"
 #include "core/TraceCache.h"
 #include "core/TraceSegments.h"
@@ -144,6 +146,42 @@ void BM_SampledSweepSeeds(benchmark::State &State) {
   std::filesystem::remove_all(C.CacheDir);
 }
 BENCHMARK(BM_SampledSweepSeeds)->Unit(benchmark::kMillisecond);
+
+// One seed of the sampled figure suite, as the coverage-study loop pays
+// it: a fresh stratified context warms all 26 programs over a warm trace
+// store on two workers (the sampled sweeps and each benchmark's metric
+// table), then builds the 11 registry figures. The scale-0.05 traces are
+// recorded once, untimed, into their own cache dir; the store, and so its
+// segment-profile memo, stays warm across iterations.
+void BM_SampledFigures(benchmark::State &State) {
+  core::ExperimentConfig C;
+  C.Scale = 0.05;
+  C.Jobs = 2;
+  C.CacheDir = (std::filesystem::temp_directory_path() /
+                "tpdbt_micro_sample_figures")
+                   .string();
+  std::filesystem::remove_all(C.CacheDir);
+  std::vector<std::string> Names;
+  for (const workloads::BenchSpec &Spec : workloads::spec2000Suite())
+    Names.push_back(Spec.Name);
+  {
+    core::ExperimentContext Warm(C); // records every program's traces
+    Warm.warmUp(Names);
+  }
+  C.Sample.Kind = sample::SampleConfig::Mode::Stratified;
+  C.Sample.BudgetFrac = 0.25;
+  auto Traces = std::make_shared<core::TraceCache>(C.CacheDir);
+  for (auto _ : State) {
+    core::ExperimentContext Ctx(C, Traces);
+    Ctx.warmUp(Names);
+    for (const core::FigureSpec &F : core::figureRegistry()) {
+      Table T = F.Build(Ctx);
+      benchmark::DoNotOptimize(T);
+    }
+  }
+  std::filesystem::remove_all(C.CacheDir);
+}
+BENCHMARK(BM_SampledFigures)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -2,6 +2,8 @@
 
 #include "core/Experiment.h"
 
+#include "analysis/Metrics.h"
+#include "analysis/OfflineRegions.h"
 #include "core/TraceSegments.h"
 #include "support/Format.h"
 #include "support/Rng.h"
@@ -237,16 +239,19 @@ void ExperimentContext::ensureProfiles(const std::string &Name,
     return; // another worker finished while we waited on the lock
   if (sampling()) {
     ensureEstimates(Name, D, ReplayJobs);
-    D.ProfilesReady.store(true, std::memory_order_release);
-    return;
-  }
-  if (loadCached(Name, D)) {
+  } else if (loadCached(Name, D)) {
     Stats.CacheHits.fetch_add(1, std::memory_order_relaxed);
-    D.ProfilesReady.store(true, std::memory_order_release);
-    return;
+  } else {
+    Stats.CacheMisses.fetch_add(1, std::memory_order_relaxed);
+    replayProfiles(Name, D, ReplayJobs);
+    storeCached(Name, D);
   }
-  Stats.CacheMisses.fetch_add(1, std::memory_order_relaxed);
+  fillMetrics(D);
+  D.ProfilesReady.store(true, std::memory_order_release);
+}
 
+void ExperimentContext::replayProfiles(const std::string &Name,
+                                       BenchData &D, unsigned ReplayJobs) {
   const GeneratedBenchmark &B = *D.Bench;
   uint64_t MaxBlocks = B.Spec.MaxBlockEvents;
   // Trace-first: fetch (or record once) the execution's event stream, then
@@ -307,9 +312,56 @@ void ExperimentContext::ensureProfiles(const std::string &Name,
           .count();
   Stats.SweepsRun.fetch_add(2, std::memory_order_relaxed);
   Stats.SweepMicros.fetch_add(TotalMicros, std::memory_order_relaxed);
+}
 
-  storeCached(Name, D);
-  D.ProfilesReady.store(true, std::memory_order_release);
+namespace {
+
+double metricValue(MetricKind Kind, const profile::ProfileSnapshot &Pred,
+                   const profile::ProfileSnapshot &Avep, const cfg::Cfg &G) {
+  switch (Kind) {
+  case MetricKind::SdBp:
+    return analysis::sdBranchProb(Pred, Avep, G);
+  case MetricKind::BpMismatch:
+    return analysis::bpMismatchRate(Pred, Avep, G);
+  case MetricKind::SdCp:
+    return analysis::sdCompletionProb(Pred, Avep, G);
+  case MetricKind::SdLp:
+    return analysis::sdLoopBackProb(Pred, Avep, G);
+  case MetricKind::LpMismatch:
+    return analysis::lpMismatchRate(Pred, Avep, G);
+  }
+  assert(false && "unknown metric kind");
+  return 0.0;
+}
+
+} // namespace
+
+void ExperimentContext::fillMetrics(BenchData &D) const {
+  const std::vector<uint64_t> &Ts = Config.Thresholds;
+  const cfg::Cfg &G = *D.Graph;
+  MetricTable &M = D.Metrics;
+  M.NumThresholds = Ts.size();
+  M.NumGroups = D.Sampled ? D.Sampled->Replicates.size() : 0;
+  M.Points.resize(NumMetricKinds * M.NumThresholds);
+  M.Replicates.resize(NumMetricKinds * M.NumGroups * M.NumThresholds);
+  // Region metrics of the training profile need regions, which
+  // profiling-only runs lack: form them offline once (see metricTrain).
+  const profile::ProfileSnapshot TrainRegions = analysis::withOfflineRegions(
+      D.Train, G, Config.Dbt.Formation, /*MinUse=*/2000);
+  for (size_t K = 0; K < NumMetricKinds; ++K) {
+    const auto Kind = static_cast<MetricKind>(K);
+    for (size_t T = 0; T < M.NumThresholds; ++T)
+      M.Points[K * M.NumThresholds + T] =
+          metricValue(Kind, D.Inips.at(Ts[T]), D.Avep, G);
+    for (size_t Gr = 0; Gr < M.NumGroups; ++Gr)
+      for (size_t T = 0; T < M.NumThresholds; ++T)
+        M.Replicates[(K * M.NumGroups + Gr) * M.NumThresholds + T] =
+            metricValue(Kind, D.Sampled->Replicates[Gr][T], D.Avep, G);
+    const bool BranchKind =
+        Kind == MetricKind::SdBp || Kind == MetricKind::BpMismatch;
+    M.Train[K] =
+        metricValue(Kind, BranchKind ? D.Train : TrainRegions, D.Avep, G);
+  }
 }
 
 bool ExperimentContext::sampling() const {
@@ -411,6 +463,12 @@ void ExperimentContext::ensureEstimates(const std::string &Name,
       std::memory_order_relaxed);
   Stats.SampleStrata.fetch_add(D.Sampled->Stats.Strata,
                                std::memory_order_relaxed);
+}
+
+const MetricTable &ExperimentContext::metrics(const std::string &Name) {
+  BenchData &D = data(Name);
+  ensureProfiles(Name, D, Config.effectiveJobs());
+  return D.Metrics;
 }
 
 const SampledProfiles *ExperimentContext::sampled(const std::string &Name) {

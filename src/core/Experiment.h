@@ -11,6 +11,9 @@
 /// reference-input sweep (INIP for every threshold + AVEP) and its
 /// training-input profiling run (INIP(train)), and memoizes everything on
 /// disk so the eleven figure binaries pay the interpretation cost once.
+/// Once a benchmark's profiles are ready it also computes every figure
+/// metric of that benchmark once (MetricTable), so figure builds only
+/// read them.
 ///
 /// The context is thread-safe: accessors may be called from any number of
 /// threads, a per-benchmark guard ensures each sweep is interpreted at
@@ -50,6 +53,7 @@
 #include "sample/SampledReplay.h"
 #include "workloads/Generator.h"
 
+#include <array>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -151,6 +155,45 @@ struct SampledProfiles {
   sample::SampledSweepStats Stats;
 };
 
+/// The accuracy metrics a figure can plot (core/Figures).
+enum class MetricKind : uint8_t {
+  SdBp,       ///< Sd.BP (Section 2.1)
+  BpMismatch, ///< range-based branch mismatch (Section 4.1)
+  SdCp,       ///< Sd.CP (Section 2.2)
+  SdLp,       ///< Sd.LP (Section 2.3)
+  LpMismatch, ///< trip-count-class mismatch (Section 4.3)
+};
+constexpr size_t NumMetricKinds = 5;
+
+/// Every figure metric of one benchmark against its AVEP, computed once
+/// when the benchmark's profiles become ready (so on warmUp's workers):
+/// for each MetricKind, the point value at each configured threshold,
+/// each jackknife replicate's value when sampling, and the INIP(train)
+/// value (region kinds over regions formed offline on the training
+/// profile — see core::metricTrain). Threshold indices follow
+/// ExperimentConfig::Thresholds.
+struct MetricTable {
+  size_t NumThresholds = 0;
+  /// Jackknife groups (SampledProfiles::Replicates.size()); 0 when exact.
+  size_t NumGroups = 0;
+  /// [kind][threshold index]
+  std::vector<double> Points;
+  /// [kind][group][threshold index]; empty when exact.
+  std::vector<double> Replicates;
+  /// [kind]
+  std::array<double, NumMetricKinds> Train{};
+
+  double point(MetricKind K, size_t Th) const {
+    return Points[static_cast<size_t>(K) * NumThresholds + Th];
+  }
+  double replicate(MetricKind K, size_t Group, size_t Th) const {
+    return Replicates[(static_cast<size_t>(K) * NumGroups + Group) *
+                          NumThresholds +
+                      Th];
+  }
+  double train(MetricKind K) const { return Train[static_cast<size_t>(K)]; }
+};
+
 /// Lazily-computed, disk-cached profiles for the whole suite.
 class ExperimentContext {
 public:
@@ -194,6 +237,9 @@ public:
   /// only need stream totals), so only the INIP(T) cells carry intervals.
   const SampledProfiles *sampled(const std::string &Name);
 
+  /// The benchmark's figure metrics (see MetricTable).
+  const MetricTable &metrics(const std::string &Name);
+
   /// Records one figure cell's relative 95% half-width for the stats
   /// banner (lock-free running max).
   void noteHalfWidth(double RelativeHalf);
@@ -230,20 +276,31 @@ private:
     profile::ProfileSnapshot Train;
     /// Jackknife replicates + sample stats; set only in sampled mode.
     std::unique_ptr<SampledProfiles> Sampled;
+    MetricTable Metrics;
     /// Per-benchmark guard: generation and the sweep run under this lock,
     /// so two workers never interpret the same benchmark twice.
     std::mutex Lock;
-    /// Set (with release order) once Inips/Avep/Train are final; readers
-    /// that observe it true may touch the profiles without the lock.
+    /// Set (with release order) once Inips/Avep/Train and Metrics are
+    /// final; readers that observe it true may touch them without the
+    /// lock.
     std::atomic<bool> ProfilesReady{false};
   };
 
   BenchData &data(const std::string &Name);
-  /// \p ReplayJobs is the worker count handed to the per-threshold
-  /// analytic replay; warmUp passes 1 when it is already running one
-  /// worker per benchmark (results are identical either way).
+  /// Makes the benchmark's profiles and metric table ready: from the
+  /// .prof cache, an exact replay, or (sampling) an estimate, then
+  /// fillMetrics. \p ReplayJobs is the worker count handed to the
+  /// per-threshold analytic replay; warmUp passes 1 when it is already
+  /// running one worker per benchmark (results are identical either way).
   void ensureProfiles(const std::string &Name, BenchData &D,
                       unsigned ReplayJobs);
+  /// The exact-mode miss path of ensureProfiles (caller holds D.Lock):
+  /// fetch or record the traces, replay the ref sweep, and derive
+  /// INIP(train) from the train stream's totals.
+  void replayProfiles(const std::string &Name, BenchData &D,
+                      unsigned ReplayJobs);
+  /// Computes D.Metrics from D's final profiles (caller holds D.Lock).
+  void fillMetrics(BenchData &D) const;
   /// The sampled-mode body of ensureProfiles (caller holds D.Lock):
   /// estimates the INIP sweep from a stratified segment sample — cache
   /// entries (warm, or just written by a cold recording) through

@@ -2,8 +2,6 @@
 
 #include "core/Figures.h"
 
-#include "analysis/Metrics.h"
-#include "analysis/OfflineRegions.h"
 #include "support/Format.h"
 #include "support/Statistics.h"
 #include "workloads/BenchSpec.h"
@@ -14,34 +12,6 @@
 
 using namespace tpdbt;
 using namespace tpdbt::core;
-using namespace tpdbt::analysis;
-
-static double computeMetric(ExperimentContext &Ctx, const std::string &Bench,
-                            const profile::ProfileSnapshot &Pred,
-                            MetricKind Kind) {
-  const profile::ProfileSnapshot &Avep = Ctx.avep(Bench);
-  const cfg::Cfg &G = Ctx.graph(Bench);
-  switch (Kind) {
-  case MetricKind::SdBp:
-    return sdBranchProb(Pred, Avep, G);
-  case MetricKind::BpMismatch:
-    return bpMismatchRate(Pred, Avep, G);
-  case MetricKind::SdCp:
-    return sdCompletionProb(Pred, Avep, G);
-  case MetricKind::SdLp:
-    return sdLoopBackProb(Pred, Avep, G);
-  case MetricKind::LpMismatch:
-    return lpMismatchRate(Pred, Avep, G);
-  }
-  assert(false && "unknown metric kind");
-  return 0.0;
-}
-
-double tpdbt::core::metricInip(ExperimentContext &Ctx,
-                               const std::string &Bench, uint64_t Threshold,
-                               MetricKind Kind) {
-  return computeMetric(Ctx, Bench, Ctx.inip(Bench, Threshold), Kind);
-}
 
 namespace {
 
@@ -55,6 +25,11 @@ namespace {
 // at the 25% budget — (1 - f) / 0.75 rescales them to other budgets and
 // sends them to zero at full budget. See docs/ARCHITECTURE.md,
 // "Approximate replay".
+//
+// No cell computes a metric: point, neighbour and replicate values are
+// all read from the benchmark's MetricTable, which the context fills once
+// per benchmark when its profiles become ready (on warmUp's workers), from
+// replicates whose jackknife curves the estimator built once per view.
 //===----------------------------------------------------------------------===//
 
 /// Guard at 25% budget for the probability metrics: relative share of the
@@ -84,10 +59,11 @@ double metricHalf(ExperimentContext &Ctx, const std::string &Bench,
   const SampledProfiles *SP = Ctx.sampled(Bench);
   if (!SP || SP->Replicates.empty())
     return 0.0;
+  const MetricTable &M = Ctx.metrics(Bench);
   const size_t Idx = thresholdIndex(Ctx, Th);
   std::vector<double> Vals;
-  for (const auto &Rep : SP->Replicates)
-    Vals.push_back(computeMetric(Ctx, Bench, Rep[Idx], Kind));
+  for (size_t Gr = 0; Gr < M.NumGroups; ++Gr)
+    Vals.push_back(M.replicate(Kind, Gr, Idx));
   double Half = sample::jackknife95(Vals, SP->Stats.sampledFraction());
   const double Scale = guardScale(SP->Stats.sampledFraction());
   Half += (MetricGuardRel * std::fabs(Point) + MetricGuardAbs) * Scale;
@@ -96,14 +72,11 @@ double metricHalf(ExperimentContext &Ctx, const std::string &Bench,
   // threshold step, which the structure-fixed replicates cannot see. The
   // interval absorbs the larger adjacent-threshold jump of the estimated
   // series — large only where the series actually cliffs.
-  const std::vector<uint64_t> &Ts = Ctx.config().Thresholds;
   double Jump = 0.0;
   if (Idx > 0)
-    Jump = std::max(
-        Jump, std::fabs(Point - metricInip(Ctx, Bench, Ts[Idx - 1], Kind)));
-  if (Idx + 1 < Ts.size())
-    Jump = std::max(
-        Jump, std::fabs(Point - metricInip(Ctx, Bench, Ts[Idx + 1], Kind)));
+    Jump = std::max(Jump, std::fabs(Point - M.point(Kind, Idx - 1)));
+  if (Idx + 1 < M.NumThresholds)
+    Jump = std::max(Jump, std::fabs(Point - M.point(Kind, Idx + 1)));
   Half += Jump * Scale;
   return Half;
 }
@@ -126,11 +99,14 @@ void noteCell(ExperimentContext &Ctx, double Value, double Half) {
 }
 
 /// The smallest replicate count over \p Benches (group-level aggregate
-/// metrics need every benchmark's replicate g), and the mean sampled
-/// fraction for the correction. Zero groups when any bench lacks them.
+/// metrics need every benchmark's replicate g), the mean sampled fraction
+/// for the correction, and each benchmark's sampled profiles (in
+/// \p Benches order, looked up once). Zero groups when any bench lacks
+/// them.
 struct GroupView {
   size_t Groups = 0;
   double Frac = 1.0;
+  std::vector<const SampledProfiles *> Profiles;
 };
 GroupView groupView(ExperimentContext &Ctx,
                     const std::vector<std::string> &Benches) {
@@ -145,6 +121,7 @@ GroupView groupView(ExperimentContext &Ctx,
       return GroupView();
     V.Groups = std::min(V.Groups, SP->Replicates.size());
     FracSum += SP->Stats.sampledFraction();
+    V.Profiles.push_back(SP);
   }
   V.Frac = FracSum / static_cast<double>(Benches.size());
   return V;
@@ -152,24 +129,20 @@ GroupView groupView(ExperimentContext &Ctx,
 
 } // namespace
 
-double tpdbt::core::metricTrain(ExperimentContext &Ctx,
-                                const std::string &Bench, MetricKind Kind) {
-  if (Kind == MetricKind::SdBp || Kind == MetricKind::BpMismatch)
-    return computeMetric(Ctx, Bench, Ctx.train(Bench), Kind);
-  // Region metrics need regions, which profiling-only runs lack; the
-  // paper leaves Sd.CP(train)/Sd.LP(train) as future work (Section 2.3).
-  // We implement that extension: offline region formation on the training
-  // profile with its own probabilities, hot-block threshold 2000 (the
-  // paper's representative INT threshold).
-  profile::ProfileSnapshot TrainRegions = analysis::withOfflineRegions(
-      Ctx.train(Bench), Ctx.graph(Bench), Ctx.config().Dbt.Formation,
-      /*MinUse=*/2000);
-  return computeMetric(Ctx, Bench, TrainRegions, Kind);
+double tpdbt::core::metricInip(ExperimentContext &Ctx,
+                               const std::string &Bench, uint64_t Threshold,
+                               MetricKind Kind) {
+  return Ctx.metrics(Bench).point(Kind, thresholdIndex(Ctx, Threshold));
 }
 
-static bool metricHasTrainRow(MetricKind Kind) {
-  (void)Kind; // every metric has a train reference now (see metricTrain)
-  return true;
+double tpdbt::core::metricTrain(ExperimentContext &Ctx,
+                                const std::string &Bench, MetricKind Kind) {
+  // Region metrics need regions, which profiling-only runs lack; the
+  // paper leaves Sd.CP(train)/Sd.LP(train) as future work (Section 2.3).
+  // The table implements that extension: offline region formation on the
+  // training profile with its own probabilities, hot-block threshold 2000
+  // (the paper's representative INT threshold).
+  return Ctx.metrics(Bench).train(Kind);
 }
 
 Table tpdbt::core::figureAverages(ExperimentContext &Ctx, MetricKind Kind,
@@ -203,17 +176,15 @@ Table tpdbt::core::figureAverages(ExperimentContext &Ctx, MetricKind Kind,
       }
     }
   }
-  if (metricHasTrainRow(Kind)) {
-    T.addRow();
-    T.addCell("train");
-    for (const auto *Group : {&Int, &Fp}) {
-      std::vector<double> Vals;
-      for (const std::string &B : *Group)
-        Vals.push_back(metricTrain(Ctx, B, Kind));
-      T.addCell(mean(Vals));
-      if (Sampled)
-        T.addCell(0.0); // train references are exact even when sampling
-    }
+  T.addRow();
+  T.addCell("train");
+  for (const auto *Group : {&Int, &Fp}) {
+    std::vector<double> Vals;
+    for (const std::string &B : *Group)
+      Vals.push_back(metricTrain(Ctx, B, Kind));
+    T.addCell(mean(Vals));
+    if (Sampled)
+      T.addCell(0.0); // train references are exact even when sampling
   }
   return T;
 }
@@ -244,14 +215,12 @@ Table tpdbt::core::figurePerBench(ExperimentContext &Ctx, MetricKind Kind,
       }
     }
   }
-  if (metricHasTrainRow(Kind)) {
-    T.addRow();
-    T.addCell("train");
-    for (const std::string &B : Benches) {
-      T.addCell(metricTrain(Ctx, B, Kind));
-      if (Sampled)
-        T.addCell(0.0);
-    }
+  T.addRow();
+  T.addCell("train");
+  for (const std::string &B : Benches) {
+    T.addCell(metricTrain(Ctx, B, Kind));
+    if (Sampled)
+      T.addCell(0.0);
   }
   return T;
 }
@@ -297,8 +266,7 @@ Table tpdbt::core::figurePerformance(ExperimentContext &Ctx) {
         std::vector<double> RepVals;
         for (size_t Gr = 0; Gr < V.Groups; ++Gr) {
           std::vector<double> RepSpeedups;
-          for (const std::string &B : *Group) {
-            const SampledProfiles *SP = Ctx.sampled(B);
+          for (const SampledProfiles *SP : V.Profiles) {
             double RepBase =
                 static_cast<double>(SP->Replicates[Gr][BaseIdx].Cycles);
             double RepCycles = std::max<double>(
@@ -486,9 +454,9 @@ Table tpdbt::core::figureProfilingOps(ExperimentContext &Ctx) {
         std::vector<double> RepVals;
         for (size_t Gr = 0; Gr < V.Groups; ++Gr) {
           double RepOps = 0.0;
-          for (const std::string &B : *Group)
+          for (const SampledProfiles *SP : V.Profiles)
             RepOps += static_cast<double>(
-                Ctx.sampled(B)->Replicates[Gr][ThIdx].ProfilingOps);
+                SP->Replicates[Gr][ThIdx].ProfilingOps);
           RepVals.push_back(TrainOps > 0.0 ? RepOps / TrainOps : 0.0);
         }
         double Half = sample::jackknife95(RepVals, V.Frac);

@@ -24,16 +24,9 @@
 namespace tpdbt {
 namespace core {
 
-/// The accuracy metrics a figure can plot.
-enum class MetricKind : uint8_t {
-  SdBp,       ///< Sd.BP (Section 2.1)
-  BpMismatch, ///< range-based branch mismatch (Section 4.1)
-  SdCp,       ///< Sd.CP (Section 2.2)
-  SdLp,       ///< Sd.LP (Section 2.3)
-  LpMismatch, ///< trip-count-class mismatch (Section 4.3)
-};
-
-/// Metric value for INIP(T) of \p Bench against its AVEP.
+/// Metric value for INIP(T) of \p Bench against its AVEP, read from the
+/// benchmark's MetricTable (ExperimentContext::metrics). \p Threshold
+/// must be one of config().Thresholds.
 double metricInip(ExperimentContext &Ctx, const std::string &Bench,
                   uint64_t Threshold, MetricKind Kind);
 
@@ -41,6 +34,7 @@ double metricInip(ExperimentContext &Ctx, const std::string &Bench,
 /// (Sd.CP / Sd.LP / LP mismatch) the training profile has no regions;
 /// this implements the paper's Section 2.3 future-work item by forming
 /// regions offline on the training profile (analysis/OfflineRegions.h).
+/// Read from the benchmark's MetricTable, which forms those regions once.
 double metricTrain(ExperimentContext &Ctx, const std::string &Bench,
                    MetricKind Kind);
 

@@ -55,169 +55,149 @@ Estimator::Estimator(const guest::Program &P, const cfg::Cfg &G,
   }
 }
 
-/// Everything about one jackknife view of the sample: which chosen
-/// segments count as decoded, and the per-stratum unsampled-event prefix
-/// sums the imputation spreads mass over.
-struct Estimator::View {
-  std::vector<uint8_t> InView;       ///< per segment
-  std::vector<double> SampledEvents; ///< per stratum
-  /// StratumUnsampled[h * (S + 1) + k]: events of stratum h's unsampled
-  /// (in this view) segments before segment k.
-  std::vector<double> StratumUnsampled;
-  /// All unsampled events before segment k.
-  std::vector<double> UnsampledBefore;
-};
+Estimator::Curves::Curves(const Estimator &E, int ExcludeGroup)
+    : E(&E), ExcludeGroup(ExcludeGroup) {
+  const size_t N = E.P.numBlocks();
+  const size_t S = E.Segments.size();
+  const size_t H = E.Plan.NumStrata;
 
-void Estimator::buildView(int ExcludeGroup, View &V) const {
-  const size_t S = Segments.size();
-  const size_t H = Plan.NumStrata;
-  V.InView.assign(S, 0);
-  V.SampledEvents.assign(H, 0.0);
-  V.StratumUnsampled.assign(H * (S + 1), 0.0);
-  V.UnsampledBefore.assign(S + 1, 0.0);
+  // The view: which chosen segments count as decoded, and the per-stratum
+  // unsampled-event prefix sums the imputation spreads mass over.
+  InView.assign(S, 0);
+  SampledEvents.assign(H, 0.0);
+  StratumUnsampled.assign(H * (S + 1), 0.0);
+  UnsampledBefore.assign(S + 1, 0.0);
   for (size_t K = 0; K < S; ++K) {
-    const size_t Ph = Plan.StratumOf[K];
+    const size_t Ph = E.Plan.StratumOf[K];
     const bool Sampled =
-        Plan.IsChosen[K] &&
-        (ExcludeGroup < 0 || Plan.GroupOf[K] != ExcludeGroup);
-    V.InView[K] = Sampled;
-    const double Ev = static_cast<double>(Segments[K].Events);
+        E.Plan.IsChosen[K] &&
+        (ExcludeGroup < 0 || E.Plan.GroupOf[K] != ExcludeGroup);
+    InView[K] = Sampled;
+    const double Ev = static_cast<double>(E.Segments[K].Events);
     for (size_t Ph2 = 0; Ph2 < H; ++Ph2)
-      V.StratumUnsampled[Ph2 * (S + 1) + K + 1] =
-          V.StratumUnsampled[Ph2 * (S + 1) + K];
-    V.UnsampledBefore[K + 1] = V.UnsampledBefore[K];
+      StratumUnsampled[Ph2 * (S + 1) + K + 1] =
+          StratumUnsampled[Ph2 * (S + 1) + K];
+    UnsampledBefore[K + 1] = UnsampledBefore[K];
     if (Sampled) {
-      V.SampledEvents[Ph] += Ev;
+      SampledEvents[Ph] += Ev;
     } else {
-      V.StratumUnsampled[Ph * (S + 1) + K + 1] += Ev;
-      V.UnsampledBefore[K + 1] += Ev;
+      StratumUnsampled[Ph * (S + 1) + K + 1] += Ev;
+      UnsampledBefore[K + 1] += Ev;
     }
+  }
+
+  // The calibrated rates over that view.
+  RateU.assign(N * H, 0.0);
+  RateT.assign(N * H, 0.0);
+  AlphaU.assign(N, 0.0);
+  AlphaT.assign(N, 0.0);
+  FbU.assign(N, 0.0);
+  FbT.assign(N, 0.0);
+  const double TotalUnsampled = S ? UnsampledBefore[S] : 0.0;
+  for (size_t B = 0; B < N; ++B) {
+    double SeenU = 0.0, SeenT = 0.0;
+    for (const SampledSeg &Sg : E.SampledOf[B]) {
+      if (!InView[Sg.Seg])
+        continue;
+      const size_t Ph = E.Plan.StratumOf[Sg.Seg];
+      RateU[B * H + Ph] += static_cast<double>(Sg.Use);
+      RateT[B * H + Ph] += static_cast<double>(Sg.Taken);
+      SeenU += static_cast<double>(Sg.Use);
+      SeenT += static_cast<double>(Sg.Taken);
+    }
+    double RawU = 0.0, RawT = 0.0;
+    for (size_t Ph = 0; Ph < H; ++Ph) {
+      if (SampledEvents[Ph] > 0.0) {
+        RateU[B * H + Ph] /= SampledEvents[Ph];
+        RateT[B * H + Ph] /= SampledEvents[Ph];
+      }
+      const double Un = StratumUnsampled[Ph * (S + 1) + S];
+      RawU += RateU[B * H + Ph] * Un;
+      RawT += RateT[B * H + Ph] * Un;
+    }
+    const double RemU = static_cast<double>(E.Final[B].Use) - SeenU;
+    const double RemT = static_cast<double>(E.Final[B].Taken) - SeenT;
+    if (RawU > 1e-12)
+      AlphaU[B] = RemU / RawU;
+    else if (TotalUnsampled > 0.0)
+      FbU[B] = RemU / TotalUnsampled;
+    if (RawT > 1e-12)
+      AlphaT[B] = RemT / RawT;
+    else if (TotalUnsampled > 0.0)
+      FbT[B] = RemT / TotalUnsampled;
   }
 }
 
-/// One view's calibrated curves: per-block per-stratum rates, the alpha
-/// calibration to the final counters, and the uniform fallback — plus the
-/// curve queries (see the file comment in Estimator.h).
-struct Estimator::Calc {
-  const Estimator &E;
-  View V;
-  std::vector<double> RateU, RateT;
-  std::vector<double> AlphaU, AlphaT, FbU, FbT;
+Estimator::Curves Estimator::curves(int ExcludeGroup) const {
+  return Curves(*this, ExcludeGroup);
+}
 
-  Calc(const Estimator &E, int ExcludeGroup) : E(E) {
-    E.buildView(ExcludeGroup, V);
-    const size_t N = E.P.numBlocks();
-    const size_t S = E.Segments.size();
-    const size_t H = E.Plan.NumStrata;
-    RateU.assign(N * H, 0.0);
-    RateT.assign(N * H, 0.0);
-    AlphaU.assign(N, 0.0);
-    AlphaT.assign(N, 0.0);
-    FbU.assign(N, 0.0);
-    FbT.assign(N, 0.0);
-    const double TotalUnsampled = S ? V.UnsampledBefore[S] : 0.0;
-    for (size_t B = 0; B < N; ++B) {
-      double SeenU = 0.0, SeenT = 0.0;
-      for (const SampledSeg &Sg : E.SampledOf[B]) {
-        if (!V.InView[Sg.Seg])
-          continue;
-        const size_t Ph = E.Plan.StratumOf[Sg.Seg];
-        RateU[B * H + Ph] += static_cast<double>(Sg.Use);
-        RateT[B * H + Ph] += static_cast<double>(Sg.Taken);
-        SeenU += static_cast<double>(Sg.Use);
-        SeenT += static_cast<double>(Sg.Taken);
-      }
-      double RawU = 0.0, RawT = 0.0;
-      for (size_t Ph = 0; Ph < H; ++Ph) {
-        if (V.SampledEvents[Ph] > 0.0) {
-          RateU[B * H + Ph] /= V.SampledEvents[Ph];
-          RateT[B * H + Ph] /= V.SampledEvents[Ph];
-        }
-        const double Un = V.StratumUnsampled[Ph * (S + 1) + S];
-        RawU += RateU[B * H + Ph] * Un;
-        RawT += RateT[B * H + Ph] * Un;
-      }
-      const double RemU = static_cast<double>(E.Final[B].Use) - SeenU;
-      const double RemT = static_cast<double>(E.Final[B].Taken) - SeenT;
-      if (RawU > 1e-12)
-        AlphaU[B] = RemU / RawU;
-      else if (TotalUnsampled > 0.0)
-        FbU[B] = RemU / TotalUnsampled;
-      if (RawT > 1e-12)
-        AlphaT[B] = RemT / RawT;
-      else if (TotalUnsampled > 0.0)
-        FbT[B] = RemT / TotalUnsampled;
-    }
-  }
+/// Exact over in-view sampled segments, imputed elsewhere; ends at the
+/// final counter by construction.
+double Estimator::Curves::cum(size_t B, size_t K, bool Taken) const {
+  const size_t S = E->Segments.size();
+  const size_t H = E->Plan.NumStrata;
+  double C = 0.0;
+  for (const SampledSeg &Sg : E->SampledOf[B])
+    if (Sg.Seg < K && InView[Sg.Seg])
+      C += static_cast<double>(Taken ? Sg.Taken : Sg.Use);
+  const std::vector<double> &Rate = Taken ? RateT : RateU;
+  double Raw = 0.0;
+  for (size_t Ph = 0; Ph < H; ++Ph)
+    Raw += Rate[B * H + Ph] * StratumUnsampled[Ph * (S + 1) + K];
+  return C + (Taken ? AlphaT : AlphaU)[B] * Raw +
+         (Taken ? FbT : FbU)[B] * UnsampledBefore[K];
+}
 
-  /// Estimated cumulative counter of block \p B at the segment-\p K
-  /// boundary. Exact over in-view sampled segments, imputed elsewhere;
-  /// ends at the final counter by construction.
-  double cum(size_t B, size_t K, bool Taken) const {
-    const size_t S = E.Segments.size();
-    const size_t H = E.Plan.NumStrata;
-    double C = 0.0;
-    for (const SampledSeg &Sg : E.SampledOf[B])
-      if (Sg.Seg < K && V.InView[Sg.Seg])
-        C += static_cast<double>(Taken ? Sg.Taken : Sg.Use);
-    const std::vector<double> &Rate = Taken ? RateT : RateU;
-    double Raw = 0.0;
-    for (size_t Ph = 0; Ph < H; ++Ph)
-      Raw += Rate[B * H + Ph] * V.StratumUnsampled[Ph * (S + 1) + K];
-    return C + (Taken ? AlphaT : AlphaU)[B] * Raw +
-           (Taken ? FbT : FbU)[B] * V.UnsampledBefore[K];
-  }
+/// Linear interpolation within a segment turns the boundary sums into a
+/// continuous, monotone per-block counter curve over event positions.
+double Estimator::Curves::valueAt(size_t B, double Pos, bool Taken) const {
+  const size_t S = E->Segments.size();
+  if (S == 0)
+    return 0.0;
+  const std::vector<double> &Before = E->EventsBefore;
+  size_t K = static_cast<size_t>(
+      std::upper_bound(Before.begin(), Before.end(), Pos) - Before.begin());
+  K = std::min(K > 0 ? K - 1 : 0, S - 1);
+  const double C0 = cum(B, K, Taken);
+  const double C1 = cum(B, K + 1, Taken);
+  const double Width = Before[K + 1] - Before[K];
+  const double F =
+      Width > 0.0 ? std::clamp((Pos - Before[K]) / Width, 0.0, 1.0) : 1.0;
+  return C0 + F * (C1 - C0);
+}
 
-  /// Linear interpolation within a segment turns the boundary sums into a
-  /// continuous, monotone per-block counter curve over event positions.
-  double valueAt(size_t B, double Pos, bool Taken) const {
-    const size_t S = E.Segments.size();
-    if (S == 0)
-      return 0.0;
-    size_t K = static_cast<size_t>(
-        std::upper_bound(E.EventsBefore.begin(), E.EventsBefore.end(), Pos) -
-        E.EventsBefore.begin());
-    K = std::min(K > 0 ? K - 1 : 0, S - 1);
-    const double C0 = cum(B, K, Taken);
-    const double C1 = cum(B, K + 1, Taken);
-    const double Width = E.EventsBefore[K + 1] - E.EventsBefore[K];
-    const double F =
-        Width > 0.0 ? std::clamp((Pos - E.EventsBefore[K]) / Width, 0.0, 1.0)
-                    : 1.0;
-    return C0 + F * (C1 - C0);
+/// Binary search over segment boundaries, interpolation inside.
+double Estimator::Curves::crossingPos(size_t B, uint64_t J) const {
+  const size_t S = E->Segments.size();
+  const double Target = static_cast<double>(J);
+  const double Eps = 1e-7 * Target + 1e-9;
+  size_t Lo = 0, Hi = S;
+  while (Lo < Hi) {
+    const size_t Mid = (Lo + Hi) / 2;
+    if (cum(B, Mid, /*Taken=*/false) >= Target - Eps)
+      Hi = Mid;
+    else
+      Lo = Mid + 1;
   }
-
-  /// Inverse of the use curve: the estimated position of the block's
-  /// \p J-th occurrence (binary search over boundaries, interpolate
-  /// inside).
-  double crossingPos(size_t B, uint64_t J) const {
-    const size_t S = E.Segments.size();
-    const double Target = static_cast<double>(J);
-    const double Eps = 1e-7 * Target + 1e-9;
-    size_t Lo = 0, Hi = S;
-    while (Lo < Hi) {
-      const size_t Mid = (Lo + Hi) / 2;
-      if (cum(B, Mid, /*Taken=*/false) >= Target - Eps)
-        Hi = Mid;
-      else
-        Lo = Mid + 1;
-    }
-    if (Lo == 0)
-      return 0.0;
-    const double C0 = cum(B, Lo - 1, false);
-    const double C1 = cum(B, Lo, false);
-    const double F =
-        C1 > C0 ? std::clamp((Target - C0) / (C1 - C0), 0.0, 1.0) : 1.0;
-    return E.EventsBefore[Lo - 1] +
-           F * (E.EventsBefore[Lo] - E.EventsBefore[Lo - 1]);
-  }
-};
+  if (Lo == 0)
+    return 0.0;
+  const double C0 = cum(B, Lo - 1, false);
+  const double C1 = cum(B, Lo, false);
+  const double F =
+      C1 > C0 ? std::clamp((Target - C0) / (C1 - C0), 0.0, 1.0) : 1.0;
+  const std::vector<double> &Before = E->EventsBefore;
+  return Before[Lo - 1] + F * (Before[Lo] - Before[Lo - 1]);
+}
 
 profile::ProfileSnapshot Estimator::estimate(const dbt::DbtOptions &Base,
                                              uint64_t Threshold,
+                                             const Curves &C,
                                              FreezeInfo *Info) const {
   assert(!Base.Adaptive.Enabled &&
          "sampled estimation requires a static freeze timeline");
+  assert(C.E == this && C.ExcludeGroup < 0 &&
+         "point estimates read this estimator's full-sample curves");
   const size_t N = P.numBlocks();
   const size_t S = Segments.size();
   const uint64_t T = Threshold;
@@ -225,8 +205,6 @@ profile::ProfileSnapshot Estimator::estimate(const dbt::DbtOptions &Base,
   dbt::DbtOptions Opts = Base;
   Opts.Threshold = T;
   dbt::TranslationPolicy Policy(P, G, Opts);
-
-  const Calc C(*this, /*ExcludeGroup=*/-1);
 
   // Freeze timeline, exactly as core/Trace.cpp evaluateIndexed builds it,
   // with estimated crossing positions. Positions can tie after
@@ -357,12 +335,12 @@ profile::ProfileSnapshot Estimator::estimate(const dbt::DbtOptions &Base,
 profile::ProfileSnapshot Estimator::replicate(const dbt::DbtOptions &Base,
                                               uint64_t Threshold,
                                               const FreezeInfo &Info,
-                                              int ExcludeGroup) const {
+                                              const Curves &C) const {
+  assert(C.E == this && "replicates read this estimator's curves");
   profile::ProfileSnapshot Snap = Info.Point;
   if (Info.Frozen.empty())
     return Snap; // nothing was estimated: the snapshot is exact
 
-  const Calc C(*this, ExcludeGroup);
   const uint64_t T = Threshold;
 
   uint64_t ProfEvents = NumEvents, ProfTaken = TakenTotal;

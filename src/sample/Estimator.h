@@ -56,8 +56,14 @@
 /// and swamp the counter noise the interval is meant to measure); the
 /// structural and model bias the jackknife therefore cannot see is
 /// covered by the calibrated guard term core/Figures adds on top (see
-/// docs/ARCHITECTURE.md "Approximate replay"). All methods are const and
-/// safe to call concurrently.
+/// docs/ARCHITECTURE.md "Approximate replay").
+///
+/// A view's curves depend only on which group it imputes, never on the
+/// threshold, so they are built once per view (curves()) and passed to
+/// every estimate() or replicate() of that view: a sweep over U
+/// thresholds with G groups builds G + 1 curve sets, not (G + 1) * U.
+/// All methods are const and safe to call concurrently, and a Curves
+/// object may be shared between threads.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -115,21 +121,60 @@ public:
             uint64_t TotalInsts, uint64_t TakenTotal, SamplePlan Plan,
             std::vector<SegmentProfile> Decoded);
 
+  /// One jackknife view's calibrated curves: the per-block per-stratum
+  /// rates, the alpha calibration to the final counters and the uniform
+  /// fallback, plus the curve queries (see the file comment). Built once
+  /// per view by curves() and then shared, read-only, by every threshold
+  /// that view serves. Tied to the Estimator that built it.
+  class Curves {
+    friend class Estimator;
+    Curves(const Estimator &E, int ExcludeGroup);
+
+    /// Estimated cumulative counter of block \p B at the segment-\p K
+    /// boundary.
+    double cum(size_t B, size_t K, bool Taken) const;
+    /// The counter curve at event position \p Pos.
+    double valueAt(size_t B, double Pos, bool Taken) const;
+    /// Inverse of the use curve: the estimated position of block \p B's
+    /// \p J-th occurrence.
+    double crossingPos(size_t B, uint64_t J) const;
+
+    const Estimator *E;
+    /// The group this view imputes instead of decoding; -1 = the full
+    /// sample.
+    int ExcludeGroup;
+    std::vector<uint8_t> InView;       ///< per segment
+    std::vector<double> SampledEvents; ///< per stratum
+    /// StratumUnsampled[h * (S + 1) + k]: events of stratum h's unsampled
+    /// (in this view) segments before segment k.
+    std::vector<double> StratumUnsampled;
+    /// All unsampled events before segment k.
+    std::vector<double> UnsampledBefore;
+    std::vector<double> RateU, RateT;
+    std::vector<double> AlphaU, AlphaT, FbU, FbT;
+  };
+
+  /// The curves of the view that imputes group \p ExcludeGroup's segments
+  /// instead of decoding them; -1 builds the full-sample view the point
+  /// estimates use.
+  Curves curves(int ExcludeGroup) const;
+
   /// Estimated INIP snapshot for threshold \p Threshold (the point
-  /// estimate, over the full sample). \p Info, when non-null, captures
-  /// the realized freeze structure for replicate().
+  /// estimate) over \p Full, the full-sample view (curves(-1)). \p Info,
+  /// when non-null, captures the realized freeze structure for
+  /// replicate().
   profile::ProfileSnapshot estimate(const dbt::DbtOptions &Base,
-                                    uint64_t Threshold,
+                                    uint64_t Threshold, const Curves &Full,
                                     FreezeInfo *Info = nullptr) const;
 
-  /// Jackknife replicate \p ExcludeGroup: re-estimates the freeze-time
-  /// counters from curves with that group's segments imputed, holding
-  /// \p Info's freeze structure fixed, and re-derives the snapshot's
-  /// counter-dependent fields (Blocks, ProfilingOps, Cycles).
+  /// Jackknife replicate for \p View's excluded group: re-estimates the
+  /// freeze-time counters from \p View's curves, holding \p Info's freeze
+  /// structure fixed, and re-derives the snapshot's counter-dependent
+  /// fields (Blocks, ProfilingOps, Cycles).
   profile::ProfileSnapshot replicate(const dbt::DbtOptions &Base,
                                      uint64_t Threshold,
                                      const FreezeInfo &Info,
-                                     int ExcludeGroup) const;
+                                     const Curves &View) const;
 
   /// The profiling-only snapshot (AVEP / INIP(train)). Exact: it depends
   /// only on the stream totals and the final counter table, all of which
@@ -141,10 +186,6 @@ public:
   const SamplePlan &plan() const { return Plan; }
 
 private:
-  struct View;
-  struct Calc;
-  void buildView(int ExcludeGroup, View &Out) const;
-
   const guest::Program &P;
   const cfg::Cfg &G;
   std::vector<SegmentStats> Segments;

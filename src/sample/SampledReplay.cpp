@@ -81,6 +81,30 @@ bool drawSegment(core::SegmentedTraceReader &Reader, size_t I,
 
 } // namespace
 
+bool tpdbt::sample::drawSample(core::SegmentedTraceReader &Reader,
+                               const SampleConfig &Cfg, uint64_t Seed,
+                               DrawnSample &Out, std::string *Error) {
+  const SegmentedTraceHeader &H = Reader.header();
+  const uint64_t TakenTotal = H.takenEvents();
+  const size_t S = Reader.numSegments();
+  Out.Segments.resize(S);
+  for (size_t I = 0; I < S; ++I)
+    Out.Segments[I] = segmentStats(H, I, TakenTotal);
+
+  const PhaseAssignment Phases =
+      detectSegmentPhases(Out.Segments, Cfg.MaxPhases);
+  Out.Plan =
+      planSample(Out.Segments, Phases, Cfg.BudgetFrac, Seed, Cfg.Groups);
+
+  Out.Decoded.assign(Out.Plan.Chosen.size(), SegmentProfile());
+  std::vector<profile::BlockCounters> Table(H.NumBlocks);
+  for (size_t C = 0; C < Out.Plan.Chosen.size(); ++C)
+    if (!drawSegment(Reader, Out.Plan.Chosen[C], Table, Out.Decoded[C],
+                     Error))
+      return false;
+  return true;
+}
+
 bool tpdbt::sample::sampledSweep(core::SegmentedTraceReader &Reader,
                                  const guest::Program &P,
                                  const std::vector<uint64_t> &Thresholds,
@@ -93,36 +117,24 @@ bool tpdbt::sample::sampledSweep(core::SegmentedTraceReader &Reader,
       *Error = "sampled replay does not support adaptive policies";
     return false;
   }
+  DrawnSample Drawn;
+  if (!drawSample(Reader, Cfg, Seed, Drawn, Error))
+    return false;
+
   const SegmentedTraceHeader &H = Reader.header();
-  const uint64_t TakenTotal = H.takenEvents();
-  const size_t S = Reader.numSegments();
-  std::vector<SegmentStats> Stats(S);
-  for (size_t I = 0; I < S; ++I)
-    Stats[I] = segmentStats(H, I, TakenTotal);
-
-  const PhaseAssignment Phases = detectSegmentPhases(Stats, Cfg.MaxPhases);
-  SamplePlan Plan =
-      planSample(Stats, Phases, Cfg.BudgetFrac, Seed, Cfg.Groups);
-
-  std::vector<SegmentProfile> Decoded(Plan.Chosen.size());
-  std::vector<profile::BlockCounters> Table(H.NumBlocks);
-  for (size_t C = 0; C < Plan.Chosen.size(); ++C)
-    if (!drawSegment(Reader, Plan.Chosen[C], Table, Decoded[C], Error))
-      return false;
-
-  Out.Stats.Segments = S;
-  Out.Stats.Decoded = Plan.Chosen.size();
-  Out.Stats.Strata = Plan.NumStrata;
-  Out.Stats.Groups = Plan.NumGroups;
+  Out.Stats.Segments = Drawn.Segments.size();
+  Out.Stats.Decoded = Drawn.Plan.Chosen.size();
+  Out.Stats.Strata = Drawn.Plan.NumStrata;
+  Out.Stats.Groups = Drawn.Plan.NumGroups;
   Out.Stats.TotalEvents = H.NumEvents;
   Out.Stats.DecodedEvents = 0;
-  for (uint32_t I : Plan.Chosen)
-    Out.Stats.DecodedEvents += Stats[I].Events;
+  for (uint32_t I : Drawn.Plan.Chosen)
+    Out.Stats.DecodedEvents += Drawn.Segments[I].Events;
 
   const cfg::Cfg G(P); // Estimator keeps a reference; must outlive it
-  const Estimator Est(P, G, std::move(Stats), H.Final, H.NumEvents,
-                      H.TotalInsts, TakenTotal, std::move(Plan),
-                      std::move(Decoded));
+  const Estimator Est(P, G, std::move(Drawn.Segments), H.Final, H.NumEvents,
+                      H.TotalInsts, H.takenEvents(), std::move(Drawn.Plan),
+                      std::move(Drawn.Decoded));
 
   // Duplicate thresholds share one estimation unit, as in replaySweep.
   std::vector<uint64_t> Unique;
@@ -139,22 +151,29 @@ bool tpdbt::sample::sampledSweep(core::SegmentedTraceReader &Reader,
     }
   }
 
-  // Point estimates first (each captures its freeze structure), then one
-  // replicate unit per (group, unique threshold) re-estimating only the
-  // freeze-time counters against that structure. All units are pure const
-  // calls written by index, so results are identical at any job count.
+  // Point estimates first, all over the one full-sample view (each
+  // captures its freeze structure); then each group's view, built once,
+  // serves that group's replicate at every unique threshold,
+  // re-estimating only the freeze-time counters against the point
+  // structure. That is G + 1 curve builds for the sweep. The full view
+  // is released before the group views are built, so at most Jobs views
+  // are alive at once. All units are pure const calls written by index,
+  // so results are identical at any job count.
   const uint32_t Groups = Est.numGroups() >= 2 ? Est.numGroups() : 0;
   const size_t U = Unique.size();
   std::vector<profile::ProfileSnapshot> Points(U);
   std::vector<FreezeInfo> Infos(U);
-  parallelFor(U, Jobs, [&](size_t I) {
-    Points[I] = Est.estimate(Base, Unique[I], &Infos[I]);
-  });
+  {
+    const Estimator::Curves Full = Est.curves(-1);
+    parallelFor(U, Jobs, [&](size_t I) {
+      Points[I] = Est.estimate(Base, Unique[I], Full, &Infos[I]);
+    });
+  }
   std::vector<profile::ProfileSnapshot> Reps(Groups * U);
-  parallelFor(Reps.size(), Jobs, [&](size_t Unit) {
-    const int Group = static_cast<int>(Unit / U);
-    const size_t I = Unit % U;
-    Reps[Unit] = Est.replicate(Base, Unique[I], Infos[I], Group);
+  parallelFor(Groups, Jobs, [&](size_t Gr) {
+    const Estimator::Curves View = Est.curves(static_cast<int>(Gr));
+    for (size_t I = 0; I < U; ++I)
+      Reps[Gr * U + I] = Est.replicate(Base, Unique[I], Infos[I], View);
   });
 
   Out.PerThreshold.resize(Thresholds.size());

@@ -21,9 +21,11 @@
 /// — and therefore sample — identically.
 ///
 /// Determinism: the plan is a pure function of (segment stats, budget,
-/// seed) computed before any threading; the per-(replicate, threshold)
-/// estimation units are independent const calls dispatched by index, so
-/// results are identical at any job count.
+/// seed) computed before any threading; the point estimates and the
+/// per-group replicate units are independent const calls dispatched by
+/// index, so results are identical at any job count. Each jackknife view's
+/// curves are built once and shared by every threshold (see
+/// sample/Estimator.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -93,10 +95,27 @@ double tQuantile95(unsigned Df);
 double jackknife95(const std::vector<double> &Replicates,
                    double SampledFrac);
 
-/// Runs the sampled sweep over \p Reader's container: detect phases,
-/// plan the sample with \p Seed, decode the drawn segments (serially),
-/// then estimate every (replicate, threshold) unit on up to \p Jobs
-/// threads. When the reader came from core::TraceCache::openSegmented, a
+/// What sampledSweep estimates from: every segment's directory
+/// statistics, the drawn plan, and the drawn segments' per-block totals
+/// (in Plan.Chosen order) — the inputs of sample::Estimator.
+struct DrawnSample {
+  std::vector<SegmentStats> Segments;
+  SamplePlan Plan;
+  std::vector<SegmentProfile> Decoded;
+};
+
+/// The draw half of sampledSweep: detect phases, plan the sample with
+/// \p Seed, and decode the drawn segments (serially, through the reader's
+/// segment-profile memo when it has one). Decode failures report through
+/// \p Error.
+bool drawSample(core::SegmentedTraceReader &Reader, const SampleConfig &Cfg,
+                uint64_t Seed, DrawnSample &Out, std::string *Error);
+
+/// Runs the sampled sweep over \p Reader's container: draw the sample
+/// (drawSample), then estimate on up to \p Jobs threads: the point
+/// estimates over the one full-sample view, then one unit per jackknife
+/// group that builds the group's view and replicates every threshold
+/// over it. When the reader came from core::TraceCache::openSegmented, a
 /// draw first asks the entry's segment-profile memo: a profile verified
 /// under the same header tag is copied out, and a miss decodes with every
 /// check and then memoizes the result, so a trace store decodes each

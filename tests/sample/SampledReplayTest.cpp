@@ -140,6 +140,61 @@ TEST(SampledReplayTest, DeterministicAcrossJobCounts) {
                 profile::printSnapshot(C.Replicates[G][I]));
 }
 
+// sampledSweep builds each jackknife view's curves once and shares them
+// across thresholds. The oracle below builds a fresh view for every
+// (threshold, group) unit over the same draw; points and replicates must
+// match it, and each other at Jobs 1 and 4, byte for byte.
+TEST(SampledReplayTest, SharedViewsMatchPerUnitViews) {
+  auto B = bench("vpr", 0.02);
+  BlockTrace T = BlockTrace::record(B.Ref, 300000);
+  const std::vector<uint64_t> Thresholds = {10, 100, 100, 1000, 5000};
+  const SampleConfig Cfg = stratified(0.3);
+  const uint64_t Seed = 0x1234;
+  const dbt::DbtOptions Base;
+
+  auto run = [&](unsigned Jobs) {
+    core::SegmentedTraceReader Reader = readerOf(T, 512);
+    SampledSweep S;
+    std::string Error;
+    EXPECT_TRUE(sampledSweep(Reader, B.Ref, Thresholds, Base, Cfg, Seed,
+                             Jobs, S, &Error))
+        << Error;
+    return S;
+  };
+  const SampledSweep Serial = run(1), Parallel = run(4);
+
+  core::SegmentedTraceReader Reader = readerOf(T, 512);
+  DrawnSample Drawn;
+  std::string Error;
+  ASSERT_TRUE(drawSample(Reader, Cfg, Seed, Drawn, &Error)) << Error;
+  const core::SegmentedTraceHeader &H = Reader.header();
+  const cfg::Cfg G(B.Ref);
+  const Estimator Est(B.Ref, G, Drawn.Segments, H.Final, H.NumEvents,
+                      H.TotalInsts, H.takenEvents(), Drawn.Plan,
+                      Drawn.Decoded);
+  ASSERT_GE(Est.numGroups(), 2u);
+
+  for (const SampledSweep *S : {&Serial, &Parallel}) {
+    ASSERT_EQ(S->PerThreshold.size(), Thresholds.size());
+    ASSERT_EQ(S->Replicates.size(), Est.numGroups());
+  }
+  for (size_t I = 0; I < Thresholds.size(); ++I) {
+    FreezeInfo Info;
+    const std::string Point = profile::printSnapshot(
+        Est.estimate(Base, Thresholds[I], Est.curves(-1), &Info));
+    EXPECT_EQ(profile::printSnapshot(Serial.PerThreshold[I]), Point);
+    EXPECT_EQ(profile::printSnapshot(Parallel.PerThreshold[I]), Point);
+    for (uint32_t Gr = 0; Gr < Est.numGroups(); ++Gr) {
+      const std::string Rep = profile::printSnapshot(Est.replicate(
+          Base, Thresholds[I], Info, Est.curves(static_cast<int>(Gr))));
+      EXPECT_EQ(profile::printSnapshot(Serial.Replicates[Gr][I]), Rep)
+          << "T=" << Thresholds[I] << " group " << Gr;
+      EXPECT_EQ(profile::printSnapshot(Parallel.Replicates[Gr][I]), Rep)
+          << "T=" << Thresholds[I] << " group " << Gr;
+    }
+  }
+}
+
 TEST(SampledReplayTest, WiderBudgetNarrowsIntervals) {
   auto B = bench("art", 0.05);
   BlockTrace T = BlockTrace::record(B.Ref, 2000000);
