@@ -29,36 +29,71 @@ TripClass tpdbt::analysis::classifyTrip(double Lp) {
   return TripClass::High;
 }
 
-/// Visits every block that ends in a two-target conditional branch and
-/// executed in both snapshots, passing (Block, PredProb, AvepProb,
-/// AvepWeight).
-template <typename FnT>
-static void forEachComparableBranch(const ProfileSnapshot &Pred,
-                                    const ProfileSnapshot &Avep,
-                                    const cfg::Cfg &G, FnT &&Fn) {
+/// Builds the per-block taken-probability vector of a snapshot.
+static std::vector<double> takenProbs(const ProfileSnapshot &S) {
+  std::vector<double> P(S.Blocks.size(), 0.0);
+  for (size_t B = 0; B < S.Blocks.size(); ++B)
+    P[B] = S.Blocks[B].takenProb();
+  return P;
+}
+
+AccuracyMetrics tpdbt::analysis::accuracyMetrics(const ProfileSnapshot &Pred,
+                                                 const ProfileSnapshot &Avep,
+                                                 const cfg::Cfg &G) {
   assert(Pred.Blocks.size() == Avep.Blocks.size() &&
          "snapshots from different programs");
+  // Branch metrics: every block that ends in a two-target conditional
+  // branch and executed in both snapshots (the paper compares the blocks
+  // present in both profiles), weighted by its AVEP use.
+  WeightedDeviation SdBp;
+  WeightedMismatch BpMis;
   for (size_t B = 0; B < Pred.Blocks.size(); ++B) {
     if (!G.hasCondBranch(static_cast<BlockId>(B)))
       continue;
-    uint64_t PredUse = Pred.Blocks[B].Use;
-    uint64_t AvepUse = Avep.Blocks[B].Use;
+    const uint64_t PredUse = Pred.Blocks[B].Use;
+    const uint64_t AvepUse = Avep.Blocks[B].Use;
     if (PredUse == 0 || AvepUse == 0)
-      continue; // the paper compares the blocks present in both profiles
-    Fn(static_cast<BlockId>(B), Pred.Blocks[B].takenProb(),
-       Avep.Blocks[B].takenProb(), static_cast<double>(AvepUse));
+      continue;
+    const double BT = Pred.Blocks[B].takenProb();
+    const double BM = Avep.Blocks[B].takenProb();
+    const double W = static_cast<double>(AvepUse);
+    SdBp.add(BT, BM, W);
+    BpMis.add(classifyBp(BT) != classifyBp(BM), W);
   }
+
+  AccuracyMetrics M;
+  M.SdBp = SdBp.deviation();
+  M.BpMismatch = BpMis.rate();
+  if (Pred.Regions.empty())
+    return M;
+
+  // Region metrics: each of Pred's regions under Pred's and under AVEP's
+  // probabilities, weighted by its entry block's AVEP use.
+  const std::vector<double> PT = takenProbs(Pred);
+  const std::vector<double> PM = takenProbs(Avep);
+  WeightedDeviation SdCp, SdLp;
+  WeightedMismatch LpMis;
+  for (const Region &R : Pred.Regions) {
+    const double W = static_cast<double>(Avep.Blocks[R.entryBlock()].Use);
+    if (R.Kind == RegionKind::NonLoop) {
+      SdCp.add(completionProb(R, PT), completionProb(R, PM), W);
+    } else {
+      const double LT = loopBackProb(R, PT);
+      const double LM = loopBackProb(R, PM);
+      SdLp.add(LT, LM, W);
+      LpMis.add(classifyTrip(LT) != classifyTrip(LM), W);
+    }
+  }
+  M.SdCp = SdCp.deviation();
+  M.SdLp = SdLp.deviation();
+  M.LpMismatch = LpMis.rate();
+  return M;
 }
 
 double tpdbt::analysis::sdBranchProb(const ProfileSnapshot &Pred,
                                      const ProfileSnapshot &Avep,
                                      const cfg::Cfg &G) {
-  WeightedDeviation Dev;
-  forEachComparableBranch(Pred, Avep, G,
-                          [&](BlockId, double BT, double BM, double W) {
-                            Dev.add(BT, BM, W);
-                          });
-  return Dev.deviation();
+  return accuracyMetrics(Pred, Avep, G).SdBp;
 }
 
 double tpdbt::analysis::sdBranchProbNavep(const ProfileSnapshot &Inip,
@@ -78,80 +113,25 @@ double tpdbt::analysis::sdBranchProbNavep(const ProfileSnapshot &Inip,
 double tpdbt::analysis::bpMismatchRate(const ProfileSnapshot &Pred,
                                        const ProfileSnapshot &Avep,
                                        const cfg::Cfg &G) {
-  WeightedMismatch Mis;
-  forEachComparableBranch(
-      Pred, Avep, G, [&](BlockId, double BT, double BM, double W) {
-        Mis.add(classifyBp(BT) != classifyBp(BM), W);
-      });
-  return Mis.rate();
-}
-
-/// Builds the per-block taken-probability vector of a snapshot.
-static std::vector<double> takenProbs(const ProfileSnapshot &S) {
-  std::vector<double> P(S.Blocks.size(), 0.0);
-  for (size_t B = 0; B < S.Blocks.size(); ++B)
-    P[B] = S.Blocks[B].takenProb();
-  return P;
-}
-
-/// Visits every region of kind \p Kind with (PredProb of the region under
-/// INIP probabilities, under AVEP probabilities, AVEP entry weight).
-template <typename FnT>
-static void forEachRegionProb(const ProfileSnapshot &Inip,
-                              const ProfileSnapshot &Avep, RegionKind Kind,
-                              FnT &&Fn) {
-  std::vector<double> PT = takenProbs(Inip);
-  std::vector<double> PM = takenProbs(Avep);
-  for (const Region &R : Inip.Regions) {
-    if (R.Kind != Kind)
-      continue;
-    double W = static_cast<double>(Avep.Blocks[R.entryBlock()].Use);
-    double T, M;
-    if (Kind == RegionKind::NonLoop) {
-      T = completionProb(R, PT);
-      M = completionProb(R, PM);
-    } else {
-      T = loopBackProb(R, PT);
-      M = loopBackProb(R, PM);
-    }
-    Fn(T, M, W);
-  }
+  return accuracyMetrics(Pred, Avep, G).BpMismatch;
 }
 
 double tpdbt::analysis::sdCompletionProb(const ProfileSnapshot &Inip,
                                          const ProfileSnapshot &Avep,
                                          const cfg::Cfg &G) {
-  (void)G;
-  WeightedDeviation Dev;
-  forEachRegionProb(Inip, Avep, RegionKind::NonLoop,
-                    [&](double CT, double CM, double W) {
-                      Dev.add(CT, CM, W);
-                    });
-  return Dev.deviation();
+  return accuracyMetrics(Inip, Avep, G).SdCp;
 }
 
 double tpdbt::analysis::sdLoopBackProb(const ProfileSnapshot &Inip,
                                        const ProfileSnapshot &Avep,
                                        const cfg::Cfg &G) {
-  (void)G;
-  WeightedDeviation Dev;
-  forEachRegionProb(Inip, Avep, RegionKind::Loop,
-                    [&](double LT, double LM, double W) {
-                      Dev.add(LT, LM, W);
-                    });
-  return Dev.deviation();
+  return accuracyMetrics(Inip, Avep, G).SdLp;
 }
 
 double tpdbt::analysis::lpMismatchRate(const ProfileSnapshot &Inip,
                                        const ProfileSnapshot &Avep,
                                        const cfg::Cfg &G) {
-  (void)G;
-  WeightedMismatch Mis;
-  forEachRegionProb(Inip, Avep, RegionKind::Loop,
-                    [&](double LT, double LM, double W) {
-                      Mis.add(classifyTrip(LT) != classifyTrip(LM), W);
-                    });
-  return Mis.rate();
+  return accuracyMetrics(Inip, Avep, G).LpMismatch;
 }
 
 size_t tpdbt::analysis::countRegions(const ProfileSnapshot &S,

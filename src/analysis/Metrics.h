@@ -46,6 +46,25 @@ enum class TripClass : uint8_t { Low, Median, High };
 /// [.9,.98] -> Median (10..50), (.98,1] -> High (> 50).
 TripClass classifyTrip(double Lp);
 
+/// The five Section 2 / Section 4 metrics of one prediction against
+/// AVEP.
+struct AccuracyMetrics {
+  double SdBp = 0.0;
+  double BpMismatch = 0.0;
+  double SdCp = 0.0;
+  double SdLp = 0.0;
+  double LpMismatch = 0.0;
+};
+
+/// Every metric of \p Pred against \p Avep in one pass: one walk over the
+/// comparable branches feeds Sd.BP and the BP mismatch, and one walk over
+/// \p Pred's regions feeds Sd.CP, and, from one loop-back probability per
+/// side and loop region, Sd.LP and the LP mismatch. The single-metric
+/// functions below return one field of it.
+AccuracyMetrics accuracyMetrics(const profile::ProfileSnapshot &Pred,
+                                const profile::ProfileSnapshot &Avep,
+                                const cfg::Cfg &G);
+
 /// Sd.BP between \p Pred and \p Avep over blocks ending in conditional
 /// branches that executed in both runs; weights are AVEP use counts.
 double sdBranchProb(const profile::ProfileSnapshot &Pred,

@@ -314,28 +314,6 @@ void ExperimentContext::replayProfiles(const std::string &Name,
   Stats.SweepMicros.fetch_add(TotalMicros, std::memory_order_relaxed);
 }
 
-namespace {
-
-double metricValue(MetricKind Kind, const profile::ProfileSnapshot &Pred,
-                   const profile::ProfileSnapshot &Avep, const cfg::Cfg &G) {
-  switch (Kind) {
-  case MetricKind::SdBp:
-    return analysis::sdBranchProb(Pred, Avep, G);
-  case MetricKind::BpMismatch:
-    return analysis::bpMismatchRate(Pred, Avep, G);
-  case MetricKind::SdCp:
-    return analysis::sdCompletionProb(Pred, Avep, G);
-  case MetricKind::SdLp:
-    return analysis::sdLoopBackProb(Pred, Avep, G);
-  case MetricKind::LpMismatch:
-    return analysis::lpMismatchRate(Pred, Avep, G);
-  }
-  assert(false && "unknown metric kind");
-  return 0.0;
-}
-
-} // namespace
-
 void ExperimentContext::fillMetrics(BenchData &D) const {
   const std::vector<uint64_t> &Ts = Config.Thresholds;
   const cfg::Cfg &G = *D.Graph;
@@ -344,24 +322,30 @@ void ExperimentContext::fillMetrics(BenchData &D) const {
   M.NumGroups = D.Sampled ? D.Sampled->Replicates.size() : 0;
   M.Points.resize(NumMetricKinds * M.NumThresholds);
   M.Replicates.resize(NumMetricKinds * M.NumGroups * M.NumThresholds);
+  // One metric pass per snapshot; its kinds land \p KindStride cells
+  // apart from \p Cell.
+  auto Store = [&](double *Cell, size_t KindStride,
+                   const profile::ProfileSnapshot &Pred) {
+    const analysis::AccuracyMetrics A =
+        analysis::accuracyMetrics(Pred, D.Avep, G);
+    const double Values[NumMetricKinds] = {A.SdBp, A.BpMismatch, A.SdCp,
+                                           A.SdLp, A.LpMismatch}; // by kind
+    for (size_t K = 0; K < NumMetricKinds; ++K)
+      Cell[K * KindStride] = Values[K];
+  };
+  for (size_t T = 0; T < M.NumThresholds; ++T)
+    Store(&M.Points[T], M.NumThresholds, D.Inips.at(Ts[T]));
+  for (size_t Gr = 0; Gr < M.NumGroups; ++Gr)
+    for (size_t T = 0; T < M.NumThresholds; ++T)
+      Store(&M.Replicates[Gr * M.NumThresholds + T],
+            M.NumGroups * M.NumThresholds, D.Sampled->Replicates[Gr][T]);
   // Region metrics of the training profile need regions, which
   // profiling-only runs lack: form them offline once (see metricTrain).
-  const profile::ProfileSnapshot TrainRegions = analysis::withOfflineRegions(
-      D.Train, G, Config.Dbt.Formation, /*MinUse=*/2000);
-  for (size_t K = 0; K < NumMetricKinds; ++K) {
-    const auto Kind = static_cast<MetricKind>(K);
-    for (size_t T = 0; T < M.NumThresholds; ++T)
-      M.Points[K * M.NumThresholds + T] =
-          metricValue(Kind, D.Inips.at(Ts[T]), D.Avep, G);
-    for (size_t Gr = 0; Gr < M.NumGroups; ++Gr)
-      for (size_t T = 0; T < M.NumThresholds; ++T)
-        M.Replicates[(K * M.NumGroups + Gr) * M.NumThresholds + T] =
-            metricValue(Kind, D.Sampled->Replicates[Gr][T], D.Avep, G);
-    const bool BranchKind =
-        Kind == MetricKind::SdBp || Kind == MetricKind::BpMismatch;
-    M.Train[K] =
-        metricValue(Kind, BranchKind ? D.Train : TrainRegions, D.Avep, G);
-  }
+  // Forming regions leaves the block counters, all the branch metrics
+  // read, as they are.
+  Store(M.Train.data(), 1,
+        analysis::withOfflineRegions(D.Train, G, Config.Dbt.Formation,
+                                     /*MinUse=*/2000));
 }
 
 bool ExperimentContext::sampling() const {

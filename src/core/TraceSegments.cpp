@@ -5,8 +5,11 @@
 #include "support/Compression.h"
 #include "support/Varint.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdlib>
+#include <cstring>
 
 using namespace tpdbt;
 using namespace tpdbt::core;
@@ -34,6 +37,22 @@ std::string tpdbt::core::encodeSegmentEvents(const EventWord *W, size_t N) {
   }
   return Out;
 }
+
+namespace {
+
+/// How many of the 8 bytes at \p P equal the byte that \p Pattern
+/// repeats, counted from \p P up to the first that differs.
+unsigned equalPrefix(const uint8_t *P, uint64_t Pattern) {
+  uint64_t Word;
+  std::memcpy(&Word, P, 8);
+  Word ^= Pattern;
+  const int Bits = std::endian::native == std::endian::little
+                       ? std::countr_zero(Word)
+                       : std::countl_zero(Word);
+  return static_cast<unsigned>(Bits) / 8;
+}
+
+} // namespace
 
 bool tpdbt::core::decodeSegmentEvents(
     std::string_view Raw, uint64_t ExpectEvents,
@@ -67,11 +86,29 @@ bool tpdbt::core::decodeSegmentEvents(
   SegmentDecode D;
   size_t Pos = 0;
   int64_t Block = 0;
-  for (uint64_t I = 0; I < ExpectEvents; ++I) {
+  for (uint64_t I = 0; I < ExpectEvents;) {
     if (Pos == Size)
       return Fail("truncated segment event");
     uint64_t Packed = Bytes[Pos++];
-    if (Packed >= 0x80) {
+    uint64_t Run = 1;
+    if (Packed <= 1) {
+      // A zero delta (0x00, or 0x01 when taken) repeats the previous
+      // event, as every iteration of a self-loop does. The whole run of
+      // equal bytes is one step, capped at the events still expected and
+      // the bytes left, so each check below and each error fires exactly
+      // where an event-at-a-time walk would stop.
+      const size_t Limit =
+          Pos + static_cast<size_t>(std::min<uint64_t>(ExpectEvents - I - 1,
+                                                       Size - Pos));
+      const uint64_t Pattern = Packed * 0x0101010101010101ull;
+      size_t End = Pos;
+      for (unsigned Same = 8; Same == 8 && End + 8 <= Limit; End += Same)
+        Same = equalPrefix(Bytes + End, Pattern);
+      while (End < Limit && Bytes[End] == Packed)
+        ++End;
+      Run += End - Pos;
+      Pos = End;
+    } else if (Packed >= 0x80) {
       // The LEB128 continuation path, which real traces (a few dozen
       // blocks, small deltas) almost never take.
       Packed &= 0x7f;
@@ -96,15 +133,23 @@ bool tpdbt::core::decodeSegmentEvents(
     const bool Taken = Packed & 1;
     if (Taken && !S.Cond)
       return Fail("taken bit on a block without a conditional branch");
-    D.Sums.Insts += S.Len;
-    D.Sums.Taken += Taken;
+    D.Sums.Insts += Run * S.Len;
+    D.Sums.Taken += Taken ? Run : 0;
     D.Last = packEvent(static_cast<BlockId>(Block), Taken);
     if (Fold) {
-      ++Fold[Block].Use;
-      Fold[Block].Taken += Taken;
+      Fold[Block].Use += Run;
+      Fold[Block].Taken += Taken ? Run : 0;
     }
-    if (Dst)
-      Dst[I] = D.Last;
+    if (Dst) {
+      // Eight stores without a loop cover any short run; the slots past
+      // it belong to later events, which overwrite them.
+      if (Run <= 8 && ExpectEvents - I >= 8)
+        for (unsigned K = 0; K < 8; ++K)
+          Dst[I + K] = D.Last;
+      else
+        std::fill(Dst + I, Dst + I + Run, D.Last);
+    }
+    I += Run;
   }
   if (Pos != Size)
     return Fail("trailing bytes after segment events");

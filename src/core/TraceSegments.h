@@ -26,7 +26,8 @@
 /// container in memory. Its readSegment() inflates one frame and decodes
 /// it through decodeSegmentEvents(), the one pass over a segment's
 /// inflated bytes: each event is decoded, range-checked, summed, and
-/// optionally folded into a counter table and stored, in the same loop.
+/// optionally folded into a counter table and stored, in the same loop
+/// (a run of repeated events, one zero-delta byte each, in one step).
 /// Every consumer is a loop over that call: readAll() decodes every
 /// segment (BlockTrace::decode() storing and folding, verifyAll() folding
 /// only, holding no event buffer) and ends with the whole-container check
@@ -104,7 +105,12 @@ struct SegmentDecode {
 /// below 0 or at or above the shape table's size, a taken bit on a block
 /// without a conditional branch, and trailing bytes, each with its own
 /// \p Error. On failure \p Out is restored to its size on entry, while
-/// \p Table may hold a partial fold.
+/// \p Table may hold a partial fold. A run of equal zero-delta bytes
+/// (0x00 or 0x01: the previous block again, as in a self-loop) is folded
+/// whole: checked once, summed and counted as Run events, and stored as
+/// Run copies, capped at the events still expected and the bytes left, so
+/// results and errors are those of an event-at-a-time walk. The encoding
+/// is unchanged.
 bool decodeSegmentEvents(std::string_view Raw, uint64_t ExpectEvents,
                          const std::vector<BlockShape> &Shapes,
                          std::vector<EventWord> *Out,

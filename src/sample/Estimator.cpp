@@ -30,6 +30,8 @@ Estimator::Estimator(const guest::Program &P, const cfg::Cfg &G,
   SampledOf.resize(N);
   assert(Decoded.size() == this->Plan.Chosen.size() &&
          "one decoded profile per chosen segment");
+  assert(std::is_sorted(this->Plan.Chosen.begin(), this->Plan.Chosen.end()) &&
+         "the curve tables sum each block's segments in ascending order");
   for (size_t C = 0; C < Decoded.size(); ++C) {
     const uint32_t Seg = this->Plan.Chosen[C];
     for (const SegmentProfile::Entry &E : Decoded[C].Entries)
@@ -56,17 +58,20 @@ Estimator::Estimator(const guest::Program &P, const cfg::Cfg &G,
 }
 
 Estimator::Curves::Curves(const Estimator &E, int ExcludeGroup)
-    : E(&E), ExcludeGroup(ExcludeGroup) {
+    : E(&E), ExcludeGroup(ExcludeGroup), Stride(E.Segments.size() + 1) {
   const size_t N = E.P.numBlocks();
   const size_t S = E.Segments.size();
   const size_t H = E.Plan.NumStrata;
 
   // The view: which chosen segments count as decoded, and the per-stratum
   // unsampled-event prefix sums the imputation spreads mass over.
-  InView.assign(S, 0);
-  SampledEvents.assign(H, 0.0);
-  StratumUnsampled.assign(H * (S + 1), 0.0);
-  UnsampledBefore.assign(S + 1, 0.0);
+  std::vector<uint8_t> InView(S, 0);
+  std::vector<double> SampledEvents(H, 0.0);
+  // StratumUnsampled[h * (S + 1) + k]: events of stratum h's unsampled
+  // (in this view) segments before segment k.
+  std::vector<double> StratumUnsampled(H * (S + 1), 0.0);
+  // All unsampled events before segment k.
+  std::vector<double> UnsampledBefore(S + 1, 0.0);
   for (size_t K = 0; K < S; ++K) {
     const size_t Ph = E.Plan.StratumOf[K];
     const bool Sampled =
@@ -86,45 +91,70 @@ Estimator::Curves::Curves(const Estimator &E, int ExcludeGroup)
     }
   }
 
-  // The calibrated rates over that view.
-  RateU.assign(N * H, 0.0);
-  RateT.assign(N * H, 0.0);
-  AlphaU.assign(N, 0.0);
-  AlphaT.assign(N, 0.0);
-  FbU.assign(N, 0.0);
-  FbT.assign(N, 0.0);
+  // Per block: the calibrated rates over that view, then the curve at
+  // every boundary. Each cell sums exactly as a per-query walk would — the
+  // in-view sampled prefix in ascending segment order (SampledOf is), the
+  // stratum terms in stratum order, then C + alpha * Raw + fb * U — so a
+  // table load is bit-identical to recomputing the cell.
   const double TotalUnsampled = S ? UnsampledBefore[S] : 0.0;
+  CumU.assign(N * Stride, 0.0);
+  CumT.assign(N * Stride, 0.0);
+  std::vector<double> RateU(H), RateT(H);
   for (size_t B = 0; B < N; ++B) {
+    std::fill(RateU.begin(), RateU.end(), 0.0);
+    std::fill(RateT.begin(), RateT.end(), 0.0);
     double SeenU = 0.0, SeenT = 0.0;
     for (const SampledSeg &Sg : E.SampledOf[B]) {
       if (!InView[Sg.Seg])
         continue;
       const size_t Ph = E.Plan.StratumOf[Sg.Seg];
-      RateU[B * H + Ph] += static_cast<double>(Sg.Use);
-      RateT[B * H + Ph] += static_cast<double>(Sg.Taken);
+      RateU[Ph] += static_cast<double>(Sg.Use);
+      RateT[Ph] += static_cast<double>(Sg.Taken);
       SeenU += static_cast<double>(Sg.Use);
       SeenT += static_cast<double>(Sg.Taken);
     }
     double RawU = 0.0, RawT = 0.0;
     for (size_t Ph = 0; Ph < H; ++Ph) {
       if (SampledEvents[Ph] > 0.0) {
-        RateU[B * H + Ph] /= SampledEvents[Ph];
-        RateT[B * H + Ph] /= SampledEvents[Ph];
+        RateU[Ph] /= SampledEvents[Ph];
+        RateT[Ph] /= SampledEvents[Ph];
       }
       const double Un = StratumUnsampled[Ph * (S + 1) + S];
-      RawU += RateU[B * H + Ph] * Un;
-      RawT += RateT[B * H + Ph] * Un;
+      RawU += RateU[Ph] * Un;
+      RawT += RateT[Ph] * Un;
     }
     const double RemU = static_cast<double>(E.Final[B].Use) - SeenU;
     const double RemT = static_cast<double>(E.Final[B].Taken) - SeenT;
+    double AlphaU = 0.0, AlphaT = 0.0, FbU = 0.0, FbT = 0.0;
     if (RawU > 1e-12)
-      AlphaU[B] = RemU / RawU;
+      AlphaU = RemU / RawU;
     else if (TotalUnsampled > 0.0)
-      FbU[B] = RemU / TotalUnsampled;
+      FbU = RemU / TotalUnsampled;
     if (RawT > 1e-12)
-      AlphaT[B] = RemT / RawT;
+      AlphaT = RemT / RawT;
     else if (TotalUnsampled > 0.0)
-      FbT[B] = RemT / TotalUnsampled;
+      FbT = RemT / TotalUnsampled;
+
+    double *RowU = CumU.data() + B * Stride;
+    double *RowT = CumT.data() + B * Stride;
+    const std::vector<SampledSeg> &Own = E.SampledOf[B];
+    size_t Next = 0;
+    double CU = 0.0, CT = 0.0;
+    for (size_t K = 0; K <= S; ++K) {
+      // Fold in the in-view segments before boundary K.
+      for (; Next < Own.size() && Own[Next].Seg < K; ++Next)
+        if (InView[Own[Next].Seg]) {
+          CU += static_cast<double>(Own[Next].Use);
+          CT += static_cast<double>(Own[Next].Taken);
+        }
+      double ImpU = 0.0, ImpT = 0.0;
+      for (size_t Ph = 0; Ph < H; ++Ph) {
+        ImpU += RateU[Ph] * StratumUnsampled[Ph * (S + 1) + K];
+        ImpT += RateT[Ph] * StratumUnsampled[Ph * (S + 1) + K];
+      }
+      RowU[K] = CU + AlphaU * ImpU + FbU * UnsampledBefore[K];
+      RowT[K] = CT + AlphaT * ImpT + FbT * UnsampledBefore[K];
+    }
   }
 }
 
@@ -132,58 +162,46 @@ Estimator::Curves Estimator::curves(int ExcludeGroup) const {
   return Curves(*this, ExcludeGroup);
 }
 
-/// Exact over in-view sampled segments, imputed elsewhere; ends at the
-/// final counter by construction.
-double Estimator::Curves::cum(size_t B, size_t K, bool Taken) const {
-  const size_t S = E->Segments.size();
-  const size_t H = E->Plan.NumStrata;
-  double C = 0.0;
-  for (const SampledSeg &Sg : E->SampledOf[B])
-    if (Sg.Seg < K && InView[Sg.Seg])
-      C += static_cast<double>(Taken ? Sg.Taken : Sg.Use);
-  const std::vector<double> &Rate = Taken ? RateT : RateU;
-  double Raw = 0.0;
-  for (size_t Ph = 0; Ph < H; ++Ph)
-    Raw += Rate[B * H + Ph] * StratumUnsampled[Ph * (S + 1) + K];
-  return C + (Taken ? AlphaT : AlphaU)[B] * Raw +
-         (Taken ? FbT : FbU)[B] * UnsampledBefore[K];
-}
-
-/// Linear interpolation within a segment turns the boundary sums into a
-/// continuous, monotone per-block counter curve over event positions.
-double Estimator::Curves::valueAt(size_t B, double Pos, bool Taken) const {
-  const size_t S = E->Segments.size();
-  if (S == 0)
-    return 0.0;
+Estimator::Curves::At Estimator::Curves::locate(double Pos) const {
+  const size_t S = Stride - 1;
+  assert(S > 0 && "a position lies inside some segment");
   const std::vector<double> &Before = E->EventsBefore;
   size_t K = static_cast<size_t>(
       std::upper_bound(Before.begin(), Before.end(), Pos) - Before.begin());
   K = std::min(K > 0 ? K - 1 : 0, S - 1);
-  const double C0 = cum(B, K, Taken);
-  const double C1 = cum(B, K + 1, Taken);
   const double Width = Before[K + 1] - Before[K];
   const double F =
       Width > 0.0 ? std::clamp((Pos - Before[K]) / Width, 0.0, 1.0) : 1.0;
-  return C0 + F * (C1 - C0);
+  return {K, F};
+}
+
+/// Linear interpolation within a segment turns the boundary values into a
+/// continuous, monotone per-block counter curve over event positions.
+double Estimator::Curves::valueAt(size_t B, At A, bool Taken) const {
+  const double *Row = (Taken ? CumT : CumU).data() + B * Stride + A.K;
+  const double C0 = Row[0];
+  const double C1 = Row[1];
+  return C0 + A.F * (C1 - C0);
 }
 
 /// Binary search over segment boundaries, interpolation inside.
 double Estimator::Curves::crossingPos(size_t B, uint64_t J) const {
-  const size_t S = E->Segments.size();
+  const size_t S = Stride - 1;
+  const double *Row = CumU.data() + B * Stride;
   const double Target = static_cast<double>(J);
   const double Eps = 1e-7 * Target + 1e-9;
   size_t Lo = 0, Hi = S;
   while (Lo < Hi) {
     const size_t Mid = (Lo + Hi) / 2;
-    if (cum(B, Mid, /*Taken=*/false) >= Target - Eps)
+    if (Row[Mid] >= Target - Eps)
       Hi = Mid;
     else
       Lo = Mid + 1;
   }
   if (Lo == 0)
     return 0.0;
-  const double C0 = cum(B, Lo - 1, false);
-  const double C1 = cum(B, Lo, false);
+  const double C0 = Row[Lo - 1];
+  const double C1 = Row[Lo];
   const double F =
       C1 > C0 ? std::clamp((Target - C0) / (C1 - C0), 0.0, 1.0) : 1.0;
   const std::vector<double> &Before = E->EventsBefore;
@@ -241,11 +259,12 @@ profile::ProfileSnapshot Estimator::estimate(const dbt::DbtOptions &Base,
     std::vector<profile::BlockCounters> SharedAt(N);
     auto fireTrigger = [&](double Pos, BlockId CrossBlock,
                            uint64_t CrossUse) {
+      const Curves::At At = C.locate(Pos); // one segment for every block
       for (size_t B = 0; B < N; ++B) {
         uint64_t U = static_cast<uint64_t>(std::llround(
-            std::max(0.0, C.valueAt(B, Pos, /*Taken=*/false))));
+            std::max(0.0, C.valueAt(B, At, /*Taken=*/false))));
         uint64_t Tk = static_cast<uint64_t>(std::llround(
-            std::max(0.0, C.valueAt(B, Pos, /*Taken=*/true))));
+            std::max(0.0, C.valueAt(B, At, /*Taken=*/true))));
         U = std::min(U, Final[B].Use);
         if (B == CrossBlock)
           U = CrossUse;
@@ -349,14 +368,16 @@ profile::ProfileSnapshot Estimator::replicate(const dbt::DbtOptions &Base,
   double MemberInstsD = 0.0;
   for (const FreezeInfo::FrozenBlock &FB : Info.Frozen) {
     const size_t B = FB.Block;
+    // A frozen block froze at a trigger, and triggers need a segment.
+    const Curves::At At = C.locate(FB.Pos);
     uint64_t U = FB.Forced
                      ? FB.Forced
                      : static_cast<uint64_t>(std::llround(std::max(
-                           0.0, C.valueAt(B, FB.Pos, /*Taken=*/false))));
+                           0.0, C.valueAt(B, At, /*Taken=*/false))));
     if (!FB.Forced)
       U = std::min(std::max(U, T), Final[B].Use); // it was in the pool
     uint64_t Tk = static_cast<uint64_t>(std::llround(
-        std::max(0.0, C.valueAt(B, FB.Pos, /*Taken=*/true))));
+        std::max(0.0, C.valueAt(B, At, /*Taken=*/true))));
     Tk = std::min({Tk, U, Final[B].Taken});
     Snap.Blocks[B] = {U, Tk};
 

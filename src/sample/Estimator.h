@@ -62,8 +62,12 @@
 /// threshold, so they are built once per view (curves()) and passed to
 /// every estimate() or replicate() of that view: a sweep over U
 /// thresholds with G groups builds G + 1 curve sets, not (G + 1) * U.
-/// All methods are const and safe to call concurrently, and a Curves
-/// object may be shared between threads.
+/// A curve set is a table of every block's cumulative use and taken
+/// counters at every segment boundary (N * (S + 1) * 16 bytes), so each
+/// query is a load or a binary search over one block's row, and a trigger
+/// locates its position once for all N blocks. All methods are const and
+/// safe to call concurrently, and a Curves object may be shared between
+/// threads.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -121,20 +125,34 @@ public:
             uint64_t TotalInsts, uint64_t TakenTotal, SamplePlan Plan,
             std::vector<SegmentProfile> Decoded);
 
-  /// One jackknife view's calibrated curves: the per-block per-stratum
-  /// rates, the alpha calibration to the final counters and the uniform
-  /// fallback, plus the curve queries (see the file comment). Built once
-  /// per view by curves() and then shared, read-only, by every threshold
-  /// that view serves. Tied to the Estimator that built it.
+  /// One jackknife view's calibrated curves, tabulated: every block's
+  /// estimated cumulative use and taken counters at every segment
+  /// boundary (see the file comment), from which the curve queries
+  /// interpolate. Built once per view by curves() and then shared,
+  /// read-only, by every threshold that view serves. Tied to the
+  /// Estimator that built it.
   class Curves {
+  public:
+    /// Estimated cumulative counter of block \p B at the segment-\p K
+    /// boundary, K in [0, segments].
+    double cum(size_t B, size_t K, bool Taken) const {
+      return (Taken ? CumT : CumU)[B * Stride + K];
+    }
+
+  private:
     friend class Estimator;
     Curves(const Estimator &E, int ExcludeGroup);
 
-    /// Estimated cumulative counter of block \p B at the segment-\p K
-    /// boundary.
-    double cum(size_t B, size_t K, bool Taken) const;
-    /// The counter curve at event position \p Pos.
-    double valueAt(size_t B, double Pos, bool Taken) const;
+    /// An event position as its segment and in-segment fraction: what
+    /// every block's curve interpolates between boundaries at.
+    struct At {
+      size_t K = 0;
+      double F = 0.0;
+    };
+    /// Locates \p Pos; needs at least one segment.
+    At locate(double Pos) const;
+    /// The counter curve of block \p B at a located position.
+    double valueAt(size_t B, At A, bool Taken) const;
     /// Inverse of the use curve: the estimated position of block \p B's
     /// \p J-th occurrence.
     double crossingPos(size_t B, uint64_t J) const;
@@ -143,15 +161,10 @@ public:
     /// The group this view imputes instead of decoding; -1 = the full
     /// sample.
     int ExcludeGroup;
-    std::vector<uint8_t> InView;       ///< per segment
-    std::vector<double> SampledEvents; ///< per stratum
-    /// StratumUnsampled[h * (S + 1) + k]: events of stratum h's unsampled
-    /// (in this view) segments before segment k.
-    std::vector<double> StratumUnsampled;
-    /// All unsampled events before segment k.
-    std::vector<double> UnsampledBefore;
-    std::vector<double> RateU, RateT;
-    std::vector<double> AlphaU, AlphaT, FbU, FbT;
+    /// Row length: segments + 1 boundaries.
+    size_t Stride;
+    /// CumU/CumT[b * Stride + k] = cum(b, k, false / true).
+    std::vector<double> CumU, CumT;
   };
 
   /// The curves of the view that imputes group \p ExcludeGroup's segments

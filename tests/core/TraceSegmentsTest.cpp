@@ -235,6 +235,182 @@ TEST(TraceSegmentsTest, DecoderRejectsEachMalformedEvent) {
   Rejects(Event(int64_t(1) << 40, false), 1, "block id out of range");
 }
 
+namespace {
+
+/// An event-at-a-time decoder with decodeSegmentEvents()'s contract and
+/// errors: one varint, one check, one sum and one fold per event, with no
+/// run fold. The decode-run test checks the library against it.
+bool referenceDecode(std::string_view Raw, uint64_t ExpectEvents,
+                     const std::vector<BlockShape> &Shapes,
+                     std::vector<EventWord> *Out,
+                     std::vector<profile::BlockCounters> *Table,
+                     SegmentDecode &Result, std::string *Error) {
+  const size_t From = Out ? Out->size() : 0;
+  auto Fail = [&](const char *Msg) {
+    if (Error)
+      *Error = Msg;
+    if (Out)
+      Out->resize(From);
+    return false;
+  };
+  if (ExpectEvents > Raw.size())
+    return Fail("truncated segment event");
+  const auto *Bytes = reinterpret_cast<const uint8_t *>(Raw.data());
+  const auto NumBlocks = static_cast<int64_t>(Shapes.size());
+  SegmentDecode D;
+  size_t Pos = 0;
+  int64_t Block = 0;
+  for (uint64_t I = 0; I < ExpectEvents; ++I) {
+    if (Pos == Raw.size())
+      return Fail("truncated segment event");
+    uint64_t Packed = Bytes[Pos++];
+    if (Packed >= 0x80) {
+      Packed &= 0x7f;
+      for (unsigned Shift = 7;; Shift += 7) {
+        if (Shift > 63)
+          return Fail("segment event varint wider than 64 bits");
+        if (Pos == Raw.size())
+          return Fail("truncated segment event");
+        const uint8_t Byte = Bytes[Pos++];
+        Packed |= static_cast<uint64_t>(Byte & 0x7f) << Shift;
+        if (!(Byte & 0x80))
+          break;
+      }
+    }
+    Block += zigzagDecode(Packed >> 1);
+    if (Block < 0)
+      return Fail("block delta below block 0");
+    if (Block >= NumBlocks)
+      return Fail("block id out of range");
+    const bool Taken = Packed & 1;
+    if (Taken && !Shapes[Block].Cond)
+      return Fail("taken bit on a block without a conditional branch");
+    D.Sums.Insts += Shapes[Block].Len;
+    D.Sums.Taken += Taken;
+    D.Last = core::packEvent(static_cast<guest::BlockId>(Block), Taken);
+    if (Table) {
+      ++(*Table)[Block].Use;
+      (*Table)[Block].Taken += Taken;
+    }
+    if (Out)
+      Out->push_back(D.Last);
+  }
+  if (Pos != Raw.size())
+    return Fail("trailing bytes after segment events");
+  Result = D;
+  return true;
+}
+
+} // namespace
+
+TEST(TraceSegmentsTest, DecodeRunsMatchEventAtATimeDecode) {
+  // Block 0 and 2 end in conditional branches, block 1 does not, so runs
+  // of 0x01 (taken, zero delta) are legal on 0 and 2 and rejected on 1.
+  const std::vector<BlockShape> Shapes = {
+      BlockShape{4, true}, BlockShape{7, false}, BlockShape{2, true}};
+  auto Event = [](int64_t Delta, bool Taken) {
+    std::string Out;
+    putVarint(Out, zigzagEncode(Delta) << 1 | (Taken ? 1 : 0));
+    return Out;
+  };
+  auto Run = [](char Byte, size_t N) { return std::string(N, Byte); };
+  size_t Accepted = 0, Rejected = 0;
+  auto agree = [&](const std::string &Raw, uint64_t Expect,
+                   const std::string &Label) {
+    for (bool WithOut : {false, true}) {
+      const std::vector<EventWord> Prefix = {core::packEvent(1, false), 9};
+      std::vector<EventWord> GotOut = Prefix, WantOut = Prefix;
+      std::vector<profile::BlockCounters> GotTable(Shapes.size()),
+          WantTable(Shapes.size());
+      SegmentDecode Got, Want;
+      Got.Last = Want.Last = 0x55; // untouched on failure
+      std::string GotError = "none", WantError = "none";
+      const bool GotOk =
+          decodeSegmentEvents(Raw, Expect, Shapes, WithOut ? &GotOut : nullptr,
+                              &GotTable, Got, &GotError);
+      const bool WantOk =
+          referenceDecode(Raw, Expect, Shapes, WithOut ? &WantOut : nullptr,
+                          &WantTable, Want, &WantError);
+      ASSERT_EQ(GotOk, WantOk) << Label;
+      ASSERT_EQ(GotError, WantError) << Label;
+      ASSERT_EQ(GotOut, WantOut) << Label;
+      for (size_t B = 0; B < Shapes.size(); ++B) {
+        ASSERT_EQ(GotTable[B].Use, WantTable[B].Use) << Label << " " << B;
+        ASSERT_EQ(GotTable[B].Taken, WantTable[B].Taken) << Label << " " << B;
+      }
+      ASSERT_EQ(Got.Sums.Insts, Want.Sums.Insts) << Label;
+      ASSERT_EQ(Got.Sums.Taken, Want.Sums.Taken) << Label;
+      ASSERT_EQ(Got.Last, Want.Last) << Label;
+      Accepted += GotOk;
+      Rejected += !GotOk;
+    }
+  };
+  // Every case at its exact event count and at counts around it.
+  auto agreeAround = [&](const std::string &Raw, uint64_t Exact,
+                         const std::string &Label) {
+    for (uint64_t Expect :
+         {Exact, Exact - 1, Exact + 1, Exact / 2, uint64_t(1)})
+      agree(Raw, Expect, Label + " expect " + std::to_string(Expect));
+  };
+
+  // A run at event 0 repeats block 0, where every delta chain starts.
+  agreeAround(Run('\x00', 5) + Event(1, false) + Event(-1, true), 7,
+              "run at event 0");
+  agreeAround(Run('\x01', 9), 9, "taken run at event 0");
+  // A run the directory row cuts short: the rest are trailing bytes.
+  agree(Event(2, true) + Run('\x00', 40), 20, "run past the expected count");
+  agree(Event(2, false) + Run('\x01', 40), 41, "taken run at the count");
+  // The bytes end inside a run (the up-front size check cannot see it
+  // when a multi-byte varint precedes the run).
+  agree(Event(2, false) + Event(200, true).substr(0, 1) + Run('\x00', 3), 5,
+        "truncated varint before a run");
+  agree(Event(2, false) + Run('\x00', 6), 8, "truncated mid-run");
+  // A taken run on the block without a conditional branch.
+  agreeAround(Event(1, false) + Run('\x00', 4) + Run('\x01', 4), 9,
+              "taken run on block 1");
+  agreeAround(Event(1, true) + Run('\x01', 3), 4, "taken first on block 1");
+  // Adjacent 0x00 and 0x01 runs, and a run on a block left out of range.
+  agreeAround(Event(2, false) + Run('\x00', 17) + Run('\x01', 23) +
+                  Run('\x00', 2) + Event(-2, true) + Run('\x01', 11),
+              56, "adjacent runs");
+  agreeAround(Event(3, false) + Run('\x00', 12), 13, "run out of range");
+  // Runs around the 8-byte steps the scan takes, ending at and short of
+  // the segment's last event.
+  for (size_t N : {7, 8, 9, 15, 16, 17}) {
+    agreeAround(Event(2, true) + Run('\x01', N) + Event(-2, false) +
+                    Run('\x00', N),
+                2 * N + 2, "runs of " + std::to_string(N));
+    agreeAround(Event(2, false) + Run('\x00', N), N + 1,
+                "final run of " + std::to_string(N));
+  }
+  // A run longer than 64Ki events, with an unaligned start.
+  agreeAround(Event(2, true) + Event(-2, false) + Event(0, false) +
+                  Run('\x01', 70001) + Event(2, false) + Run('\x00', 65537),
+              135541, "runs past 64Ki");
+  // Random run-heavy streams over the three blocks, at random counts.
+  Rng R(0x2a);
+  for (int Trial = 0; Trial < 400; ++Trial) {
+    std::string Raw;
+    int64_t Block = 0;
+    uint64_t Events = 0;
+    while (Raw.size() < 200) {
+      const int64_t Next =
+          R.nextBelow(4) == 0 ? static_cast<int64_t>(R.nextBelow(4)) : Block;
+      const bool Taken = R.nextBelow(2);
+      const size_t N = 1 + R.nextBelow(R.nextBelow(2) ? 3 : 30);
+      Raw += Event(Next - Block, Taken);
+      Raw += Run(Taken ? '\x01' : '\x00', N - 1);
+      Block = Next;
+      Events += N;
+    }
+    agree(Raw, Events - 3 + R.nextBelow(7),
+          "random stream " + std::to_string(Trial));
+  }
+  // Both outcomes occur.
+  EXPECT_GT(Accepted, 0u);
+  EXPECT_GT(Rejected, 0u);
+}
+
 TEST(TraceSegmentsTest, WideBlockDeltasRoundTrip) {
   // Real traces take one byte per event; a 300-block table with deltas
   // of 64 and more in both directions drives every event through the

@@ -136,9 +136,10 @@ TEST_P(SuitePropertyTest, InipInvariantsAtEveryThreshold) {
       EXPECT_EQ(Inip.Blocks[B].Taken, Avep.Blocks[B].Taken);
     }
     // Profiling ops shrink monotonically with smaller thresholds.
-    if (TI > 0)
+    if (TI > 0) {
       EXPECT_LE(D.Sweep.PerThreshold[TI - 1].ProfilingOps,
                 Inip.ProfilingOps);
+    }
     EXPECT_LE(Inip.ProfilingOps, Avep.ProfilingOps);
   }
 }

@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <unistd.h>
@@ -193,6 +194,175 @@ TEST(SampledReplayTest, SharedViewsMatchPerUnitViews) {
           << "T=" << Thresholds[I] << " group " << Gr;
     }
   }
+}
+
+namespace {
+
+/// The curve of one view, computed per query the way the estimator once
+/// did on every call: the in-view sampled mass before boundary K, summed
+/// over the block's decoded segments in ascending order, plus the
+/// alpha-calibrated stratum-rate imputation and the uniform fallback.
+/// Built from drawSample's public output only.
+class CurveOracle {
+public:
+  CurveOracle(const DrawnSample &D,
+              const std::vector<profile::BlockCounters> &Final,
+              int ExcludeGroup)
+      : D(D) {
+    const size_t N = Final.size();
+    const size_t S = D.Segments.size();
+    const size_t H = D.Plan.NumStrata;
+    InView.assign(S, 0);
+    std::vector<double> SampledEvents(H, 0.0);
+    StratumUnsampled.assign(H * (S + 1), 0.0);
+    UnsampledBefore.assign(S + 1, 0.0);
+    for (size_t K = 0; K < S; ++K) {
+      const size_t Ph = D.Plan.StratumOf[K];
+      const bool Sampled =
+          D.Plan.IsChosen[K] &&
+          (ExcludeGroup < 0 || D.Plan.GroupOf[K] != ExcludeGroup);
+      InView[K] = Sampled;
+      const double Ev = static_cast<double>(D.Segments[K].Events);
+      for (size_t Ph2 = 0; Ph2 < H; ++Ph2)
+        StratumUnsampled[Ph2 * (S + 1) + K + 1] =
+            StratumUnsampled[Ph2 * (S + 1) + K];
+      UnsampledBefore[K + 1] = UnsampledBefore[K];
+      if (Sampled) {
+        SampledEvents[Ph] += Ev;
+      } else {
+        StratumUnsampled[Ph * (S + 1) + K + 1] += Ev;
+        UnsampledBefore[K + 1] += Ev;
+      }
+    }
+    // Per block: (segment, use, taken) of each decoded segment, in
+    // Plan.Chosen (ascending) order.
+    Own.resize(N);
+    for (size_t C = 0; C < D.Decoded.size(); ++C)
+      for (const core::SegmentProfile::Entry &E : D.Decoded[C].Entries)
+        Own[E.Block].push_back({D.Plan.Chosen[C], E.Use, E.Taken});
+    RateU.assign(N * H, 0.0);
+    RateT.assign(N * H, 0.0);
+    AlphaU.assign(N, 0.0);
+    AlphaT.assign(N, 0.0);
+    FbU.assign(N, 0.0);
+    FbT.assign(N, 0.0);
+    const double TotalUnsampled = S ? UnsampledBefore[S] : 0.0;
+    for (size_t B = 0; B < N; ++B) {
+      double SeenU = 0.0, SeenT = 0.0;
+      for (const Seg &Sg : Own[B]) {
+        if (!InView[Sg.Id])
+          continue;
+        const size_t Ph = D.Plan.StratumOf[Sg.Id];
+        RateU[B * H + Ph] += static_cast<double>(Sg.Use);
+        RateT[B * H + Ph] += static_cast<double>(Sg.Taken);
+        SeenU += static_cast<double>(Sg.Use);
+        SeenT += static_cast<double>(Sg.Taken);
+      }
+      double RawU = 0.0, RawT = 0.0;
+      for (size_t Ph = 0; Ph < H; ++Ph) {
+        if (SampledEvents[Ph] > 0.0) {
+          RateU[B * H + Ph] /= SampledEvents[Ph];
+          RateT[B * H + Ph] /= SampledEvents[Ph];
+        }
+        const double Un = StratumUnsampled[Ph * (S + 1) + S];
+        RawU += RateU[B * H + Ph] * Un;
+        RawT += RateT[B * H + Ph] * Un;
+      }
+      const double RemU = static_cast<double>(Final[B].Use) - SeenU;
+      const double RemT = static_cast<double>(Final[B].Taken) - SeenT;
+      if (RawU > 1e-12)
+        AlphaU[B] = RemU / RawU;
+      else if (TotalUnsampled > 0.0)
+        FbU[B] = RemU / TotalUnsampled;
+      if (RawT > 1e-12)
+        AlphaT[B] = RemT / RawT;
+      else if (TotalUnsampled > 0.0)
+        FbT[B] = RemT / TotalUnsampled;
+    }
+  }
+
+  double cum(size_t B, size_t K, bool Taken) const {
+    const size_t S = D.Segments.size();
+    const size_t H = D.Plan.NumStrata;
+    double C = 0.0;
+    for (const Seg &Sg : Own[B])
+      if (Sg.Id < K && InView[Sg.Id])
+        C += static_cast<double>(Taken ? Sg.Taken : Sg.Use);
+    const std::vector<double> &Rate = Taken ? RateT : RateU;
+    double Raw = 0.0;
+    for (size_t Ph = 0; Ph < H; ++Ph)
+      Raw += Rate[B * H + Ph] * StratumUnsampled[Ph * (S + 1) + K];
+    return C + (Taken ? AlphaT : AlphaU)[B] * Raw +
+           (Taken ? FbT : FbU)[B] * UnsampledBefore[K];
+  }
+
+private:
+  struct Seg {
+    uint32_t Id;
+    uint64_t Use, Taken;
+  };
+  const DrawnSample &D;
+  std::vector<uint8_t> InView;
+  std::vector<double> StratumUnsampled, UnsampledBefore;
+  std::vector<std::vector<Seg>> Own;
+  std::vector<double> RateU, RateT, AlphaU, AlphaT, FbU, FbT;
+};
+
+uint64_t bitsOf(double V) {
+  uint64_t B;
+  std::memcpy(&B, &V, sizeof B);
+  return B;
+}
+
+} // namespace
+
+// Every cell of every view's curve table — full sample and each group,
+// every block, every segment boundary, use and taken — must be the very
+// double the per-query oracle computes, over several seeds and budgets
+// and a single-stratum plan.
+TEST(SampledReplayTest, CurveTablesMatchPerQueryCurves) {
+  auto B = bench("vpr", 0.02);
+  BlockTrace T = BlockTrace::record(B.Ref, 60000);
+  const cfg::Cfg G(B.Ref);
+  struct Case {
+    double Budget;
+    unsigned MaxPhases;
+  };
+  const Case Cases[] = {{0.10, 8}, {0.25, 8}, {1.0, 8}, {0.25, 1}};
+  size_t Cells = 0;
+  for (const Case &Cs : Cases)
+    for (uint64_t Seed : {uint64_t(1), uint64_t(7), uint64_t(0x5eed)}) {
+      SampleConfig Cfg = stratified(Cs.Budget);
+      Cfg.MaxPhases = Cs.MaxPhases;
+      core::SegmentedTraceReader Reader = readerOf(T, 512);
+      DrawnSample Drawn;
+      std::string Error;
+      ASSERT_TRUE(drawSample(Reader, Cfg, Seed, Drawn, &Error)) << Error;
+      if (Cs.MaxPhases == 1) {
+        ASSERT_EQ(Drawn.Plan.NumStrata, 1u);
+      }
+      const core::SegmentedTraceHeader &H = Reader.header();
+      const Estimator Est(B.Ref, G, Drawn.Segments, H.Final, H.NumEvents,
+                          H.TotalInsts, H.takenEvents(), Drawn.Plan,
+                          Drawn.Decoded);
+      const size_t S = Drawn.Segments.size();
+      ASSERT_GT(S, 2u);
+      for (int View = -1; View < static_cast<int>(Est.numGroups()); ++View) {
+        const Estimator::Curves Table = Est.curves(View);
+        const CurveOracle Oracle(Drawn, H.Final, View);
+        for (size_t Blk = 0; Blk < H.NumBlocks; ++Blk)
+          for (size_t K = 0; K <= S; ++K)
+            for (bool Taken : {false, true}) {
+              ASSERT_EQ(bitsOf(Table.cum(Blk, K, Taken)),
+                        bitsOf(Oracle.cum(Blk, K, Taken)))
+                  << "budget " << Cs.Budget << " phases " << Cs.MaxPhases
+                  << " seed " << Seed << " view " << View << " block "
+                  << Blk << " boundary " << K << " taken " << Taken;
+              ++Cells;
+            }
+      }
+    }
+  EXPECT_GT(Cells, 0u);
 }
 
 TEST(SampledReplayTest, WiderBudgetNarrowsIntervals) {
