@@ -86,6 +86,7 @@ void BM_SampledSweep(benchmark::State &State) {
   sample::SampleConfig Cfg;
   Cfg.Kind = sample::SampleConfig::Mode::Stratified;
   Cfg.BudgetFrac = 0.25;
+  const cfg::Cfg G(S.B.Ref);
   double SampledFrac = 0.0;
   for (auto _ : State) {
     core::SegmentedTraceReader Reader;
@@ -95,7 +96,7 @@ void BM_SampledSweep(benchmark::State &State) {
       return;
     }
     sample::SampledSweep Out;
-    if (!sample::sampledSweep(Reader, S.B.Ref, core::paperThresholds(),
+    if (!sample::sampledSweep(Reader, S.B.Ref, G, core::paperThresholds(),
                               dbt::DbtOptions(), Cfg, Cfg.Seed, 1, Out,
                               &Error)) {
       State.SkipWithError(Error.c_str());

@@ -112,14 +112,17 @@ uint64_t ExperimentConfig::fingerprint() const {
 namespace {
 
 /// INIP(train): the profiling-only average of the training input, a
-/// closed form of its stream totals \p T.
+/// closed form of its stream totals \p T. The training program is the
+/// reference one with another memory image, so \p G, the reference CFG,
+/// is its CFG too.
 profile::ProfileSnapshot trainAverage(const std::string &Name,
                                       const GeneratedBenchmark &B,
+                                      const cfg::Cfg &G,
                                       const dbt::DbtOptions &Dbt,
                                       const TraceTotals &T) {
   profile::ProfileSnapshot S =
-      dbt::profilingAverage(B.Train, cfg::Cfg(B.Train), Dbt, T.Final,
-                            T.NumEvents, T.TakenEvents, T.TotalInsts);
+      dbt::profilingAverage(B.Train, G, Dbt, T.Final, T.NumEvents,
+                            T.TakenEvents, T.TotalInsts);
   S.Benchmark = Name;
   S.Input = "train";
   return S;
@@ -132,8 +135,9 @@ ExperimentContext::ExperimentContext(ExperimentConfig Config)
       Traces(std::make_shared<TraceCache>(this->Config.CacheDir)) {}
 
 ExperimentContext::ExperimentContext(ExperimentConfig Config,
-                                     std::shared_ptr<TraceCache> Shared)
-    : Config(std::move(Config)), Traces(std::move(Shared)) {
+                                     std::shared_ptr<TraceCache> Shared,
+                                     ProfWriter *Writer)
+    : Config(std::move(Config)), Traces(std::move(Shared)), Writer(Writer) {
   assert(Traces && "shared trace cache must not be null");
 }
 
@@ -221,13 +225,23 @@ void ExperimentContext::storeCached(const std::string &Name,
   if (!ensureDirectory(Config.CacheDir))
     return;
   uint64_t SpecFp = specFingerprint(D.Bench->Spec);
+  // Formatting stays on this thread either way; with a writer, creating
+  // the files does not.
+  ProfWriter::Batch Files;
+  auto Store = [&](const std::string &Input, uint64_t T,
+                   const profile::ProfileSnapshot &S) {
+    std::string Path = cachePath(Name, SpecFp, Input, T);
+    if (Writer)
+      Files.emplace_back(std::move(Path), profile::printSnapshot(S));
+    else
+      writeTextFileAtomic(Path, profile::printSnapshot(S));
+  };
   for (const auto &[T, S] : D.Inips)
-    writeTextFileAtomic(cachePath(Name, SpecFp, "ref", T),
-                        profile::printSnapshot(S));
-  writeTextFileAtomic(cachePath(Name, SpecFp, "ref", 0),
-                      profile::printSnapshot(D.Avep));
-  writeTextFileAtomic(cachePath(Name, SpecFp, "train", 0),
-                      profile::printSnapshot(D.Train));
+    Store("ref", T, S);
+  Store("ref", 0, D.Avep);
+  Store("train", 0, D.Train);
+  if (Writer)
+    Writer->submit(std::move(Files));
 }
 
 void ExperimentContext::ensureProfiles(const std::string &Name,
@@ -303,7 +317,7 @@ void ExperimentContext::replayProfiles(const std::string &Name,
   // mode. A warm entry is verified segment by segment and never held as a
   // trace.
   D.Train = trainAverage(
-      Name, B, Config.Dbt,
+      Name, B, *D.Graph, Config.Dbt,
       Traces->totals(Name, "train", ExecFp, B.Train, MaxBlocks));
 
   auto End = std::chrono::steady_clock::now();
@@ -379,7 +393,7 @@ void ExperimentContext::ensureEstimates(const std::string &Name,
   sample::SampledSweep Sweep;
   std::string Error;
   auto sweepRef = [&](SegmentedTraceReader &Reader) {
-    return sample::sampledSweep(Reader, B.Ref, Config.Thresholds,
+    return sample::sampledSweep(Reader, B.Ref, *D.Graph, Config.Thresholds,
                                 Config.Dbt, Config.Sample, BenchSeed,
                                 ReplayJobs, Sweep, &Error);
   };
@@ -430,11 +444,12 @@ void ExperimentContext::ensureEstimates(const std::string &Name,
     SegmentedTraceReader Reader;
     if (Traces->openSegmented(Name, "train", ExecFp, B.Train, Reader,
                               nullptr)) {
-      D.Train = trainAverage(Name, B, Config.Dbt, Reader.header().totals());
+      D.Train = trainAverage(Name, B, *D.Graph, Config.Dbt,
+                             Reader.header().totals());
       Traces->noteSampleReplay(0, Reader.numSegments());
     } else {
       D.Train = trainAverage(
-          Name, B, Config.Dbt,
+          Name, B, *D.Graph, Config.Dbt,
           Traces->totals(Name, "train", ExecFp, B.Train, MaxBlocks));
     }
   }

@@ -47,6 +47,7 @@
 #define TPDBT_CORE_EXPERIMENT_H
 
 #include "cfg/Cfg.h"
+#include "core/ProfWriter.h"
 #include "core/Runner.h"
 #include "core/TraceCache.h"
 #include "profile/Profile.h"
@@ -203,9 +204,12 @@ public:
   /// TraceCache. The sweep daemon hands every per-configuration context
   /// the same process-wide cache, so clients asking about the same
   /// program at different policy knobs share one in-memory recording
-  /// (not just the disk layer). \p Shared must not be null.
+  /// (not just the disk layer). \p Shared must not be null. With a
+  /// \p Writer, .prof stores are handed to it instead of written inline
+  /// (see core/ProfWriter.h); it must outlive the context.
   ExperimentContext(ExperimentConfig Config,
-                    std::shared_ptr<TraceCache> Shared);
+                    std::shared_ptr<TraceCache> Shared,
+                    ProfWriter *Writer = nullptr);
 
   const ExperimentConfig &config() const { return Config; }
 
@@ -325,6 +329,9 @@ private:
   /// processes; never null. Either privately owned or, under the sweep
   /// daemon, one process-wide store shared by every context.
   std::shared_ptr<TraceCache> Traces;
+  /// Write-behind for .prof stores (the sweep daemon's); null writes them
+  /// inline on the computing thread.
+  ProfWriter *Writer = nullptr;
 };
 
 } // namespace core

@@ -2,7 +2,6 @@
 
 #include "sample/SampledReplay.h"
 
-#include "cfg/Cfg.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
@@ -107,6 +106,7 @@ bool tpdbt::sample::drawSample(core::SegmentedTraceReader &Reader,
 
 bool tpdbt::sample::sampledSweep(core::SegmentedTraceReader &Reader,
                                  const guest::Program &P,
+                                 const cfg::Cfg &G,
                                  const std::vector<uint64_t> &Thresholds,
                                  const dbt::DbtOptions &Base,
                                  const SampleConfig &Cfg, uint64_t Seed,
@@ -131,7 +131,6 @@ bool tpdbt::sample::sampledSweep(core::SegmentedTraceReader &Reader,
   for (uint32_t I : Drawn.Plan.Chosen)
     Out.Stats.DecodedEvents += Drawn.Segments[I].Events;
 
-  const cfg::Cfg G(P); // Estimator keeps a reference; must outlive it
   const Estimator Est(P, G, std::move(Drawn.Segments), H.Final, H.NumEvents,
                       H.TotalInsts, H.takenEvents(), std::move(Drawn.Plan),
                       std::move(Drawn.Decoded));
@@ -176,15 +175,23 @@ bool tpdbt::sample::sampledSweep(core::SegmentedTraceReader &Reader,
       Reps[Gr * U + I] = Est.replicate(Base, Unique[I], Infos[I], View);
   });
 
+  // Each slot moves out at its last use; only a duplicated threshold's
+  // earlier uses copy.
+  std::vector<size_t> LastUse(U);
+  for (size_t I = 0; I < Thresholds.size(); ++I)
+    LastUse[SlotOf[I]] = I;
+  auto Take = [&](profile::ProfileSnapshot &Slot, size_t I) {
+    return I == LastUse[SlotOf[I]] ? std::move(Slot) : Slot;
+  };
   Out.PerThreshold.resize(Thresholds.size());
   for (size_t I = 0; I < Thresholds.size(); ++I)
-    Out.PerThreshold[I] = Points[SlotOf[I]];
+    Out.PerThreshold[I] = Take(Points[SlotOf[I]], I);
   Out.Average = Est.average(Base);
   Out.Replicates.assign(Groups, {});
   for (uint32_t Gr = 0; Gr < Groups; ++Gr) {
     Out.Replicates[Gr].resize(Thresholds.size());
     for (size_t I = 0; I < Thresholds.size(); ++I)
-      Out.Replicates[Gr][I] = Reps[Gr * U + SlotOf[I]];
+      Out.Replicates[Gr][I] = Take(Reps[Gr * U + SlotOf[I]], I);
   }
   return true;
 }

@@ -123,9 +123,9 @@ bool drawSample(core::SegmentedTraceReader &Reader, const SampleConfig &Cfg,
 /// decodes on every draw. Non-finite budgets, zero-segment traces, and
 /// decode failures report through \p Error. Thresholds are estimated as
 /// given (duplicates share one unit); the average is exact (see
-/// Estimator::average).
+/// Estimator::average). \p G is \p P's CFG (callers hold one already).
 bool sampledSweep(core::SegmentedTraceReader &Reader, const guest::Program &P,
-                  const std::vector<uint64_t> &Thresholds,
+                  const cfg::Cfg &G, const std::vector<uint64_t> &Thresholds,
                   const dbt::DbtOptions &Base, const SampleConfig &Cfg,
                   uint64_t Seed, unsigned Jobs, SampledSweep &Out,
                   std::string *Error);

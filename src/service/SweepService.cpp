@@ -114,7 +114,8 @@ SweepService::contextFor(const core::ExperimentConfig &C) {
   auto It = Contexts.find(Fp);
   if (It == Contexts.end())
     It = Contexts
-             .emplace(Fp, std::make_unique<ExperimentContext>(C, SharedTraces))
+             .emplace(Fp, std::make_unique<ExperimentContext>(
+                              C, SharedTraces, &Writer))
              .first;
   // Map nodes are address-stable; the reference outlives the lock.
   return *It->second;
@@ -276,5 +277,9 @@ StatsMsg SweepService::statsCounters() const {
   Add("trace_evicted_bytes",
       T.EvictedBytes.load(std::memory_order_relaxed));
   Add("cache_max_bytes", core::cacheMaxBytes());
+  const ProfWriter::Counters &P = Writer.stats();
+  Add("prof_pending", P.Pending.load(std::memory_order_relaxed));
+  Add("prof_written", P.Written.load(std::memory_order_relaxed));
+  Add("prof_waits", P.Waits.load(std::memory_order_relaxed));
   return M;
 }

@@ -20,7 +20,12 @@
 ///    the disk store obeys one TPDBT_CACHE_MAX_BYTES budget;
 ///  - admission control: at most MaxActive computations (and therefore
 ///    recordings) run at once — excess leaders queue (Queued counter);
-///    per-client depth limits live in the Daemon, which sees connections.
+///    per-client depth limits live in the Daemon, which sees connections;
+///  - one .prof writer (core::ProfWriter, a one-worker pool behind a
+///    bounded queue) lent to every context: a computation formats its
+///    snapshots, queues them, and answers without waiting for the files.
+///    The writer outlives every context and drains on destruction, so a
+///    SHUTDOWN or signal exit leaves every queued file on disk.
 ///
 /// Stampede protection below this layer is unchanged: TraceCache's
 /// per-slot once-guards serialize same-key recordings and every cache
@@ -117,7 +122,8 @@ public:
   }
   const ServiceLimits &limits() const { return Limits; }
 
-  /// STATS reply payload: dispatch counters plus shared-cache counters.
+  /// STATS reply payload: dispatch counters, shared-cache counters, and
+  /// the .prof writer's.
   StatsMsg statsCounters() const;
 
   /// Test hook: when set, the computation leader calls this after taking
@@ -142,6 +148,10 @@ private:
   ServiceLimits Limits;
   /// The process-wide trace store every context records into.
   std::shared_ptr<core::TraceCache> SharedTraces;
+
+  /// Write-behind for every context's .prof stores. Declared before
+  /// Contexts: it outlives them all, and its destructor drains the queue.
+  core::ProfWriter Writer;
 
   mutable std::mutex CtxLock; ///< guards the context pool structure
   std::map<uint64_t, std::unique_ptr<core::ExperimentContext>> Contexts;

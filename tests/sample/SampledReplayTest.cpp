@@ -70,8 +70,9 @@ TEST(SampledReplayTest, AverageIsExact) {
   core::SegmentedTraceReader Reader = readerOf(T, 512);
   SampledSweep S;
   std::string Error;
-  ASSERT_TRUE(sampledSweep(Reader, B.Ref, {50, 500}, dbt::DbtOptions(),
-                           stratified(0.25), 0x5eed, 1, S, &Error))
+  ASSERT_TRUE(sampledSweep(Reader, B.Ref, cfg::Cfg(B.Ref), {50, 500},
+                           dbt::DbtOptions(), stratified(0.25), 0x5eed, 1, S,
+                           &Error))
       << Error;
   // The profiling-only average depends only on stream totals and the
   // final counter table — the sampled path reproduces it byte for byte.
@@ -89,8 +90,9 @@ TEST(SampledReplayTest, EstimatesCoverExactValues) {
   core::SegmentedTraceReader Reader = readerOf(T, 1024);
   SampledSweep S;
   std::string Error;
-  ASSERT_TRUE(sampledSweep(Reader, B.Ref, Thresholds, dbt::DbtOptions(),
-                           stratified(0.25), 0x5eed, 1, S, &Error))
+  ASSERT_TRUE(sampledSweep(Reader, B.Ref, cfg::Cfg(B.Ref), Thresholds,
+                           dbt::DbtOptions(), stratified(0.25), 0x5eed, 1, S,
+                           &Error))
       << Error;
   ASSERT_EQ(S.PerThreshold.size(), Thresholds.size());
   EXPECT_LT(S.Stats.Decoded, S.Stats.Segments);
@@ -124,8 +126,9 @@ TEST(SampledReplayTest, DeterministicAcrossJobCounts) {
     core::SegmentedTraceReader Reader = readerOf(T, 512);
     SampledSweep S;
     std::string Error;
-    EXPECT_TRUE(sampledSweep(Reader, B.Ref, Thresholds, dbt::DbtOptions(),
-                             stratified(0.3), 0x1234, Jobs, S, &Error))
+    EXPECT_TRUE(sampledSweep(Reader, B.Ref, cfg::Cfg(B.Ref), Thresholds,
+                             dbt::DbtOptions(), stratified(0.3), 0x1234, Jobs,
+                             S, &Error))
         << Error;
     return S;
   };
@@ -157,8 +160,8 @@ TEST(SampledReplayTest, SharedViewsMatchPerUnitViews) {
     core::SegmentedTraceReader Reader = readerOf(T, 512);
     SampledSweep S;
     std::string Error;
-    EXPECT_TRUE(sampledSweep(Reader, B.Ref, Thresholds, Base, Cfg, Seed,
-                             Jobs, S, &Error))
+    EXPECT_TRUE(sampledSweep(Reader, B.Ref, cfg::Cfg(B.Ref), Thresholds, Base,
+                             Cfg, Seed, Jobs, S, &Error))
         << Error;
     return S;
   };
@@ -375,8 +378,9 @@ TEST(SampledReplayTest, WiderBudgetNarrowsIntervals) {
     core::SegmentedTraceReader Reader = readerOf(T, 1024);
     SampledSweep S;
     std::string Error;
-    EXPECT_TRUE(sampledSweep(Reader, B.Ref, Thresholds, dbt::DbtOptions(),
-                             stratified(Budget), 0x5eed, 1, S, &Error))
+    EXPECT_TRUE(sampledSweep(Reader, B.Ref, cfg::Cfg(B.Ref), Thresholds,
+                             dbt::DbtOptions(), stratified(Budget), 0x5eed, 1,
+                             S, &Error))
         << Error;
     double Sum = 0.0;
     for (size_t I = 0; I < Thresholds.size(); ++I)
@@ -398,8 +402,9 @@ TEST(SampledReplayTest, DiskAndMemorySourcesAgree) {
   core::SegmentedTraceReader Mem = readerOf(T, Budget);
   SampledSweep A;
   std::string Error;
-  ASSERT_TRUE(sampledSweep(Mem, B.Ref, Thresholds, dbt::DbtOptions(),
-                           stratified(0.25), 0x77, 1, A, &Error))
+  ASSERT_TRUE(sampledSweep(Mem, B.Ref, cfg::Cfg(B.Ref), Thresholds,
+                           dbt::DbtOptions(), stratified(0.25), 0x77, 1, A,
+                           &Error))
       << Error;
 
   const std::string Path = (std::filesystem::temp_directory_path() /
@@ -415,8 +420,9 @@ TEST(SampledReplayTest, DiskAndMemorySourcesAgree) {
   ASSERT_TRUE(core::SegmentedTraceReader::open(Path, Disk, &Error))
       << Error;
   SampledSweep C;
-  ASSERT_TRUE(sampledSweep(Disk, B.Ref, Thresholds, dbt::DbtOptions(),
-                           stratified(0.25), 0x77, 1, C, &Error))
+  ASSERT_TRUE(sampledSweep(Disk, B.Ref, cfg::Cfg(B.Ref), Thresholds,
+                           dbt::DbtOptions(), stratified(0.25), 0x77, 1, C,
+                           &Error))
       << Error;
 
   // Every segment folds to the same per-block profile from either reader.
@@ -461,8 +467,8 @@ TEST(SampledReplayTest, RejectsAdaptivePolicies) {
   Opts.Adaptive.Enabled = true;
   SampledSweep S;
   std::string Error;
-  EXPECT_FALSE(sampledSweep(Reader, B.Ref, {100}, Opts, stratified(0.25),
-                            0x5eed, 1, S, &Error));
+  EXPECT_FALSE(sampledSweep(Reader, B.Ref, cfg::Cfg(B.Ref), {100}, Opts,
+                            stratified(0.25), 0x5eed, 1, S, &Error));
   EXPECT_NE(Error.find("adaptive"), std::string::npos);
 }
 
@@ -473,8 +479,9 @@ TEST(SampledReplayTest, ZeroEventTrace) {
   core::SegmentedTraceReader Reader = readerOf(T, 512);
   SampledSweep S;
   std::string Error;
-  ASSERT_TRUE(sampledSweep(Reader, B.Ref, {100}, dbt::DbtOptions(),
-                           stratified(0.25), 0x5eed, 1, S, &Error))
+  ASSERT_TRUE(sampledSweep(Reader, B.Ref, cfg::Cfg(B.Ref), {100},
+                           dbt::DbtOptions(), stratified(0.25), 0x5eed, 1, S,
+                           &Error))
       << Error;
   EXPECT_EQ(S.Stats.Segments, 0u);
   EXPECT_EQ(S.PerThreshold[0].ProfilingOps, 0u);

@@ -4,12 +4,15 @@
 #include "service/SweepService.h"
 
 #include "core/Figures.h"
+#include "support/TextFile.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <latch>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -43,6 +46,55 @@ ServiceLimits testLimits() {
   L.MaxActive = 4;
   L.ClientDepth = 16;
   return L;
+}
+
+/// A fresh temp directory, removed with the test.
+struct TempDir {
+  std::filesystem::path Path;
+  explicit TempDir(const std::string &Tag)
+      : Path(std::filesystem::temp_directory_path() /
+             ("tpdbt_svc_" + Tag + "_" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(Path);
+    std::filesystem::create_directories(Path);
+  }
+  ~TempDir() {
+    std::error_code Ec;
+    std::filesystem::remove_all(Path, Ec);
+  }
+};
+
+/// Every .prof file in \p Dir: name -> bytes.
+std::map<std::string, std::string> profFiles(const std::filesystem::path &Dir) {
+  std::map<std::string, std::string> Out;
+  for (const auto &E : std::filesystem::directory_iterator(Dir))
+    if (E.path().extension() == ".prof")
+      Out[E.path().filename().string()] =
+          readTextFile(E.path().string()).value_or("");
+  return Out;
+}
+
+/// Requests that store .prof snapshots: two programs under one policy,
+/// and one of them again under another.
+std::vector<SweepRequest> storingRequests() {
+  SweepRequest Other = tinySweep("gzip");
+  Other.Thresholds = {100, 500};
+  return {tinySweep("gzip"), tinySweep("mcf"), Other};
+}
+
+/// Checks that a fresh in-process context over \p Dir loads gzip's and
+/// mcf's tinySweep() profiles from .prof files alone.
+void expectProfHits(const std::filesystem::path &Dir) {
+  ExperimentConfig Base = tinyBase();
+  Base.CacheDir = Dir.string();
+  ExperimentConfig C;
+  ASSERT_EQ(SweepService::resolveConfig(Base, tinySweep(), C, nullptr),
+            Status::Ok);
+  ExperimentContext Ctx(C);
+  Ctx.metrics("gzip");
+  Ctx.metrics("mcf");
+  EXPECT_EQ(Ctx.stats().CacheHits.load(), 2u);
+  EXPECT_EQ(Ctx.stats().CacheMisses.load(), 0u);
+  EXPECT_EQ(Ctx.stats().CorruptEntries.load(), 0u);
 }
 
 } // namespace
@@ -243,8 +295,96 @@ TEST(SweepServiceTest, StatsCountersNameEveryDispatchCounter) {
   };
   for (const char *Name :
        {"served", "computed", "coalesced", "queued", "rejected",
-        "contexts", "trace_mem_hits", "trace_evictions", "cache_max_bytes"})
+        "contexts", "trace_mem_hits", "trace_evictions", "cache_max_bytes",
+        "prof_pending", "prof_written", "prof_waits"})
     EXPECT_TRUE(Has(Name)) << Name;
+}
+
+TEST(SweepServiceTest, WriteBehindStoresTheInlineProfBytes) {
+  TempDir Behind("behind"), Inline("inline");
+  std::vector<std::string> Served, Local;
+  {
+    ExperimentConfig Base = tinyBase();
+    Base.CacheDir = Behind.Path.string();
+    SweepService S(Base, testLimits());
+    for (const SweepRequest &R : storingRequests()) {
+      SweepService::Outcome Out = S.run(R);
+      ASSERT_EQ(Out.ResultStatus, Status::Ok) << Out.Payload;
+      Served.push_back(Out.Payload);
+    }
+  } // destruction drains the writer
+  // Batch contexts write inline, on the computing thread.
+  for (const SweepRequest &R : storingRequests()) {
+    ExperimentConfig Base = tinyBase(), C;
+    Base.CacheDir = Inline.Path.string();
+    ASSERT_EQ(SweepService::resolveConfig(Base, R, C, nullptr), Status::Ok);
+    ExperimentContext Ctx(C);
+    Local.push_back(SweepService::buildTable(Ctx, R).toCsv());
+  }
+  EXPECT_EQ(Served, Local);
+
+  const auto A = profFiles(Behind.Path), B = profFiles(Inline.Path);
+  EXPECT_EQ(A.size(), 3u * (2 + 2)); // two thresholds + AVEP + train each
+  ASSERT_EQ(A.size(), B.size());
+  for (const auto &[Name, Bytes] : B) {
+    auto It = A.find(Name);
+    ASSERT_NE(It, A.end()) << Name;
+    EXPECT_TRUE(It->second == Bytes) << Name;
+  }
+}
+
+TEST(SweepServiceTest, DestructionLeavesEveryStoreOnDisk) {
+  TempDir Dir("drain");
+  {
+    ExperimentConfig Base = tinyBase();
+    Base.CacheDir = Dir.Path.string();
+    SweepService S(Base, testLimits());
+    ASSERT_EQ(S.run(tinySweep("gzip")).ResultStatus, Status::Ok);
+    ASSERT_EQ(S.run(tinySweep("mcf")).ResultStatus, Status::Ok);
+  }
+  EXPECT_EQ(profFiles(Dir.Path).size(), 2u * (2 + 2));
+  expectProfHits(Dir.Path);
+}
+
+TEST(SweepServiceTest, ProfWriterSubmitBlocksAtItsBound) {
+  TempDir Dir("bound");
+  constexpr ptrdiff_t Bound = ProfWriter::MaxPending;
+  auto Batch = [&](ptrdiff_t I) {
+    return ProfWriter::Batch{
+        {(Dir.Path / ("b" + std::to_string(I) + ".prof")).string(), "x"}};
+  };
+  std::latch Open(1);
+  {
+    ProfWriter W;
+    W.BeforeWrite = [&Open] { Open.wait(); };
+    // The worker takes the first batch and parks on the latch; the bound
+    // counts it, so exactly Bound submits fit.
+    for (ptrdiff_t I = 0; I < Bound; ++I)
+      W.submit(Batch(I));
+    EXPECT_EQ(W.stats().Waits.load(), 0u);
+    EXPECT_EQ(W.stats().Pending.load(), static_cast<uint64_t>(Bound));
+
+    std::atomic<bool> Returned{false};
+    std::thread Submitter([&] {
+      W.submit(Batch(Bound));
+      Returned.store(true);
+    });
+    for (int Spins = 0; Spins < 10000 && W.stats().Waits.load() == 0;
+         ++Spins)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_EQ(W.stats().Waits.load(), 1u);
+    // No slot can free while the worker is held, so the submitter is
+    // still blocked however long this takes.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(Returned.load());
+    EXPECT_EQ(W.stats().Written.load(), 0u);
+
+    Open.count_down();
+    Submitter.join();
+    EXPECT_TRUE(Returned.load());
+    EXPECT_EQ(W.stats().Waits.load(), 1u);
+  } // destruction drains the rest
+  EXPECT_EQ(profFiles(Dir.Path).size(), static_cast<size_t>(Bound + 1));
 }
 
 namespace {
@@ -257,12 +397,15 @@ struct DaemonFixture {
   std::unique_ptr<Daemon> D;
   std::thread Runner;
 
-  DaemonFixture() {
+  /// With \p DiskCache the daemon stores into Dir/cache.
+  explicit DaemonFixture(bool DiskCache = false) {
     Dir = std::filesystem::temp_directory_path() /
           ("tpdbt_svc_test_" + std::to_string(::getpid()));
     std::filesystem::create_directories(Dir);
     Opts.SocketPath = (Dir / "d.sock").string();
     Opts.Base = tinyBase();
+    if (DiskCache)
+      Opts.Base.CacheDir = (Dir / "cache").string();
     Opts.Limits = testLimits();
     Opts.Quiet = true;
     D = std::make_unique<Daemon>(Opts);
@@ -291,6 +434,18 @@ struct DaemonFixture {
     return S;
   }
 };
+
+/// Reads frames until the RESULT (progress notes may precede it).
+bool readResult(UnixSocket &Sock, service::SweepResult &Res) {
+  for (;;) {
+    MsgType Type;
+    std::string Body, Error;
+    if (!readFrame(Sock, Type, Body, &Error))
+      return false;
+    if (Type != MsgType::Progress)
+      return Type == MsgType::Result && decodeResult(Body, Res);
+  }
+}
 
 } // namespace
 
@@ -394,4 +549,25 @@ TEST(DaemonTest, MalformedFrameEarnsErrorAndClose) {
   EXPECT_EQ(Type, MsgType::Error);
   // The daemon closes the connection afterwards.
   EXPECT_FALSE(readFrame(Sock, Type, Body, &Error));
+}
+
+TEST(DaemonTest, ShutdownDrainsPendingStores) {
+  DaemonFixture F(/*DiskCache=*/true);
+  UnixSocket Sock = F.connect();
+  for (const char *Bench : {"gzip", "mcf"}) {
+    ASSERT_TRUE(
+        writeFrame(Sock, MsgType::Request, encodeRequest(tinySweep(Bench))));
+    service::SweepResult Res;
+    ASSERT_TRUE(readResult(Sock, Res));
+    EXPECT_EQ(Res.ResultStatus, Status::Ok) << Res.Payload;
+  }
+  ASSERT_TRUE(writeFrame(Sock, MsgType::Shutdown, std::string()));
+  service::SweepResult Ack;
+  ASSERT_TRUE(readResult(Sock, Ack));
+  EXPECT_EQ(Ack.ResultStatus, Status::Ok);
+  F.Runner.join();
+  F.D.reset(); // the process exit: the service drains its writer
+  const std::filesystem::path Cache = F.Dir / "cache";
+  EXPECT_EQ(profFiles(Cache).size(), 2u * (2 + 2));
+  expectProfHits(Cache);
 }
