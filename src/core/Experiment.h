@@ -266,9 +266,11 @@ public:
   const TraceCache::Counters &traceStats() const { return Traces->stats(); }
 
   /// One-line human-readable rendering of stats() for the bench banners,
-  /// e.g. "jobs=8 prof 20 hit / 6 miss (0 corrupt), trace 4 hit / 2 miss,
-  /// 12 sweeps, 2.0s recording, 1.1s replaying, index 4 hit / 2 build
-  /// (0.1s)".
+  /// e.g. for a cold suite "jobs=2 prof 0 hit / 26 miss (0 corrupt), trace
+  /// 0 hit / 52 miss (0 corrupt), 52 sweeps, 0.4s recording, 0.2s
+  /// replaying, index 0 hit / 26 build (0.1s), host ...". The index hit
+  /// count always reads 0: an index is built in memory for each replayed
+  /// trace and never stored.
   std::string statsSummary() const;
 
 private:

@@ -13,6 +13,7 @@
 #include <bit>
 #include <cassert>
 #include <memory>
+#include <unordered_map>
 
 using namespace tpdbt;
 using namespace tpdbt::core;
@@ -221,12 +222,9 @@ constexpr uint32_t NoFreeze = ~0u;
 
 /// Walks the optimized sub-stream — every occurrence of a frozen block
 /// after its freeze position, in global order — through the policy's
-/// region-context automaton. A bitmap over event positions marks the
-/// sub-stream; while the automaton is inside a region the member events
-/// are contiguous in the trace (region successor edges mirror the actual
-/// CFG successors and every member is frozen), so runs are consumed
-/// directly, and complete loop-region iterations collapse into closed
-/// form via the index's taken-bit rows.
+/// region-context automaton, one event at a time. A bitmap over event
+/// positions marks the sub-stream, and the walk visits its set bits in
+/// order.
 void walkOptimized(const BlockTrace &Trace, const TraceIndex &Idx,
                    dbt::TranslationPolicy &Policy,
                    const std::vector<uint32_t> &FreezePos,
@@ -234,20 +232,14 @@ void walkOptimized(const BlockTrace &Trace, const TraceIndex &Idx,
   const uint32_t E = static_cast<uint32_t>(Trace.numEvents());
   const size_t Words = (static_cast<size_t>(E) + 63) / 64;
   std::vector<uint64_t> Bits(Words, 0);
-  // The walk consumes each block's occurrences strictly in rank order
-  // (every post-freeze event of a frozen block is in the sub-stream), so
-  // a per-block cursor tracks the next unconsumed rank with O(1) updates
-  // instead of position binary searches.
-  std::vector<uint32_t> Cursor(Trace.numBlocks(), 0);
 
   // Region membership decides which blocks need the walk at all. Regions
   // grow only through unfrozen blocks, so a block's node appearances are
-  // fixed the round it freezes: a frozen block in no region executes
-  // every occurrence off-trace, and one whose sole appearance is the
-  // single node of a region it enters has a per-occurrence behavior
-  // determined by its own branch outcome. Both collapse to closed forms
-  // over the occurrence counts (Policy.h analytic section) and stay
-  // out of the bitmap; only multi-node region members are walked.
+  // fixed the round it freezes: one whose sole appearance is the single
+  // node of a region it enters has a per-occurrence behavior determined
+  // by its own branch outcome. That collapses to a closed form over the
+  // occurrence counts (Policy.h analytic section) and stays out of the
+  // bitmap; every other frozen block is walked.
   const std::vector<region::Region> &AllRegions = Policy.regions();
   std::vector<uint8_t> NodeCount(Trace.numBlocks(), 0);
   std::vector<int32_t> EntryOf(Trace.numBlocks(), -1);
@@ -258,21 +250,15 @@ void walkOptimized(const BlockTrace &Trace, const TraceIndex &Idx,
     EntryOf[AllRegions[R].entryBlock()] = static_cast<int32_t>(R);
   }
 
-  uint32_t First = E;
   for (BlockId B : FrozenOrder) {
     const uint32_t Cnt = Idx.occurrences(B);
     const uint32_t From = Idx.usesThrough(B, FreezePos[B]);
-    Cursor[B] = From;
     if (From >= Cnt)
       continue;
-    const uint64_t Insts =
-        Idx.instsOfFirst(B, Cnt) - Idx.instsOfFirst(B, From);
-    if (NodeCount[B] == 0) {
-      Policy.analyticOffTraceBlock(Insts);
-      continue;
-    }
     const int32_t R = EntryOf[B];
     if (NodeCount[B] == 1 && R >= 0 && AllRegions[R].Nodes.size() == 1) {
+      const uint64_t Insts =
+          Idx.instsOfFirst(B, Cnt) - Idx.instsOfFirst(B, From);
       const uint32_t Taken =
           Idx.takenOfFirst(B, Cnt) - Idx.takenOfFirst(B, From);
       const bool LastTaken =
@@ -281,7 +267,6 @@ void walkOptimized(const BlockTrace &Trace, const TraceIndex &Idx,
                                      LastTaken);
       continue;
     }
-    First = std::min(First, Idx.position(B, From));
     for (uint32_t K = From; K < Cnt; ++K) {
       uint32_t Pos = Idx.position(B, K);
       Bits[Pos >> 6] |= 1ull << (Pos & 63);
@@ -300,116 +285,9 @@ void walkOptimized(const BlockTrace &Trace, const TraceIndex &Idx,
     }
     return static_cast<uint32_t>((W << 6) + std::countr_zero(Word));
   };
-  auto isSet = [&](uint32_t Pos) {
-    return (Bits[Pos >> 6] >> (Pos & 63)) & 1;
-  };
-
-  // Loop-iteration folding. When the automaton sits at a loop region's
-  // head, the next events spell out one complete iteration; walking that
-  // single iteration captures whichever path the loop is currently
-  // taking (multi-node bodies and diamond arms included), and the number
-  // of consecutive iterations repeating the same conditional outcomes is
-  // readable from the index's taken-bit rows. Those iterations are forced
-  // — region successor edges mirror the CFG, so matching outcomes imply
-  // a matching event sequence — and collapse into one closed-form
-  // update. Returns the position after the folded run (== \p I when
-  // nothing folds: the iteration exits the region, truncates, or the
-  // path revisits a conditional block).
-  const std::vector<region::Region> &Regions = Policy.regions();
-  struct PathStep {
-    BlockId B;
-    bool Taken;
-  };
-  std::vector<PathStep> Constrained;
-  std::vector<BlockId> PathBlocks;
-  auto foldLoopRun = [&](uint32_t I) -> uint32_t {
-    const region::Region &R =
-        Regions[static_cast<size_t>(Policy.contextRegion())];
-    if (R.Kind != region::RegionKind::Loop || Policy.contextNode() != 0)
-      return I;
-    Constrained.clear();
-    PathBlocks.clear();
-    uint32_t Pos = I;
-    size_t NodeIdx = 0;
-    for (size_t Steps = 0; Steps < R.Nodes.size(); ++Steps) {
-      if (Pos >= E || !isSet(Pos))
-        return I;
-      const region::RegionNode &Node = R.Nodes[NodeIdx];
-      const TraceEvent &Ev = Trace.event(Pos);
-      if (Ev.Block != Node.Orig)
-        return I;
-      PathBlocks.push_back(Ev.Block);
-      int32_t Succ = Node.TakenSucc;
-      if (Node.HasCondBranch) {
-        const bool Taken = Ev.Branch == 2;
-        // A conditional block duplicated within one iteration would need
-        // stride-aware run queries; leave those to the per-event path.
-        for (const PathStep &S : Constrained)
-          if (S.B == Ev.Block)
-            return I;
-        Constrained.push_back({Ev.Block, Taken});
-        if (!Taken)
-          Succ = Node.FallSucc;
-      }
-      if (Succ >= 0) {
-        NodeIdx = static_cast<size_t>(Succ);
-        ++Pos;
-        continue;
-      }
-      if (Succ != region::BackEdgeSucc)
-        return I; // this iteration leaves the region
-      // Cycle closed: fold every iteration until an outcome deviates or
-      // the trace ends (only complete in-trace iterations fold; a
-      // truncated tail iteration falls back to per-event processing).
-      const uint32_t Len = Pos - I + 1;
-      uint32_t M = (E - I) / Len;
-      for (const PathStep &S : Constrained)
-        M = std::min(
-            M, Idx.firstOutcomeChange(S.B, Cursor[S.B], S.Taken) -
-                   Cursor[S.B]);
-      if (M == 0)
-        return I;
-      // Each appearance of a block on the path consumes its next M
-      // occurrence ranks, so the folded instructions are per-block prefix
-      // differences.
-      uint64_t Insts = 0;
-      for (BlockId B : PathBlocks) {
-        Insts += Idx.instsOfFirst(B, Cursor[B] + M) -
-                 Idx.instsOfFirst(B, Cursor[B]);
-        Cursor[B] += M;
-      }
-      Policy.analyticLoopIterations(M, Insts);
-      return I + M * Len;
-    }
-    return I; // no back edge within the node budget
-  };
-
-  uint32_t I = First;
-  while (I < E) {
-    I = nextSet(I);
-    if (I >= E)
-      break;
-    // One contiguous run: process events until the automaton leaves its
-    // region (then skip ahead to the next optimized position).
-    for (;;) {
-      if (Policy.inRegionContext()) {
-        const uint32_t Next = foldLoopRun(I);
-        if (Next != I) {
-          I = Next;
-          if (I >= E)
-            break;
-          continue; // at the head of a deviating (or partial) iteration
-        }
-      }
-      if (!isSet(I))
-        break; // a profiling event interleaves; context is preserved
-      const TraceEvent &Ev = Trace.event(I);
-      ++Cursor[Ev.Block];
-      Policy.analyticOptimizedEvent(Ev.Block, resultOf(Ev));
-      ++I;
-      if (!Policy.inRegionContext() || I >= E)
-        break;
-    }
+  for (uint32_t I = nextSet(0); I < E; I = nextSet(I + 1)) {
+    const TraceEvent &Ev = Trace.event(I);
+    Policy.analyticOptimizedEvent(Ev.Block, resultOf(Ev));
   }
 }
 
@@ -506,6 +384,20 @@ profile::ProfileSnapshot evaluateIndexed(const BlockTrace &Trace,
 
 } // namespace
 
+ThresholdSlots
+tpdbt::core::dedupThresholds(const std::vector<uint64_t> &Thresholds) {
+  ThresholdSlots Out;
+  Out.SlotOf.resize(Thresholds.size());
+  std::unordered_map<uint64_t, size_t> Seen;
+  for (size_t I = 0; I < Thresholds.size(); ++I) {
+    const auto [It, New] = Seen.try_emplace(Thresholds[I], Out.Unique.size());
+    if (New)
+      Out.Unique.push_back(Thresholds[I]);
+    Out.SlotOf[I] = It->second;
+  }
+  return Out;
+}
+
 SweepResult tpdbt::core::replaySweepEvents(
     const BlockTrace &Trace, const Program &P,
     const std::vector<uint64_t> &Thresholds, const dbt::DbtOptions &Base) {
@@ -553,35 +445,25 @@ SweepResult tpdbt::core::replaySweep(const BlockTrace &Trace,
                                      unsigned Jobs) {
   assert(Trace.numBlocks() == P.numBlocks() &&
          "trace does not match the program");
-  // Duplicate thresholds share one evaluation; Unique preserves
-  // first-occurrence order, so without duplicates SlotOf is the identity.
-  std::vector<uint64_t> Unique;
-  std::vector<size_t> SlotOf(Thresholds.size());
-  for (size_t I = 0; I < Thresholds.size(); ++I) {
-    size_t J = 0;
-    while (J < Unique.size() && Unique[J] != Thresholds[I])
-      ++J;
-    if (J == Unique.size())
-      Unique.push_back(Thresholds[I]);
-    SlotOf[I] = J;
-  }
+  const ThresholdSlots Slots = dedupThresholds(Thresholds);
+  const std::vector<uint64_t> &Unique = Slots.Unique;
 
   cfg::Cfg G(P);
   // The average is a closed form of the stream totals in either mode (a
   // threshold-0 policy never freezes, so it never adapts): only threshold
   // units need the index or the pump.
-  SweepResult Shared;
-  Shared.Average =
+  SweepResult Out;
+  Out.Average =
       dbt::profilingAverage(P, G, Base, Trace.finalCounts(),
                             Trace.numEvents(), Trace.takenEvents(),
                             Trace.totalInsts());
   if (Base.Adaptive.Enabled) {
     // Adaptive re-optimization thaws frozen blocks, so no static freeze
     // timeline exists: pump the events.
-    Shared.PerThreshold =
+    Out.PerThreshold =
         replaySweepEvents(Trace, P, Unique, Base).PerThreshold;
   } else {
-    Shared.PerThreshold.resize(Unique.size());
+    Out.PerThreshold.resize(Unique.size());
     if (!Unique.empty()) {
       const TraceIndex &Idx = Trace.index();
       // Per-threshold snapshots are independent units; dispatch them on
@@ -590,17 +472,11 @@ SweepResult tpdbt::core::replaySweep(const BlockTrace &Trace,
       parallelFor(Unique.size(), Jobs, [&](size_t I) {
         dbt::DbtOptions Opts = Base;
         Opts.Threshold = Unique[I];
-        Shared.PerThreshold[I] = evaluateIndexed(Trace, Idx, P, G, Opts);
+        Out.PerThreshold[I] = evaluateIndexed(Trace, Idx, P, G, Opts);
       });
     }
   }
 
-  if (Unique.size() == Thresholds.size())
-    return Shared;
-  SweepResult Out;
-  Out.Average = std::move(Shared.Average);
-  Out.PerThreshold.reserve(Thresholds.size());
-  for (size_t I = 0; I < Thresholds.size(); ++I)
-    Out.PerThreshold.push_back(Shared.PerThreshold[SlotOf[I]]);
+  Out.PerThreshold = Slots.fanOut(Out.PerThreshold.data());
   return Out;
 }

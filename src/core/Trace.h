@@ -266,6 +266,34 @@ private:
   mutable std::shared_ptr<const TraceIndex> Index;
 };
 
+/// A sweep's thresholds with duplicates (a daemon client may send some)
+/// folded, so equal requests share one evaluation: each distinct value
+/// once, in first-occurrence order, and each request's slot among them.
+/// Without duplicates Unique is the request list and SlotOf the identity.
+struct ThresholdSlots {
+  std::vector<uint64_t> Unique;
+  std::vector<size_t> SlotOf;
+
+  /// One result per request from one per slot (\p Slots holds
+  /// Unique.size() of them). Each slot moves out at its last use; only a
+  /// duplicated threshold's earlier uses copy.
+  template <typename T> std::vector<T> fanOut(T *Slots) const {
+    std::vector<size_t> LastUse(Unique.size());
+    for (size_t I = 0; I < SlotOf.size(); ++I)
+      LastUse[SlotOf[I]] = I;
+    std::vector<T> Out;
+    Out.reserve(SlotOf.size());
+    for (size_t I = 0; I < SlotOf.size(); ++I) {
+      T &Slot = Slots[SlotOf[I]];
+      Out.push_back(I == LastUse[SlotOf[I]] ? std::move(Slot) : Slot);
+    }
+    return Out;
+  }
+};
+
+/// Folds the duplicates out of \p Thresholds (see ThresholdSlots).
+ThresholdSlots dedupThresholds(const std::vector<uint64_t> &Thresholds);
+
 /// Derives the snapshot for one policy per threshold (plus the
 /// profiling-only policy), byte-identical to one live dbt::DbtEngine run
 /// per threshold over the same execution.
@@ -276,8 +304,9 @@ private:
 /// registered-twice trigger at the 2T-th), frozen counters come from
 /// occurrence-count differences, region formation and cost accounting run
 /// exactly as in the pump on those counters, and only the optimized
-/// sub-stream (events of frozen blocks after their freeze) is walked —
-/// with repeating loop-region iterations folded into closed form.
+/// sub-stream (events of frozen blocks after their freeze) is walked,
+/// except for blocks that form a one-node region alone, which take a
+/// closed form over their outcome counts.
 /// Duplicate thresholds share one evaluation, and the per-threshold units
 /// are dispatched on up to \p Jobs worker threads (results are identical
 /// at any job count).

@@ -84,54 +84,3 @@ uint32_t TraceIndex::usesThrough(BlockId B, uint32_t Pos) const {
   const uint32_t *End = OccPos.data() + BlockBegin[B + 1];
   return static_cast<uint32_t>(std::upper_bound(Begin, End, Pos) - Begin);
 }
-
-uint32_t TraceIndex::firstOutcomeChange(BlockId B, uint32_t K,
-                                        bool Taken) const {
-  const uint32_t Cnt = occurrences(B);
-  const uint64_t *Row = TakenBits.data() + WordBegin[B];
-  const uint32_t *Ckpt = Checkpoint.data() + WordBegin[B];
-  const uint32_t LastWord = Cnt / 64;
-  // Word J's outcomes that differ from Taken. Bits past the last
-  // occurrence read as untaken and the row has a word holding rank Cnt,
-  // so for Taken the row end shows up as a difference at rank Cnt
-  // itself; for untaken, a last word with no difference left means the
-  // run reaches the row end.
-  auto Differ = [&](uint32_t J) { return Taken ? ~Row[J] : Row[J]; };
-  auto At = [&](uint32_t J, uint64_t Bits) {
-    return Bits ? J * 64 + static_cast<uint32_t>(std::countr_zero(Bits))
-                : Cnt;
-  };
-  const uint32_t W = K / 64;
-  const uint64_t Here = Differ(W) & (~uint64_t(0) << (K % 64));
-  if (Here || W == LastWord)
-    return At(W, Here);
-  // The rest of word W matches. A later word matches whole exactly when
-  // it adds 64 (Taken) or 0 taken outcomes, so the key below is constant
-  // along a run of matching words and moves at the first word that
-  // differs: words [W+1, J) all match iff RunKey(J) == RunKey(W+1). Find
-  // the last such J — the boundary word — galloping out from W+1 (runs
-  // are short relative to the row) before bisecting the last doubling
-  // interval.
-  auto RunKey = [&](uint32_t J) -> int64_t {
-    return Taken ? static_cast<int64_t>(Ckpt[J]) - int64_t(64) * J
-                 : static_cast<int64_t>(Ckpt[J]);
-  };
-  const uint32_t First = W + 1;
-  const int64_t Key = RunKey(First);
-  uint32_t Base = First, Step = 1;
-  while (Base + Step <= LastWord && RunKey(Base + Step) == Key) {
-    Base += Step;
-    Step *= 2;
-  }
-  // RunKey holds at Base; the first word where it fails, if any, lies in
-  // (Base, Base + Step] — clipped to the row when the gallop ran off it.
-  uint32_t Lo = Base + 1, Hi = std::min(Base + Step, LastWord + 1);
-  while (Lo < Hi) {
-    const uint32_t Mid = Lo + (Hi - Lo) / 2;
-    if (RunKey(Mid) == Key)
-      Lo = Mid + 1;
-    else
-      Hi = Mid;
-  }
-  return At(Lo - 1, Differ(Lo - 1));
-}

@@ -23,9 +23,9 @@
 ///    holding the row's taken count before that word, giving any block's
 ///    counters "as of event p" as a checkpoint plus one popcount;
 ///  - per-block lengths (the trace's shape table), giving the
-///    instructions of any run of a block's occurrences (the loop fold's
-///    accounting) as a product — every occurrence is whole except a
-///    partial final event, which the index corrects for.
+///    instructions of any run of a block's occurrences as a product —
+///    every occurrence is whole except a partial final event, which the
+///    index corrects for.
 ///
 /// That is about 4.2 bytes per event (a 4-byte position, one bit, and a
 /// 4-byte checkpoint per 64 events) plus, per block, one word and
@@ -114,15 +114,6 @@ public:
     uint32_t K = usesThrough(B, Pos);
     return {K, takenOfFirst(B, K)};
   }
-
-  /// First occurrence rank >= \p K of \p B whose taken outcome differs
-  /// from \p Taken; occurrences(B) when the rest of the stream matches.
-  /// O(log of the run it finds): a gallop over the word checkpoints, then
-  /// one countr_zero in the boundary word — this is what lets the loop
-  /// fold (core::replaySweep) ask it for every constrained block on
-  /// every fold without turning replay quadratic.
-  uint32_t firstOutcomeChange(guest::BlockId B, uint32_t K,
-                              bool Taken) const;
 
 private:
   /// An index with its CSR rows sized from \p Trace's final counters and

@@ -106,7 +106,10 @@ public:
   /// event pump would at the same stream position, so the resulting
   /// snapshot is byte-identical (a differential test asserts this).
   /// Requires adaptive re-optimization to be off: thawing has no static
-  /// timeline.
+  /// timeline. Then every frozen block is a region node: a round freezes
+  /// exactly the nodes of the regions it forms, and only adaptive
+  /// invalidation removes a region. So a post-freeze event goes to
+  /// analyticOptimizedEvent() or, in bulk, analyticSingletonRegion().
   /// @{
 
   /// True if \p B is frozen (optimized).
@@ -151,37 +154,6 @@ public:
   /// Accounting and region-context walk for one event on a frozen block.
   void analyticOptimizedEvent(guest::BlockId B, const vm::BlockResult &R) {
     optimizedEvent(B, R, nullptr);
-  }
-
-  /// True while the region-context automaton is inside a region.
-  bool inRegionContext() const { return CtxRegion >= 0; }
-  /// The region the automaton is in (valid while inRegionContext()).
-  int32_t contextRegion() const { return CtxRegion; }
-  /// The node the automaton is at (valid while inRegionContext()); 0 is
-  /// the region head, where a new loop iteration begins.
-  int32_t contextNode() const { return CtxNode; }
-
-  /// Closed form for \p Count consecutive complete iterations of the
-  /// loop region the automaton is currently at the head of: each
-  /// iteration executes one full pass over the iteration's path and
-  /// takes the back edge. \p Insts is the guest instruction total of the
-  /// folded events.
-  void analyticLoopIterations(uint64_t Count, uint64_t Insts) {
-    assert(CtxRegion >= 0 && CtxNode == 0 &&
-           "loop closed form outside a loop-entry context");
-    Account.Cycles += Insts * Opts.Cost.OptPerInst;
-    Account.OptInsts += Insts;
-    Runtime[CtxRegion].BackEdges += Count;
-  }
-
-  /// Closed form for every remaining occurrence of a frozen block that is
-  /// a node of no region: each executes optimized off-trace and leaves
-  /// the region automaton untouched (while inside a region only that
-  /// region's members can execute, so such an event never observes a
-  /// region context).
-  void analyticOffTraceBlock(uint64_t Insts) {
-    Account.Cycles += Insts * Opts.Cost.OptOffTracePerInst;
-    Account.OffTraceInsts += Insts;
   }
 
   /// Closed form for every remaining occurrence of a block whose only

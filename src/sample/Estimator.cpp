@@ -278,7 +278,7 @@ profile::ProfileSnapshot Estimator::estimate(const dbt::DbtOptions &Base,
         FrozenAt[F] = SharedAt[F];
         IsFrozenHere[F] = 1;
         FrozenList.push_back(
-            {F, Pos, F == CrossBlock ? CrossUse : 0, false});
+            {F, Pos, F == CrossBlock ? CrossUse : 0});
       }
     };
     for (const Crossing &X : Timeline) {
@@ -310,30 +310,15 @@ profile::ProfileSnapshot Estimator::estimate(const dbt::DbtOptions &Base,
   Policy.analyticAddProfiling(ProfEvents, ProfTaken, ProfInsts);
 
   // Post-freeze accounting (the walkOptimized stand-in): occurrences of a
-  // frozen block after its freeze run optimized. Blocks outside every
-  // region take the off-trace rate through the policy; region members are
-  // charged the on-trace rate with no exit penalties — the estimated
-  // cycles column is approximate and carries a wide guard in the figures.
-  const std::vector<region::Region> &Regions = Policy.regions();
-  std::vector<uint8_t> InRegion(N, 0);
-  for (const region::Region &R : Regions)
-    for (const region::RegionNode &Node : R.Nodes)
-      InRegion[Node.Orig] = 1;
-  uint64_t OffTraceInsts = 0;
+  // frozen block after its freeze run optimized. Every frozen block is a
+  // region member (Policy.h analytic section), charged the on-trace rate
+  // with no exit penalties — the estimated cycles column is approximate
+  // and carries a wide guard in the figures.
   double MemberInstsD = 0.0;
-  for (FreezeInfo::FrozenBlock &FB : FrozenList) {
-    FB.InRegion = InRegion[FB.Block] != 0;
-    const uint64_t Remain = Final[FB.Block].Use - FrozenAt[FB.Block].Use;
-    if (!Remain)
-      continue;
-    const double RemInsts = static_cast<double>(Remain) * EffLen[FB.Block];
-    if (FB.InRegion)
-      MemberInstsD += RemInsts;
-    else
-      OffTraceInsts += static_cast<uint64_t>(std::llround(RemInsts));
-  }
-  if (OffTraceInsts)
-    Policy.analyticOffTraceBlock(OffTraceInsts);
+  for (const FreezeInfo::FrozenBlock &FB : FrozenList)
+    MemberInstsD += static_cast<double>(Final[FB.Block].Use -
+                                        FrozenAt[FB.Block].Use) *
+                    EffLen[FB.Block];
   const uint64_t MemberInsts =
       static_cast<uint64_t>(std::llround(MemberInstsD));
 
@@ -344,7 +329,6 @@ profile::ProfileSnapshot Estimator::estimate(const dbt::DbtOptions &Base,
     Info->ProfEvents = ProfEvents;
     Info->ProfTaken = ProfTaken;
     Info->ProfInsts = ProfInsts;
-    Info->OffTraceInsts = OffTraceInsts;
     Info->MemberInsts = MemberInsts;
     Info->Point = Snap;
   }
@@ -364,7 +348,6 @@ profile::ProfileSnapshot Estimator::replicate(const dbt::DbtOptions &Base,
 
   uint64_t ProfEvents = NumEvents, ProfTaken = TakenTotal;
   double ProfInstsD = static_cast<double>(TotalInsts);
-  uint64_t OffTraceInsts = 0;
   double MemberInstsD = 0.0;
   for (const FreezeInfo::FrozenBlock &FB : Info.Frozen) {
     const size_t B = FB.Block;
@@ -386,10 +369,7 @@ profile::ProfileSnapshot Estimator::replicate(const dbt::DbtOptions &Base,
     ProfTaken -= Final[B].Taken - Tk;
     const double RemInsts = static_cast<double>(Remain) * EffLen[B];
     ProfInstsD -= RemInsts;
-    if (FB.InRegion)
-      MemberInstsD += RemInsts;
-    else
-      OffTraceInsts += static_cast<uint64_t>(std::llround(RemInsts));
+    MemberInstsD += RemInsts;
   }
   const uint64_t ProfInsts =
       static_cast<uint64_t>(std::llround(std::max(0.0, ProfInstsD)));
@@ -407,8 +387,6 @@ profile::ProfileSnapshot Estimator::replicate(const dbt::DbtOptions &Base,
             Signed(Cost.ColdPerInst);
   Cycles += (Signed(ProfEvents) - Signed(Info.ProfEvents)) *
             Signed(Cost.ProfilePerBlock);
-  Cycles += (Signed(OffTraceInsts) - Signed(Info.OffTraceInsts)) *
-            Signed(Cost.OptOffTracePerInst);
   Cycles += (Signed(MemberInsts) - Signed(Info.MemberInsts)) *
             Signed(Cost.OptPerInst);
   Snap.Cycles = static_cast<uint64_t>(std::max<int64_t>(Cycles, 0));

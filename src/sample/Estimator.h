@@ -48,7 +48,7 @@
 ///
 /// Confidence intervals come from delete-a-group jackknife *replicates*
 /// (replicate()): the point estimate's freeze structure — which blocks
-/// froze, at which estimated positions, inside or outside a region — is
+/// froze, at which estimated positions, into which regions — is
 /// held fixed, and only the freeze-time counters are re-estimated from
 /// curves built with one jackknife group's segments imputed instead of
 /// decoded. Conditioning on the realized structure keeps the replicates
@@ -100,16 +100,16 @@ struct FreezeInfo {
     /// Exact counter value forced at the freeze (the crossing block's T
     /// or 2T); 0 = counters come from the curve.
     uint64_t Forced = 0;
-    /// Whether the block landed inside a formed region (member rate) or
-    /// outside (off-trace rate) — fixes the post-freeze cycle class.
-    bool InRegion = false;
   };
+  /// Every block the point estimate froze. Each is a node of a formed
+  /// region (see dbt/Policy.h, analytic section), so its post-freeze
+  /// occurrences are charged the region-member rate.
   std::vector<FrozenBlock> Frozen;
   /// Point-estimate profiling/post-freeze totals, for replicate deltas.
+  /// MemberInsts is the frozen blocks' post-freeze instructions.
   uint64_t ProfEvents = 0;
   uint64_t ProfTaken = 0;
   uint64_t ProfInsts = 0;
-  uint64_t OffTraceInsts = 0;
   uint64_t MemberInsts = 0;
   profile::ProfileSnapshot Point;
 };

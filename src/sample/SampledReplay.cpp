@@ -2,11 +2,11 @@
 
 #include "sample/SampledReplay.h"
 
+#include "core/Trace.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 using namespace tpdbt;
 using namespace tpdbt::sample;
@@ -136,19 +136,8 @@ bool tpdbt::sample::sampledSweep(core::SegmentedTraceReader &Reader,
                       std::move(Drawn.Decoded));
 
   // Duplicate thresholds share one estimation unit, as in replaySweep.
-  std::vector<uint64_t> Unique;
-  std::vector<size_t> SlotOf(Thresholds.size());
-  {
-    std::map<uint64_t, size_t> Seen;
-    for (size_t I = 0; I < Thresholds.size(); ++I) {
-      auto It = Seen.find(Thresholds[I]);
-      if (It == Seen.end()) {
-        It = Seen.emplace(Thresholds[I], Unique.size()).first;
-        Unique.push_back(Thresholds[I]);
-      }
-      SlotOf[I] = It->second;
-    }
-  }
+  const core::ThresholdSlots Slots = core::dedupThresholds(Thresholds);
+  const std::vector<uint64_t> &Unique = Slots.Unique;
 
   // Point estimates first, all over the one full-sample view (each
   // captures its freeze structure); then each group's view, built once,
@@ -175,23 +164,10 @@ bool tpdbt::sample::sampledSweep(core::SegmentedTraceReader &Reader,
       Reps[Gr * U + I] = Est.replicate(Base, Unique[I], Infos[I], View);
   });
 
-  // Each slot moves out at its last use; only a duplicated threshold's
-  // earlier uses copy.
-  std::vector<size_t> LastUse(U);
-  for (size_t I = 0; I < Thresholds.size(); ++I)
-    LastUse[SlotOf[I]] = I;
-  auto Take = [&](profile::ProfileSnapshot &Slot, size_t I) {
-    return I == LastUse[SlotOf[I]] ? std::move(Slot) : Slot;
-  };
-  Out.PerThreshold.resize(Thresholds.size());
-  for (size_t I = 0; I < Thresholds.size(); ++I)
-    Out.PerThreshold[I] = Take(Points[SlotOf[I]], I);
+  Out.PerThreshold = Slots.fanOut(Points.data());
   Out.Average = Est.average(Base);
   Out.Replicates.assign(Groups, {});
-  for (uint32_t Gr = 0; Gr < Groups; ++Gr) {
-    Out.Replicates[Gr].resize(Thresholds.size());
-    for (size_t I = 0; I < Thresholds.size(); ++I)
-      Out.Replicates[Gr][I] = Take(Reps[Gr * U + SlotOf[I]], I);
-  }
+  for (uint32_t Gr = 0; Gr < Groups; ++Gr)
+    Out.Replicates[Gr] = Slots.fanOut(Reps.data() + Gr * U);
   return true;
 }

@@ -97,9 +97,8 @@ std::vector<std::vector<bool>> outcomesOf(const BlockTrace &T) {
   return Outcomes;
 }
 
-/// Checks takenOfFirst() and firstOutcomeChange() of \p Idx at every
-/// rank 0..occurrences (so at every word boundary and at the row end)
-/// against \p Outcomes.
+/// Checks takenOfFirst() of \p Idx at every rank 0..occurrences (so at
+/// every word boundary and at the row end) against \p Outcomes.
 void expectRowQueries(const TraceIndex &Idx,
                       const std::vector<std::vector<bool>> &Outcomes,
                       const std::string &Label) {
@@ -112,13 +111,6 @@ void expectRowQueries(const TraceIndex &Idx,
     for (uint32_t K = 0; K <= Cnt; ++K) {
       EXPECT_EQ(Idx.takenOfFirst(Id, K), Taken)
           << Label << " block " << B << " K=" << K;
-      for (bool Want : {false, true}) {
-        uint32_t Expected = K;
-        while (Expected < Cnt && Seq[Expected] == Want)
-          ++Expected;
-        EXPECT_EQ(Idx.firstOutcomeChange(Id, K, Want), Expected)
-            << Label << " block " << B << " K=" << K << " taken=" << Want;
-      }
       if (K < Cnt)
         Taken += Seq[K];
     }
@@ -126,11 +118,6 @@ void expectRowQueries(const TraceIndex &Idx,
 }
 
 } // namespace
-
-TEST(TraceIndexTest, FirstOutcomeChangeMatchesBruteForce) {
-  BlockTrace T = recordedTrace("swim", 10000);
-  expectRowQueries(TraceIndex::build(T), outcomesOf(T), "swim");
-}
 
 TEST(TraceIndexTest, TakenBitRowsAtWordBoundaries) {
   // Block 0 carries the row under test, its occurrences interleaved with
@@ -156,12 +143,10 @@ TEST(TraceIndexTest, TakenBitRowsAtWordBoundaries) {
           "count " + std::to_string(Cnt) + " pattern " + std::to_string(P);
       expectRowQueries(TraceIndex::build(T), outcomesOf(T), Label);
     }
-}
 
-TEST(TraceIndexTest, FirstOutcomeChangeGallopsAcrossWords) {
-  // Long rows of random-length runs (1 to 700 occurrences, so runs span
-  // from inside one word to over ten) exercise the gallop over word
-  // checkpoints and the bisection that follows it.
+  // Long rows of random-length runs (1 to 700 occurrences, so a run spans
+  // from inside one word to over ten), two conditional blocks taking
+  // turns.
   Rng R(0x6a11);
   BlockTrace T;
   T.setShapes({BlockShape{3, true}, BlockShape{5, true}});

@@ -457,9 +457,9 @@ TEST(TraceTest, AvepOnlyReplayBuildsNoIndex) {
 }
 
 TEST(TraceTest, FoldedLoopWithDuplicatedBlockMatchesEventPump) {
-  // The loop fold accounts a folded run's instructions per path block
-  // from the block's own prefix sums; a block duplicated into a second
-  // region and diamond arms of unequal size must still match the pump.
+  // The analytic walk over a multi-node loop region must match the pump
+  // when one of the loop's blocks is duplicated into a second region and
+  // the diamond arms differ in size.
   const guest::Program P = makeDuplicatedDiamondLoop();
   BlockTrace T = BlockTrace::record(P);
   ASSERT_GT(T.numEvents(), 5000u);

@@ -2,8 +2,11 @@
 
 #include "dbt/Policy.h"
 
+#include "core/Trace.h"
 #include "dbt/DbtEngine.h"
 #include "guest/ProgramBuilder.h"
+#include "workloads/BenchSpec.h"
+#include "workloads/Generator.h"
 
 #include <gtest/gtest.h>
 
@@ -187,4 +190,67 @@ TEST(PolicyTest, RegionRuntimeObservationsAccumulate) {
   }
   EXPECT_GE(TotalEntries, 1u);
   EXPECT_GT(TotalBackEdges, 10000u);
+}
+
+TEST(PolicyTest, EveryFrozenBlockIsARegionNode) {
+  // With adaptive mode off a round freezes exactly the nodes of the
+  // regions it forms, and no region is ever removed, so a frozen block is
+  // always some region's node. The analytic replay walks every frozen
+  // block as a region member and the sampled estimator charges every one
+  // the member rate; both rely on this. Checked after every optimization
+  // round of a pumped replay, as replaySweepEvents drives it.
+  const std::vector<uint64_t> Thresholds = {1, 100, 2000};
+  for (const workloads::BenchSpec &Spec : workloads::spec2000Suite()) {
+    auto B = workloads::generateBenchmark(workloads::scaledSpec(Spec, 0.01));
+    const core::BlockTrace T = core::BlockTrace::record(B.Ref);
+    cfg::Cfg G(B.Ref);
+    for (bool Duplicate : {true, false}) {
+      std::vector<std::unique_ptr<TranslationPolicy>> Policies;
+      for (uint64_t Th : Thresholds) {
+        DbtOptions Opts;
+        Opts.Threshold = Th;
+        Opts.Formation.AllowDuplication = Duplicate;
+        ASSERT_FALSE(Opts.Adaptive.Enabled);
+        Policies.push_back(
+            std::make_unique<TranslationPolicy>(B.Ref, G, Opts));
+      }
+      std::vector<size_t> Rounds(Policies.size(), 0);
+      auto expectFrozenAreNodes = [&](size_t I) {
+        const TranslationPolicy &Policy = *Policies[I];
+        std::vector<bool> IsNode(B.Ref.numBlocks(), false);
+        for (const region::Region &R : Policy.regions())
+          for (const region::RegionNode &Node : R.Nodes)
+            IsNode[Node.Orig] = true;
+        for (size_t Bl = 0; Bl < B.Ref.numBlocks(); ++Bl)
+          EXPECT_TRUE(!Policy.isFrozen(static_cast<BlockId>(Bl)) ||
+                      IsNode[Bl])
+              << Spec.Name << " T=" << Thresholds[I]
+              << " duplication=" << Duplicate << " block " << Bl;
+      };
+
+      std::vector<profile::BlockCounters> Shared(B.Ref.numBlocks());
+      for (size_t E = 0; E < T.numEvents(); ++E) {
+        const core::TraceEvent Ev = T.event(E);
+        vm::BlockResult R;
+        R.IsCondBranch = Ev.Branch != 0;
+        R.Taken = Ev.Branch == 2;
+        R.InstsExecuted = Ev.Insts;
+        ++Shared[Ev.Block].Use;
+        if (R.Taken)
+          ++Shared[Ev.Block].Taken;
+        for (size_t I = 0; I < Policies.size(); ++I) {
+          Policies[I]->onBlockEvent(Ev.Block, R, Shared);
+          if (Policies[I]->optimizationRounds() != Rounds[I]) {
+            Rounds[I] = Policies[I]->optimizationRounds();
+            expectFrozenAreNodes(I);
+          }
+        }
+      }
+      for (size_t I = 0; I < Policies.size(); ++I) {
+        EXPECT_GT(Rounds[I], 0u)
+            << Spec.Name << " T=" << Thresholds[I] << " never optimized";
+        expectFrozenAreNodes(I);
+      }
+    }
+  }
 }
