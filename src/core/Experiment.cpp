@@ -264,19 +264,20 @@ void ExperimentContext::ensureProfiles(const std::string &Name,
   D.ProfilesReady.store(true, std::memory_order_release);
 }
 
+uint64_t
+ExperimentContext::traceFingerprint(const GeneratedBenchmark &B) const {
+  return combineSeeds(
+      combineSeeds(Config.executionFingerprint(), specFingerprint(B.Spec)),
+      B.Spec.MaxBlockEvents);
+}
+
 void ExperimentContext::replayProfiles(const std::string &Name,
                                        BenchData &D, unsigned ReplayJobs) {
   const GeneratedBenchmark &B = *D.Bench;
-  uint64_t MaxBlocks = B.Spec.MaxBlockEvents;
+  const uint64_t MaxBlocks = B.Spec.MaxBlockEvents;
   // Trace-first: fetch (or record once) the execution's event stream, then
-  // derive every profile by replay. The trace key covers exactly what
-  // shapes the stream — spec, scale, and event budget — so re-running with
-  // different thresholds or cost knobs hits the trace layer and never
-  // re-interprets.
-  uint64_t ExecFp = combineSeeds(
-      combineSeeds(Config.executionFingerprint(), specFingerprint(B.Spec)),
-      MaxBlocks);
-  auto Start = std::chrono::steady_clock::now();
+  // derive every profile by replay.
+  const uint64_t ExecFp = traceFingerprint(B);
 
   {
     std::shared_ptr<const BlockTrace> RefTrace =
@@ -319,13 +320,7 @@ void ExperimentContext::replayProfiles(const std::string &Name,
   D.Train = trainAverage(
       Name, B, *D.Graph, Config.Dbt,
       Traces->totals(Name, "train", ExecFp, B.Train, MaxBlocks));
-
-  auto End = std::chrono::steady_clock::now();
-  uint64_t TotalMicros =
-      std::chrono::duration_cast<std::chrono::microseconds>(End - Start)
-          .count();
   Stats.SweepsRun.fetch_add(2, std::memory_order_relaxed);
-  Stats.SweepMicros.fetch_add(TotalMicros, std::memory_order_relaxed);
 }
 
 void ExperimentContext::fillMetrics(BenchData &D) const {
@@ -372,14 +367,11 @@ void ExperimentContext::ensureEstimates(const std::string &Name,
                                         BenchData &D, unsigned ReplayJobs) {
   const GeneratedBenchmark &B = *D.Bench;
   const uint64_t MaxBlocks = B.Spec.MaxBlockEvents;
-  const uint64_t ExecFp = combineSeeds(
-      combineSeeds(Config.executionFingerprint(), specFingerprint(B.Spec)),
-      MaxBlocks);
+  const uint64_t ExecFp = traceFingerprint(B);
   // Per-benchmark seed: figure suites stay deterministic while different
   // benchmarks draw independent samples.
   const uint64_t BenchSeed =
       combineSeeds(Config.Sample.Seed, specFingerprint(B.Spec));
-  auto Start = std::chrono::steady_clock::now();
 
   // Reference input: estimate the whole threshold sweep from a stratified
   // segment sample of the TPDT v4 container. Disk-first — a warm entry
@@ -454,12 +446,7 @@ void ExperimentContext::ensureEstimates(const std::string &Name,
     }
   }
 
-  auto End = std::chrono::steady_clock::now();
   Stats.SweepsRun.fetch_add(2, std::memory_order_relaxed);
-  Stats.SweepMicros.fetch_add(
-      std::chrono::duration_cast<std::chrono::microseconds>(End - Start)
-          .count(),
-      std::memory_order_relaxed);
   Stats.SampleStrata.fetch_add(D.Sampled->Stats.Strata,
                                std::memory_order_relaxed);
 }

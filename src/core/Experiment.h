@@ -130,10 +130,6 @@ struct ExperimentStats {
   std::atomic<uint64_t> CorruptEntries{0};
   /// Sweeps computed (two per missed benchmark: ref + train).
   std::atomic<uint64_t> SweepsRun{0};
-  /// Total wall-clock microseconds spent producing profiles on the miss
-  /// path (recording plus replay), summed over workers (can exceed elapsed
-  /// time when sweeps run concurrently).
-  std::atomic<uint64_t> SweepMicros{0};
   /// Wall-clock microseconds spent replaying traces through policies; the
   /// recording share is tracked by the trace cache (see
   /// ExperimentContext::traceStats).
@@ -300,6 +296,11 @@ private:
   /// running one worker per benchmark (results are identical either way).
   void ensureProfiles(const std::string &Name, BenchData &D,
                       unsigned ReplayJobs);
+  /// The trace cache key of \p B's ref and train executions. It covers
+  /// exactly what shapes the event stream — spec, scale, and event
+  /// budget — so re-running with different thresholds or cost knobs hits
+  /// the trace layer and never re-interprets.
+  uint64_t traceFingerprint(const workloads::GeneratedBenchmark &B) const;
   /// The exact-mode miss path of ensureProfiles (caller holds D.Lock):
   /// fetch or record the traces, replay the ref sweep, and derive
   /// INIP(train) from the train stream's totals.

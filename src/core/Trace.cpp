@@ -218,8 +218,6 @@ vm::BlockResult resultOf(const TraceEvent &E) {
   return R;
 }
 
-constexpr uint32_t NoFreeze = ~0u;
-
 /// Walks the optimized sub-stream — every occurrence of a frozen block
 /// after its freeze position, in global order — through the policy's
 /// region-context automaton, one event at a time. A bitmap over event
@@ -227,8 +225,7 @@ constexpr uint32_t NoFreeze = ~0u;
 /// order.
 void walkOptimized(const BlockTrace &Trace, const TraceIndex &Idx,
                    dbt::TranslationPolicy &Policy,
-                   const std::vector<uint32_t> &FreezePos,
-                   const std::vector<BlockId> &FrozenOrder) {
+                   const std::vector<dbt::FrozenBlock> &Frozen) {
   const uint32_t E = static_cast<uint32_t>(Trace.numEvents());
   const size_t Words = (static_cast<size_t>(E) + 63) / 64;
   std::vector<uint64_t> Bits(Words, 0);
@@ -250,9 +247,10 @@ void walkOptimized(const BlockTrace &Trace, const TraceIndex &Idx,
     EntryOf[AllRegions[R].entryBlock()] = static_cast<int32_t>(R);
   }
 
-  for (BlockId B : FrozenOrder) {
+  for (const dbt::FrozenBlock &F : Frozen) {
+    const BlockId B = F.Block;
     const uint32_t Cnt = Idx.occurrences(B);
-    const uint32_t From = Idx.usesThrough(B, FreezePos[B]);
+    const auto From = static_cast<uint32_t>(F.At.Use);
     if (From >= Cnt)
       continue;
     const int32_t R = EntryOf[B];
@@ -291,95 +289,54 @@ void walkOptimized(const BlockTrace &Trace, const TraceIndex &Idx,
   }
 }
 
-/// Evaluates one non-adaptive policy analytically: reconstructs the
-/// freeze timeline from occurrence positions, accounts the profiling
-/// phase in closed form, and walks only the optimized sub-stream.
+/// Evaluates one non-adaptive policy analytically: runs the policy's
+/// freeze timeline on exact counters from the index, accounts the
+/// profiling phase in closed form, and walks only the optimized
+/// sub-stream.
 profile::ProfileSnapshot evaluateIndexed(const BlockTrace &Trace,
                                          const TraceIndex &Idx,
                                          const Program &P, const cfg::Cfg &G,
                                          const dbt::DbtOptions &Opts) {
-  assert(!Opts.Adaptive.Enabled &&
-         "analytic evaluation requires a static freeze timeline");
   dbt::TranslationPolicy Policy(P, G, Opts);
   const size_t N = P.numBlocks();
-  const uint32_t E = static_cast<uint32_t>(Trace.numEvents());
   const std::vector<profile::BlockCounters> &Final = Trace.finalCounts();
-  const uint64_t T = Opts.Threshold;
 
-  std::vector<uint32_t> FreezePos(N, NoFreeze);
-  std::vector<BlockId> FrozenOrder;
-
-  if (T > 0) {
-    // Threshold-crossing timeline: policy state only changes when some
-    // block reaches its T-th occurrence (pool registration, possibly
-    // firing the pool-size trigger) or its 2T-th (the registered-twice
-    // trigger). All crossing positions are distinct events, so sorting
-    // them reproduces the pump's processing order exactly.
-    struct Crossing {
-      uint32_t Pos;
-      BlockId Block;
-      bool Registration; ///< T-th occurrence; false = 2T-th
-    };
-    std::vector<Crossing> Timeline;
-    for (size_t B = 0; B < N; ++B) {
-      const uint64_t Use = Final[B].Use;
-      if (Use < T)
-        continue;
-      const auto Id = static_cast<BlockId>(B);
-      Timeline.push_back(
-          {Idx.position(Id, static_cast<uint32_t>(T - 1)), Id, true});
-      if (Use >= 2 * T)
-        Timeline.push_back(
-            {Idx.position(Id, static_cast<uint32_t>(2 * T - 1)), Id, false});
-    }
-    std::sort(Timeline.begin(), Timeline.end(),
-              [](const Crossing &A, const Crossing &B) {
-                return A.Pos < B.Pos;
-              });
-
-    std::vector<profile::BlockCounters> SharedAt(N);
-    auto fireTrigger = [&](uint32_t Pos) {
-      // Materialize every block's shared counters as of this event
-      // (inclusive) — exactly the Shared vector the pump would pass.
-      for (size_t B = 0; B < N; ++B)
-        SharedAt[B] = Idx.countersThrough(static_cast<BlockId>(B), Pos);
-      Policy.analyticTrigger(SharedAt);
-      for (BlockId F : Policy.lastFrozen()) {
-        FreezePos[F] = Pos;
-        FrozenOrder.push_back(F);
-      }
-    };
-    for (const Crossing &X : Timeline) {
-      if (Policy.isFrozen(X.Block))
-        continue; // froze at an earlier crossing: no further triggers
-      if (X.Registration) {
-        if (Policy.analyticRegister(X.Block))
-          fireTrigger(X.Pos); // pool reached PoolLimit
-      } else if (Policy.isInPool(X.Block)) {
-        fireTrigger(X.Pos); // registered twice while still unoptimized
-      }
-    }
-  }
+  // Exact sources: a crossing is its use's event position, and a
+  // trigger's counters are every block's shared counters through that
+  // event (inclusive) — exactly the Shared vector the pump would pass.
+  // Distinct crossings sit at distinct events, so the timeline's order is
+  // the pump's processing order.
+  const std::vector<dbt::FrozenBlock> Frozen = Policy.freezeTimeline(
+      Final,
+      [&](BlockId B, uint64_t J) {
+        return static_cast<double>(
+            Idx.position(B, static_cast<uint32_t>(J - 1)));
+      },
+      [&](double Pos, std::vector<profile::BlockCounters> &Out) {
+        const auto At = static_cast<uint32_t>(Pos);
+        for (size_t B = 0; B < N; ++B)
+          Out[B] = Idx.countersThrough(static_cast<BlockId>(B), At);
+      });
 
   // Profiling phase in closed form: block b executes instrumented for its
-  // first K_b occurrences — up to and including its freeze position, or
-  // all of them when never frozen.
+  // first K_b occurrences — its use count at the freeze, or all of them
+  // when never frozen.
+  std::vector<profile::BlockCounters> Pre = Final;
+  for (const dbt::FrozenBlock &F : Frozen)
+    Pre[F.Block] = F.At;
   uint64_t ProfEvents = 0, ProfTaken = 0, ProfInsts = 0;
   for (size_t B = 0; B < N; ++B) {
-    const auto Id = static_cast<BlockId>(B);
-    const uint32_t K = FreezePos[B] == NoFreeze
-                           ? Idx.occurrences(Id)
-                           : Idx.usesThrough(Id, FreezePos[B]);
-    ProfEvents += K;
-    ProfTaken += Idx.takenOfFirst(Id, K);
-    ProfInsts += Idx.instsOfFirst(Id, K);
+    ProfEvents += Pre[B].Use;
+    ProfTaken += Pre[B].Taken;
+    ProfInsts += Idx.instsOfFirst(static_cast<BlockId>(B),
+                                  static_cast<uint32_t>(Pre[B].Use));
   }
   Policy.analyticAddProfiling(ProfEvents, ProfTaken, ProfInsts);
 
-  if (!FrozenOrder.empty())
-    walkOptimized(Trace, Idx, Policy, FreezePos, FrozenOrder);
+  if (!Frozen.empty())
+    walkOptimized(Trace, Idx, Policy, Frozen);
 
-  return Policy.finish(Final, E, Trace.totalInsts());
+  return Policy.finish(Final, Trace.numEvents(), Trace.totalInsts());
 }
 
 } // namespace

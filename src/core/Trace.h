@@ -299,14 +299,16 @@ ThresholdSlots dedupThresholds(const std::vector<uint64_t> &Thresholds);
 /// per threshold over the same execution.
 ///
 /// Non-adaptive policies are evaluated *analytically* from the trace's
-/// TraceIndex: the freeze timeline is reconstructed from per-block
-/// occurrence positions (registration at the T-th occurrence, the
-/// registered-twice trigger at the 2T-th), frozen counters come from
-/// occurrence-count differences, region formation and cost accounting run
-/// exactly as in the pump on those counters, and only the optimized
-/// sub-stream (events of frozen blocks after their freeze) is walked,
-/// except for blocks that form a one-node region alone, which take a
-/// closed form over their outcome counts.
+/// TraceIndex: the policy's freeze timeline
+/// (dbt::TranslationPolicy::freezeTimeline, registration at the T-th
+/// occurrence, the registered-twice trigger at the 2T-th) runs on the
+/// index's exact counter sources — occurrence positions and counters
+/// through a position — so region formation and cost accounting run
+/// exactly as in the pump, and only the optimized sub-stream (events of
+/// frozen blocks after their freeze) is walked, except for blocks that
+/// form a one-node region alone, which take a closed form over their
+/// outcome counts. The sampled estimator (sample/Estimator.h) drives the
+/// same timeline with estimated sources.
 /// Duplicate thresholds share one evaluation, and the per-threshold units
 /// are dispatched on up to \p Jobs worker threads (results are identical
 /// at any job count).

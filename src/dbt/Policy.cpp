@@ -26,8 +26,8 @@ TranslationPolicy::TranslationPolicy(const Program &P, const cfg::Cfg &G,
 }
 
 void TranslationPolicy::triggerOptimization(
-    const std::vector<profile::BlockCounters> &Shared) {
-  LastFrozen.clear();
+    const std::vector<profile::BlockCounters> &Shared,
+    std::vector<BlockId> *Newly) {
   if (Pool.empty())
     return;
   ++Rounds;
@@ -95,7 +95,8 @@ void TranslationPolicy::triggerOptimization(
       Frozen[B] = true;
       FrozenCounts[B] = effectiveCounts(B, Shared);
       InPool[B] = false;
-      LastFrozen.push_back(B);
+      if (Newly)
+        Newly->push_back(B);
     }
   }
   Pool.clear();
@@ -272,6 +273,74 @@ void TranslationPolicy::optimizedEvent(
   // Optimized block executed outside any region context.
   Account.Cycles += R.InstsExecuted * C.OptOffTracePerInst;
   Account.OffTraceInsts += R.InstsExecuted;
+}
+
+std::vector<FrozenBlock> TranslationPolicy::freezeTimeline(
+    const std::vector<profile::BlockCounters> &Final,
+    const CrossingSource &CrossingPos, const CountersSource &CountersAt) {
+  assert(!Opts.Adaptive.Enabled &&
+         "the freeze timeline is static only without thawing");
+  std::vector<FrozenBlock> Out;
+  const uint64_t T = Opts.Threshold;
+  if (T == 0)
+    return Out;
+  const size_t N = P.numBlocks();
+
+  struct Crossing {
+    double Pos;
+    BlockId Block;
+    bool Registration; ///< T-th use; false = 2T-th
+  };
+  std::vector<Crossing> Timeline;
+  for (size_t B = 0; B < N; ++B) {
+    const uint64_t Use = Final[B].Use;
+    if (Use < T)
+      continue;
+    const auto Id = static_cast<BlockId>(B);
+    Timeline.push_back({CrossingPos(Id, T), Id, true});
+    if (Use >= 2 * T)
+      Timeline.push_back({CrossingPos(Id, 2 * T), Id, false});
+  }
+  std::sort(Timeline.begin(), Timeline.end(),
+            [](const Crossing &A, const Crossing &B) {
+              if (A.Pos != B.Pos)
+                return A.Pos < B.Pos;
+              if (A.Block != B.Block)
+                return A.Block < B.Block;
+              return A.Registration && !B.Registration;
+            });
+
+  std::vector<profile::BlockCounters> SharedAt(N);
+  std::vector<BlockId> Newly;
+  auto fireTrigger = [&](double Pos, BlockId CrossBlock, uint64_t CrossUse) {
+    CountersAt(Pos, SharedAt);
+    for (size_t B = 0; B < N; ++B) {
+      profile::BlockCounters &C = SharedAt[B];
+      C.Use = std::min(C.Use, Final[B].Use);
+      if (B == CrossBlock)
+        C.Use = CrossUse;
+      else if (InPool[B])
+        C.Use = std::max(C.Use, T); // registered: it crossed T before this
+      C.Taken = std::min({C.Taken, C.Use, Final[B].Taken});
+    }
+    Newly.clear();
+    triggerOptimization(SharedAt, &Newly);
+    for (BlockId F : Newly)
+      Out.push_back({F, Pos, SharedAt[F], F == CrossBlock});
+  };
+  for (const Crossing &X : Timeline) {
+    if (Frozen[X.Block])
+      continue; // froze at an earlier crossing: no further triggers
+    if (X.Registration) {
+      InPool[X.Block] = true;
+      Pool.push_back(X.Block);
+      if (Pool.size() >= Opts.PoolLimit)
+        fireTrigger(X.Pos, X.Block, T);
+    } else if (InPool[X.Block]) {
+      fireTrigger(X.Pos, X.Block, 2 * T); // registered twice
+    }
+  }
+  return Out;
 }
 
 profile::ProfileSnapshot TranslationPolicy::finish(

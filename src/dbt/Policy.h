@@ -29,6 +29,7 @@
 #include "vm/Interpreter.h"
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 namespace tpdbt {
@@ -75,6 +76,18 @@ struct DbtOptions {
   AdaptiveOptions Adaptive;
 };
 
+/// One block frozen by TranslationPolicy::freezeTimeline().
+struct FrozenBlock {
+  guest::BlockId Block = 0;
+  /// Event position of the trigger that froze it.
+  double Pos = 0.0;
+  /// Its counters at the freeze.
+  profile::BlockCounters At;
+  /// True for the block whose crossing fired the trigger: its use is
+  /// exactly T or 2T.
+  bool Crossing = false;
+};
+
 /// Per-threshold simulation state. Feed it every executed block via
 /// onBlockEvent() (with the shared counters already incremented for this
 /// event) and collect the snapshot with finish().
@@ -97,14 +110,17 @@ public:
   finish(const std::vector<profile::BlockCounters> &SharedFinal,
          uint64_t BlockEvents, uint64_t InstsExecuted) const;
 
-  /// \name Analytic (indexed) evaluation
-  /// The indexed replay path (core/TraceIndex.h) reconstructs the freeze
-  /// timeline arithmetically — block b's pool registration is its T-th
-  /// occurrence, its registered-twice trigger the 2T-th — and drives the
-  /// policy through these entry points instead of per-event
-  /// onBlockEvent() calls. Each one performs exactly the state change the
-  /// event pump would at the same stream position, so the resulting
-  /// snapshot is byte-identical (a differential test asserts this).
+  /// \name Analytic evaluation
+  /// The analytic replays reconstruct the freeze timeline instead of
+  /// pumping every event through onBlockEvent(): block b's pool
+  /// registration is its T-th use and its registered-twice trigger the
+  /// 2T-th, so policy state only changes at those crossings.
+  /// freezeTimeline() is the one place that rule runs; an engine supplies
+  /// only a counter source — exact (core/Trace.cpp, over the trace index)
+  /// or estimated (sample/Estimator.cpp, over sampled curves). Each entry
+  /// point performs exactly the state change the event pump would at the
+  /// same stream position, so the exact snapshot is byte-identical (a
+  /// differential test asserts this).
   /// Requires adaptive re-optimization to be off: thawing has no static
   /// timeline. Then every frozen block is a region node: a round freezes
   /// exactly the nodes of the regions it forms, and only adaptive
@@ -114,30 +130,30 @@ public:
 
   /// True if \p B is frozen (optimized).
   bool isFrozen(guest::BlockId B) const { return Frozen[B]; }
-  /// True if \p B is in the candidate pool.
-  bool isInPool(guest::BlockId B) const { return InPool[B]; }
 
-  /// Registers \p B in the candidate pool (its use count just reached T).
-  /// Returns true when the pool reached PoolLimit — the caller must fire
-  /// analyticTrigger() at this event position.
-  bool analyticRegister(guest::BlockId B) {
-    assert(!Opts.Adaptive.Enabled && !Frozen[B] && !InPool[B] &&
-           "analytic registration out of order");
-    InPool[B] = true;
-    Pool.push_back(B);
-    return Pool.size() >= Opts.PoolLimit;
-  }
+  /// Event position of block B's J-th use (J is T or 2T, at most B's
+  /// final use count).
+  using CrossingSource = std::function<double(guest::BlockId B, uint64_t J)>;
+  /// Fills \p Out with every block's shared counters as of (and
+  /// including) the event at position \p Pos.
+  using CountersSource = std::function<void(
+      double Pos, std::vector<profile::BlockCounters> &Out)>;
 
-  /// Runs one optimization round exactly as the event pump would, against
-  /// the shared counters materialized for the trigger position. Blocks
-  /// frozen by the round are available from lastFrozen() until the next.
-  void
-  analyticTrigger(const std::vector<profile::BlockCounters> &SharedAtTrigger) {
-    triggerOptimization(SharedAtTrigger);
-  }
-
-  /// The blocks frozen by the most recent optimization round.
-  const std::vector<guest::BlockId> &lastFrozen() const { return LastFrozen; }
+  /// Runs the whole freeze timeline over \p Final (every block's final
+  /// counters) and returns the frozen blocks in freeze order. Every block
+  /// with Final.Use >= T contributes its T-th and 2T-th crossings, taken
+  /// in order of position, then block, a block's registration before its
+  /// own trigger (estimated positions can tie); crossings of an already
+  /// frozen block are skipped. A registration that fills the pool, or a
+  /// pooled block's 2T-th use, fires an optimization round on the
+  /// counters \p CountersAt gives for the crossing's position, clamped to
+  /// what the timeline knows: the crossing block's use is exactly T or
+  /// 2T, a pooled block's at least T, and taken <= use <= Final. Exact
+  /// counters satisfy every clamp already.
+  std::vector<FrozenBlock>
+  freezeTimeline(const std::vector<profile::BlockCounters> &Final,
+                 const CrossingSource &CrossingPos,
+                 const CountersSource &CountersAt);
 
   /// Closed-form profiling-phase accounting for \p Events block events
   /// (\p TakenEvents of them taken conditional branches, \p Insts guest
@@ -248,7 +264,10 @@ public:
   }
 
 private:
-  void triggerOptimization(const std::vector<profile::BlockCounters> &Shared);
+  /// Runs one optimization round; appends the blocks it freezes, in
+  /// freeze order, to \p Newly when non-null.
+  void triggerOptimization(const std::vector<profile::BlockCounters> &Shared,
+                           std::vector<guest::BlockId> *Newly = nullptr);
   void maybeRetranslate(int32_t RegionIdx,
                         const std::vector<profile::BlockCounters> &Shared);
   void invalidateRegion(int32_t RegionIdx,
@@ -281,9 +300,6 @@ private:
   std::vector<bool> InPool;
   std::vector<uint8_t> LiveRegionCount; ///< live regions containing block
   std::vector<guest::BlockId> Pool;
-  /// Blocks frozen by the most recent optimization round (in freeze
-  /// order); consumed by the analytic replay path.
-  std::vector<guest::BlockId> LastFrozen;
   std::vector<region::Region> Regions;
   std::vector<RegionRuntime> Runtime;
   std::vector<int32_t> RegionEntryOf;

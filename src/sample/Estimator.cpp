@@ -212,101 +212,45 @@ profile::ProfileSnapshot Estimator::estimate(const dbt::DbtOptions &Base,
                                              uint64_t Threshold,
                                              const Curves &C,
                                              FreezeInfo *Info) const {
-  assert(!Base.Adaptive.Enabled &&
-         "sampled estimation requires a static freeze timeline");
   assert(C.E == this && C.ExcludeGroup < 0 &&
          "point estimates read this estimator's full-sample curves");
   const size_t N = P.numBlocks();
-  const size_t S = Segments.size();
-  const uint64_t T = Threshold;
 
   dbt::DbtOptions Opts = Base;
-  Opts.Threshold = T;
+  Opts.Threshold = Threshold;
   dbt::TranslationPolicy Policy(P, G, Opts);
 
-  // Freeze timeline, exactly as core/Trace.cpp evaluateIndexed builds it,
-  // with estimated crossing positions. Positions can tie after
-  // estimation, so the order is pinned: position, then block, with a
-  // block's registration strictly before its own trigger.
-  std::vector<profile::BlockCounters> FrozenAt(N);
-  std::vector<uint8_t> IsFrozenHere(N, 0);
-  std::vector<FreezeInfo::FrozenBlock> FrozenList;
-  if (T > 0 && S > 0) {
-    struct Crossing {
-      double Pos;
-      BlockId Block;
-      bool Registration;
-    };
-    std::vector<Crossing> Timeline;
-    for (size_t B = 0; B < N; ++B) {
-      const uint64_t Use = Final[B].Use;
-      if (Use < T)
-        continue;
-      const auto Id = static_cast<BlockId>(B);
-      Timeline.push_back({C.crossingPos(B, T), Id, true});
-      if (Use >= 2 * T)
-        Timeline.push_back({C.crossingPos(B, 2 * T), Id, false});
-    }
-    std::sort(Timeline.begin(), Timeline.end(),
-              [](const Crossing &A, const Crossing &B) {
-                if (A.Pos != B.Pos)
-                  return A.Pos < B.Pos;
-                if (A.Block != B.Block)
-                  return A.Block < B.Block;
-                return A.Registration && !B.Registration;
-              });
-
-    std::vector<profile::BlockCounters> SharedAt(N);
-    auto fireTrigger = [&](double Pos, BlockId CrossBlock,
-                           uint64_t CrossUse) {
-      const Curves::At At = C.locate(Pos); // one segment for every block
-      for (size_t B = 0; B < N; ++B) {
-        uint64_t U = static_cast<uint64_t>(std::llround(
-            std::max(0.0, C.valueAt(B, At, /*Taken=*/false))));
-        uint64_t Tk = static_cast<uint64_t>(std::llround(
-            std::max(0.0, C.valueAt(B, At, /*Taken=*/true))));
-        U = std::min(U, Final[B].Use);
-        if (B == CrossBlock)
-          U = CrossUse;
-        else if (Policy.isInPool(static_cast<BlockId>(B)))
-          U = std::max(U, T); // registered: it crossed T before this
-        Tk = std::min({Tk, U, Final[B].Taken});
-        SharedAt[B] = {U, Tk};
-      }
-      Policy.analyticTrigger(SharedAt);
-      for (BlockId F : Policy.lastFrozen()) {
-        FrozenAt[F] = SharedAt[F];
-        IsFrozenHere[F] = 1;
-        FrozenList.push_back(
-            {F, Pos, F == CrossBlock ? CrossUse : 0});
-      }
-    };
-    for (const Crossing &X : Timeline) {
-      if (Policy.isFrozen(X.Block))
-        continue; // froze at an earlier crossing: no further triggers
-      if (X.Registration) {
-        if (Policy.analyticRegister(X.Block))
-          fireTrigger(X.Pos, X.Block, T); // pool reached PoolLimit
-      } else if (Policy.isInPool(X.Block)) {
-        fireTrigger(X.Pos, X.Block, 2 * T); // registered twice
-      }
-    }
-  }
+  // The policy's freeze timeline over estimated sources: a crossing is
+  // the use curve's inverse, and a trigger's counters are both curves at
+  // its position (located once for every block), rounded. The timeline's
+  // clamps pin what the estimate cannot know.
+  std::vector<dbt::FrozenBlock> Frozen = Policy.freezeTimeline(
+      Final, [&](BlockId B, uint64_t J) { return C.crossingPos(B, J); },
+      [&](double Pos, std::vector<profile::BlockCounters> &Out) {
+        const Curves::At At = C.locate(Pos);
+        auto value = [&](size_t B, bool Taken) {
+          return static_cast<uint64_t>(
+              std::llround(std::max(0.0, C.valueAt(B, At, Taken))));
+        };
+        for (size_t B = 0; B < N; ++B)
+          Out[B] = {value(B, /*Taken=*/false), value(B, /*Taken=*/true)};
+      });
 
   // Profiling phase in closed form over the estimated pre-freeze
   // prefixes; with nothing frozen the totals are the exact stream totals.
+  std::vector<profile::BlockCounters> Pre = Final;
+  for (const dbt::FrozenBlock &F : Frozen)
+    Pre[F.Block] = F.At;
   uint64_t ProfEvents = 0, ProfTaken = 0;
   double ProfInstsD = 0.0;
   for (size_t B = 0; B < N; ++B) {
-    const profile::BlockCounters &Pre =
-        IsFrozenHere[B] ? FrozenAt[B] : Final[B];
-    ProfEvents += Pre.Use;
-    ProfTaken += Pre.Taken;
-    ProfInstsD += static_cast<double>(Pre.Use) * EffLen[B];
+    ProfEvents += Pre[B].Use;
+    ProfTaken += Pre[B].Taken;
+    ProfInstsD += static_cast<double>(Pre[B].Use) * EffLen[B];
   }
   const uint64_t ProfInsts =
-      FrozenList.empty() ? TotalInsts
-                         : static_cast<uint64_t>(std::llround(ProfInstsD));
+      Frozen.empty() ? TotalInsts
+                     : static_cast<uint64_t>(std::llround(ProfInstsD));
   Policy.analyticAddProfiling(ProfEvents, ProfTaken, ProfInsts);
 
   // Post-freeze accounting (the walkOptimized stand-in): occurrences of a
@@ -315,17 +259,16 @@ profile::ProfileSnapshot Estimator::estimate(const dbt::DbtOptions &Base,
   // with no exit penalties — the estimated cycles column is approximate
   // and carries a wide guard in the figures.
   double MemberInstsD = 0.0;
-  for (const FreezeInfo::FrozenBlock &FB : FrozenList)
-    MemberInstsD += static_cast<double>(Final[FB.Block].Use -
-                                        FrozenAt[FB.Block].Use) *
-                    EffLen[FB.Block];
+  for (const dbt::FrozenBlock &F : Frozen)
+    MemberInstsD += static_cast<double>(Final[F.Block].Use - F.At.Use) *
+                    EffLen[F.Block];
   const uint64_t MemberInsts =
       static_cast<uint64_t>(std::llround(MemberInstsD));
 
   profile::ProfileSnapshot Snap = Policy.finish(Final, NumEvents, TotalInsts);
   Snap.Cycles += MemberInsts * Opts.Cost.OptPerInst;
   if (Info) {
-    Info->Frozen = std::move(FrozenList);
+    Info->Frozen = std::move(Frozen);
     Info->ProfEvents = ProfEvents;
     Info->ProfTaken = ProfTaken;
     Info->ProfInsts = ProfInsts;
@@ -349,16 +292,16 @@ profile::ProfileSnapshot Estimator::replicate(const dbt::DbtOptions &Base,
   uint64_t ProfEvents = NumEvents, ProfTaken = TakenTotal;
   double ProfInstsD = static_cast<double>(TotalInsts);
   double MemberInstsD = 0.0;
-  for (const FreezeInfo::FrozenBlock &FB : Info.Frozen) {
+  for (const dbt::FrozenBlock &FB : Info.Frozen) {
     const size_t B = FB.Block;
     // A frozen block froze at a trigger, and triggers need a segment.
     const Curves::At At = C.locate(FB.Pos);
-    uint64_t U = FB.Forced
-                     ? FB.Forced
-                     : static_cast<uint64_t>(std::llround(std::max(
-                           0.0, C.valueAt(B, At, /*Taken=*/false))));
-    if (!FB.Forced)
+    uint64_t U = FB.At.Use; // the crossing block's forced T or 2T
+    if (!FB.Crossing) {
+      U = static_cast<uint64_t>(std::llround(
+          std::max(0.0, C.valueAt(B, At, /*Taken=*/false))));
       U = std::min(std::max(U, T), Final[B].Use); // it was in the pool
+    }
     uint64_t Tk = static_cast<uint64_t>(std::llround(
         std::max(0.0, C.valueAt(B, At, /*Taken=*/true))));
     Tk = std::min({Tk, U, Final[B].Taken});
@@ -392,10 +335,4 @@ profile::ProfileSnapshot Estimator::replicate(const dbt::DbtOptions &Base,
   Snap.Cycles = static_cast<uint64_t>(std::max<int64_t>(Cycles, 0));
   Snap.ProfilingOps = ProfEvents + ProfTaken;
   return Snap;
-}
-
-profile::ProfileSnapshot
-Estimator::average(const dbt::DbtOptions &Base) const {
-  return dbt::profilingAverage(P, G, Base, Final, NumEvents, TakenTotal,
-                               TotalInsts);
 }

@@ -9,12 +9,15 @@
 /// segments, mirroring the exact indexed replay (core/Trace.cpp
 /// evaluateIndexed) at segment granularity.
 ///
-/// The exact path needs only three trace queries: the position of a
-/// block's T-th / 2T-th occurrence (the freeze timeline), every block's
-/// cumulative counters at a position (the trigger's Shared vector), and
-/// each block's pre-freeze occurrence prefix (closed-form profiling
-/// accounting). The estimator answers the same queries from calibrated
-/// piecewise-linear per-block cumulative-use curves:
+/// The freeze timeline itself lives in the policy
+/// (dbt::TranslationPolicy::freezeTimeline); an engine supplies only its
+/// counter sources: the position of a block's T-th / 2T-th occurrence
+/// and every block's cumulative counters at a position (the trigger's
+/// Shared vector). The profiling accounting then needs each block's
+/// pre-freeze occurrence prefix, which the timeline returns. The exact
+/// replay answers those queries from the trace index; the estimator
+/// answers them from calibrated piecewise-linear per-block
+/// cumulative-use curves:
 ///
 ///   cumUse_b(k) = [exact decoded use in sampled segments before k]
 ///               + alpha_b * sum_h rate_h(b) * unsampledEvents_h(before k)
@@ -31,10 +34,10 @@
 ///
 /// Crossing positions are solved by binary search over segment boundaries
 /// plus linear interpolation inside a segment; the trigger's Shared
-/// vector is the rounded curve value at that position, with the crossing
-/// block forced to exactly T (or 2T) and pool members clamped to at least
-/// T. The real dbt::TranslationPolicy then runs its analytic entry points
-/// unchanged — registration, trigger, region formation, freezing — so
+/// vector is the rounded curve value at that position, which the
+/// timeline clamps (the crossing block to exactly T or 2T, pool members
+/// to at least T, taken <= use <= final). Registration, triggers, region
+/// formation and freezing are the same code the exact replay runs, so
 /// region structures come from the production code path, not a model of
 /// it. Everything downstream of a frozen block's counters (the fig08-16
 /// metrics) is therefore exact *given* the estimated freeze-time
@@ -93,18 +96,11 @@ using core::SegmentProfile;
 /// replicate() needs to re-derive a snapshot from re-estimated counters
 /// without re-running the policy.
 struct FreezeInfo {
-  struct FrozenBlock {
-    guest::BlockId Block = 0;
-    /// Estimated event position of the trigger that froze this block.
-    double Pos = 0.0;
-    /// Exact counter value forced at the freeze (the crossing block's T
-    /// or 2T); 0 = counters come from the curve.
-    uint64_t Forced = 0;
-  };
-  /// Every block the point estimate froze. Each is a node of a formed
-  /// region (see dbt/Policy.h, analytic section), so its post-freeze
-  /// occurrences are charged the region-member rate.
-  std::vector<FrozenBlock> Frozen;
+  /// Every block the point estimate froze, in freeze order, with its
+  /// estimated trigger position and freeze-time counters. Each is a node
+  /// of a formed region (see dbt/Policy.h, analytic section), so its
+  /// post-freeze occurrences are charged the region-member rate.
+  std::vector<dbt::FrozenBlock> Frozen;
   /// Point-estimate profiling/post-freeze totals, for replicate deltas.
   /// MemberInsts is the frozen blocks' post-freeze instructions.
   uint64_t ProfEvents = 0;
@@ -188,12 +184,6 @@ public:
                                      uint64_t Threshold,
                                      const FreezeInfo &Info,
                                      const Curves &View) const;
-
-  /// The profiling-only snapshot (AVEP / INIP(train)). Exact: it depends
-  /// only on the stream totals and the final counter table, all of which
-  /// the TPDT v4 header carries — byte-identical to the full replay's
-  /// Average.
-  profile::ProfileSnapshot average(const dbt::DbtOptions &Base) const;
 
   uint32_t numGroups() const { return Plan.NumGroups; }
   const SamplePlan &plan() const { return Plan; }

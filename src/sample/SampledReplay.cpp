@@ -165,7 +165,9 @@ bool tpdbt::sample::sampledSweep(core::SegmentedTraceReader &Reader,
   });
 
   Out.PerThreshold = Slots.fanOut(Points.data());
-  Out.Average = Est.average(Base);
+  // The profiling-only average needs only the header's totals: exact.
+  Out.Average = dbt::profilingAverage(P, G, Base, H.Final, H.NumEvents,
+                                      H.takenEvents(), H.TotalInsts);
   Out.Replicates.assign(Groups, {});
   for (uint32_t Gr = 0; Gr < Groups; ++Gr)
     Out.Replicates[Gr] = Slots.fanOut(Reps.data() + Gr * U);

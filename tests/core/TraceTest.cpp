@@ -274,10 +274,11 @@ TEST(TraceTest, MaxBlocksTruncatesRecording) {
 
 TEST(TraceTest, IndexedReplayMatchesEventPumpRandomized) {
   // Differential test for the analytic evaluator: randomized threshold
-  // sets (duplicates included) and pool limits must reproduce the event
-  // pump byte-for-byte.
+  // sets (duplicates included), pool limits and region-formation options
+  // must reproduce the event pump byte-for-byte.
   Rng R(0x1d9f2c);
-  for (const char *Name : {"gzip", "art", "eon"}) {
+  for (const char *Name :
+       {"gzip", "art", "eon", "gcc", "mcf", "twolf", "mgrid", "equake"}) {
     auto B = smallBench(Name);
     BlockTrace T = BlockTrace::record(B.Ref);
     for (int Round = 0; Round < 3; ++Round) {
@@ -289,6 +290,11 @@ TEST(TraceTest, IndexedReplayMatchesEventPumpRandomized) {
         Thresholds.push_back(Thresholds[R.nextBelow(Count)]); // duplicate
       dbt::DbtOptions Opts;
       Opts.PoolLimit = 1 + R.nextBelow(16);
+      region::FormationOptions &F = Opts.Formation;
+      F.MinBranchProb = 0.5 + 0.45 * R.nextDouble();
+      F.MaxRegionBlocks = 1 + R.nextBelow(32);
+      F.EnableDiamonds = R.nextBool(0.5);
+      F.AllowDuplication = R.nextBool(0.5);
       expectIndexedMatchesPump(T, B.Ref, Thresholds, Opts, Name);
     }
   }

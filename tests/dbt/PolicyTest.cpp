@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 using namespace tpdbt;
 using namespace tpdbt::guest;
 using namespace tpdbt::dbt;
@@ -253,4 +256,73 @@ TEST(PolicyTest, EveryFrozenBlockIsARegionNode) {
       }
     }
   }
+}
+
+TEST(PolicyTest, FreezeTimelineOrdersTiesAndClampsCounters) {
+  // The analytic timeline over a scripted source with tied crossing
+  // positions and counters that break every clamp. Blocks of the diamond
+  // loop: 0 entry, 1 head, 2 d, 3 a, 4 b, 5 m, 6 exit.
+  Program P = makeDiamondLoop(100);
+  cfg::Cfg G(P);
+  const uint64_t T = 10;
+  DbtOptions Opts;
+  Opts.Threshold = T;
+  TranslationPolicy Policy(P, G, Opts);
+
+  std::vector<profile::BlockCounters> Final(P.numBlocks());
+  Final[0] = {1, 0};
+  Final[1] = {100, 0};
+  Final[2] = {100, 50};
+  Final[3] = {100, 0};
+  Final[4] = {100, 0};
+  Final[5] = {12, 4}; // crosses T only
+  // {T-th, 2T-th} use positions. m registers first. The head's two
+  // crossings tie, so it registers and then fires at 3. d is absorbed
+  // into the head's region at 3 as a warm block, so its own crossings at
+  // 8 and 9 are skipped. a and b tie at both crossings: a goes first, so
+  // a's 2T-th use fires at 6 and b freezes as a pool member.
+  const std::map<BlockId, std::pair<double, double>> Crossings = {
+      {1, {3.0, 3.0}}, {2, {8.0, 9.0}}, {3, {4.0, 6.0}},
+      {4, {4.0, 6.0}}, {5, {1.0, -1.0}}};
+  std::vector<double> Triggers;
+  auto CrossingPos = [&](BlockId B, uint64_t J) {
+    EXPECT_TRUE(J == T || J == 2 * T) << "block " << B << " J=" << J;
+    EXPECT_LE(J, Final[B].Use) << "block " << B;
+    const auto &[Reg, Trig] = Crossings.at(B);
+    return J == T ? Reg : Trig;
+  };
+  auto CountersAt = [&](double Pos,
+                        std::vector<profile::BlockCounters> &Out) {
+    Triggers.push_back(Pos);
+    std::fill(Out.begin(), Out.end(), profile::BlockCounters());
+    if (Pos == 3.0) {
+      Out[1] = {13, 0};  // the crossing block: forced to 2T
+      Out[5] = {50, 30}; // a pool member past its final counters
+      Out[2] = {6, 9};   // warm (>= T/2), more taken than uses
+    } else {
+      Out[3] = {25, 0}; // the crossing block: forced to 2T
+      Out[4] = {3, 0};  // a pool member below T: raised to T
+    }
+  };
+
+  const std::vector<FrozenBlock> Frozen =
+      Policy.freezeTimeline(Final, CrossingPos, CountersAt);
+  EXPECT_EQ(Triggers, (std::vector<double>{3.0, 6.0}));
+  const std::vector<FrozenBlock> Want = {
+      {5, 3.0, {12, 4}, false}, // use <= Final, taken <= Final
+      {1, 3.0, {20, 0}, true},
+      {2, 3.0, {6, 6}, false}, // taken <= use; not pooled, so not >= T
+      {3, 6.0, {20, 0}, true},
+      {4, 6.0, {10, 0}, false}};
+  ASSERT_EQ(Frozen.size(), Want.size());
+  for (size_t I = 0; I < Want.size(); ++I) {
+    EXPECT_EQ(Frozen[I].Block, Want[I].Block) << "freeze " << I;
+    EXPECT_EQ(Frozen[I].Pos, Want[I].Pos) << "freeze " << I;
+    EXPECT_EQ(Frozen[I].At.Use, Want[I].At.Use) << "freeze " << I;
+    EXPECT_EQ(Frozen[I].At.Taken, Want[I].At.Taken) << "freeze " << I;
+    EXPECT_EQ(Frozen[I].Crossing, Want[I].Crossing) << "freeze " << I;
+    EXPECT_TRUE(Policy.isFrozen(Want[I].Block));
+  }
+  EXPECT_FALSE(Policy.isFrozen(0));
+  EXPECT_EQ(Policy.optimizationRounds(), 2u);
 }
