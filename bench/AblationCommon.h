@@ -72,8 +72,9 @@ struct AblationWorkload {
 namespace detail {
 
 struct AblationRegistry {
-  /// Shares .trace recordings with the figure binaries when the scales
-  /// line up; "off" disables the disk layer as usual.
+  /// Shares .trace recordings with the figure binaries that run at this
+  /// scale (a figure binary at TPDBT_SCALE=0.25 records what an ablation
+  /// at TPDBT_SCALE=1 replays); "off" disables the disk layer as usual.
   core::TraceCache Cache{core::ExperimentConfig::fromEnv().CacheDir};
   std::mutex Lock; ///< guards the map structure only
   std::map<std::string, std::pair<std::once_flag, AblationWorkload>> Entries;
@@ -102,38 +103,28 @@ inline const AblationWorkload &ablationWorkload(const std::string &Name) {
         workloads::scaledSpec(*workloads::findSpec(Name), ablationScale());
     W.Bench = workloads::generateBenchmark(Scaled);
     W.Graph = std::make_unique<cfg::Cfg>(W.Bench.Ref);
-    // Same key scheme as ExperimentContext::ensureProfiles: execution
-    // config + spec + event budget (ablations run uncapped).
+    // Same key and event cap as the figure binaries' ExperimentContext.
     core::ExperimentConfig EC = core::ExperimentConfig::fromEnv();
     EC.Scale = ablationScale();
-    uint64_t ExecFp = combineSeeds(
-        combineSeeds(EC.executionFingerprint(),
-                     workloads::specFingerprint(Scaled)),
-        ~0ull);
-    W.Trace = R.Cache.get(Name, "ref", ExecFp, W.Bench.Ref, ~0ull);
+    W.Trace = R.Cache.get(Name, "ref", EC.traceFingerprint(Scaled),
+                          W.Bench.Ref, Scaled.MaxBlockEvents);
   });
   return E->second;
 }
 
 /// One-line trace-cache report for the ablation banners, e.g.
-/// "traces: 6 hit / 0 miss (0 corrupt), 0.0s recording, index 6 hit / 0
-/// build".
+/// "traces: 6 hit / 0 miss (0 corrupt), 0.0s recording".
 inline std::string ablationStatsLine() {
   const core::TraceCache::Counters &S = detail::ablationRegistry().Cache.stats();
   return formatString(
-      "traces: %llu hit / %llu miss (%llu corrupt), %.1fs recording, "
-      "index %llu hit / %llu build",
+      "traces: %llu hit / %llu miss (%llu corrupt), %.1fs recording",
       static_cast<unsigned long long>(S.hits()),
       static_cast<unsigned long long>(
           S.Misses.load(std::memory_order_relaxed)),
       static_cast<unsigned long long>(
           S.CorruptEntries.load(std::memory_order_relaxed)),
       static_cast<double>(S.RecordMicros.load(std::memory_order_relaxed)) /
-          1e6,
-      static_cast<unsigned long long>(
-          S.IndexHits.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          S.IndexBuilds.load(std::memory_order_relaxed)));
+          1e6);
 }
 
 /// Aggregate results of one configuration over the subset.

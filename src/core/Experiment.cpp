@@ -74,6 +74,13 @@ uint64_t ExperimentConfig::executionFingerprint() const {
   return combineSeeds(H, ScaleBits);
 }
 
+uint64_t
+ExperimentConfig::traceFingerprint(const workloads::BenchSpec &Spec) const {
+  return combineSeeds(
+      combineSeeds(executionFingerprint(), specFingerprint(Spec)),
+      Spec.MaxBlockEvents);
+}
+
 uint64_t ExperimentConfig::policyFingerprint() const {
   uint64_t H = 0x7bd9u; // policy-layer salt; bump on snapshot changes
   for (uint64_t T : Thresholds)
@@ -264,20 +271,13 @@ void ExperimentContext::ensureProfiles(const std::string &Name,
   D.ProfilesReady.store(true, std::memory_order_release);
 }
 
-uint64_t
-ExperimentContext::traceFingerprint(const GeneratedBenchmark &B) const {
-  return combineSeeds(
-      combineSeeds(Config.executionFingerprint(), specFingerprint(B.Spec)),
-      B.Spec.MaxBlockEvents);
-}
-
 void ExperimentContext::replayProfiles(const std::string &Name,
                                        BenchData &D, unsigned ReplayJobs) {
   const GeneratedBenchmark &B = *D.Bench;
   const uint64_t MaxBlocks = B.Spec.MaxBlockEvents;
   // Trace-first: fetch (or record once) the execution's event stream, then
   // derive every profile by replay.
-  const uint64_t ExecFp = traceFingerprint(B);
+  const uint64_t ExecFp = Config.traceFingerprint(B.Spec);
 
   {
     std::shared_ptr<const BlockTrace> RefTrace =
@@ -367,7 +367,7 @@ void ExperimentContext::ensureEstimates(const std::string &Name,
                                         BenchData &D, unsigned ReplayJobs) {
   const GeneratedBenchmark &B = *D.Bench;
   const uint64_t MaxBlocks = B.Spec.MaxBlockEvents;
-  const uint64_t ExecFp = traceFingerprint(B);
+  const uint64_t ExecFp = Config.traceFingerprint(B.Spec);
   // Per-benchmark seed: figure suites stay deterministic while different
   // benchmarks draw independent samples.
   const uint64_t BenchSeed =

@@ -105,10 +105,18 @@ struct ExperimentConfig {
   uint64_t fingerprint() const;
 
   /// Fingerprint of the configuration that shapes the *event stream* of a
-  /// benchmark execution (currently the workload scale; callers combine it
-  /// with the spec fingerprint and event budget). Keys the .trace cache:
-  /// configurations differing only in policy knobs share recordings.
+  /// benchmark execution (currently the workload scale; traceFingerprint
+  /// combines it with the spec fingerprint and event budget). Keys the
+  /// .trace cache: configurations differing only in policy knobs share
+  /// recordings.
   uint64_t executionFingerprint() const;
+
+  /// The .trace cache key of an execution of \p Spec (either input):
+  /// exactly what shapes its event stream — executionFingerprint(), the
+  /// spec, and the spec's event budget — so re-running with different
+  /// thresholds or cost knobs hits the trace layer and never
+  /// re-interprets.
+  uint64_t traceFingerprint(const workloads::BenchSpec &Spec) const;
 
   /// Fingerprint of the configuration consumed during replay only:
   /// thresholds, pool limit, region formation, cost model, and adaptive
@@ -296,11 +304,6 @@ private:
   /// running one worker per benchmark (results are identical either way).
   void ensureProfiles(const std::string &Name, BenchData &D,
                       unsigned ReplayJobs);
-  /// The trace cache key of \p B's ref and train executions. It covers
-  /// exactly what shapes the event stream — spec, scale, and event
-  /// budget — so re-running with different thresholds or cost knobs hits
-  /// the trace layer and never re-interprets.
-  uint64_t traceFingerprint(const workloads::GeneratedBenchmark &B) const;
   /// The exact-mode miss path of ensureProfiles (caller holds D.Lock):
   /// fetch or record the traces, replay the ref sweep, and derive
   /// INIP(train) from the train stream's totals.

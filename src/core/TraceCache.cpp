@@ -49,13 +49,6 @@ void TraceCache::enforceBudget() {
   uint64_t Total = 0;
   std::error_code Ec;
   for (const auto &E : std::filesystem::directory_iterator(Dir, Ec)) {
-    if (E.path().extension() == ".idx" &&
-        E.path().stem().extension() == ".trace") {
-      // A .trace.idx index sidecar from an older build: nothing reads it
-      // any more, so it only holds budget.
-      std::filesystem::remove(E.path(), Ec);
-      continue;
-    }
     if (E.path().extension() != ".trace")
       continue;
     Entry Ent;

@@ -241,8 +241,9 @@ public:
   size_t memoizedSegments();
 
   /// Applies the TPDBT_CACHE_MAX_BYTES budget to the disk layer now:
-  /// deletes least-recently-used .trace entries until the store fits, and
-  /// any stale .trace.idx sidecar an older build left behind. Called
+  /// deletes least-recently-used .trace entries until the store fits.
+  /// Only .trace files count toward the budget; a leftover .trace.idx
+  /// sidecar from an older build is ignored like any other file. Called
   /// after every store; exposed so tests and the daemon's STATS path can
   /// force a pass.
   void enforceBudget();

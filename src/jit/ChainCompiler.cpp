@@ -1,10 +1,10 @@
 //===- jit/ChainCompiler.cpp - Superblock -> x86-64 compiler ---------------===//
 //
-// Lowering reference: vm/Interpreter.h executeOps()/evalBranch()/
-// evalFusedCmp(). Every case here must produce bit-identical register,
-// memory, and fault behavior; tests/jit/JitLoweringTest.cpp checks each
-// opcode plus randomized bodies, chains, and self-loops differentially
-// against executeOps/evalBranch/evalFusedCmp.
+// Lowering reference: vm/Interpreter.h executeOps()/evalBranch(). Every
+// case here must produce bit-identical register, memory, and fault
+// behavior; tests/jit/JitLoweringTest.cpp checks each opcode plus
+// randomized bodies, chains, and self-loops differentially against
+// executeOps/evalBranch.
 //
 // Ops are lowered in program order. The layout follows the prediction:
 //
@@ -157,12 +157,6 @@ private:
       ++Uses[T.Ra];
       if (!guest::condUsesImm(static_cast<CondKind>(T.Cond)))
         ++Uses[T.Rb];
-      return;
-    case Interpreter::TermCode::FusedBr:
-      ++Uses[T.Ra];
-      if (!guest::opcodeUsesImm(static_cast<Opcode>(T.Cond)))
-        ++Uses[T.Rb];
-      ++Uses[T.Rd];
       return;
     }
   }
@@ -690,85 +684,36 @@ private:
 
   // --- Terminators ------------------------------------------------------
 
-  /// Evaluates the terminator condition; returns the flag condition that
-  /// is true exactly when the branch is taken. FusedBr also writes the
-  /// architecturally visible compare result to Rd (matching executeBlock).
+  /// Evaluates a Branch terminator's condition; returns the flag condition
+  /// that is true exactly when the branch is taken.
   Cond emitTakenCond(const Interpreter::DecodedTerm &T) {
-    if (T.Code == Interpreter::TermCode::Branch) {
-      const CondKind CK = static_cast<CondKind>(T.Cond);
-      loadG(RAX, T.Ra);
-      if (guest::condUsesImm(CK))
-        aluImm64(Alu::Cmp, RAX, T.Imm);
-      else
-        aluG(Alu::Cmp, RAX, T.Rb);
-      switch (CK) {
-      case CondKind::Eq:
-      case CondKind::EqI:
-        return Cond::E;
-      case CondKind::Ne:
-      case CondKind::NeI:
-        return Cond::Ne;
-      case CondKind::Lt:
-      case CondKind::LtI:
-        return Cond::L;
-      case CondKind::Ge:
-      case CondKind::GeI:
-        return Cond::Ge;
-      case CondKind::LtU:
-        return Cond::B;
-      case CondKind::GeU:
-        return Cond::Ae;
-      }
-      return Cond::E;
-    }
-    assert(T.Code == Interpreter::TermCode::FusedBr &&
+    assert(T.Code == Interpreter::TermCode::Branch &&
            "only conditional terminators are guarded");
-    const Opcode C = static_cast<Opcode>(T.Cond);
-    E.zero(RCX);
-    if (C == Opcode::FCmpLt) {
-      loadG(RAX, T.Ra);
-      E.movqToXmm(0, RAX);
-      loadG(RAX, T.Rb);
-      E.movqToXmm(1, RAX);
-      E.ucomisd(1, 0);
-      E.setcc(Cond::A, RCX);
-    } else {
-      loadG(RAX, T.Ra);
-      Cond CC = Cond::E;
-      switch (C) {
-      case Opcode::CmpEq:
-        aluG(Alu::Cmp, RAX, T.Rb);
-        CC = Cond::E;
-        break;
-      case Opcode::CmpLt:
-        aluG(Alu::Cmp, RAX, T.Rb);
-        CC = Cond::L;
-        break;
-      case Opcode::CmpLtU:
-        aluG(Alu::Cmp, RAX, T.Rb);
-        CC = Cond::B;
-        break;
-      case Opcode::CmpEqI:
-        aluImm64(Alu::Cmp, RAX, T.Imm);
-        CC = Cond::E;
-        break;
-      case Opcode::CmpLtI:
-        aluImm64(Alu::Cmp, RAX, T.Imm);
-        CC = Cond::L;
-        break;
-      case Opcode::CmpLtUI:
-        aluImm64(Alu::Cmp, RAX, T.Imm);
-        CC = Cond::B;
-        break;
-      default:
-        assert(false && "non-compare opcode in fused branch");
-        break;
-      }
-      E.setcc(CC, RCX);
+    const CondKind CK = static_cast<CondKind>(T.Cond);
+    loadG(RAX, T.Ra);
+    if (guest::condUsesImm(CK))
+      aluImm64(Alu::Cmp, RAX, T.Imm);
+    else
+      aluG(Alu::Cmp, RAX, T.Rb);
+    switch (CK) {
+    case CondKind::Eq:
+    case CondKind::EqI:
+      return Cond::E;
+    case CondKind::Ne:
+    case CondKind::NeI:
+      return Cond::Ne;
+    case CondKind::Lt:
+    case CondKind::LtI:
+      return Cond::L;
+    case CondKind::Ge:
+    case CondKind::GeI:
+      return Cond::Ge;
+    case CondKind::LtU:
+      return Cond::B;
+    case CondKind::GeU:
+      return Cond::Ae;
     }
-    storeG(T.Rd, RCX);
-    E.test(RCX, RCX);
-    return T.Invert ? Cond::E : Cond::Ne;
+    return Cond::E;
   }
 
   /// The guard: deviating from the predicted edge exits through a deopt

@@ -104,8 +104,8 @@ std::vector<uint8_t> compileChain(const JitSegment *Segs, size_t N);
 
 /// Compiles a self-looping block: body [Begin, End), latch \p Term.
 /// \p StayBranch uses the trace encoding (0 = jump-to-self, 1 = staying
-/// means not taken, 2 = staying means taken). Every self-loop level
-/// (Generic and Counted) compiles; the native loop evaluates its latch.
+/// means not taken, 2 = staying means taken). Every self-loop compiles;
+/// the native loop evaluates its latch each iteration.
 std::vector<uint8_t>
 compileSelfLoop(const vm::Interpreter::DecodedOp *Begin,
                 const vm::Interpreter::DecodedOp *End,

@@ -46,9 +46,6 @@ struct SampleConfig {
   uint64_t Seed = 0x5eed;
   /// Cap on the number of phases the leader clustering may open.
   unsigned MaxPhases = 8;
-  /// Jackknife group count for the confidence intervals (clamped to the
-  /// number of sampled segments).
-  unsigned Groups = 12;
 
   bool enabled() const { return Kind == Mode::Stratified; }
 
@@ -80,7 +77,6 @@ struct SampleConfig {
     H = combineSeeds(H, BudgetBits);
     H = combineSeeds(H, Seed);
     H = combineSeeds(H, MaxPhases);
-    H = combineSeeds(H, Groups);
     return H;
   }
 };

@@ -42,6 +42,10 @@ double tpdbt::sample::jackknife95(const std::vector<double> &Replicates,
 
 namespace {
 
+/// Jackknife group count for the confidence intervals (planSample clamps
+/// it to the number of sampled segments).
+constexpr unsigned JackknifeGroups = 12;
+
 /// Segment \p I's directory statistics: its event count, and its
 /// instruction and taken-branch sums as the difference of neighbouring
 /// bases (the last segment ends on the header's totals).
@@ -92,8 +96,8 @@ bool tpdbt::sample::drawSample(core::SegmentedTraceReader &Reader,
 
   const PhaseAssignment Phases =
       detectSegmentPhases(Out.Segments, Cfg.MaxPhases);
-  Out.Plan =
-      planSample(Out.Segments, Phases, Cfg.BudgetFrac, Seed, Cfg.Groups);
+  Out.Plan = planSample(Out.Segments, Phases, Cfg.BudgetFrac, Seed,
+                        JackknifeGroups);
 
   Out.Decoded.assign(Out.Plan.Chosen.size(), SegmentProfile());
   std::vector<profile::BlockCounters> Table(H.NumBlocks);

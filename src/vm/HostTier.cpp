@@ -207,7 +207,7 @@ void HostTier::tryPromote(BlockId Head) {
       break; // revisits re-enter through normal dispatch
     // Self-loops belong to the run-length tier, never to a chain; the
     // head itself cannot be one (the pump dispatches self-loops first).
-    if (I.selfLoop(Cur).Kind != Interpreter::SelfLoop::Level::None)
+    if (I.selfLoop(Cur).IsLoop)
       break;
     const Interpreter::DecodedTerm &T = I.Terms[Cur];
     if (T.Code == Interpreter::TermCode::Halt)
@@ -238,9 +238,7 @@ void HostTier::tryPromote(BlockId Head) {
     G.OpEnd = static_cast<uint32_t>(SbOps.size());
     G.Term = T;
     G.Next = Next;
-    const uint32_t Insts =
-        (G.OpEnd - G.OpBegin) +
-        (T.Code == Interpreter::TermCode::FusedBr ? 2u : 1u);
+    const uint32_t Insts = (G.OpEnd - G.OpBegin) + 1;
     InChain[S.Segs.size()] = Cur;
     S.Segs.push_back(G);
     S.Events.push_back(SbEvent{Cur, BranchCode, Insts});

@@ -17,8 +17,7 @@
 ///  1. Self-loop tier — blocks that branch back to themselves (half to
 ///     ninety-five percent of all events in the synthetic suite) batch all
 ///     consecutive iterations into one Interpreter::runSelfLoop call and
-///     one Sink::onRun delivery. Counted loops skip latch evaluation
-///     (see vm/Interpreter.h).
+///     one Sink::onRun delivery.
 ///  2. Superblock tier — a head promoted by the successor profile executes
 ///     its whole chain from one concatenated op stream, delivering the
 ///     matched prefix with one Sink::onChain call. Each segment's
@@ -166,8 +165,7 @@ public:
     RunOutcome Out;
     guest::BlockId Cur = I.program().Entry;
     while (Out.BlocksExecuted < MaxBlocks) {
-      const Interpreter::SelfLoop &SL = I.selfLoop(Cur);
-      if (SL.Kind != Interpreter::SelfLoop::Level::None) {
+      if (I.selfLoop(Cur).IsLoop) {
         if (!runSelfLoopTier(Cur, M, MaxBlocks, Out, Sink))
           return Out;
         continue;
@@ -337,9 +335,7 @@ private:
         Dev.IsCondBranch = true;
         Dev.Taken = jit::exitTaken(R.Info);
         Dev.Next = Dev.Taken ? G.Term.Taken : G.Term.Fall;
-        Dev.InstsExecuted =
-            (G.OpEnd - G.OpBegin) +
-            (G.Term.Code == Interpreter::TermCode::FusedBr ? 2u : 1u);
+        Dev.InstsExecuted = (G.OpEnd - G.OpBegin) + 1;
         HasDev = true;
         break;
       }
@@ -376,16 +372,6 @@ private:
       case Interpreter::TermCode::Branch: {
         ++R.InstsExecuted;
         const bool Cond = Interpreter::evalBranch(G.Term, Regs);
-        R.IsCondBranch = true;
-        R.Taken = Cond;
-        R.Next = Cond ? G.Term.Taken : G.Term.Fall;
-        break;
-      }
-      case Interpreter::TermCode::FusedBr: {
-        R.InstsExecuted += 2;
-        const int64_t V = Interpreter::evalFusedCmp(G.Term, Regs);
-        Regs[G.Term.Rd] = V;
-        const bool Cond = G.Term.Invert ? V == 0 : V != 0;
         R.IsCondBranch = true;
         R.Taken = Cond;
         R.Next = Cond ? G.Term.Taken : G.Term.Fall;

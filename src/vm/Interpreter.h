@@ -18,25 +18,15 @@
 /// stream (all blocks back to back, indexed by a per-block offset table)
 /// with the terminator decoded into a fixed-size record per block, so the
 /// dispatch loop touches two flat arrays instead of chasing a
-/// vector-of-vectors. When a block's last instruction is a comparison
-/// whose result only steers the terminator (Cmp* into a branch testing
-/// that register against zero), the pair is fused into one
-/// compare-and-branch superinstruction — the dominant block shape in the
-/// synthetic suite's loop latches. Fusion is exact: the compare result is
-/// still written to its destination register and both instructions are
-/// counted in InstsExecuted.
+/// vector-of-vectors. Every body instruction decodes to exactly one op,
+/// so a block's InstsExecuted is its op count plus one for the
+/// terminator; the host tier and the jit rely on that.
 ///
-/// Decode also classifies every self-looping block (a conditional branch
-/// or jump whose target is the block itself) for the host tier:
-///
-///  - Generic: any self-loop; iterations can be executed back to back and
-///    emitted as one run of identical events.
-///  - Counted: the latch is a plain conditional branch over an induction
-///    register X that the body steps exactly once by a constant (AddI
-///    X, X, step) toward a loop-invariant bound, so the number of
-///    consecutive staying iterations is computable up front and the latch
-///    need not be re-evaluated while it is known to hold. A fused latch
-///    stays Generic: skipping it would skip its compare's register write.
+/// Decode also marks every self-looping block (a conditional branch or
+/// jump whose target is the block itself) for the host tier, which runs
+/// its consecutive iterations back to back and emits them as one run of
+/// identical events. Each iteration executes the body and evaluates the
+/// latch; the jit's compiled loop (src/jit) does the same natively.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -123,33 +113,21 @@ public:
     return run(M, MaxBlocks, [](guest::BlockId, const BlockResult &) {});
   }
 
-  /// Number of compare+branch pairs fused at decode time (observability
-  /// for tests and the micro benchmarks).
-  size_t numFusedBlocks() const { return FusedBlocks; }
-
-  /// Decode-time classification of a self-looping block (see \file
-  /// comment for the level semantics).
+  /// Decode-time classification of a block as a self-loop (see \file
+  /// comment).
   struct SelfLoop {
-    enum class Level : uint8_t { None, Generic, Counted };
-    Level Kind = Level::None;
+    bool IsLoop = false; ///< the block branches or jumps back to itself
     /// Trace branch code of a staying iteration: 0 = jump-to-self,
     /// 1 = cond branch not taken, 2 = cond branch taken. Exact because
     /// degenerate latches with Taken == Fall are never classified.
     uint8_t StayBranch = 0;
-    uint8_t X = 0;          ///< induction register (Counted)
-    bool StayIsLt = false;  ///< stay predicate: X < bound (else X >= bound)
-    bool BoundIsImm = false;
-    uint8_t BoundReg = 0;   ///< loop-invariant bound; valid if !BoundIsImm
-    int64_t BoundImm = 0;
-    int64_t Step = 0;       ///< per-iteration AddI step; sign matches exit
     uint32_t FullInsts = 0; ///< InstsExecuted of one staying iteration
   };
 
   const SelfLoop &selfLoop(guest::BlockId Id) const { return SelfLoops[Id]; }
 
   /// Executes consecutive staying iterations of self-loop \p Id (the
-  /// machine must be at the block's entry) up to \p MaxIters, using the
-  /// classification to skip latch evaluation (Counted). Returns the
+  /// machine must be at the block's entry) up to \p MaxIters. Returns the
   /// number of stays executed; every stay is one block event identical to
   /// StayBranch/FullInsts. If the loop stopped for a reason other than the
   /// iteration budget, \p Exit holds the final (deviating or faulting)
@@ -172,28 +150,24 @@ public:
 
   /// How a decoded block terminates.
   enum class TermCode : uint8_t {
-    Jump,    ///< unconditional
-    Halt,    ///< program end
-    Branch,  ///< conditional branch; Cond holds the guest::CondKind
-    FusedBr, ///< compare+branch superinstruction; Cond holds the cmp Opcode
+    Jump,   ///< unconditional
+    Halt,   ///< program end
+    Branch, ///< conditional branch; Cond holds the guest::CondKind
   };
 
-  /// Fixed-size decoded terminator. For FusedBr, (Rd, Ra, Rb, Imm) are the
-  /// fused compare's operands and Invert selects branch-on-false.
+  /// Fixed-size decoded terminator.
   struct DecodedTerm {
     TermCode Code;
     uint8_t Cond;
     uint8_t Ra, Rb;
-    uint8_t Rd;
-    uint8_t Invert;
     int64_t Imm;
     guest::BlockId Taken, Fall;
   };
 
   /// Executes decoded body instructions [Begin, End). Returns the index
   /// of the instruction that faulted, or -1 on completion. The single
-  /// source of op semantics: executeBlock(), the counted-loop runner, and
-  /// the host tier's superblock dispatch all execute through it; the jit
+  /// source of op semantics: executeBlock(), runSelfLoop() (through
+  /// executeBlock) and the host tier's superblock dispatch all execute through it; the jit
   /// lowering is differential-tested against it op by op.
   static intptr_t executeOps(const DecodedOp *Begin, const DecodedOp *End,
                              int64_t *Regs, int64_t *Mem, uint64_t MemSize);
@@ -201,22 +175,10 @@ public:
   /// Evaluates a TermCode::Branch condition.
   static bool evalBranch(const DecodedTerm &T, const int64_t *Regs);
 
-  /// Evaluates a TermCode::FusedBr compare; the caller writes the result
-  /// to Regs[T.Rd] and derives the branch condition via T.Invert.
-  static int64_t evalFusedCmp(const DecodedTerm &T, const int64_t *Regs);
-
 private:
   friend class HostTier;
 
-  /// Exact count of consecutive staying iterations a Counted loop
-  /// performs from the current register state. Stays happen while
-  /// the stepped induction value still satisfies the stay predicate;
-  /// monotone movement toward the bound keeps every counted value inside
-  /// int64 range, so the division is exact (no wrapping cases).
-  static uint64_t selfLoopStays(const SelfLoop &SL, const int64_t *Regs);
-
   void classifySelfLoops();
-  void upgradeCountedLoop(guest::BlockId Id, SelfLoop &SL) const;
 
   const guest::Program &P;
   /// All body instructions, blocks back to back; block \p Id owns
@@ -225,7 +187,6 @@ private:
   std::vector<uint32_t> First;
   std::vector<DecodedTerm> Terms;
   std::vector<SelfLoop> SelfLoops;
-  size_t FusedBlocks = 0;
 };
 
 
@@ -421,30 +382,6 @@ inline bool Interpreter::evalBranch(const DecodedTerm &T,
   return false;
 }
 
-inline int64_t Interpreter::evalFusedCmp(const DecodedTerm &T,
-                                         const int64_t *Regs) {
-  switch (static_cast<guest::Opcode>(T.Cond)) {
-  case guest::Opcode::CmpEq:
-    return Regs[T.Ra] == Regs[T.Rb];
-  case guest::Opcode::CmpLt:
-    return Regs[T.Ra] < Regs[T.Rb];
-  case guest::Opcode::CmpLtU:
-    return static_cast<uint64_t>(Regs[T.Ra]) <
-           static_cast<uint64_t>(Regs[T.Rb]);
-  case guest::Opcode::CmpEqI:
-    return Regs[T.Ra] == T.Imm;
-  case guest::Opcode::CmpLtI:
-    return Regs[T.Ra] < T.Imm;
-  case guest::Opcode::CmpLtUI:
-    return static_cast<uint64_t>(Regs[T.Ra]) < static_cast<uint64_t>(T.Imm);
-  case guest::Opcode::FCmpLt:
-    return detail::asDouble(Regs[T.Ra]) < detail::asDouble(Regs[T.Rb]);
-  default:
-    assert(false && "non-compare opcode in fused branch");
-    return 0;
-  }
-}
-
 inline BlockResult Interpreter::executeBlock(guest::BlockId Id,
                                              Machine &M) const {
   assert(Id < P.numBlocks() && "block id out of range");
@@ -481,76 +418,17 @@ inline BlockResult Interpreter::executeBlock(guest::BlockId Id,
     R.Next = Cond ? T.Taken : T.Fall;
     return R;
   }
-  case TermCode::FusedBr: {
-    // The compare and the branch both count as executed instructions.
-    R.InstsExecuted += 2;
-    int64_t V = evalFusedCmp(T, Regs);
-    Regs[T.Rd] = V;
-    bool Cond = T.Invert ? V == 0 : V != 0;
-    R.IsCondBranch = true;
-    R.Taken = Cond;
-    R.Next = Cond ? T.Taken : T.Fall;
-    return R;
-  }
   }
   assert(false && "unknown terminator kind");
   return R;
 }
 
-inline uint64_t Interpreter::selfLoopStays(const SelfLoop &SL,
-                                           const int64_t *Regs) {
-  const __int128 X0 = Regs[SL.X];
-  const __int128 B =
-      SL.BoundIsImm ? static_cast<__int128>(SL.BoundImm)
-                    : static_cast<__int128>(Regs[SL.BoundReg]);
-  if (SL.StayIsLt) {
-    // Stays while X0 + k*Step < B, Step > 0: k <= ceil((B - X0)/Step) - 1.
-    const __int128 D = B - X0;
-    const __int128 S = SL.Step;
-    return D > 0 ? static_cast<uint64_t>((D + S - 1) / S - 1) : 0;
-  }
-  // Stays while X0 + k*Step >= B, Step < 0: k <= (X0 - B)/(-Step).
-  const __int128 D = X0 - B;
-  const __int128 NS = -static_cast<__int128>(SL.Step);
-  return D >= 0 ? static_cast<uint64_t>(D / NS) : 0;
-}
-
 inline uint64_t Interpreter::runSelfLoop(guest::BlockId Id, Machine &M,
                                          uint64_t MaxIters, BlockResult &Exit,
                                          bool &ExitValid) const {
-  const SelfLoop &SL = SelfLoops[Id];
-  assert(SL.Kind != SelfLoop::Level::None && "not a self-loop");
+  assert(SelfLoops[Id].IsLoop && "not a self-loop");
   ExitValid = false;
   uint64_t Stays = 0;
-  int64_t *Regs = M.Regs.data();
-
-  if (SL.Kind == SelfLoop::Level::Counted) {
-    // The latch outcome is known for the next K iterations: execute the
-    // bodies back to back without re-evaluating it. The latch is a plain
-    // branch (no side effects), so skipping its evaluation is invisible;
-    // each stay still accounts FullInsts, latch included.
-    const uint64_t K = std::min(selfLoopStays(SL, Regs), MaxIters);
-    const DecodedOp *Begin = Ops.data() + First[Id];
-    const DecodedOp *const End = Ops.data() + First[Id + 1];
-    int64_t *Mem = M.Mem.data();
-    const uint64_t MemSize = M.Mem.size();
-    for (uint64_t I = 0; I < K; ++I) {
-      intptr_t Fault = executeOps(Begin, End, Regs, Mem, MemSize);
-      if (Fault >= 0) {
-        Exit = BlockResult();
-        Exit.Reason = StopReason::MemFault;
-        Exit.InstsExecuted = static_cast<uint32_t>(Fault) + 1;
-        ExitValid = true;
-        return Stays;
-      }
-      ++Stays;
-    }
-  }
-
-  // Generic tail: full executions until the block stops looping back to
-  // itself. This also absorbs any stays a conservative K missed — the
-  // counted prediction decides only how many latch evaluations are
-  // skipped, never what the event stream contains.
   while (Stays < MaxIters) {
     BlockResult R = executeBlock(Id, M);
     if (R.Reason == StopReason::Running && R.Next == Id) {

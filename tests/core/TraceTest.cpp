@@ -2,11 +2,14 @@
 
 #include "core/Trace.h"
 
+#include "core/Experiment.h"
+#include "core/TraceCache.h"
 #include "core/TraceIndex.h"
 #include "core/TraceSegments.h"
 #include "dbt/DbtEngine.h"
 #include "guest/ProgramBuilder.h"
 #include "support/Rng.h"
+#include "support/ThreadPool.h"
 #include "workloads/BenchSpec.h"
 #include "workloads/Generator.h"
 
@@ -576,5 +579,49 @@ TEST(TraceTest, PartialFinalEventRoundTripsAndReplaysUnderEveryTier) {
     const std::string LiveAvg = profile::printSnapshot(liveRun(P, 0, {}));
     EXPECT_EQ(profile::printSnapshot(Indexed.Average), LiveAvg) << Tier;
     EXPECT_EQ(profile::printSnapshot(Pumped.Average), LiveAvg) << Tier;
+  }
+}
+
+// The independent oracle for the analytic replay at any scale, disabled
+// in tier-1 because it pumps every event of all 26 ref traces (a
+// paper-scale run replays ~650M events). Run it on a cache a figure
+// suite just filled, e.g. after the cold scale-1 suite:
+//   TPDBT_SCALE=1 TPDBT_CACHE_DIR=<dir> core_test
+//     --gtest_also_run_disabled_tests
+//     --gtest_filter=TraceTest.DISABLED_EventPumpReproducesSuiteSnapshots
+// Every INIP(T) and AVEP snapshot the context serves (from its .prof
+// files, or an analytic replay when they are missing) must print
+// byte-identical to the plain event pump over the same ref trace.
+TEST(TraceTest, DISABLED_EventPumpReproducesSuiteSnapshots) {
+  const ExperimentConfig Config = ExperimentConfig::fromEnv();
+  ExperimentContext Ctx(Config);
+  TraceCache Traces(Config.CacheDir);
+  const std::vector<uint64_t> &Thresholds = performanceThresholds();
+  const std::vector<workloads::BenchSpec> &Suite = workloads::spec2000Suite();
+  std::vector<std::vector<std::string>> Pumped(Suite.size()),
+      Served(Suite.size());
+  parallelFor(Suite.size(), Config.effectiveJobs(), [&](size_t I) {
+    const std::string &Name = Suite[I].Name;
+    const workloads::GeneratedBenchmark &B = Ctx.benchmark(Name);
+    for (uint64_t T : Thresholds)
+      Served[I].push_back(profile::printSnapshot(Ctx.inip(Name, T)));
+    Served[I].push_back(profile::printSnapshot(Ctx.avep(Name)));
+    SweepResult Pump = replaySweepEvents(
+        *Traces.get(Name, "ref", Config.traceFingerprint(B.Spec), B.Ref,
+                    B.Spec.MaxBlockEvents),
+        B.Ref, Thresholds, Config.Dbt);
+    Pump.PerThreshold.push_back(std::move(Pump.Average));
+    for (profile::ProfileSnapshot &S : Pump.PerThreshold) {
+      S.Benchmark = Name; // the context labels what it serves
+      S.Input = "ref";
+      Pumped[I].push_back(profile::printSnapshot(S));
+    }
+  });
+  for (size_t I = 0; I < Suite.size(); ++I) {
+    ASSERT_EQ(Pumped[I].size(), Thresholds.size() + 1) << Suite[I].Name;
+    for (size_t K = 0; K < Thresholds.size(); ++K)
+      EXPECT_EQ(Served[I][K], Pumped[I][K])
+          << Suite[I].Name << " T=" << Thresholds[K];
+    EXPECT_EQ(Served[I].back(), Pumped[I].back()) << Suite[I].Name << " AVEP";
   }
 }

@@ -6,7 +6,7 @@
 // the packed exit info must agree bit for bit — including the
 // guest-defined corner cases (division by zero, INT64_MIN / -1, shift
 // counts past 63, NaN comparisons, non-finite FToI). Seeded random op
-// soups, chains (Branch, FusedBr, and Jump guards), and self-loops are
+// soups, chains (Branch and Jump guards), and self-loops are
 // checked the same way against an interpreter-built reference, and
 // compiling the same input twice must give the same bytes.
 //
@@ -257,21 +257,6 @@ Term branchTerm(guest::CondKind CK, uint8_t Ra, uint8_t Rb, int64_t Imm,
   return T;
 }
 
-Term fusedTerm(Opcode Cmp, uint8_t Rd, uint8_t Ra, uint8_t Rb, int64_t Imm,
-               uint8_t Invert, guest::BlockId Taken, guest::BlockId Fall) {
-  Term T{};
-  T.Code = Interpreter::TermCode::FusedBr;
-  T.Cond = static_cast<uint8_t>(Cmp);
-  T.Rd = Rd;
-  T.Ra = Ra;
-  T.Rb = Rb;
-  T.Imm = Imm;
-  T.Invert = Invert;
-  T.Taken = Taken;
-  T.Fall = Fall;
-  return T;
-}
-
 struct ChainRun {
   jit::JitExit R;
   MachineState S;
@@ -340,29 +325,6 @@ TEST_F(JitLoweringTest, ChainGuardHoldsAndDeviates) {
   }
 }
 
-TEST_F(JitLoweringTest, FusedGuardWritesRdOnEveryOutcome) {
-  // FusedBr writes the compare result to Rd whether or not the chain
-  // prediction holds — the value is architecturally visible.
-  const std::vector<std::vector<Op>> Bodies = {{op(Opcode::AddI, 1, 1, 0, 1)},
-                                               {op(Opcode::Nop, 0, 0, 0)}};
-  const std::vector<Term> Terms = {
-      fusedTerm(Opcode::CmpLtI, 4, 1, 0, 10, /*Invert=*/0, 7, 9),
-      branchTerm(guest::CondKind::EqI, 1, 0, 0, 11, 13)};
-  const std::vector<bool> Expect = {true, false};
-  {
-    MachineState S = stateAB(3, 0);
-    ChainRun C = runChain(Bodies, Terms, Expect, S, 2);
-    EXPECT_EQ(C.S.Regs[4], 1); // 4 < 10
-  }
-  {
-    MachineState S = stateAB(42, 0);
-    ChainRun C = runChain(Bodies, Terms, Expect, S, 2);
-    EXPECT_EQ(jit::exitKind(C.R.Info), jit::ExitKind::OffChain);
-    EXPECT_EQ(C.R.Done, 0u);
-    EXPECT_EQ(C.S.Regs[4], 0); // 43 < 10 is false, still written
-  }
-}
-
 TEST_F(JitLoweringTest, MidChainFaultReportsSegmentLocalOpIndex) {
   const std::vector<std::vector<Op>> Bodies = {
       {op(Opcode::AddI, 1, 1, 0, 1)},
@@ -381,16 +343,6 @@ TEST_F(JitLoweringTest, MidChainFaultReportsSegmentLocalOpIndex) {
 }
 
 // --- Self-loop compilation ----------------------------------------------
-
-/// Evaluates a conditional terminator the way executeBlock does: a
-/// FusedBr writes its compare result to Rd before the direction is read.
-bool takenRef(const Term &T, MachineState &S) {
-  if (T.Code == Interpreter::TermCode::Branch)
-    return Interpreter::evalBranch(T, S.Regs.data());
-  const int64_t V = Interpreter::evalFusedCmp(T, S.Regs.data());
-  S.Regs[T.Rd] = V;
-  return T.Invert ? V == 0 : V != 0;
-}
 
 /// Reference for compiled self-loops: the generic tail of
 /// Interpreter::runSelfLoop expressed over the public decoded-op API.
@@ -417,7 +369,7 @@ LoopRef runLoopRef(const std::vector<Op> &Body, const Term &T,
       ++R.Stays;
       continue;
     }
-    const bool Taken = takenRef(T, S);
+    const bool Taken = Interpreter::evalBranch(T, S.Regs.data());
     const bool Stay = Taken == (StayBranch == 2);
     if (!Stay) {
       R.ExitValid = true;
@@ -470,18 +422,6 @@ TEST_F(JitLoweringTest, SelfLoopCountedLatch) {
   for (uint64_t Budget : {0ull, 1ull, 5ull, 33ull, 1000ull}) {
     MachineState S = stateAB(0, 100);
     expectLoopSame(Body, T, /*StayBranch=*/2, S, Budget);
-  }
-}
-
-TEST_F(JitLoweringTest, SelfLoopFusedLatchWritesRdEveryIteration) {
-  // while (!(r1 >= 20)) { ... } via FusedBr CmpLtI + Invert staying on
-  // the not-taken edge; r5 must hold the last compare result.
-  const std::vector<Op> Body = {op(Opcode::AddI, 1, 1, 0, 1),
-                                op(Opcode::Add, 3, 3, 1)};
-  const Term T = fusedTerm(Opcode::CmpLtI, 5, 1, 0, 20, /*Invert=*/1, 8, 2);
-  for (uint64_t Budget : {0ull, 3ull, 19ull, 20ull, 64ull}) {
-    MachineState S = stateAB(0, 0);
-    expectLoopSame(Body, T, /*StayBranch=*/1, S, Budget);
   }
 }
 
@@ -552,40 +492,29 @@ MachineState randomState(Rng &R) {
   return S;
 }
 
-/// A random chain guard: a Branch on any condition kind, a FusedBr on any
-/// compare opcode (either polarity), or now and then a Jump.
+/// A random chain guard: a Branch on any condition kind, or now and then
+/// a Jump.
 Term randomGuard(Rng &R) {
   static const guest::CondKind Kinds[] = {
       guest::CondKind::Eq,  guest::CondKind::Ne,  guest::CondKind::Lt,
       guest::CondKind::Ge,  guest::CondKind::LtU, guest::CondKind::GeU,
       guest::CondKind::EqI, guest::CondKind::NeI, guest::CondKind::LtI,
       guest::CondKind::GeI};
-  static const Opcode Cmps[] = {Opcode::CmpEq,  Opcode::CmpLt,
-                                Opcode::CmpLtU, Opcode::CmpEqI,
-                                Opcode::CmpLtI, Opcode::CmpLtUI,
-                                Opcode::FCmpLt};
-  const uint8_t Rd = static_cast<uint8_t>(R.nextBelow(12));
   const uint8_t Ra = static_cast<uint8_t>(R.nextBelow(12));
   const uint8_t Rb = static_cast<uint8_t>(R.nextBelow(12));
   const int64_t Imm = static_cast<int64_t>(R.nextBelow(16)) - 8;
-  const uint64_t Shape = R.nextBelow(5);
-  if (Shape == 0) {
+  if (R.nextBelow(5) == 0) {
     Term T{};
     T.Code = Interpreter::TermCode::Jump;
     T.Taken = T.Fall = 1;
     return T;
-  }
-  if (Shape <= 2) {
-    const Opcode Cmp = Cmps[R.nextBelow(std::size(Cmps))];
-    const uint8_t Invert = static_cast<uint8_t>(R.nextBelow(2));
-    return fusedTerm(Cmp, Rd, Ra, Rb, Imm, Invert, 7, 9);
   }
   return branchTerm(Kinds[R.nextBelow(std::size(Kinds))], Ra, Rb, Imm, 7, 9);
 }
 
 /// Reference for compiled chains: before each later segment the budget
 /// check, then the body through executeOps, then the guard through
-/// evalBranch/evalFusedCmp compared with the segment's ExpectTaken. The
+/// evalBranch compared with the segment's ExpectTaken. The
 /// returned record is packed exactly as the compiled unit packs it.
 jit::JitExit runChainRef(const std::vector<std::vector<Op>> &Bodies,
                          const std::vector<Term> &Terms,
@@ -603,7 +532,7 @@ jit::JitExit runChainRef(const std::vector<std::vector<Op>> &Bodies,
                      (static_cast<uint64_t>(F) << 32)};
     if (Terms[K].Code == Interpreter::TermCode::Jump)
       continue;
-    const bool Taken = takenRef(Terms[K], S);
+    const bool Taken = Interpreter::evalBranch(Terms[K], S.Regs.data());
     if (Taken != ExpectTaken[K])
       return {K, static_cast<uint64_t>(jit::ExitKind::OffChain) |
                      (Taken ? 4u : 0u)};
@@ -657,7 +586,7 @@ TEST_F(JitLoweringTest, RandomSelfLoopsMatchInterpreter) {
     const int64_t Bound = static_cast<int64_t>(R.nextBelow(40));
     Term T{};
     uint8_t StayBranch = 0;
-    switch (R.nextBelow(5)) {
+    switch (R.nextBelow(3)) {
     case 0: // jump-to-self: only the budget or a fault ends it
       T.Code = Interpreter::TermCode::Jump;
       T.Taken = T.Fall = 1;
@@ -666,17 +595,10 @@ TEST_F(JitLoweringTest, RandomSelfLoopsMatchInterpreter) {
       T = branchTerm(guest::CondKind::LtI, 0, 0, Bound, 1, 2);
       StayBranch = 2;
       break;
-    case 2: // stay on the not-taken edge
+    default: // stay on the not-taken edge
       T = branchTerm(guest::CondKind::GeI, 0, 0, Bound, 1, 2);
       StayBranch = 1;
       break;
-    default: { // fused latch, either polarity
-      const uint8_t Invert = static_cast<uint8_t>(R.nextBelow(2));
-      T = fusedTerm(Opcode::CmpLtI, static_cast<uint8_t>(1 + R.nextBelow(11)),
-                    0, 0, Bound, Invert, 1, 2);
-      StayBranch = Invert ? 1 : 2;
-      break;
-    }
     }
     MachineState Init = randomState(R);
     Init.Regs[0] = 0;

@@ -13,6 +13,7 @@
 
 #include "core/Trace.h"
 #include "core/TraceSegments.h"
+#include "guest/Assembler.h"
 #include "guest/ProgramBuilder.h"
 #include "jit/CodeBuffer.h"
 #include "support/Rng.h"
@@ -381,6 +382,83 @@ TEST(JitTierTest, RandomizedDifferentialWithJitHot) {
   }
   // Across the suite the jit tier must actually have carried load.
   EXPECT_GT(JitBlocks + JitIters, 0u);
+}
+
+TEST(JitTierTest, CompareFeedingBranchLatchMatchesAcrossTiers) {
+  // Both latches end in a compare whose result register is then tested
+  // against zero: the inner self-loop branches while it is nonzero, the
+  // outer chain member while it is zero. The compare is an ordinary body
+  // op, so each event counts it and the branch as two instructions, and
+  // its register write is visible every iteration: r5 sums r3 at the top
+  // of each inner iteration, starting from r3 = 77.
+  guest::Program P;
+  std::string Error;
+  ASSERT_TRUE(guest::assembleProgram(R"(
+    .program cmpbranch
+    entry:
+        movi  r2, 40
+        movi  r3, 77
+        movi  r7, 64
+    outer:
+        movi  r1, 0
+        jmp   inner
+    inner:
+        add   r5, r5, r3
+        addi  r1, r1, 1
+        cmplt r3, r1, r2
+        bnei  r3, 0, inner, next
+    next:
+        addi  r6, r6, 1
+        cmplt r4, r6, r7
+        beqi  r4, 0, done, outer
+    done:
+        halt
+  )",
+                                     P, &Error))
+      << Error;
+  const guest::BlockId Inner = 2, Next = 3;
+
+  Interpreter I(P);
+  Machine M;
+  M.reset(P);
+  std::vector<CapturedEvent> Events;
+  const RunOutcome Out =
+      I.run(M, ~0ull, [&](guest::BlockId B, const BlockResult &R) {
+        Events.push_back({B, branchCode(R), R.InstsExecuted});
+      });
+  ASSERT_EQ(Out.Reason, StopReason::Halted);
+  EXPECT_EQ(M.Regs[3], 0);            // the last inner compare
+  EXPECT_EQ(M.Regs[4], 0);            // the last outer compare
+  EXPECT_EQ(M.Regs[5], 77 + 64 * 39); // every compare write summed
+  size_t InnerEvents = 0;
+  for (const CapturedEvent &E : Events) {
+    if (E.Block == Inner) {
+      ++InnerEvents;
+      EXPECT_EQ(E.Insts, 4u); // add, addi, cmplt + bnei
+    }
+    if (E.Block == Next) {
+      EXPECT_EQ(E.Insts, 3u); // addi, cmplt + beqi
+    }
+  }
+  EXPECT_EQ(InnerEvents, 64u * 40u);
+
+  ScopedEnv Heat("TPDBT_JIT_HEAT", "1");
+  {
+    ScopedEnv Tier("TPDBT_TIER", "predecoded");
+    const HostTierStats St = expectTierMatchesPlain(P, ~0ull, "predecoded");
+    EXPECT_GT(St.RunFoldedIters, 0u);
+    EXPECT_GT(St.ChainedBlocks, 0u);
+    EXPECT_EQ(St.JitUnits, 0u);
+  }
+  ScopedEnv Tier("TPDBT_TIER", "jit");
+  const HostTierStats St = expectTierMatchesPlain(P, ~0ull, "jit");
+  if (HostTier::jitEnabled()) {
+    EXPECT_GT(St.JitLoopIters, 0u);
+    EXPECT_GT(St.JitBlocks, 0u);
+  }
+  for (uint64_t MaxBlocks : {3ull, 45ull, 1000ull})
+    expectTierMatchesPlain(
+        P, MaxBlocks, ("jit budget " + std::to_string(MaxBlocks)).c_str());
 }
 
 TEST(TierKnobTest, EnvParse) {
