@@ -76,8 +76,7 @@ void BM_InterpretBenchmark(benchmark::State &State) {
 BENCHMARK(BM_InterpretBenchmark)->Unit(benchmark::kMillisecond);
 
 /// Cost of simulating N thresholds from one execution with runSweep:
-/// record the trace, then replay it analytically (index build included;
-/// items = block events).
+/// record the trace, then replay it analytically (items = block events).
 void BM_SweepPolicies(benchmark::State &State) {
   auto B = workloads::generateBenchmark(
       workloads::scaledSpec(*workloads::findSpec("gzip"), 0.02));
@@ -97,8 +96,8 @@ BENCHMARK(BM_SweepPolicies)->Arg(1)->Arg(4)->Arg(15)
     ->Unit(benchmark::kMillisecond);
 
 /// The unavoidable cold-path pass: interpret once while appending to a
-/// BlockTrace. runSweep's cost is this (gzip) plus one BM_BuildTraceIndex
-/// and one BM_ReplaySweep: BM_SweepPolicies measures the sum. Measured
+/// BlockTrace. runSweep's cost is this (gzip) plus one BM_ReplaySweep:
+/// BM_SweepPolicies measures the sum. Measured
 /// per benchmark (self-loop density differs wildly: gzip stays in its
 /// loops for ~half of all events, swim for ~95%), so the host translation
 /// tier's coverage is visible in isolation — the BENCH_record.json
@@ -236,16 +235,14 @@ void BM_TraceTotalsStreamed(benchmark::State &State) {
 }
 BENCHMARK(BM_TraceTotalsStreamed)->Unit(benchmark::kMillisecond);
 
-/// The trace-cache hit path: drive N thresholds from an indexed trace
+/// The trace-cache hit path: drive N thresholds from a recorded trace
 /// with no interpretation at all. Compare against BM_SweepPolicies at the
-/// same argument — the warm-cache speedup of the experiment driver. The
-/// index is prebuilt outside the loop, matching a trace whose index an
-/// earlier replay already built.
+/// same argument — the warm-cache speedup of the experiment driver. Each
+/// call pays both passes over the event words (crossing table and walk).
 void BM_ReplaySweep(benchmark::State &State) {
   auto B = workloads::generateBenchmark(
       workloads::scaledSpec(*workloads::findSpec("gzip"), 0.02));
   core::BlockTrace T = core::BlockTrace::record(B.Ref, ~0ull);
-  T.index();
   std::vector<uint64_t> Thresholds;
   for (int I = 0; I < State.range(0); ++I)
     Thresholds.push_back(100ull << I);
@@ -263,7 +260,7 @@ BENCHMARK(BM_ReplaySweep)->Arg(1)->Arg(4)->Arg(15)
 
 /// The plain reference pump (the adaptive-mode path and the differential
 /// oracle): every trace event through every policy, the threshold-0
-/// average included. The gap to BM_ReplaySweep is the analytic index's
+/// average included. The gap to BM_ReplaySweep is the analytic replay's
 /// speedup.
 void BM_ReplaySweepEventPump(benchmark::State &State) {
   auto B = workloads::generateBenchmark(
@@ -284,9 +281,9 @@ void BM_ReplaySweepEventPump(benchmark::State &State) {
 BENCHMARK(BM_ReplaySweepEventPump)->Arg(1)->Arg(15)
     ->Unit(benchmark::kMillisecond);
 
-/// One-time cost of building the analytic index — the only index build,
-/// paid once per trace (cold miss or disk hit alike) before its first
-/// threshold replay, amortized across every replay of that trace.
+/// Cost of building the positional index (core/TraceIndex.h). No replay
+/// builds it any more; only the traced mirror in bench/e2e does, once per
+/// trace. Kept as the reference for what the replay stopped paying.
 void BM_BuildTraceIndex(benchmark::State &State) {
   auto B = workloads::generateBenchmark(
       workloads::scaledSpec(*workloads::findSpec("gzip"), 0.02));

@@ -57,8 +57,8 @@ struct SampleSetup {
 };
 
 // The trace-warm exact sweep as core/Experiment pays it when the .prof
-// layer is cold: load the container (decompressing every segment), build
-// the analytic index, replay every threshold. The sampled path below
+// layer is cold: load the container (decompressing every segment), then
+// replay every threshold from the event words. The sampled path below
 // answers the same sweep off the same file while leaving the unsampled
 // payload compressed on disk — that skipped decompression is the win
 // being measured.
@@ -73,7 +73,6 @@ void BM_ExactWarmSweep(benchmark::State &State) {
       State.SkipWithError(Error.c_str());
       return;
     }
-    Trace.index();
     core::SweepResult R = core::replaySweep(
         Trace, S.B.Ref, core::paperThresholds(), dbt::DbtOptions(), 1);
     benchmark::DoNotOptimize(R.PerThreshold.data());

@@ -282,18 +282,6 @@ void ExperimentContext::replayProfiles(const std::string &Name,
   {
     std::shared_ptr<const BlockTrace> RefTrace =
         Traces->get(Name, "ref", ExecFp, B.Ref, MaxBlocks);
-    // replaySweep builds the trace's index on its first threshold replay;
-    // when none is attached (every trace, until then), force that build
-    // here under the index timer so ReplayMicros measures replay alone.
-    if (!Config.Dbt.Adaptive.Enabled && !Config.Thresholds.empty() &&
-        !RefTrace->sharedIndex()) {
-      auto I0 = std::chrono::steady_clock::now();
-      RefTrace->index();
-      auto I1 = std::chrono::steady_clock::now();
-      Traces->noteIndexBuild(
-          std::chrono::duration_cast<std::chrono::microseconds>(I1 - I0)
-              .count());
-    }
     auto T0 = std::chrono::steady_clock::now();
     SweepResult RefSweep =
         replaySweep(*RefTrace, B.Ref, Config.Thresholds, Config.Dbt,
@@ -312,7 +300,7 @@ void ExperimentContext::replayProfiles(const std::string &Name,
     RefSweep.Average.Benchmark = Name;
     RefSweep.Average.Input = "ref";
     D.Avep = std::move(RefSweep.Average);
-  } // the ref trace (events and index) is released before the train lookup
+  } // the ref trace is released before the train lookup
 
   // Training input: only the profiling-only average is needed, in either
   // mode. A warm entry is verified segment by segment and never held as a

@@ -10,7 +10,6 @@
 #include "vm/Interpreter.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <memory>
 #include <unordered_map>
@@ -24,8 +23,7 @@ std::vector<BlockShape> tpdbt::core::blockShapes(const Program &P) {
   for (size_t B = 0; B < Shapes.size(); ++B) {
     const Block &Blk = P.block(static_cast<BlockId>(B));
     // The terminator counts as one instruction, as in
-    // Program::staticInstCount() (a fused compare-and-branch counts the
-    // compare it absorbs from the body).
+    // Program::staticInstCount().
     Shapes[B].Len = static_cast<uint32_t>(Blk.Insts.size() + 1);
     Shapes[B].Cond = Blk.Term.Kind == TermKind::Branch;
   }
@@ -218,87 +216,177 @@ vm::BlockResult resultOf(const TraceEvent &E) {
   return R;
 }
 
-/// Walks the optimized sub-stream — every occurrence of a frozen block
-/// after its freeze position, in global order — through the policy's
-/// region-context automaton, one event at a time. A bitmap over event
-/// positions marks the sub-stream, and the walk visits its set bits in
-/// order.
-void walkOptimized(const BlockTrace &Trace, const TraceIndex &Idx,
-                   dbt::TranslationPolicy &Policy,
-                   const std::vector<dbt::FrozenBlock> &Frozen) {
-  const uint32_t E = static_cast<uint32_t>(Trace.numEvents());
-  const size_t Words = (static_cast<size_t>(E) + 63) / 64;
-  std::vector<uint64_t> Bits(Words, 0);
+/// Events per chunk of the replay's forward scans.
+constexpr size_t ScanChunk = 1024;
 
-  // Region membership decides which blocks need the walk at all. Regions
-  // grow only through unfrozen blocks, so a block's node appearances are
-  // fixed the round it freezes: one whose sole appearance is the single
-  // node of a region it enters has a per-occurrence behavior determined
-  // by its own branch outcome. That collapses to a closed form over the
-  // occurrence counts (Policy.h analytic section) and stays out of the
-  // bitmap; every other frozen block is walked.
-  const std::vector<region::Region> &AllRegions = Policy.regions();
-  std::vector<uint8_t> NodeCount(Trace.numBlocks(), 0);
-  std::vector<int32_t> EntryOf(Trace.numBlocks(), -1);
-  for (size_t R = 0; R < AllRegions.size(); ++R) {
-    for (const region::RegionNode &Node : AllRegions[R].Nodes)
-      if (NodeCount[Node.Orig] < 2)
-        ++NodeCount[Node.Orig];
-    EntryOf[AllRegions[R].entryBlock()] = static_cast<int32_t>(R);
+/// Pass 1 of the exact replay: every block's counters at each crossing,
+/// from one forward scan of the event words.
+///
+/// A crossing target of block B is a use count J in {T, 2T}, over the
+/// sweep's thresholds, with J <= B's final use count: the only uses at
+/// which a threshold's freeze timeline reads the stream. The scan records
+/// the event position of B's J-th use and a copy of every block's shared
+/// counters through that event, and each block's last outcome. Its
+/// memory is O(blocks x crossings), independent of the trace's length.
+class CrossingTable {
+public:
+  CrossingTable(const BlockTrace &Trace, const std::vector<uint64_t> &Ts)
+      : N(Trace.numBlocks()), Begin(N + 1), Last(N, 0) {
+    const std::vector<profile::BlockCounters> &Final = Trace.finalCounts();
+    // Per block, its sorted distinct targets (2T of one threshold can be
+    // T of another).
+    for (size_t B = 0; B < N; ++B) {
+      Begin[B] = Target.size();
+      const uint64_t Use = Final[B].Use;
+      for (uint64_t T : Ts) {
+        if (T == 0 || Use < T)
+          continue;
+        Target.push_back(T);
+        if (Use >= 2 * T)
+          Target.push_back(2 * T);
+      }
+      std::sort(Target.begin() + Begin[B], Target.end());
+      Target.erase(std::unique(Target.begin() + Begin[B], Target.end()),
+                   Target.end());
+    }
+    Begin[N] = Target.size();
+    PosOf.resize(Target.size());
+
+    // Next[B] is the use count of B's next target (0 = none left).
+    std::vector<uint32_t> Next(N, 0);
+    std::vector<size_t> NextSlot(Begin.begin(), Begin.end() - 1);
+    for (size_t B = 0; B < N; ++B)
+      if (Begin[B] < Begin[B + 1])
+        Next[B] = static_cast<uint32_t>(Target[Begin[B]]);
+    const std::vector<EventWord> &Words = Trace.words();
+    const size_t E = Words.size();
+    Pos.reserve(Target.size());
+    Snap.reserve(Target.size() * N);
+    // A chunk at a time. Its words are first counted into four lanes of a
+    // histogram indexed by event word (so a self-loop's repeats do not
+    // chain through one counter); only a chunk in which some block reaches
+    // its next target is counted again, event by event, to place the
+    // crossing. Cnt holds every block's counters at the chunk's start, and
+    // LastTo[B] the end of the last chunk B occurs in.
+    constexpr size_t Lanes = 4;
+    const size_t Width = 2 * N;
+    std::vector<uint32_t> Hist(Lanes * Width, 0);
+    std::vector<Counts> Cnt(N), Upto(N);
+    std::vector<size_t> LastTo(N, 0);
+    for (size_t From = 0; From < E; From += ScanChunk) {
+      const size_t To = std::min(E, From + ScanChunk);
+      size_t I = From;
+      for (; I + Lanes <= To; I += Lanes)
+        for (size_t L = 0; L < Lanes; ++L)
+          ++Hist[L * Width + Words[I + L]];
+      for (; I < To; ++I)
+        ++Hist[Words[I]];
+      bool Crosses = false;
+      for (size_t B = 0; B < N; ++B) {
+        Counts &U = Upto[B];
+        U = {};
+        for (size_t L = 0; L < Lanes; ++L) {
+          U.Use += Hist[L * Width + 2 * B] + Hist[L * Width + 2 * B + 1];
+          U.Taken += Hist[L * Width + 2 * B + 1];
+        }
+        if (U.Use != Cnt[B].Use)
+          LastTo[B] = To;
+        Crosses |= Next[B] && U.Use >= Next[B];
+      }
+      for (size_t J = From; Crosses && J < To; ++J) {
+        const EventWord W = Words[J];
+        const BlockId B = eventBlock(W);
+        Counts &C = Cnt[B];
+        ++C.Use;
+        C.Taken += eventTaken(W);
+        if (C.Use != Next[B])
+          continue;
+        PosOf[NextSlot[B]] = static_cast<uint32_t>(Pos.size());
+        Pos.push_back(J);
+        Snap.insert(Snap.end(), Cnt.begin(), Cnt.end());
+        Next[B] = ++NextSlot[B] < Begin[B + 1]
+                      ? static_cast<uint32_t>(Target[NextSlot[B]])
+                      : 0;
+      }
+      Cnt = Upto;
+    }
+    // A block's last outcome: its final occurrence is in the last chunk
+    // it occurs in, found scanning back from that chunk's end.
+    for (size_t B = 0; B < N; ++B) {
+      size_t J = LastTo[B];
+      while (J > 0 && eventBlock(Words[J - 1]) != B)
+        --J;
+      Last[B] = J > 0 && eventTaken(Words[J - 1]);
+    }
   }
 
-  for (const dbt::FrozenBlock &F : Frozen) {
-    const BlockId B = F.Block;
-    const uint32_t Cnt = Idx.occurrences(B);
-    const auto From = static_cast<uint32_t>(F.At.Use);
-    if (From >= Cnt)
-      continue;
-    const int32_t R = EntryOf[B];
-    if (NodeCount[B] == 1 && R >= 0 && AllRegions[R].Nodes.size() == 1) {
-      const uint64_t Insts =
-          Idx.instsOfFirst(B, Cnt) - Idx.instsOfFirst(B, From);
-      const uint32_t Taken =
-          Idx.takenOfFirst(B, Cnt) - Idx.takenOfFirst(B, From);
-      const bool LastTaken =
-          Idx.takenOfFirst(B, Cnt) != Idx.takenOfFirst(B, Cnt - 1);
-      Policy.analyticSingletonRegion(R, Taken, (Cnt - From) - Taken, Insts,
-                                     LastTaken);
-      continue;
-    }
-    for (uint32_t K = From; K < Cnt; ++K) {
-      uint32_t Pos = Idx.position(B, K);
-      Bits[Pos >> 6] |= 1ull << (Pos & 63);
-    }
+  /// Event position of \p B's \p J-th use (\p J one of its targets).
+  uint64_t position(BlockId B, uint64_t J) const {
+    const auto First = Target.begin() + Begin[B],
+               End = Target.begin() + Begin[B + 1];
+    const auto It = std::lower_bound(First, End, J);
+    assert(It != End && *It == J && "not a crossing target");
+    return Pos[PosOf[It - Target.begin()]];
   }
 
-  auto nextSet = [&](uint32_t From) -> uint32_t {
-    if (From >= E)
-      return E;
-    size_t W = From >> 6;
-    uint64_t Word = Bits[W] & (~0ull << (From & 63));
-    while (!Word) {
-      if (++W >= Words)
-        return E;
-      Word = Bits[W];
-    }
-    return static_cast<uint32_t>((W << 6) + std::countr_zero(Word));
+  /// Every block's shared counters through the crossing at \p At.
+  void countersAt(uint64_t At, std::vector<profile::BlockCounters> &Out) const {
+    const auto It = std::lower_bound(Pos.begin(), Pos.end(), At);
+    assert(It != Pos.end() && *It == At && "not a crossing position");
+    const Counts *Row = &Snap[static_cast<size_t>(It - Pos.begin()) * N];
+    for (size_t B = 0; B < N; ++B)
+      Out[B] = {Row[B].Use, Row[B].Taken};
+  }
+
+  /// The outcome of \p B's final occurrence (untaken for a partial tail).
+  bool lastTaken(BlockId B) const { return Last[B]; }
+
+private:
+  /// Counters are 32-bit: traces stay below 2^32 events.
+  struct Counts {
+    uint32_t Use = 0;
+    uint32_t Taken = 0;
   };
-  for (uint32_t I = nextSet(0); I < E; I = nextSet(I + 1)) {
-    const TraceEvent &Ev = Trace.event(I);
-    Policy.analyticOptimizedEvent(Ev.Block, resultOf(Ev));
-  }
+  size_t N;
+  /// Block B's targets are Target[Begin[B] .. Begin[B+1]), ascending;
+  /// PosOf maps each to its crossing.
+  std::vector<size_t> Begin;
+  std::vector<uint64_t> Target;
+  std::vector<uint32_t> PosOf;
+  /// Per crossing, in stream order: its event position and a row of N
+  /// counters in Snap.
+  std::vector<uint64_t> Pos;
+  std::vector<Counts> Snap;
+  std::vector<uint8_t> Last;
+};
+
+/// Guest instructions of \p B's first \p K occurrences: K whole
+/// executions, less the shortfall of a partial final event when the K
+/// occurrences include it.
+uint64_t instsOfFirst(const BlockTrace &Trace, BlockId B, uint64_t K) {
+  const uint64_t Whole = K * Trace.shapes()[B].Len;
+  if (Trace.tailInsts() && K == Trace.finalCounts()[B].Use &&
+      eventBlock(Trace.words().back()) == B)
+    return Whole - (Trace.shapes()[B].Len - Trace.tailInsts());
+  return Whole;
 }
 
-/// Evaluates one non-adaptive policy analytically: runs the policy's
-/// freeze timeline on exact counters from the index, accounts the
-/// profiling phase in closed form, and walks only the optimized
-/// sub-stream.
-profile::ProfileSnapshot evaluateIndexed(const BlockTrace &Trace,
-                                         const TraceIndex &Idx,
-                                         const Program &P, const cfg::Cfg &G,
-                                         const dbt::DbtOptions &Opts) {
-  dbt::TranslationPolicy Policy(P, G, Opts);
-  const size_t N = P.numBlocks();
+/// One frozen block a policy walks event by event: every occurrence after
+/// its freeze position.
+struct Walker {
+  BlockId Block;
+  uint64_t After;
+  size_t Policy;
+};
+
+/// Evaluates one non-adaptive policy up to its walk: runs its freeze
+/// timeline on the table's exact counters, accounts the profiling phase
+/// and every frozen block that forms a one-node region alone in closed
+/// form, and appends the frozen blocks left to walk to \p Walk.
+void evaluateTimeline(const BlockTrace &Trace, const CrossingTable &Table,
+                      dbt::TranslationPolicy &Policy, size_t PolicyIdx,
+                      std::vector<Walker> &Walk) {
+  const size_t N = Trace.numBlocks();
   const std::vector<profile::BlockCounters> &Final = Trace.finalCounts();
 
   // Exact sources: a crossing is its use's event position, and a
@@ -309,13 +397,10 @@ profile::ProfileSnapshot evaluateIndexed(const BlockTrace &Trace,
   const std::vector<dbt::FrozenBlock> Frozen = Policy.freezeTimeline(
       Final,
       [&](BlockId B, uint64_t J) {
-        return static_cast<double>(
-            Idx.position(B, static_cast<uint32_t>(J - 1)));
+        return static_cast<double>(Table.position(B, J));
       },
       [&](double Pos, std::vector<profile::BlockCounters> &Out) {
-        const auto At = static_cast<uint32_t>(Pos);
-        for (size_t B = 0; B < N; ++B)
-          Out[B] = Idx.countersThrough(static_cast<BlockId>(B), At);
+        Table.countersAt(static_cast<uint64_t>(Pos), Out);
       });
 
   // Profiling phase in closed form: block b executes instrumented for its
@@ -328,15 +413,93 @@ profile::ProfileSnapshot evaluateIndexed(const BlockTrace &Trace,
   for (size_t B = 0; B < N; ++B) {
     ProfEvents += Pre[B].Use;
     ProfTaken += Pre[B].Taken;
-    ProfInsts += Idx.instsOfFirst(static_cast<BlockId>(B),
-                                  static_cast<uint32_t>(Pre[B].Use));
+    ProfInsts += instsOfFirst(Trace, static_cast<BlockId>(B), Pre[B].Use);
   }
   Policy.analyticAddProfiling(ProfEvents, ProfTaken, ProfInsts);
 
-  if (!Frozen.empty())
-    walkOptimized(Trace, Idx, Policy, Frozen);
+  // Region membership decides which blocks need the walk at all. Regions
+  // grow only through unfrozen blocks, so a block's node appearances are
+  // fixed the round it freezes: one whose sole appearance is the single
+  // node of a region it enters has a per-occurrence behavior determined
+  // by its own branch outcome. That collapses to a closed form over the
+  // occurrence counts (Policy.h analytic section); every other frozen
+  // block is walked.
+  const std::vector<region::Region> &AllRegions = Policy.regions();
+  std::vector<uint8_t> NodeCount(N, 0);
+  std::vector<int32_t> EntryOf(N, -1);
+  for (size_t R = 0; R < AllRegions.size(); ++R) {
+    for (const region::RegionNode &Node : AllRegions[R].Nodes)
+      if (NodeCount[Node.Orig] < 2)
+        ++NodeCount[Node.Orig];
+    EntryOf[AllRegions[R].entryBlock()] = static_cast<int32_t>(R);
+  }
+  for (const dbt::FrozenBlock &F : Frozen) {
+    const BlockId B = F.Block;
+    const uint64_t Cnt = Final[B].Use, From = F.At.Use;
+    if (From >= Cnt)
+      continue;
+    const int32_t R = EntryOf[B];
+    if (NodeCount[B] == 1 && R >= 0 && AllRegions[R].Nodes.size() == 1) {
+      const uint64_t Taken = Final[B].Taken - F.At.Taken;
+      Policy.analyticSingletonRegion(
+          R, Taken, (Cnt - From) - Taken,
+          instsOfFirst(Trace, B, Cnt) - instsOfFirst(Trace, B, From),
+          Table.lastTaken(B));
+      continue;
+    }
+    Walk.push_back({B, static_cast<uint64_t>(F.Pos), PolicyIdx});
+  }
+}
 
-  return Policy.finish(Final, Trace.numEvents(), Trace.totalInsts());
+/// Pass 2 of the exact replay: one forward walk from the earliest freeze
+/// hands each event at position p of block B to every policy that walks
+/// B with p past its freeze position, so each policy sees its optimized
+/// sub-stream in global order.
+void walkOptimized(const BlockTrace &Trace, std::vector<Walker> &Walk,
+                   std::vector<std::unique_ptr<dbt::TranslationPolicy>> &Pol) {
+  if (Walk.empty())
+    return;
+  // Per block, its walkers by freeze position: those already past their
+  // freeze are a prefix, which only grows.
+  std::sort(Walk.begin(), Walk.end(), [](const Walker &A, const Walker &B) {
+    return A.Block != B.Block ? A.Block < B.Block : A.After < B.After;
+  });
+  const size_t N = Trace.numBlocks();
+  std::vector<size_t> Begin(N + 1, Walk.size()), Active(N);
+  uint64_t Start = ~uint64_t(0);
+  for (size_t K = Walk.size(); K-- > 0;) {
+    Begin[Walk[K].Block] = K;
+    Start = std::min(Start, Walk[K].After + 1);
+  }
+  for (size_t B = N; B-- > 0;)
+    Begin[B] = std::min(Begin[B], Begin[B + 1]);
+  std::copy(Begin.begin(), Begin.end() - 1, Active.begin());
+
+  // A chunk at a time, the positions of walked blocks' events are first
+  // gathered without a branch per event; only they are visited.
+  std::vector<uint8_t> Walked(N, 0);
+  for (const Walker &W : Walk)
+    Walked[W.Block] = 1;
+  std::vector<uint64_t> Hits(ScanChunk);
+  const std::vector<EventWord> &Words = Trace.words();
+  for (uint64_t From = Start; From < Words.size(); From += ScanChunk) {
+    const uint64_t To = std::min<uint64_t>(Words.size(), From + ScanChunk);
+    size_t H = 0;
+    for (uint64_t I = From; I < To; ++I) {
+      Hits[H] = I;
+      H += Walked[eventBlock(Words[I])];
+    }
+    for (size_t X = 0; X < H; ++X) {
+      const uint64_t I = Hits[X];
+      const BlockId B = eventBlock(Words[I]);
+      size_t &A = Active[B];
+      while (A < Begin[B + 1] && Walk[A].After < I)
+        ++A;
+      const vm::BlockResult R = resultOf(Trace.event(I));
+      for (size_t K = Begin[B]; K < A; ++K)
+        Pol[Walk[K].Policy]->analyticOptimizedEvent(B, R);
+    }
+  }
 }
 
 } // namespace
@@ -408,7 +571,7 @@ SweepResult tpdbt::core::replaySweep(const BlockTrace &Trace,
   cfg::Cfg G(P);
   // The average is a closed form of the stream totals in either mode (a
   // threshold-0 policy never freezes, so it never adapts): only threshold
-  // units need the index or the pump.
+  // units read the events.
   SweepResult Out;
   Out.Average =
       dbt::profilingAverage(P, G, Base, Trace.finalCounts(),
@@ -422,15 +585,27 @@ SweepResult tpdbt::core::replaySweep(const BlockTrace &Trace,
   } else {
     Out.PerThreshold.resize(Unique.size());
     if (!Unique.empty()) {
-      const TraceIndex &Idx = Trace.index();
-      // Per-threshold snapshots are independent units; dispatch them on
-      // the worker pool alongside the per-benchmark parallelism. Results
-      // are stored by index, so they are identical at any job count.
+      const CrossingTable Table(Trace, Unique);
+      // Per-threshold timelines are independent units; dispatch them on
+      // the worker pool alongside the per-benchmark parallelism, then
+      // walk once for all of them. Results are stored by index, so they
+      // are identical at any job count.
+      std::vector<std::unique_ptr<dbt::TranslationPolicy>> Policies(
+          Unique.size());
+      std::vector<std::vector<Walker>> Walks(Unique.size());
       parallelFor(Unique.size(), Jobs, [&](size_t I) {
         dbt::DbtOptions Opts = Base;
         Opts.Threshold = Unique[I];
-        Out.PerThreshold[I] = evaluateIndexed(Trace, Idx, P, G, Opts);
+        Policies[I] = std::make_unique<dbt::TranslationPolicy>(P, G, Opts);
+        evaluateTimeline(Trace, Table, *Policies[I], I, Walks[I]);
       });
+      std::vector<Walker> Walk;
+      for (std::vector<Walker> &W : Walks)
+        Walk.insert(Walk.end(), W.begin(), W.end());
+      walkOptimized(Trace, Walk, Policies);
+      for (size_t I = 0; I < Unique.size(); ++I)
+        Out.PerThreshold[I] = Policies[I]->finish(
+            Trace.finalCounts(), Trace.numEvents(), Trace.totalInsts());
     }
   }
 

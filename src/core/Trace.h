@@ -22,8 +22,9 @@
 ///
 /// On disk a trace is one TPDT v4 container (core/TraceSegments.h,
 /// docs/CACHE_FORMAT.md): a header with the block shape table, the final
-/// per-block use/taken counters (they size the analytic index and give
-/// the closed-form average without an O(events) pre-pass), and a segment
+/// per-block use/taken counters (they bound the replay's crossing targets
+/// and give the closed-form average without an O(events) pre-pass), and a
+/// segment
 /// directory, followed by one TPDZ-compressed frame per segment. Each
 /// frame holds one varint per event: the block id delta-encoded against
 /// the previous event's id (zigzag), shifted left once with the taken bit
@@ -176,7 +177,7 @@ public:
 
   /// Final per-block use/taken counters, maintained incrementally by
   /// append(). These are the end-of-run shared counters the analytic replay
-  /// needs up front (snapshot finals, index row sizes).
+  /// needs up front (snapshot finals, crossing targets).
   const std::vector<profile::BlockCounters> &finalCounts() const {
     return Final;
   }
@@ -185,10 +186,10 @@ public:
     return {Final, numEvents(), TakenEvents, TotalInsts};
   }
 
-  /// The analytic replay index over this trace, built on first use (the
-  /// first threshold replay) and cached for the trace's lifetime. This is
-  /// the only place an index is made: neither recording nor loading a
-  /// trace builds one. Thread-safe.
+  /// A positional index over this trace (core/TraceIndex.h), built on
+  /// first use and cached for the trace's lifetime. Off the production
+  /// path: neither recording, loading nor replaySweep() builds one; the
+  /// traced mirror in bench/e2e and the index's own tests do. Thread-safe.
   const TraceIndex &index() const;
 
   /// The cached index, or null if none has been built yet.
@@ -298,27 +299,28 @@ ThresholdSlots dedupThresholds(const std::vector<uint64_t> &Thresholds);
 /// profiling-only policy), byte-identical to one live dbt::DbtEngine run
 /// per threshold over the same execution.
 ///
-/// Non-adaptive policies are evaluated *analytically* from the trace's
-/// TraceIndex: the policy's freeze timeline
-/// (dbt::TranslationPolicy::freezeTimeline, registration at the T-th
-/// occurrence, the registered-twice trigger at the 2T-th) runs on the
-/// index's exact counter sources — occurrence positions and counters
-/// through a position — so region formation and cost accounting run
-/// exactly as in the pump, and only the optimized sub-stream (events of
-/// frozen blocks after their freeze) is walked, except for blocks that
-/// form a one-node region alone, which take a closed form over their
-/// outcome counts. The sampled estimator (sample/Estimator.h) drives the
-/// same timeline with estimated sources.
-/// Duplicate thresholds share one evaluation, and the per-threshold units
-/// are dispatched on up to \p Jobs worker threads (results are identical
-/// at any job count).
+/// Non-adaptive policies are evaluated *analytically* in two forward
+/// passes over the trace's event words; no index is built. Pass 1 records,
+/// for each block's T-th and 2T-th use over the distinct thresholds, the
+/// event position and every block's counters there (memory O(blocks x
+/// crossings), whatever the trace length), and each block's last outcome.
+/// The policy's freeze timeline (dbt::TranslationPolicy::freezeTimeline,
+/// registration at the T-th occurrence, the registered-twice trigger at
+/// the 2T-th) runs on those exact counters, so region formation and cost
+/// accounting run exactly as in the pump. The profiling phase, and the
+/// post-freeze stream of every block that forms a one-node region alone,
+/// take closed forms over the counts. Pass 2 is one walk from the earliest
+/// freeze that hands every later event of the other frozen blocks to each
+/// policy that froze them. The sampled estimator (sample/Estimator.h)
+/// drives the same timeline with estimated sources.
+/// Duplicate thresholds share one evaluation, and the per-threshold
+/// timelines are dispatched on up to \p Jobs worker threads (results are
+/// identical at any job count).
 ///
 /// The profiling-only Average is dbt::profilingAverage(), a closed form of
 /// the trace's final counters and stream totals, in adaptive mode too (a
-/// threshold-0 policy never freezes, so it never adapts). The index is
-/// built (on first use, see BlockTrace::index()) only when \p Thresholds
-/// is non-empty and adaptive mode is off: an AVEP-only replay never
-/// builds it.
+/// threshold-0 policy never freezes, so it never adapts): an AVEP-only
+/// replay reads no event.
 ///
 /// Adaptive threshold policies (frozen blocks can thaw, so no static
 /// freeze timeline exists) fall back to replaySweepEvents().

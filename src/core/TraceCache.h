@@ -17,10 +17,9 @@
 ///    event stream and nothing that doesn't — so policy-only configuration
 ///    changes replay a warm trace instead of re-interpreting.
 ///
-/// Only the trace is persisted, and get() never builds an analytic replay
-/// index (core/TraceIndex.h): a miss and a disk hit alike return the bare
-/// trace, and the first threshold replay builds the index from the events,
-/// which is cheaper than reading, inflating, and parsing a stored copy.
+/// Only the trace is persisted, and get() builds no index: a miss and a
+/// disk hit alike return the bare trace, whose event words the exact
+/// replay (core::replaySweep) reads directly.
 /// Every disk read goes through one private open: a file-backed
 /// SegmentedTraceReader (core/TraceSegments.h) plus the shape-table check
 /// below. A get() disk hit decodes the entry through it frame by frame
@@ -205,9 +204,9 @@ public:
 
   const Counters &stats() const { return Stats; }
 
-  /// Accounts one analytic-index build. get() builds none; callers do
-  /// (core/Experiment.cpp pre-builds indexes under their own timer so
-  /// replay wall clock excludes them).
+  /// Accounts one index build (core/TraceIndex.h). Neither get() nor the
+  /// exact replay builds one, so the production path never calls this;
+  /// the traced mirror in bench/e2e does, under its own timer.
   void noteIndexBuild(uint64_t Micros) {
     Stats.IndexBuilds.fetch_add(1, std::memory_order_relaxed);
     Stats.IndexMicros.fetch_add(Micros, std::memory_order_relaxed);

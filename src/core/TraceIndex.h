@@ -5,19 +5,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A positional index over one recorded BlockTrace that turns the event
-/// stream into O(1)/O(log) queries, so non-adaptive translation policies
-/// can be evaluated *analytically* instead of by pumping every event
-/// through every policy (see core::replaySweep).
+/// A positional index over one recorded BlockTrace: per-block occurrence
+/// positions and taken bits, answering "where is block b's k-th
+/// occurrence" and "what are b's counters as of event p" in O(1)/O(log).
 ///
-/// The key observation (paper Section 3.1): a block's counters freeze the
-/// moment its use count reaches the retranslation threshold T, and for a
-/// fixed trace that moment is a pure function of the trace — the position
-/// of the block's T-th occurrence. The index therefore stores:
+/// The exact replay (core::replaySweep) no longer uses it: the freeze
+/// timeline only reads each block's T-th and 2T-th use, which one forward
+/// pass over the event words records at O(blocks x crossings) memory,
+/// while this index holds about 4.2 bytes per event. It is kept, off the
+/// production path, only because the traced mirror of the experiment
+/// driver in bench/e2e builds it through BlockTrace::index(), and for its
+/// own tests; it goes when that mirror does.
+///
+/// Layout:
 ///
 ///  - per-block occurrence positions in CSR layout (one flat uint32_t
-///    event-position array plus per-block begin offsets), giving the
-///    freeze event of block b under threshold T as occ[b][T-1];
+///    event-position array plus per-block begin offsets);
 ///  - per-block rows of taken bits (bit k of a row is the outcome of the
 ///    block's k-th occurrence), with a 32-bit checkpoint per 64-bit word
 ///    holding the row's taken count before that word, giving any block's
@@ -29,18 +32,11 @@
 ///
 /// That is about 4.2 bytes per event (a 4-byte position, one bit, and a
 /// 4-byte checkpoint per 64 events) plus, per block, one word and
-/// checkpoint of row slack and three 4-byte offsets and lengths; with the
-/// trace's own 4-byte event word, a replayed event holds about 8.2 bytes.
-/// The final counters the trace already carries size the CSR and bit
-/// rows, so building the index is one scatter pass over the events (each
-/// event stores its position and ORs in its taken bit) and one popcount
-/// pass over the bit rows. build() is the only way an
-/// index is made, for a freshly recorded trace and a loaded one alike: at
-/// most once per trace (see BlockTrace::index()), only when a threshold
-/// replay needs it, and in memory only. It is never persisted: rebuilding
-/// it from a loaded trace is cheaper than reading, inflating, and parsing
-/// a stored copy, and it spares the cache a second on-disk format to
-/// validate.
+/// checkpoint of row slack and three 4-byte offsets and lengths. The
+/// final counters the trace already carries size the CSR and bit rows, so
+/// building the index is one scatter pass over the events and one
+/// popcount pass over the bit rows. build() is the only way an index is
+/// made, in memory only; it is never persisted.
 ///
 //===----------------------------------------------------------------------===//
 

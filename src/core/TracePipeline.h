@@ -24,9 +24,8 @@
 /// finish() waits for the pool and assembles the TPDT v4 container from
 /// the finished segments, so a cold cache miss leaves the record path
 /// having paid (ideally) only the recording wall clock, with compression
-/// hidden behind it. The pipeline builds no analytic index: the trace's
-/// first threshold replay builds one lazily (BlockTrace::index()), on a
-/// cold miss exactly as on a disk hit.
+/// hidden behind it. The pipeline builds no index: the exact replay reads
+/// the trace's event words, on a cold miss exactly as on a disk hit.
 ///
 /// The worker computes each segment's global prefix-sum bases from its
 /// own running totals, not from the live trace's counters: by the time a

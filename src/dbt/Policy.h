@@ -116,7 +116,7 @@ public:
   /// registration is its T-th use and its registered-twice trigger the
   /// 2T-th, so policy state only changes at those crossings.
   /// freezeTimeline() is the one place that rule runs; an engine supplies
-  /// only a counter source — exact (core/Trace.cpp, over the trace index)
+  /// only a counter source — exact (core/Trace.cpp, over a crossing table)
   /// or estimated (sample/Estimator.cpp, over sampled curves). Each entry
   /// point performs exactly the state change the event pump would at the
   /// same stream position, so the exact snapshot is byte-identical (a
@@ -315,8 +315,8 @@ private:
 /// nothing ever freezes, so every event is a profiling-phase execution
 /// and the snapshot is a closed form of the final counter table and the
 /// stream totals (\p NumEvents block events, \p TakenTotal of them taken
-/// conditional branches, \p TotalInsts guest instructions). No event,
-/// and no replay index, is needed; byte-identical to an event-pumped
+/// conditional branches, \p TotalInsts guest instructions). No event is
+/// needed; byte-identical to an event-pumped
 /// threshold-0 policy.
 profile::ProfileSnapshot
 profilingAverage(const guest::Program &P, const cfg::Cfg &G,

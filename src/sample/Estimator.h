@@ -6,8 +6,8 @@
 ///
 /// \file
 /// Estimates per-threshold INIP snapshots from a *sample* of a trace's
-/// segments, mirroring the exact indexed replay (core/Trace.cpp
-/// evaluateIndexed) at segment granularity.
+/// segments, mirroring the exact analytic replay (core/Trace.cpp
+/// evaluateTimeline) at segment granularity.
 ///
 /// The freeze timeline itself lives in the policy
 /// (dbt::TranslationPolicy::freezeTimeline); an engine supplies only its
@@ -15,7 +15,7 @@
 /// and every block's cumulative counters at a position (the trigger's
 /// Shared vector). The profiling accounting then needs each block's
 /// pre-freeze occurrence prefix, which the timeline returns. The exact
-/// replay answers those queries from the trace index; the estimator
+/// replay answers those queries from its crossing table; the estimator
 /// answers them from calibrated piecewise-linear per-block
 /// cumulative-use curves:
 ///

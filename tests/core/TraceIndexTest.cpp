@@ -163,8 +163,8 @@ TEST(TraceIndexTest, TakenBitRowsAtWordBoundaries) {
 
 TEST(TraceIndexTest, CacheServesBareTraces) {
   // The trace store persists traces only and builds no index: a cold
-  // miss and a warm hit both return the bare trace, and the first
-  // analytic replay builds the index.
+  // miss and a warm hit both return the bare trace, and the analytic
+  // replay builds none either.
   const std::string Dir = "/tmp/tpdbt_trace_index_test";
   std::filesystem::remove_all(Dir);
   auto B = smallBench("gzip");
@@ -197,9 +197,10 @@ TEST(TraceIndexTest, CacheServesBareTraces) {
   std::filesystem::remove_all(Dir);
 
   {
-    // Through the experiment driver, cold and warm alike, the ref
-    // trace's first threshold replay builds its index once under the
-    // index timer. The train lookup asks only for stream totals
+    // Through the experiment driver, cold and warm alike, no index is
+    // built: the exact replay reads the trace's event words. The test
+    // holds the ref trace so that the context's lookup is a memory hit on
+    // the same object. The train lookup asks only for stream totals
     // (TraceCache::totals), so it neither replays nor indexes.
     ExperimentConfig C;
     C.Scale = 0.01;
@@ -207,20 +208,30 @@ TEST(TraceIndexTest, CacheServesBareTraces) {
     C.CacheDir = Dir;
     auto Cache = std::make_shared<TraceCache>(Dir);
     ExperimentContext Cold(C, Cache);
+    const workloads::GeneratedBenchmark &GB = Cold.benchmark("gzip");
+    const uint64_t ExecFp = C.traceFingerprint(GB.Spec);
+    auto Ref = Cache->get("gzip", "ref", ExecFp, GB.Ref,
+                          GB.Spec.MaxBlockEvents);
     Cold.inip("gzip", 100);
     EXPECT_EQ(Cache->stats().Misses.load(), 2u);
+    EXPECT_EQ(Cache->stats().MemoryHits.load(), 1u);
     EXPECT_EQ(Cache->stats().IndexHits.load(), 0u);
-    EXPECT_EQ(Cache->stats().IndexBuilds.load(), 1u);
+    EXPECT_EQ(Cache->stats().IndexBuilds.load(), 0u);
+    EXPECT_EQ(Ref->sharedIndex(), nullptr);
+    Ref.reset();
     for (const auto &E : std::filesystem::directory_iterator(Dir))
       if (E.path().extension() == ".prof")
         std::filesystem::remove(E.path());
 
     auto Fresh = std::make_shared<TraceCache>(Dir);
     ExperimentContext Warm(C, Fresh);
+    Ref = Fresh->get("gzip", "ref", ExecFp, GB.Ref, GB.Spec.MaxBlockEvents);
     Warm.inip("gzip", 100);
     EXPECT_EQ(Fresh->stats().DiskHits.load(), 2u);
+    EXPECT_EQ(Fresh->stats().MemoryHits.load(), 1u);
     EXPECT_EQ(Fresh->stats().IndexHits.load(), 0u);
-    EXPECT_EQ(Fresh->stats().IndexBuilds.load(), 1u);
+    EXPECT_EQ(Fresh->stats().IndexBuilds.load(), 0u);
+    EXPECT_EQ(Ref->sharedIndex(), nullptr);
   }
   std::filesystem::remove_all(Dir);
 }

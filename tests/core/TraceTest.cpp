@@ -36,20 +36,20 @@ profile::ProfileSnapshot liveRun(const guest::Program &P, uint64_t T,
   return dbt::DbtEngine(P, Base).run(~0ull);
 }
 
-/// Asserts that the indexed analytic sweep and the event-pump oracle
+/// Asserts that the analytic sweep and the event-pump oracle
 /// produce byte-identical snapshots for every requested threshold.
-void expectIndexedMatchesPump(const BlockTrace &T, const guest::Program &P,
-                              const std::vector<uint64_t> &Thresholds,
-                              const dbt::DbtOptions &Opts,
-                              const char *Label) {
+void expectAnalyticMatchesPump(const BlockTrace &T, const guest::Program &P,
+                               const std::vector<uint64_t> &Thresholds,
+                               const dbt::DbtOptions &Opts,
+                               const char *Label) {
   SweepResult Pumped = replaySweepEvents(T, P, Thresholds, Opts);
-  SweepResult Indexed = replaySweep(T, P, Thresholds, Opts);
-  ASSERT_EQ(Indexed.PerThreshold.size(), Thresholds.size()) << Label;
+  SweepResult Analytic = replaySweep(T, P, Thresholds, Opts);
+  ASSERT_EQ(Analytic.PerThreshold.size(), Thresholds.size()) << Label;
   for (size_t I = 0; I < Thresholds.size(); ++I)
-    EXPECT_EQ(profile::printSnapshot(Indexed.PerThreshold[I]),
+    EXPECT_EQ(profile::printSnapshot(Analytic.PerThreshold[I]),
               profile::printSnapshot(Pumped.PerThreshold[I]))
         << Label << " T=" << Thresholds[I];
-  EXPECT_EQ(profile::printSnapshot(Indexed.Average),
+  EXPECT_EQ(profile::printSnapshot(Analytic.Average),
             profile::printSnapshot(Pumped.Average))
       << Label;
 }
@@ -298,7 +298,7 @@ TEST(TraceTest, IndexedReplayMatchesEventPumpRandomized) {
       F.MaxRegionBlocks = 1 + R.nextBelow(32);
       F.EnableDiamonds = R.nextBool(0.5);
       F.AllowDuplication = R.nextBool(0.5);
-      expectIndexedMatchesPump(T, B.Ref, Thresholds, Opts, Name);
+      expectAnalyticMatchesPump(T, B.Ref, Thresholds, Opts, Name);
     }
   }
 }
@@ -309,8 +309,8 @@ TEST(TraceTest, IndexedReplayMatchesEventPumpTruncated) {
   auto B = smallBench("swim");
   for (uint64_t MaxBlocks : {77ull, 1000ull, 5001ull}) {
     BlockTrace T = BlockTrace::record(B.Ref, MaxBlocks);
-    expectIndexedMatchesPump(T, B.Ref, {1, 10, 200, 100000},
-                             dbt::DbtOptions(), "swim");
+    expectAnalyticMatchesPump(T, B.Ref, {1, 10, 200, 100000},
+                              dbt::DbtOptions(), "swim");
   }
 }
 
@@ -321,13 +321,13 @@ TEST(TraceTest, IndexedReplayMatchesEventPumpAcrossJobCounts) {
   SweepResult Pumped = replaySweepEvents(T, B.Ref, Thresholds,
                                          dbt::DbtOptions());
   for (unsigned Jobs : {1u, 4u}) {
-    SweepResult Indexed =
+    SweepResult Analytic =
         replaySweep(T, B.Ref, Thresholds, dbt::DbtOptions(), Jobs);
     for (size_t I = 0; I < Thresholds.size(); ++I)
-      EXPECT_EQ(profile::printSnapshot(Indexed.PerThreshold[I]),
+      EXPECT_EQ(profile::printSnapshot(Analytic.PerThreshold[I]),
                 profile::printSnapshot(Pumped.PerThreshold[I]))
           << "jobs=" << Jobs << " T=" << Thresholds[I];
-    EXPECT_EQ(profile::printSnapshot(Indexed.Average),
+    EXPECT_EQ(profile::printSnapshot(Analytic.Average),
               profile::printSnapshot(Pumped.Average))
         << "jobs=" << Jobs;
   }
@@ -443,9 +443,10 @@ TEST(TraceTest, ParseRejectsCounterTableMismatch) {
 }
 
 TEST(TraceTest, AvepOnlyReplayBuildsNoIndex) {
-  // The profiling-only average is a closed form of the stream totals: a
-  // replay with no thresholds must answer it without building the index,
-  // and byte-identically to the event pump.
+  // The profiling-only average is a closed form of the stream totals, and
+  // the threshold snapshots come from two passes over the event words: a
+  // replay with or without thresholds must answer without building the
+  // index, and byte-identically to the event pump.
   for (const workloads::BenchSpec &Spec : workloads::spec2000Suite()) {
     auto B = workloads::generateBenchmark(workloads::scaledSpec(Spec, 0.01));
     BlockTrace Parsed;
@@ -462,6 +463,32 @@ TEST(TraceTest, AvepOnlyReplayBuildsNoIndex) {
     EXPECT_EQ(profile::printSnapshot(Replayed.Average),
               profile::printSnapshot(Pumped.Average))
         << Spec.Name;
+
+    const std::vector<uint64_t> &Ts = performanceThresholds();
+    SweepResult Swept = replaySweep(Parsed, B.Ref, Ts, Opts, 2);
+    EXPECT_EQ(Parsed.sharedIndex(), nullptr) << Spec.Name;
+    SweepResult SweptPumped = replaySweepEvents(Parsed, B.Ref, Ts, Opts);
+    ASSERT_EQ(Swept.PerThreshold.size(), Ts.size()) << Spec.Name;
+    for (size_t I = 0; I < Ts.size(); ++I)
+      EXPECT_EQ(profile::printSnapshot(Swept.PerThreshold[I]),
+                profile::printSnapshot(SweptPumped.PerThreshold[I]))
+          << Spec.Name << " T=" << Ts[I];
+  }
+}
+
+TEST(TraceTest, CollidingCrossingTargetsMatchEventPump) {
+  // The crossing table keeps one entry per block and use count: 2T of 50
+  // is T of 100, 2T of 100 is T of 200, and 2T of 200 is T of 400; 100
+  // is requested twice, and 2^40 exceeds every use count, so it has no
+  // crossing at all.
+  const std::vector<uint64_t> Thresholds = {50,  100, 200,
+                                            100, 400, uint64_t(1) << 40};
+  for (const workloads::BenchSpec &Spec : workloads::spec2000Suite()) {
+    auto B = workloads::generateBenchmark(workloads::scaledSpec(Spec, 0.01));
+    const BlockTrace T = BlockTrace::record(B.Ref);
+    expectAnalyticMatchesPump(T, B.Ref, Thresholds, dbt::DbtOptions(),
+                              Spec.Name.c_str());
+    EXPECT_EQ(T.sharedIndex(), nullptr) << Spec.Name;
   }
 }
 
@@ -475,7 +502,7 @@ TEST(TraceTest, FoldedLoopWithDuplicatedBlockMatchesEventPump) {
   dbt::DbtOptions Opts;
   ASSERT_TRUE(Opts.Formation.AllowDuplication);
   const std::vector<uint64_t> Thresholds = {1, 2, 3, 8, 100};
-  expectIndexedMatchesPump(T, P, Thresholds, Opts, "duploop");
+  expectAnalyticMatchesPump(T, P, Thresholds, Opts, "duploop");
 
   // At T=2 the folded loop region exists: a loop at H (block 2) whose
   // path holds the diamond at D (3) and the unconditional M (6), with M
@@ -566,18 +593,18 @@ TEST(TraceTest, PartialFinalEventRoundTripsAndReplaysUnderEveryTier) {
       Sum += Idx.instsOfFirst(B, Idx.occurrences(B));
     EXPECT_EQ(Sum, Plain.InstsExecuted);
 
-    const SweepResult Indexed = replaySweep(T, P, Thresholds, {});
+    const SweepResult Analytic = replaySweep(T, P, Thresholds, {});
     const SweepResult Pumped = replaySweepEvents(T, P, Thresholds, {});
     for (size_t I = 0; I < Thresholds.size(); ++I) {
       const std::string Live =
           profile::printSnapshot(liveRun(P, Thresholds[I], {}));
-      EXPECT_EQ(profile::printSnapshot(Indexed.PerThreshold[I]), Live)
+      EXPECT_EQ(profile::printSnapshot(Analytic.PerThreshold[I]), Live)
           << Tier << " T=" << Thresholds[I];
       EXPECT_EQ(profile::printSnapshot(Pumped.PerThreshold[I]), Live)
           << Tier << " T=" << Thresholds[I];
     }
     const std::string LiveAvg = profile::printSnapshot(liveRun(P, 0, {}));
-    EXPECT_EQ(profile::printSnapshot(Indexed.Average), LiveAvg) << Tier;
+    EXPECT_EQ(profile::printSnapshot(Analytic.Average), LiveAvg) << Tier;
     EXPECT_EQ(profile::printSnapshot(Pumped.Average), LiveAvg) << Tier;
   }
 }
