@@ -520,7 +520,7 @@ std::string ExperimentContext::statsSummary() const {
   std::string Out = formatString(
       "jobs=%u prof %llu hit / %llu miss (%llu corrupt), trace %llu hit / "
       "%llu miss (%llu corrupt), %llu sweeps, %.1fs recording, "
-      "%.1fs replaying, index %llu hit / %llu build (%.1fs), "
+      "%.1fs replaying, "
       "host %llu chained / %llu folded / %llu fallback, "
       "jit %llu units / %llu blk / %llu iter / %llu deopt / %llu flush "
       "(%.2fs compile), "
@@ -545,13 +545,6 @@ std::string ExperimentContext::statsSummary() const {
           1e6,
       static_cast<double>(
           Stats.ReplayMicros.load(std::memory_order_relaxed)) /
-          1e6,
-      static_cast<unsigned long long>(
-          TC.IndexHits.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          TC.IndexBuilds.load(std::memory_order_relaxed)),
-      static_cast<double>(
-          TC.IndexMicros.load(std::memory_order_relaxed)) /
           1e6,
       static_cast<unsigned long long>(
           TC.HostChainedBlocks.load(std::memory_order_relaxed)),

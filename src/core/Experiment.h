@@ -272,8 +272,8 @@ public:
   /// One-line human-readable rendering of stats() for the bench banners,
   /// e.g. for a cold suite "jobs=2 prof 0 hit / 26 miss (0 corrupt), trace
   /// 0 hit / 52 miss (0 corrupt), 52 sweeps, 0.4s recording, 0.3s
-  /// replaying, index 0 hit / 0 build (0.0s), host ...". Both index counts
-  /// read 0: the exact replay builds no index, and none is stored.
+  /// replaying, host ...". The trace cache's index counters are left out:
+  /// the exact replay builds no index, and none is stored.
   std::string statsSummary() const;
 
 private:

@@ -226,12 +226,12 @@ constexpr size_t ScanChunk = 1024;
 /// sweep's thresholds, with J <= B's final use count: the only uses at
 /// which a threshold's freeze timeline reads the stream. The scan records
 /// the event position of B's J-th use and a copy of every block's shared
-/// counters through that event, and each block's last outcome. Its
-/// memory is O(blocks x crossings), independent of the trace's length.
+/// counters through that event. Its memory is O(blocks x crossings),
+/// independent of the trace's length.
 class CrossingTable {
 public:
   CrossingTable(const BlockTrace &Trace, const std::vector<uint64_t> &Ts)
-      : N(Trace.numBlocks()), Begin(N + 1), Last(N, 0) {
+      : N(Trace.numBlocks()), Begin(N + 1) {
     const std::vector<profile::BlockCounters> &Final = Trace.finalCounts();
     // Per block, its sorted distinct targets (2T of one threshold can be
     // T of another).
@@ -265,14 +265,13 @@ public:
     // A chunk at a time. Its words are first counted into four lanes of a
     // histogram indexed by event word (so a self-loop's repeats do not
     // chain through one counter); only a chunk in which some block reaches
-    // its next target is counted again, event by event, to place the
-    // crossing. Cnt holds every block's counters at the chunk's start, and
-    // LastTo[B] the end of the last chunk B occurs in.
+    // its next target, a small share of them, is counted again, event by
+    // event, to place the crossing. Cnt holds every block's counters at
+    // the chunk's start.
     constexpr size_t Lanes = 4;
     const size_t Width = 2 * N;
     std::vector<uint32_t> Hist(Lanes * Width, 0);
     std::vector<Counts> Cnt(N), Upto(N);
-    std::vector<size_t> LastTo(N, 0);
     for (size_t From = 0; From < E; From += ScanChunk) {
       const size_t To = std::min(E, From + ScanChunk);
       size_t I = From;
@@ -289,8 +288,6 @@ public:
           U.Use += Hist[L * Width + 2 * B] + Hist[L * Width + 2 * B + 1];
           U.Taken += Hist[L * Width + 2 * B + 1];
         }
-        if (U.Use != Cnt[B].Use)
-          LastTo[B] = To;
         Crosses |= Next[B] && U.Use >= Next[B];
       }
       for (size_t J = From; Crosses && J < To; ++J) {
@@ -309,14 +306,6 @@ public:
                       : 0;
       }
       Cnt = Upto;
-    }
-    // A block's last outcome: its final occurrence is in the last chunk
-    // it occurs in, found scanning back from that chunk's end.
-    for (size_t B = 0; B < N; ++B) {
-      size_t J = LastTo[B];
-      while (J > 0 && eventBlock(Words[J - 1]) != B)
-        --J;
-      Last[B] = J > 0 && eventTaken(Words[J - 1]);
     }
   }
 
@@ -338,9 +327,6 @@ public:
       Out[B] = {Row[B].Use, Row[B].Taken};
   }
 
-  /// The outcome of \p B's final occurrence (untaken for a partial tail).
-  bool lastTaken(BlockId B) const { return Last[B]; }
-
 private:
   /// Counters are 32-bit: traces stay below 2^32 events.
   struct Counts {
@@ -357,7 +343,6 @@ private:
   /// counters in Snap.
   std::vector<uint64_t> Pos;
   std::vector<Counts> Snap;
-  std::vector<uint8_t> Last;
 };
 
 /// Guest instructions of \p B's first \p K occurrences: K whole
@@ -443,8 +428,7 @@ void evaluateTimeline(const BlockTrace &Trace, const CrossingTable &Table,
       const uint64_t Taken = Final[B].Taken - F.At.Taken;
       Policy.analyticSingletonRegion(
           R, Taken, (Cnt - From) - Taken,
-          instsOfFirst(Trace, B, Cnt) - instsOfFirst(Trace, B, From),
-          Table.lastTaken(B));
+          instsOfFirst(Trace, B, Cnt) - instsOfFirst(Trace, B, From));
       continue;
     }
     Walk.push_back({B, static_cast<uint64_t>(F.Pos), PolicyIdx});

@@ -303,7 +303,7 @@ ThresholdSlots dedupThresholds(const std::vector<uint64_t> &Thresholds);
 /// passes over the trace's event words; no index is built. Pass 1 records,
 /// for each block's T-th and 2T-th use over the distinct thresholds, the
 /// event position and every block's counters there (memory O(blocks x
-/// crossings), whatever the trace length), and each block's last outcome.
+/// crossings), whatever the trace length).
 /// The policy's freeze timeline (dbt::TranslationPolicy::freezeTimeline,
 /// registration at the T-th occurrence, the registered-twice trigger at
 /// the 2T-th) runs on those exact counters, so region formation and cost

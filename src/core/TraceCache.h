@@ -143,7 +143,8 @@ public:
     std::atomic<uint64_t> CorruptEntries{0};
     std::atomic<uint64_t> RecordMicros{0};
     /// Analytic replay indexes served from disk. Indexes are no longer
-    /// persisted, so this stays 0; kept for the banner and bench readers.
+    /// persisted, so this stays 0. The three index counters are kept only
+    /// for the traced mirror in bench/e2e and go with it.
     std::atomic<uint64_t> IndexHits{0};
     /// Indexes built from a trace (see noteIndexBuild); the build wall
     /// clock is accumulated in IndexMicros.

@@ -179,63 +179,42 @@ public:
   /// own branch outcome — re-enter and take the back edge, stay at the
   /// head, or exit — making the whole stream a function of the outcome
   /// counts (\p TakenCnt / \p NotTakenCnt, \p Insts guest instructions
-  /// total). \p LastTaken is the final occurrence's outcome; it decides
-  /// whether a trailing run is still inside the region at trace end,
-  /// which is what separates entries from exits.
+  /// total). Only the cost account is updated: the region's
+  /// RegionRuntime observations are read by adaptive retranslation
+  /// alone, which never takes the analytic path.
   void analyticSingletonRegion(int32_t RegionIdx, uint64_t TakenCnt,
-                               uint64_t NotTakenCnt, uint64_t Insts,
-                               bool LastTaken) {
+                               uint64_t NotTakenCnt, uint64_t Insts) {
     const region::Region &Reg = Regions[static_cast<size_t>(RegionIdx)];
     const region::RegionNode &Node = Reg.Nodes.front();
     const CostParams &C = Opts.Cost;
-    assert(Reg.Nodes.size() == 1 && TakenCnt + NotTakenCnt > 0 &&
-           CtxRegion != RegionIdx &&
+    assert(!Opts.Adaptive.Enabled && Reg.Nodes.size() == 1 &&
+           TakenCnt + NotTakenCnt > 0 && CtxRegion != RegionIdx &&
            "singleton closed form preconditions violated");
     Account.Cycles += Insts * C.OptPerInst;
     Account.OptInsts += Insts;
 
-    RegionRuntime &RT = Runtime[static_cast<size_t>(RegionIdx)];
     const bool IsLatch =
         Node.TakenSucc == region::BackEdgeSucc ||
         (Node.HasCondBranch && Node.FallSucc == region::BackEdgeSucc);
-    uint64_t Exits = 0;
-    bool LastExits = false;
     // One outcome group at a time: every taken occurrence follows
     // TakenSucc, every other one FallSucc (TakenSucc too when the block
-    // has no conditional branch).
-    auto outcomeGroup = [&](int32_t Succ, uint64_t Count, bool IsLast) {
-      if (Count == 0)
+    // has no conditional branch). Only leaving a loop region other than
+    // at a halt costs extra: a latch exit or a side exit.
+    auto outcomeGroup = [&](int32_t Succ, uint64_t Count) {
+      if (Succ >= 0 || Succ == region::BackEdgeSucc ||
+          Succ == region::HaltSucc || Reg.Kind == region::RegionKind::NonLoop)
         return;
-      if (Succ >= 0)
-        return; // stays at the head: no observable counter
-      if (Succ == region::BackEdgeSucc) {
-        RT.BackEdges += Count;
-        return;
-      }
-      Exits += Count;
-      LastExits |= IsLast;
-      if (Reg.Kind == region::RegionKind::NonLoop) {
-        // CtxNode == 0 == LastNode for a singleton: always a completion.
-        RT.Completions += Count;
-      } else if (IsLatch || Succ == region::HaltSucc) {
-        RT.LatchExits += Count;
-        if (Succ != region::HaltSucc) {
-          Account.Cycles += Count * C.LoopExitPenalty;
-          Account.LoopExits += Count;
-        }
+      if (IsLatch) {
+        Account.Cycles += Count * C.LoopExitPenalty;
+        Account.LoopExits += Count;
       } else {
-        RT.SideExits += Count;
         Account.Cycles += Count * C.SideExitPenalty;
         Account.SideExits += Count;
       }
     };
-    const int32_t FallSucc =
-        Node.HasCondBranch ? Node.FallSucc : Node.TakenSucc;
-    outcomeGroup(Node.TakenSucc, TakenCnt, LastTaken);
-    outcomeGroup(FallSucc, NotTakenCnt, !LastTaken);
-    // Runs are separated by exits: the stream re-enters after each exit
-    // except a final one, plus the initial entry.
-    RT.Entries += 1 + Exits - (LastExits ? 1 : 0);
+    outcomeGroup(Node.TakenSucc, TakenCnt);
+    outcomeGroup(Node.HasCondBranch ? Node.FallSucc : Node.TakenSucc,
+                 NotTakenCnt);
   }
 
   /// @}

@@ -197,41 +197,48 @@ TEST(TraceIndexTest, CacheServesBareTraces) {
   std::filesystem::remove_all(Dir);
 
   {
-    // Through the experiment driver, cold and warm alike, no index is
-    // built: the exact replay reads the trace's event words. The test
-    // holds the ref trace so that the context's lookup is a memory hit on
-    // the same object. The train lookup asks only for stream totals
+    // Through the experiment driver no index is built: the exact replay
+    // reads the trace's event words. Cold, the context's ref lookup is a
+    // miss; trace-warm (snapshots deleted), a disk hit; both give the same
+    // snapshot. A third run holds the ref trace, so that the context's
+    // lookup is a memory hit on that object, and sees that the replay
+    // left no index on it. The train lookup asks only for stream totals
     // (TraceCache::totals), so it neither replays nor indexes.
     ExperimentConfig C;
     C.Scale = 0.01;
     C.Thresholds = {100};
     C.CacheDir = Dir;
-    auto Cache = std::make_shared<TraceCache>(Dir);
-    ExperimentContext Cold(C, Cache);
-    const workloads::GeneratedBenchmark &GB = Cold.benchmark("gzip");
-    const uint64_t ExecFp = C.traceFingerprint(GB.Spec);
-    auto Ref = Cache->get("gzip", "ref", ExecFp, GB.Ref,
-                          GB.Spec.MaxBlockEvents);
-    Cold.inip("gzip", 100);
-    EXPECT_EQ(Cache->stats().Misses.load(), 2u);
-    EXPECT_EQ(Cache->stats().MemoryHits.load(), 1u);
-    EXPECT_EQ(Cache->stats().IndexHits.load(), 0u);
-    EXPECT_EQ(Cache->stats().IndexBuilds.load(), 0u);
-    EXPECT_EQ(Ref->sharedIndex(), nullptr);
-    Ref.reset();
-    for (const auto &E : std::filesystem::directory_iterator(Dir))
-      if (E.path().extension() == ".prof")
-        std::filesystem::remove(E.path());
-
-    auto Fresh = std::make_shared<TraceCache>(Dir);
-    ExperimentContext Warm(C, Fresh);
-    Ref = Fresh->get("gzip", "ref", ExecFp, GB.Ref, GB.Spec.MaxBlockEvents);
-    Warm.inip("gzip", 100);
-    EXPECT_EQ(Fresh->stats().DiskHits.load(), 2u);
-    EXPECT_EQ(Fresh->stats().MemoryHits.load(), 1u);
-    EXPECT_EQ(Fresh->stats().IndexHits.load(), 0u);
-    EXPECT_EQ(Fresh->stats().IndexBuilds.load(), 0u);
-    EXPECT_EQ(Ref->sharedIndex(), nullptr);
+    auto dropSnapshots = [&Dir] {
+      for (const auto &E : std::filesystem::directory_iterator(Dir))
+        if (E.path().extension() == ".prof")
+          std::filesystem::remove(E.path());
+    };
+    std::string Snap;
+    {
+      auto Cache = std::make_shared<TraceCache>(Dir);
+      ExperimentContext Cold(C, Cache);
+      Snap = profile::printSnapshot(Cold.inip("gzip", 100));
+      EXPECT_EQ(Cache->stats().Misses.load(), 2u);
+    }
+    dropSnapshots();
+    {
+      auto Cache = std::make_shared<TraceCache>(Dir);
+      ExperimentContext Warm(C, Cache);
+      EXPECT_EQ(profile::printSnapshot(Warm.inip("gzip", 100)), Snap);
+      EXPECT_EQ(Cache->stats().DiskHits.load(), 2u);
+      EXPECT_EQ(Cache->stats().Misses.load(), 0u);
+    }
+    dropSnapshots();
+    {
+      auto Cache = std::make_shared<TraceCache>(Dir);
+      ExperimentContext Held(C, Cache);
+      const workloads::GeneratedBenchmark &GB = Held.benchmark("gzip");
+      auto Ref = Cache->get("gzip", "ref", C.traceFingerprint(GB.Spec),
+                            GB.Ref, GB.Spec.MaxBlockEvents);
+      EXPECT_EQ(profile::printSnapshot(Held.inip("gzip", 100)), Snap);
+      EXPECT_EQ(Cache->stats().MemoryHits.load(), 1u);
+      EXPECT_EQ(Ref->sharedIndex(), nullptr);
+    }
   }
   std::filesystem::remove_all(Dir);
 }
