@@ -120,9 +120,9 @@ BENCHMARK_CAPTURE(BM_RecordBenchmark, swim, "swim")
 BENCHMARK_CAPTURE(BM_RecordBenchmark, mcf, "mcf")
     ->Unit(benchmark::kMillisecond);
 
-/// The same record pass with the jit tier switched off
-/// (TPDBT_TIER=predecoded, pre-decoded dispatch only): the gap to the
-/// plain BM_RecordBenchmark row is the native-code speedup of the hottest
+/// The same record pass with the host translation tier switched off
+/// (TPDBT_TIER=plain, the plain interpreter only): the gap to the
+/// BM_RecordBenchmark row is the native-code speedup of the hottest
 /// chains and self-loops. The knob is read on every record, so flipping
 /// it around the timed region (and restoring the caller's value) is
 /// enough.
@@ -132,7 +132,7 @@ void BM_RecordBenchmarkNoJit(benchmark::State &State, const char *Name) {
   const char *Prev = std::getenv("TPDBT_TIER");
   const bool Had = Prev != nullptr;
   const std::string Saved = Had ? Prev : "";
-  setenv("TPDBT_TIER", "predecoded", 1);
+  setenv("TPDBT_TIER", "plain", 1);
   uint64_t Events = 0;
   for (auto _ : State) {
     core::BlockTrace T = core::BlockTrace::record(B.Ref, ~0ull);

@@ -521,7 +521,6 @@ std::string ExperimentContext::statsSummary() const {
       "jobs=%u prof %llu hit / %llu miss (%llu corrupt), trace %llu hit / "
       "%llu miss (%llu corrupt), %llu sweeps, %.1fs recording, "
       "%.1fs replaying, "
-      "host %llu chained / %llu folded / %llu fallback, "
       "jit %llu units / %llu blk / %llu iter / %llu deopt / %llu flush "
       "(%.2fs compile), "
       "stream %llu rec / %llu seg (%.1fs work, %.1fs flush), "
@@ -546,12 +545,6 @@ std::string ExperimentContext::statsSummary() const {
       static_cast<double>(
           Stats.ReplayMicros.load(std::memory_order_relaxed)) /
           1e6,
-      static_cast<unsigned long long>(
-          TC.HostChainedBlocks.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          TC.HostFoldedIters.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          TC.HostFallbacks.load(std::memory_order_relaxed)),
       static_cast<unsigned long long>(
           TC.JitUnits.load(std::memory_order_relaxed)),
       static_cast<unsigned long long>(

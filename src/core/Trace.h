@@ -118,13 +118,14 @@ public:
 
   /// Records a full execution of \p P (up to \p MaxBlocks events).
   /// Interpretation runs under the host translation tier (vm/HostTier.h)
-  /// unless TPDBT_TIER=plain; either way the recorded bytes are
-  /// identical — self-loop runs land through appendRun() instead of
-  /// per-event append(). \p TierStats, when non-null, accumulates the
-  /// tier's coverage counters. When \p SegmentBudget is nonzero,
-  /// \p OnSegment fires at each boundary crossing (one integer compare
-  /// per sink delivery otherwise) — boundary checks run after batched
-  /// deliveries, so a crossing can overshoot by one run/chain batch.
+  /// when HostTier::enabled(), else under the plain interpreter; either
+  /// way the recorded bytes are identical — self-loop runs land through
+  /// appendRun() instead of per-event append(). \p TierStats, when
+  /// non-null, accumulates the tier's coverage counters. When
+  /// \p SegmentBudget is nonzero, \p OnSegment fires at each boundary
+  /// crossing (one integer compare per sink delivery otherwise) —
+  /// boundary checks run after batched deliveries, so a crossing can
+  /// overshoot by one run/chain batch.
   static BlockTrace record(const guest::Program &P, uint64_t MaxBlocks = ~0ull,
                            vm::HostTierStats *TierStats = nullptr,
                            const SegmentProgressFn &OnSegment = nullptr,

@@ -258,11 +258,10 @@ TraceCache::recordMiss(Slot &S, const std::string &Key,
       std::chrono::duration_cast<std::chrono::microseconds>(End - Start)
           .count(),
       std::memory_order_relaxed);
-  Stats.HostChainedBlocks.fetch_add(Tier.ChainedBlocks,
+  Stats.HostChainedBlocks.fetch_add(Tier.JitBlocks,
                                     std::memory_order_relaxed);
-  Stats.HostFoldedIters.fetch_add(Tier.RunFoldedIters,
+  Stats.HostFoldedIters.fetch_add(Tier.JitLoopIters,
                                   std::memory_order_relaxed);
-  Stats.HostFallbacks.fetch_add(Tier.Fallbacks, std::memory_order_relaxed);
   Stats.JitUnits.fetch_add(Tier.JitUnits, std::memory_order_relaxed);
   Stats.JitBlocks.fetch_add(Tier.JitBlocks, std::memory_order_relaxed);
   Stats.JitLoopIters.fetch_add(Tier.JitLoopIters, std::memory_order_relaxed);

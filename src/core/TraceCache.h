@@ -162,18 +162,19 @@ public:
     std::atomic<uint64_t> PipelineMicros{0};
     std::atomic<uint64_t> FlushMicros{0};
     /// Host translation tier coverage of the recordings behind the
-    /// misses (see vm/HostTier.h): block events delivered from
-    /// superblock chains, self-loop iterations folded into run-length
-    /// trace entries, and superblock guard mismatches that fell back to
-    /// plain dispatch.
+    /// misses, in the names bench/e2e reads: block events delivered from
+    /// superblock chains and self-loop iterations delivered as run-length
+    /// trace entries, which run compiled and so equal JitBlocks and
+    /// JitLoopIters. HostFallbacks stays 0: guards exist only in compiled
+    /// code, where a mismatch is a JitDeopts. The three are kept only for
+    /// the traced mirror in bench/e2e (ROADMAP item 7) and go with it.
     std::atomic<uint64_t> HostChainedBlocks{0};
     std::atomic<uint64_t> HostFoldedIters{0};
     std::atomic<uint64_t> HostFallbacks{0};
     /// Jit tier coverage (see src/jit): units compiled to native code,
     /// chain block events and self-loop iterations executed natively,
-    /// deopt exits (guard mismatch or fault in compiled code — disjoint
-    /// from HostFallbacks, which counts the pre-decoded tier only),
-    /// whole-code-cache flushes, and compile+install wall time.
+    /// deopt exits (guard mismatch or fault in compiled code), whole-code-
+    /// cache flushes, and compile+install wall time.
     std::atomic<uint64_t> JitUnits{0};
     std::atomic<uint64_t> JitBlocks{0};
     std::atomic<uint64_t> JitLoopIters{0};

@@ -5,7 +5,6 @@
 #include "support/Format.h"
 
 #include <cassert>
-#include <sstream>
 
 using namespace tpdbt;
 using namespace tpdbt::guest;
@@ -15,41 +14,6 @@ uint64_t Program::staticInstCount() const {
   for (const auto &B : Blocks)
     N += B.Insts.size() + 1; // terminator counts as one instruction
   return N;
-}
-
-static const Opcode AllOpcodes[] = {
-    Opcode::Add,    Opcode::Sub,    Opcode::Mul,    Opcode::Divs,
-    Opcode::Rems,   Opcode::And,    Opcode::Or,     Opcode::Xor,
-    Opcode::Shl,    Opcode::Shr,    Opcode::Sar,    Opcode::AddI,
-    Opcode::MulI,   Opcode::AndI,   Opcode::OrI,    Opcode::XorI,
-    Opcode::ShlI,   Opcode::ShrI,   Opcode::CmpEq,  Opcode::CmpLt,
-    Opcode::CmpLtU, Opcode::CmpEqI, Opcode::CmpLtI, Opcode::CmpLtUI,
-    Opcode::MovI,   Opcode::Mov,    Opcode::Load,   Opcode::Store,
-    Opcode::FAdd,   Opcode::FSub,   Opcode::FMul,   Opcode::FDiv,
-    Opcode::FConst, Opcode::FCmpLt, Opcode::IToF,   Opcode::FToI,
-    Opcode::Nop};
-
-static const CondKind AllCondKinds[] = {
-    CondKind::Eq,  CondKind::Ne,  CondKind::Lt,  CondKind::Ge,
-    CondKind::LtU, CondKind::GeU, CondKind::EqI, CondKind::NeI,
-    CondKind::LtI, CondKind::GeI};
-
-static bool opcodeFromName(const std::string &Name, Opcode &Out) {
-  for (Opcode Op : AllOpcodes)
-    if (Name == opcodeName(Op)) {
-      Out = Op;
-      return true;
-    }
-  return false;
-}
-
-static bool condKindFromName(const std::string &Name, CondKind &Out) {
-  for (CondKind CK : AllCondKinds)
-    if (Name == condKindName(CK)) {
-      Out = CK;
-      return true;
-    }
-  return false;
 }
 
 bool tpdbt::guest::verifyProgram(const Program &P,
@@ -156,148 +120,4 @@ std::string tpdbt::guest::disassemble(const Program &P) {
     }
   }
   return Out;
-}
-
-std::string tpdbt::guest::printProgram(const Program &P) {
-  std::ostringstream OS;
-  OS << "tpdbt-program v1\n";
-  OS << "name " << (P.Name.empty() ? "-" : P.Name) << "\n";
-  OS << "entry " << P.Entry << "\n";
-  OS << "memwords " << P.MemWords << "\n";
-  OS << "blocks " << P.Blocks.size() << "\n";
-  for (size_t Id = 0; Id < P.Blocks.size(); ++Id) {
-    const Block &B = P.Blocks[Id];
-    OS << "block " << Id << " " << (B.Name.empty() ? "-" : B.Name) << "\n";
-    for (const Inst &In : B.Insts)
-      OS << "i " << opcodeName(In.Op) << " " << unsigned(In.Rd) << " "
-         << unsigned(In.Ra) << " " << unsigned(In.Rb) << " " << In.Imm
-         << "\n";
-    const Terminator &T = B.Term;
-    switch (T.Kind) {
-    case TermKind::Jump:
-      OS << "t jump " << T.Taken << "\n";
-      break;
-    case TermKind::Branch:
-      OS << "t branch " << condKindName(T.Cond) << " " << unsigned(T.Ra)
-         << " " << unsigned(T.Rb) << " " << T.Imm << " " << T.Taken << " "
-         << T.Fallthrough << "\n";
-      break;
-    case TermKind::Halt:
-      OS << "t halt\n";
-      break;
-    }
-  }
-  OS << "memdata " << P.InitialMem.size() << "\n";
-  for (size_t I = 0; I < P.InitialMem.size(); ++I) {
-    OS << P.InitialMem[I];
-    OS << ((I % 16 == 15 || I + 1 == P.InitialMem.size()) ? "\n" : " ");
-  }
-  return OS.str();
-}
-
-bool tpdbt::guest::parseProgram(const std::string &Text, Program &Out,
-                                std::string *Error) {
-  auto Fail = [&](const std::string &Msg) {
-    if (Error)
-      *Error = Msg;
-    return false;
-  };
-  std::istringstream IS(Text);
-  std::string Tok;
-  if (!(IS >> Tok) || Tok != "tpdbt-program")
-    return Fail("missing tpdbt-program header");
-  if (!(IS >> Tok) || Tok != "v1")
-    return Fail("unsupported version");
-
-  Program P;
-  size_t NumBlocks = 0;
-  if (!(IS >> Tok) || Tok != "name" || !(IS >> P.Name))
-    return Fail("bad name line");
-  if (P.Name == "-")
-    P.Name.clear();
-  if (!(IS >> Tok) || Tok != "entry" || !(IS >> P.Entry))
-    return Fail("bad entry line");
-  if (!(IS >> Tok) || Tok != "memwords" || !(IS >> P.MemWords))
-    return Fail("bad memwords line");
-  if (!(IS >> Tok) || Tok != "blocks" || !(IS >> NumBlocks))
-    return Fail("bad blocks line");
-
-  P.Blocks.resize(NumBlocks);
-  for (size_t I = 0; I < NumBlocks; ++I) {
-    size_t Id;
-    std::string Name;
-    if (!(IS >> Tok) || Tok != "block" || !(IS >> Id >> Name) ||
-        Id != I)
-      return Fail(formatString("bad block header for block %zu", I));
-    Block &B = P.Blocks[I];
-    if (Name != "-")
-      B.Name = Name;
-    // Instructions until a terminator line.
-    bool SawTerm = false;
-    while (!SawTerm) {
-      if (!(IS >> Tok))
-        return Fail(formatString("unexpected EOF in block %zu", I));
-      if (Tok == "i") {
-        std::string OpName;
-        unsigned Rd, Ra, Rb;
-        int64_t Imm;
-        if (!(IS >> OpName >> Rd >> Ra >> Rb >> Imm))
-          return Fail(formatString("bad instruction in block %zu", I));
-        Inst In;
-        if (!opcodeFromName(OpName, In.Op))
-          return Fail("unknown opcode " + OpName);
-        In.Rd = static_cast<uint8_t>(Rd);
-        In.Ra = static_cast<uint8_t>(Ra);
-        In.Rb = static_cast<uint8_t>(Rb);
-        In.Imm = Imm;
-        B.Insts.push_back(In);
-      } else if (Tok == "t") {
-        std::string Kind;
-        if (!(IS >> Kind))
-          return Fail("bad terminator");
-        if (Kind == "jump") {
-          BlockId Target;
-          if (!(IS >> Target))
-            return Fail("bad jump target");
-          B.Term = Terminator::jump(Target);
-        } else if (Kind == "halt") {
-          B.Term = Terminator::halt();
-        } else if (Kind == "branch") {
-          std::string CondName;
-          unsigned Ra, Rb;
-          int64_t Imm;
-          BlockId Taken, Fallthrough;
-          if (!(IS >> CondName >> Ra >> Rb >> Imm >> Taken >> Fallthrough))
-            return Fail("bad branch terminator");
-          CondKind CK;
-          if (!condKindFromName(CondName, CK))
-            return Fail("unknown condition " + CondName);
-          Terminator T;
-          T.Kind = TermKind::Branch;
-          T.Cond = CK;
-          T.Ra = static_cast<uint8_t>(Ra);
-          T.Rb = static_cast<uint8_t>(Rb);
-          T.Imm = Imm;
-          T.Taken = Taken;
-          T.Fallthrough = Fallthrough;
-          B.Term = T;
-        } else {
-          return Fail("unknown terminator kind " + Kind);
-        }
-        SawTerm = true;
-      } else {
-        return Fail("unexpected token " + Tok);
-      }
-    }
-  }
-  size_t MemCount;
-  if (!(IS >> Tok) || Tok != "memdata" || !(IS >> MemCount))
-    return Fail("bad memdata header");
-  P.InitialMem.resize(MemCount);
-  for (size_t I = 0; I < MemCount; ++I)
-    if (!(IS >> P.InitialMem[I]))
-      return Fail("truncated memdata");
-
-  Out = std::move(P);
-  return true;
 }

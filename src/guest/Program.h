@@ -58,14 +58,6 @@ bool verifyProgram(const Program &P, std::vector<std::string> *Errors);
 /// Renders the whole program as text (one instruction per line).
 std::string disassemble(const Program &P);
 
-/// Serializes a program to a line-based text format and parses it back.
-/// The two functions round-trip: parseProgram(printProgram(P)) == P.
-std::string printProgram(const Program &P);
-
-/// Parses the format produced by printProgram. Returns false (and fills
-/// \p Error if non-null) on malformed input.
-bool parseProgram(const std::string &Text, Program &Out, std::string *Error);
-
 } // namespace guest
 } // namespace tpdbt
 

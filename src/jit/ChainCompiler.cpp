@@ -89,7 +89,7 @@ public:
     E.bind(Top);
     // An iteration only starts while the budget allows it; reaching the
     // budget is a clean Ok return (the tier reports BlockLimit), exactly
-    // like Interpreter::runSelfLoop's while (Stays < MaxIters).
+    // where the plain pump would stop stepping the loop.
     E.alu(Alu::Cmp, Iter, Budget);
     E.jcc(Cond::Ae, stub(0, /*FromIter=*/true, okInfo()));
     emitBody(Begin, End, 0, /*FromIter=*/true);

@@ -25,7 +25,8 @@
 /// block budget for (>= 1) and Done reports how many segments executed
 /// and matched their guard. For a self-loop, Budget is the iteration
 /// budget and Done reports staying iterations; the deviating (exiting)
-/// execution is not counted, mirroring Interpreter::runSelfLoop.
+/// execution is not counted — the host tier delivers it as its own block
+/// event.
 ///
 /// Every segment terminator is compiled into a *guard*. When the actual
 /// branch direction differs from the chain's prediction, or a Load/Store

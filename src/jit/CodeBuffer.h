@@ -23,8 +23,8 @@
 /// flush-on-full policy — and retries once.
 ///
 /// On hosts without the x86-64 + mmap combination the buffer reports
-/// supported() == false and every install() fails, which the host tier
-/// treats as "jit tier absent" and the pre-decoded tier covers the run.
+/// supported() == false and every install() fails; HostTier::enabled()
+/// is then false and the plain interpreter covers the run.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -11,19 +11,9 @@ using namespace tpdbt;
 using namespace tpdbt::vm;
 using namespace tpdbt::guest;
 
-HostTier::Tier HostTier::tier() {
+bool HostTier::enabled() {
   const char *V = std::getenv("TPDBT_TIER");
-  if (V && std::strcmp(V, "plain") == 0)
-    return Tier::Plain;
-  if (V && std::strcmp(V, "predecoded") == 0)
-    return Tier::Predecoded;
-  return Tier::Jit;
-}
-
-bool HostTier::enabled() { return tier() != Tier::Plain; }
-
-bool HostTier::jitEnabled() {
-  return tier() == Tier::Jit && jit::CodeBuffer::supported();
+  return !(V && std::strcmp(V, "plain") == 0) && jit::CodeBuffer::supported();
 }
 
 uint32_t HostTier::jitHeat() {
@@ -50,41 +40,40 @@ HostTier::HostTier(const Interpreter &I) : I(I), Cache(jitCacheBytes()) {
   Heat.assign(N, 0);
   LastNext.assign(N, InvalidBlock);
   SameCount.assign(N, 0);
-  JitOn = jitEnabled();
   JitHeatVal = jitHeat();
   LoopFn.assign(N, nullptr);
-  LoopNoJit.assign(N, 0);
   LoopHeat.assign(N, 0);
 }
 
 bool HostTier::jitChainReady(Superblock &S) {
   if (S.Fn)
     return true;
-  if (S.NoJit)
+  if (S.Uses == JitHeatVal) // reached the heat but did not compile
     return false;
-  if (++S.Uses < JitHeatVal)
-    return false;
-  return compileChainFn(S) != nullptr;
+  return ++S.Uses == JitHeatVal && compileChainFn(S);
 }
 
-bool HostTier::jitLoopReady(BlockId B) {
-  if (LoopFn[B])
-    return true;
-  if (LoopNoJit[B])
-    return false;
-  if (LoopHeat[B] < JitHeatVal)
-    return false;
-  return compileLoopFn(B) != nullptr;
+void HostTier::heatLoop(BlockId B) {
+  // Heat is iterations, not arrivals: a loop that spins a thousand times
+  // on its first arrival compiles after JitHeatVal of them and runs the
+  // rest natively.
+  if (LoopHeat[B] < JitHeatVal && ++LoopHeat[B] == JitHeatVal)
+    compileLoopFn(B);
+}
+
+jit::JitSegment HostTier::segment(BlockId B) const {
+  jit::JitSegment G;
+  G.Begin = I.Ops.data() + I.First[B];
+  G.End = I.Ops.data() + I.First[B + 1];
+  G.Term = I.Terms[B];
+  return G;
 }
 
 jit::JitFn HostTier::compileChainFn(Superblock &S) {
   const auto T0 = std::chrono::steady_clock::now();
-  std::vector<jit::JitSegment> Segs(S.Segs.size());
-  for (size_t K = 0; K < S.Segs.size(); ++K) {
-    const Seg &G = S.Segs[K];
-    Segs[K].Begin = SbOps.data() + G.OpBegin;
-    Segs[K].End = SbOps.data() + G.OpEnd;
-    Segs[K].Term = G.Term;
+  std::vector<jit::JitSegment> Segs(S.Events.size());
+  for (size_t K = 0; K < S.Events.size(); ++K) {
+    Segs[K] = segment(S.Events[K].Block);
     Segs[K].ExpectTaken = S.Events[K].Branch == 2;
   }
   const std::vector<uint8_t> Code = jit::compileChain(Segs.data(), Segs.size());
@@ -92,27 +81,23 @@ jit::JitFn HostTier::compileChainFn(Superblock &S) {
   St.JitCompileMicros += std::chrono::duration_cast<std::chrono::microseconds>(
                              std::chrono::steady_clock::now() - T0)
                              .count();
-  if (!Entry) {
-    S.NoJit = true;
+  if (!Entry)
     return nullptr;
-  }
   ++St.JitUnits;
   return S.Fn = reinterpret_cast<jit::JitFn>(const_cast<void *>(Entry));
 }
 
 jit::JitFn HostTier::compileLoopFn(BlockId B) {
   const auto T0 = std::chrono::steady_clock::now();
-  const std::vector<uint8_t> Code = jit::compileSelfLoop(
-      I.Ops.data() + I.First[B], I.Ops.data() + I.First[B + 1], I.Terms[B],
-      I.selfLoop(B).StayBranch);
+  const jit::JitSegment G = segment(B);
+  const std::vector<uint8_t> Code =
+      jit::compileSelfLoop(G.Begin, G.End, G.Term, I.selfLoop(B).StayBranch);
   const void *Entry = installCode(Code);
   St.JitCompileMicros += std::chrono::duration_cast<std::chrono::microseconds>(
                              std::chrono::steady_clock::now() - T0)
                              .count();
-  if (!Entry) {
-    LoopNoJit[B] = 1;
+  if (!Entry)
     return nullptr;
-  }
   ++St.JitUnits;
   return LoopFn[B] = reinterpret_cast<jit::JitFn>(const_cast<void *>(Entry));
 }
@@ -123,8 +108,8 @@ const void *HostTier::installCode(const std::vector<uint8_t> &Code) {
     return Entry;
   // Cache full: drop every translation and let heat re-derive the hot
   // set — the classic whole-cache flush-on-full policy. A unit that
-  // still does not fit is bigger than the entire cache and is marked
-  // NoJit by the caller.
+  // still does not fit is bigger than the entire cache; its heat stays
+  // at the jit heat, so it is never retried.
   flushJit();
   return Cache.install(Code.data(), Code.size());
 }
@@ -132,44 +117,18 @@ const void *HostTier::installCode(const std::vector<uint8_t> &Code) {
 void HostTier::flushJit() {
   Cache.flush();
   ++St.JitFlushes;
-  for (Superblock &S : Sbs) {
-    S.Fn = nullptr;
-    S.Uses = 0; // re-accumulate heat: rate-limits recompile thrash
-  }
-  std::fill(LoopFn.begin(), LoopFn.end(), nullptr);
-  std::fill(LoopHeat.begin(), LoopHeat.end(), 0u);
-}
-
-uint64_t HostTier::runJitSelfLoop(BlockId B, Machine &M, uint64_t MaxIters,
-                                  BlockResult &Exit, bool &ExitValid) {
-  const jit::JitExit R = LoopFn[B](M.Regs.data(), M.Mem.data(),
-                                   M.Mem.size(), MaxIters);
-  St.JitLoopIters += R.Done;
-  switch (jit::exitKind(R.Info)) {
-  case jit::ExitKind::Ok:
-    // The iteration budget ran out with the loop still spinning; there
-    // is no exit execution (mirrors Interpreter::runSelfLoop).
-    ExitValid = false;
-    break;
-  case jit::ExitKind::OffChain: {
-    // The latch finally left the loop: a normal exit execution, not a
-    // deopt — the interpreted tier does not count these either.
-    const Interpreter::DecodedTerm &T = I.Terms[B];
-    Exit.IsCondBranch = true;
-    Exit.Taken = jit::exitTaken(R.Info);
-    Exit.Next = Exit.Taken ? T.Taken : T.Fall;
-    Exit.InstsExecuted = I.selfLoop(B).FullInsts;
-    ExitValid = true;
-    break;
-  }
-  case jit::ExitKind::Fault:
-    Exit.Reason = StopReason::MemFault;
-    Exit.InstsExecuted = jit::exitFaultOp(R.Info) + 1;
-    ExitValid = true;
-    ++St.JitDeopts;
-    break;
-  }
-  return R.Done;
+  // Only dropped translations re-accumulate heat (rate-limiting recompile
+  // thrash); a unit that never compiled keeps its heat and its verdict.
+  for (Superblock &S : Sbs)
+    if (S.Fn) {
+      S.Fn = nullptr;
+      S.Uses = 0;
+    }
+  for (size_t B = 0; B < LoopFn.size(); ++B)
+    if (LoopFn[B]) {
+      LoopFn[B] = nullptr;
+      LoopHeat[B] = 0;
+    }
 }
 
 void HostTier::observe(BlockId B, const BlockResult &R) {
@@ -197,16 +156,15 @@ void HostTier::tryPromote(BlockId Head) {
     return;
   }
 
-  const size_t SavedOps = SbOps.size();
   Superblock S;
   BlockId InChain[MaxChainLen];
   BlockId Cur = Head;
-  while (S.Segs.size() < MaxChainLen) {
-    if (std::find(InChain, InChain + S.Segs.size(), Cur) !=
-        InChain + S.Segs.size())
+  while (S.Events.size() < MaxChainLen) {
+    if (std::find(InChain, InChain + S.Events.size(), Cur) !=
+        InChain + S.Events.size())
       break; // revisits re-enter through normal dispatch
-    // Self-loops belong to the run-length tier, never to a chain; the
-    // head itself cannot be one (the pump dispatches self-loops first).
+    // Self-loops compile as loops of their own, never into a chain; the
+    // head itself cannot be one (observe() never sees a self-loop).
     if (I.selfLoop(Cur).IsLoop)
       break;
     const Interpreter::DecodedTerm &T = I.Terms[Cur];
@@ -231,22 +189,14 @@ void HostTier::tryPromote(BlockId Head) {
       BranchCode = Next == T.Taken ? 2 : 1;
     }
 
-    Seg G;
-    G.OpBegin = static_cast<uint32_t>(SbOps.size());
-    SbOps.insert(SbOps.end(), I.Ops.begin() + I.First[Cur],
-                 I.Ops.begin() + I.First[Cur + 1]);
-    G.OpEnd = static_cast<uint32_t>(SbOps.size());
-    G.Term = T;
-    G.Next = Next;
-    const uint32_t Insts = (G.OpEnd - G.OpBegin) + 1;
-    InChain[S.Segs.size()] = Cur;
-    S.Segs.push_back(G);
-    S.Events.push_back(SbEvent{Cur, BranchCode, Insts});
+    InChain[S.Events.size()] = Cur;
+    S.Events.push_back(
+        SbEvent{Cur, BranchCode, I.First[Cur + 1] - I.First[Cur] + 1});
     Cur = Next;
   }
+  S.Next = Cur;
 
-  if (S.Segs.size() < 2) { // a chain of one block gains nothing
-    SbOps.resize(SavedOps);
+  if (S.Events.size() < 2) { // a chain of one block gains nothing
     Heat[Head] = 0;
     return;
   }

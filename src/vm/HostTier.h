@@ -7,58 +7,47 @@
 /// \file
 /// A two-phase execution tier for the *host* harness itself, mirroring the
 /// IA32EL structure the repo studies: interpretation profiles block
-/// successors, hot heads are promoted to host superblocks (pre-decoded
-/// multi-block chains executed with a single dispatch), and self-loops
-/// run back to back, emitting their iterations as run-length deliveries
-/// instead of per-event callbacks.
+/// successors, hot code is compiled to real x86-64 machine code (src/jit),
+/// and a compiled unit whose guard fails falls back to interpretation.
 ///
-/// Dispatch is tiered per arrival at a block:
+/// Dispatch per arrival at a block:
 ///
-///  1. Self-loop tier — blocks that branch back to themselves (half to
-///     ninety-five percent of all events in the synthetic suite) batch all
-///     consecutive iterations into one Interpreter::runSelfLoop call and
-///     one Sink::onRun delivery.
-///  2. Superblock tier — a head promoted by the successor profile executes
-///     its whole chain from one concatenated op stream, delivering the
-///     matched prefix with one Sink::onChain call. Each segment's
-///     terminator is a guard: any deviation (MemFault, budget, or a branch
-///     leaving the chain) delivers the prefix, falls back to a plain block
-///     event for the deviating execution, and resumes cold dispatch — so
-///     the produced event stream is byte-identical to the plain
-///     interpreter's by construction.
-///  3. Cold tier — plain executeBlock with successor profiling. A block
-///     that reaches PromoteHeat executions (conditional members also need
-///     StableMin consecutive identical outcomes) becomes a chain head;
-///     chains whose guards keep failing (a phase change) are demoted
-///     back to cold, and deviating executions feed the successor profile
-///     so re-promotion learns the new direction.
+///  1. Compiled self-loop — a block that branches back to itself (half to
+///     ninety-five percent of all events in the synthetic suite) runs its
+///     consecutive iterations natively and delivers them as one
+///     Sink::onRun batch, then the exit execution as one event.
+///  2. Compiled chain — a head promoted by the successor profile runs its
+///     whole superblock as one native call and delivers the matched
+///     prefix with one Sink::onChain call. Each segment's terminator is a
+///     guard: a deviation (MemFault, or a branch leaving the chain) exits
+///     through a deopt stub, is delivered as a plain block event, and
+///     resumes dispatch — so the event stream is byte-identical to the
+///     plain interpreter's by construction.
+///  3. Cold — one Interpreter::executeBlock event. A self-loop execution
+///     bumps the loop's heat; any other execution feeds the successor
+///     profile. A block that reaches PromoteHeat executions (conditional
+///     members also need StableMin consecutive identical outcomes)
+///     becomes a chain head; chains whose guards keep failing (a phase
+///     change) are demoted back to cold, and deviating executions feed
+///     the successor profile so re-promotion learns the new direction.
 ///
-/// On top of the ladder sits the *jit tier* (src/jit): superblock chains
-/// and self-loops that stay hot past TPDBT_JIT_HEAT uses are compiled to
-/// real x86-64 machine code and executed from an mmap'd W^X code cache
-/// (TPDBT_JIT_CACHE_BYTES, whole-cache flush on overflow). Compiled units
-/// carry the same per-terminator guards as deopt exits: a branch leaving
-/// the chain or a memory fault materializes interpreter state
-/// (host-allocated guest registers are flushed back to the register
+/// A promoted chain compiles when its head has been reached
+/// TPDBT_JIT_HEAT times, a self-loop when it has executed that many
+/// iterations; until then both run cold, event by event, so a loop that
+/// spins through a long first arrival switches to native code in its
+/// middle. Units run from an mmap'd W^X code cache (TPDBT_JIT_CACHE_BYTES,
+/// whole-cache flush on overflow). A deopt exit materializes interpreter
+/// state (host-allocated guest registers are flushed back to the register
 /// array) and returns a packed exit record from which the dispatch loop
-/// rebuilds the exact deviating BlockResult — the event stream stays
-/// byte-identical to plain interpretation, jit or not.
-/// TPDBT_TIER=predecoded disables only the jit tier (pre-decoded
-/// dispatch remains); non-x86-64 builds degrade the same way
-/// automatically. The tier knobs are re-read per HostTier construction,
-/// so tests and benches can flip them without a process restart.
-///
-/// Fallback accounting: a deviating chain execution bumps exactly one
-/// counter — Fallbacks when the guard fired in the pre-decoded tier,
-/// JitDeopts when it fired in compiled code — so a head that is demoted
-/// and later re-promoted never double-counts its guard mismatches across
-/// promotions or across tiers.
+/// rebuilds the exact deviating BlockResult.
 ///
 /// The tier holds mutable per-run state (heat, successor history,
 /// superblocks, the code cache), so unlike Interpreter one HostTier
-/// serves one run. TPDBT_TIER=plain disables the whole tier; every pump
-/// site (BlockTrace::record, DbtEngine) then uses plain
-/// Interpreter::run — the A/B switch for debugging and benchmarking.
+/// serves one run. The knobs are re-read per construction (TPDBT_TIER per
+/// enabled() call), so tests and benches can flip them without a process
+/// restart. When the jit is unavailable — TPDBT_TIER=plain, or a host
+/// without x86-64 executable mappings — enabled() is false and every pump
+/// site (BlockTrace::record, DbtEngine) uses plain Interpreter::run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -79,12 +68,7 @@ namespace vm {
 /// Coverage counters of one tiered run (aggregated into TraceCache stats
 /// and the experiment banner).
 struct HostTierStats {
-  uint64_t Superblocks = 0;     ///< chains promoted
-  uint64_t ChainedBlocks = 0;   ///< block events delivered via onChain
-  uint64_t RunFoldedIters = 0;  ///< self-loop iterations delivered via onRun
-  uint64_t Fallbacks = 0;       ///< guard mismatches in the pre-decoded tier
-  // Jit tier coverage. A deviating execution increments either Fallbacks
-  // or JitDeopts, never both — the tiers are disjoint counter families.
+  uint64_t Superblocks = 0;      ///< chains promoted
   uint64_t JitUnits = 0;         ///< chains + self-loops compiled
   uint64_t JitBlocks = 0;        ///< chain block events executed natively
   uint64_t JitLoopIters = 0;     ///< self-loop iterations executed natively
@@ -94,9 +78,6 @@ struct HostTierStats {
 
   HostTierStats &operator+=(const HostTierStats &O) {
     Superblocks += O.Superblocks;
-    ChainedBlocks += O.ChainedBlocks;
-    RunFoldedIters += O.RunFoldedIters;
-    Fallbacks += O.Fallbacks;
     JitUnits += O.JitUnits;
     JitBlocks += O.JitBlocks;
     JitLoopIters += O.JitLoopIters;
@@ -126,24 +107,13 @@ class HostTier {
 public:
   explicit HostTier(const Interpreter &I);
 
-  /// The highest tier a run may use (the TPDBT_TIER ceiling).
-  enum class Tier : uint8_t {
-    Plain,      ///< plain Interpreter::run, no HostTier at all
-    Predecoded, ///< the ladder above without the jit tier
-    Jit,        ///< the full ladder plus compiled units
-  };
-
-  /// Parses TPDBT_TIER=plain|predecoded|jit on every call, so tests and
-  /// benches can flip it in-process. Unset or any other value gives Jit.
-  static Tier tier();
-
-  /// True unless TPDBT_TIER=plain: the pump sites use the tier at all.
+  /// True unless TPDBT_TIER=plain or the host cannot execute emitted code
+  /// (jit::CodeBuffer::supported()): the pump sites use the tier at all.
+  /// TPDBT_TIER is parsed on every call, so tests and benches can flip it
+  /// in-process; unset or any value but "plain" leaves the tier on.
   static bool enabled();
 
-  /// True when TPDBT_TIER allows the jit and CodeBuffer::supported().
-  static bool jitEnabled();
-
-  /// TPDBT_JIT_HEAT: executions of a promoted chain (or iterations of a
+  /// TPDBT_JIT_HEAT: arrivals at a promoted chain head (or iterations of a
   /// self-loop) before it is compiled. Defaults to DefaultJitHeat, which
   /// sits above PromoteHeat so only chains that survive promotion pay
   /// compile cost. Clamped to >= 1.
@@ -152,9 +122,6 @@ public:
   /// TPDBT_JIT_CACHE_BYTES: code cache capacity (default 1 MiB, rounded
   /// up to whole pages, clamped to >= 4096).
   static size_t jitCacheBytes();
-
-  /// True when this run's jit tier is active (knob + host support).
-  bool jitActive() const { return JitOn; }
 
   const HostTierStats &stats() const { return St; }
 
@@ -165,18 +132,18 @@ public:
     RunOutcome Out;
     guest::BlockId Cur = I.program().Entry;
     while (Out.BlocksExecuted < MaxBlocks) {
-      if (I.selfLoop(Cur).IsLoop) {
-        if (!runSelfLoopTier(Cur, M, MaxBlocks, Out, Sink))
+      if (LoopFn[Cur]) {
+        if (!runLoop(Cur, M, MaxBlocks, Out, Sink))
           return Out;
         continue;
       }
       const int32_t Sb = SbOf[Cur];
-      if (Sb >= 0) {
-        if (!runSuperblockTier(Sb, Cur, M, MaxBlocks, Out, Sink))
+      if (Sb >= 0 && jitChainReady(Sbs[Sb])) {
+        if (!runChain(Sb, Cur, M, MaxBlocks, Out, Sink))
           return Out;
         continue;
       }
-      // Cold tier: plain execution plus successor profiling.
+      // Cold: one interpreted block event plus profiling.
       BlockResult R = I.executeBlock(Cur, M);
       ++Out.BlocksExecuted;
       Out.InstsExecuted += R.InstsExecuted;
@@ -186,7 +153,10 @@ public:
         Out.Reason = R.Reason;
         return Out;
       }
-      observe(Cur, R);
+      if (I.selfLoop(Cur).IsLoop)
+        heatLoop(Cur);
+      else
+        observe(Cur, R);
       Cur = R.Next;
     }
     Out.Reason = StopReason::BlockLimit;
@@ -230,47 +200,30 @@ public:
   static constexpr size_t DefaultJitCacheBytes = 1u << 20;
 
 private:
-  /// One chained block: its op range in the concatenated stream, its
-  /// decoded terminator (the guard), and the successor the chain expects.
-  struct Seg {
-    uint32_t OpBegin = 0;
-    uint32_t OpEnd = 0;
-    Interpreter::DecodedTerm Term{};
-    guest::BlockId Next = guest::InvalidBlock;
-  };
-
+  /// A promoted chain: its blocks' events in order (each block's ops and
+  /// terminator stay in the interpreter's decoded stream) and the
+  /// successor the chain expects after its last block.
   struct Superblock {
-    std::vector<Seg> Segs;
-    std::vector<SbEvent> Events; ///< parallel to Segs
-    uint32_t MissStreak = 0;     ///< consecutive first-segment deviations
-    jit::JitFn Fn = nullptr;     ///< compiled entry, or null
-    uint32_t Uses = 0;           ///< executions while not yet compiled
-    bool NoJit = false;          ///< compilation failed; do not retry
+    std::vector<SbEvent> Events;
+    guest::BlockId Next = guest::InvalidBlock;
+    uint32_t MissStreak = 0; ///< consecutive deviating executions
+    jit::JitFn Fn = nullptr; ///< compiled entry, or null
+    /// Arrivals at the head while not compiled; stops at JitHeatVal, so a
+    /// chain that failed to compile (Fn still null) is never retried.
+    uint32_t Uses = 0;
   };
 
-  /// Batches all consecutive iterations of the self-loop at \p Cur.
-  /// Returns false when the run is over (Out.Reason set).
+  /// Runs the compiled self-loop at \p Cur: its staying iterations as one
+  /// onRun batch, then the exit execution (if the budget allowed one) as
+  /// one event. Returns false when the run is over (Out.Reason set).
   template <typename SinkT>
-  bool runSelfLoopTier(guest::BlockId &Cur, Machine &M, uint64_t MaxBlocks,
-                       RunOutcome &Out, SinkT &Sink) {
+  bool runLoop(guest::BlockId &Cur, Machine &M, uint64_t MaxBlocks,
+               RunOutcome &Out, SinkT &Sink) {
     const Interpreter::SelfLoop &SL = I.selfLoop(Cur);
-    BlockResult Exit;
-    bool ExitValid = false;
-    uint64_t Stays;
-    if (JitOn && jitLoopReady(Cur)) {
-      Stays = runJitSelfLoop(Cur, M, MaxBlocks - Out.BlocksExecuted, Exit,
-                             ExitValid);
-    } else {
-      Stays = I.runSelfLoop(Cur, M, MaxBlocks - Out.BlocksExecuted, Exit,
-                            ExitValid);
-      if (JitOn) {
-        // Heat is iterations, not entries: a loop that spins a thousand
-        // times on its first arrival is hot immediately.
-        const uint64_t H = LoopHeat[Cur] + Stays + 1;
-        LoopHeat[Cur] = H > UINT32_MAX ? UINT32_MAX
-                                       : static_cast<uint32_t>(H);
-      }
-    }
+    const jit::JitExit R = LoopFn[Cur](M.Regs.data(), M.Mem.data(),
+                                       M.Mem.size(),
+                                       MaxBlocks - Out.BlocksExecuted);
+    const uint64_t Stays = R.Done;
     if (Stays) {
       BlockResult Stay;
       Stay.Next = Cur;
@@ -282,11 +235,28 @@ private:
       Out.BlocksExecuted += Stays;
       Out.InstsExecuted += Stays * static_cast<uint64_t>(SL.FullInsts);
       Out.LastBlock = Cur;
-      St.RunFoldedIters += Stays;
+      St.JitLoopIters += Stays;
     }
-    if (!ExitValid) { // iteration budget exhausted inside the loop
+    const jit::ExitKind Kind = jit::exitKind(R.Info);
+    if (Kind == jit::ExitKind::Ok) {
+      // The iteration budget ran out with the loop still spinning; there
+      // is no exit execution.
       Out.Reason = StopReason::BlockLimit;
       return false;
+    }
+    BlockResult Exit;
+    if (Kind == jit::ExitKind::OffChain) {
+      // The latch finally left the loop: a normal exit execution, not a
+      // deopt.
+      const Interpreter::DecodedTerm &T = I.Terms[Cur];
+      Exit.IsCondBranch = true;
+      Exit.Taken = jit::exitTaken(R.Info);
+      Exit.Next = Exit.Taken ? T.Taken : T.Fall;
+      Exit.InstsExecuted = SL.FullInsts;
+    } else {
+      Exit.Reason = StopReason::MemFault;
+      Exit.InstsExecuted = jit::exitFaultOp(R.Info) + 1;
+      ++St.JitDeopts;
     }
     ++Out.BlocksExecuted;
     Out.InstsExecuted += Exit.InstsExecuted;
@@ -300,145 +270,71 @@ private:
     return true;
   }
 
-  /// Executes superblock \p Sb with per-segment guards. The matched
+  /// Runs compiled superblock \p Sb as one native call. The matched
   /// prefix is delivered as one onChain batch; a deviating execution
-  /// (fault or off-chain branch) is a legitimate plain block event and is
+  /// (fault or off-chain branch), rebuilt from the packed exit record and
+  /// the chain's static events, is a legitimate plain block event and is
   /// delivered through onEvent. Returns false when the run is over.
   template <typename SinkT>
-  bool runSuperblockTier(int32_t Sb, guest::BlockId &Cur, Machine &M,
-                         uint64_t MaxBlocks, RunOutcome &Out, SinkT &Sink) {
+  bool runChain(int32_t Sb, guest::BlockId &Cur, Machine &M,
+                uint64_t MaxBlocks, RunOutcome &Out, SinkT &Sink) {
     Superblock &S = Sbs[Sb];
-    int64_t *Regs = M.Regs.data();
-    int64_t *Mem = M.Mem.data();
-    const uint64_t MemSize = M.Mem.size();
-    const size_t NSegs = S.Segs.size();
-
-    size_t Done = 0;
-    uint64_t InstsDone = 0;
-    BlockResult Dev;
-    bool HasDev = false;
-    if (JitOn && jitChainReady(S)) {
-      // Jit tier: the whole chain runs as one native call; the packed
-      // exit record plus the static chain metadata reconstruct exactly
-      // the deviating BlockResult the interpreter would have produced.
-      const uint64_t MaxSegs =
-          std::min<uint64_t>(NSegs, MaxBlocks - Out.BlocksExecuted);
-      const jit::JitExit R = S.Fn(Regs, Mem, MemSize, MaxSegs);
-      Done = static_cast<size_t>(R.Done);
-      for (size_t K = 0; K < Done; ++K)
-        InstsDone += S.Events[K].Insts;
-      switch (jit::exitKind(R.Info)) {
-      case jit::ExitKind::Ok:
-        break;
-      case jit::ExitKind::OffChain: {
-        const Seg &G = S.Segs[Done];
-        Dev.IsCondBranch = true;
-        Dev.Taken = jit::exitTaken(R.Info);
-        Dev.Next = Dev.Taken ? G.Term.Taken : G.Term.Fall;
-        Dev.InstsExecuted = (G.OpEnd - G.OpBegin) + 1;
-        HasDev = true;
-        break;
-      }
-      case jit::ExitKind::Fault:
-        Dev.Reason = StopReason::MemFault;
-        Dev.InstsExecuted = jit::exitFaultOp(R.Info) + 1;
-        HasDev = true;
-        break;
-      }
-      St.JitBlocks += Done;
-      if (HasDev)
-        ++St.JitDeopts;
-      return finishChain(S, Sb, Cur, Done, InstsDone, Dev, HasDev, Out,
-                         Sink);
-    }
-    while (Done < NSegs && Out.BlocksExecuted + Done < MaxBlocks) {
-      const Seg &G = S.Segs[Done];
-      const intptr_t Fault =
-          Interpreter::executeOps(SbOps.data() + G.OpBegin,
-                                  SbOps.data() + G.OpEnd, Regs, Mem, MemSize);
-      if (Fault >= 0) {
-        Dev.Reason = StopReason::MemFault;
-        Dev.InstsExecuted = static_cast<uint32_t>(Fault) + 1;
-        HasDev = true;
-        break;
-      }
-      BlockResult R;
-      R.InstsExecuted = G.OpEnd - G.OpBegin;
-      switch (G.Term.Code) {
-      case Interpreter::TermCode::Jump:
-        ++R.InstsExecuted;
-        R.Next = G.Term.Taken;
-        break;
-      case Interpreter::TermCode::Branch: {
-        ++R.InstsExecuted;
-        const bool Cond = Interpreter::evalBranch(G.Term, Regs);
-        R.IsCondBranch = true;
-        R.Taken = Cond;
-        R.Next = Cond ? G.Term.Taken : G.Term.Fall;
-        break;
-      }
-      case Interpreter::TermCode::Halt:
-        assert(false && "halt blocks are never chained");
-        break;
-      }
-      if (R.Next == G.Next) { // guard holds: the event matches Events[Done]
-        InstsDone += R.InstsExecuted;
-        ++Done;
-        continue;
-      }
-      Dev = R; // a real execution that left the chain — keep it
-      HasDev = true;
-      break;
-    }
-    if (HasDev)
-      ++St.Fallbacks;
-    return finishChain(S, Sb, Cur, Done, InstsDone, Dev, HasDev, Out, Sink);
-  }
-
-  /// The tail shared by both chain tiers: deliver the matched prefix,
-  /// account the deviation (the caller already bumped its own tier's
-  /// mismatch counter), maintain the demotion streak, and pick the next
-  /// dispatch block. Returns false when the run is over.
-  template <typename SinkT>
-  bool finishChain(Superblock &S, int32_t Sb, guest::BlockId &Cur,
-                   size_t Done, uint64_t InstsDone, const BlockResult &Dev,
-                   bool HasDev, RunOutcome &Out, SinkT &Sink) {
-    const size_t NSegs = S.Segs.size();
+    const size_t NSegs = S.Events.size();
+    const jit::JitExit R =
+        S.Fn(M.Regs.data(), M.Mem.data(), M.Mem.size(),
+             std::min<uint64_t>(NSegs, MaxBlocks - Out.BlocksExecuted));
+    const size_t Done = static_cast<size_t>(R.Done);
     if (Done) {
+      uint64_t Insts = 0;
+      for (size_t K = 0; K < Done; ++K)
+        Insts += S.Events[K].Insts;
       Sink.onChain(S.Events.data(), Done);
       Out.BlocksExecuted += Done;
-      Out.InstsExecuted += InstsDone;
+      Out.InstsExecuted += Insts;
       Out.LastBlock = S.Events[Done - 1].Block;
-      St.ChainedBlocks += Done;
+      St.JitBlocks += Done;
     }
-    if (HasDev) {
-      // Any deviating execution counts toward demotion (a full match
-      // resets the streak): a chain that keeps missing — at the head or
-      // mid-chain against a stale successor profile — goes back to cold
-      // so fresh profiling can build the right chain.
-      if (++S.MissStreak >= DemoteStreak)
-        demote(Sb);
-      const guest::BlockId DevBlock = S.Events[Done].Block;
-      ++Out.BlocksExecuted;
-      Out.InstsExecuted += Dev.InstsExecuted;
-      Out.LastBlock = DevBlock;
-      Sink.onEvent(DevBlock, Dev);
-      if (Dev.Reason != StopReason::Running) {
-        Out.Reason = Dev.Reason;
-        return false;
-      }
-      // The deviation is a real execution the cold tier never saw: feed
-      // it to the successor profile so a phase change re-learns the new
-      // direction instead of replaying the stale one forever.
-      observe(DevBlock, Dev);
-      Cur = Dev.Next;
+    const jit::ExitKind Kind = jit::exitKind(R.Info);
+    if (Kind == jit::ExitKind::Ok) {
+      S.MissStreak = 0;
+      // Full match, or the block budget ran out mid-chain (the caller's
+      // loop condition then stops with BlockLimit, as the plain pump
+      // would after the same number of events).
+      Cur = Done == NSegs ? S.Next : S.Events[Done].Block;
       return true;
     }
-    S.MissStreak = 0;
-    // Full match, or the block budget ran out mid-chain (the caller's
-    // loop condition then stops with BlockLimit, as the plain pump would
-    // after the same number of events).
-    Cur = Done == NSegs ? S.Segs[NSegs - 1].Next : S.Events[Done].Block;
+    const guest::BlockId DevBlock = S.Events[Done].Block;
+    BlockResult Dev;
+    if (Kind == jit::ExitKind::OffChain) {
+      const Interpreter::DecodedTerm &T = I.Terms[DevBlock];
+      Dev.IsCondBranch = true;
+      Dev.Taken = jit::exitTaken(R.Info);
+      Dev.Next = Dev.Taken ? T.Taken : T.Fall;
+      Dev.InstsExecuted = S.Events[Done].Insts;
+    } else {
+      Dev.Reason = StopReason::MemFault;
+      Dev.InstsExecuted = jit::exitFaultOp(R.Info) + 1;
+    }
+    ++St.JitDeopts;
+    // Any deviating execution counts toward demotion (a full match resets
+    // the streak): a chain that keeps missing — at the head or mid-chain
+    // against a stale successor profile — goes back to cold so fresh
+    // profiling can build the right chain.
+    if (++S.MissStreak >= DemoteStreak)
+      demote(Sb);
+    ++Out.BlocksExecuted;
+    Out.InstsExecuted += Dev.InstsExecuted;
+    Out.LastBlock = DevBlock;
+    Sink.onEvent(DevBlock, Dev);
+    if (Dev.Reason != StopReason::Running) {
+      Out.Reason = Dev.Reason;
+      return false;
+    }
+    // The deviation is a real execution the cold tier never saw: feed it
+    // to the successor profile so a phase change re-learns the new
+    // direction instead of replaying the stale one forever.
+    observe(DevBlock, Dev);
+    Cur = Dev.Next;
     return true;
   }
 
@@ -446,15 +342,15 @@ private:
   void tryPromote(guest::BlockId Head);
   void demote(int32_t Sb);
 
-  /// True when chain \p S should run compiled this dispatch. Counts a use,
-  /// and compiles (once) when the chain crosses JitHeatVal uses.
+  /// True when chain \p S should run compiled this arrival. Counts a use,
+  /// and compiles (once) when the chain reaches JitHeatVal uses.
   bool jitChainReady(Superblock &S);
-  /// Same gate for the self-loop at block \p B, on accumulated iterations.
-  bool jitLoopReady(guest::BlockId B);
-  /// Runs the compiled self-loop body; mirrors Interpreter::runSelfLoop's
-  /// contract (returns Stays; Exit/ExitValid describe the exit execution).
-  uint64_t runJitSelfLoop(guest::BlockId B, Machine &M, uint64_t MaxIters,
-                          BlockResult &Exit, bool &ExitValid);
+  /// Counts one cold iteration of the self-loop at \p B, and compiles it
+  /// (once) when it reaches JitHeatVal iterations.
+  void heatLoop(guest::BlockId B);
+  /// Block \p B's decoded body and terminator, straight from the
+  /// interpreter's stream.
+  jit::JitSegment segment(guest::BlockId B) const;
   jit::JitFn compileChainFn(Superblock &S);
   jit::JitFn compileLoopFn(guest::BlockId B);
   /// Installs \p Code into the cache; on overflow flushes everything once
@@ -463,9 +359,6 @@ private:
   void flushJit();
 
   const Interpreter &I;
-  /// Concatenated op streams of all superblocks (segments back to back,
-  /// so a chain executes from one contiguous range).
-  std::vector<Interpreter::DecodedOp> SbOps;
   std::vector<Superblock> Sbs;
   std::vector<int32_t> SbOf;          ///< head block -> superblock, or -1
   std::vector<uint16_t> Heat;         ///< cold executions per block
@@ -473,15 +366,14 @@ private:
   std::vector<uint16_t> SameCount;    ///< consecutive identical successors
   HostTierStats St;
 
-  // Jit tier state. LoopFn/LoopNoJit/LoopHeat are per guest block (only
-  // self-loop blocks ever use their slots); chain state lives on the
-  // Superblock itself.
+  // Code cache state. LoopFn/LoopHeat are per guest block (only self-loop
+  // blocks ever use their slots); chain state lives on the Superblock.
   jit::CodeBuffer Cache;
-  bool JitOn = false;
   uint32_t JitHeatVal = DefaultJitHeat;
-  std::vector<jit::JitFn> LoopFn;  ///< compiled self-loop entry, or null
-  std::vector<uint8_t> LoopNoJit;  ///< compilation failed; do not retry
-  std::vector<uint32_t> LoopHeat;  ///< accumulated interpreted iterations
+  std::vector<jit::JitFn> LoopFn; ///< compiled self-loop entry, or null
+  /// Cold iterations; stops at JitHeatVal, so a loop that failed to
+  /// compile (LoopFn still null) is never retried.
+  std::vector<uint32_t> LoopHeat;
 };
 
 } // namespace vm

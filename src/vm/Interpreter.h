@@ -11,8 +11,8 @@
 /// via executeBlock() — exactly the granularity at which IA32EL's profiling
 /// phase instruments code (per-block "use" and "taken" counters). The run()
 /// loop is the plain event pump; the host translation tier (vm/HostTier.h)
-/// wraps the same executeBlock()/executeOps() primitives in a tiered
-/// dispatch loop that batches hot chains and self-loops.
+/// runs cold code through the same executeBlock() and compiles hot chains
+/// and self-loops to machine code (src/jit).
 ///
 /// Construction pre-decodes the program into one contiguous instruction
 /// stream (all blocks back to back, indexed by a per-block offset table)
@@ -23,10 +23,10 @@
 /// terminator; the host tier and the jit rely on that.
 ///
 /// Decode also marks every self-looping block (a conditional branch or
-/// jump whose target is the block itself) for the host tier, which runs
-/// its consecutive iterations back to back and emits them as one run of
-/// identical events. Each iteration executes the body and evaluates the
-/// latch; the jit's compiled loop (src/jit) does the same natively.
+/// jump whose target is the block itself) for the host tier, which
+/// compiles a hot one into a native loop and emits its consecutive
+/// iterations as one run of identical events. Each native iteration
+/// executes the body and evaluates the latch.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -126,22 +126,11 @@ public:
 
   const SelfLoop &selfLoop(guest::BlockId Id) const { return SelfLoops[Id]; }
 
-  /// Executes consecutive staying iterations of self-loop \p Id (the
-  /// machine must be at the block's entry) up to \p MaxIters. Returns the
-  /// number of stays executed; every stay is one block event identical to
-  /// StayBranch/FullInsts. If the loop stopped for a reason other than the
-  /// iteration budget, \p Exit holds the final (deviating or faulting)
-  /// block execution and \p ExitValid is true; that execution is *not*
-  /// counted in the return value.
-  uint64_t runSelfLoop(guest::BlockId Id, Machine &M, uint64_t MaxIters,
-                       BlockResult &Exit, bool &ExitValid) const;
-
   /// One pre-decoded body instruction (16 bytes; the opcode/register
   /// fields share a word, the immediate rides alongside). The decoded
-  /// forms below are public: they are the contract consumed by the host
-  /// translation tier (vm/HostTier.h) and the machine-code compiler
-  /// (src/jit), both of which must reproduce executeOps() semantics
-  /// exactly.
+  /// forms below are public: they are the contract the host translation
+  /// tier (vm/HostTier.h) hands to the machine-code compiler (src/jit),
+  /// which must reproduce executeOps() semantics exactly.
   struct DecodedOp {
     guest::Opcode Op;
     uint8_t Rd, Ra, Rb;
@@ -166,9 +155,8 @@ public:
 
   /// Executes decoded body instructions [Begin, End). Returns the index
   /// of the instruction that faulted, or -1 on completion. The single
-  /// source of op semantics: executeBlock(), runSelfLoop() (through
-  /// executeBlock) and the host tier's superblock dispatch all execute through it; the jit
-  /// lowering is differential-tested against it op by op.
+  /// source of op semantics: executeBlock() executes through it, and the
+  /// jit lowering is differential-tested against it op by op.
   static intptr_t executeOps(const DecodedOp *Begin, const DecodedOp *End,
                              int64_t *Regs, int64_t *Mem, uint64_t MemSize);
 
@@ -421,25 +409,6 @@ inline BlockResult Interpreter::executeBlock(guest::BlockId Id,
   }
   assert(false && "unknown terminator kind");
   return R;
-}
-
-inline uint64_t Interpreter::runSelfLoop(guest::BlockId Id, Machine &M,
-                                         uint64_t MaxIters, BlockResult &Exit,
-                                         bool &ExitValid) const {
-  assert(SelfLoops[Id].IsLoop && "not a self-loop");
-  ExitValid = false;
-  uint64_t Stays = 0;
-  while (Stays < MaxIters) {
-    BlockResult R = executeBlock(Id, M);
-    if (R.Reason == StopReason::Running && R.Next == Id) {
-      ++Stays;
-      continue;
-    }
-    Exit = R;
-    ExitValid = true;
-    return Stays;
-  }
-  return Stays;
 }
 
 } // namespace vm

@@ -549,7 +549,7 @@ TEST(TraceTest, PartialFinalEventRoundTripsAndReplaysUnderEveryTier) {
 
   const std::vector<uint64_t> Thresholds = {1, 2, 5, 16, 50, 500};
   std::string Canonical;
-  for (const char *Tier : {"plain", "predecoded", "jit"}) {
+  for (const char *Tier : {"plain", "jit"}) {
     ScopedEnv TierKnob("TPDBT_TIER", Tier);
     ScopedEnv Heat("TPDBT_JIT_HEAT", "1");
     const BlockTrace T = BlockTrace::record(P);

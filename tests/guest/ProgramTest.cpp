@@ -85,49 +85,3 @@ TEST(DisassembleTest, MentionsEveryBlock) {
   EXPECT_NE(Text.find("halt"), std::string::npos);
   EXPECT_NE(Text.find("br.ltu"), std::string::npos);
 }
-
-TEST(SerializationTest, RoundTripsExactly) {
-  Program P = makeSample();
-  std::string Text = printProgram(P);
-  Program Q;
-  std::string Error;
-  ASSERT_TRUE(parseProgram(Text, Q, &Error)) << Error;
-
-  EXPECT_EQ(Q.Name, P.Name);
-  EXPECT_EQ(Q.Entry, P.Entry);
-  EXPECT_EQ(Q.MemWords, P.MemWords);
-  EXPECT_EQ(Q.InitialMem, P.InitialMem);
-  ASSERT_EQ(Q.numBlocks(), P.numBlocks());
-  for (size_t I = 0; I < P.numBlocks(); ++I) {
-    ASSERT_EQ(Q.Blocks[I].Insts.size(), P.Blocks[I].Insts.size());
-    for (size_t J = 0; J < P.Blocks[I].Insts.size(); ++J) {
-      EXPECT_EQ(Q.Blocks[I].Insts[J].Op, P.Blocks[I].Insts[J].Op);
-      EXPECT_EQ(Q.Blocks[I].Insts[J].Imm, P.Blocks[I].Insts[J].Imm);
-    }
-    EXPECT_EQ(Q.Blocks[I].Term.Kind, P.Blocks[I].Term.Kind);
-    EXPECT_EQ(Q.Blocks[I].Term.Taken, P.Blocks[I].Term.Taken);
-  }
-  // And the round-tripped program prints identically.
-  EXPECT_EQ(printProgram(Q), Text);
-}
-
-TEST(SerializationTest, RejectsGarbage) {
-  Program Q;
-  std::string Error;
-  EXPECT_FALSE(parseProgram("not a program", Q, &Error));
-  EXPECT_FALSE(Error.empty());
-}
-
-TEST(SerializationTest, RejectsTruncated) {
-  std::string Text = printProgram(makeSample());
-  Program Q;
-  EXPECT_FALSE(parseProgram(Text.substr(0, Text.size() / 2), Q, nullptr));
-}
-
-TEST(SerializationTest, RejectsWrongVersion) {
-  std::string Text = printProgram(makeSample());
-  size_t Pos = Text.find("v1");
-  Text.replace(Pos, 2, "v9");
-  Program Q;
-  EXPECT_FALSE(parseProgram(Text, Q, nullptr));
-}

@@ -344,8 +344,8 @@ TEST_F(JitLoweringTest, MidChainFaultReportsSegmentLocalOpIndex) {
 
 // --- Self-loop compilation ----------------------------------------------
 
-/// Reference for compiled self-loops: the generic tail of
-/// Interpreter::runSelfLoop expressed over the public decoded-op API.
+/// Reference for compiled self-loops: the plain pump stepping one
+/// self-loop block, expressed over the public decoded-op API.
 struct LoopRef {
   uint64_t Stays = 0;
   bool ExitValid = false;

@@ -155,7 +155,7 @@ guest::Program makePhaseFlipProgram() {
 } // namespace
 
 TEST(JitTierTest, ChainRunsCompiledAndMatchesPlain) {
-  if (!HostTier::jitEnabled())
+  if (!HostTier::enabled())
     GTEST_SKIP() << "jit tier unavailable";
   ScopedEnv Heat("TPDBT_JIT_HEAT", "1");
   guest::Program P = makeChainProgram(200, 256);
@@ -165,23 +165,28 @@ TEST(JitTierTest, ChainRunsCompiledAndMatchesPlain) {
   EXPECT_EQ(St.JitFlushes, 0u);
 }
 
-TEST(JitTierTest, KillSwitchFallsBackToPreDecodedTier) {
-  if (!jit::CodeBuffer::supported())
-    GTEST_SKIP() << "no executable mappings on this host";
-  ScopedEnv Off("TPDBT_TIER", "predecoded");
-  ScopedEnv Heat("TPDBT_JIT_HEAT", "1");
+TEST(JitTierTest, KillSwitchRecordsWithPlainInterpreter) {
+  // TPDBT_TIER=plain turns the whole tier off: the record runs the plain
+  // interpreter (no unit compiles, no tier counter moves) and still
+  // serializes to the bytes the jit records.
   guest::Program P = makeChainProgram(200, 256);
-  Interpreter I(P);
-  HostTier Tier(I);
-  EXPECT_FALSE(Tier.jitActive());
-  HostTierStats St = expectTierMatchesPlain(P, ~0ull, "jit off");
+  HostTierStats Jit;
+  const std::string JitBytes =
+      core::BlockTrace::record(P, ~0ull, &Jit).serializeSegmented(
+          core::DefaultSegmentEvents);
+  ScopedEnv Off("TPDBT_TIER", "plain");
+  EXPECT_FALSE(HostTier::enabled());
+  HostTierStats St;
+  EXPECT_EQ(core::BlockTrace::record(P, ~0ull, &St).serializeSegmented(
+                core::DefaultSegmentEvents),
+            JitBytes);
+  EXPECT_EQ(St.Superblocks, 0u);
   EXPECT_EQ(St.JitUnits, 0u);
   EXPECT_EQ(St.JitBlocks, 0u);
-  EXPECT_GT(St.ChainedBlocks, 0u); // pre-decoded tier still covers the run
 }
 
 TEST(JitTierTest, MidChainFaultDeoptsWithExactState) {
-  if (!HostTier::jitEnabled())
+  if (!HostTier::enabled())
     GTEST_SKIP() << "jit tier unavailable";
   ScopedEnv Heat("TPDBT_JIT_HEAT", "1");
   // The load faults at outer iteration 64, long after the chain was
@@ -192,11 +197,10 @@ TEST(JitTierTest, MidChainFaultDeoptsWithExactState) {
   HostTierStats St = expectTierMatchesPlain(P, ~0ull, "jit mid-chain fault");
   EXPECT_GT(St.JitBlocks, 0u);
   EXPECT_GT(St.JitDeopts, 0u);
-  EXPECT_EQ(St.Fallbacks, 0u); // every deviation happened in compiled code
 }
 
 TEST(JitTierTest, BlockBudgetCutsJitChainMidway) {
-  if (!HostTier::jitEnabled())
+  if (!HostTier::enabled())
     GTEST_SKIP() << "jit tier unavailable";
   ScopedEnv Heat("TPDBT_JIT_HEAT", "1");
   guest::Program P = makeChainProgram(200, 256);
@@ -211,7 +215,7 @@ TEST(JitTierTest, BlockBudgetCutsJitChainMidway) {
 }
 
 TEST(JitTierTest, SelfLoopRunsCompiledThroughReentryAndFault) {
-  if (!HostTier::jitEnabled())
+  if (!HostTier::enabled())
     GTEST_SKIP() << "jit tier unavailable";
   ScopedEnv Heat("TPDBT_JIT_HEAT", "1");
   // A load/store self-loop re-entered with a growing register bound: from
@@ -252,41 +256,71 @@ TEST(JitTierTest, SelfLoopRunsCompiledThroughReentryAndFault) {
   }
 }
 
+TEST(JitTierTest, LongFirstArrivalSwitchesToNativeMidLoop) {
+  // One arrival at a self-loop that spins 10,000 times: the loop compiles
+  // once its cold iterations reach the default heat, and the rest of the
+  // same arrival runs natively — at most DefaultJitHeat + 1 of its
+  // executions (the cold ones plus the exit) are not native stays. The
+  // recorded bytes match the plain interpreter's.
+  if (!HostTier::enabled())
+    GTEST_SKIP() << "jit tier unavailable";
+  ScopedEnv Heat("TPDBT_JIT_HEAT", nullptr);
+  constexpr int64_t Iters = 10000;
+  guest::ProgramBuilder PB("longloop");
+  auto Entry = PB.createBlock("entry");
+  auto Loop = PB.createBlock("loop");
+  auto Exit = PB.createBlock("exit");
+  PB.setEntry(Entry);
+  PB.switchTo(Entry);
+  PB.movI(1, 0);
+  PB.jump(Loop);
+  PB.switchTo(Loop);
+  PB.addI(1, 1, 1);
+  PB.xorI(2, 2, 0x5a);
+  PB.branchImm(guest::CondKind::LtI, 1, Iters, Loop, Exit);
+  PB.switchTo(Exit);
+  PB.halt();
+  guest::Program P = PB.build();
+
+  HostTierStats St;
+  const core::BlockTrace T = core::BlockTrace::record(P, ~0ull, &St);
+  ASSERT_EQ(T.numEvents(), uint64_t(Iters) + 2);
+  EXPECT_EQ(St.JitUnits, 1u);
+  EXPECT_GE(St.JitLoopIters, uint64_t(Iters) - (HostTier::DefaultJitHeat + 1));
+  ScopedEnv Off("TPDBT_TIER", "plain");
+  EXPECT_EQ(
+      T.serializeSegmented(core::DefaultSegmentEvents),
+      core::BlockTrace::record(P).serializeSegmented(core::DefaultSegmentEvents));
+}
+
 TEST(JitTierTest, DemoteRepromoteCountsEachMissOnce) {
-  // The fallback-accounting regression: across a full demote ->
-  // re-profile -> re-promote sequence every deviating execution lands in
-  // exactly one counter, and the total is exactly DemoteStreak — a
-  // double-count (or a chain that keeps missing without demoting) would
-  // inflate it.
+  // The deopt-accounting regression: across a full demote -> re-profile
+  // -> re-promote sequence every deviating execution is counted once, and
+  // the total is exactly DemoteStreak — a double-count (or a chain that
+  // keeps missing without demoting) would inflate it. The chain compiles
+  // within phase A at the default heat as well as forced hot, so both
+  // see every phase-B miss in compiled code.
+  if (!HostTier::enabled())
+    GTEST_SKIP() << "jit tier unavailable";
   guest::Program P = makePhaseFlipProgram();
-  {
-    ScopedEnv Off("TPDBT_TIER", "predecoded");
-    HostTierStats St = expectTierMatchesPlain(P, 6000, "flip, jit off");
-    EXPECT_EQ(St.Fallbacks, HostTier::DemoteStreak);
-    EXPECT_EQ(St.JitDeopts, 0u);
-    EXPECT_GE(St.Superblocks, 2u); // the head was promoted twice
-  }
-  if (!HostTier::jitEnabled())
-    return; // the pre-decoded half of the property was still verified
-  {
-    ScopedEnv Heat("TPDBT_JIT_HEAT", "1");
-    HostTierStats St = expectTierMatchesPlain(P, 6000, "flip, jit hot");
-    EXPECT_EQ(St.JitDeopts, HostTier::DemoteStreak);
-    EXPECT_EQ(St.Fallbacks, 0u);
-    EXPECT_GE(St.Superblocks, 2u);
+  for (const char *Heat : {"1", "16"}) {
+    ScopedEnv H("TPDBT_JIT_HEAT", Heat);
+    HostTierStats St = expectTierMatchesPlain(P, 6000, Heat);
+    EXPECT_EQ(St.JitDeopts, HostTier::DemoteStreak) << Heat;
+    EXPECT_GE(St.Superblocks, 2u) << Heat; // the head was promoted twice
   }
   {
-    // A heat the run never reaches: the jit tier is enabled but stays
-    // cold, so the same misses all land in the pre-decoded counter.
+    // A heat the run never reaches: the chain stays cold, event by event,
+    // so nothing deviates from a guard and nothing demotes.
     ScopedEnv Heat("TPDBT_JIT_HEAT", "1000000");
     HostTierStats St = expectTierMatchesPlain(P, 6000, "flip, jit cold");
-    EXPECT_EQ(St.Fallbacks, HostTier::DemoteStreak);
     EXPECT_EQ(St.JitDeopts, 0u);
+    EXPECT_EQ(St.JitUnits, 0u);
   }
 }
 
 TEST(JitTierTest, CacheFlushUnderPressureStaysCorrect) {
-  if (!HostTier::jitEnabled())
+  if (!HostTier::enabled())
     GTEST_SKIP() << "jit tier unavailable";
   ScopedEnv Heat("TPDBT_JIT_HEAT", "1");
   ScopedEnv Cache("TPDBT_JIT_CACHE_BYTES", "4096");
@@ -325,7 +359,7 @@ TEST(JitTierTest, CacheFlushUnderPressureStaysCorrect) {
 }
 
 TEST(JitTierTest, RecordedTraceBytesMatchPlainWithJitHot) {
-  if (!HostTier::jitEnabled())
+  if (!HostTier::enabled())
     GTEST_SKIP() << "jit tier unavailable";
   ScopedEnv Heat("TPDBT_JIT_HEAT", "1");
   // The acceptance property: with every hot chain and loop running as
@@ -358,7 +392,7 @@ TEST(JitTierTest, RecordedTraceBytesMatchPlainWithJitHot) {
 }
 
 TEST(JitTierTest, RandomizedDifferentialWithJitHot) {
-  if (!HostTier::jitEnabled())
+  if (!HostTier::enabled())
     GTEST_SKIP() << "jit tier unavailable";
   ScopedEnv Heat("TPDBT_JIT_HEAT", "1");
   // Seeded budget sweep over every generated suite benchmark with the
@@ -442,17 +476,15 @@ TEST(JitTierTest, CompareFeedingBranchLatchMatchesAcrossTiers) {
   }
   EXPECT_EQ(InnerEvents, 64u * 40u);
 
-  ScopedEnv Heat("TPDBT_JIT_HEAT", "1");
   {
-    ScopedEnv Tier("TPDBT_TIER", "predecoded");
-    const HostTierStats St = expectTierMatchesPlain(P, ~0ull, "predecoded");
-    EXPECT_GT(St.RunFoldedIters, 0u);
-    EXPECT_GT(St.ChainedBlocks, 0u);
+    // Never hot: the whole run stays in the tier's cold interpreter.
+    ScopedEnv Heat("TPDBT_JIT_HEAT", "1000000");
+    const HostTierStats St = expectTierMatchesPlain(P, ~0ull, "cold");
     EXPECT_EQ(St.JitUnits, 0u);
   }
-  ScopedEnv Tier("TPDBT_TIER", "jit");
+  ScopedEnv Heat("TPDBT_JIT_HEAT", "1");
   const HostTierStats St = expectTierMatchesPlain(P, ~0ull, "jit");
-  if (HostTier::jitEnabled()) {
+  if (HostTier::enabled()) {
     EXPECT_GT(St.JitLoopIters, 0u);
     EXPECT_GT(St.JitBlocks, 0u);
   }
@@ -462,25 +494,18 @@ TEST(JitTierTest, CompareFeedingBranchLatchMatchesAcrossTiers) {
 }
 
 TEST(TierKnobTest, EnvParse) {
-  // One ceiling, read on every call. Unset, empty, and unknown values
-  // all give the default (jit), matching the old "anything but 0".
-  const std::pair<const char *, HostTier::Tier> Cases[] = {
-      {nullptr, HostTier::Tier::Jit},
-      {"plain", HostTier::Tier::Plain},
-      {"predecoded", HostTier::Tier::Predecoded},
-      {"jit", HostTier::Tier::Jit},
-      {"", HostTier::Tier::Jit},
-      {"0", HostTier::Tier::Jit},
-      {"PLAIN", HostTier::Tier::Jit},
-      {"plainx", HostTier::Tier::Jit},
+  // One switch, read on every call. Unset, empty, and unknown values —
+  // the retired "predecoded" among them — all leave the tier on, matching
+  // the old "anything but 0"; only "plain" turns it off.
+  const std::pair<const char *, bool> Cases[] = {
+      {nullptr, true}, {"plain", false}, {"predecoded", true},
+      {"jit", true},   {"", true},       {"0", true},
+      {"PLAIN", true}, {"plainx", true},
   };
   for (const auto &[Value, Want] : Cases) {
     ScopedEnv E("TPDBT_TIER", Value);
     const std::string Label = Value ? Value : "(unset)";
-    EXPECT_EQ(HostTier::tier(), Want) << Label;
-    EXPECT_EQ(HostTier::enabled(), Want != HostTier::Tier::Plain) << Label;
-    EXPECT_EQ(HostTier::jitEnabled(),
-              Want == HostTier::Tier::Jit && jit::CodeBuffer::supported())
+    EXPECT_EQ(HostTier::enabled(), Want && jit::CodeBuffer::supported())
         << Label;
   }
 }

@@ -1,6 +1,6 @@
 //===- tests/vm/HostTierTest.cpp - Host translation tier tests --*- C++ -*-===//
 //
-// Differential tests of the host superblock tier against the plain
+// Differential tests of the host translation tier against the plain
 // interpreter: same event stream, same RunOutcome, same machine state —
 // including runs that fault or exhaust their block budget in the middle
 // of a chained sequence — and byte-identical recorded traces.
@@ -13,6 +13,7 @@
 #include "core/Trace.h"
 #include "core/TraceSegments.h"
 #include "guest/ProgramBuilder.h"
+#include "jit/CodeBuffer.h"
 #include "support/Rng.h"
 #include "vm/Interpreter.h"
 #include "workloads/BenchSpec.h"
@@ -79,7 +80,7 @@ HostTierStats expectTierMatchesPlain(const guest::Program &P,
 /// latch) re-entered \p Iters times. Block B loads from address r1 = r0
 /// (the outer counter), so shrinking memory below Iters plants a MemFault
 /// in the middle of the chain once it is hot. No block branches to
-/// itself, keeping every member out of the self-loop tier.
+/// itself, so every member can join a chain.
 guest::Program makeChainProgram(int64_t Iters, uint64_t MemWords) {
   guest::ProgramBuilder PB("chain");
   auto Entry = PB.createBlock("entry");
@@ -119,7 +120,9 @@ TEST(HostTierTest, ChainPromotesAndMatchesPlain) {
   guest::Program P = makeChainProgram(200, 256);
   HostTierStats St = expectTierMatchesPlain(P, ~0ull, "clean chain");
   EXPECT_GT(St.Superblocks, 0u);
-  EXPECT_GT(St.ChainedBlocks, 0u);
+  if (jit::CodeBuffer::supported()) {
+    EXPECT_GT(St.JitBlocks, 0u);
+  }
 }
 
 TEST(HostTierTest, MemFaultMidChainMatchesPlain) {
@@ -129,22 +132,25 @@ TEST(HostTierTest, MemFaultMidChainMatchesPlain) {
   // block event, with machine state identical to the plain interpreter.
   guest::Program P = makeChainProgram(200, 64);
   HostTierStats St = expectTierMatchesPlain(P, ~0ull, "mid-chain fault");
-  EXPECT_GT(St.ChainedBlocks, 0u);
-  // The fault is a guard exit in whichever chain tier was active: the
-  // pre-decoded tier counts it as a fallback, the jit tier as a deopt.
-  EXPECT_GT(St.Fallbacks + St.JitDeopts, 0u);
+  if (jit::CodeBuffer::supported()) {
+    EXPECT_GT(St.JitBlocks, 0u);
+    EXPECT_GT(St.JitDeopts, 0u); // the fault left compiled code
+  }
 }
 
 TEST(HostTierTest, BlockLimitMidChainMatchesPlain) {
   guest::Program P = makeChainProgram(200, 256);
   // Budgets chosen to land at every offset within the four-block chained
-  // sequence once the head is hot (promotion happens within the first ~32
-  // events).
-  for (uint64_t MaxBlocks : {81ull, 82ull, 83ull, 84ull, 150ull}) {
+  // sequence once the head runs compiled (at the default jit heat that is
+  // from event 94 on: promotion after 8 iterations, compilation 16
+  // arrivals later).
+  for (uint64_t MaxBlocks : {101ull, 102ull, 103ull, 104ull, 150ull}) {
     HostTierStats St = expectTierMatchesPlain(
         P, MaxBlocks,
         ("budget " + std::to_string(MaxBlocks)).c_str());
-    EXPECT_GT(St.ChainedBlocks, 0u) << MaxBlocks;
+    if (jit::CodeBuffer::supported()) {
+      EXPECT_GT(St.JitBlocks, 0u) << MaxBlocks;
+    }
   }
 }
 
@@ -152,9 +158,10 @@ TEST(HostTierTest, BlockLimitInsideSelfLoopMatchesPlain) {
   // A counted self-loop, entered four times by an outer loop, with the
   // budget expiring mid-run: the batched iterations must stop exactly at
   // the budget and leave the registers as if the loop had been stepped
-  // one iteration at a time. The first entry runs interpreted and heats
-  // the loop; when the jit tier is available, later entries run
-  // compiled, so the last budget expires inside native code.
+  // one iteration at a time. The first iterations of the first entry run
+  // interpreted and heat the loop; when the jit is available the rest
+  // run compiled, so every budget past the heat expires inside native
+  // code.
   guest::ProgramBuilder PB("loop");
   auto Entry = PB.createBlock();
   auto Outer = PB.createBlock();
@@ -183,11 +190,8 @@ TEST(HostTierTest, BlockLimitInsideSelfLoopMatchesPlain) {
     HostTierStats St = expectTierMatchesPlain(
         P, MaxBlocks,
         ("loop budget " + std::to_string(MaxBlocks)).c_str());
-    if (MaxBlocks > 3) {
-      EXPECT_GT(St.RunFoldedIters, 0u) << MaxBlocks;
-    }
-    if (MaxBlocks == 65537 && HostTier::jitEnabled()) {
-      EXPECT_GT(St.JitLoopIters, 0u);
+    if (MaxBlocks > 3 && jit::CodeBuffer::supported()) {
+      EXPECT_GT(St.JitLoopIters, 0u) << MaxBlocks;
     }
   }
 }
