@@ -258,29 +258,6 @@ void BM_ReplaySweep(benchmark::State &State) {
 BENCHMARK(BM_ReplaySweep)->Arg(1)->Arg(4)->Arg(15)
     ->Unit(benchmark::kMillisecond);
 
-/// The plain reference pump (the adaptive-mode path and the differential
-/// oracle): every trace event through every policy, the threshold-0
-/// average included. The gap to BM_ReplaySweep is the analytic replay's
-/// speedup.
-void BM_ReplaySweepEventPump(benchmark::State &State) {
-  auto B = workloads::generateBenchmark(
-      workloads::scaledSpec(*workloads::findSpec("gzip"), 0.02));
-  core::BlockTrace T = core::BlockTrace::record(B.Ref, ~0ull);
-  std::vector<uint64_t> Thresholds;
-  for (int I = 0; I < State.range(0); ++I)
-    Thresholds.push_back(100ull << I);
-  uint64_t Events = 0;
-  for (auto _ : State) {
-    core::SweepResult R =
-        core::replaySweepEvents(T, B.Ref, Thresholds, dbt::DbtOptions());
-    Events += R.Average.BlockEvents;
-    benchmark::DoNotOptimize(R.Average.ProfilingOps);
-  }
-  State.SetItemsProcessed(static_cast<int64_t>(Events));
-}
-BENCHMARK(BM_ReplaySweepEventPump)->Arg(1)->Arg(15)
-    ->Unit(benchmark::kMillisecond);
-
 /// Cost of building the positional index (core/TraceIndex.h). No replay
 /// builds it any more; only the traced mirror in bench/e2e does, once per
 /// trace. Kept as the reference for what the replay stopped paying.

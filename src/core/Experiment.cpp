@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 
 using namespace tpdbt;
 using namespace tpdbt::core;
@@ -135,16 +136,27 @@ profile::ProfileSnapshot trainAverage(const std::string &Name,
   return S;
 }
 
+/// \p C, refused when its policy is adaptive: every INIP snapshot is an
+/// exact or sampled replay of the two-phase policy, and neither models a
+/// frozen block thawing.
+ExperimentConfig twoPhase(ExperimentConfig C) {
+  if (C.Dbt.Adaptive.Enabled)
+    throw std::invalid_argument(
+        "experiment contexts do not support adaptive policies");
+  return C;
+}
+
 } // namespace
 
 ExperimentContext::ExperimentContext(ExperimentConfig Config)
-    : Config(std::move(Config)),
+    : Config(twoPhase(std::move(Config))),
       Traces(std::make_shared<TraceCache>(this->Config.CacheDir)) {}
 
 ExperimentContext::ExperimentContext(ExperimentConfig Config,
                                      std::shared_ptr<TraceCache> Shared,
                                      ProfWriter *Writer)
-    : Config(std::move(Config)), Traces(std::move(Shared)), Writer(Writer) {
+    : Config(twoPhase(std::move(Config))), Traces(std::move(Shared)),
+      Writer(Writer) {
   assert(Traces && "shared trace cache must not be null");
 }
 
@@ -345,11 +357,7 @@ void ExperimentContext::fillMetrics(BenchData &D) const {
                                      /*MinUse=*/2000));
 }
 
-bool ExperimentContext::sampling() const {
-  // Adaptive re-optimization reshapes the event stream itself; the
-  // estimator has no model for it, so adaptive configs stay exact.
-  return Config.Sample.enabled() && !Config.Dbt.Adaptive.Enabled;
-}
+bool ExperimentContext::sampling() const { return Config.Sample.enabled(); }
 
 void ExperimentContext::ensureEstimates(const std::string &Name,
                                         BenchData &D, unsigned ReplayJobs) {

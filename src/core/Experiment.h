@@ -202,6 +202,9 @@ struct MetricTable {
 /// Lazily-computed, disk-cached profiles for the whole suite.
 class ExperimentContext {
 public:
+  /// Throws std::invalid_argument when \p Config's policy is adaptive:
+  /// the exact and the sampled replay serve two-phase policies only
+  /// (adaptive ones run under dbt::DbtEngine).
   explicit ExperimentContext(ExperimentConfig Config);
 
   /// Like above, but recording into \p Shared instead of a private
@@ -235,9 +238,7 @@ public:
   const profile::ProfileSnapshot &train(const std::string &Name);
 
   /// Whether INIP snapshots are sampled estimates rather than exact
-  /// replays. True when TPDBT_SAMPLE_MODE is on and the policy is not
-  /// adaptive (adaptive re-optimization reshapes the event stream itself,
-  /// so it always takes the exact path).
+  /// replays: true when TPDBT_SAMPLE_MODE is on.
   bool sampling() const;
 
   /// The benchmark's replicates and sample stats; null when sampling()

@@ -44,7 +44,8 @@ struct SweepResult {
 /// profiling-only snapshot. \p Base supplies pool/formation/cost settings;
 /// its Threshold field is ignored. Equivalent to
 /// replaySweep(BlockTrace::record(P, MaxBlocks), P, Thresholds, Base)
-/// (see core/Trace.h).
+/// (see core/Trace.h), so it throws std::invalid_argument for an adaptive
+/// \p Base; adaptive policies run only under dbt::DbtEngine.
 SweepResult runSweep(const guest::Program &P,
                      const std::vector<uint64_t> &Thresholds,
                      const dbt::DbtOptions &Base, uint64_t MaxBlocks);

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
+#include <stdexcept>
 #include <unordered_map>
 
 using namespace tpdbt;
@@ -376,9 +377,9 @@ void evaluateTimeline(const BlockTrace &Trace, const CrossingTable &Table,
 
   // Exact sources: a crossing is its use's event position, and a
   // trigger's counters are every block's shared counters through that
-  // event (inclusive) — exactly the Shared vector the pump would pass.
-  // Distinct crossings sit at distinct events, so the timeline's order is
-  // the pump's processing order.
+  // event (inclusive) — exactly the Shared vector a live engine would
+  // pass. Distinct crossings sit at distinct events, so the timeline's
+  // order is the live engine's processing order.
   const std::vector<dbt::FrozenBlock> Frozen = Policy.freezeTimeline(
       Final,
       [&](BlockId B, uint64_t J) {
@@ -502,46 +503,6 @@ tpdbt::core::dedupThresholds(const std::vector<uint64_t> &Thresholds) {
   return Out;
 }
 
-SweepResult tpdbt::core::replaySweepEvents(
-    const BlockTrace &Trace, const Program &P,
-    const std::vector<uint64_t> &Thresholds, const dbt::DbtOptions &Base) {
-  assert(Trace.numBlocks() == P.numBlocks() &&
-         "trace does not match the program");
-  const uint64_t NumEvents = Trace.numEvents();
-  const uint64_t TotalInsts = Trace.totalInsts();
-  cfg::Cfg G(P);
-
-  std::vector<std::unique_ptr<dbt::TranslationPolicy>> Policies;
-  for (uint64_t T : Thresholds) {
-    dbt::DbtOptions Opts = Base;
-    Opts.Threshold = T;
-    Policies.push_back(
-        std::make_unique<dbt::TranslationPolicy>(P, G, Opts));
-  }
-  dbt::DbtOptions AvgOpts = Base;
-  AvgOpts.Threshold = 0;
-  dbt::TranslationPolicy AvgPolicy(P, G, AvgOpts);
-
-  std::vector<profile::BlockCounters> Shared(P.numBlocks());
-  for (uint64_t I = 0; I < NumEvents; ++I) {
-    const TraceEvent &E = Trace.event(I);
-    const vm::BlockResult R = resultOf(E);
-    profile::BlockCounters &Cnt = Shared[E.Block];
-    ++Cnt.Use;
-    if (R.IsCondBranch && R.Taken)
-      ++Cnt.Taken;
-    for (auto &Policy : Policies)
-      Policy->onBlockEvent(E.Block, R, Shared);
-    AvgPolicy.onBlockEvent(E.Block, R, Shared);
-  }
-
-  SweepResult Out;
-  for (auto &Policy : Policies)
-    Out.PerThreshold.push_back(Policy->finish(Shared, NumEvents, TotalInsts));
-  Out.Average = AvgPolicy.finish(Shared, NumEvents, TotalInsts);
-  return Out;
-}
-
 SweepResult tpdbt::core::replaySweep(const BlockTrace &Trace,
                                      const Program &P,
                                      const std::vector<uint64_t> &Thresholds,
@@ -549,48 +510,43 @@ SweepResult tpdbt::core::replaySweep(const BlockTrace &Trace,
                                      unsigned Jobs) {
   assert(Trace.numBlocks() == P.numBlocks() &&
          "trace does not match the program");
+  if (Base.Adaptive.Enabled)
+    throw std::invalid_argument(
+        "exact replay does not support adaptive policies");
   const ThresholdSlots Slots = dedupThresholds(Thresholds);
   const std::vector<uint64_t> &Unique = Slots.Unique;
 
   cfg::Cfg G(P);
-  // The average is a closed form of the stream totals in either mode (a
-  // threshold-0 policy never freezes, so it never adapts): only threshold
+  // The average is a closed form of the stream totals: only threshold
   // units read the events.
   SweepResult Out;
   Out.Average =
       dbt::profilingAverage(P, G, Base, Trace.finalCounts(),
                             Trace.numEvents(), Trace.takenEvents(),
                             Trace.totalInsts());
-  if (Base.Adaptive.Enabled) {
-    // Adaptive re-optimization thaws frozen blocks, so no static freeze
-    // timeline exists: pump the events.
-    Out.PerThreshold =
-        replaySweepEvents(Trace, P, Unique, Base).PerThreshold;
-  } else {
-    Out.PerThreshold.resize(Unique.size());
-    if (!Unique.empty()) {
-      const CrossingTable Table(Trace, Unique);
-      // Per-threshold timelines are independent units; dispatch them on
-      // the worker pool alongside the per-benchmark parallelism, then
-      // walk once for all of them. Results are stored by index, so they
-      // are identical at any job count.
-      std::vector<std::unique_ptr<dbt::TranslationPolicy>> Policies(
-          Unique.size());
-      std::vector<std::vector<Walker>> Walks(Unique.size());
-      parallelFor(Unique.size(), Jobs, [&](size_t I) {
-        dbt::DbtOptions Opts = Base;
-        Opts.Threshold = Unique[I];
-        Policies[I] = std::make_unique<dbt::TranslationPolicy>(P, G, Opts);
-        evaluateTimeline(Trace, Table, *Policies[I], I, Walks[I]);
-      });
-      std::vector<Walker> Walk;
-      for (std::vector<Walker> &W : Walks)
-        Walk.insert(Walk.end(), W.begin(), W.end());
-      walkOptimized(Trace, Walk, Policies);
-      for (size_t I = 0; I < Unique.size(); ++I)
-        Out.PerThreshold[I] = Policies[I]->finish(
-            Trace.finalCounts(), Trace.numEvents(), Trace.totalInsts());
-    }
+  Out.PerThreshold.resize(Unique.size());
+  if (!Unique.empty()) {
+    const CrossingTable Table(Trace, Unique);
+    // Per-threshold timelines are independent units; dispatch them on the
+    // worker pool alongside the per-benchmark parallelism, then walk once
+    // for all of them. Results are stored by index, so they are identical
+    // at any job count.
+    std::vector<std::unique_ptr<dbt::TranslationPolicy>> Policies(
+        Unique.size());
+    std::vector<std::vector<Walker>> Walks(Unique.size());
+    parallelFor(Unique.size(), Jobs, [&](size_t I) {
+      dbt::DbtOptions Opts = Base;
+      Opts.Threshold = Unique[I];
+      Policies[I] = std::make_unique<dbt::TranslationPolicy>(P, G, Opts);
+      evaluateTimeline(Trace, Table, *Policies[I], I, Walks[I]);
+    });
+    std::vector<Walker> Walk;
+    for (std::vector<Walker> &W : Walks)
+      Walk.insert(Walk.end(), W.begin(), W.end());
+    walkOptimized(Trace, Walk, Policies);
+    for (size_t I = 0; I < Unique.size(); ++I)
+      Out.PerThreshold[I] = Policies[I]->finish(
+          Trace.finalCounts(), Trace.numEvents(), Trace.totalInsts());
   }
 
   Out.PerThreshold = Slots.fanOut(Out.PerThreshold.data());

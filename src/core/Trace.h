@@ -11,9 +11,10 @@
 /// This is the standard decoupling in DBT/profiling research: collect the
 /// trace once (expensive), then study arbitrarily many translator
 /// configurations against it (cheap). replaySweep() derives snapshots
-/// byte-identical to one live dbt::DbtEngine run per threshold — tests
-/// assert that, and diff it against the plain event pump
-/// replaySweepEvents().
+/// byte-identical to one live dbt::DbtEngine run per threshold for the
+/// paper's two-phase policies (counters freeze at optimization and never
+/// thaw). Tests assert that, and diff it against a plain event pump that
+/// lives only in tests (tests/oracle/EventPump.h).
 ///
 /// In memory an event is one 32-bit word, the block id and its branch
 /// outcome: the instruction count and the branch kind are functions of
@@ -300,44 +301,34 @@ ThresholdSlots dedupThresholds(const std::vector<uint64_t> &Thresholds);
 /// profiling-only policy), byte-identical to one live dbt::DbtEngine run
 /// per threshold over the same execution.
 ///
-/// Non-adaptive policies are evaluated *analytically* in two forward
-/// passes over the trace's event words; no index is built. Pass 1 records,
-/// for each block's T-th and 2T-th use over the distinct thresholds, the
-/// event position and every block's counters there (memory O(blocks x
+/// Policies are evaluated *analytically* in two forward passes over the
+/// trace's event words; no index is built. Pass 1 records, for each
+/// block's T-th and 2T-th use over the distinct thresholds, the event
+/// position and every block's counters there (memory O(blocks x
 /// crossings), whatever the trace length).
 /// The policy's freeze timeline (dbt::TranslationPolicy::freezeTimeline,
 /// registration at the T-th occurrence, the registered-twice trigger at
 /// the 2T-th) runs on those exact counters, so region formation and cost
-/// accounting run exactly as in the pump. The profiling phase, and the
-/// post-freeze stream of every block that forms a one-node region alone,
-/// take closed forms over the counts. Pass 2 is one walk from the earliest
-/// freeze that hands every later event of the other frozen blocks to each
-/// policy that froze them. The sampled estimator (sample/Estimator.h)
-/// drives the same timeline with estimated sources.
+/// accounting run exactly as in a live engine. The profiling phase, and
+/// the post-freeze stream of every block that forms a one-node region
+/// alone, take closed forms over the counts. Pass 2 is one walk from the
+/// earliest freeze that hands every later event of the other frozen
+/// blocks to each policy that froze them. The sampled estimator
+/// (sample/Estimator.h) drives the same timeline with estimated sources.
 /// Duplicate thresholds share one evaluation, and the per-threshold
 /// timelines are dispatched on up to \p Jobs worker threads (results are
 /// identical at any job count).
 ///
 /// The profiling-only Average is dbt::profilingAverage(), a closed form of
-/// the trace's final counters and stream totals, in adaptive mode too (a
-/// threshold-0 policy never freezes, so it never adapts): an AVEP-only
-/// replay reads no event.
+/// the trace's final counters and stream totals: an AVEP-only replay reads
+/// no event.
 ///
-/// Adaptive threshold policies (frozen blocks can thaw, so no static
-/// freeze timeline exists) fall back to replaySweepEvents().
+/// Throws std::invalid_argument when \p Base is adaptive: frozen blocks
+/// can thaw there, so no static freeze timeline exists. Adaptive policies
+/// run only under dbt::DbtEngine.
 SweepResult replaySweep(const BlockTrace &Trace, const guest::Program &P,
                         const std::vector<uint64_t> &Thresholds,
                         const dbt::DbtOptions &Base, unsigned Jobs = 1);
-
-/// The plain reference pump: bumps the shared counters for each trace
-/// event, then feeds the event to every policy — one per threshold and
-/// the threshold-0 policy for Average, all pumped alike. Kept as the
-/// adaptive-mode path and as the differential-testing oracle for the
-/// analytic path above, whose closed forms it shares none of.
-SweepResult replaySweepEvents(const BlockTrace &Trace,
-                              const guest::Program &P,
-                              const std::vector<uint64_t> &Thresholds,
-                              const dbt::DbtOptions &Base);
 
 } // namespace core
 } // namespace tpdbt

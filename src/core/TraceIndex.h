@@ -104,7 +104,7 @@ public:
   }
 
   /// Shared counters of \p B as of (and including) the event at \p Pos —
-  /// what the event pump's Shared[B] holds right after that event.
+  /// what a live engine's Shared[B] holds right after that event.
   profile::BlockCounters countersThrough(guest::BlockId B,
                                          uint32_t Pos) const {
     uint32_t K = usesThrough(B, Pos);

@@ -12,6 +12,8 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <memory>
+#include <stdexcept>
 #include <thread>
 
 using namespace tpdbt;
@@ -143,12 +145,17 @@ TEST(ExperimentSampleTest, OffModeIsExactPath) {
   EXPECT_EQ(Ctx.traceStats().SampleSegmentsSkipped.load(), 0u);
 }
 
-TEST(ExperimentSampleTest, AdaptivePoliciesStayExact) {
-  ExperimentConfig C = sampledConfig();
-  C.Dbt.Adaptive.Enabled = true;
-  ExperimentContext Ctx(C);
-  EXPECT_FALSE(Ctx.sampling());
-  EXPECT_EQ(Ctx.sampled("gzip"), nullptr);
+TEST(ExperimentSampleTest, AdaptivePoliciesAreRejected) {
+  // Neither the exact nor the sampled replay models a frozen block
+  // thawing, so a context refuses an adaptive policy at construction, in
+  // every build type and through either constructor.
+  for (ExperimentConfig C : {sampledConfig(), exactConfig()}) {
+    C.Dbt.Adaptive.Enabled = true;
+    EXPECT_THROW(ExperimentContext{C}, std::invalid_argument);
+    EXPECT_THROW(
+        ExperimentContext(C, std::make_shared<TraceCache>(C.CacheDir)),
+        std::invalid_argument);
+  }
 }
 
 // Acceptance: sampled runs never read or write the .prof layer, and the

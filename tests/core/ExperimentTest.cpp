@@ -3,6 +3,7 @@
 #include "core/Experiment.h"
 
 #include "core/TraceSegments.h"
+#include "oracle/EventPump.h"
 #include "support/TextFile.h"
 
 #include <gtest/gtest.h>
@@ -383,38 +384,32 @@ TEST(ExperimentContextTest, CorruptTraceEntryFallsBackToRecord) {
 }
 
 // The exact path's train lookup streams a warm entry's segments through
-// TraceCache::totals() and never holds the trace. In either adaptive mode
-// it must give the snapshot the event pump gives over the recorded train
-// trace, as two disk hits per program and no record.
+// TraceCache::totals() and never holds the trace. It must give the
+// snapshot the event pump gives over the recorded train trace, as two
+// disk hits per program and no record.
 TEST(ExperimentContextTest, TrainFromVerifiedTotalsMatchesEventPump) {
   std::string Dir = (std::filesystem::temp_directory_path() /
                      "tpdbt_train_totals_test")
                         .string();
   std::filesystem::remove_all(Dir);
-  for (bool Adaptive : {false, true}) {
-    ExperimentConfig C = tinyConfig(Dir);
-    C.Dbt.Adaptive.Enabled = Adaptive;
-    ExperimentContext Warm(C);
-    const workloads::GeneratedBenchmark &B = Warm.benchmark("art");
-    SweepResult Pumped = replaySweepEvents(
-        BlockTrace::record(B.Train, B.Spec.MaxBlockEvents), B.Train, {},
-        C.Dbt);
-    Pumped.Average.Benchmark = "art";
-    Pumped.Average.Input = "train";
-    const std::string Expected = profile::printSnapshot(Pumped.Average);
-    EXPECT_EQ(profile::printSnapshot(Warm.train("art")), Expected)
-        << "adaptive=" << Adaptive;
+  ExperimentConfig C = tinyConfig(Dir);
+  ExperimentContext Warm(C);
+  const workloads::GeneratedBenchmark &B = Warm.benchmark("art");
+  SweepResult Pumped = replaySweepEvents(
+      BlockTrace::record(B.Train, B.Spec.MaxBlockEvents), B.Train, {}, C.Dbt);
+  Pumped.Average.Benchmark = "art";
+  Pumped.Average.Input = "train";
+  const std::string Expected = profile::printSnapshot(Pumped.Average);
+  EXPECT_EQ(profile::printSnapshot(Warm.train("art")), Expected);
 
-    for (const auto &E : std::filesystem::directory_iterator(Dir))
-      if (E.path().extension() == ".prof")
-        std::filesystem::remove(E.path());
-    ExperimentContext Ctx(C);
-    EXPECT_EQ(profile::printSnapshot(Ctx.train("art")), Expected)
-        << "adaptive=" << Adaptive;
-    EXPECT_EQ(Ctx.traceStats().DiskHits.load(), 2u);
-    EXPECT_EQ(Ctx.traceStats().Misses.load(), 0u);
-    EXPECT_EQ(Ctx.traceStats().CorruptEntries.load(), 0u);
-  }
+  for (const auto &E : std::filesystem::directory_iterator(Dir))
+    if (E.path().extension() == ".prof")
+      std::filesystem::remove(E.path());
+  ExperimentContext Ctx(C);
+  EXPECT_EQ(profile::printSnapshot(Ctx.train("art")), Expected);
+  EXPECT_EQ(Ctx.traceStats().DiskHits.load(), 2u);
+  EXPECT_EQ(Ctx.traceStats().Misses.load(), 0u);
+  EXPECT_EQ(Ctx.traceStats().CorruptEntries.load(), 0u);
   std::filesystem::remove_all(Dir);
 }
 

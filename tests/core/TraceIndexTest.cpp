@@ -5,6 +5,7 @@
 #include "core/Experiment.h"
 #include "core/Trace.h"
 #include "core/TraceCache.h"
+#include "oracle/EventPump.h"
 #include "support/Compression.h"
 #include "support/Rng.h"
 #include "support/TextFile.h"

@@ -4,6 +4,7 @@
 
 #include "core/TraceCache.h"
 #include "core/TracePipeline.h"
+#include "oracle/EventPump.h"
 #include "support/Compression.h"
 #include "support/Rng.h"
 #include "support/TextFile.h"

@@ -8,6 +8,7 @@
 #include "core/TraceSegments.h"
 #include "dbt/DbtEngine.h"
 #include "guest/ProgramBuilder.h"
+#include "oracle/EventPump.h"
 #include "support/Rng.h"
 #include "support/ThreadPool.h"
 #include "workloads/BenchSpec.h"
@@ -18,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 using namespace tpdbt;
 using namespace tpdbt::core;
@@ -333,29 +335,23 @@ TEST(TraceTest, IndexedReplayMatchesEventPumpAcrossJobCounts) {
   }
 }
 
-TEST(TraceTest, AdaptiveSweepFallsBackToEventPump) {
-  // Adaptive mode has no static freeze timeline; replaySweep must route
-  // through the event pump and still dedupe repeated thresholds.
+TEST(TraceTest, AdaptiveSweepIsRejected) {
+  // Adaptive mode thaws frozen blocks, so no static freeze timeline
+  // exists: the analytic replay refuses it, in every build type, rather
+  // than derive snapshots no live engine would give.
   auto B = smallBench("gzip");
   BlockTrace T = BlockTrace::record(B.Ref);
   dbt::DbtOptions Opts;
   Opts.Adaptive.Enabled = true;
-  Opts.Adaptive.MinEntries = 32;
-  std::vector<uint64_t> Thresholds = {100, 500, 100};
-  SweepResult Pumped = replaySweepEvents(T, B.Ref, Thresholds, Opts);
-  SweepResult Replayed = replaySweep(T, B.Ref, Thresholds, Opts);
-  for (size_t I = 0; I < Thresholds.size(); ++I)
-    EXPECT_EQ(profile::printSnapshot(Replayed.PerThreshold[I]),
-              profile::printSnapshot(Pumped.PerThreshold[I]))
-        << "T=" << Thresholds[I];
-  EXPECT_EQ(profile::printSnapshot(Replayed.Average),
-            profile::printSnapshot(Pumped.Average));
+  EXPECT_THROW(replaySweep(T, B.Ref, {100, 500}, Opts), std::invalid_argument);
+  EXPECT_THROW(replaySweep(T, B.Ref, {}, Opts, 4), std::invalid_argument);
+  EXPECT_THROW(runSweep(B.Ref, {100}, Opts, ~0ull), std::invalid_argument);
 }
 
 TEST(TraceTest, AdaptiveReplayMatchesLiveEngine) {
-  // The adaptive production path (replaySweep pumps the thresholds and
-  // takes the average in closed form) against one live adaptive engine
-  // per threshold, on programs whose regions really thaw.
+  // The event-pump oracle drives adaptive policies exactly as the live
+  // engine does: against one live adaptive engine per threshold, on
+  // programs whose regions really thaw.
   dbt::DbtOptions Opts;
   Opts.Adaptive.Enabled = true;
   Opts.Adaptive.MinEntries = 32;
@@ -363,8 +359,8 @@ TEST(TraceTest, AdaptiveReplayMatchesLiveEngine) {
   uint64_t Retranslations = 0;
   for (const char *Name : {"gzip", "gcc", "mcf"}) {
     auto B = smallBench(Name);
-    SweepResult Replayed =
-        replaySweep(BlockTrace::record(B.Ref), B.Ref, Thresholds, Opts);
+    SweepResult Replayed = replaySweepEvents(BlockTrace::record(B.Ref), B.Ref,
+                                             Thresholds, Opts);
     ASSERT_EQ(Replayed.PerThreshold.size(), Thresholds.size()) << Name;
     for (size_t I = 0; I < Thresholds.size(); ++I) {
       dbt::DbtOptions LiveOpts = Opts;

@@ -201,7 +201,8 @@ TEST(PolicyTest, EveryFrozenBlockIsARegionNode) {
   // always some region's node. The analytic replay walks every frozen
   // block as a region member and the sampled estimator charges every one
   // the member rate; both rely on this. Checked after every optimization
-  // round of a pumped replay, as replaySweepEvents drives it.
+  // round while the loop below pumps the trace's events through the
+  // policies, as a live engine feeds them.
   const std::vector<uint64_t> Thresholds = {1, 100, 2000};
   for (const workloads::BenchSpec &Spec : workloads::spec2000Suite()) {
     auto B = workloads::generateBenchmark(workloads::scaledSpec(Spec, 0.01));

@@ -224,12 +224,12 @@ TEST(SweepServiceTest, IdenticalInFlightRequestsCoalesce) {
 TEST(SweepServiceTest, DistinctRequestsNeverCoalesce) {
   // Disk-backed cache: the in-memory layer holds weak references, so the
   // cross-policy sharing below is only observable through the disk layer
-  // once the first run's trace has been released.
-  const auto Dir = std::filesystem::temp_directory_path() /
-                   ("tpdbt_svc_share_" + std::to_string(::getpid()));
-  std::filesystem::create_directories(Dir);
+  // once the first run's trace has been released. The directory is
+  // declared before the service, so the service (and its .prof writer)
+  // drains before the directory goes.
+  TempDir Dir("share");
   ExperimentConfig Base = tinyBase();
-  Base.CacheDir = Dir.string();
+  Base.CacheDir = Dir.Path.string();
 
   SweepService S(Base, testLimits());
   SweepRequest A = tinySweep("gzip");
@@ -245,9 +245,6 @@ TEST(SweepServiceTest, DistinctRequestsNeverCoalesce) {
   // inputs into the shared store and the second replayed them warm.
   EXPECT_EQ(S.traceStats().Misses.load(), 2u); // ref + train, once
   EXPECT_GT(S.traceStats().hits(), 0u);
-
-  std::error_code Ec;
-  std::filesystem::remove_all(Dir, Ec);
 }
 
 TEST(SweepServiceTest, RepeatAfterCompletionRecomputesIdentically) {

@@ -14,6 +14,7 @@
 #include "core/TraceSegments.h"
 #include "guest/ProgramBuilder.h"
 #include "jit/CodeBuffer.h"
+#include "oracle/EventPump.h"
 #include "support/Rng.h"
 #include "vm/Interpreter.h"
 #include "workloads/BenchSpec.h"
